@@ -45,54 +45,6 @@ const Value* Lookup(const Env& env, const std::string& name) {
   return nullptr;
 }
 
-StatusOr<Value> EvalBuiltin(const CExpr::Call& call,
-                            const std::vector<Value>& args) {
-  auto num = [&](size_t i) { return args[i].ToDouble(); };
-  auto need = [&](size_t n) -> Status {
-    if (args.size() != n) {
-      return Status::RuntimeError(StrCat("builtin ", call.function,
-                                         " expects ", n, " argument(s)"));
-    }
-    for (const Value& v : args) {
-      if (!v.is_numeric()) {
-        return Status::RuntimeError(StrCat("builtin ", call.function,
-                                           " applied to ", v.ToString()));
-      }
-    }
-    return Status::OK();
-  };
-  if (call.function == "inRange") {
-    DIABLO_RETURN_IF_ERROR(need(3));
-    return Value::MakeBool(num(0) >= num(1) && num(0) <= num(2));
-  }
-  if (call.function == "sqrt") {
-    DIABLO_RETURN_IF_ERROR(need(1));
-    return Value::MakeDouble(std::sqrt(num(0)));
-  }
-  if (call.function == "abs") {
-    DIABLO_RETURN_IF_ERROR(need(1));
-    if (args[0].is_int()) return Value::MakeInt(std::llabs(args[0].AsInt()));
-    return Value::MakeDouble(std::fabs(num(0)));
-  }
-  if (call.function == "exp") {
-    DIABLO_RETURN_IF_ERROR(need(1));
-    return Value::MakeDouble(std::exp(num(0)));
-  }
-  if (call.function == "log") {
-    DIABLO_RETURN_IF_ERROR(need(1));
-    return Value::MakeDouble(std::log(num(0)));
-  }
-  if (call.function == "pow") {
-    DIABLO_RETURN_IF_ERROR(need(2));
-    return Value::MakeDouble(std::pow(num(0), num(1)));
-  }
-  if (call.function == "floor") {
-    DIABLO_RETURN_IF_ERROR(need(1));
-    return Value::MakeDouble(std::floor(num(0)));
-  }
-  return Status::RuntimeError(StrCat("unknown builtin '", call.function, "'"));
-}
-
 /// Local combining merge X ⊳⊕ Y.
 StatusOr<Value> MergeWithOp(BinOp op, const Value& left, const Value& right) {
   if (!left.is_bag() || !right.is_bag()) {
@@ -201,7 +153,12 @@ StatusOr<Value> EvalExpr(const CExprPtr& e, const Env& env,
       DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(a, env, globals));
       args.push_back(std::move(v));
     }
-    return EvalBuiltin(call, args);
+    std::optional<runtime::Builtin> fn = runtime::FindBuiltin(call.function);
+    if (!fn.has_value()) {
+      return Status::RuntimeError(
+          StrCat("unknown builtin '", call.function, "'"));
+    }
+    return runtime::EvalBuiltin(*fn, args);
   }
   if (e->is<CExpr::Reduce>()) {
     const auto& r = e->as<CExpr::Reduce>();

@@ -1,6 +1,7 @@
 #include "analysis/absint.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <set>
 #include <utility>
@@ -248,10 +249,15 @@ class AbstractInterpreter {
         case BinOp::kMul:
           return *l * *r;
         case BinOp::kDiv:
-          if (*r == 0) return std::nullopt;
+          // Division by zero and INT64_MIN / -1 fail at run time.
+          if (*r == 0 ||
+              (*r == -1 && *l == std::numeric_limits<int64_t>::min())) {
+            return std::nullopt;
+          }
           return *l / *r;
         case BinOp::kMod:
           if (*r == 0) return std::nullopt;
+          if (*r == -1) return 0;  // as runtime::EvalBinOp; avoids the trap
           return *l % *r;
         default:
           return std::nullopt;

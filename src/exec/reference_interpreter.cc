@@ -1,6 +1,7 @@
 #include "exec/reference_interpreter.h"
 
 #include <cmath>
+#include <optional>
 
 #include "common/strings.h"
 
@@ -144,49 +145,13 @@ StatusOr<ReferenceInterpreter::Lifted> ReferenceInterpreter::EvalCall(
     if (!l.present) return Lifted::Absent();
     args.push_back(std::move(l.value));
   }
-  auto need = [&](size_t n) -> Status {
-    if (args.size() != n) {
-      return Status::RuntimeError(StrCat("builtin ", call.function,
-                                         " expects ", n, " argument(s)"));
-    }
-    for (const Value& v : args) {
-      if (!v.is_numeric()) {
-        return Status::RuntimeError(StrCat("builtin ", call.function,
-                                           " applied to ", v.ToString()));
-      }
-    }
-    return Status::OK();
-  };
-  if (call.function == "sqrt") {
-    DIABLO_RETURN_IF_ERROR(need(1));
-    return Lifted::Of(Value::MakeDouble(std::sqrt(args[0].ToDouble())));
+  std::optional<runtime::Builtin> fn = runtime::FindBuiltin(call.function);
+  if (!fn.has_value()) {
+    return Status::RuntimeError(
+        StrCat("unknown function '", call.function, "'"));
   }
-  if (call.function == "abs") {
-    DIABLO_RETURN_IF_ERROR(need(1));
-    if (args[0].is_int()) {
-      return Lifted::Of(Value::MakeInt(std::llabs(args[0].AsInt())));
-    }
-    return Lifted::Of(Value::MakeDouble(std::fabs(args[0].AsDouble())));
-  }
-  if (call.function == "exp") {
-    DIABLO_RETURN_IF_ERROR(need(1));
-    return Lifted::Of(Value::MakeDouble(std::exp(args[0].ToDouble())));
-  }
-  if (call.function == "log") {
-    DIABLO_RETURN_IF_ERROR(need(1));
-    return Lifted::Of(Value::MakeDouble(std::log(args[0].ToDouble())));
-  }
-  if (call.function == "pow") {
-    DIABLO_RETURN_IF_ERROR(need(2));
-    return Lifted::Of(
-        Value::MakeDouble(std::pow(args[0].ToDouble(), args[1].ToDouble())));
-  }
-  if (call.function == "floor") {
-    DIABLO_RETURN_IF_ERROR(need(1));
-    return Lifted::Of(Value::MakeDouble(std::floor(args[0].ToDouble())));
-  }
-  return Status::RuntimeError(
-      StrCat("unknown function '", call.function, "'"));
+  DIABLO_ASSIGN_OR_RETURN(Value v, runtime::EvalBuiltin(*fn, args));
+  return Lifted::Of(std::move(v));
 }
 
 StatusOr<ReferenceInterpreter::Lifted> ReferenceInterpreter::EvalLValueRead(

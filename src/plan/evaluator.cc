@@ -1,9 +1,8 @@
-#include <cmath>
 #include <optional>
-#include <unordered_map>
 
 #include "common/strings.h"
 #include "plan/plan.h"
+#include "plan/row_program.h"
 #include "runtime/array.h"
 
 namespace diablo::plan {
@@ -20,120 +19,60 @@ namespace {
 
 constexpr int64_t kMaxLocalRange = 1 << 24;
 
-// --------------------------- pattern binding --------------------------------
-
-/// Destructures `value` by `pattern`, appending bound components (in
-/// Pattern::Vars() order, skipping "_") to `out`.
+/// Appends the components of `value` that `pattern` binds to `out`.
 Status BindPattern(const Pattern& pattern, const Value& value,
                    ValueVec* out) {
-  if (!pattern.is_tuple) {
-    if (pattern.var != "_") out->push_back(value);
-    return Status::OK();
-  }
-  if (!value.is_tuple() || value.tuple().size() != pattern.elems.size()) {
-    return Status::RuntimeError(
-        StrCat("pattern ", pattern.ToString(), " does not match value ",
-               value.ToString()));
-  }
-  for (size_t i = 0; i < pattern.elems.size(); ++i) {
-    DIABLO_RETURN_IF_ERROR(
-        BindPattern(pattern.elems[i], value.tuple()[i], out));
-  }
-  return Status::OK();
+  return DestructurePattern(pattern, value,
+                            [out](const Value& v) { out->push_back(v); });
 }
 
-// --------------------------- expression evaluation ---------------------------
+// --------------------------- driver expressions -----------------------------
 
-/// Evaluates a comprehension expression against a row of `schema`-ordered
-/// `values`, falling back to driver scalars. When `allow_subplans` is
-/// true (driver context), nested comprehensions are planned and executed;
-/// in row context they are an error (the normalizer flattens them away).
-struct EvalCtx {
+/// Evaluates a comprehension expression on the driver. Names resolve to
+/// the plan's driver-bound prefix (`schema`-ordered `values`), then to
+/// driver scalars, then to whole arrays (collected); nested
+/// comprehensions are planned and executed. Per-row evaluation is
+/// compiled instead (plan/row_program.h).
+struct DriverCtx {
   const std::vector<std::string>* schema;
   const ValueVec* values;
   const ExecState* state;
-  bool allow_subplans;
 };
 
-StatusOr<Value> EvalExpr(const CExprPtr& e, const EvalCtx& ctx);
+StatusOr<Value> EvalExpr(const CExprPtr& e, const DriverCtx& ctx);
 
-StatusOr<Value> EvalCallExpr(const CExpr::Call& call, const EvalCtx& ctx) {
-  std::vector<Value> args;
+StatusOr<Value> EvalCallExpr(const CExpr::Call& call, const DriverCtx& ctx) {
+  ValueVec args;
   for (const auto& a : call.args) {
     DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(a, ctx));
     args.push_back(std::move(v));
   }
-  auto num = [&](size_t i) { return args[i].ToDouble(); };
-  auto need_numeric = [&](size_t n) -> Status {
-    if (args.size() != n) {
-      return Status::RuntimeError(StrCat("builtin ", call.function,
-                                         " expects ", n, " argument(s)"));
-    }
-    for (const Value& v : args) {
-      if (!v.is_numeric()) {
-        return Status::RuntimeError(StrCat("builtin ", call.function,
-                                           " applied to ", v.ToString()));
-      }
-    }
-    return Status::OK();
-  };
-  if (call.function == "inRange") {
-    DIABLO_RETURN_IF_ERROR(need_numeric(3));
-    return Value::MakeBool(num(0) >= num(1) && num(0) <= num(2));
+  std::optional<runtime::Builtin> fn = runtime::FindBuiltin(call.function);
+  if (!fn.has_value()) {
+    return Status::RuntimeError(
+        StrCat("unknown builtin '", call.function, "'"));
   }
-  if (call.function == "sqrt") {
-    DIABLO_RETURN_IF_ERROR(need_numeric(1));
-    return Value::MakeDouble(std::sqrt(num(0)));
-  }
-  if (call.function == "abs") {
-    DIABLO_RETURN_IF_ERROR(need_numeric(1));
-    if (args[0].is_int()) return Value::MakeInt(std::llabs(args[0].AsInt()));
-    return Value::MakeDouble(std::fabs(num(0)));
-  }
-  if (call.function == "exp") {
-    DIABLO_RETURN_IF_ERROR(need_numeric(1));
-    return Value::MakeDouble(std::exp(num(0)));
-  }
-  if (call.function == "log") {
-    DIABLO_RETURN_IF_ERROR(need_numeric(1));
-    return Value::MakeDouble(std::log(num(0)));
-  }
-  if (call.function == "pow") {
-    DIABLO_RETURN_IF_ERROR(need_numeric(2));
-    return Value::MakeDouble(std::pow(num(0), num(1)));
-  }
-  if (call.function == "floor") {
-    DIABLO_RETURN_IF_ERROR(need_numeric(1));
-    return Value::MakeDouble(std::floor(num(0)));
-  }
-  return Status::RuntimeError(
-      StrCat("unknown builtin '", call.function, "'"));
+  return runtime::EvalBuiltin(*fn, args);
 }
 
-StatusOr<Value> EvalExpr(const CExprPtr& e, const EvalCtx& ctx) {
+StatusOr<Value> EvalExpr(const CExprPtr& e, const DriverCtx& ctx) {
   if (e->is<CExpr::Var>()) {
     const std::string& name = e->as<CExpr::Var>().name;
-    if (ctx.schema != nullptr) {
-      for (size_t i = 0; i < ctx.schema->size(); ++i) {
-        if ((*ctx.schema)[i] == name) return (*ctx.values)[i];
-      }
+    for (size_t i = 0; i < ctx.schema->size(); ++i) {
+      if ((*ctx.schema)[i] == name) return (*ctx.values)[i];
     }
     if (ctx.state->scalars != nullptr) {
       auto it = ctx.state->scalars->find(name);
       if (it != ctx.state->scalars->end()) return it->second;
     }
-    if (ctx.state->arrays != nullptr &&
-        ctx.state->arrays->count(name) != 0) {
-      if (!ctx.allow_subplans) {
-        return Status::RuntimeError(
-            StrCat("distributed array '", name,
-                   "' used as a value inside a row expression"));
+    if (ctx.state->arrays != nullptr) {
+      auto it = ctx.state->arrays->find(name);
+      if (it != ctx.state->arrays->end()) {
+        // Materialize the array as a bag of pairs.
+        DIABLO_ASSIGN_OR_RETURN(ValueVec rows,
+                                ctx.state->engine->Collect(it->second));
+        return Value::MakeBag(std::move(rows));
       }
-      // Materialize the array as a bag of pairs (driver context only).
-      DIABLO_ASSIGN_OR_RETURN(
-          ValueVec rows,
-          ctx.state->engine->Collect(ctx.state->arrays->at(name)));
-      return Value::MakeBag(std::move(rows));
     }
     return Status::RuntimeError(StrCat("unbound variable '", name, "'"));
   }
@@ -206,9 +145,8 @@ StatusOr<Value> EvalExpr(const CExprPtr& e, const EvalCtx& ctx) {
   if (e->is<CExpr::Call>()) return EvalCallExpr(e->as<CExpr::Call>(), ctx);
   if (e->is<CExpr::Reduce>()) {
     const auto& r = e->as<CExpr::Reduce>();
-    // Driver context: reduce a distributed comprehension without
-    // collecting it.
-    if (ctx.allow_subplans && r.arg->is<CExpr::Nested>()) {
+    // Reduce a distributed comprehension without collecting it.
+    if (r.arg->is<CExpr::Nested>()) {
       DIABLO_ASSIGN_OR_RETURN(
           CompPlan sub,
           BuildPlan(r.arg->as<CExpr::Nested>().comp, *ctx.state));
@@ -232,11 +170,6 @@ StatusOr<Value> EvalExpr(const CExprPtr& e, const EvalCtx& ctx) {
     return runtime::ReduceBag(r.op, bag.bag());
   }
   if (e->is<CExpr::Nested>()) {
-    if (!ctx.allow_subplans) {
-      return Status::RuntimeError(
-          "nested comprehension in a row expression (normalizer should "
-          "have flattened it)");
-    }
     DIABLO_ASSIGN_OR_RETURN(
         CompPlan sub, BuildPlan(e->as<CExpr::Nested>().comp, *ctx.state));
     DIABLO_ASSIGN_OR_RETURN(Dataset ds, ExecutePlan(sub, *ctx.state));
@@ -259,9 +192,6 @@ StatusOr<Value> EvalExpr(const CExprPtr& e, const EvalCtx& ctx) {
     return Value::MakeBag(std::move(elems));
   }
   if (e->is<CExpr::Merge>()) {
-    if (!ctx.allow_subplans) {
-      return Status::RuntimeError("array merge in a row expression");
-    }
     DIABLO_ASSIGN_OR_RETURN(Dataset ds, EvalArrayExpr(e, *ctx.state));
     DIABLO_ASSIGN_OR_RETURN(ValueVec rows, ctx.state->engine->Collect(ds));
     return Value::MakeBag(std::move(rows));
@@ -275,487 +205,259 @@ StatusOr<Value> EvalExpr(const CExprPtr& e, const EvalCtx& ctx) {
   return Value::MakeBag(std::move(elems));
 }
 
-// --------------------------- plan execution ---------------------------------
-
-/// Builds a row-evaluation callback for engine operators.
-EvalCtx RowCtx(const std::vector<std::string>& schema, const ValueVec& values,
-               const ExecState& state) {
-  return EvalCtx{&schema, &values, &state, /*allow_subplans=*/false};
-}
-
 }  // namespace
+
+// --------------------------- plan execution ---------------------------------
 
 StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
   runtime::Engine& engine = *state.engine;
+  // Variables bound on the driver before any generator.
   std::vector<std::string> prefix_schema;
   ValueVec prefix;
+  const DriverCtx driver_ctx{&prefix_schema, &prefix, &state};
+  // The stream, and the open segment compiling the narrow qualifiers
+  // over it into one fused operator (DESIGN.md §19). Set together.
   std::optional<Dataset> ds;
-  std::vector<std::string> schema;  // schema of rows in ds
+  std::optional<RowSegmentBuilder> seg;
 
-  auto driver_ctx = [&]() {
-    return EvalCtx{&prefix_schema, &prefix, &state, /*allow_subplans=*/true};
+  auto open = [&](Dataset rows, SegmentBinder binder,
+                  std::vector<std::string> schema) {
+    ds = std::move(rows);
+    seg.emplace(std::move(binder), std::move(schema), state);
   };
-
-  // Seeds the distributed stream from the driver prefix when a wide
-  // operator arrives before any generator.
+  // Appends the open segment, ended by `op`, to the stream.
+  auto close = [&](std::optional<runtime::FusedOp> op) -> Status {
+    seg.reset();
+    if (!op.has_value()) return Status::OK();
+    DIABLO_ASSIGN_OR_RETURN(ds, engine.Narrow(*ds, std::move(*op)));
+    return Status::OK();
+  };
+  // Seeds the stream from the driver prefix when a wide operator arrives
+  // before any generator.
   auto ensure_ds = [&]() {
     if (!ds.has_value()) {
-      ds = engine.Parallelize({Value::MakeTuple(prefix)}, 1);
-      schema = prefix_schema;
+      open(engine.Parallelize({Value::MakeTuple(prefix)}, 1), SegmentBinder(),
+           prefix_schema);
     }
   };
+  auto find_array = [&](const std::string& name) -> StatusOr<Dataset> {
+    auto it = state.arrays->find(name);
+    if (it == state.arrays->end()) {
+      return Status::RuntimeError(StrCat("unknown array '", name, "'"));
+    }
+    return it->second;
+  };
 
-  for (size_t oi = 0; oi < plan.ops.size(); ++oi) {
-    const StreamOp& op = plan.ops[oi];
+  for (const StreamOp& op : plan.ops) {
     switch (op.kind) {
       case StreamOp::Kind::kLet: {
-        if (!ds.has_value()) {
-          DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(op.expr, driver_ctx()));
-          DIABLO_RETURN_IF_ERROR(BindPattern(op.pattern, v, &prefix));
-          for (const std::string& name : op.pattern.Vars()) {
-            prefix_schema.push_back(name);
-          }
+        if (ds.has_value()) {
+          seg->Let(op.pattern, op.expr);
           break;
         }
-        const std::vector<std::string> in_schema = schema;
-        const Pattern pattern = op.pattern;
-        const CExprPtr expr = op.expr;
-        DIABLO_ASSIGN_OR_RETURN(
-            ds, engine.Map(
-                    *ds,
-                    [&state, in_schema, pattern, expr](
-                        const Value& row) -> StatusOr<Value> {
-                      DIABLO_ASSIGN_OR_RETURN(
-                          Value v,
-                          EvalExpr(expr, RowCtx(in_schema, row.tuple(),
-                                                state)));
-                      ValueVec out = row.tuple();
-                      DIABLO_RETURN_IF_ERROR(BindPattern(pattern, v, &out));
-                      return Value::MakeTuple(std::move(out));
-                    },
-                    "let"));
+        DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(op.expr, driver_ctx));
+        DIABLO_RETURN_IF_ERROR(BindPattern(op.pattern, v, &prefix));
+        op.pattern.CollectVars(&prefix_schema);
         break;
       }
       case StreamOp::Kind::kFilter: {
-        if (!ds.has_value()) {
-          DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(op.expr, driver_ctx()));
-          if (!v.is_bool()) {
-            return Status::RuntimeError(
-                StrCat("condition evaluated to ", v.ToString()));
-          }
-          if (!v.AsBool()) return Dataset();  // statically empty
+        if (ds.has_value()) {
+          seg->Filter(op.expr);
           break;
         }
-        const std::vector<std::string> in_schema = schema;
-        const CExprPtr expr = op.expr;
-        DIABLO_ASSIGN_OR_RETURN(
-            ds, engine.Filter(
-                    *ds,
-                    [&state, in_schema, expr](
-                        const Value& row) -> StatusOr<bool> {
-                      DIABLO_ASSIGN_OR_RETURN(
-                          Value v,
-                          EvalExpr(expr, RowCtx(in_schema, row.tuple(),
-                                                state)));
-                      if (!v.is_bool()) {
-                        return Status::RuntimeError(
-                            StrCat("condition evaluated to ", v.ToString()));
-                      }
-                      return v.AsBool();
-                    },
-                    "filter"));
+        DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(op.expr, driver_ctx));
+        if (!v.is_bool()) {
+          return Status::RuntimeError(
+              StrCat("condition evaluated to ", v.ToString()));
+        }
+        if (!v.AsBool()) return Dataset();  // statically empty
         break;
       }
       case StreamOp::Kind::kSourceArray: {
-        auto it = state.arrays->find(op.array);
-        if (it == state.arrays->end()) {
-          return Status::RuntimeError(
-              StrCat("unknown array '", op.array, "'"));
-        }
-        const Pattern pattern = op.pattern;
-        const ValueVec pre = prefix;
-        DIABLO_ASSIGN_OR_RETURN(
-            ds, engine.Map(
-                    it->second,
-                    [pattern, pre](const Value& row) -> StatusOr<Value> {
-                      ValueVec out = pre;
-                      DIABLO_RETURN_IF_ERROR(BindPattern(pattern, row, &out));
-                      return Value::MakeTuple(std::move(out));
-                    },
-                    StrCat("scan[", op.array, "]")));
+        DIABLO_ASSIGN_OR_RETURN(Dataset array, find_array(op.array));
+        SegmentBinder binder;
+        binder.kind = SegmentBinder::Kind::kScan;
+        binder.label = StrCat("scan[", op.array, "]");
+        binder.pattern = op.pattern;
+        binder.prefix = prefix;
+        open(std::move(array), std::move(binder), op.schema_after);
         break;
       }
       case StreamOp::Kind::kSourceRange: {
-        DIABLO_ASSIGN_OR_RETURN(Value lo, EvalExpr(op.expr, driver_ctx()));
-        DIABLO_ASSIGN_OR_RETURN(Value hi, EvalExpr(op.expr2, driver_ctx()));
+        DIABLO_ASSIGN_OR_RETURN(Value lo, EvalExpr(op.expr, driver_ctx));
+        DIABLO_ASSIGN_OR_RETURN(Value hi, EvalExpr(op.expr2, driver_ctx));
         if (!lo.is_int() || !hi.is_int()) {
           return Status::RuntimeError("range bounds must be integers");
         }
-        Dataset range = engine.Range(lo.AsInt(), hi.AsInt());
-        const ValueVec pre = prefix;
-        DIABLO_ASSIGN_OR_RETURN(
-            ds, engine.Map(
-                    range,
-                    [pre](const Value& row) -> StatusOr<Value> {
-                      ValueVec out = pre;
-                      out.push_back(row);
-                      return Value::MakeTuple(std::move(out));
-                    },
-                    "range"));
+        SegmentBinder binder;
+        binder.kind = SegmentBinder::Kind::kRange;
+        binder.label = "range";
+        binder.pattern = op.pattern;
+        binder.prefix = prefix;
+        open(engine.Range(lo.AsInt(), hi.AsInt()), std::move(binder),
+             op.schema_after);
         break;
       }
       case StreamOp::Kind::kIterateBag: {
-        const Pattern pattern = op.pattern;
-        const CExprPtr expr = op.expr;
-        if (!ds.has_value()) {
-          DIABLO_ASSIGN_OR_RETURN(Value bag, EvalExpr(expr, driver_ctx()));
-          if (!bag.is_bag()) {
-            return Status::RuntimeError(
-                StrCat("generator domain is not a bag: ", bag.ToString()));
-          }
-          ValueVec rows;
-          rows.reserve(bag.bag().size());
-          for (const Value& elem : bag.bag()) {
-            ValueVec out = prefix;
-            DIABLO_RETURN_IF_ERROR(BindPattern(pattern, elem, &out));
-            rows.push_back(Value::MakeTuple(std::move(out)));
-          }
-          ds = engine.Parallelize(std::move(rows));
-            break;
+        if (ds.has_value()) {
+          seg->Iterate(op.pattern, op.expr);
+          break;
         }
-        const std::vector<std::string> in_schema = schema;
-        DIABLO_ASSIGN_OR_RETURN(
-            ds, engine.FlatMap(
-                    *ds,
-                    [&state, in_schema, pattern, expr](
-                        const Value& row) -> StatusOr<ValueVec> {
-                      EvalCtx ctx = RowCtx(in_schema, row.tuple(), state);
-                      DIABLO_ASSIGN_OR_RETURN(Value bag,
-                                              EvalExpr(expr, ctx));
-                      if (!bag.is_bag()) {
-                        return Status::RuntimeError(StrCat(
-                            "generator domain is not a bag: ",
-                            bag.ToString()));
-                      }
-                      ValueVec out;
-                      out.reserve(bag.bag().size());
-                      for (const Value& elem : bag.bag()) {
-                        ValueVec r = row.tuple();
-                        DIABLO_RETURN_IF_ERROR(
-                            BindPattern(pattern, elem, &r));
-                        out.push_back(Value::MakeTuple(std::move(r)));
-                      }
-                      return out;
-                    },
-                    "iterate"));
+        DIABLO_ASSIGN_OR_RETURN(Value bag, EvalExpr(op.expr, driver_ctx));
+        if (!bag.is_bag()) {
+          return Status::RuntimeError(
+              StrCat("generator domain is not a bag: ", bag.ToString()));
+        }
+        ValueVec rows;
+        rows.reserve(bag.bag().size());
+        for (const Value& elem : bag.bag()) {
+          ValueVec env = prefix;
+          DIABLO_RETURN_IF_ERROR(BindPattern(op.pattern, elem, &env));
+          rows.push_back(Value::MakeTuple(std::move(env)));
+        }
+        open(engine.Parallelize(std::move(rows)), SegmentBinder(),
+             op.schema_after);
         break;
       }
       case StreamOp::Kind::kJoinArray: {
         ensure_ds();
-        auto it = state.arrays->find(op.array);
-        if (it == state.arrays->end()) {
-          return Status::RuntimeError(
-              StrCat("unknown array '", op.array, "'"));
-        }
-        const std::vector<std::string> in_schema = schema;
-        const std::vector<CExprPtr> left_keys = op.left_keys;
-        const std::vector<CExprPtr> right_keys = op.right_keys;
-        const Pattern pattern = op.pattern;
-        const std::vector<std::string> right_schema = pattern.Vars();
-        // Key the existing stream.
-        DIABLO_ASSIGN_OR_RETURN(
-            Dataset left,
-            engine.Map(
-                *ds,
-                [&state, in_schema, left_keys](
-                    const Value& row) -> StatusOr<Value> {
-                  EvalCtx ctx = RowCtx(in_schema, row.tuple(), state);
-                  ValueVec key;
-                  for (const auto& ke : left_keys) {
-                    DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(ke, ctx));
-                    key.push_back(std::move(v));
-                  }
-                  return Value::MakePair(
-                      key.size() == 1 ? key[0]
-                                      : Value::MakeTuple(std::move(key)),
-                      row);
-                },
-                "joinKeyL"));
-        // Key the new generator.
+        DIABLO_ASSIGN_OR_RETURN(Dataset array, find_array(op.array));
+        DIABLO_RETURN_IF_ERROR(
+            close(std::move(*seg).FinishKeyRow("joinKeyL", op.left_keys)));
+        SegmentBinder right_binder;
+        right_binder.kind = SegmentBinder::Kind::kScan;
+        right_binder.pattern = op.pattern;
         DIABLO_ASSIGN_OR_RETURN(
             Dataset right,
-            engine.Map(
-                it->second,
-                [&state, right_schema, right_keys, pattern](
-                    const Value& row) -> StatusOr<Value> {
-                  ValueVec bound;
-                  DIABLO_RETURN_IF_ERROR(BindPattern(pattern, row, &bound));
-                  EvalCtx ctx = RowCtx(right_schema, bound, state);
-                  ValueVec key;
-                  for (const auto& ke : right_keys) {
-                    DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(ke, ctx));
-                    key.push_back(std::move(v));
-                  }
-                  return Value::MakePair(
-                      key.size() == 1 ? key[0]
-                                      : Value::MakeTuple(std::move(key)),
-                      Value::MakeTuple(std::move(bound)));
-                },
-                StrCat("joinKeyR[", op.array, "]")));
+            engine.Narrow(array, RowSegmentBuilder(std::move(right_binder),
+                                                   op.pattern.Vars(), state)
+                                     .FinishKeyRow(
+                                         StrCat("joinKeyR[", op.array, "]"),
+                                         op.right_keys)));
         DIABLO_ASSIGN_OR_RETURN(
             Dataset joined,
-            engine.Join(left, right, StrCat("join[", op.array, "]")));
-        DIABLO_ASSIGN_OR_RETURN(
-            ds, engine.Map(
-                    joined,
-                    [](const Value& row) -> StatusOr<Value> {
-                      const Value& pair = row.tuple()[1];
-                      ValueVec out = pair.tuple()[0].tuple();
-                      for (const Value& v : pair.tuple()[1].tuple()) {
-                        out.push_back(v);
-                      }
-                      return Value::MakeTuple(std::move(out));
-                    },
-                    "joinMerge"));
+            engine.Join(*ds, right, StrCat("join[", op.array, "]")));
+        SegmentBinder merge;
+        merge.kind = SegmentBinder::Kind::kJoinMerge;
+        merge.label = "joinMerge";
+        open(std::move(joined), std::move(merge), op.schema_after);
         break;
       }
       case StreamOp::Kind::kBroadcastJoinArray: {
         ensure_ds();
-        auto it = state.arrays->find(op.array);
-        if (it == state.arrays->end()) {
-          return Status::RuntimeError(
-              StrCat("unknown array '", op.array, "'"));
-        }
-        // Build a driver-side hash table keyed by the right key exprs,
-        // shipped (conceptually) to every worker.
-        const std::vector<std::string> right_schema = op.pattern.Vars();
-        auto table = std::make_shared<
-            std::unordered_map<Value, std::vector<ValueVec>,
-                               runtime::ValueHash>>();
-        DIABLO_ASSIGN_OR_RETURN(ValueVec build_rows,
-                                state.engine->Collect(it->second));
-        for (const Value& row : build_rows) {
-          ValueVec bound;
-          DIABLO_RETURN_IF_ERROR(BindPattern(op.pattern, row, &bound));
-          EvalCtx ctx = RowCtx(right_schema, bound, state);
-          ValueVec key;
-          for (const auto& ke : op.right_keys) {
-            DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(ke, ctx));
-            key.push_back(std::move(v));
-          }
-          Value k = key.size() == 1 ? key[0]
-                                    : Value::MakeTuple(std::move(key));
-          (*table)[k].push_back(std::move(bound));
-        }
-        const std::vector<std::string> in_schema = schema;
-        const std::vector<CExprPtr> left_keys = op.left_keys;
-        int64_t build_bytes = it->second.TotalBytes();
+        DIABLO_ASSIGN_OR_RETURN(Dataset array, find_array(op.array));
+        // A driver-side hash table keyed by the right key exprs, shipped
+        // (conceptually) to every worker and probed in place.
+        DIABLO_ASSIGN_OR_RETURN(ValueVec build_rows, engine.Collect(array));
         DIABLO_ASSIGN_OR_RETURN(
-            ds, engine.FlatMap(
-                    *ds,
-                    [&state, in_schema, left_keys, table](
-                        const Value& row) -> StatusOr<ValueVec> {
-                      EvalCtx ctx = RowCtx(in_schema, row.tuple(), state);
-                      ValueVec key;
-                      for (const auto& ke : left_keys) {
-                        DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(ke, ctx));
-                        key.push_back(std::move(v));
-                      }
-                      Value k = key.size() == 1
-                                    ? key[0]
-                                    : Value::MakeTuple(std::move(key));
-                      ValueVec out;
-                      auto hit = table->find(k);
-                      if (hit == table->end()) return out;
-                      for (const ValueVec& bound : hit->second) {
-                        ValueVec r = row.tuple();
-                        for (const Value& v : bound) r.push_back(v);
-                        out.push_back(Value::MakeTuple(std::move(r)));
-                      }
-                      return out;
-                    },
-                    StrCat("broadcastJoin[", op.array, "]")));
+            std::shared_ptr<const ProbeTable> table,
+            BuildProbeTable(build_rows, op.pattern, op.right_keys, state));
+        seg->Probe(StrCat("broadcastJoin[", op.array, "]"), std::move(table),
+                   op.left_keys, op.pattern);
         // Charge the one-time ship of the build side to every worker.
         runtime::StageStats ship;
         ship.label = StrCat("broadcastJoin[", op.array, "].ship");
         ship.wide = true;
         ship.shuffle_bytes =
-            build_bytes * engine.config().cluster.num_workers;
+            array.TotalBytes() * engine.config().cluster.num_workers;
         engine.RecordPlannerStage(std::move(ship));
         break;
       }
       case StreamOp::Kind::kCartesianArray: {
         ensure_ds();
-        auto it = state.arrays->find(op.array);
-        if (it == state.arrays->end()) {
-          return Status::RuntimeError(
-              StrCat("unknown array '", op.array, "'"));
-        }
+        DIABLO_ASSIGN_OR_RETURN(Dataset array, find_array(op.array));
         // Broadcast the array: every row of the stream is combined with
         // every array element (a nested-loop / broadcast join).
-        DIABLO_ASSIGN_OR_RETURN(ValueVec broadcast,
-                                engine.Collect(it->second));
-        std::vector<ValueVec> bound_rows;
-        bound_rows.reserve(broadcast.size());
+        std::vector<std::string> env_schema = seg->schema();
+        DIABLO_RETURN_IF_ERROR(close(std::move(*seg).FinishEnv()));
+        DIABLO_ASSIGN_OR_RETURN(ValueVec broadcast, engine.Collect(array));
+        auto product = std::make_shared<std::vector<ValueVec>>();
+        product->reserve(broadcast.size());
         for (const Value& row : broadcast) {
           ValueVec bound;
           DIABLO_RETURN_IF_ERROR(BindPattern(op.pattern, row, &bound));
-          bound_rows.push_back(std::move(bound));
+          product->push_back(std::move(bound));
         }
-        // Force any pending chain so the product accounting below sees
-        // the stream's logical row count.
-        DIABLO_ASSIGN_OR_RETURN(ds, engine.Force(*ds));
-        int64_t left_rows = ds->TotalRows();
-        int64_t right_bytes = it->second.TotalBytes();
-        auto shared =
-            std::make_shared<std::vector<ValueVec>>(std::move(bound_rows));
-        DIABLO_ASSIGN_OR_RETURN(
-            ds, engine.FlatMap(
-                    *ds,
-                    [shared](const Value& row) -> StatusOr<ValueVec> {
-                      ValueVec out;
-                      out.reserve(shared->size());
-                      for (const ValueVec& extra : *shared) {
-                        ValueVec r = row.tuple();
-                        for (const Value& v : extra) r.push_back(v);
-                        out.push_back(Value::MakeTuple(std::move(r)));
-                      }
-                      return out;
-                    },
-                    StrCat("cartesian[", op.array, "]")));
+        // Force the stream so the product accounting below sees its
+        // logical row count.
+        DIABLO_ASSIGN_OR_RETURN(Dataset forced, engine.Force(*ds));
+        const int64_t left_rows = forced.TotalRows();
+        const int64_t right_rows = static_cast<int64_t>(product->size());
+        SegmentBinder binder;
+        binder.kind = SegmentBinder::Kind::kCartesian;
+        binder.label = StrCat("cartesian[", op.array, "]");
+        binder.pattern = op.pattern;
+        binder.product = std::move(product);
+        open(std::move(forced), std::move(binder), std::move(env_schema));
         // Account the product work and the broadcast traffic (the
-        // FlatMap stage only charged |left| rows).
+        // segment's stage only charges |left| rows).
+        const int parts = engine.config().num_partitions;
         runtime::StageStats extra;
         extra.label = StrCat("cartesian[", op.array, "].product");
         extra.wide = true;
-        extra.map_work.assign(
-            static_cast<size_t>(engine.config().num_partitions),
-            left_rows * static_cast<int64_t>(shared->size()) /
-                std::max(1, engine.config().num_partitions));
+        extra.map_work.assign(static_cast<size_t>(parts),
+                              left_rows * right_rows / std::max(1, parts));
         extra.shuffle_bytes =
-            right_bytes * engine.config().cluster.num_workers;
+            array.TotalBytes() * engine.config().cluster.num_workers;
         engine.RecordPlannerStage(std::move(extra));
         break;
       }
       case StreamOp::Kind::kGroupBy: {
         ensure_ds();
-        const std::vector<std::string> in_schema = schema;
-        const CExprPtr key_expr = op.expr;
-        const std::vector<std::string> lifted = op.lifted;
+        const std::vector<std::string>& in_schema = seg->schema();
         std::vector<size_t> positions;
-        for (const std::string& v : lifted) {
+        for (const std::string& v : op.lifted) {
           for (size_t i = 0; i < in_schema.size(); ++i) {
             if (in_schema[i] == v) positions.push_back(i);
           }
         }
-        DIABLO_ASSIGN_OR_RETURN(
-            Dataset keyed,
-            engine.Map(
-                *ds,
-                [&state, in_schema, key_expr, positions](
-                    const Value& row) -> StatusOr<Value> {
-                  EvalCtx ctx = RowCtx(in_schema, row.tuple(), state);
-                  DIABLO_ASSIGN_OR_RETURN(Value key,
-                                          EvalExpr(key_expr, ctx));
-                  ValueVec payload;
-                  payload.reserve(positions.size());
-                  for (size_t p : positions) {
-                    payload.push_back(row.tuple()[p]);
-                  }
-                  return Value::MakePair(key,
-                                         Value::MakeTuple(std::move(payload)));
-                },
-                "groupKey"));
+        DIABLO_RETURN_IF_ERROR(close(
+            std::move(*seg).FinishGroupKey(op.expr, std::move(positions))));
         DIABLO_ASSIGN_OR_RETURN(Dataset grouped,
-                                engine.GroupByKey(keyed, "groupBy"));
-        const Pattern pattern = op.pattern;
-        size_t nlifted = lifted.size();
-        DIABLO_ASSIGN_OR_RETURN(
-            ds, engine.Map(
-                    grouped,
-                    [pattern, nlifted](const Value& row) -> StatusOr<Value> {
-                      ValueVec out;
-                      DIABLO_RETURN_IF_ERROR(
-                          BindPattern(pattern, row.tuple()[0], &out));
-                      const ValueVec& group = row.tuple()[1].bag();
-                      for (size_t i = 0; i < nlifted; ++i) {
-                        ValueVec column;
-                        column.reserve(group.size());
-                        for (const Value& tup : group) {
-                          column.push_back(tup.tuple()[i]);
-                        }
-                        out.push_back(Value::MakeBag(std::move(column)));
-                      }
-                      return Value::MakeTuple(std::move(out));
-                    },
-                    "groupLift"));
+                                engine.GroupByKey(*ds, "groupBy"));
+        SegmentBinder lift;
+        lift.kind = SegmentBinder::Kind::kGroupLift;
+        lift.label = "groupLift";
+        lift.pattern = op.pattern;
+        lift.lifted = op.lifted.size();
+        open(std::move(grouped), std::move(lift), op.schema_after);
         break;
       }
       case StreamOp::Kind::kReduceByKey: {
         ensure_ds();
-        const std::vector<std::string> in_schema = schema;
-        const CExprPtr key_expr = op.expr;
-        const CExprPtr value_expr = op.reduce_value;
-        DIABLO_ASSIGN_OR_RETURN(
-            Dataset keyed,
-            engine.Map(
-                *ds,
-                [&state, in_schema, key_expr, value_expr](
-                    const Value& row) -> StatusOr<Value> {
-                  EvalCtx ctx = RowCtx(in_schema, row.tuple(), state);
-                  DIABLO_ASSIGN_OR_RETURN(Value key,
-                                          EvalExpr(key_expr, ctx));
-                  DIABLO_ASSIGN_OR_RETURN(Value val,
-                                          EvalExpr(value_expr, ctx));
-                  return Value::MakePair(key, val);
-                },
-                "reduceKey"));
+        DIABLO_RETURN_IF_ERROR(close(
+            std::move(*seg).FinishReduceKey(op.expr, op.reduce_value)));
         DIABLO_ASSIGN_OR_RETURN(
             Dataset reduced,
             engine.ReduceByKey(
-                keyed, op.reduce_op,
+                *ds, op.reduce_op,
                 StrCat("reduceByKey[", runtime::BinOpName(op.reduce_op), "]"),
                 op.schema));
-        const Pattern pattern = op.pattern;
-        DIABLO_ASSIGN_OR_RETURN(
-            ds, engine.Map(
-                    reduced,
-                    [pattern](const Value& row) -> StatusOr<Value> {
-                      ValueVec out;
-                      DIABLO_RETURN_IF_ERROR(
-                          BindPattern(pattern, row.tuple()[0], &out));
-                      out.push_back(row.tuple()[1]);
-                      return Value::MakeTuple(std::move(out));
-                    },
-                    "reduceBind"));
+        SegmentBinder bind;
+        bind.kind = SegmentBinder::Kind::kReduceBind;
+        bind.label = "reduceBind";
+        bind.pattern = op.pattern;
+        open(std::move(reduced), std::move(bind), op.schema_after);
         break;
       }
     }
-    schema = op.schema_after;
   }
 
   // Yield the head per surviving row.
   if (!ds.has_value()) {
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(plan.head, driver_ctx()));
+    DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(plan.head, driver_ctx));
     return engine.Parallelize({std::move(v)}, 1);
   }
-  const std::vector<std::string> in_schema = schema;
-  const CExprPtr head = plan.head;
-  return engine.Map(
-      *ds,
-      [&state, in_schema, head](const Value& row) -> StatusOr<Value> {
-        return EvalExpr(head, RowCtx(in_schema, row.tuple(), state));
-      },
-      "yield");
+  DIABLO_RETURN_IF_ERROR(close(std::move(*seg).FinishHead(plan.head)));
+  return *ds;
 }
 
 // --------------------------- driver / array entry points --------------------
 
 StatusOr<Value> EvalDriverExpr(const CExprPtr& e, const ExecState& state) {
-  std::vector<std::string> empty_schema;
-  ValueVec empty_values;
-  EvalCtx ctx{&empty_schema, &empty_values, &state, /*allow_subplans=*/true};
-  return EvalExpr(e, ctx);
+  const std::vector<std::string> no_schema;
+  const ValueVec no_values;
+  return EvalExpr(e, DriverCtx{&no_schema, &no_values, &state});
 }
 
 StatusOr<Dataset> EvalArrayExpr(const CExprPtr& e, const ExecState& state) {

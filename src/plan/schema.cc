@@ -47,7 +47,7 @@ ColumnTag InferBinType(const CExpr::Bin& bin, const TypeEnv& env) {
 }
 
 ColumnTag InferCallType(const CExpr::Call& call, const TypeEnv& env) {
-  // Builtins of plan/evaluator.cc EvalCallExpr.
+  // Builtins of runtime::EvalBuiltin.
   if (call.function == "inRange") return ColumnTag::kBool;
   if (call.function == "sqrt" || call.function == "exp" ||
       call.function == "log" || call.function == "pow" ||

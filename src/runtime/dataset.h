@@ -90,11 +90,23 @@ struct FusedOp {
   /// (the kernel-carrying Engine overloads); lets a columnar Force run
   /// the whole chain vectorized. Never required for correctness.
   std::optional<ColumnKernel> kernel;
+  /// How many plan operators this one stands for. A compiled row
+  /// segment (plan/row_program.h) replaces several qualifiers with one
+  /// closure; lineage depth still counts every one of them, so
+  /// auto-checkpoints and fault coordinates do not move.
+  int plan_ops = 1;
 };
 
 /// An unexecuted pipeline of narrow operators, applied element-by-element
 /// on top of a dataset's materialized source partitions.
 using FusedChain = std::vector<FusedOp>;
+
+/// The lineage depth a chain contributes: its operators' plan_ops.
+inline int ChainDepth(const FusedChain& chain) {
+  int depth = 0;
+  for (const FusedOp& op : chain) depth += op.plan_ops;
+  return depth;
+}
 
 /// An immutable, partitioned collection of Values — the analogue of a
 /// Spark RDD. Datasets are cheap to copy (the partition payload is
@@ -157,7 +169,7 @@ class Dataset {
   /// recovery-chain length even while stages are deferred.
   int lineage_depth() const {
     int base = lineage_ == nullptr ? 0 : lineage_->depth;
-    return base + static_cast<int>(chain().size());
+    return base + ChainDepth(chain());
   }
 
   /// True when no narrow operators are pending: partition() et al.

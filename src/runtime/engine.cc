@@ -887,15 +887,24 @@ std::shared_ptr<const LineageNode> Engine::MakeLineage(
   return node;
 }
 
-StatusOr<Dataset> Engine::Map(const Dataset& in, const MapFn& fn,
-                              const std::string& label) {
-  if (config_.fuse_narrow) {
-    FusedOp op;
-    op.kind = FusedOp::Kind::kMap;
-    op.label = label;
-    op.map = fn;
-    return in.WithOp(std::move(op));
-  }
+StatusOr<Dataset> Engine::Narrow(const Dataset& in, FusedOp op) {
+  if (config_.fuse_narrow) return in.WithOp(std::move(op));
+  // Eager engine: the operator is one materialized stage.
+  const std::string label = op.label;
+  const int depth = op.plan_ops;
+  FusedChain ops;
+  ops.push_back(std::move(op));
+  auto chain = std::make_shared<const FusedChain>(std::move(ops));
+  auto apply = [chain](const ValueVec& rows, ValueVec* out) -> Status {
+    for (const Value& row : rows) {
+      DIABLO_RETURN_IF_ERROR(ApplyChain(*chain, 0, row, nullptr,
+                                        [out](const Value& v) -> Status {
+                                          out->push_back(v);
+                                          return Status::OK();
+                                        }));
+    }
+    return Status::OK();
+  };
   ScopedSpan stage_span(trace(), SpanKind::kStage, label);
   const int stage = NextStageId();
   stage_span.SetStageId(stage);
@@ -907,150 +916,61 @@ StatusOr<Dataset> Engine::Map(const Dataset& in, const MapFn& fn,
   Status st = RunTaskWave(
       label, stage, RowCounts(src),
       [&](int p, int) -> Status {
-        const ValueVec& rows = src.partition(p);
         out[p].clear();
-        out[p].reserve(rows.size());
-        for (const Value& row : rows) {
-          DIABLO_ASSIGN_OR_RETURN(Value v, fn(row));
-          out[p].push_back(std::move(v));
-        }
-        return Status::OK();
+        return apply(src.partition(p), &out[p]);
       },
       &rec, &slots);
   if (!st.ok()) return st;
-  StageStats map_stats{label, /*wide=*/false, RowCounts(src), {}, 0};
-  map_stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(map_stats), rec);
+  StageStats stats{label, /*wide=*/false, RowCounts(src), {}, 0};
+  stats.partition_rows = RowCounts(out);
+  FinishStage(std::move(stats), rec);
   auto lineage = MakeLineage(
-      "map", label, {src.lineage()},
-      [src, fn](int p, int64_t* work) -> StatusOr<ValueVec> {
+      "narrow", label, {src.lineage()},
+      [src, apply](int p, int64_t* work) -> StatusOr<ValueVec> {
         const ValueVec& rows = src.partition(p);
         *work += static_cast<int64_t>(rows.size());
         ValueVec rebuilt;
-        rebuilt.reserve(rows.size());
-        for (const Value& row : rows) {
-          DIABLO_ASSIGN_OR_RETURN(Value v, fn(row));
-          rebuilt.push_back(std::move(v));
-        }
+        DIABLO_RETURN_IF_ERROR(apply(rows, &rebuilt));
         return rebuilt;
-      });
+      },
+      nullptr, depth);
   return Dataset(std::move(out), std::move(lineage));
+}
+
+StatusOr<Dataset> Engine::Map(const Dataset& in, const MapFn& fn,
+                              const std::string& label) {
+  FusedOp op;
+  op.kind = FusedOp::Kind::kMap;
+  op.label = label;
+  op.map = fn;
+  return Narrow(in, std::move(op));
 }
 
 StatusOr<Dataset> Engine::MapValues(const Dataset& in, const MapFn& fn,
                                     const std::string& label) {
-  if (config_.fuse_narrow) {
-    FusedOp op;
-    op.kind = FusedOp::Kind::kMapValues;
-    op.label = label;
-    op.map = fn;
-    return in.WithOp(std::move(op));
-  }
-  return Map(
-      in,
-      [fn](const Value& row) -> StatusOr<Value> {
-        if (!row.is_tuple() || row.tuple().size() != 2) {
-          return Status::RuntimeError(
-              StrCat("mapValues applied to non-pair row: ", row.ToString()));
-        }
-        DIABLO_ASSIGN_OR_RETURN(Value v, fn(row.tuple()[1]));
-        return Value::MakePair(row.tuple()[0], std::move(v));
-      },
-      label);
+  FusedOp op;
+  op.kind = FusedOp::Kind::kMapValues;
+  op.label = label;
+  op.map = fn;
+  return Narrow(in, std::move(op));
 }
 
 StatusOr<Dataset> Engine::Filter(const Dataset& in, const PredFn& pred,
                                  const std::string& label) {
-  if (config_.fuse_narrow) {
-    FusedOp op;
-    op.kind = FusedOp::Kind::kFilter;
-    op.label = label;
-    op.pred = pred;
-    return in.WithOp(std::move(op));
-  }
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
-  std::vector<ValueVec> out(src.num_partitions());
-  WaveSlots slots;
-  slots.rows = &out;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        out[p].clear();
-        for (const Value& row : src.partition(p)) {
-          DIABLO_ASSIGN_OR_RETURN(bool keep, pred(row));
-          if (keep) out[p].push_back(row);
-        }
-        return Status::OK();
-      },
-      &rec, &slots);
-  if (!st.ok()) return st;
-  StageStats filter_stats{label, /*wide=*/false, RowCounts(src), {}, 0};
-  filter_stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(filter_stats), rec);
-  auto lineage = MakeLineage(
-      "filter", label, {src.lineage()},
-      [src, pred](int p, int64_t* work) -> StatusOr<ValueVec> {
-        const ValueVec& rows = src.partition(p);
-        *work += static_cast<int64_t>(rows.size());
-        ValueVec rebuilt;
-        for (const Value& row : rows) {
-          DIABLO_ASSIGN_OR_RETURN(bool keep, pred(row));
-          if (keep) rebuilt.push_back(row);
-        }
-        return rebuilt;
-      });
-  return Dataset(std::move(out), std::move(lineage));
+  FusedOp op;
+  op.kind = FusedOp::Kind::kFilter;
+  op.label = label;
+  op.pred = pred;
+  return Narrow(in, std::move(op));
 }
 
 StatusOr<Dataset> Engine::FlatMap(const Dataset& in, const FlatMapFn& fn,
                                   const std::string& label) {
-  if (config_.fuse_narrow) {
-    FusedOp op;
-    op.kind = FusedOp::Kind::kFlatMap;
-    op.label = label;
-    op.flat = fn;
-    return in.WithOp(std::move(op));
-  }
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
-  std::vector<ValueVec> out(src.num_partitions());
-  WaveSlots slots;
-  slots.rows = &out;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        out[p].clear();
-        for (const Value& row : src.partition(p)) {
-          DIABLO_ASSIGN_OR_RETURN(ValueVec vs, fn(row));
-          for (Value& v : vs) out[p].push_back(std::move(v));
-        }
-        return Status::OK();
-      },
-      &rec, &slots);
-  if (!st.ok()) return st;
-  StageStats flat_stats{label, /*wide=*/false, RowCounts(src), {}, 0};
-  flat_stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(flat_stats), rec);
-  auto lineage = MakeLineage(
-      "flatMap", label, {src.lineage()},
-      [src, fn](int p, int64_t* work) -> StatusOr<ValueVec> {
-        const ValueVec& rows = src.partition(p);
-        *work += static_cast<int64_t>(rows.size());
-        ValueVec rebuilt;
-        for (const Value& row : rows) {
-          DIABLO_ASSIGN_OR_RETURN(ValueVec vs, fn(row));
-          for (Value& v : vs) rebuilt.push_back(std::move(v));
-        }
-        return rebuilt;
-      });
-  return Dataset(std::move(out), std::move(lineage));
+  FusedOp op;
+  op.kind = FusedOp::Kind::kFlatMap;
+  op.label = label;
+  op.flat = fn;
+  return Narrow(in, std::move(op));
 }
 
 StatusOr<Dataset> Engine::Map(const Dataset& in, BinOp op, const Value& operand,
@@ -1059,13 +979,12 @@ StatusOr<Dataset> Engine::Map(const Dataset& in, BinOp op, const Value& operand,
   MapFn fn = [op, captured](const Value& row) {
     return EvalBinOp(op, row, captured);
   };
-  if (!config_.fuse_narrow) return Map(in, fn, label);
   FusedOp fop;
   fop.kind = FusedOp::Kind::kMap;
   fop.label = label;
   fop.map = std::move(fn);
   fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/false};
-  return in.WithOp(std::move(fop));
+  return Narrow(in, std::move(fop));
 }
 
 StatusOr<Dataset> Engine::MapValues(const Dataset& in, BinOp op,
@@ -1077,13 +996,12 @@ StatusOr<Dataset> Engine::MapValues(const Dataset& in, BinOp op,
   MapFn fn = [op, captured](const Value& v) {
     return EvalBinOp(op, v, captured);
   };
-  if (!config_.fuse_narrow) return MapValues(in, fn, label);
   FusedOp fop;
   fop.kind = FusedOp::Kind::kMapValues;
   fop.label = label;
   fop.map = std::move(fn);
   fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/true};
-  return in.WithOp(std::move(fop));
+  return Narrow(in, std::move(fop));
 }
 
 StatusOr<Dataset> Engine::Filter(const Dataset& in, BinOp op,
@@ -1098,13 +1016,12 @@ StatusOr<Dataset> Engine::Filter(const Dataset& in, BinOp op,
     }
     return v.AsBool();
   };
-  if (!config_.fuse_narrow) return Filter(in, pred, label);
   FusedOp fop;
   fop.kind = FusedOp::Kind::kFilter;
   fop.label = label;
   fop.pred = std::move(pred);
   fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/false};
-  return in.WithOp(std::move(fop));
+  return Narrow(in, std::move(fop));
 }
 
 StatusOr<Dataset> Engine::FilterValues(const Dataset& in, BinOp op,
@@ -1123,13 +1040,12 @@ StatusOr<Dataset> Engine::FilterValues(const Dataset& in, BinOp op,
     }
     return v.AsBool();
   };
-  if (!config_.fuse_narrow) return Filter(in, pred, label);
   FusedOp fop;
   fop.kind = FusedOp::Kind::kFilter;
   fop.label = label;
   fop.pred = std::move(pred);
   fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/true};
-  return in.WithOp(std::move(fop));
+  return Narrow(in, std::move(fop));
 }
 
 StatusOr<Dataset> Engine::Force(const Dataset& in) {
@@ -1193,7 +1109,7 @@ StatusOr<Dataset> Engine::Force(const Dataset& in) {
         }
         return rebuilt;
       },
-      nullptr, static_cast<int>(chain.size()));
+      nullptr, ChainDepth(chain));
   return Dataset(std::move(out), std::move(lineage));
 }
 
@@ -1306,7 +1222,7 @@ StatusOr<Dataset> Engine::ForceColumnar(const Dataset& in) {
         }
         return rebuilt;
       },
-      nullptr, static_cast<int>(chain.size()));
+      nullptr, ChainDepth(chain));
   return Dataset(std::move(out), std::move(lineage));
 }
 
@@ -1797,7 +1713,7 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
         }
         return Status::OK();
       },
-      1 + static_cast<int>(src.chain().size()));
+      1 + ChainDepth(src.chain()));
   return Dataset(std::move(out), std::move(lineage));
 }
 
@@ -2336,7 +2252,7 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
         }
         return Status::OK();
       },
-      1 + static_cast<int>(src.chain().size()));
+      1 + ChainDepth(src.chain()));
   return Dataset(std::move(out), std::move(lineage));
 }
 
@@ -2438,8 +2354,8 @@ StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
   }
   FinishStage(std::move(stats), rec);
   const int out_parts = config_.num_partitions;
-  const int chain_depth = static_cast<int>(
-      std::max(l.chain().size(), r.chain().size()));
+  const int chain_depth =
+      std::max(ChainDepth(l.chain()), ChainDepth(r.chain()));
   auto lineage = MakeLineage(
       "join", label, {l.lineage(), r.lineage()}, nullptr,
       [l, r, out_parts](const std::vector<int>& lost,
@@ -2581,8 +2497,8 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
   }
   FinishStage(std::move(stats), rec);
   const int out_parts = config_.num_partitions;
-  const int chain_depth = static_cast<int>(
-      std::max(l.chain().size(), r.chain().size()));
+  const int chain_depth =
+      std::max(ChainDepth(l.chain()), ChainDepth(r.chain()));
   auto lineage = MakeLineage(
       "coGroup", label, {l.lineage(), r.lineage()}, nullptr,
       [l, r, out_parts](const std::vector<int>& lost,
@@ -2773,7 +2689,7 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
         }
         return Status::OK();
       },
-      1 + static_cast<int>(src.chain().size()));
+      1 + ChainDepth(src.chain()));
   return Dataset(std::move(out), std::move(lineage));
 }
 

@@ -336,6 +336,13 @@ class Engine {
   StatusOr<Dataset> FlatMap(const Dataset& in, const FlatMapFn& fn,
                             const std::string& label = "flatMap");
 
+  /// Narrow: appends a prebuilt fused operator. Map, MapValues, Filter
+  /// and FlatMap build theirs from a closure; the plan evaluator's
+  /// compiled row segments (plan/row_program.h) arrive ready-made. Lazy
+  /// under fuse_narrow; otherwise the operator is one stage whose
+  /// lineage advances by op.plan_ops.
+  StatusOr<Dataset> Narrow(const Dataset& in, FusedOp op);
+
   /// Materializes any pending fused chain as ONE task wave (the stage
   /// label joins the chain's labels with '+'). No-op for materialized
   /// datasets. Use before reading partitions()/TotalRows() directly.

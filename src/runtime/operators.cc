@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -105,9 +107,15 @@ StatusOr<Value> NumericOp(BinOp op, const Value& a, const Value& b) {
       case BinOp::kMul: return Value::MakeInt(x * y);
       case BinOp::kDiv:
         if (y == 0) return Status::RuntimeError("integer division by zero");
+        // INT64_MIN / -1 overflows int64 (and traps on x86).
+        if (y == -1 && x == std::numeric_limits<int64_t>::min()) {
+          return Status::RuntimeError("integer division overflow");
+        }
         return Value::MakeInt(x / y);
       case BinOp::kMod:
         if (y == 0) return Status::RuntimeError("integer modulo by zero");
+        // x % -1 is 0; INT64_MIN % -1 would trap like the division.
+        if (y == -1) return Value::MakeInt(0);
         return Value::MakeInt(x % y);
       case BinOp::kMin: return Value::MakeInt(std::min(x, y));
       case BinOp::kMax: return Value::MakeInt(std::max(x, y));
@@ -240,6 +248,68 @@ StatusOr<Value> ReduceBag(BinOp op, const ValueVec& elems) {
     DIABLO_ASSIGN_OR_RETURN(acc, EvalBinOp(op, acc, elems[i]));
   }
   return acc;
+}
+
+namespace {
+
+struct BuiltinInfo {
+  const char* name;
+  size_t arity;
+};
+
+/// Indexed by Builtin.
+constexpr BuiltinInfo kBuiltins[] = {
+    {"sqrt", 1}, {"abs", 1},   {"exp", 1},     {"log", 1},
+    {"pow", 2},  {"floor", 1}, {"inRange", 3},
+};
+
+}  // namespace
+
+std::optional<Builtin> FindBuiltin(const std::string& name) {
+  for (size_t i = 0; i < std::size(kBuiltins); ++i) {
+    if (name == kBuiltins[i].name) return static_cast<Builtin>(i);
+  }
+  return std::nullopt;
+}
+
+StatusOr<Value> EvalBuiltin(Builtin fn, const ValueVec& args) {
+  const BuiltinInfo& info = kBuiltins[static_cast<size_t>(fn)];
+  if (args.size() != info.arity) {
+    return Status::RuntimeError(StrCat("builtin ", info.name, " expects ",
+                                       info.arity, " argument(s)"));
+  }
+  for (const Value& v : args) {
+    if (!v.is_numeric()) {
+      return Status::RuntimeError(
+          StrCat("builtin ", info.name, " applied to ", v.ToString()));
+    }
+  }
+  auto num = [&](size_t i) { return args[i].ToDouble(); };
+  switch (fn) {
+    case Builtin::kSqrt:
+      return Value::MakeDouble(std::sqrt(num(0)));
+    case Builtin::kAbs:
+      if (args[0].is_int()) {
+        const int64_t x = args[0].AsInt();
+        if (x == std::numeric_limits<int64_t>::min()) {
+          return Status::RuntimeError(
+              StrCat("integer overflow in abs(", x, ")"));
+        }
+        return Value::MakeInt(x < 0 ? -x : x);
+      }
+      return Value::MakeDouble(std::fabs(num(0)));
+    case Builtin::kExp:
+      return Value::MakeDouble(std::exp(num(0)));
+    case Builtin::kLog:
+      return Value::MakeDouble(std::log(num(0)));
+    case Builtin::kPow:
+      return Value::MakeDouble(std::pow(num(0), num(1)));
+    case Builtin::kFloor:
+      return Value::MakeDouble(std::floor(num(0)));
+    case Builtin::kInRange:
+      return Value::MakeBool(num(0) >= num(1) && num(0) <= num(2));
+  }
+  return Status::RuntimeError("unknown builtin");
 }
 
 bool BagEquals(const Value& a, const Value& b) {

@@ -1,6 +1,7 @@
 #ifndef DIABLO_RUNTIME_OPERATORS_H_
 #define DIABLO_RUNTIME_OPERATORS_H_
 
+#include <optional>
 #include <string>
 
 #include "common/status.h"
@@ -50,6 +51,19 @@ StatusOr<Value> EvalUnOp(UnOp op, const Value& v);
 /// returning the monoid identity for an empty bag. `sample` determines the
 /// numeric kind of the identity (pass any element when available).
 StatusOr<Value> ReduceBag(BinOp op, const ValueVec& elems);
+
+/// Built-in scalar functions. One table serves every evaluator: the
+/// plan's compiled row programs, the local algebra backend and the
+/// reference interpreter.
+enum class Builtin { kSqrt, kAbs, kExp, kLog, kPow, kFloor, kInRange };
+
+/// The builtin called `name`, or nullopt.
+std::optional<Builtin> FindBuiltin(const std::string& name);
+
+/// Applies `fn` to evaluated arguments; every builtin takes a fixed
+/// number of numeric arguments. abs keeps ints int and fails on
+/// INT64_MIN, whose magnitude no int64 holds.
+StatusOr<Value> EvalBuiltin(Builtin fn, const ValueVec& args);
 
 /// Multiset equality of two bags: same elements with the same
 /// multiplicities, irrespective of order. This is the correct equality for
