@@ -1,12 +1,7 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <climits>
 #include <cmath>
-#include <map>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -19,13 +14,6 @@
 namespace diablo::runtime {
 
 namespace {
-
-/// Stable ordered map, the legacy aggregation path of the wide
-/// operators (EngineConfig::hash_aggregation = false): O(log n) deep
-/// Value::Compare per inserted row. The default path aggregates through
-/// KeyedAccumulator with one final per-partition sort instead; both
-/// produce byte-identical output (asserted in hashagg_test.cc).
-using OrderedGroups = std::map<Value, ValueVec>;
 
 /// Payload of a Distinct accumulator entry: key presence is the datum.
 struct NoPayload {};
@@ -339,6 +327,200 @@ bool ChainFullyKernelized(const FusedChain& chain) {
   return true;
 }
 
+/// Lineage recompute of one partition of a Force stage, columnar or
+/// not: replays the boxed chain over the source rows. Replay IS the
+/// semantic truth, and a lost partition is the rare path.
+LineageNode::RecomputeFn ChainReplay(const Dataset& src) {
+  return [src](int p, int64_t* work) -> StatusOr<ValueVec> {
+    const ValueVec& rows = src.partition(p);
+    *work += static_cast<int64_t>(rows.size());
+    ValueVec rebuilt;
+    rebuilt.reserve(rows.size());
+    for (const Value& row : rows) {
+      DIABLO_RETURN_IF_ERROR(ApplyChain(src.chain(), 0, row, nullptr,
+                                        [&](const Value& v) -> Status {
+                                          rebuilt.push_back(v);
+                                          return Status::OK();
+                                        }));
+    }
+    return rebuilt;
+  };
+}
+
+StatusOr<const Value*> RowKey(const Value& row) {
+  if (!row.is_tuple() || row.tuple().size() != 2) {
+    return Status::RuntimeError(
+        StrCat("keyed operator applied to non-pair row: ", row.ToString()));
+  }
+  return &row.tuple()[0];
+}
+
+/// reduceByKey's fold step: a key's first value seeds its payload, every
+/// later one folds in with `fn`, in arrival order.
+Status FoldInto(KeyedAccumulator<Value>* acc, size_t hash, const Value& key,
+                const Value& value, const Engine::ReduceFn& fn) {
+  auto ref = acc->FindOrCreate(hash, key);
+  if (ref.inserted) {
+    ref.payload = value;
+    return Status::OK();
+  }
+  DIABLO_ASSIGN_OR_RETURN(ref.payload, fn(ref.payload, value));
+  return Status::OK();
+}
+
+/// Sorts `acc` by key and emits one output row per entry.
+template <typename Payload, typename MakeRow>
+auto SortedRows(KeyedAccumulator<Payload>* acc, MakeRow make_row) {
+  acc->SortByKey();
+  std::vector<decltype(make_row(acc->entries().front()))> out;
+  out.reserve(acc->size());
+  for (auto& e : acc->entries()) out.push_back(make_row(e));
+  return out;
+}
+
+/// reduceByKey's map-side combine output: the folded pairs in key order,
+/// each carrying its memoized hash into the shuffle.
+HashedVec CombinedRows(KeyedAccumulator<Value>* acc) {
+  return SortedRows(acc, [](auto& e) {
+    return HashedRow{e.hash,
+                     Value::MakePair(std::move(e.key), std::move(e.payload))};
+  });
+}
+
+// The per-destination finishes of the wide operators. Each turns the
+// shuffled rows one destination received, in arrival order, into its
+// output partition. The forward reduce wave and the lineage replay
+// (recompute_many) both call them, so recovery cannot drift from the
+// forward path. All but JoinFinish canonicalize the key order with one
+// SortByKey; a join emits in probe order.
+
+/// groupByKey over rows [lo, hi): (key, Bag-of-values), each bag in
+/// arrival order. `acc_bytes` (nullable) receives the table footprint.
+ValueVec GroupFinish(const HashedVec& part, size_t lo, size_t hi,
+                     int64_t* acc_bytes) {
+  KeyedAccumulator<ValueVec> groups(hi - lo);
+  for (size_t i = lo; i < hi; ++i) {
+    const ValueVec& kv = part[i].row.tuple();
+    groups.FindOrCreate(part[i].hash, kv[0]).payload.push_back(kv[1]);
+  }
+  if (acc_bytes != nullptr) {
+    *acc_bytes = static_cast<int64_t>(groups.MemoryBytes());
+  }
+  return SortedRows(&groups, [](auto& e) {
+    return Value::MakePair(std::move(e.key),
+                           Value::MakeBag(std::move(e.payload)));
+  });
+}
+
+/// reduceByKey: folds part[from..] into `acc`, which may already hold
+/// the fold of part[..from) (a spilled typed prefix), and emits the
+/// (key, value) pairs.
+StatusOr<ValueVec> FoldFinish(const HashedVec& part, size_t from,
+                              const Engine::ReduceFn& fn,
+                              KeyedAccumulator<Value>* acc) {
+  for (size_t i = from; i < part.size(); ++i) {
+    const ValueVec& kv = part[i].row.tuple();
+    DIABLO_RETURN_IF_ERROR(FoldInto(acc, part[i].hash, kv[0], kv[1], fn));
+  }
+  return SortedRows(acc, [](auto& e) {
+    return Value::MakePair(std::move(e.key), std::move(e.payload));
+  });
+}
+
+/// join: builds from the left rows, probes with the right rows, each in
+/// arrival order; rows (k, (a, b)) come out in probe order.
+ValueVec JoinFinish(const HashedVec& left, const HashedVec& right) {
+  KeyedAccumulator<ValueVec> build(left.size());
+  for (const HashedRow& hr : left) {
+    const ValueVec& kv = hr.row.tuple();
+    build.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
+  }
+  ValueVec out;
+  for (const HashedRow& hr : right) {
+    const ValueVec& kv = hr.row.tuple();
+    const ValueVec* lvs = build.Find(hr.hash, kv[0]);
+    if (lvs == nullptr) continue;
+    for (const Value& lv : *lvs) {
+      out.push_back(Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
+    }
+  }
+  return out;
+}
+
+/// coGroup: (key, (Bag-of-left, Bag-of-right)) for every key on either
+/// side, each bag in arrival order.
+ValueVec CoGroupFinish(const HashedVec& left, const HashedVec& right) {
+  KeyedAccumulator<std::pair<ValueVec, ValueVec>> groups(left.size() +
+                                                          right.size());
+  for (const HashedRow& hr : left) {
+    const ValueVec& kv = hr.row.tuple();
+    groups.FindOrCreate(hr.hash, kv[0]).payload.first.push_back(kv[1]);
+  }
+  for (const HashedRow& hr : right) {
+    const ValueVec& kv = hr.row.tuple();
+    groups.FindOrCreate(hr.hash, kv[0]).payload.second.push_back(kv[1]);
+  }
+  return SortedRows(&groups, [](auto& e) {
+    return Value::MakePair(
+        std::move(e.key),
+        Value::MakePair(Value::MakeBag(std::move(e.payload.first)),
+                        Value::MakeBag(std::move(e.payload.second))));
+  });
+}
+
+/// distinct: every distinct row (the key of its (row, unit) pair) once.
+ValueVec DistinctFinish(const HashedVec& part) {
+  KeyedAccumulator<NoPayload> seen(part.size());
+  for (const HashedRow& hr : part) {
+    seen.FindOrCreate(hr.hash, hr.row.tuple()[0]);
+  }
+  return SortedRows(&seen, [](auto& e) { return std::move(e.key); });
+}
+
+/// Lineage replay of one shuffled input, restricted to the lost
+/// destinations `lost`: one pass over the source partitions of `side`
+/// with its pending chain applied. Each produced row is hashed once and
+/// kept, with its hash, only when its destination was lost. Sources are
+/// scanned in order, so every rebuilt destination holds exactly the rows
+/// the forward scatter delivered, in arrival order. With `combine`
+/// (reduceByKey's fold), each source partition's kept rows are first
+/// folded by key and emitted in key order, exactly like the forward
+/// map-side combine, so every per-key fold order is unchanged.
+StatusOr<std::vector<HashedVec>> ReplayShuffle(
+    const Dataset& side, const std::vector<int>& lost, int out_parts,
+    int64_t* work, const Engine::ReduceFn* combine = nullptr) {
+  std::vector<int> slot_of(out_parts, -1);
+  for (size_t i = 0; i < lost.size(); ++i) {
+    slot_of[lost[i]] = static_cast<int>(i);
+  }
+  std::vector<HashedVec> out(lost.size());
+  for (int s = 0; s < side.num_partitions(); ++s) {
+    std::vector<HashedVec> kept(combine == nullptr ? 0 : lost.size());
+    std::vector<HashedVec>& into = combine == nullptr ? out : kept;
+    for (const Value& row : side.partition(s)) {
+      *work += 1;
+      DIABLO_RETURN_IF_ERROR(ApplyChain(
+          side.chain(), 0, row, nullptr, [&](const Value& v) -> Status {
+            DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
+            const size_t h = key->Hash();
+            const int slot = slot_of[HashDestination(h, out_parts)];
+            if (slot >= 0) into[slot].push_back(HashedRow{h, v});
+            return Status::OK();
+          }));
+    }
+    for (size_t i = 0; i < kept.size(); ++i) {
+      KeyedAccumulator<Value> acc(kept[i].size());
+      for (const HashedRow& hr : kept[i]) {
+        const ValueVec& kv = hr.row.tuple();
+        DIABLO_RETURN_IF_ERROR(
+            FoldInto(&acc, hr.hash, kv[0], kv[1], *combine));
+      }
+      for (HashedRow& hr : CombinedRows(&acc)) out[i].push_back(std::move(hr));
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 Engine::Engine(EngineConfig config)
@@ -351,7 +533,6 @@ Engine::Engine(EngineConfig config)
     // extra threads at fork time (a forked child inherits only the
     // calling thread, so a pool worker's locks would be orphaned).
     config_.host_threads = 1;
-    config_.persistent_pool = false;
   }
   // Real kills recover through lineage, so the recompute closures must
   // survive even with every simulated fault class disarmed.
@@ -393,57 +574,17 @@ Dataset Engine::Range(int64_t lo, int64_t hi) const {
 Status Engine::RunPerPartition(int n,
                                const std::function<Status(int)>& fn) const {
   if (n <= 0) return Status::OK();
-  const int threads = std::min(config_.host_threads, n);
-  if (threads <= 1) {
+  if (std::min(config_.host_threads, n) <= 1) {
     // Serial order stops at the first error, which IS the
     // lowest-indexed failing partition.
     for (int i = 0; i < n; ++i) DIABLO_RETURN_IF_ERROR(fn(i));
     return Status::OK();
   }
-  if (config_.persistent_pool) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<WorkerPool>(config_.host_threads);
-    }
-    pool_tasks_pending_ += n;
-    return pool_->Run(n, fn);
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<WorkerPool>(config_.host_threads);
   }
-  // Spawn-per-wave baseline (AB7): fresh threads every call, same
-  // deterministic error selection as the pool — every partition below
-  // the lowest known failure runs, and the lowest-indexed failing
-  // partition's error is reported regardless of the thread race.
-  std::atomic<int> next{0};
-  std::atomic<int> error_bound{INT_MAX};
-  std::mutex mu;
-  int err_index = INT_MAX;
-  Status error;
-  auto worker = [&] {
-    for (;;) {
-      int i = next.fetch_add(1);
-      if (i >= n) return;
-      if (i >= error_bound.load()) continue;
-      Status st = fn(i);
-      if (!st.ok()) {
-        int cur = error_bound.load();
-        while (i < cur && !error_bound.compare_exchange_weak(cur, i)) {
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        if (i < err_index) {
-          err_index = i;
-          error = std::move(st);
-        }
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&worker, t] {
-      SetCurrentTraceWorker(t + 1);
-      worker();
-    });
-  }
-  for (auto& t : pool) t.join();
-  return error;
+  pool_tasks_pending_ += n;
+  return pool_->Run(n, fn);
 }
 
 Status Engine::RunTaskWave(const std::string& label, int stage,
@@ -888,53 +1029,7 @@ std::shared_ptr<const LineageNode> Engine::MakeLineage(
 }
 
 StatusOr<Dataset> Engine::Narrow(const Dataset& in, FusedOp op) {
-  if (config_.fuse_narrow) return in.WithOp(std::move(op));
-  // Eager engine: the operator is one materialized stage.
-  const std::string label = op.label;
-  const int depth = op.plan_ops;
-  FusedChain ops;
-  ops.push_back(std::move(op));
-  auto chain = std::make_shared<const FusedChain>(std::move(ops));
-  auto apply = [chain](const ValueVec& rows, ValueVec* out) -> Status {
-    for (const Value& row : rows) {
-      DIABLO_RETURN_IF_ERROR(ApplyChain(*chain, 0, row, nullptr,
-                                        [out](const Value& v) -> Status {
-                                          out->push_back(v);
-                                          return Status::OK();
-                                        }));
-    }
-    return Status::OK();
-  };
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
-  std::vector<ValueVec> out(src.num_partitions());
-  WaveSlots slots;
-  slots.rows = &out;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        out[p].clear();
-        return apply(src.partition(p), &out[p]);
-      },
-      &rec, &slots);
-  if (!st.ok()) return st;
-  StageStats stats{label, /*wide=*/false, RowCounts(src), {}, 0};
-  stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(stats), rec);
-  auto lineage = MakeLineage(
-      "narrow", label, {src.lineage()},
-      [src, apply](int p, int64_t* work) -> StatusOr<ValueVec> {
-        const ValueVec& rows = src.partition(p);
-        *work += static_cast<int64_t>(rows.size());
-        ValueVec rebuilt;
-        DIABLO_RETURN_IF_ERROR(apply(rows, &rebuilt));
-        return rebuilt;
-      },
-      nullptr, depth);
-  return Dataset(std::move(out), std::move(lineage));
+  return in.WithOp(std::move(op));
 }
 
 StatusOr<Dataset> Engine::Map(const Dataset& in, const MapFn& fn,
@@ -1094,22 +1189,7 @@ StatusOr<Dataset> Engine::Force(const Dataset& in) {
   FinishStage(std::move(stats), rec);
   auto lineage = MakeLineage(
       "fused", label, {src.lineage()},
-      [src](int p, int64_t* work) -> StatusOr<ValueVec> {
-        const ValueVec& rows = src.partition(p);
-        *work += static_cast<int64_t>(rows.size());
-        ValueVec rebuilt;
-        rebuilt.reserve(rows.size());
-        for (const Value& row : rows) {
-          DIABLO_RETURN_IF_ERROR(
-              ApplyChain(src.chain(), 0, row, nullptr,
-                         [&](const Value& v) -> Status {
-                           rebuilt.push_back(v);
-                           return Status::OK();
-                         }));
-        }
-        return rebuilt;
-      },
-      nullptr, ChainDepth(chain));
+      ChainReplay(src), nullptr, ChainDepth(chain));
   return Dataset(std::move(out), std::move(lineage));
 }
 
@@ -1203,35 +1283,10 @@ StatusOr<Dataset> Engine::ForceColumnar(const Dataset& in) {
   for (const ChainTally& t : tallies) t.MergeInto(&stats);
   stats.partition_rows = RowCounts(out);
   FinishStage(std::move(stats), rec);
-  // Recovery replays the boxed chain: replay IS the semantic truth, and
-  // a lost partition is the rare path.
   auto lineage = MakeLineage(
       "fused", label, {src.lineage()},
-      [src](int p, int64_t* work) -> StatusOr<ValueVec> {
-        const ValueVec& rows = src.partition(p);
-        *work += static_cast<int64_t>(rows.size());
-        ValueVec rebuilt;
-        rebuilt.reserve(rows.size());
-        for (const Value& row : rows) {
-          DIABLO_RETURN_IF_ERROR(
-              ApplyChain(src.chain(), 0, row, nullptr,
-                         [&](const Value& v) -> Status {
-                           rebuilt.push_back(v);
-                           return Status::OK();
-                         }));
-        }
-        return rebuilt;
-      },
-      nullptr, ChainDepth(chain));
+      ChainReplay(src), nullptr, ChainDepth(chain));
   return Dataset(std::move(out), std::move(lineage));
-}
-
-StatusOr<const Value*> Engine::RowKey(const Value& row) {
-  if (!row.is_tuple() || row.tuple().size() != 2) {
-    return Status::RuntimeError(
-        StrCat("keyed operator applied to non-pair row: ", row.ToString()));
-  }
-  return &row.tuple()[0];
 }
 
 StatusOr<std::vector<HashedVec>> Engine::ShuffleCore(
@@ -1277,7 +1332,7 @@ StatusOr<std::vector<HashedVec>> Engine::ShuffleCore(
         // to its destination buffer hash-first, so the reduce side
         // never rehashes. `row_idx` numbers the scattered rows, so
         // corruption coordinates are independent of how the row was
-        // produced (fused, eager, or pre-combined).
+        // produced (fused or pre-combined).
         auto scatter = [&](size_t hash, const Value& row) -> Status {
           const int dst = HashDestination(hash, out_parts);
           // Rows that stay on the same simulated node are still
@@ -1566,7 +1621,6 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
   int64_t bytes = 0;
   DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> shuffled,
                           ShuffleWave(src, shuffle_stage, &bytes, &rec, &stats));
-  const bool hash_agg = config_.hash_aggregation;
   // Skew mitigation (DESIGN.md §17): a destination far above the mean
   // row count is split into contiguous row CHUNKS, each grouped by its
   // own virtual task; the driver then k-way merges the chunks' sorted
@@ -1592,41 +1646,12 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
   Status st = RunTaskWave(
       label, reduce_stage, sub_work,
       [&](int t, int) -> Status {
-        sub_out[t].clear();
         reduce_tallies[t].Reset(0);
         const int p = salt.task_of[t];
-        const HashedVec& part = shuffled[p];
         const auto [lo, hi] =
-            ChunkRange(part.size(), salt.index_of[t], salt.fanout[p]);
-        if (hash_agg) {
-          // Values land per key in arrival order; the final sort
-          // canonicalizes the key order, matching the ordered map.
-          KeyedAccumulator<ValueVec> groups(hi - lo);
-          for (size_t i = lo; i < hi; ++i) {
-            const HashedRow& hr = part[i];
-            const ValueVec& kv = hr.row.tuple();
-            groups.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
-          }
-          reduce_tallies[t].accumulator_bytes =
-              static_cast<int64_t>(groups.MemoryBytes());
-          groups.SortByKey();
-          sub_out[t].reserve(groups.size());
-          for (auto& e : groups.entries()) {
-            sub_out[t].push_back(Value::MakePair(
-                std::move(e.key), Value::MakeBag(std::move(e.payload))));
-          }
-        } else {
-          OrderedGroups groups;
-          for (size_t i = lo; i < hi; ++i) {
-            const ValueVec& kv = part[i].row.tuple();
-            groups[kv[0]].push_back(kv[1]);
-          }
-          sub_out[t].reserve(groups.size());
-          for (auto& [key, vals] : groups) {
-            sub_out[t].push_back(
-                Value::MakePair(key, Value::MakeBag(std::move(vals))));
-          }
-        }
+            ChunkRange(shuffled[p].size(), salt.index_of[t], salt.fanout[p]);
+        sub_out[t] = GroupFinish(shuffled[p], lo, hi,
+                                 &reduce_tallies[t].accumulator_bytes);
         return Status::OK();
       },
       &rec, &reduce_slots);
@@ -1657,10 +1682,8 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
   stats.salted_keys = salted_keys;
   stats.salt_fanout = salt.extra;
   for (const ChainTally& t : reduce_tallies) t.MergeInto(&stats);
-  if (hash_agg) {
-    for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
-    for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  }
+  for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
+  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
   if (salt.active) {
     StageStats unsalt;
@@ -1675,41 +1698,10 @@ StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
       [src, out_parts](const std::vector<int>& lost,
                        std::vector<ValueVec>* rebuilt,
                        int64_t* work) -> Status {
-        // Replay the single-pass scatter restricted to the lost
-        // destinations: every source row is scanned and hashed ONCE;
-        // scanning the source partitions in order reproduces each lost
-        // reduce partition's arrival order exactly, and the final sort
-        // canonicalizes key order just like the forward path.
-        std::vector<int> slot_of(out_parts, -1);
-        for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<KeyedAccumulator<ValueVec>> groups(lost.size());
-        for (int s = 0; s < src.num_partitions(); ++s) {
-          for (const Value& row : src.partition(s)) {
-            *work += 1;
-            DIABLO_RETURN_IF_ERROR(ApplyChain(
-                src.chain(), 0, row, nullptr,
-                [&](const Value& v) -> Status {
-                  DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                  const size_t h = key->Hash();
-                  const int slot = slot_of[HashDestination(h, out_parts)];
-                  if (slot >= 0) {
-                    groups[slot].FindOrCreate(h, *key).payload.push_back(
-                        v.tuple()[1]);
-                  }
-                  return Status::OK();
-                }));
-          }
-        }
-        rebuilt->resize(lost.size());
-        for (size_t i = 0; i < lost.size(); ++i) {
-          groups[i].SortByKey();
-          (*rebuilt)[i].reserve(groups[i].size());
-          for (auto& e : groups[i].entries()) {
-            (*rebuilt)[i].push_back(Value::MakePair(
-                std::move(e.key), Value::MakeBag(std::move(e.payload))));
-          }
+        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> parts,
+                                ReplayShuffle(src, lost, out_parts, work));
+        for (const HashedVec& part : parts) {
+          rebuilt->push_back(GroupFinish(part, 0, part.size(), nullptr));
         }
         return Status::OK();
       },
@@ -1730,7 +1722,6 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
   StageStats stats;
   DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, combine_stage, 0, &rec));
   const FusedChain& chain = src.chain();
-  const bool hash_agg = config_.hash_aggregation;
   // Typed aggregation (EngineConfig::columnar): a built-in op whose
   // key/value kinds columnarize folds with native arithmetic in the
   // same arrival order — bit-identical results, no per-row Value
@@ -1743,10 +1734,10 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
       schema.value != ColumnTag::kString && schema.value != ColumnTag::kBool;
   // Map-side combine (like Spark): fold each input partition first so the
   // shuffle only moves one pair per (partition, key). Any pending fused
-  // chain runs element-by-element straight into the combine. Both paths
-  // emit the combined pairs in key order, so the merge side's arrival
-  // order — and with it every per-key float fold order — is identical
-  // whichever aggregation path runs.
+  // chain runs element-by-element straight into the combine. The typed
+  // and boxed combines, and the lineage replay, all emit the combined
+  // pairs in key order, so the merge side's arrival order — and with it
+  // every per-key float fold order — is the same whichever one ran.
   std::vector<HashedVec> shuffled;
   std::vector<TypedRows> typed_shuffled;
   bool use_typed_shuffle = false;
@@ -1769,7 +1760,7 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
   // typed_shuffle_ok conjunct also keeps splits away from fault
   // injection, the wire format, and the remote backend.
   const bool combine_splittable =
-      hash_agg && typed_shuffle_ok && schema.value == ColumnTag::kInt64 &&
+      typed_shuffle_ok && schema.value == ColumnTag::kInt64 &&
       native_op != nullptr &&
       (*native_op == BinOp::kAdd || *native_op == BinOp::kMul ||
        *native_op == BinOp::kMin || *native_op == BinOp::kMax);
@@ -1787,217 +1778,161 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
     combine_work[t] = static_cast<int64_t>(hi - lo);
   }
   std::vector<ChainTally> tallies(num_combine);
-  if (hash_agg) {
-    std::vector<HashedVec> combined(num_combine);
-    std::vector<TypedRows> typed_combined(num_combine);
-    // Folds rows [lo, hi) of source partition p into output slot `slot`
-    // exactly as the unsplit combine folds a whole partition: wave
-    // tasks call it with their chunk, and the dirty-chunk fallback
-    // below re-runs it over a full partition.
-    auto combine_range = [&](int slot, int p, size_t lo,
-                             size_t hi) -> Status {
-      combined[slot].clear();
-      tallies[slot].Reset(chain.size());
-      KeyedAccumulator<Value> acc(hi - lo);
-      std::optional<TypedReduceAccumulator> typed;
-      if (try_typed) typed.emplace(*native_op, hi - lo);
-      int64_t boxed_rows = 0;
-      auto combine = [&](const Value& row) -> Status {
-        if (typed.has_value()) {
-          if (typed->Add(row)) return Status::OK();
-          // Deviating row: replay the typed state into the boxed
-          // accumulator (insertion order, hashes and payloads
-          // preserved) and continue boxed from this row.
-          typed->SpillTo(&acc);
-          typed.reset();
-        }
-        if (try_typed) ++boxed_rows;
-        DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(row));
-        const size_t h = key->Hash();
-        auto ref = acc.FindOrCreate(h, *key);
-        if (ref.inserted) {
-          ref.payload = row.tuple()[1];
-        } else {
-          DIABLO_ASSIGN_OR_RETURN(ref.payload,
-                                  fn(ref.payload, row.tuple()[1]));
-        }
-        return Status::OK();
-      };
-      const ValueVec& part = src.partition(p);
-      if (typed.has_value() && chain.empty()) {
-        // No pending fused chain: fold the rows into the typed
-        // accumulator directly, skipping the per-row chain dispatch.
-        // A deviating row drops to the boxed `combine` from there.
-        size_t i = lo;
-        for (; i < hi; ++i) {
-          if (!typed->Add(part[i])) break;
-        }
-        for (; i < hi; ++i) {
-          DIABLO_RETURN_IF_ERROR(combine(part[i]));
-        }
-      } else {
-        for (size_t i = lo; i < hi; ++i) {
-          DIABLO_RETURN_IF_ERROR(
-              ApplyChain(chain, 0, part[i], &tallies[slot], combine));
-        }
-      }
-      // Task-level accumulator watermark (the boxed accumulator always
-      // reserves its capacity, so both live footprints are summed);
-      // ChainTally carries it across the dist wire into
-      // StageStats::accumulator_bytes_peak.
-      tallies[slot].accumulator_bytes = static_cast<int64_t>(
-          acc.MemoryBytes() + (typed.has_value() ? typed->MemoryBytes() : 0));
+  std::vector<HashedVec> combined(num_combine);
+  std::vector<TypedRows> typed_combined(num_combine);
+  // Folds rows [lo, hi) of source partition p into output slot `slot`
+  // exactly as the unsplit combine folds a whole partition: wave
+  // tasks call it with their chunk, and the dirty-chunk fallback
+  // below re-runs it over a full partition.
+  auto combine_range = [&](int slot, int p, size_t lo,
+                           size_t hi) -> Status {
+    combined[slot].clear();
+    tallies[slot].Reset(chain.size());
+    KeyedAccumulator<Value> acc(hi - lo);
+    std::optional<TypedReduceAccumulator> typed;
+    if (try_typed) typed.emplace(*native_op, hi - lo);
+    int64_t boxed_rows = 0;
+    auto combine = [&](const Value& row) -> Status {
       if (typed.has_value()) {
-        typed_combined[slot] = TypedRows();
-        if (!typed_shuffle_ok ||
-            !typed->EmitSortedTyped(&typed_combined[slot])) {
-          typed->EmitSortedHashed(&combined[slot]);
-        }
-        if (typed->rows() > 0) tallies[slot].columnar_batches += 1;
-      } else {
-        acc.SortByKey();
-        combined[slot].reserve(acc.size());
-        for (auto& e : acc.entries()) {
-          combined[slot].push_back(HashedRow{
-              e.hash,
-              Value::MakePair(std::move(e.key), std::move(e.payload))});
-        }
+        if (typed->Add(row)) return Status::OK();
+        // Deviating row: replay the typed state into the boxed
+        // accumulator (insertion order, hashes and payloads
+        // preserved) and continue boxed from this row.
+        typed->SpillTo(&acc);
+        typed.reset();
       }
-      tallies[slot].columnar_rows_fallback += boxed_rows;
-      return Status::OK();
+      if (try_typed) ++boxed_rows;
+      DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(row));
+      return FoldInto(&acc, key->Hash(), *key, row.tuple()[1], fn);
     };
-    WaveSlots combine_slots;
-    combine_slots.hashed = &combined;
-    combine_slots.tallies = &tallies;
-    st = RunTaskWave(
-        label + ".combine", combine_stage, combine_work,
-        [&](int t, int) -> Status {
-          const int p = combine_salt.task_of[t];
-          const auto [lo, hi] =
-              ChunkRange(src.partition(p).size(), combine_salt.index_of[t],
-                         combine_salt.fanout[p]);
-          return combine_range(t, p, lo, hi);
-        },
-        &rec, &combine_slots);
-    if (!st.ok()) return st;
-    // A split is only exact while every chunk of the partition stayed
-    // on the typed int64 path. A chunk that bounced — boxed rows, or a
-    // payload that turned out non-int64 at runtime — re-runs its whole
-    // source partition unsplit on the driver (rare by construction: the
-    // plan-time schema already claimed int64), zeroing the sibling
-    // chunk slots so the empty chunks contribute nothing downstream.
-    if (combine_salt.active) {
-      for (int p = 0; p < src.num_partitions(); ++p) {
-        if (combine_salt.fanout[p] == 1) continue;
-        bool clean = true;
-        for (int s = 0; s < combine_salt.fanout[p] && clean; ++s) {
-          const int t = combine_salt.first[p] + s;
-          if (!combined[t].empty() ||
-              (typed_combined[t].size() > 0 &&
-               typed_combined[t].payload_mode != TypedPayloadMode::kInt64)) {
-            clean = false;
-          }
-        }
-        if (clean) continue;
-        for (int s = 1; s < combine_salt.fanout[p]; ++s) {
-          const int t = combine_salt.first[p] + s;
-          combined[t].clear();
-          typed_combined[t] = TypedRows();
-          tallies[t].Reset(chain.size());
-        }
-        DIABLO_RETURN_IF_ERROR(combine_range(combine_salt.first[p], p, 0,
-                                             src.partition(p).size()));
+    const ValueVec& part = src.partition(p);
+    if (typed.has_value() && chain.empty()) {
+      // No pending fused chain: fold the rows into the typed
+      // accumulator directly, skipping the per-row chain dispatch.
+      // A deviating row drops to the boxed `combine` from there.
+      size_t i = lo;
+      for (; i < hi; ++i) {
+        if (!typed->Add(part[i])) break;
       }
-    }
-    stats.fused_ops += static_cast<int64_t>(chain.size());
-    for (const ChainTally& t : tallies) t.MergeInto(&stats);
-    for (int64_t c : RowCounts(src)) stats.hash_agg_rows += c;
-    // The typed shuffle needs every non-empty combine output typed with
-    // one key/payload shape; a spilled or string-keyed partition drops
-    // the whole operator back to boxed rows (the typed ones re-box).
-    if (typed_shuffle_ok) {
-      use_typed_shuffle = true;
-      TypedKeyMode kmode = TypedKeyMode::kNone;
-      TypedPayloadMode pmode = TypedPayloadMode::kNone;
-      for (int t = 0; t < num_combine; ++t) {
-        if (!combined[t].empty()) {
-          use_typed_shuffle = false;
-          break;
-        }
-        const TypedRows& tc = typed_combined[t];
-        if (tc.size() == 0) continue;
-        if (kmode == TypedKeyMode::kNone) {
-          kmode = tc.key_mode;
-          pmode = tc.payload_mode;
-        } else if (tc.key_mode != kmode || tc.payload_mode != pmode) {
-          use_typed_shuffle = false;
-          break;
-        }
+      for (; i < hi; ++i) {
+        DIABLO_RETURN_IF_ERROR(combine(part[i]));
       }
-      if (!use_typed_shuffle) {
-        for (int t = 0; t < num_combine; ++t) {
-          typed_combined[t].EmitHashed(&combined[t]);
-          typed_combined[t] = TypedRows();
-        }
-      }
-    }
-    int64_t combined_keys = 0;
-    for (int t = 0; t < num_combine; ++t) {
-      combined_keys += static_cast<int64_t>(combined[t].size()) +
-                       static_cast<int64_t>(typed_combined[t].size());
-    }
-    stats.hash_agg_keys += combined_keys;
-    // The combined pairs carry their memoized key hashes straight into
-    // the scatter: no key is hashed twice anywhere in this operator.
-    if (use_typed_shuffle) {
-      DIABLO_ASSIGN_OR_RETURN(typed_shuffled,
-                              ShuffleTyped(typed_combined, shuffle_stage,
-                                           &bytes, &rec, &stats));
     } else {
-      DIABLO_ASSIGN_OR_RETURN(shuffled,
-                              ShuffleHashed(combined, shuffle_stage, &bytes,
-                                            &rec, &stats));
+      for (size_t i = lo; i < hi; ++i) {
+        DIABLO_RETURN_IF_ERROR(
+            ApplyChain(chain, 0, part[i], &tallies[slot], combine));
+      }
     }
+    // Task-level accumulator watermark (the boxed accumulator always
+    // reserves its capacity, so both live footprints are summed);
+    // ChainTally carries it across the dist wire into
+    // StageStats::accumulator_bytes_peak.
+    tallies[slot].accumulator_bytes = static_cast<int64_t>(
+        acc.MemoryBytes() + (typed.has_value() ? typed->MemoryBytes() : 0));
+    if (typed.has_value()) {
+      typed_combined[slot] = TypedRows();
+      if (!typed_shuffle_ok ||
+          !typed->EmitSortedTyped(&typed_combined[slot])) {
+        typed->EmitSortedHashed(&combined[slot]);
+      }
+      if (typed->rows() > 0) tallies[slot].columnar_batches += 1;
+    } else {
+      combined[slot] = CombinedRows(&acc);
+    }
+    tallies[slot].columnar_rows_fallback += boxed_rows;
+    return Status::OK();
+  };
+  WaveSlots combine_slots;
+  combine_slots.hashed = &combined;
+  combine_slots.tallies = &tallies;
+  st = RunTaskWave(
+      label + ".combine", combine_stage, combine_work,
+      [&](int t, int) -> Status {
+        const int p = combine_salt.task_of[t];
+        const auto [lo, hi] =
+            ChunkRange(src.partition(p).size(), combine_salt.index_of[t],
+                       combine_salt.fanout[p]);
+        return combine_range(t, p, lo, hi);
+      },
+      &rec, &combine_slots);
+  if (!st.ok()) return st;
+  // A split is only exact while every chunk of the partition stayed
+  // on the typed int64 path. A chunk that bounced — boxed rows, or a
+  // payload that turned out non-int64 at runtime — re-runs its whole
+  // source partition unsplit on the driver (rare by construction: the
+  // plan-time schema already claimed int64), zeroing the sibling
+  // chunk slots so the empty chunks contribute nothing downstream.
+  if (combine_salt.active) {
+    for (int p = 0; p < src.num_partitions(); ++p) {
+      if (combine_salt.fanout[p] == 1) continue;
+      bool clean = true;
+      for (int s = 0; s < combine_salt.fanout[p] && clean; ++s) {
+        const int t = combine_salt.first[p] + s;
+        if (!combined[t].empty() ||
+            (typed_combined[t].size() > 0 &&
+             typed_combined[t].payload_mode != TypedPayloadMode::kInt64)) {
+          clean = false;
+        }
+      }
+      if (clean) continue;
+      for (int s = 1; s < combine_salt.fanout[p]; ++s) {
+        const int t = combine_salt.first[p] + s;
+        combined[t].clear();
+        typed_combined[t] = TypedRows();
+        tallies[t].Reset(chain.size());
+      }
+      DIABLO_RETURN_IF_ERROR(combine_range(combine_salt.first[p], p, 0,
+                                           src.partition(p).size()));
+    }
+  }
+  stats.fused_ops += static_cast<int64_t>(chain.size());
+  for (const ChainTally& t : tallies) t.MergeInto(&stats);
+  for (int64_t c : RowCounts(src)) stats.hash_agg_rows += c;
+  // The typed shuffle needs every non-empty combine output typed with
+  // one key/payload shape; a spilled or string-keyed partition drops
+  // the whole operator back to boxed rows (the typed ones re-box).
+  if (typed_shuffle_ok) {
+    use_typed_shuffle = true;
+    TypedKeyMode kmode = TypedKeyMode::kNone;
+    TypedPayloadMode pmode = TypedPayloadMode::kNone;
+    for (int t = 0; t < num_combine; ++t) {
+      if (!combined[t].empty()) {
+        use_typed_shuffle = false;
+        break;
+      }
+      const TypedRows& tc = typed_combined[t];
+      if (tc.size() == 0) continue;
+      if (kmode == TypedKeyMode::kNone) {
+        kmode = tc.key_mode;
+        pmode = tc.payload_mode;
+      } else if (tc.key_mode != kmode || tc.payload_mode != pmode) {
+        use_typed_shuffle = false;
+        break;
+      }
+    }
+    if (!use_typed_shuffle) {
+      for (int t = 0; t < num_combine; ++t) {
+        typed_combined[t].EmitHashed(&combined[t]);
+        typed_combined[t] = TypedRows();
+      }
+    }
+  }
+  int64_t combined_keys = 0;
+  for (int t = 0; t < num_combine; ++t) {
+    combined_keys += static_cast<int64_t>(combined[t].size()) +
+                     static_cast<int64_t>(typed_combined[t].size());
+  }
+  stats.hash_agg_keys += combined_keys;
+  // The combined pairs carry their memoized key hashes straight into
+  // the scatter: no key is hashed twice anywhere in this operator.
+  if (use_typed_shuffle) {
+    DIABLO_ASSIGN_OR_RETURN(typed_shuffled,
+                            ShuffleTyped(typed_combined, shuffle_stage,
+                                         &bytes, &rec, &stats));
   } else {
-    std::vector<ValueVec> combined(src.num_partitions());
-    WaveSlots combine_slots;
-    combine_slots.rows = &combined;
-    combine_slots.tallies = &tallies;
-    st = RunTaskWave(
-        label + ".combine", combine_stage, RowCounts(src),
-        [&](int p, int) -> Status {
-          combined[p].clear();
-          tallies[p].Reset(chain.size());
-          OrderedGroups acc;
-          auto combine = [&](const Value& row) -> Status {
-            DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(row));
-            auto it = acc.find(*key);
-            if (it == acc.end()) {
-              acc.emplace(*key, ValueVec{row.tuple()[1]});
-            } else {
-              DIABLO_ASSIGN_OR_RETURN(it->second[0],
-                                      fn(it->second[0], row.tuple()[1]));
-            }
-            return Status::OK();
-          };
-          for (const Value& row : src.partition(p)) {
-            DIABLO_RETURN_IF_ERROR(
-                ApplyChain(chain, 0, row, &tallies[p], combine));
-          }
-          combined[p].reserve(acc.size());
-          for (auto& [key, vals] : acc) {
-            combined[p].push_back(Value::MakePair(key, std::move(vals[0])));
-          }
-          return Status::OK();
-        },
-        &rec, &combine_slots);
-    if (!st.ok()) return st;
-    stats.fused_ops += static_cast<int64_t>(chain.size());
-    for (const ChainTally& t : tallies) t.MergeInto(&stats);
-    Dataset combined_ds(std::move(combined));
-    DIABLO_ASSIGN_OR_RETURN(
-        shuffled, ShuffleWave(combined_ds, shuffle_stage, &bytes, &rec,
-                              &stats));
+    DIABLO_ASSIGN_OR_RETURN(shuffled,
+                            ShuffleHashed(combined, shuffle_stage, &bytes,
+                                          &rec, &stats));
   }
   std::vector<int64_t> shuffled_counts;
   if (use_typed_shuffle) {
@@ -2086,64 +2021,30 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
           return Status::OK();
         }
         const HashedVec& part = hashed_parts[t];
-        if (hash_agg) {
-          KeyedAccumulator<Value> acc(part.size());
-          std::optional<TypedReduceAccumulator> typed;
-          if (try_typed) typed.emplace(*native_op, part.size());
-          int64_t boxed_rows = 0;
-          size_t i = 0;
-          if (typed.has_value()) {
-            // The hash crossed the shuffle with the row: trust it.
-            for (; i < part.size(); ++i) {
-              const HashedRow& hr = part[i];
-              if (!typed->AddHashed(hr.hash, hr.row)) break;
-            }
-            if (i == part.size()) {
-              reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
-                  acc.MemoryBytes() + typed->MemoryBytes());
-              typed->EmitSortedRows(&sub_out[t]);
-              if (typed->rows() > 0) reduce_tallies[t].columnar_batches += 1;
-              return Status::OK();
-            }
-            typed->SpillTo(&acc);
+        KeyedAccumulator<Value> acc(part.size());
+        std::optional<TypedReduceAccumulator> typed;
+        size_t i = 0;
+        if (try_typed) {
+          typed.emplace(*native_op, part.size());
+          // The hash crossed the shuffle with the row: trust it.
+          while (i < part.size() &&
+                 typed->AddHashed(part[i].hash, part[i].row)) {
+            ++i;
           }
-          for (; i < part.size(); ++i) {
-            const HashedRow& hr = part[i];
-            if (try_typed) ++boxed_rows;
-            const ValueVec& kv = hr.row.tuple();
-            auto ref = acc.FindOrCreate(hr.hash, kv[0]);
-            if (ref.inserted) {
-              ref.payload = kv[1];
-            } else {
-              DIABLO_ASSIGN_OR_RETURN(ref.payload, fn(ref.payload, kv[1]));
-            }
+          if (i == part.size()) {
+            reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
+                acc.MemoryBytes() + typed->MemoryBytes());
+            typed->EmitSortedRows(&sub_out[t]);
+            if (typed->rows() > 0) reduce_tallies[t].columnar_batches += 1;
+            return Status::OK();
           }
-          reduce_tallies[t].columnar_rows_fallback += boxed_rows;
-          reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
-              acc.MemoryBytes() +
-              (typed.has_value() ? typed->MemoryBytes() : 0));
-          acc.SortByKey();
-          sub_out[t].reserve(acc.size());
-          for (auto& e : acc.entries()) {
-            sub_out[t].push_back(
-                Value::MakePair(std::move(e.key), std::move(e.payload)));
-          }
-        } else {
-          OrderedGroups acc;
-          for (const HashedRow& hr : part) {
-            const ValueVec& kv = hr.row.tuple();
-            auto it = acc.find(kv[0]);
-            if (it == acc.end()) {
-              acc.emplace(kv[0], ValueVec{kv[1]});
-            } else {
-              DIABLO_ASSIGN_OR_RETURN(it->second[0], fn(it->second[0], kv[1]));
-            }
-          }
-          sub_out[t].reserve(acc.size());
-          for (auto& [key, vals] : acc) {
-            sub_out[t].push_back(Value::MakePair(key, std::move(vals[0])));
-          }
+          typed->SpillTo(&acc);
+          reduce_tallies[t].columnar_rows_fallback +=
+              static_cast<int64_t>(part.size() - i);
         }
+        DIABLO_ASSIGN_OR_RETURN(sub_out[t], FoldFinish(part, i, fn, &acc));
+        reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
+            acc.MemoryBytes() + (typed.has_value() ? typed->MemoryBytes() : 0));
         return Status::OK();
       },
       &rec, &reduce_slots);
@@ -2176,10 +2077,8 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
   // in the reduce stage itself), so salted_keys stays 0 here — only
   // groupByKey's bag-concat un-salt reports it.
   stats.salt_fanout = combine_salt.extra + reduce_salt.extra;
-  if (hash_agg) {
-    for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
-    for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  }
+  for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
+  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
   if (reduce_salt.active) {
     StageStats unsalt;
@@ -2194,61 +2093,13 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
       [src, fn, out_parts](const std::vector<int>& lost,
                            std::vector<ValueVec>* rebuilt,
                            int64_t* work) -> Status {
-        // Reproduce combine -> shuffle -> fold for the lost destinations
-        // in ONE pass over the source: each produced row is hashed once
-        // and dropped unless its destination was lost. Restricting the
-        // map-side combine to lost-destination keys, and merging each
-        // source partition's combined pairs in key order (the combine
-        // emits them that way), keeps every per-key fold order
-        // identical to the original run, so floating-point results
-        // match bit for bit.
-        std::vector<int> slot_of(out_parts, -1);
-        for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<KeyedAccumulator<Value>> acc(lost.size());
-        for (int s = 0; s < src.num_partitions(); ++s) {
-          std::vector<KeyedAccumulator<Value>> part(lost.size());
-          for (const Value& row : src.partition(s)) {
-            *work += 1;
-            DIABLO_RETURN_IF_ERROR(ApplyChain(
-                src.chain(), 0, row, nullptr,
-                [&](const Value& v) -> Status {
-                  DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                  const size_t h = key->Hash();
-                  const int slot = slot_of[HashDestination(h, out_parts)];
-                  if (slot < 0) return Status::OK();
-                  auto ref = part[slot].FindOrCreate(h, *key);
-                  if (ref.inserted) {
-                    ref.payload = v.tuple()[1];
-                  } else {
-                    DIABLO_ASSIGN_OR_RETURN(ref.payload,
-                                            fn(ref.payload, v.tuple()[1]));
-                  }
-                  return Status::OK();
-                }));
-          }
-          for (size_t i = 0; i < lost.size(); ++i) {
-            part[i].SortByKey();
-            for (auto& e : part[i].entries()) {
-              auto ref = acc[i].FindOrCreate(e.hash, e.key);
-              if (ref.inserted) {
-                ref.payload = std::move(e.payload);
-              } else {
-                DIABLO_ASSIGN_OR_RETURN(ref.payload,
-                                        fn(ref.payload, e.payload));
-              }
-            }
-          }
-        }
-        rebuilt->resize(lost.size());
-        for (size_t i = 0; i < lost.size(); ++i) {
-          acc[i].SortByKey();
-          (*rebuilt)[i].reserve(acc[i].size());
-          for (auto& e : acc[i].entries()) {
-            (*rebuilt)[i].push_back(
-                Value::MakePair(std::move(e.key), std::move(e.payload)));
-          }
+        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> parts,
+                                ReplayShuffle(src, lost, out_parts, work, &fn));
+        for (const HashedVec& part : parts) {
+          KeyedAccumulator<Value> acc(part.size());
+          DIABLO_ASSIGN_OR_RETURN(ValueVec rows,
+                                  FoldFinish(part, 0, fn, &acc));
+          rebuilt->push_back(std::move(rows));
         }
         return Status::OK();
       },
@@ -2288,7 +2139,6 @@ StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
                           ShuffleWave(l, left_stage, &bytes_l, &rec, &stats));
   DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rs,
                           ShuffleWave(r, right_stage, &bytes_r, &rec, &stats));
-  const bool hash_agg = config_.hash_aggregation;
   std::vector<ValueVec> out(ls.size());
   std::vector<int64_t> reduce_work(ls.size(), 0);
   WaveSlots join_slots;
@@ -2297,47 +2147,10 @@ StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
   Status st = RunTaskWave(
       label, join_stage, RowCounts(ls),
       [&](int p, int) -> Status {
-        out[p].clear();
-        reduce_work[p] = static_cast<int64_t>(ls[p].size());
-        if (hash_agg) {
-          // Build from the left rows in arrival order, probe with the
-          // right rows in arrival order: the output sequence is the
-          // probe order either way, so no final sort is needed to match
-          // the ordered-map path. Both sides reuse the carried hashes.
-          KeyedAccumulator<ValueVec> build(ls[p].size());
-          for (const HashedRow& hr : ls[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            build.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
-          }
-          for (const HashedRow& hr : rs[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            reduce_work[p] += 1;
-            ValueVec* lvs = build.Find(hr.hash, kv[0]);
-            if (lvs == nullptr) continue;
-            for (const Value& lv : *lvs) {
-              out[p].push_back(
-                  Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
-              reduce_work[p] += 1;
-            }
-          }
-        } else {
-          OrderedGroups build;
-          for (const HashedRow& hr : ls[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            build[kv[0]].push_back(kv[1]);
-          }
-          for (const HashedRow& hr : rs[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            reduce_work[p] += 1;
-            auto it = build.find(kv[0]);
-            if (it == build.end()) continue;
-            for (const Value& lv : it->second) {
-              out[p].push_back(
-                  Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
-              reduce_work[p] += 1;
-            }
-          }
-        }
+        out[p] = JoinFinish(ls[p], rs[p]);
+        // One unit per build row, probe row and emitted match.
+        reduce_work[p] = static_cast<int64_t>(ls[p].size() + rs[p].size() +
+                                              out[p].size());
         return Status::OK();
       },
       &rec, &join_slots);
@@ -2349,9 +2162,7 @@ StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
   stats.reduce_work = std::move(reduce_work);
   stats.shuffle_bytes = bytes_l + bytes_r;
   stats.partition_rows = RowCounts(out);
-  if (hash_agg) {
-    for (int64_t c : RowCounts(ls)) stats.hash_agg_rows += c;
-  }
+  for (int64_t c : RowCounts(ls)) stats.hash_agg_rows += c;
   FinishStage(std::move(stats), rec);
   const int out_parts = config_.num_partitions;
   const int chain_depth =
@@ -2361,52 +2172,12 @@ StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
       [l, r, out_parts](const std::vector<int>& lost,
                         std::vector<ValueVec>* rebuilt,
                         int64_t* work) -> Status {
-        // Rebuild the lost post-shuffle partitions of both sides in one
-        // pass per side (each produced row hashed once, kept with its
-        // memoized hash only when its destination was lost), then
-        // replay the hash join. Scanning sources in order restores the
-        // arrival order, so the probe-order output matches exactly.
-        std::vector<int> slot_of(out_parts, -1);
+        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> lrows,
+                                ReplayShuffle(l, lost, out_parts, work));
+        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rrows,
+                                ReplayShuffle(r, lost, out_parts, work));
         for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<HashedVec> lrows(lost.size()), rrows(lost.size());
-        auto scatter = [&](const Dataset& side,
-                           std::vector<HashedVec>& dest) -> Status {
-          for (int s = 0; s < side.num_partitions(); ++s) {
-            for (const Value& row : side.partition(s)) {
-              *work += 1;
-              DIABLO_RETURN_IF_ERROR(ApplyChain(
-                  side.chain(), 0, row, nullptr,
-                  [&](const Value& v) -> Status {
-                    DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                    const size_t h = key->Hash();
-                    const int slot = slot_of[HashDestination(h, out_parts)];
-                    if (slot >= 0) dest[slot].push_back(HashedRow{h, v});
-                    return Status::OK();
-                  }));
-            }
-          }
-          return Status::OK();
-        };
-        DIABLO_RETURN_IF_ERROR(scatter(l, lrows));
-        DIABLO_RETURN_IF_ERROR(scatter(r, rrows));
-        rebuilt->resize(lost.size());
-        for (size_t i = 0; i < lost.size(); ++i) {
-          KeyedAccumulator<ValueVec> build(lrows[i].size());
-          for (const HashedRow& hr : lrows[i]) {
-            const ValueVec& kv = hr.row.tuple();
-            build.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
-          }
-          for (const HashedRow& hr : rrows[i]) {
-            const ValueVec& kv = hr.row.tuple();
-            ValueVec* lvs = build.Find(hr.hash, kv[0]);
-            if (lvs == nullptr) continue;
-            for (const Value& lv : *lvs) {
-              (*rebuilt)[i].push_back(
-                  Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
-            }
-          }
+          rebuilt->push_back(JoinFinish(lrows[i], rrows[i]));
         }
         return Status::OK();
       },
@@ -2430,7 +2201,6 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
                           ShuffleWave(l, left_stage, &bytes_l, &rec, &stats));
   DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rs,
                           ShuffleWave(r, right_stage, &bytes_r, &rec, &stats));
-  const bool hash_agg = config_.hash_aggregation;
   std::vector<ValueVec> out(ls.size());
   std::vector<int64_t> reduce_work(ls.size(), 0);
   WaveSlots cg_slots;
@@ -2439,47 +2209,8 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
   Status st = RunTaskWave(
       label, cogroup_stage, RowCounts(ls),
       [&](int p, int) -> Status {
-        out[p].clear();
-        reduce_work[p] = static_cast<int64_t>(ls[p].size()) +
-                         static_cast<int64_t>(rs[p].size());
-        if (hash_agg) {
-          KeyedAccumulator<std::pair<ValueVec, ValueVec>> groups(
-              ls[p].size() + rs[p].size());
-          for (const HashedRow& hr : ls[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            groups.FindOrCreate(hr.hash, kv[0])
-                .payload.first.push_back(kv[1]);
-          }
-          for (const HashedRow& hr : rs[p]) {
-            const ValueVec& kv = hr.row.tuple();
-            groups.FindOrCreate(hr.hash, kv[0])
-                .payload.second.push_back(kv[1]);
-          }
-          groups.SortByKey();
-          out[p].reserve(groups.size());
-          for (auto& e : groups.entries()) {
-            out[p].push_back(Value::MakePair(
-                std::move(e.key),
-                Value::MakePair(Value::MakeBag(std::move(e.payload.first)),
-                                Value::MakeBag(std::move(e.payload.second)))));
-          }
-          return Status::OK();
-        }
-        std::map<Value, std::pair<ValueVec, ValueVec>> groups;
-        for (const HashedRow& hr : ls[p]) {
-          const ValueVec& kv = hr.row.tuple();
-          groups[kv[0]].first.push_back(kv[1]);
-        }
-        for (const HashedRow& hr : rs[p]) {
-          const ValueVec& kv = hr.row.tuple();
-          groups[kv[0]].second.push_back(kv[1]);
-        }
-        out[p].reserve(groups.size());
-        for (auto& [key, sides] : groups) {
-          out[p].push_back(Value::MakePair(
-              key, Value::MakePair(Value::MakeBag(std::move(sides.first)),
-                                   Value::MakeBag(std::move(sides.second)))));
-        }
+        out[p] = CoGroupFinish(ls[p], rs[p]);
+        reduce_work[p] = static_cast<int64_t>(ls[p].size() + rs[p].size());
         return Status::OK();
       },
       &rec, &cg_slots);
@@ -2491,10 +2222,8 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
   stats.reduce_work = std::move(reduce_work);
   stats.shuffle_bytes = bytes_l + bytes_r;
   stats.partition_rows = RowCounts(out);
-  if (hash_agg) {
-    for (int64_t c : stats.reduce_work) stats.hash_agg_rows += c;
-    for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  }
+  for (int64_t c : stats.reduce_work) stats.hash_agg_rows += c;
+  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
   const int out_parts = config_.num_partitions;
   const int chain_depth =
@@ -2504,47 +2233,12 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
       [l, r, out_parts](const std::vector<int>& lost,
                         std::vector<ValueVec>* rebuilt,
                         int64_t* work) -> Status {
-        // Single-pass scatter per side, restricted to lost destinations;
-        // each produced row's key hashes once. SortByKey canonicalizes
-        // the rebuilt groups to match the forward path byte-for-byte.
-        std::vector<int> slot_of(out_parts, -1);
+        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> lrows,
+                                ReplayShuffle(l, lost, out_parts, work));
+        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rrows,
+                                ReplayShuffle(r, lost, out_parts, work));
         for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<KeyedAccumulator<std::pair<ValueVec, ValueVec>>> groups(
-            lost.size());
-        auto scatter = [&](const Dataset& side, bool is_left) -> Status {
-          for (int s = 0; s < side.num_partitions(); ++s) {
-            for (const Value& row : side.partition(s)) {
-              *work += 1;
-              DIABLO_RETURN_IF_ERROR(ApplyChain(
-                  side.chain(), 0, row, nullptr,
-                  [&](const Value& v) -> Status {
-                    DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                    const size_t h = key->Hash();
-                    const int slot = slot_of[HashDestination(h, out_parts)];
-                    if (slot < 0) return Status::OK();
-                    auto& sides = groups[slot].FindOrCreate(h, *key).payload;
-                    (is_left ? sides.first : sides.second)
-                        .push_back(v.tuple()[1]);
-                    return Status::OK();
-                  }));
-            }
-          }
-          return Status::OK();
-        };
-        DIABLO_RETURN_IF_ERROR(scatter(l, /*is_left=*/true));
-        DIABLO_RETURN_IF_ERROR(scatter(r, /*is_left=*/false));
-        rebuilt->resize(lost.size());
-        for (size_t i = 0; i < lost.size(); ++i) {
-          groups[i].SortByKey();
-          (*rebuilt)[i].reserve(groups[i].size());
-          for (auto& e : groups[i].entries()) {
-            (*rebuilt)[i].push_back(Value::MakePair(
-                std::move(e.key),
-                Value::MakePair(Value::MakeBag(std::move(e.payload.first)),
-                                Value::MakeBag(std::move(e.payload.second)))));
-          }
+          rebuilt->push_back(CoGroupFinish(lrows[i], rrows[i]));
         }
         return Status::OK();
       },
@@ -2612,30 +2306,13 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
   int64_t bytes = 0;
   DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> shuffled,
                           ShuffleWave(src, shuffle_stage, &bytes, &rec, &stats));
-  const bool hash_agg = config_.hash_aggregation;
   std::vector<ValueVec> out(shuffled.size());
   WaveSlots dedup_slots;
   dedup_slots.rows = &out;
   Status st = RunTaskWave(
       label, dedup_stage, RowCounts(shuffled),
       [&](int p, int) -> Status {
-        out[p].clear();
-        if (hash_agg) {
-          KeyedAccumulator<NoPayload> seen(shuffled[p].size());
-          for (const HashedRow& hr : shuffled[p]) {
-            seen.FindOrCreate(hr.hash, hr.row.tuple()[0]);
-          }
-          seen.SortByKey();
-          out[p].reserve(seen.size());
-          for (auto& e : seen.entries()) out[p].push_back(std::move(e.key));
-          return Status::OK();
-        }
-        std::map<Value, bool> seen;
-        for (const HashedRow& hr : shuffled[p]) {
-          seen.emplace(hr.row.tuple()[0], true);
-        }
-        out[p].reserve(seen.size());
-        for (auto& [v, unused] : seen) out[p].push_back(v);
+        out[p] = DistinctFinish(shuffled[p]);
         return Status::OK();
       },
       &rec, &dedup_slots);
@@ -2646,10 +2323,8 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
   stats.reduce_work = RowCounts(shuffled);
   stats.shuffle_bytes = bytes;
   stats.partition_rows = RowCounts(out);
-  if (hash_agg) {
-    for (int64_t c : RowCounts(shuffled)) stats.hash_agg_rows += c;
-    for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  }
+  for (int64_t c : RowCounts(shuffled)) stats.hash_agg_rows += c;
+  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
   FinishStage(std::move(stats), rec);
   const int out_parts = config_.num_partitions;
   auto lineage = MakeLineage(
@@ -2657,35 +2332,10 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
       [src, out_parts](const std::vector<int>& lost,
                        std::vector<ValueVec>* rebuilt,
                        int64_t* work) -> Status {
-        // Single-pass scatter restricted to the lost destinations; each
-        // key hashes once and the final sort canonicalizes the rebuilt
-        // partition to match the forward path byte-for-byte.
-        std::vector<int> slot_of(out_parts, -1);
-        for (size_t i = 0; i < lost.size(); ++i) {
-          slot_of[lost[i]] = static_cast<int>(i);
-        }
-        std::vector<KeyedAccumulator<NoPayload>> seen(lost.size());
-        for (int s = 0; s < src.num_partitions(); ++s) {
-          for (const Value& row : src.partition(s)) {
-            *work += 1;
-            DIABLO_RETURN_IF_ERROR(ApplyChain(
-                src.chain(), 0, row, nullptr,
-                [&](const Value& v) -> Status {
-                  DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                  const size_t h = key->Hash();
-                  const int slot = slot_of[HashDestination(h, out_parts)];
-                  if (slot >= 0) seen[slot].FindOrCreate(h, *key);
-                  return Status::OK();
-                }));
-          }
-        }
-        rebuilt->resize(lost.size());
-        for (size_t i = 0; i < lost.size(); ++i) {
-          seen[i].SortByKey();
-          (*rebuilt)[i].reserve(seen[i].size());
-          for (auto& e : seen[i].entries()) {
-            (*rebuilt)[i].push_back(std::move(e.key));
-          }
+        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> parts,
+                                ReplayShuffle(src, lost, out_parts, work));
+        for (const HashedVec& part : parts) {
+          rebuilt->push_back(DistinctFinish(part));
         }
         return Status::OK();
       },

@@ -58,9 +58,12 @@ struct SkewConfig {
 struct EngineConfig {
   /// Number of partitions newly parallelized datasets are split into.
   int num_partitions = 8;
-  /// Real host threads used to execute partition tasks. 1 = run inline.
-  /// Any value works on any host; this only affects wall-clock execution,
-  /// never results or the cost model.
+  /// Real host threads used to execute partition tasks. 1 = run inline;
+  /// more runs every task wave on one persistent work-stealing pool the
+  /// engine creates on first use and keeps for its lifetime. Any value
+  /// works on any host; this only affects wall-clock execution, never
+  /// results, errors (a failing wave reports its lowest-indexed failing
+  /// partition) or the cost model.
   int host_threads = 1;
   /// Parameters of the deterministic cluster cost model (see metrics.h).
   ClusterModel cluster;
@@ -76,28 +79,6 @@ struct EngineConfig {
   /// shuffle bytes the exact encoded size. Off by default (the
   /// SerializedBytes() estimate is used instead).
   bool serialize_shuffles = false;
-  /// When true (the default), narrow operators (map / mapValues /
-  /// filter / flatMap) are lazy: they append to the dataset's fused
-  /// chain and execute element-by-element inside the next stage
-  /// boundary (shuffle, reduce, collect, checkpoint, Force) with no
-  /// intermediate ValueVec ever built. False restores the eager
-  /// one-operator-one-stage engine — same results byte-for-byte, used
-  /// by the AB6 ablation and the fusion property tests.
-  bool fuse_narrow = true;
-  /// When true (the default), wide operators aggregate through the
-  /// open-addressing KeyedAccumulator keyed by (cached hash, key): the
-  /// key hash is computed once at the shuffle scatter and carried with
-  /// the row, and each output partition is sorted once at the end.
-  /// False restores the ordered-map (std::map<Value, ...>) aggregation
-  /// path — same results byte-for-byte, kept as the AB7 baseline.
-  bool hash_aggregation = true;
-  /// When true (the default), partition tasks run on a persistent
-  /// work-stealing worker pool owned by the engine, so a multi-stage
-  /// plan reuses host_threads workers across all stages and task waves.
-  /// False spawns a fresh std::thread vector per wave (AB7 baseline).
-  /// Either way, a failing stage reports the error of the
-  /// lowest-indexed failing partition, for every host_threads setting.
-  bool persistent_pool = true;
   /// When true (the default), the hot operators run typed columnar fast
   /// paths (runtime/column_batch.h): reduceByKey combines through a
   /// typed accumulator with native int64/double arithmetic and cached
@@ -138,9 +119,8 @@ struct EngineConfig {
   /// multi-process coordinator of src/dist/) instead of in-process
   /// threads: workers run the task closures against their forked
   /// copy-on-write snapshot and results come back over the wire
-  /// (runtime/wave_io.h). The engine then forces host_threads = 1 and
-  /// persistent_pool = false — the driver must be single-threaded at
-  /// fork time. Not owned.
+  /// (runtime/wave_io.h). The engine then forces host_threads = 1, so
+  /// no pool thread exists at fork time. Not owned.
   RemoteExecutor* remote = nullptr;
   /// With `remote`: treat a real worker death as a partition loss and
   /// route the dead worker's partitions through the lineage
@@ -188,18 +168,24 @@ struct StageRecovery {
 ///
 /// Datasets are hash-partitioned; narrow operators (map/filter/flatMap)
 /// transform partitions in place, wide operators (groupByKey, reduceByKey,
-/// join, coGroup) redistribute rows by key hash — a shuffle. Every stage
-/// records a StageStats entry in metrics(), from which the cluster cost
-/// model computes a simulated distributed run time (DESIGN.md §3 explains
-/// why this substitution preserves the paper's comparisons).
+/// join, coGroup, distinct) redistribute rows by key hash — a shuffle.
+/// Every stage records a StageStats entry in metrics(), from which the
+/// cluster cost model computes a simulated distributed run time
+/// (DESIGN.md §3 explains why this substitution preserves the paper's
+/// comparisons).
 ///
-/// With EngineConfig::fuse_narrow (the default), narrow operators defer:
-/// they return a lazy Dataset whose pending chain runs fused inside the
-/// next stage boundary, one element at a time — the Spark pipelining
-/// model. A fused stage's label joins the chain's labels with '+'
-/// ("flatMap+filter+map"), and StageStats::fused_ops /
-/// rows_not_materialized / bytes_not_materialized make the saved
-/// intermediates observable.
+/// Narrow operators defer: they return a lazy Dataset whose pending
+/// chain runs fused inside the next stage boundary, one element at a
+/// time — the Spark pipelining model. A fused stage's label joins the
+/// chain's labels with '+' ("flatMap+filter+map"), and
+/// StageStats::fused_ops / rows_not_materialized /
+/// bytes_not_materialized make the saved intermediates observable.
+///
+/// Wide operators aggregate through KeyedAccumulator keyed by the key
+/// hash the shuffle scatter computed once and carried with the row.
+/// Each one has a single per-destination finish that both its forward
+/// reduce wave and its lineage replay call, so a rebuilt partition is
+/// produced by the same code as the original.
 ///
 /// Rows of keyed datasets are pair tuples (key, value); the key may be any
 /// Value (ints, tuples of ints, strings, ...).
@@ -216,8 +202,8 @@ struct StageRecovery {
 /// fault-free run.
 ///
 /// All operator callbacks may fail; a genuine callback error is never
-/// retried — the first one aborts the stage and is returned. Under
-/// fusion an error surfaces at the stage boundary that executes the
+/// retried — the first one aborts the stage and is returned. A narrow
+/// operator's error surfaces at the stage boundary that executes its
 /// chain, not at the deferring call. Callbacks must be thread-safe when
 /// host_threads > 1 and must be restartable (they may run more than
 /// once for the same partition under retries).
@@ -299,16 +285,16 @@ class Engine {
   /// split into contiguous partitions.
   Dataset Range(int64_t lo, int64_t hi) const;
 
-  /// Narrow: applies `fn` to every row. Lazy under fuse_narrow.
+  /// Narrow: applies `fn` to every row.
   StatusOr<Dataset> Map(const Dataset& in, const MapFn& fn,
                         const std::string& label = "map");
 
   /// Narrow: applies `fn` to the value of every (k,v) pair row, keeping
-  /// the key — Spark's mapValues. Lazy under fuse_narrow.
+  /// the key — Spark's mapValues.
   StatusOr<Dataset> MapValues(const Dataset& in, const MapFn& fn,
                               const std::string& label = "mapValues");
 
-  /// Narrow: keeps rows satisfying `pred`. Lazy under fuse_narrow.
+  /// Narrow: keeps rows satisfying `pred`.
   StatusOr<Dataset> Filter(const Dataset& in, const PredFn& pred,
                            const std::string& label = "filter");
 
@@ -331,16 +317,13 @@ class Engine {
                                  const Value& operand,
                                  const std::string& label = "filter");
 
-  /// Narrow: maps every row to a bag of rows and concatenates. Lazy
-  /// under fuse_narrow.
+  /// Narrow: maps every row to a bag of rows and concatenates.
   StatusOr<Dataset> FlatMap(const Dataset& in, const FlatMapFn& fn,
                             const std::string& label = "flatMap");
 
   /// Narrow: appends a prebuilt fused operator. Map, MapValues, Filter
   /// and FlatMap build theirs from a closure; the plan evaluator's
-  /// compiled row segments (plan/row_program.h) arrive ready-made. Lazy
-  /// under fuse_narrow; otherwise the operator is one stage whose
-  /// lineage advances by op.plan_ops.
+  /// compiled row segments (plan/row_program.h) arrive ready-made.
   StatusOr<Dataset> Narrow(const Dataset& in, FusedOp op);
 
   /// Materializes any pending fused chain as ONE task wave (the stage
@@ -419,7 +402,7 @@ class Engine {
   using EmitFn = std::function<Status(size_t, const Value&)>;
 
   /// Runs fn(0..n-1), using up to config_.host_threads threads (the
-  /// persistent pool by default). All partitions that could fail with a
+  /// persistent pool). All partitions that could fail with a
   /// lower index than the lowest known failure are executed, and the
   /// error of the lowest-indexed failing partition is returned — so
   /// failures are reproducible across host_threads settings.
@@ -517,7 +500,7 @@ class Engine {
   /// Shared implementation of both ReduceByKey overloads. `native_op`
   /// is non-null when the reduction is a built-in operator the columnar
   /// typed accumulator may take over; `fn` is always the semantic truth
-  /// (the fallback, recovery, and ordered paths use it).
+  /// (the boxed fallback and recovery use it).
   StatusOr<Dataset> ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
                                     const BinOp* native_op,
                                     const ColumnSchema& schema,
@@ -536,8 +519,6 @@ class Engine {
       LineageNode::RecomputeFn recompute,
       LineageNode::RecomputeManyFn recompute_many = nullptr,
       int depth_increment = 1) const;
-
-  static StatusOr<const Value*> RowKey(const Value& row);
 
   EngineConfig config_;
   Metrics metrics_;
@@ -561,10 +542,9 @@ class Engine {
   /// StageStats::peak_rss_bytes (max with the driver's own getrusage
   /// reading) — same drain pattern as pool_tasks_pending_.
   int64_t worker_rss_pending_ = 0;
-  /// Persistent worker pool (EngineConfig::persistent_pool), created
-  /// lazily on the first multi-threaded wave and reused for the
-  /// engine's whole lifetime. Mutable: creating it does not change
-  /// observable engine state.
+  /// Persistent worker pool, created lazily on the first multi-threaded
+  /// wave and reused for the engine's whole lifetime. Mutable: creating
+  /// it does not change observable engine state.
   mutable std::unique_ptr<WorkerPool> pool_;
   /// Partitions owed by workers that died mid-wave
   /// (EngineConfig::dist_lose_on_kill): registered by the remote

@@ -20,13 +20,13 @@ namespace diablo::runtime {
 /// fault-free run (asserted in fault_tolerance_test.cc).
 ///
 /// Stages here are the engine's internal task waves, numbered from 0 in
-/// execution order. Under narrow-stage fusion (EngineConfig::fuse_narrow,
-/// the default) deferred narrow operators consume NO stage ids — the
-/// whole pending chain runs inside the wave of the next stage boundary
-/// (Force, shuffle, combine, reduce, checkpoint, collect). A wide
-/// operator spends one wave per internal phase (e.g. combine/shuffle/
-/// reduce). With fusion off, every narrow operator is one wave of its
-/// own. Directive coordinates therefore depend on the fusion setting.
+/// execution order. There is one numbering: deferred narrow operators
+/// consume NO stage ids — the whole pending chain runs inside the wave
+/// of the next stage boundary (Force, shuffle, combine, reduce,
+/// checkpoint, collect). A wide operator spends one id per internal
+/// phase: groupByKey and distinct two (shuffle, reduce), reduceByKey
+/// three (combine, shuffle, reduce), join and coGroup three (left
+/// shuffle, right shuffle, reduce).
 
 /// One-shot directive: the task for `partition` of stage `stage` dies on
 /// its first attempt (the scheduler retries it on the next attempt).

@@ -4,9 +4,9 @@
 // vectorized shuffle scatter, the typed reduceByKey combine and the
 // typed scalar fold — carry one contract: byte-identical results to the
 // boxed per-row engine for every workload, partition count, host thread
-// count, fusion/hash-agg setting, fault schedule and distributed chaos
-// kill. Rows the typed paths cannot represent must spill to boxed
-// mid-stream without consuming or reordering anything.
+// count, fault schedule and distributed chaos kill. Rows the typed paths
+// cannot represent must spill to boxed mid-stream without consuming or
+// reordering anything.
 
 #include "runtime/column_batch.h"
 
@@ -498,29 +498,22 @@ TEST(ColumnarProperty, ColumnarMatchesBoxedByteForByte) {
       ValueVec rows = WorkloadInput(which, rng);
       const int parts = 1 + static_cast<int>(rng() % 12);
       for (int host_threads : {1, 4}) {
-        for (bool fuse : {true, false}) {
-          for (bool hash_agg : {true, false}) {
-            EngineConfig col_config;
-            col_config.num_partitions = parts;
-            col_config.host_threads = host_threads;
-            col_config.fuse_narrow = fuse;
-            col_config.hash_aggregation = hash_agg;
-            col_config.columnar = true;
-            EngineConfig boxed_config = col_config;
-            boxed_config.columnar = false;
+        EngineConfig col_config;
+        col_config.num_partitions = parts;
+        col_config.host_threads = host_threads;
+        col_config.columnar = true;
+        EngineConfig boxed_config = col_config;
+        boxed_config.columnar = false;
 
-            Engine columnar(col_config), boxed(boxed_config);
-            auto col_out = RunWorkload(columnar, which, rows);
-            auto boxed_out = RunWorkload(boxed, which, rows);
-            ASSERT_TRUE(col_out.ok()) << col_out.status().ToString();
-            ASSERT_TRUE(boxed_out.ok()) << boxed_out.status().ToString();
-            EXPECT_EQ(*col_out, *boxed_out)
-                << "workload " << which << " seed " << seed << " threads "
-                << host_threads << " fuse " << fuse << " hash_agg "
-                << hash_agg;
-            EXPECT_EQ(boxed.metrics().total_columnar_batches(), 0);
-          }
-        }
+        Engine columnar(col_config), boxed(boxed_config);
+        auto col_out = RunWorkload(columnar, which, rows);
+        auto boxed_out = RunWorkload(boxed, which, rows);
+        ASSERT_TRUE(col_out.ok()) << col_out.status().ToString();
+        ASSERT_TRUE(boxed_out.ok()) << boxed_out.status().ToString();
+        EXPECT_EQ(*col_out, *boxed_out)
+            << "workload " << which << " seed " << seed << " threads "
+            << host_threads;
+        EXPECT_EQ(boxed.metrics().total_columnar_batches(), 0);
       }
     }
   }

@@ -1,10 +1,10 @@
 // Narrow-stage fusion property tests: randomized chains of narrow
 // operators terminated by a random action must produce byte-identical
-// results whether the chain is fused into the next stage boundary
-// (fuse_narrow = true, the default) or materialized one ValueVec per
-// operator (the eager engine) — and, with fault injection on top, a
-// fused run that completes must still equal the fault-free fused run
-// exactly. Also checks the fused-stage observability metrics.
+// results whether the chain is fused into the next stage boundary or
+// materialized one ValueVec per operator (Engine::Force after every
+// narrow operator, the eager reference) — and, with fault injection on
+// top, a fused run that completes must still equal the fault-free fused
+// run exactly. Also checks the fused-stage observability metrics.
 
 #include <gtest/gtest.h>
 
@@ -34,11 +34,14 @@ ValueVec RandomPairs(std::mt19937_64& rng, int n, int keys) {
 }
 
 /// A program drawn from (op codes, terminal code): a chain of narrow
-/// operators over (int, double) pairs followed by one action. Both
-/// engines are handed the exact same closures, so any divergence comes
-/// from execution strategy, never from the program.
+/// operators over (int, double) pairs followed by one action. With
+/// `force_each`, every narrow operator is materialized by its own Force
+/// stage instead of fusing into the next boundary. Both runs are handed
+/// the exact same closures, so any divergence comes from execution
+/// strategy, never from the program.
 StatusOr<ValueVec> RunProgram(Engine& engine, const ValueVec& rows,
-                              const std::vector<int>& ops, int terminal) {
+                              const std::vector<int>& ops, int terminal,
+                              bool force_each = false) {
   Dataset cur = engine.Parallelize(rows);
   for (int op : ops) {
     switch (op % 4) {
@@ -78,6 +81,9 @@ StatusOr<ValueVec> RunProgram(Engine& engine, const ValueVec& rows,
             }));
         break;
       }
+    }
+    if (force_each) {
+      DIABLO_ASSIGN_OR_RETURN(cur, engine.Force(cur));
     }
   }
   switch (terminal % 6) {
@@ -124,15 +130,13 @@ TEST(FusionProperty, FusedMatchesEagerByteForByte) {
     for (int& op : ops) op = static_cast<int>(rng() % 4);
     int terminal = static_cast<int>(rng() % 6);
 
-    EngineConfig fused_config;
-    fused_config.fuse_narrow = true;
-    fused_config.num_partitions = 1 + static_cast<int>(rng() % 12);
-    EngineConfig eager_config = fused_config;
-    eager_config.fuse_narrow = false;
+    EngineConfig config;
+    config.num_partitions = 1 + static_cast<int>(rng() % 12);
 
-    Engine fused(fused_config), eager(eager_config);
+    Engine fused(config), eager(config);
     auto fused_out = RunProgram(fused, rows, ops, terminal);
-    auto eager_out = RunProgram(eager, rows, ops, terminal);
+    auto eager_out = RunProgram(eager, rows, ops, terminal,
+                                /*force_each=*/true);
     ASSERT_TRUE(fused_out.ok()) << fused_out.status().ToString();
     ASSERT_TRUE(eager_out.ok()) << eager_out.status().ToString();
     EXPECT_EQ(*fused_out, *eager_out)
@@ -195,7 +199,7 @@ TEST(FusionProperty, LostPartitionsReplayTheChain) {
 }
 
 TEST(FusionMetrics, FusedStagesReportSavedMaterialization) {
-  Engine engine;  // fuse_narrow defaults to true
+  Engine engine;
   ValueVec rows;
   for (int i = 0; i < 1000; ++i) {
     rows.push_back(Value::MakePair(I(i % 10), D(i * 0.25)));

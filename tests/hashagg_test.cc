@@ -1,25 +1,28 @@
 // Hash-aggregation and worker-pool property tests.
 //
 // The engine's wide operators aggregate through the open-addressing
-// KeyedAccumulator (hash_aggregation = true, the default) instead of the
-// ordered std::map path. The contract: results are byte-identical to the
-// ordered path for every workload, partition count, host thread count,
-// fusion setting and fault schedule — hash-table iteration order must
-// never be observable. The persistent work-stealing pool carries a
-// matching contract: every index runs exactly once and a failing wave
-// reports the error of the lowest-indexed failing task no matter how
-// many threads raced.
+// KeyedAccumulator. The contract: every output partition is
+// byte-identical to a test-local ordered std::map model of the operator
+// for every key type, partition count, host thread count and fault
+// schedule — hash-table iteration order must never be observable. The
+// persistent work-stealing pool carries a matching contract: every
+// index runs exactly once and a failing wave reports the error of the
+// lowest-indexed failing task no matter how many threads raced.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/engine.h"
 #include "runtime/fault.h"
 #include "runtime/keyed_accumulator.h"
+#include "runtime/serialize.h"
 #include "runtime/worker_pool.h"
 
 namespace diablo::runtime {
@@ -146,25 +149,254 @@ TEST(WorkerPool, EmptyAndUndersizedWaves) {
 }
 
 // ---------------------------------------------------------------------
-// Engine-level property: hash aggregation is byte-identical to the
-// ordered-map path across workloads and engine configurations.
+// Per-operator oracle: each wide operator's output partitions equal an
+// ordered std::map model that shares no code with KeyedAccumulator.
+// The model routes a row to key.Hash() % P, emits key-sorted rows with
+// values in arrival order (source partitions in order, rows in order),
+// folds reduceByKey per source partition and then the partials in
+// source order, and emits join matches in probe order.
 
-// Word count: (word, 1) pairs reduced by key. String keys stress
-// hashing/compare asymmetry.
-StatusOr<ValueVec> WordCount(Engine& engine, const ValueVec& words) {
-  Dataset ds = engine.Parallelize(words);
-  DIABLO_ASSIGN_OR_RETURN(
-      Dataset pairs, engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
-        return Value::MakePair(v, I(1));
-      }));
-  DIABLO_ASSIGN_OR_RETURN(Dataset counts,
-                          engine.ReduceByKey(pairs, BinOp::kAdd));
-  return engine.Collect(counts);
+using Parts = std::vector<ValueVec>;
+
+enum class WideOp { kGroupByKey, kReduceByKey, kJoin, kCoGroup, kDistinct };
+enum class KeyKind { kInt, kString, kTuple };
+
+Value RandomKey(KeyKind kind, int64_t k) {
+  switch (kind) {
+    case KeyKind::kInt:
+      return I(k);
+    case KeyKind::kString:
+      return S("k" + std::to_string(k));
+    case KeyKind::kTuple:
+      return Value::MakePair(I(k % 5), S("t" + std::to_string(k)));
+  }
+  return I(k);
+}
+
+/// Random pre-partitioned (key, double) rows: 1-6 source partitions of
+/// uneven size, each row placed in a random one.
+Parts RandomParts(KeyKind kind, std::mt19937_64& rng) {
+  Parts parts(1 + rng() % 6);
+  const int n = 100 + static_cast<int>(rng() % 200);
+  const uint64_t keys = 1 + rng() % 40;
+  for (int i = 0; i < n; ++i) {
+    const Value key = RandomKey(kind, static_cast<int64_t>(rng() % keys));
+    parts[rng() % parts.size()].push_back(Value::MakePair(
+        key, D(static_cast<double>(rng() % 1000) / 7.0 - 50.0)));
+  }
+  return parts;
+}
+
+int Dest(const Value& key, int p) {
+  return static_cast<int>(key.Hash() % static_cast<size_t>(p));
+}
+
+/// Each destination's input rows in arrival order, keyed by `key_of`.
+template <typename KeyOf>
+Parts Arrivals(const Parts& in, int p, KeyOf key_of) {
+  Parts out(p);
+  for (const ValueVec& part : in) {
+    for (const Value& row : part) out[Dest(key_of(row), p)].push_back(row);
+  }
+  return out;
+}
+
+const Value& PairKey(const Value& row) { return row.tuple()[0]; }
+
+Value Add(const Value& a, const Value& b) {
+  return *EvalBinOp(BinOp::kAdd, a, b);
+}
+
+void FoldPair(std::map<Value, Value>& acc, const Value& key,
+              const Value& value) {
+  auto [it, fresh] = acc.emplace(key, value);
+  if (!fresh) it->second = Add(it->second, value);
+}
+
+Parts Model(WideOp op, const Parts& a, const Parts& b, int p) {
+  Parts out(p);
+  if (op == WideOp::kReduceByKey) {
+    std::vector<std::map<Value, Value>> merged(p);
+    for (const ValueVec& part : a) {
+      std::map<Value, Value> partial;
+      for (const Value& row : part) {
+        FoldPair(partial, row.tuple()[0], row.tuple()[1]);
+      }
+      for (const auto& [key, value] : partial) {
+        FoldPair(merged[Dest(key, p)], key, value);
+      }
+    }
+    for (int d = 0; d < p; ++d) {
+      for (const auto& [key, value] : merged[d]) {
+        out[d].push_back(Value::MakePair(key, value));
+      }
+    }
+    return out;
+  }
+  if (op == WideOp::kDistinct) {
+    const Parts arrived = Arrivals(a, p, [](const Value& v) { return v; });
+    for (int d = 0; d < p; ++d) {
+      const std::set<Value> seen(arrived[d].begin(), arrived[d].end());
+      out[d].assign(seen.begin(), seen.end());
+    }
+    return out;
+  }
+  const Parts left = Arrivals(a, p, PairKey);
+  const Parts right = Arrivals(b, p, PairKey);
+  for (int d = 0; d < p; ++d) {
+    std::map<Value, std::pair<ValueVec, ValueVec>> groups;
+    for (const Value& row : left[d]) {
+      groups[row.tuple()[0]].first.push_back(row.tuple()[1]);
+    }
+    if (op == WideOp::kJoin) {
+      for (const Value& row : right[d]) {
+        auto it = groups.find(row.tuple()[0]);
+        if (it == groups.end()) continue;
+        for (const Value& lv : it->second.first) {
+          out[d].push_back(Value::MakePair(
+              row.tuple()[0], Value::MakePair(lv, row.tuple()[1])));
+        }
+      }
+      continue;
+    }
+    if (op == WideOp::kCoGroup) {
+      for (const Value& row : right[d]) {
+        groups[row.tuple()[0]].second.push_back(row.tuple()[1]);
+      }
+    }
+    for (auto& [key, sides] : groups) {
+      out[d].push_back(Value::MakePair(
+          key, op == WideOp::kGroupByKey
+                   ? Value::MakeBag(sides.first)
+                   : Value::MakePair(Value::MakeBag(sides.first),
+                                     Value::MakeBag(sides.second))));
+    }
+  }
+  return out;
+}
+
+/// Runs `op` on a fresh engine; adds the run's simulated recovery
+/// seconds to `*recovery`.
+StatusOr<Parts> RunOp(WideOp op, const EngineConfig& config, const Parts& a,
+                      const Parts& b, double* recovery) {
+  Engine engine(config);
+  StatusOr<Dataset> out = Status::RuntimeError("unknown operator");
+  switch (op) {
+    case WideOp::kGroupByKey:
+      out = engine.GroupByKey(Dataset(a));
+      break;
+    case WideOp::kReduceByKey:
+      out = engine.ReduceByKey(Dataset(a), BinOp::kAdd);
+      break;
+    case WideOp::kJoin:
+      out = engine.Join(Dataset(a), Dataset(b));
+      break;
+    case WideOp::kCoGroup:
+      out = engine.CoGroup(Dataset(a), Dataset(b));
+      break;
+    case WideOp::kDistinct:
+      out = engine.Distinct(Dataset(a));
+      break;
+  }
+  if (!out.ok()) return out.status();
+  *recovery += engine.metrics().total_recovery_seconds();
+  return out->partitions();
+}
+
+/// Codec bytes of every row, partition by partition.
+std::string Bytes(const Parts& parts) {
+  std::string out;
+  for (const ValueVec& part : parts) {
+    out += std::to_string(part.size()) + ":";
+    for (const Value& v : part) out += Serialize(v);
+  }
+  return out;
+}
+
+void ExpectOperatorsMatchModel(bool faults) {
+  double recovery = 0;
+  for (WideOp op : {WideOp::kGroupByKey, WideOp::kReduceByKey, WideOp::kJoin,
+                    WideOp::kCoGroup, WideOp::kDistinct}) {
+    for (KeyKind kind : {KeyKind::kInt, KeyKind::kString, KeyKind::kTuple}) {
+      for (uint64_t seed = 0; seed < 3; ++seed) {
+        std::mt19937_64 rng(seed * 7919 + static_cast<uint64_t>(op) * 131 +
+                            static_cast<uint64_t>(kind) * 17 + 1);
+        const int p = 1 + static_cast<int>(rng() % 12);
+        Parts a = RandomParts(kind, rng);
+        const Parts b = RandomParts(kind, rng);
+        if (op == WideOp::kDistinct) {
+          // Distinct over the bare keys: plenty of duplicates.
+          for (ValueVec& part : a) {
+            for (Value& row : part) row = Value(row.tuple()[0]);
+          }
+        }
+        const std::string want = Bytes(Model(op, a, b, p));
+        for (int host_threads : {1, 4}) {
+          EngineConfig config;
+          config.num_partitions = p;
+          config.host_threads = host_threads;
+          if (faults) {
+            config.serialize_shuffles = true;
+            config.faults.seed = seed + 17;
+            config.faults.task_failure_rate = 0.08;
+            // Per shuffled row: a 300-row source task still gets through
+            // within the budget.
+            config.faults.corrupt_shuffle_rate = 0.002;
+            config.faults.max_task_attempts = 16;
+          }
+          auto got = RunOp(op, config, a, b, &recovery);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(Bytes(*got), want)
+              << "op " << static_cast<int>(op) << " keys "
+              << static_cast<int>(kind) << " seed " << seed << " P " << p
+              << " threads " << host_threads;
+        }
+      }
+    }
+  }
+  // The faulty sweep must actually have retried tasks.
+  EXPECT_EQ(recovery > 0, faults);
+}
+
+TEST(HashAggProperty, HashMatchesOrderedByteForByte) {
+  ExpectOperatorsMatchModel(/*faults=*/false);
+}
+
+TEST(HashAggProperty, HashUnderFaultsMatchesOrderedFaultFree) {
+  // Fault schedules key off (stage id, partition, attempt, row index);
+  // retried tasks and corrupted wire payloads must still land on the
+  // fault-free model's bytes.
+  ExpectOperatorsMatchModel(/*faults=*/true);
+}
+
+// ---------------------------------------------------------------------
+// Multi-stage workloads for the recovery and pool tests.
+
+ValueVec EdgeRows(std::mt19937_64& rng) {
+  ValueVec rows;
+  const int nodes = 20 + static_cast<int>(rng() % 20);
+  const int edges = 150 + static_cast<int>(rng() % 150);
+  for (int i = 0; i < edges; ++i) {
+    rows.push_back(Value::MakePair(I(static_cast<int64_t>(rng() % nodes)),
+                                   I(static_cast<int64_t>(rng() % nodes))));
+  }
+  return rows;
+}
+
+ValueVec KeyedDoubleRows(std::mt19937_64& rng) {
+  ValueVec rows;
+  const int n = 150 + static_cast<int>(rng() % 250);
+  for (int i = 0; i < n; ++i) {
+    rows.push_back(Value::MakePair(
+        I(static_cast<int64_t>(rng() % 23)),
+        D(static_cast<double>(rng() % 1000) / 7.0 - 50.0)));
+  }
+  return rows;
 }
 
 // PageRank-flavoured: two iterations of join(ranks, links) →
 // contributions → reduceByKey over doubles. Float folds make any
-// arrival-order divergence between the paths visible bit-for-bit.
+// arrival-order divergence visible bit-for-bit.
 StatusOr<ValueVec> PageRankIters(Engine& engine, const ValueVec& edges) {
   Dataset links = engine.Parallelize(edges);
   DIABLO_ASSIGN_OR_RETURN(Dataset grouped, engine.GroupByKey(links));
@@ -197,161 +429,76 @@ StatusOr<ValueVec> PageRankIters(Engine& engine, const ValueVec& edges) {
   return engine.Collect(ranks);
 }
 
+/// Collects `ds` through a checkpoint stage: the stage that consumes a
+/// wide operator's output, where its partitions can be lost.
+StatusOr<ValueVec> CollectThroughCheckpoint(Engine& engine,
+                                            const Dataset& ds) {
+  DIABLO_ASSIGN_OR_RETURN(Dataset ckpt, engine.Checkpoint(ds));
+  return engine.Collect(ckpt);
+}
+
 // Join + coGroup + distinct over the same keyed rows, concatenated.
+// Stage ids: reduceByKey 0-2; join 3-5 (input 1 is the reduceByKey
+// output); its checkpoint 6; coGroup 7-9 (input 1 again the
+// reduceByKey output); its checkpoint 10; distinct 11-12; its
+// checkpoint 13.
 StatusOr<ValueVec> RelationalMix(Engine& engine, const ValueVec& rows) {
   Dataset ds = engine.Parallelize(rows);
   DIABLO_ASSIGN_OR_RETURN(Dataset sums, engine.ReduceByKey(ds, BinOp::kAdd));
   DIABLO_ASSIGN_OR_RETURN(Dataset joined, engine.Join(ds, sums));
-  DIABLO_ASSIGN_OR_RETURN(ValueVec out, engine.Collect(joined));
+  DIABLO_ASSIGN_OR_RETURN(ValueVec out,
+                          CollectThroughCheckpoint(engine, joined));
   DIABLO_ASSIGN_OR_RETURN(Dataset cg, engine.CoGroup(ds, sums));
-  DIABLO_ASSIGN_OR_RETURN(ValueVec cg_rows, engine.Collect(cg));
+  DIABLO_ASSIGN_OR_RETURN(ValueVec cg_rows,
+                          CollectThroughCheckpoint(engine, cg));
   DIABLO_ASSIGN_OR_RETURN(
       Dataset keys, engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
         return v.tuple()[0];
       }));
   DIABLO_ASSIGN_OR_RETURN(Dataset uniq, engine.Distinct(keys));
-  DIABLO_ASSIGN_OR_RETURN(ValueVec uniq_rows, engine.Collect(uniq));
+  DIABLO_ASSIGN_OR_RETURN(ValueVec uniq_rows,
+                          CollectThroughCheckpoint(engine, uniq));
   out.insert(out.end(), cg_rows.begin(), cg_rows.end());
   out.insert(out.end(), uniq_rows.begin(), uniq_rows.end());
   return out;
 }
 
-StatusOr<ValueVec> RunWorkload(Engine& engine, int which,
-                               const ValueVec& rows) {
-  switch (which) {
-    case 0:
-      return WordCount(engine, rows);
-    case 1:
-      return PageRankIters(engine, rows);
-    default:
-      return RelationalMix(engine, rows);
-  }
-}
-
-ValueVec WorkloadInput(int which, std::mt19937_64& rng) {
-  ValueVec rows;
-  if (which == 0) {
-    const int n = 200 + static_cast<int>(rng() % 300);
-    for (int i = 0; i < n; ++i) {
-      rows.push_back(S("word" + std::to_string(rng() % 37)));
-    }
-  } else if (which == 1) {
-    const int nodes = 20 + static_cast<int>(rng() % 20);
-    const int edges = 150 + static_cast<int>(rng() % 150);
-    for (int i = 0; i < edges; ++i) {
-      rows.push_back(Value::MakePair(I(static_cast<int64_t>(rng() % nodes)),
-                                     I(static_cast<int64_t>(rng() % nodes))));
-    }
-  } else {
-    const int n = 150 + static_cast<int>(rng() % 250);
-    for (int i = 0; i < n; ++i) {
-      rows.push_back(Value::MakePair(
-          I(static_cast<int64_t>(rng() % 23)),
-          D(static_cast<double>(rng() % 1000) / 7.0 - 50.0)));
-    }
-  }
-  return rows;
-}
-
-TEST(HashAggProperty, HashMatchesOrderedByteForByte) {
-  for (int which = 0; which < 3; ++which) {
-    for (uint64_t seed = 0; seed < 6; ++seed) {
-      std::mt19937_64 rng(seed * 6151 + which + 1);
-      ValueVec rows = WorkloadInput(which, rng);
-      const int parts = 1 + static_cast<int>(rng() % 12);
-      for (int host_threads : {1, 4}) {
-        for (bool fuse : {true, false}) {
-          EngineConfig hash_config;
-          hash_config.num_partitions = parts;
-          hash_config.host_threads = host_threads;
-          hash_config.fuse_narrow = fuse;
-          hash_config.hash_aggregation = true;
-          EngineConfig ordered_config = hash_config;
-          ordered_config.hash_aggregation = false;
-          ordered_config.persistent_pool = false;
-
-          Engine hash(hash_config), ordered(ordered_config);
-          auto hash_out = RunWorkload(hash, which, rows);
-          auto ordered_out = RunWorkload(ordered, which, rows);
-          ASSERT_TRUE(hash_out.ok()) << hash_out.status().ToString();
-          ASSERT_TRUE(ordered_out.ok()) << ordered_out.status().ToString();
-          EXPECT_EQ(*hash_out, *ordered_out)
-              << "workload " << which << " seed " << seed << " threads "
-              << host_threads << " fuse " << fuse;
-        }
-      }
-    }
-  }
-}
-
-TEST(HashAggProperty, HashUnderFaultsMatchesOrderedFaultFree) {
-  // Fault schedules key off (stage id, partition, attempt, row index) —
-  // coordinates the aggregation strategy does not change — so the same
-  // injected faults hit both paths and neither may diverge from the
-  // fault-free answer.
-  for (int which = 0; which < 3; ++which) {
-    for (uint64_t seed = 0; seed < 4; ++seed) {
-      std::mt19937_64 rng(seed * 2741 + which + 11);
-      ValueVec rows = WorkloadInput(which, rng);
-
-      EngineConfig clean_config;
-      clean_config.hash_aggregation = false;
-      clean_config.persistent_pool = false;
-      Engine clean(clean_config);
-      auto expected = RunWorkload(clean, which, rows);
-      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-
-      for (bool hash_agg : {true, false}) {
-        EngineConfig faulty_config;
-        faulty_config.hash_aggregation = hash_agg;
-        faulty_config.host_threads = 4;
-        faulty_config.faults.seed = seed + 17;
-        faulty_config.faults.task_failure_rate = 0.08;
-        faulty_config.faults.corrupt_shuffle_rate = 0.01;
-        faulty_config.faults.max_task_attempts = 12;
-        faulty_config.serialize_shuffles = true;
-        Engine faulty(faulty_config);
-        auto got = RunWorkload(faulty, which, rows);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        EXPECT_EQ(*got, *expected)
-            << "workload " << which << " seed " << seed << " hash_agg "
-            << hash_agg;
-      }
-    }
-  }
-}
-
 TEST(HashAggProperty, LostPartitionRecoveryUsesAccumulatorReplay) {
-  // Deterministic lost-partition directives drive the recompute_many
-  // closures (the accumulator-based replay paths) for every wide
-  // operator in the mix; the rebuilt partitions must be byte-identical.
+  // Each directive loses a partition of a wide operator's OUTPUT at the
+  // stage consuming it (see the stage map on RelationalMix), so the
+  // rebuild runs that operator's recompute_many replay — never a
+  // durable re-read of the parallelized source.
   std::mt19937_64 rng(4242);
-  ValueVec rows = WorkloadInput(/*which=*/2, rng);
-  EngineConfig clean_config;
-  Engine clean(clean_config);
-  auto expected = RunWorkload(clean, 2, rows);
+  ValueVec rows = KeyedDoubleRows(rng);
+  Engine clean{EngineConfig{}};
+  auto expected = RelationalMix(clean, rows);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
-  int64_t fired = 0;
-  for (int stage = 0; stage < 8; ++stage) {
+  const LosePartition directives[] = {
+      {3, 2, 1},   // reduceByKey output, consumed by the join
+      {6, 2, 0},   // join output, consumed by its checkpoint
+      {7, 2, 1},   // reduceByKey output, consumed by the coGroup
+      {10, 2, 0},  // coGroup output
+      {13, 2, 0},  // distinct output
+  };
+  for (const LosePartition& lose : directives) {
     EngineConfig config;
-    config.faults.lose_partitions.push_back({stage, 2, 0});
+    config.faults.lose_partitions.push_back(lose);
     Engine engine(config);
-    auto got = RunWorkload(engine, 2, rows);
-    ASSERT_TRUE(got.ok()) << "stage " << stage << ": "
+    auto got = RelationalMix(engine, rows);
+    ASSERT_TRUE(got.ok()) << "stage " << lose.stage << ": "
                           << got.status().ToString();
-    EXPECT_EQ(*got, *expected) << "stage " << stage;
-    fired += engine.metrics().total_recomputed_partitions();
+    EXPECT_EQ(*got, *expected) << "stage " << lose.stage;
+    EXPECT_EQ(engine.metrics().total_recomputed_partitions(), 1)
+        << "stage " << lose.stage;
   }
-  // Not every stage id consumes a shuffle input, but several must have
-  // replayed a lost partition through the accumulator-based closures.
-  EXPECT_GE(fired, 3);
 }
 
 TEST(HashAggProperty, DistinctRecoveryUnderFaults) {
   // Distinct's dedup and its lost-partition replay both run on the
-  // accumulator now; randomized faults plus a directed partition loss
-  // must reproduce the clean answer.
+  // accumulator; randomized task failures plus a lost partition of the
+  // distinct output (stages 0-1 are its shuffle and dedup, stage 2 the
+  // checkpoint consuming it) must reproduce the clean answer.
   ValueVec rows;
   std::mt19937_64 rng(91);
   for (int i = 0; i < 400; ++i) {
@@ -360,26 +507,25 @@ TEST(HashAggProperty, DistinctRecoveryUnderFaults) {
   }
   auto run = [&](EngineConfig config) {
     Engine engine(config);
-    Dataset ds = engine.Parallelize(rows);
-    auto uniq = engine.Distinct(ds);
+    auto uniq = engine.Distinct(engine.Parallelize(rows));
     EXPECT_TRUE(uniq.ok()) << uniq.status().ToString();
-    auto out = engine.Collect(*uniq);
+    auto out = CollectThroughCheckpoint(engine, *uniq);
     EXPECT_TRUE(out.ok()) << out.status().ToString();
-    return out.ok() ? *out : ValueVec{};
+    return std::make_pair(out.ok() ? *out : ValueVec{},
+                          engine.metrics().total_recomputed_partitions());
   };
-  const ValueVec expected = run(EngineConfig{});
+  const auto [expected, clean_recomputed] = run(EngineConfig{});
   ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(clean_recomputed, 0);
 
   EngineConfig faulty;
   faulty.faults.seed = 5;
   faulty.faults.task_failure_rate = 0.1;
   faulty.faults.max_task_attempts = 10;
-  faulty.faults.lose_partitions.push_back({1, 3, 0});
-  EXPECT_EQ(run(faulty), expected);
-
-  EngineConfig ordered = faulty;
-  ordered.hash_aggregation = false;
-  EXPECT_EQ(run(ordered), expected);
+  faulty.faults.lose_partitions.push_back({2, 3, 0});
+  const auto [got, recomputed] = run(faulty);
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(recomputed, 1);
 }
 
 // ---------------------------------------------------------------------
@@ -387,17 +533,15 @@ TEST(HashAggProperty, DistinctRecoveryUnderFaults) {
 
 TEST(DeterministicErrors, SameErrorForEveryThreadCountAndScheduler) {
   // Several partitions fail; the reported error must be the one from the
-  // lowest-indexed failing partition regardless of host_threads or
-  // whether the persistent pool or the spawn-per-wave path ran the wave.
+  // lowest-indexed failing partition whether the wave ran inline
+  // (host_threads = 1) or on the persistent pool.
   ValueVec rows;
   for (int i = 0; i < 160; ++i) rows.push_back(I(i));
 
-  auto run = [&](int host_threads, bool pool) {
+  auto run = [&](int host_threads) {
     EngineConfig config;
     config.num_partitions = 16;
     config.host_threads = host_threads;
-    config.persistent_pool = pool;
-    config.fuse_narrow = false;  // eager: the map wave itself fails
     Engine engine(config);
     Dataset ds = engine.Parallelize(rows);
     auto mapped = engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
@@ -408,44 +552,46 @@ TEST(DeterministicErrors, SameErrorForEveryThreadCountAndScheduler) {
       }
       return v;
     });
-    return mapped.ok() ? Status::OK() : mapped.status();
+    if (!mapped.ok()) return mapped.status();
+    // The deferred map runs (and fails) in the Force wave.
+    auto forced = engine.Force(*mapped);
+    return forced.ok() ? Status::OK() : forced.status();
   };
 
-  const Status expected = run(1, false);
+  const Status expected = run(1);
   ASSERT_FALSE(expected.ok());
   EXPECT_EQ(expected.message(), "bad row 72");
-  for (int threads : {1, 2, 4, 8}) {
-    for (bool pool : {true, false}) {
-      for (int rep = 0; rep < 10; ++rep) {
-        const Status got = run(threads, pool);
-        ASSERT_FALSE(got.ok());
-        EXPECT_EQ(got.ToString(), expected.ToString())
-            << "threads " << threads << " pool " << pool;
-      }
+  for (int threads : {2, 4, 8}) {
+    for (int rep = 0; rep < 10; ++rep) {
+      const Status got = run(threads);
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.ToString(), expected.ToString()) << "threads " << threads;
     }
   }
 }
 
-TEST(PersistentPool, ReusedAcrossStagesAndMatchesSpawn) {
-  // One engine drives a multi-stage program twice; the pool is created
-  // once and must keep producing results identical to the spawn path.
+TEST(PersistentPool, ReusedAcrossStagesAndMatchesSerial) {
+  // One engine per thread count drives a multi-stage program three
+  // times; its pool is created once and must keep producing the serial
+  // engine's result.
   std::mt19937_64 rng(2026);
-  ValueVec rows = WorkloadInput(/*which=*/1, rng);
-  EngineConfig pool_config;
-  pool_config.host_threads = 4;
-  pool_config.persistent_pool = true;
-  EngineConfig spawn_config = pool_config;
-  spawn_config.persistent_pool = false;
-
-  Engine pooled(pool_config), spawning(spawn_config);
-  for (int round = 0; round < 3; ++round) {
-    pooled.ResetRunState();
-    spawning.ResetRunState();
-    auto a = RunWorkload(pooled, 1, rows);
-    auto b = RunWorkload(spawning, 1, rows);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(*a, *b) << "round " << round;
+  ValueVec rows = EdgeRows(rng);
+  Engine serial{EngineConfig{}};
+  auto expected = PageRankIters(serial, rows);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(serial.metrics().total_pool_tasks(), 0);
+  for (int threads : {2, 4, 8}) {
+    EngineConfig config;
+    config.host_threads = threads;
+    Engine pooled(config);
+    for (int round = 0; round < 3; ++round) {
+      pooled.ResetRunState();
+      auto got = PageRankIters(pooled, rows);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, *expected) << "threads " << threads << " round "
+                                 << round;
+      EXPECT_GT(pooled.metrics().total_pool_tasks(), 0);
+    }
   }
 }
 

@@ -2,20 +2,25 @@
 // run — hot reduce/combine tasks split across sub-tasks, merged back by
 // the un-salt step — must be byte-for-byte identical to the unmitigated
 // engine across workloads, partition/thread sweeps, columnar and boxed
-// execution, fusion, hash aggregation, fault injection, lost-partition
-// lineage recovery, and the multi-process distributed backend. Also
-// covers the --profile-in feedback loop: a stale profile degrades
-// gracefully to the static plan rules.
+// execution, fused and forced narrow prefixes, an ordered std::map
+// model of the operators, fault injection, lost-partition lineage
+// recovery, and the multi-process distributed backend. Also covers the
+// --profile-in feedback loop: a stale profile degrades gracefully to
+// the static plan rules.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "diablo/diablo.h"
 #include "dist/coordinator.h"
 #include "runtime/engine.h"
+#include "runtime/operators.h"
 #include "runtime/profile.h"
 #include "runtime/serialize.h"
 
@@ -76,11 +81,75 @@ EngineConfig SkewTestConfig(bool mitigate) {
   return config;
 }
 
+/// Ordered std::map model of the sweep's pipeline — mapValues (value +
+/// 1) over the parallelized partitions `src`, then the wide operator.
+/// It shares no code with the engine's hash aggregation: a row goes to
+/// destination key.Hash() % P, each destination emits its keys in
+/// order, groupByKey (`fold` null) bags the values in arrival order, and
+/// reduceByKey folds each source partition first and then the partials
+/// in source order, as the map-side combine does. Returns the collected
+/// rows' codec bytes.
+StatusOr<std::string> OrderedModelBytes(const std::vector<ValueVec>& src,
+                                        int num_partitions,
+                                        const Engine::ReduceFn* fold) {
+  auto fold_all = [&](const ValueVec& values) -> StatusOr<Value> {
+    Value acc = values[0];
+    for (size_t i = 1; i < values.size(); ++i) {
+      DIABLO_ASSIGN_OR_RETURN(acc, (*fold)(acc, values[i]));
+    }
+    return acc;
+  };
+  std::vector<std::map<Value, ValueVec>> dest(num_partitions);
+  for (const ValueVec& part : src) {
+    std::map<Value, ValueVec> local;
+    for (const Value& row : part) {
+      DIABLO_ASSIGN_OR_RETURN(Value value,
+                              EvalBinOp(BinOp::kAdd, row.tuple()[1], I(1)));
+      local[row.tuple()[0]].push_back(std::move(value));
+    }
+    for (const auto& [key, values] : local) {
+      ValueVec& into = dest[key.Hash() % static_cast<size_t>(num_partitions)]
+                           [key];
+      if (fold == nullptr) {
+        into.insert(into.end(), values.begin(), values.end());
+      } else {
+        DIABLO_ASSIGN_OR_RETURN(Value partial, fold_all(values));
+        into.push_back(std::move(partial));
+      }
+    }
+  }
+  std::string out;
+  for (const auto& groups : dest) {
+    for (const auto& [key, values] : groups) {
+      Value folded = Value::MakeBag(values);
+      if (fold != nullptr) {
+        DIABLO_ASSIGN_OR_RETURN(folded, fold_all(values));
+      }
+      out += Serialize(Value::MakePair(key, folded));
+    }
+  }
+  return out;
+}
+
+StatusOr<Value> Add(const Value& a, const Value& b) {
+  return EvalBinOp(BinOp::kAdd, a, b);
+}
+
+StatusOr<Dataset> ReduceAdd(Engine& engine, const Dataset& in) {
+  return engine.ReduceByKey(in, BinOp::kAdd);
+}
+
 struct SkewCase {
   int partitions;
   int threads;
   bool columnar;
+  /// The narrow prefix ahead of the wide operator (SkewMatrixTest::Input)
+  /// fuses into the operator's combine wave; false materializes it in a
+  /// stage of its own first (Engine::Force, the eager reference).
   bool fuse;
+  /// The unmitigated engine's bytes are the expectation; false takes
+  /// them from OrderedModelBytes (std::map aggregation, no hash table),
+  /// which the unmitigated engine must then match too.
   bool hash_agg;
 };
 
@@ -96,49 +165,71 @@ std::string CaseName(const ::testing::TestParamInfo<SkewCase>& info) {
 
 class SkewMatrixTest : public ::testing::TestWithParam<SkewCase> {
  protected:
+  using WideOp = std::function<StatusOr<Dataset>(Engine&, const Dataset&)>;
+
   EngineConfig Config(bool mitigate) const {
     EngineConfig config = SkewTestConfig(mitigate);
     config.num_partitions = GetParam().partitions;
     config.host_threads = GetParam().threads;
     config.columnar = GetParam().columnar;
-    config.fuse_narrow = GetParam().fuse;
-    config.hash_aggregation = GetParam().hash_agg;
     return config;
+  }
+
+  /// The wide operator's input: `rows` parallelized, then a kernel
+  /// mapValues (value + 1) — fused into the operator, or forced first.
+  StatusOr<Dataset> Input(Engine& engine, const ValueVec& rows) const {
+    DIABLO_ASSIGN_OR_RETURN(
+        Dataset shifted,
+        engine.MapValues(engine.Parallelize(rows), BinOp::kAdd, I(1)));
+    if (GetParam().fuse) return shifted;
+    return engine.Force(shifted);
+  }
+
+  /// Runs `op` over Input(rows) on an unmitigated and on a salted engine
+  /// and expects the same bytes from both; without `hash_agg`, the
+  /// ordered model of `fold` (null = groupByKey) must agree as well.
+  void ExpectSaltingExact(const ValueVec& rows, const WideOp& op,
+                          const Engine::ReduceFn* fold) {
+    Engine plain(Config(/*mitigate=*/false));
+    StatusOr<Dataset> plain_in = Input(plain, rows);
+    ASSERT_TRUE(plain_in.ok()) << plain_in.status().ToString();
+    StatusOr<Dataset> expected = op(plain, *plain_in);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    std::string want = Bytes(plain, *expected);
+    EXPECT_EQ(plain.metrics().total_salt_fanout(), 0);
+    // A forced prefix is a stage of its own; a fused one rides inside
+    // the operator's first stage.
+    ASSERT_FALSE(plain.metrics().stages().empty());
+    EXPECT_EQ(plain.metrics().stages().front().label == "mapValues",
+              !GetParam().fuse);
+    if (!GetParam().hash_agg) {
+      StatusOr<std::string> model = OrderedModelBytes(
+          plain.Parallelize(rows).partitions(), GetParam().partitions, fold);
+      ASSERT_TRUE(model.ok()) << model.status().ToString();
+      EXPECT_EQ(want, *model) << "unmitigated engine vs ordered model";
+    }
+
+    Engine salted(Config(/*mitigate=*/true));
+    StatusOr<Dataset> salted_in = Input(salted, rows);
+    ASSERT_TRUE(salted_in.ok()) << salted_in.status().ToString();
+    StatusOr<Dataset> got = op(salted, *salted_in);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(Bytes(salted, *got), want);
   }
 };
 
 TEST_P(SkewMatrixTest, ReduceByKeyByteIdentical) {
-  ValueVec rows = SkewedRows(20000, 64, 0.8);
-
-  Engine plain(Config(/*mitigate=*/false));
-  StatusOr<Dataset> expected =
-      plain.ReduceByKey(plain.Parallelize(rows), BinOp::kAdd);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-  std::string want = Bytes(plain, *expected);
-  EXPECT_EQ(plain.metrics().total_salt_fanout(), 0);
-
-  Engine salted(Config(/*mitigate=*/true));
-  StatusOr<Dataset> got =
-      salted.ReduceByKey(salted.Parallelize(rows), BinOp::kAdd);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(Bytes(salted, *got), want);
   // Whether this configuration actually salts depends on how the
   // map-side combine flattens the skew; the counter tests below pin
   // workloads that provably do. Here only byte-identity matters.
+  const Engine::ReduceFn add = Add;
+  ExpectSaltingExact(SkewedRows(20000, 64, 0.8), ReduceAdd, &add);
 }
 
 TEST_P(SkewMatrixTest, GroupByKeyByteIdentical) {
-  ValueVec rows = SkewedRows(12000, 32, 0.9);
-
-  Engine plain(Config(/*mitigate=*/false));
-  StatusOr<Dataset> expected = plain.GroupByKey(plain.Parallelize(rows));
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-  std::string want = Bytes(plain, *expected);
-
-  Engine salted(Config(/*mitigate=*/true));
-  StatusOr<Dataset> got = salted.GroupByKey(salted.Parallelize(rows));
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(Bytes(salted, *got), want);
+  ExpectSaltingExact(
+      SkewedRows(12000, 32, 0.9),
+      [](Engine& e, const Dataset& in) { return e.GroupByKey(in); }, nullptr);
 }
 
 TEST_P(SkewMatrixTest, UserReduceFnByteIdentical) {
@@ -146,38 +237,19 @@ TEST_P(SkewMatrixTest, UserReduceFnByteIdentical) {
   // combine tasks must not chunk-split (the fold is not provably
   // bit-associative), but hash-stripe salting of the reduce wave still
   // applies and must stay exact.
-  ValueVec rows = SkewedRows(16000, 48, 0.85);
-  auto max_fn = [](const Value& a, const Value& b) -> StatusOr<Value> {
+  const Engine::ReduceFn max_fn = [](const Value& a,
+                                     const Value& b) -> StatusOr<Value> {
     return a.AsInt() >= b.AsInt() ? a : b;
   };
-
-  Engine plain(Config(/*mitigate=*/false));
-  StatusOr<Dataset> expected =
-      plain.ReduceByKey(plain.Parallelize(rows), max_fn);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-  std::string want = Bytes(plain, *expected);
-
-  Engine salted(Config(/*mitigate=*/true));
-  StatusOr<Dataset> got =
-      salted.ReduceByKey(salted.Parallelize(rows), max_fn);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(Bytes(salted, *got), want);
+  ExpectSaltingExact(
+      SkewedRows(16000, 48, 0.85),
+      [&](Engine& e, const Dataset& in) { return e.ReduceByKey(in, max_fn); },
+      &max_fn);
 }
 
 TEST_P(SkewMatrixTest, StringKeysByteIdentical) {
-  ValueVec rows = SkewedStringRows(15000, 40, 0.8);
-
-  Engine plain(Config(/*mitigate=*/false));
-  StatusOr<Dataset> expected =
-      plain.ReduceByKey(plain.Parallelize(rows), BinOp::kAdd);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-  std::string want = Bytes(plain, *expected);
-
-  Engine salted(Config(/*mitigate=*/true));
-  StatusOr<Dataset> got =
-      salted.ReduceByKey(salted.Parallelize(rows), BinOp::kAdd);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(Bytes(salted, *got), want);
+  const Engine::ReduceFn add = Add;
+  ExpectSaltingExact(SkewedStringRows(15000, 40, 0.8), ReduceAdd, &add);
 }
 
 TEST_P(SkewMatrixTest, DoublePayloadByteIdentical) {
@@ -189,18 +261,8 @@ TEST_P(SkewMatrixTest, DoublePayloadByteIdentical) {
     int64_t key = (i % 5 == 0) ? (i % 30) + 1 : 0;
     rows.push_back(Value::MakePair(I(key), D(0.1 * static_cast<double>(i % 97))));
   }
-
-  Engine plain(Config(/*mitigate=*/false));
-  StatusOr<Dataset> expected =
-      plain.ReduceByKey(plain.Parallelize(rows), BinOp::kAdd);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-  std::string want = Bytes(plain, *expected);
-
-  Engine salted(Config(/*mitigate=*/true));
-  StatusOr<Dataset> got =
-      salted.ReduceByKey(salted.Parallelize(rows), BinOp::kAdd);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(Bytes(salted, *got), want);
+  const Engine::ReduceFn add = Add;
+  ExpectSaltingExact(rows, ReduceAdd, &add);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -77,8 +77,6 @@ struct TraceIdentityParams {
   std::string name;  // test display name
   std::string program;
   int64_t scale;
-  bool fuse_narrow;
-  bool hash_aggregation;
   bool faults;
 };
 
@@ -88,8 +86,6 @@ class TraceIdentityTest : public ::testing::TestWithParam<TraceIdentityParams> {
 EngineConfig MakeConfig(const TraceIdentityParams& p, bool tracing) {
   EngineConfig config;
   config.tracing = tracing;
-  config.fuse_narrow = p.fuse_narrow;
-  config.hash_aggregation = p.hash_aggregation;
   config.host_threads = 2;
   if (p.faults) {
     config.faults.seed = 29;
@@ -117,18 +113,14 @@ TEST_P(TraceIdentityTest, OutputsByteIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     Workloads, TraceIdentityTest,
     ::testing::Values(
-        TraceIdentityParams{"wordcount_fused_hash", "word_count", 200, true,
-                            true, false},
-        TraceIdentityParams{"wordcount_eager_ordered", "word_count", 200,
-                            false, false, false},
+        TraceIdentityParams{"wordcount_fused_hash", "word_count", 200, false},
         TraceIdentityParams{"wordcount_fused_hash_faulty", "word_count", 200,
-                            true, true, true},
-        TraceIdentityParams{"groupby_eager_hash_faulty", "group_by", 200,
-                            false, true, true},
-        TraceIdentityParams{"pagerank_fused_hash", "pagerank", 6, true, true,
-                            false},
-        TraceIdentityParams{"pagerank_fused_ordered_faulty", "pagerank", 6,
-                            true, false, true}),
+                            true},
+        TraceIdentityParams{"groupby_fused_hash_faulty", "group_by", 200,
+                            true},
+        TraceIdentityParams{"pagerank_fused_hash", "pagerank", 6, false},
+        TraceIdentityParams{"pagerank_fused_hash_faulty", "pagerank", 6,
+                            true}),
     [](const ::testing::TestParamInfo<TraceIdentityParams>& info) {
       return info.param.name;
     });
