@@ -234,7 +234,7 @@ class AbstractInterpreter {
       if (un.op != UnOp::kNeg) return std::nullopt;
       auto v = ConcreteEval(un.operand, used);
       if (!v.has_value()) return std::nullopt;
-      return -*v;
+      return runtime::WrapInt64(BinOp::kSub, 0, *v);
     }
     if (e->is<Expr::Bin>()) {
       const auto& bin = e->as<Expr::Bin>();
@@ -243,11 +243,9 @@ class AbstractInterpreter {
       if (!l.has_value() || !r.has_value()) return std::nullopt;
       switch (bin.op) {
         case BinOp::kAdd:
-          return *l + *r;
         case BinOp::kSub:
-          return *l - *r;
         case BinOp::kMul:
-          return *l * *r;
+          return runtime::WrapInt64(bin.op, *l, *r);
         case BinOp::kDiv:
           // Division by zero and INT64_MIN / -1 fail at run time.
           if (*r == 0 ||

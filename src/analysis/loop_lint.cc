@@ -100,7 +100,7 @@ std::optional<int64_t> EvalIndexExpr(
     if (un.op != UnOp::kNeg) return std::nullopt;
     auto v = EvalIndexExpr(un.operand, env);
     if (!v.has_value()) return std::nullopt;
-    return -*v;
+    return runtime::WrapInt64(BinOp::kSub, 0, *v);
   }
   if (e->is<Expr::Bin>()) {
     const auto& bin = e->as<Expr::Bin>();
@@ -109,11 +109,9 @@ std::optional<int64_t> EvalIndexExpr(
     if (!l.has_value() || !r.has_value()) return std::nullopt;
     switch (bin.op) {
       case BinOp::kAdd:
-        return *l + *r;
       case BinOp::kSub:
-        return *l - *r;
       case BinOp::kMul:
-        return *l * *r;
+        return runtime::WrapInt64(bin.op, *l, *r);
       default:
         return std::nullopt;
     }

@@ -237,7 +237,7 @@ class PlanLinter {
 
   /// Bytes of one (key, value) pair row under `schema`: a 4-byte kind
   /// header plus both column widths — exactly Value::SerializedBytes of
-  /// the boxed pair row, which is also what TypedRows::EntryBytes
+  /// the boxed pair row, which is also what TypedRows::EntryBytesAt
   /// charges for typed shuffles.
   int64_t PairRowBytes(const runtime::ColumnSchema& schema) const {
     return 4 + ColumnWidth(schema.key) + ColumnWidth(schema.value);

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/strings.h"
@@ -293,6 +296,17 @@ bool IsColumnarReduceOp(BinOp op) {
 
 namespace {
 
+/// x ⊕ y for ⊕ in {+, -, *}: wrapping on int64 (NumericOp's
+/// expressions), IEEE on double.
+template <typename T>
+T Arith(BinOp op, T x, T y) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return WrapInt64(op, x, y);
+  } else {
+    return op == BinOp::kAdd ? x + y : op == BinOp::kSub ? x - y : x * y;
+  }
+}
+
 template <typename T>
 void MapLoop(BinOp op, T y, const std::vector<uint8_t>& live,
              std::vector<T>* xs) {
@@ -304,15 +318,15 @@ void MapLoop(BinOp op, T y, const std::vector<uint8_t>& live,
   switch (op) {
     case BinOp::kAdd:
       for (size_t i = 0; i < n; ++i)
-        if (live[i]) x[i] = x[i] + y;
+        if (live[i]) x[i] = Arith(BinOp::kAdd, x[i], y);
       break;
     case BinOp::kSub:
       for (size_t i = 0; i < n; ++i)
-        if (live[i]) x[i] = x[i] - y;
+        if (live[i]) x[i] = Arith(BinOp::kSub, x[i], y);
       break;
     case BinOp::kMul:
       for (size_t i = 0; i < n; ++i)
-        if (live[i]) x[i] = x[i] * y;
+        if (live[i]) x[i] = Arith(BinOp::kMul, x[i], y);
       break;
     case BinOp::kMin:
       for (size_t i = 0; i < n; ++i)
@@ -447,6 +461,19 @@ bool ApplyFilterKernel(BinOp op, const Value& operand, const Column& col,
 
 namespace {
 
+/// The boxed key a typed key pattern stands for; string codes index
+/// `dict`.
+Value TypedKeyValue(TypedKeyMode mode, int64_t bits,
+                    const StringDictionary* dict) {
+  switch (mode) {
+    case TypedKeyMode::kBool: return Value::MakeBool(bits != 0);
+    case TypedKeyMode::kInt64: return Value::MakeInt(bits);
+    case TypedKeyMode::kString:
+      return dict->value(static_cast<uint32_t>(bits));
+    default: return Value::MakeDouble(BitsToDouble(bits));
+  }
+}
+
 size_t TableSizeFor(size_t expected_keys) {
   size_t want = expected_keys + expected_keys / 3 + 1;
   size_t size = 16;
@@ -457,8 +484,8 @@ size_t TableSizeFor(size_t expected_keys) {
 template <typename T>
 T FoldStep(BinOp op, T acc, T v) {
   switch (op) {
-    case BinOp::kAdd: return acc + v;
-    case BinOp::kMul: return acc * v;
+    case BinOp::kAdd: return Arith(BinOp::kAdd, acc, v);
+    case BinOp::kMul: return Arith(BinOp::kMul, acc, v);
     case BinOp::kMin: return std::min(acc, v);
     default: return std::max(acc, v);  // kMax
   }
@@ -517,11 +544,12 @@ bool TypedReduceAccumulator::AddInternal(const Value& row, bool trusted_hash,
   size_t entry;
   bool inserted;
   if (key_mode_ == KeyMode::kString) {
-    const uint32_t code = dict_.Intern(key);
+    if (dict_ == nullptr) dict_ = std::make_shared<StringDictionary>();
+    const uint32_t code = dict_->Intern(key);
     entry = code;
     inserted = entry == size();
     if (inserted) {
-      hashes_.push_back(trusted_hash ? hash : dict_.hash(code));
+      hashes_.push_back(trusted_hash ? hash : dict_->hash(code));
     }
   } else {
     int64_t bits;
@@ -541,7 +569,9 @@ bool TypedReduceAccumulator::AddInternal(const Value& row, bool trusted_hash,
     entry = FindOrCreateNumeric(hash, bits);
     inserted = hashes_.size() != before;
   }
-  if (!AccumulateAt(entry, val, inserted)) return false;
+  const bool ints = payload_mode_ == PayloadMode::kInt64;
+  AccumulateAt(entry, inserted, ints ? val.AsInt() : 0,
+               ints ? 0.0 : val.AsDouble());
   ++rows_;
   return true;
 }
@@ -581,42 +611,31 @@ void TypedReduceAccumulator::Grow() {
   }
 }
 
-bool TypedReduceAccumulator::AccumulateAt(size_t entry, const Value& val,
-                                          bool inserted) {
+void TypedReduceAccumulator::AccumulateAt(size_t entry, bool inserted,
+                                          int64_t pay_int, double pay_double) {
   if (payload_mode_ == PayloadMode::kInt64) {
     if (inserted) {
-      pay_ints_.push_back(val.AsInt());
+      pay_ints_.push_back(pay_int);
     } else {
-      pay_ints_[entry] = FoldStep<int64_t>(op_, pay_ints_[entry], val.AsInt());
+      pay_ints_[entry] = FoldStep<int64_t>(op_, pay_ints_[entry], pay_int);
     }
   } else {
     if (inserted) {
-      pay_doubles_.push_back(val.AsDouble());
+      pay_doubles_.push_back(pay_double);
     } else {
       pay_doubles_[entry] =
-          FoldStep<double>(op_, pay_doubles_[entry], val.AsDouble());
+          FoldStep<double>(op_, pay_doubles_[entry], pay_double);
     }
   }
-  return true;
 }
 
 Value TypedReduceAccumulator::KeyValueAt(size_t i) const {
-  switch (key_mode_) {
-    case KeyMode::kBool:
-      return Value::MakeBool(key_bits_[i] != 0);
-    case KeyMode::kInt64:
-      return Value::MakeInt(key_bits_[i]);
-    case KeyMode::kDouble:
-      return Value::MakeDouble(BitsToDouble(key_bits_[i]));
-    default:
-      // String key: either this accumulator interned it (entry index ==
-      // code) or it arrived as a code into the caller's dictionary
-      // (BeginTyped reduce side).
-      if (ext_dict_ != nullptr) {
-        return (*ext_dict_)[static_cast<size_t>(key_bits_[i])];
-      }
-      return dict_.value(static_cast<uint32_t>(i));
+  // A string key is either a code into the caller's dictionary
+  // (BeginTyped reduce side) or interned here (entry index == code).
+  if (key_mode_ == KeyMode::kString && ext_dict_ == nullptr) {
+    return dict_->value(static_cast<uint32_t>(i));
   }
+  return TypedKeyValue(key_mode_, key_bits_[i], ext_dict_);
 }
 
 Value TypedReduceAccumulator::PayloadValueAt(size_t i) const {
@@ -629,21 +648,17 @@ std::vector<uint32_t> TypedReduceAccumulator::SortedOrder() const {
   std::vector<uint32_t> order(size());
   std::iota(order.begin(), order.end(), 0u);
   switch (key_mode_) {
-    case KeyMode::kString:
-      if (ext_dict_ != nullptr) {
-        std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
-          return (*ext_dict_)[static_cast<size_t>(key_bits_[a])]
-                     .AsString()
-                     .compare(
-                         (*ext_dict_)[static_cast<size_t>(key_bits_[b])]
-                             .AsString()) < 0;
-        });
-        break;
-      }
-      std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
-        return dict_.str(a).compare(dict_.str(b)) < 0;
+    case KeyMode::kString: {
+      auto str = [this](uint32_t e) -> const std::string& {
+        return ext_dict_ != nullptr
+                   ? ext_dict_->str(static_cast<uint32_t>(key_bits_[e]))
+                   : dict_->str(e);
+      };
+      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return str(a).compare(str(b)) < 0;
       });
       break;
+    }
     case KeyMode::kDouble:
       std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
         return BitsToDouble(key_bits_[a]) < BitsToDouble(key_bits_[b]);
@@ -665,16 +680,6 @@ void TypedReduceAccumulator::SpillTo(KeyedAccumulator<Value>* acc) const {
   }
 }
 
-void TypedReduceAccumulator::EmitSortedHashed(HashedVec* out) const {
-  const std::vector<uint32_t> order = SortedOrder();
-  out->reserve(out->size() + order.size());
-  for (uint32_t i : order) {
-    out->push_back(
-        HashedRow{hashes_[i], Value::MakePair(KeyValueAt(i),
-                                              PayloadValueAt(i))});
-  }
-}
-
 void TypedReduceAccumulator::EmitSortedRows(ValueVec* out) const {
   const std::vector<uint32_t> order = SortedOrder();
   out->reserve(out->size() + order.size());
@@ -686,21 +691,7 @@ void TypedReduceAccumulator::EmitSortedRows(ValueVec* out) const {
 void TypedRows::EmitHashed(HashedVec* out) const {
   out->reserve(out->size() + size());
   for (size_t i = 0; i < size(); ++i) {
-    Value key;
-    switch (key_mode) {
-      case TypedKeyMode::kBool:
-        key = Value::MakeBool(key_bits[i] != 0);
-        break;
-      case TypedKeyMode::kInt64:
-        key = Value::MakeInt(key_bits[i]);
-        break;
-      case TypedKeyMode::kString:
-        key = dict_values[static_cast<size_t>(key_bits[i])];
-        break;
-      default:
-        key = Value::MakeDouble(BitsToDouble(key_bits[i]));
-        break;
-    }
+    Value key = TypedKeyValue(key_mode, key_bits[i], dict.get());
     Value pay = payload_mode == TypedPayloadMode::kInt64
                     ? Value::MakeInt(pay_ints[i])
                     : Value::MakeDouble(pay_doubles[i]);
@@ -709,50 +700,72 @@ void TypedRows::EmitHashed(HashedVec* out) const {
   }
 }
 
-bool TypedReduceAccumulator::EmitSortedTyped(TypedRows* out) const {
-  // Externally-dictionaried accumulators (BeginTyped reduce side) emit
-  // boxed rows; only self-interned state serializes back to TypedRows.
-  if (key_mode_ == KeyMode::kString && ext_dict_ != nullptr) return false;
+TypedRows TypedRows::Concat(const std::vector<TypedRows>& parts) {
+  TypedRows out;
+  size_t total = 0;
+  for (const TypedRows& p : parts) {
+    total += p.size();
+    if (out.key_mode == TypedKeyMode::kNone && p.size() > 0) {
+      out.key_mode = p.key_mode;
+      out.payload_mode = p.payload_mode;
+    }
+  }
+  out.reserve(total);
+  if (out.payload_mode == TypedPayloadMode::kInt64) {
+    out.pay_ints.reserve(total);
+  } else {
+    out.pay_doubles.reserve(total);
+  }
+  const bool strings = out.key_mode == TypedKeyMode::kString;
+  auto dict = std::make_shared<StringDictionary>();
+  for (const TypedRows& p : parts) {
+    out.hashes.insert(out.hashes.end(), p.hashes.begin(), p.hashes.end());
+    if (strings) {
+      for (int64_t code : p.key_bits) {
+        out.key_bits.push_back(
+            dict->Intern(p.dict->value(static_cast<uint32_t>(code))));
+      }
+    } else {
+      out.key_bits.insert(out.key_bits.end(), p.key_bits.begin(),
+                          p.key_bits.end());
+    }
+    out.pay_ints.insert(out.pay_ints.end(), p.pay_ints.begin(),
+                        p.pay_ints.end());
+    out.pay_doubles.insert(out.pay_doubles.end(), p.pay_doubles.begin(),
+                           p.pay_doubles.end());
+  }
+  if (strings) out.dict = std::move(dict);
+  return out;
+}
+
+void TypedReduceAccumulator::EmitSortedTyped(TypedRows* out) const {
   const std::vector<uint32_t> order = SortedOrder();
   out->key_mode = key_mode_;
   out->payload_mode = payload_mode_;
-  out->hashes.reserve(order.size());
-  out->key_bits.reserve(order.size());
+  // The dictionary travels with the batch: entry index == code.
+  if (key_mode_ == KeyMode::kString) out->dict = dict_;
+  out->reserve(order.size());
   if (payload_mode_ == PayloadMode::kInt64) {
     out->pay_ints.reserve(order.size());
   } else if (payload_mode_ == PayloadMode::kDouble) {
     out->pay_doubles.reserve(order.size());
   }
-  if (key_mode_ == KeyMode::kString) {
-    // The dictionary travels with the batch: entry index == code, so
-    // the rows' key_bits below are codes into this copy. Value payloads
-    // are shared, not deep-copied.
-    out->dict_values.reserve(size());
-    out->dict_hashes.reserve(size());
-    for (uint32_t c = 0; c < size(); ++c) {
-      out->dict_values.push_back(dict_.value(c));
-      out->dict_hashes.push_back(dict_.hash(c));
-    }
-  }
   for (uint32_t i : order) {
     out->hashes.push_back(hashes_[i]);
-    if (key_mode_ == KeyMode::kString) {
-      out->key_bits.push_back(static_cast<int64_t>(i));
-    } else {
-      out->key_bits.push_back(key_bits_[i]);
-    }
+    out->key_bits.push_back(key_mode_ == KeyMode::kString
+                                ? static_cast<int64_t>(i)
+                                : key_bits_[i]);
     if (payload_mode_ == PayloadMode::kInt64) {
       out->pay_ints.push_back(pay_ints_[i]);
     } else {
       out->pay_doubles.push_back(pay_doubles_[i]);
     }
   }
-  return true;
 }
 
 bool TypedReduceAccumulator::BeginTyped(TypedKeyMode kmode,
                                         TypedPayloadMode pmode,
-                                        const std::vector<Value>* dict) {
+                                        const StringDictionary* dict) {
   if (kmode == KeyMode::kString) {
     if (dict == nullptr) return false;
     ext_dict_ = dict;
@@ -770,21 +783,7 @@ void TypedReduceAccumulator::AddHashedBits(size_t hash, int64_t key_bits,
                                            double pay_double) {
   const size_t before = hashes_.size();
   const size_t entry = FindOrCreateNumeric(hash, key_bits);
-  const bool inserted = hashes_.size() != before;
-  if (payload_mode_ == PayloadMode::kInt64) {
-    if (inserted) {
-      pay_ints_.push_back(pay_int);
-    } else {
-      pay_ints_[entry] = FoldStep<int64_t>(op_, pay_ints_[entry], pay_int);
-    }
-  } else {
-    if (inserted) {
-      pay_doubles_.push_back(pay_double);
-    } else {
-      pay_doubles_[entry] = FoldStep<double>(op_, pay_doubles_[entry],
-                                             pay_double);
-    }
-  }
+  AccumulateAt(entry, hashes_.size() != before, pay_int, pay_double);
   ++rows_;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -178,15 +179,15 @@ bool ApplyFilterKernel(BinOp op, const Value& operand, const Column& col,
 enum class TypedKeyMode : uint8_t { kNone, kBool, kInt64, kDouble, kString };
 enum class TypedPayloadMode : uint8_t { kNone, kInt64, kDouble };
 
-/// Map-side combine output kept typed across the shuffle: parallel
-/// arrays of cached key hashes, raw 64-bit key patterns (int64 value,
-/// double bits, bool 0/1, string dictionary code) and numeric payloads
-/// (pay_ints or pay_doubles by payload_mode). Entries stand for sorted
-/// (key, payload) pair rows that are never boxed. For string keys
-/// (key_mode == kString) each key_bits entry is a code into this
-/// batch's own dict_values/dict_hashes tables; the shuffle re-interns
-/// codes into a per-destination dictionary when it concatenates
-/// batches, so string keys stay typed end-to-end.
+/// The typed row layout of the wide-stage wave (reduceByKey's map-side
+/// combine output kept typed across the shuffle): parallel arrays of
+/// cached key hashes, raw 64-bit key patterns (int64 value, double bits,
+/// bool 0/1, string dictionary code) and numeric payloads (pay_ints or
+/// pay_doubles by payload_mode). Entries stand for sorted (key, payload)
+/// pair rows that are never boxed. For string keys (key_mode ==
+/// kString) each key_bits entry is a code into `dict`; Concat re-interns
+/// codes into one dictionary per destination, so string keys stay typed
+/// end-to-end.
 struct TypedRows {
   TypedKeyMode key_mode = TypedKeyMode::kNone;
   TypedPayloadMode payload_mode = TypedPayloadMode::kNone;
@@ -194,29 +195,56 @@ struct TypedRows {
   std::vector<int64_t> key_bits;
   std::vector<int64_t> pay_ints;
   std::vector<double> pay_doubles;
-  /// String-key dictionary: distinct key Values (payloads shared, not
-  /// copied) and their cached Value::Hash, indexed by code. Empty unless
-  /// key_mode == kString.
-  std::vector<Value> dict_values;
-  std::vector<size_t> dict_hashes;
+  /// Null unless key_mode == kString. Shared by the buckets and stripes
+  /// cut from a batch, so splitting a batch never copies it.
+  std::shared_ptr<const StringDictionary> dict;
 
   size_t size() const { return hashes.size(); }
-  /// Wire bytes of the boxed pair row an entry stands for —
-  /// Value::SerializedBytes of (key, payload): tuple header, key, 8.
-  int64_t EntryBytes() const {
-    return 4 + (key_mode == TypedKeyMode::kBool ? 1 : 8) + 8;
+  void reserve(size_t n) {
+    hashes.reserve(n);
+    key_bits.reserve(n);
   }
-  /// EntryBytes for entry `i`: string keys serialize as 4 + strlen, so
-  /// their wire size is per-entry, not per-batch.
+  /// Wire bytes of the boxed pair row entry `i` stands for —
+  /// Value::SerializedBytes of (key, payload): tuple header, key, 8.
+  /// String keys serialize as 4 + strlen, so their size is per entry.
   int64_t EntryBytesAt(size_t i) const {
-    if (key_mode != TypedKeyMode::kString) return EntryBytes();
+    if (key_mode != TypedKeyMode::kString) {
+      return 4 + (key_mode == TypedKeyMode::kBool ? 1 : 8) + 8;
+    }
     return 4 + 4 +
            static_cast<int64_t>(
-               dict_values[static_cast<size_t>(key_bits[i])]
-                   .AsString()
-                   .size()) +
+               dict->str(static_cast<uint32_t>(key_bits[i])).size()) +
            8;
   }
+  /// Appends entry `i` of `src`, code unchanged. An empty batch first
+  /// adopts `src`'s modes and dictionary (and sizes its payload column
+  /// like the rest); every entry of one batch must come from batches
+  /// sharing that dictionary.
+  void Append(const TypedRows& src, size_t i) {
+    const bool ints = src.payload_mode == TypedPayloadMode::kInt64;
+    if (hashes.empty()) {
+      key_mode = src.key_mode;
+      payload_mode = src.payload_mode;
+      dict = src.dict;
+      if (ints) {
+        pay_ints.reserve(hashes.capacity());
+      } else {
+        pay_doubles.reserve(hashes.capacity());
+      }
+    }
+    hashes.push_back(src.hashes[i]);
+    key_bits.push_back(src.key_bits[i]);
+    if (ints) {
+      pay_ints.push_back(src.pay_ints[i]);
+    } else {
+      pay_doubles.push_back(src.pay_doubles[i]);
+    }
+  }
+  /// Concatenates `parts` in order, re-interning string codes into one
+  /// fresh dictionary (first-occurrence order, Value payloads shared):
+  /// code equality then coincides with key equality, which the reduce
+  /// side's code-keyed accumulator relies on.
+  static TypedRows Concat(const std::vector<TypedRows>& parts);
   /// Boxes the entries back into HashedRow pairs, appending to `out` in
   /// entry order — the fallback when a sibling partition could not stay
   /// typed and the whole shuffle drops to boxed rows.
@@ -250,17 +278,15 @@ class TypedReduceAccumulator {
   /// Replays the accumulated state into `acc` in insertion order.
   void SpillTo(KeyedAccumulator<Value>* acc) const;
 
-  /// Emits entries sorted by key (Value::Compare order) as
-  /// HashedRow{cached hash, (key, payload)} — the combine-side output.
-  void EmitSortedHashed(HashedVec* out) const;
   /// Emits entries sorted by key as plain (key, payload) rows — the
   /// reduce-side output.
   void EmitSortedRows(ValueVec* out) const;
-  /// Emits entries sorted by key as typed arrays — the combine-side
-  /// output of the typed shuffle, no boxed row ever built. String keys
-  /// copy the dictionary into the batch's dict tables; each emitted
-  /// key_bits entry is its dictionary code.
-  bool EmitSortedTyped(TypedRows* out) const;
+  /// Emits entries sorted by key (Value::Compare order) as typed arrays
+  /// with their cached hashes — the combine-side output, no boxed row
+  /// built. String keys share this accumulator's dictionary; each
+  /// emitted key_bits entry is its code. Combine side only (keys this
+  /// accumulator interned itself).
+  void EmitSortedTyped(TypedRows* out) const;
 
   /// Opens the typed fast lane for AddHashedBits: pins the key and
   /// payload modes up front. For kString the caller must pass the
@@ -270,7 +296,7 @@ class TypedReduceAccumulator {
   /// kString arrives without a dictionary or the modes conflict with
   /// rows already accumulated.
   bool BeginTyped(TypedKeyMode kmode, TypedPayloadMode pmode,
-                  const std::vector<Value>* dict = nullptr);
+                  const StringDictionary* dict = nullptr);
   /// Folds one typed entry (the reduce side of the typed shuffle). The
   /// caller guarantees the entry matches the BeginTyped modes; the
   /// unused payload argument is ignored.
@@ -294,7 +320,8 @@ class TypedReduceAccumulator {
   using PayloadMode = TypedPayloadMode;
 
   bool AddInternal(const Value& row, bool trusted_hash, size_t hash);
-  bool AccumulateAt(size_t entry, const Value& val, bool inserted);
+  void AccumulateAt(size_t entry, bool inserted, int64_t pay_int,
+                    double pay_double);
   /// Entry index for the key (creating it), or SIZE_MAX on kind change.
   size_t FindOrCreateNumeric(size_t hash, int64_t bits);
   Value KeyValueAt(size_t i) const;
@@ -318,12 +345,13 @@ class TypedReduceAccumulator {
   std::vector<int64_t> key_bits_;
 
   // String keys: the dictionary is the key table; entry index == code.
-  StringDictionary dict_;
+  // Shared with the TypedRows batches EmitSortedTyped produces.
+  std::shared_ptr<StringDictionary> dict_;
   // Reduce-side string keys (BeginTyped with a dictionary): keys live
   // in the caller's table, key_bits_ holds its codes, and
   // FindOrCreateNumeric dedupes on the code (exact: the shuffle's
   // per-destination re-intern made codes unique per string).
-  const std::vector<Value>* ext_dict_ = nullptr;
+  const StringDictionary* ext_dict_ = nullptr;
 
   // Payloads, parallel to entries.
   std::vector<int64_t> pay_ints_;

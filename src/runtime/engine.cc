@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <iterator>
+#include <optional>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "common/strings.h"
@@ -13,19 +16,29 @@
 
 namespace diablo::runtime {
 
+/// One virtual task of a wide stage's finish wave: the rows each input
+/// side delivered to it (side 0 restricted to [lo, hi) — a chunk when
+/// salted), and what its finish reports for the stage record.
+template <typename Rows>
+struct WideTask {
+  const Rows* left = nullptr;
+  const Rows* right = nullptr;  ///< join and coGroup only
+  size_t lo = 0;
+  size_t hi = 0;
+  ChainTally* tally = nullptr;  ///< accumulator bytes, columnar counters
+  int64_t work = 0;             ///< StageStats::reduce_work units
+  int64_t agg_rows = 0;         ///< rows inserted into keyed tables
+  int64_t agg_keys = 0;         ///< distinct keys those tables produced
+};
+
 namespace {
 
 /// Payload of a Distinct accumulator entry: key presence is the datum.
 struct NoPayload {};
 
-std::vector<int64_t> RowCounts(const std::vector<ValueVec>& parts) {
-  std::vector<int64_t> counts;
-  counts.reserve(parts.size());
-  for (const auto& p : parts) counts.push_back(static_cast<int64_t>(p.size()));
-  return counts;
-}
-
-std::vector<int64_t> RowCounts(const std::vector<HashedVec>& parts) {
+/// Rows per partition (or per task's output) of any row layout.
+template <typename Part>
+std::vector<int64_t> RowCounts(const std::vector<Part>& parts) {
   std::vector<int64_t> counts;
   counts.reserve(parts.size());
   for (const auto& p : parts) counts.push_back(static_cast<int64_t>(p.size()));
@@ -142,111 +155,132 @@ std::pair<size_t, size_t> ChunkRange(size_t n, int index, int fanout) {
   return {n * i / f, n * (i + 1) / f};
 }
 
-/// Un-salt merge of one STRIPED destination: k-way merge of the
-/// sub-tasks' sorted (key, value) rows. Striping is by key hash, so the
-/// key sets are disjoint — this is a plain sorted merge, byte-identical
-/// to the sort the unsplit task would have produced.
-ValueVec MergeSortedRows(std::vector<ValueVec> parts) {
+/// Un-salt merge of one split destination: a k-way merge of its
+/// sub-tasks' key-sorted (key, value) rows, ties going to the lower
+/// sub-task. Stripes hold disjoint key sets, so for them this is a plain
+/// sorted merge, byte-identical to the sort the unsplit task would have
+/// produced. Chunks may share a key: `merge_same_key` (groupByKey's bag
+/// concatenation) then folds that key's rows in chunk order — which is
+/// arrival order, because chunks are contiguous ascending row ranges —
+/// and counts each fold into `salted_keys`.
+ValueVec UnsaltMerge(
+    std::vector<ValueVec> parts,
+    const std::function<Value(const Value&, const Value&)>& merge_same_key,
+    int64_t* salted_keys) {
   size_t total = 0;
   for (const ValueVec& p : parts) total += p.size();
   ValueVec out;
   out.reserve(total);
   std::vector<size_t> cur(parts.size(), 0);
-  while (out.size() < total) {
-    int best = -1;
+  for (size_t done = 0; done < total;) {
+    size_t best = parts.size();
     for (size_t s = 0; s < parts.size(); ++s) {
       if (cur[s] >= parts[s].size()) continue;
-      if (best < 0 || parts[s][cur[s]].tuple()[0] <
-                          parts[best][cur[best]].tuple()[0]) {
-        best = static_cast<int>(s);
+      if (best == parts.size() || parts[s][cur[s]].tuple()[0] <
+                                      parts[best][cur[best]].tuple()[0]) {
+        best = s;
       }
     }
-    out.push_back(std::move(parts[best][cur[best]]));
-    ++cur[best];
+    Value row = std::move(parts[best][cur[best]++]);
+    ++done;
+    for (size_t s = best + 1; merge_same_key && s < parts.size(); ++s) {
+      if (cur[s] >= parts[s].size() ||
+          !(parts[s][cur[s]].tuple()[0] == row.tuple()[0])) {
+        continue;
+      }
+      row = merge_same_key(row, parts[s][cur[s]++]);
+      ++done;
+      ++*salted_keys;
+    }
+    out.push_back(std::move(row));
   }
   return out;
 }
 
-/// Un-salt merge of one CHUNKED groupByKey destination: k-way merge of
-/// the chunks' sorted (key, bag) rows; a key present in several chunks
-/// concatenates its partial bags in chunk order — which is arrival
-/// order, because chunks are contiguous ascending row ranges. Counts
-/// each extra appearance of a key (a fold the merge performed) into
-/// `salted_keys`.
-ValueVec MergeSortedBags(std::vector<ValueVec> parts, int64_t* salted_keys) {
+/// groupByKey's same-key merge: one key's partial bags, concatenated.
+Value ConcatBags(const Value& a, const Value& b) {
+  ValueVec bag = a.tuple()[1].bag();
+  const ValueVec& more = b.tuple()[1].bag();
+  bag.insert(bag.end(), more.begin(), more.end());
+  return Value::MakePair(a.tuple()[0], Value::MakeBag(std::move(bag)));
+}
+
+// The row layouts of the wide-stage wave. The scatter, stripe and
+// un-salt code is written once over five operations — size, hash at i,
+// append entry i, entry bytes and concatenate — that the boxed HashedVec
+// and the typed TypedRows (runtime/column_batch.h) both supply.
+
+size_t HashAt(const HashedVec& rows, size_t i) { return rows[i].hash; }
+size_t HashAt(const TypedRows& rows, size_t i) { return rows.hashes[i]; }
+
+int64_t EntryBytesAt(const HashedVec& rows, size_t i) {
+  return rows[i].row.SerializedBytes();
+}
+int64_t EntryBytesAt(const TypedRows& rows, size_t i) {
+  return rows.EntryBytesAt(i);
+}
+
+void Append(HashedVec* out, const HashedVec& rows, size_t i) {
+  out->push_back(rows[i]);
+}
+void Append(TypedRows* out, const TypedRows& rows, size_t i) {
+  out->Append(rows, i);
+}
+
+HashedVec Concat(std::vector<HashedVec>* parts) {
   size_t total = 0;
-  for (const ValueVec& p : parts) total += p.size();
-  ValueVec out;
+  for (const HashedVec& p : *parts) total += p.size();
+  HashedVec out;
   out.reserve(total);
-  std::vector<size_t> cur(parts.size(), 0);
-  size_t done = 0;
-  while (done < total) {
-    int best = -1;
-    for (size_t s = 0; s < parts.size(); ++s) {
-      if (cur[s] >= parts[s].size()) continue;
-      if (best < 0 || parts[s][cur[s]].tuple()[0] <
-                          parts[best][cur[best]].tuple()[0]) {
-        best = static_cast<int>(s);
-      }
-    }
-    const Value& key = parts[best][cur[best]].tuple()[0];
-    ValueVec bag;
-    int appearances = 0;
-    for (size_t s = static_cast<size_t>(best); s < parts.size(); ++s) {
-      if (cur[s] >= parts[s].size()) continue;
-      const Value& row = parts[s][cur[s]];
-      if (!(row.tuple()[0] == key)) continue;
-      const ValueVec& part_bag = row.tuple()[1].bag();
-      bag.insert(bag.end(), part_bag.begin(), part_bag.end());
-      ++cur[s];
-      ++done;
-      ++appearances;
-    }
-    if (appearances > 1) *salted_keys += appearances - 1;
-    out.push_back(Value::MakePair(key, Value::MakeBag(std::move(bag))));
+  for (HashedVec& p : *parts) {
+    for (HashedRow& hr : p) out.push_back(std::move(hr));
   }
   return out;
+}
+TypedRows Concat(std::vector<TypedRows>* parts) {
+  return TypedRows::Concat(*parts);
 }
 
 /// Splits one destination's shuffled rows into `k` hash stripes,
 /// preserving arrival order within each stripe (stable single pass).
 /// Every row of a key shares the key's hash, hence its stripe: no key
 /// is ever split, so per-key fold order is untouched.
-std::vector<HashedVec> StripeHashed(HashedVec rows, int k) {
-  std::vector<HashedVec> stripes(k);
-  for (HashedVec& s : stripes) s.reserve(rows.size() / k + 1);
-  for (HashedRow& hr : rows) {
-    stripes[RemixHash(hr.hash) % static_cast<size_t>(k)].push_back(
-        std::move(hr));
+template <typename Rows>
+std::vector<Rows> Stripe(const Rows& rows, int k) {
+  std::vector<Rows> stripes(k);
+  for (Rows& s : stripes) s.reserve(rows.size() / k + 1);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    Append(&stripes[RemixHash(HashAt(rows, i)) % static_cast<size_t>(k)],
+           rows, i);
   }
   return stripes;
 }
 
-/// StripeHashed for the typed shuffle representation. Each stripe keeps
-/// a copy of the (shared-payload) string dictionary so its codes stay
-/// resolvable independently.
-std::vector<TypedRows> StripeTyped(const TypedRows& rows, int k) {
-  std::vector<TypedRows> stripes(k);
-  const bool ints = rows.payload_mode == TypedPayloadMode::kInt64;
-  for (TypedRows& s : stripes) {
-    s.key_mode = rows.key_mode;
-    s.payload_mode = rows.payload_mode;
-    s.dict_values = rows.dict_values;
-    s.dict_hashes = rows.dict_hashes;
-    s.hashes.reserve(rows.size() / k + 1);
-    s.key_bits.reserve(rows.size() / k + 1);
+/// The wire format of the boxed layout (EngineConfig::serialize_shuffles):
+/// encodes entry i of a scatter source exactly as a real shuffle would
+/// ship it and decodes it into `into`, returning the bytes shipped. With
+/// `injector`, entry i of task `task` may be corrupted in flight; the
+/// decoder must survive the damaged buffer (hardened in
+/// runtime/serialize.cc), and the simulated checksum then flags the
+/// payload so the task is relaunched.
+StatusOr<int64_t> ShipEncoded(const HashedVec& rows, size_t i, HashedVec* into,
+                              const FaultInjector* injector, int stage,
+                              int task, int attempt) {
+  std::string wire = Serialize(rows[i].row);
+  const auto row_idx = static_cast<int64_t>(i);
+  if (injector != nullptr &&
+      injector->CorruptShuffleRow(stage, task, attempt, row_idx)) {
+    wire[injector->CorruptByteIndex(stage, task, row_idx, wire.size())] ^=
+        0x2d;
+    StatusOr<Value> decoded = Deserialize(wire);
+    (void)decoded;
+    return Status::TaskLost(StrCat("shuffle payload of stage #", stage,
+                                   " task ", task, " corrupted in flight (row ",
+                                   row_idx, ")"));
   }
-  for (size_t i = 0; i < rows.size(); ++i) {
-    TypedRows& s = stripes[RemixHash(rows.hashes[i]) % static_cast<size_t>(k)];
-    s.hashes.push_back(rows.hashes[i]);
-    s.key_bits.push_back(rows.key_bits[i]);
-    if (ints) {
-      s.pay_ints.push_back(rows.pay_ints[i]);
-    } else {
-      s.pay_doubles.push_back(rows.pay_doubles[i]);
-    }
-  }
-  return stripes;
+  DIABLO_ASSIGN_OR_RETURN(Value decoded, Deserialize(wire));
+  into->push_back(HashedRow{rows[i].hash, std::move(decoded)});
+  return static_cast<int64_t>(wire.size());
 }
 
 // ChainTally moved to runtime/wave_io.h: the distributed backend
@@ -388,48 +422,100 @@ HashedVec CombinedRows(KeyedAccumulator<Value>* acc) {
 }
 
 // The per-destination finishes of the wide operators. Each turns the
-// shuffled rows one destination received, in arrival order, into its
-// output partition. The forward reduce wave and the lineage replay
-// (recompute_many) both call them, so recovery cannot drift from the
-// forward path. All but JoinFinish canonicalize the key order with one
-// SortByKey; a join emits in probe order.
+// rows one finish task received, in arrival order, into its output rows
+// and reports its work and keyed-table counts. The forward finish wave
+// and the lineage replay (recompute_many) both call them, so recovery
+// cannot drift from the forward path. All but JoinFinish canonicalize
+// the key order with one SortByKey; a join emits in probe order.
 
-/// groupByKey over rows [lo, hi): (key, Bag-of-values), each bag in
-/// arrival order. `acc_bytes` (nullable) receives the table footprint.
-ValueVec GroupFinish(const HashedVec& part, size_t lo, size_t hi,
-                     int64_t* acc_bytes) {
-  KeyedAccumulator<ValueVec> groups(hi - lo);
-  for (size_t i = lo; i < hi; ++i) {
+/// groupByKey: (key, Bag-of-values), each bag in arrival order.
+StatusOr<ValueVec> GroupFinish(WideTask<HashedVec>& t) {
+  const HashedVec& part = *t.left;
+  KeyedAccumulator<ValueVec> groups(t.hi - t.lo);
+  for (size_t i = t.lo; i < t.hi; ++i) {
     const ValueVec& kv = part[i].row.tuple();
     groups.FindOrCreate(part[i].hash, kv[0]).payload.push_back(kv[1]);
   }
-  if (acc_bytes != nullptr) {
-    *acc_bytes = static_cast<int64_t>(groups.MemoryBytes());
-  }
-  return SortedRows(&groups, [](auto& e) {
+  t.tally->accumulator_bytes = static_cast<int64_t>(groups.MemoryBytes());
+  ValueVec out = SortedRows(&groups, [](auto& e) {
     return Value::MakePair(std::move(e.key),
                            Value::MakeBag(std::move(e.payload)));
   });
+  t.work = t.agg_rows = static_cast<int64_t>(t.hi - t.lo);
+  t.agg_keys = static_cast<int64_t>(out.size());
+  return out;
 }
 
-/// reduceByKey: folds part[from..] into `acc`, which may already hold
-/// the fold of part[..from) (a spilled typed prefix), and emits the
-/// (key, value) pairs.
-StatusOr<ValueVec> FoldFinish(const HashedVec& part, size_t from,
+/// reduceByKey on the boxed layout: folds the rows in arrival order —
+/// natively through the typed accumulator while they allow it
+/// (`native_op` non-null), then with `fn` from the first row that
+/// deviates (the typed state spills into the boxed table first).
+StatusOr<ValueVec> FoldFinish(WideTask<HashedVec>& t,
                               const Engine::ReduceFn& fn,
-                              KeyedAccumulator<Value>* acc) {
-  for (size_t i = from; i < part.size(); ++i) {
-    const ValueVec& kv = part[i].row.tuple();
-    DIABLO_RETURN_IF_ERROR(FoldInto(acc, part[i].hash, kv[0], kv[1], fn));
+                              const BinOp* native_op) {
+  const HashedVec& part = *t.left;
+  KeyedAccumulator<Value> acc(part.size());
+  std::optional<TypedReduceAccumulator> typed;
+  size_t i = 0;
+  if (native_op != nullptr) {
+    typed.emplace(*native_op, part.size());
+    // The hash crossed the shuffle with the row: trust it.
+    while (i < part.size() && typed->AddHashed(part[i].hash, part[i].row)) {
+      ++i;
+    }
   }
-  return SortedRows(acc, [](auto& e) {
-    return Value::MakePair(std::move(e.key), std::move(e.payload));
-  });
+  const bool all_typed = typed.has_value() && i == part.size();
+  if (typed.has_value() && !all_typed) {
+    typed->SpillTo(&acc);
+    t.tally->columnar_rows_fallback += static_cast<int64_t>(part.size() - i);
+  }
+  for (; i < part.size(); ++i) {
+    const ValueVec& kv = part[i].row.tuple();
+    DIABLO_RETURN_IF_ERROR(FoldInto(&acc, part[i].hash, kv[0], kv[1], fn));
+  }
+  t.tally->accumulator_bytes = static_cast<int64_t>(
+      acc.MemoryBytes() + (typed.has_value() ? typed->MemoryBytes() : 0));
+  ValueVec out;
+  if (all_typed) {
+    typed->EmitSortedRows(&out);
+    if (typed->rows() > 0) t.tally->columnar_batches += 1;
+  } else {
+    out = SortedRows(&acc, [](auto& e) {
+      return Value::MakePair(std::move(e.key), std::move(e.payload));
+    });
+  }
+  t.work = t.agg_rows = static_cast<int64_t>(part.size());
+  t.agg_keys = static_cast<int64_t>(out.size());
+  return out;
+}
+
+/// reduceByKey on the typed layout: the shuffled arrays fold straight
+/// into a typed accumulator — hash, raw key bits and payload, no boxed
+/// row until the final sorted emit.
+StatusOr<ValueVec> TypedFoldFinish(WideTask<TypedRows>& t, BinOp op) {
+  const TypedRows& rows = *t.left;
+  TypedReduceAccumulator typed(op, rows.size());
+  typed.BeginTyped(rows.key_mode, rows.payload_mode, rows.dict.get());
+  const bool ints = rows.payload_mode == TypedPayloadMode::kInt64;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    typed.AddHashedBits(rows.hashes[i], rows.key_bits[i],
+                        ints ? rows.pay_ints[i] : 0,
+                        ints ? 0.0 : rows.pay_doubles[i]);
+  }
+  t.tally->accumulator_bytes = static_cast<int64_t>(typed.MemoryBytes());
+  ValueVec out;
+  typed.EmitSortedRows(&out);
+  if (typed.rows() > 0) t.tally->columnar_batches += 1;
+  t.work = t.agg_rows = static_cast<int64_t>(rows.size());
+  t.agg_keys = static_cast<int64_t>(out.size());
+  return out;
 }
 
 /// join: builds from the left rows, probes with the right rows, each in
 /// arrival order; rows (k, (a, b)) come out in probe order.
-ValueVec JoinFinish(const HashedVec& left, const HashedVec& right) {
+StatusOr<ValueVec> JoinFinish(WideTask<HashedVec>& t) {
+  const HashedVec& left = *t.left;
+  const HashedVec& right = *t.right;
   KeyedAccumulator<ValueVec> build(left.size());
   for (const HashedRow& hr : left) {
     const ValueVec& kv = hr.row.tuple();
@@ -444,12 +530,18 @@ ValueVec JoinFinish(const HashedVec& left, const HashedVec& right) {
       out.push_back(Value::MakePair(kv[0], Value::MakePair(lv, kv[1])));
     }
   }
+  // One unit per build row, probe row and emitted match.
+  t.work = static_cast<int64_t>(left.size() + right.size() + out.size());
+  t.agg_rows = static_cast<int64_t>(left.size());
+  t.agg_keys = static_cast<int64_t>(build.size());
   return out;
 }
 
 /// coGroup: (key, (Bag-of-left, Bag-of-right)) for every key on either
 /// side, each bag in arrival order.
-ValueVec CoGroupFinish(const HashedVec& left, const HashedVec& right) {
+StatusOr<ValueVec> CoGroupFinish(WideTask<HashedVec>& t) {
+  const HashedVec& left = *t.left;
+  const HashedVec& right = *t.right;
   KeyedAccumulator<std::pair<ValueVec, ValueVec>> groups(left.size() +
                                                           right.size());
   for (const HashedRow& hr : left) {
@@ -460,21 +552,28 @@ ValueVec CoGroupFinish(const HashedVec& left, const HashedVec& right) {
     const ValueVec& kv = hr.row.tuple();
     groups.FindOrCreate(hr.hash, kv[0]).payload.second.push_back(kv[1]);
   }
-  return SortedRows(&groups, [](auto& e) {
+  ValueVec out = SortedRows(&groups, [](auto& e) {
     return Value::MakePair(
         std::move(e.key),
         Value::MakePair(Value::MakeBag(std::move(e.payload.first)),
                         Value::MakeBag(std::move(e.payload.second))));
   });
+  t.work = t.agg_rows = static_cast<int64_t>(left.size() + right.size());
+  t.agg_keys = static_cast<int64_t>(out.size());
+  return out;
 }
 
 /// distinct: every distinct row (the key of its (row, unit) pair) once.
-ValueVec DistinctFinish(const HashedVec& part) {
+StatusOr<ValueVec> DistinctFinish(WideTask<HashedVec>& t) {
+  const HashedVec& part = *t.left;
   KeyedAccumulator<NoPayload> seen(part.size());
   for (const HashedRow& hr : part) {
     seen.FindOrCreate(hr.hash, hr.row.tuple()[0]);
   }
-  return SortedRows(&seen, [](auto& e) { return std::move(e.key); });
+  ValueVec out = SortedRows(&seen, [](auto& e) { return std::move(e.key); });
+  t.work = t.agg_rows = static_cast<int64_t>(part.size());
+  t.agg_keys = static_cast<int64_t>(out.size());
+  return out;
 }
 
 /// Lineage replay of one shuffled input, restricted to the lost
@@ -1289,508 +1388,185 @@ StatusOr<Dataset> Engine::ForceColumnar(const Dataset& in) {
   return Dataset(std::move(out), std::move(lineage));
 }
 
-StatusOr<std::vector<HashedVec>> Engine::ShuffleCore(
-    int stage, const std::vector<int64_t>& task_work,
-    const std::function<Status(int, const EmitFn&)>& produce,
-    int64_t* shuffle_bytes, std::vector<int64_t>* dest_bytes,
-    std::vector<ChainTally>* tallies, StageRecovery* rec) {
-  const int out_parts = config_.num_partitions;
-  const int n = static_cast<int>(task_work.size());
-  // buckets[src][dst]
-  std::vector<std::vector<HashedVec>> buckets(
-      n, std::vector<HashedVec>(out_parts));
-  std::vector<int64_t> moved_bytes(n, 0);
-  // bucket_bytes[src][dst]: bytes each source task shipped per
-  // destination, reduced into `dest_bytes` after the wave.
-  std::vector<std::vector<int64_t>> bucket_bytes(
-      n, std::vector<int64_t>(out_parts, 0));
-  const bool serialize = config_.serialize_shuffles;
-  const bool inject = config_.faults.enabled();
-  WaveSlots slots;
-  slots.buckets = &buckets;
-  slots.nums = &moved_bytes;
-  slots.num_vecs = &bucket_bytes;
-  slots.tallies = tallies;
-  Status st = RunTaskWave(
-      "shuffle", stage, task_work,
-      [&](int p, int attempt) -> Status {
-        // Restartable: wipe any partial output of a failed attempt (and
-        // re-run the producer, fused chain included).
-        buckets[p].assign(out_parts, HashedVec());
-        // Reserve from the source row count: keys spread roughly
-        // uniformly, so each destination sees about rows/out_parts of
-        // this task's output.
-        const size_t hint =
-            static_cast<size_t>(task_work[p]) / static_cast<size_t>(out_parts) +
-            1;
-        for (HashedVec& bucket : buckets[p]) bucket.reserve(hint);
-        moved_bytes[p] = 0;
-        bucket_bytes[p].assign(out_parts, 0);
-        int64_t row_idx = 0;
-        // Single-pass scatter: each produced row arrives with its key
-        // hash (computed exactly once by the producer) and is appended
-        // to its destination buffer hash-first, so the reduce side
-        // never rehashes. `row_idx` numbers the scattered rows, so
-        // corruption coordinates are independent of how the row was
-        // produced (fused or pre-combined).
-        auto scatter = [&](size_t hash, const Value& row) -> Status {
-          const int dst = HashDestination(hash, out_parts);
-          // Rows that stay on the same simulated node are still
-          // accounted: with many workers almost every row crosses the
-          // network, so we charge all of them (Spark's shuffle write
-          // does the same).
-          if (serialize) {
-            // Ship the encoded bytes, exactly as a real shuffle would.
-            std::string wire = Serialize(row);
-            moved_bytes[p] += static_cast<int64_t>(wire.size());
-            bucket_bytes[p][dst] += static_cast<int64_t>(wire.size());
-            if (inject &&
-                injector_.CorruptShuffleRow(stage, p, attempt, row_idx)) {
-              // Flip one byte in flight. The decoder must survive the
-              // damaged buffer (hardened in runtime/serialize.cc); the
-              // simulated checksum then flags the payload and the task
-              // is relaunched.
-              wire[injector_.CorruptByteIndex(stage, p, row_idx,
-                                              wire.size())] ^= 0x2d;
-              StatusOr<Value> decoded = Deserialize(wire);
-              (void)decoded;
-              return Status::TaskLost(
-                  StrCat("shuffle payload of stage #", stage, " task ", p,
-                         " corrupted in flight (row ", row_idx, ")"));
-            }
-            DIABLO_ASSIGN_OR_RETURN(Value decoded, Deserialize(wire));
-            buckets[p][dst].push_back(HashedRow{hash, std::move(decoded)});
-          } else {
-            const int64_t approx = row.SerializedBytes();
-            moved_bytes[p] += approx;
-            bucket_bytes[p][dst] += approx;
-            buckets[p][dst].push_back(HashedRow{hash, row});
-          }
-          ++row_idx;
-          return Status::OK();
-        };
-        return produce(p, scatter);
-      },
-      rec, &slots);
-  if (!st.ok()) return st;
-  if (shuffle_bytes != nullptr) {
-    *shuffle_bytes = 0;
-    for (int64_t b : moved_bytes) *shuffle_bytes += b;
-  }
-  if (dest_bytes != nullptr) {
-    if (dest_bytes->size() < static_cast<size_t>(out_parts)) {
-      dest_bytes->resize(static_cast<size_t>(out_parts), 0);
-    }
-    for (int src = 0; src < n; ++src) {
-      for (int dst = 0; dst < out_parts; ++dst) {
-        (*dest_bytes)[dst] += bucket_bytes[src][dst];
-      }
-    }
-  }
-  std::vector<HashedVec> out(out_parts);
-  for (int dst = 0; dst < out_parts; ++dst) {
-    size_t total = 0;
-    for (int src = 0; src < n; ++src) total += buckets[src][dst].size();
-    out[dst].reserve(total);
-    for (int src = 0; src < n; ++src) {
-      for (HashedRow& v : buckets[src][dst]) out[dst].push_back(std::move(v));
-    }
-  }
-  return out;
-}
+/// A wide operator, as RunWide instantiates the shared wave for it.
+struct Engine::WideSpec {
+  const char* kind = "";  ///< lineage node kind
+  std::string label{};
+  /// How the finish wave splits a hot destination (join, coGroup and
+  /// distinct never salt).
+  enum class Salt { kNone, kChunks, kStripes } salt = Salt::kNone;
+  /// The finish over boxed rows: the forward finish on the boxed layout
+  /// and the lineage replay's.
+  std::function<StatusOr<ValueVec>(WideTask<HashedVec>&)> finish{};
+  /// Folds two rows of one key from different chunks, in chunk order
+  /// (groupByKey). Null when sub-tasks hold disjoint key sets.
+  std::function<Value(const Value&, const Value&)> merge_same_key{};
+  /// reduceByKey's fold: set, a map-side combine wave runs before the
+  /// scatter, and the lineage replay folds each source partition alike.
+  std::optional<ReduceFn> combine{};
+  /// reduceByKey with a built-in op, and the plan-time schema of its
+  /// (key, value) rows; `typed` when the typed accumulator may fold
+  /// them (EngineConfig::columnar, and an op and value type it covers).
+  std::optional<BinOp> native_op{};
+  ColumnSchema schema{};
+  bool typed = false;
+};
 
-StatusOr<std::vector<HashedVec>> Engine::ShuffleWave(const Dataset& in,
-                                                     int stage,
-                                                     int64_t* shuffle_bytes,
-                                                     StageRecovery* rec,
-                                                     StageStats* stats) {
-  const FusedChain& chain = in.chain();
-  std::vector<ChainTally> tallies(in.num_partitions());
-  auto result = ShuffleCore(
-      stage, RowCounts(in),
-      [&](int p, const EmitFn& emit) -> Status {
-        tallies[p].Reset(chain.size());
-        if (!config_.columnar) {
-          for (const Value& row : in.partition(p)) {
-            DIABLO_RETURN_IF_ERROR(ApplyChain(
-                chain, 0, row, &tallies[p], [&](const Value& v) -> Status {
-                  DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                  return emit(key->Hash(), v);
-                }));
-          }
-          return Status::OK();
-        }
-        // Vectorized scatter: buffer the produced rows with their keys
-        // in a column, hash the whole key column in one pass (cached
-        // dictionary hashes for strings, HashColumn bit-identical to
-        // per-row Value::Hash), then emit in the original order.
-        ValueVec rows;
-        Column keycol;
-        rows.reserve(in.partition(p).size());
-        for (const Value& row : in.partition(p)) {
-          DIABLO_RETURN_IF_ERROR(ApplyChain(
-              chain, 0, row, &tallies[p], [&](const Value& v) -> Status {
-                DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-                keycol.Append(*key);
-                rows.push_back(v);
-                return Status::OK();
-              }));
-        }
+/// One wide operator's stage in flight: its spec, the id of its finish
+/// wave, its recovered inputs, and the recovery tallies and StageStats
+/// every wave of the stage accumulates into.
+struct Engine::WideRun {
+  const WideSpec& spec;
+  int finish_stage = 0;
+  std::vector<Dataset> inputs;
+  StageRecovery rec;
+  StageStats stats;
+};
+
+StatusOr<Dataset> Engine::RunWide(const WideSpec& spec,
+                                  const std::vector<Dataset>& inputs) {
+  ScopedSpan stage_span(trace(), SpanKind::kStage, spec.label);
+  // Consecutive stage ids — reduceByKey's combine wave, one scatter per
+  // input side, the finish wave — are the fault injector's coordinates.
+  const int first = NextStageId();
+  stage_span.SetStageId(first);
+  const int scatter_stage = first + (spec.combine.has_value() ? 1 : 0);
+  WideRun run{spec, scatter_stage + static_cast<int>(inputs.size()), {}, {},
+              {}};
+  next_stage_id_ = run.finish_stage + 1;
+  // Loss directives address every input at the operator's first stage:
+  // input s is side s (a join's left side is 0, its right side 1).
+  for (size_t s = 0; s < inputs.size(); ++s) {
+    DIABLO_ASSIGN_OR_RETURN(
+        Dataset side,
+        RecoverInput(inputs[s], first, static_cast<int>(s), &run.rec));
+    run.inputs.push_back(std::move(side));
+  }
+  if (spec.combine.has_value()) {
+    std::vector<HashedVec> boxed;
+    std::vector<TypedRows> typed;
+    DIABLO_ASSIGN_OR_RETURN(const bool use_typed,
+                            CombineWave(run, first, &boxed, &typed));
+    // The combined pairs carry their memoized key hashes straight into
+    // the scatter: no key is hashed twice anywhere in this operator.
+    auto shuffle_and_finish = [&](auto& combined,
+                                  const auto& finish) -> StatusOr<Dataset> {
+      using Rows = typename std::decay_t<decltype(combined)>::value_type;
+      std::vector<std::vector<Rows>> sides;
+      DIABLO_RETURN_IF_ERROR(ScatterWave<Rows>(
+          run, scatter_stage, RowCounts(combined),
+          [&](int p, Rows*) -> StatusOr<const Rows*> { return &combined[p]; },
+          nullptr, &sides));
+      return FinishWave<Rows>(run, sides, finish);
+    };
+    if (!use_typed) return shuffle_and_finish(boxed, spec.finish);
+    const BinOp op = *spec.native_op;
+    return shuffle_and_finish(typed, [op](WideTask<TypedRows>& t) {
+      return TypedFoldFinish(t, op);
+    });
+  }
+  std::vector<std::vector<HashedVec>> sides;
+  for (size_t s = 0; s < run.inputs.size(); ++s) {
+    const Dataset& side = run.inputs[s];
+    const FusedChain& chain = side.chain();
+    std::vector<ChainTally> tallies(side.num_partitions());
+    // The boxed producer: applies the side's pending fused chain element
+    // by element and hashes each produced row's key once — a whole key
+    // column at a time under EngineConfig::columnar (HashColumn,
+    // bit-identical to per-row Value::Hash; string keys hash once per
+    // distinct dictionary entry).
+    const bool columnar = config_.columnar;
+    auto produce = [&](int p, HashedVec* rows) -> StatusOr<const HashedVec*> {
+      tallies[p].Reset(chain.size());
+      Column keycol;
+      rows->reserve(side.partition(p).size());
+      for (const Value& row : side.partition(p)) {
+        DIABLO_RETURN_IF_ERROR(ApplyChain(
+            chain, 0, row, &tallies[p], [&](const Value& v) -> Status {
+              DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
+              if (columnar) keycol.Append(*key);
+              rows->push_back(HashedRow{columnar ? 0 : key->Hash(), v});
+              return Status::OK();
+            }));
+      }
+      if (columnar && !rows->empty()) {
         std::vector<size_t> hashes;
         HashColumn(keycol, &hashes);
-        if (!rows.empty()) {
-          if (keycol.tag() == ColumnTag::kBoxed) {
-            tallies[p].columnar_rows_fallback +=
-                static_cast<int64_t>(rows.size());
-          } else {
-            tallies[p].columnar_batches += 1;
-          }
+        for (size_t i = 0; i < rows->size(); ++i) (*rows)[i].hash = hashes[i];
+        if (keycol.tag() == ColumnTag::kBoxed) {
+          tallies[p].columnar_rows_fallback +=
+              static_cast<int64_t>(rows->size());
+        } else {
+          tallies[p].columnar_batches += 1;
         }
-        for (size_t i = 0; i < rows.size(); ++i) {
-          DIABLO_RETURN_IF_ERROR(emit(hashes[i], rows[i]));
-        }
-        return Status::OK();
-      },
-      shuffle_bytes, stats != nullptr ? &stats->partition_bytes : nullptr,
-      &tallies, rec);
-  if (result.ok() && stats != nullptr) {
-    stats->fused_ops += static_cast<int64_t>(chain.size());
-    for (const ChainTally& t : tallies) t.MergeInto(stats);
-  }
-  return result;
-}
-
-StatusOr<std::vector<HashedVec>> Engine::ShuffleHashed(
-    const std::vector<HashedVec>& in, int stage, int64_t* shuffle_bytes,
-    StageRecovery* rec, StageStats* stats) {
-  return ShuffleCore(
-      stage, RowCounts(in),
-      [&](int p, const EmitFn& emit) -> Status {
-        for (const HashedRow& hr : in[p]) {
-          DIABLO_RETURN_IF_ERROR(emit(hr.hash, hr.row));
-        }
-        return Status::OK();
-      },
-      shuffle_bytes, stats != nullptr ? &stats->partition_bytes : nullptr,
-      nullptr, rec);
-}
-
-StatusOr<std::vector<TypedRows>> Engine::ShuffleTyped(
-    const std::vector<TypedRows>& in, int stage, int64_t* shuffle_bytes,
-    StageRecovery* rec, StageStats* stats) {
-  const int out_parts = config_.num_partitions;
-  const int n = static_cast<int>(in.size());
-  std::vector<int64_t> task_work(n, 0);
-  TypedKeyMode kmode = TypedKeyMode::kNone;
-  TypedPayloadMode pmode = TypedPayloadMode::kNone;
-  for (int p = 0; p < n; ++p) {
-    task_work[p] = static_cast<int64_t>(in[p].size());
-    if (in[p].size() > 0 && kmode == TypedKeyMode::kNone) {
-      kmode = in[p].key_mode;
-      pmode = in[p].payload_mode;
-    }
-  }
-  // buckets[src][dst], plus the same byte accounting ShuffleCore keeps:
-  // every scattered entry is charged what its boxed pair row would have
-  // weighed on the wire.
-  std::vector<std::vector<TypedRows>> buckets(n,
-                                              std::vector<TypedRows>(out_parts));
-  std::vector<int64_t> moved_bytes(n, 0);
-  std::vector<std::vector<int64_t>> bucket_bytes(
-      n, std::vector<int64_t>(out_parts, 0));
-  WaveSlots slots;
-  slots.nums = &moved_bytes;
-  slots.num_vecs = &bucket_bytes;
-  Status st = RunTaskWave(
-      "shuffle", stage, task_work,
-      [&](int p, int) -> Status {
-        const TypedRows& src = in[p];
-        buckets[p].assign(out_parts, TypedRows());
-        const size_t hint =
-            src.size() / static_cast<size_t>(out_parts) + 1;
-        for (TypedRows& bucket : buckets[p]) {
-          bucket.key_mode = src.key_mode;
-          bucket.payload_mode = src.payload_mode;
-          bucket.hashes.reserve(hint);
-          bucket.key_bits.reserve(hint);
-          if (src.payload_mode == TypedPayloadMode::kInt64) {
-            bucket.pay_ints.reserve(hint);
-          } else {
-            bucket.pay_doubles.reserve(hint);
-          }
-        }
-        moved_bytes[p] = 0;
-        bucket_bytes[p].assign(out_parts, 0);
-        const bool ints = src.payload_mode == TypedPayloadMode::kInt64;
-        for (size_t i = 0; i < src.size(); ++i) {
-          const int dst = HashDestination(src.hashes[i], out_parts);
-          TypedRows& bucket = buckets[p][dst];
-          // String keys keep their SOURCE dictionary code through the
-          // scatter; the driver-side concatenation below re-interns
-          // them into the destination's dictionary.
-          bucket.hashes.push_back(src.hashes[i]);
-          bucket.key_bits.push_back(src.key_bits[i]);
-          if (ints) {
-            bucket.pay_ints.push_back(src.pay_ints[i]);
-          } else {
-            bucket.pay_doubles.push_back(src.pay_doubles[i]);
-          }
-          const int64_t entry_bytes = src.EntryBytesAt(i);
-          moved_bytes[p] += entry_bytes;
-          bucket_bytes[p][dst] += entry_bytes;
-        }
-        return Status::OK();
-      },
-      rec, &slots);
-  if (!st.ok()) return st;
-  if (shuffle_bytes != nullptr) {
-    *shuffle_bytes = 0;
-    for (int64_t b : moved_bytes) *shuffle_bytes += b;
-  }
-  if (stats != nullptr) {
-    std::vector<int64_t>& dest_bytes = stats->partition_bytes;
-    if (dest_bytes.size() < static_cast<size_t>(out_parts)) {
-      dest_bytes.resize(static_cast<size_t>(out_parts), 0);
-    }
-    for (int src = 0; src < n; ++src) {
-      for (int dst = 0; dst < out_parts; ++dst) {
-        dest_bytes[dst] += bucket_bytes[src][dst];
       }
-    }
+      return rows;
+    };
+    const std::vector<int64_t> counts = RowCounts(side);
+    DIABLO_RETURN_IF_ERROR(ScatterWave<HashedVec>(
+        run, scatter_stage + static_cast<int>(s), counts, produce, &tallies,
+        &sides));
+    run.stats.map_work.insert(run.stats.map_work.end(), counts.begin(),
+                              counts.end());
+    run.stats.fused_ops += static_cast<int64_t>(chain.size());
+    for (const ChainTally& t : tallies) t.MergeInto(&run.stats);
   }
-  // Concatenate source-order (sources ascending, each pre-sorted by
-  // key) — exactly the arrival order of the boxed shuffle, so every
-  // per-key fold order downstream is identical. String keys re-intern
-  // into one dictionary per destination (first-occurrence order, Value
-  // payloads shared): code equality then coincides with key equality,
-  // which is what the reduce side's code-keyed accumulator relies on.
-  std::vector<TypedRows> out(out_parts);
-  for (int dst = 0; dst < out_parts; ++dst) {
-    TypedRows& d = out[dst];
-    d.key_mode = kmode;
-    d.payload_mode = pmode;
-    size_t total = 0;
-    for (int src = 0; src < n; ++src) total += buckets[src][dst].size();
-    d.hashes.reserve(total);
-    d.key_bits.reserve(total);
-    if (pmode == TypedPayloadMode::kInt64) {
-      d.pay_ints.reserve(total);
-    } else {
-      d.pay_doubles.reserve(total);
-    }
-    std::unordered_map<std::string, uint32_t> remap;
-    for (int src = 0; src < n; ++src) {
-      TypedRows& b = buckets[src][dst];
-      d.hashes.insert(d.hashes.end(), b.hashes.begin(), b.hashes.end());
-      if (kmode == TypedKeyMode::kString) {
-        const std::vector<Value>& src_dict = in[src].dict_values;
-        const std::vector<size_t>& src_dict_hashes = in[src].dict_hashes;
-        for (int64_t code_bits : b.key_bits) {
-          const size_t code = static_cast<size_t>(code_bits);
-          auto [it, inserted] = remap.try_emplace(
-              src_dict[code].AsString(),
-              static_cast<uint32_t>(d.dict_values.size()));
-          if (inserted) {
-            d.dict_values.push_back(src_dict[code]);
-            d.dict_hashes.push_back(src_dict_hashes[code]);
-          }
-          d.key_bits.push_back(static_cast<int64_t>(it->second));
-        }
-      } else {
-        d.key_bits.insert(d.key_bits.end(), b.key_bits.begin(),
-                          b.key_bits.end());
-      }
-      d.pay_ints.insert(d.pay_ints.end(), b.pay_ints.begin(),
-                        b.pay_ints.end());
-      d.pay_doubles.insert(d.pay_doubles.end(), b.pay_doubles.begin(),
-                           b.pay_doubles.end());
-    }
-  }
-  return out;
+  return FinishWave<HashedVec>(run, sides, spec.finish);
 }
 
-StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
-                                     const std::string& label) {
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int shuffle_stage = NextStageId();
-  const int reduce_stage = NextStageId();
-  stage_span.SetStageId(shuffle_stage);
-  StageRecovery rec;
-  StageStats stats;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, shuffle_stage, 0, &rec));
-  int64_t bytes = 0;
-  DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> shuffled,
-                          ShuffleWave(src, shuffle_stage, &bytes, &rec, &stats));
-  // Skew mitigation (DESIGN.md §17): a destination far above the mean
-  // row count is split into contiguous row CHUNKS, each grouped by its
-  // own virtual task; the driver then k-way merges the chunks' sorted
-  // (key, bag) rows, concatenating a straddling key's partial bags in
-  // chunk order — which IS arrival order, so the merged bag is
-  // byte-identical to what the unsplit task would have built.
-  const std::vector<int64_t> shuffled_counts = RowCounts(shuffled);
-  const SaltPlan salt = PlanSalt(shuffled_counts, config_.skew);
-  EmitSkewSalting(config_.events, reduce_stage, "reduce", salt);
-  const int num_virtual = static_cast<int>(salt.task_of.size());
-  std::vector<int64_t> sub_work(num_virtual);
-  for (int t = 0; t < num_virtual; ++t) {
-    const int p = salt.task_of[t];
-    const auto [lo, hi] = ChunkRange(shuffled[p].size(), salt.index_of[t],
-                                     salt.fanout[p]);
-    sub_work[t] = static_cast<int64_t>(hi - lo);
-  }
-  std::vector<ValueVec> sub_out(num_virtual);
-  std::vector<ChainTally> reduce_tallies(num_virtual);
-  WaveSlots reduce_slots;
-  reduce_slots.rows = &sub_out;
-  reduce_slots.tallies = &reduce_tallies;
-  Status st = RunTaskWave(
-      label, reduce_stage, sub_work,
-      [&](int t, int) -> Status {
-        reduce_tallies[t].Reset(0);
-        const int p = salt.task_of[t];
-        const auto [lo, hi] =
-            ChunkRange(shuffled[p].size(), salt.index_of[t], salt.fanout[p]);
-        sub_out[t] = GroupFinish(shuffled[p], lo, hi,
-                                 &reduce_tallies[t].accumulator_bytes);
-        return Status::OK();
-      },
-      &rec, &reduce_slots);
-  if (!st.ok()) return st;
-  // Driver-side un-salt: splits merge, unsplit destinations move.
-  std::vector<ValueVec> out(shuffled.size());
-  int64_t salted_keys = 0;
-  std::vector<int64_t> unsalt_work;
-  for (size_t p = 0; p < out.size(); ++p) {
-    if (salt.fanout[p] == 1) {
-      out[p] = std::move(sub_out[salt.first[p]]);
-      continue;
-    }
-    std::vector<ValueVec> parts;
-    parts.reserve(salt.fanout[p]);
-    for (int s = 0; s < salt.fanout[p]; ++s) {
-      parts.push_back(std::move(sub_out[salt.first[p] + s]));
-    }
-    out[p] = MergeSortedBags(std::move(parts), &salted_keys);
-    unsalt_work.push_back(static_cast<int64_t>(out[p].size()));
-  }
-  stats.label = FusedStageLabel(src.chain(), label);
-  stats.wide = true;
-  stats.map_work = RowCounts(src);
-  stats.reduce_work = sub_work;
-  stats.shuffle_bytes = bytes;
-  stats.partition_rows = RowCounts(out);
-  stats.salted_keys = salted_keys;
-  stats.salt_fanout = salt.extra;
-  for (const ChainTally& t : reduce_tallies) t.MergeInto(&stats);
-  for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
-  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  FinishStage(std::move(stats), rec);
-  if (salt.active) {
-    StageStats unsalt;
-    unsalt.label = label + ".unsalt";
-    unsalt.wide = false;
-    unsalt.map_work = std::move(unsalt_work);
-    RecordPlannerStage(std::move(unsalt));
-  }
-  const int out_parts = config_.num_partitions;
-  auto lineage = MakeLineage(
-      "groupByKey", label, {src.lineage()}, nullptr,
-      [src, out_parts](const std::vector<int>& lost,
-                       std::vector<ValueVec>* rebuilt,
-                       int64_t* work) -> Status {
-        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> parts,
-                                ReplayShuffle(src, lost, out_parts, work));
-        for (const HashedVec& part : parts) {
-          rebuilt->push_back(GroupFinish(part, 0, part.size(), nullptr));
-        }
-        return Status::OK();
-      },
-      1 + ChainDepth(src.chain()));
-  return Dataset(std::move(out), std::move(lineage));
-}
-
-StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
-                                          const BinOp* native_op,
-                                          const ColumnSchema& schema,
-                                          const std::string& label) {
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int combine_stage = NextStageId();
-  const int shuffle_stage = NextStageId();
-  const int reduce_stage = NextStageId();
-  stage_span.SetStageId(combine_stage);
-  StageRecovery rec;
-  StageStats stats;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, combine_stage, 0, &rec));
+StatusOr<bool> Engine::CombineWave(WideRun& run, int stage,
+                                   std::vector<HashedVec>* boxed,
+                                   std::vector<TypedRows>* typed_out) {
+  const WideSpec& spec = run.spec;
+  const Dataset& src = run.inputs[0];
   const FusedChain& chain = src.chain();
-  // Typed aggregation (EngineConfig::columnar): a built-in op whose
-  // key/value kinds columnarize folds with native arithmetic in the
-  // same arrival order — bit-identical results, no per-row Value
-  // allocation. The plan-time schema only ever skips the attempt (a
-  // definitely non-numeric value); kUnknown means detect from the data,
-  // and a deviating row mid-stream spills to the boxed accumulator.
-  const bool try_typed =
-      config_.columnar && native_op != nullptr &&
-      TypedReduceAccumulator::SupportsOp(*native_op) &&
-      schema.value != ColumnTag::kString && schema.value != ColumnTag::kBool;
-  // Map-side combine (like Spark): fold each input partition first so the
-  // shuffle only moves one pair per (partition, key). Any pending fused
-  // chain runs element-by-element straight into the combine. The typed
-  // and boxed combines, and the lineage replay, all emit the combined
-  // pairs in key order, so the merge side's arrival order — and with it
-  // every per-key float fold order — is the same whichever one ran.
-  std::vector<HashedVec> shuffled;
-  std::vector<TypedRows> typed_shuffled;
-  bool use_typed_shuffle = false;
-  int64_t bytes = 0;
-  Status st;
-  // When no boxed rows are needed between combine and reduce — no wire
-  // format, no fault injection (row-level corruption coordinates name
-  // boxed rows), no remote backend — the combine output can stay typed
-  // across the shuffle: no intermediate pair row is ever allocated.
-  const bool typed_shuffle_ok =
-      try_typed && !config_.serialize_shuffles && !config_.faults.enabled() &&
-      config_.remote == nullptr;
+  const ReduceFn& fn = *spec.combine;
+  const BinOp* native_op = spec.native_op ? &*spec.native_op : nullptr;
+  // The typed layout, chosen only when no boxed rows are needed between
+  // combine and finish — no wire format, no fault injection (row-level
+  // corruption coordinates name boxed rows), no remote backend.
+  const bool typed_layout = spec.typed && !config_.serialize_shuffles &&
+                            !config_.faults.enabled() &&
+                            config_.remote == nullptr;
   // Combine-side skew mitigation (DESIGN.md §17): an oversized SOURCE
   // partition is combined as contiguous row chunks by independent
-  // virtual tasks, so one giant input partition no longer serializes
-  // the combine wave. The chunk partials of a key re-merge in the
-  // normal reduce stage, so the split is only taken when that re-merge
-  // is exact under ANY grouping: a typed int64 fold of an associative
-  // built-in op (+, *, min, max are bit-associative on int64). The
-  // typed_shuffle_ok conjunct also keeps splits away from fault
-  // injection, the wire format, and the remote backend.
-  const bool combine_splittable =
-      typed_shuffle_ok && schema.value == ColumnTag::kInt64 &&
-      native_op != nullptr &&
+  // virtual tasks, whose partials of a key re-merge in the finish. That
+  // is exact under ANY grouping only for a native +, *, min or max over
+  // int64 (bit-associative with wrapping arithmetic): the op and the
+  // plan-time schema are checked here, the int64 payloads on the rows
+  // after the wave, in either layout.
+  SkewConfig combine_cfg = config_.skew;
+  combine_cfg.mitigate =
+      combine_cfg.mitigate && native_op != nullptr &&
+      spec.schema.value == ColumnTag::kInt64 &&
       (*native_op == BinOp::kAdd || *native_op == BinOp::kMul ||
        *native_op == BinOp::kMin || *native_op == BinOp::kMax);
-  SkewConfig combine_cfg = config_.skew;
-  combine_cfg.mitigate = combine_cfg.mitigate && combine_splittable;
-  const SaltPlan combine_salt = PlanSalt(RowCounts(src), combine_cfg);
-  EmitSkewSalting(config_.events, combine_stage, "combine", combine_salt);
-  const int num_combine = static_cast<int>(combine_salt.task_of.size());
+  const SaltPlan salt = PlanSalt(RowCounts(src), combine_cfg);
+  EmitSkewSalting(config_.events, stage, "combine", salt);
+  const int num_combine = static_cast<int>(salt.task_of.size());
   std::vector<int64_t> combine_work(num_combine);
   for (int t = 0; t < num_combine; ++t) {
-    const int p = combine_salt.task_of[t];
-    const auto [lo, hi] =
-        ChunkRange(src.partition(p).size(), combine_salt.index_of[t],
-                   combine_salt.fanout[p]);
+    const int p = salt.task_of[t];
+    const auto [lo, hi] = ChunkRange(src.partition(p).size(),
+                                     salt.index_of[t], salt.fanout[p]);
     combine_work[t] = static_cast<int64_t>(hi - lo);
   }
   std::vector<ChainTally> tallies(num_combine);
-  std::vector<HashedVec> combined(num_combine);
-  std::vector<TypedRows> typed_combined(num_combine);
+  std::vector<HashedVec>& combined = *boxed;
+  std::vector<TypedRows>& typed_combined = *typed_out;
+  combined.assign(num_combine, HashedVec());
+  typed_combined.assign(num_combine, TypedRows());
   // Folds rows [lo, hi) of source partition p into output slot `slot`
-  // exactly as the unsplit combine folds a whole partition: wave
-  // tasks call it with their chunk, and the dirty-chunk fallback
-  // below re-runs it over a full partition.
-  auto combine_range = [&](int slot, int p, size_t lo,
-                           size_t hi) -> Status {
+  // exactly as the unsplit combine folds a whole partition: wave tasks
+  // call it with their chunk, and the dirty-chunk fallback below re-runs
+  // it over a full partition.
+  auto combine_range = [&](int slot, int p, size_t lo, size_t hi) -> Status {
     combined[slot].clear();
+    typed_combined[slot] = TypedRows();
     tallies[slot].Reset(chain.size());
     KeyedAccumulator<Value> acc(hi - lo);
     std::optional<TypedReduceAccumulator> typed;
-    if (try_typed) typed.emplace(*native_op, hi - lo);
+    if (spec.typed) typed.emplace(*native_op, hi - lo);
     int64_t boxed_rows = 0;
     auto combine = [&](const Value& row) -> Status {
       if (typed.has_value()) {
@@ -1801,7 +1577,7 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
         typed->SpillTo(&acc);
         typed.reset();
       }
-      if (try_typed) ++boxed_rows;
+      if (spec.typed) ++boxed_rows;
       DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(row));
       return FoldInto(&acc, key->Hash(), *key, row.tuple()[1], fn);
     };
@@ -1814,9 +1590,7 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
       for (; i < hi; ++i) {
         if (!typed->Add(part[i])) break;
       }
-      for (; i < hi; ++i) {
-        DIABLO_RETURN_IF_ERROR(combine(part[i]));
-      }
+      for (; i < hi; ++i) DIABLO_RETURN_IF_ERROR(combine(part[i]));
     } else {
       for (size_t i = lo; i < hi; ++i) {
         DIABLO_RETURN_IF_ERROR(
@@ -1830,10 +1604,10 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
     tallies[slot].accumulator_bytes = static_cast<int64_t>(
         acc.MemoryBytes() + (typed.has_value() ? typed->MemoryBytes() : 0));
     if (typed.has_value()) {
-      typed_combined[slot] = TypedRows();
-      if (!typed_shuffle_ok ||
-          !typed->EmitSortedTyped(&typed_combined[slot])) {
-        typed->EmitSortedHashed(&combined[slot]);
+      typed->EmitSortedTyped(&typed_combined[slot]);
+      if (!typed_layout) {
+        typed_combined[slot].EmitHashed(&combined[slot]);
+        typed_combined[slot] = TypedRows();
       }
       if (typed->rows() > 0) tallies[slot].columnar_batches += 1;
     } else {
@@ -1842,408 +1616,368 @@ StatusOr<Dataset> Engine::ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
     tallies[slot].columnar_rows_fallback += boxed_rows;
     return Status::OK();
   };
-  WaveSlots combine_slots;
-  combine_slots.hashed = &combined;
-  combine_slots.tallies = &tallies;
-  st = RunTaskWave(
-      label + ".combine", combine_stage, combine_work,
+  WaveSlots slots;
+  slots.hashed = &combined;
+  slots.tallies = &tallies;
+  DIABLO_RETURN_IF_ERROR(RunTaskWave(
+      spec.label + ".combine", stage, combine_work,
       [&](int t, int) -> Status {
-        const int p = combine_salt.task_of[t];
-        const auto [lo, hi] =
-            ChunkRange(src.partition(p).size(), combine_salt.index_of[t],
-                       combine_salt.fanout[p]);
+        const int p = salt.task_of[t];
+        const auto [lo, hi] = ChunkRange(src.partition(p).size(),
+                                         salt.index_of[t], salt.fanout[p]);
         return combine_range(t, p, lo, hi);
       },
-      &rec, &combine_slots);
-  if (!st.ok()) return st;
-  // A split is only exact while every chunk of the partition stayed
-  // on the typed int64 path. A chunk that bounced — boxed rows, or a
-  // payload that turned out non-int64 at runtime — re-runs its whole
-  // source partition unsplit on the driver (rare by construction: the
-  // plan-time schema already claimed int64), zeroing the sibling
-  // chunk slots so the empty chunks contribute nothing downstream.
-  if (combine_salt.active) {
-    for (int p = 0; p < src.num_partitions(); ++p) {
-      if (combine_salt.fanout[p] == 1) continue;
-      bool clean = true;
-      for (int s = 0; s < combine_salt.fanout[p] && clean; ++s) {
-        const int t = combine_salt.first[p] + s;
-        if (!combined[t].empty() ||
-            (typed_combined[t].size() > 0 &&
-             typed_combined[t].payload_mode != TypedPayloadMode::kInt64)) {
-          clean = false;
-        }
-      }
-      if (clean) continue;
-      for (int s = 1; s < combine_salt.fanout[p]; ++s) {
-        const int t = combine_salt.first[p] + s;
-        combined[t].clear();
-        typed_combined[t] = TypedRows();
-        tallies[t].Reset(chain.size());
-      }
-      DIABLO_RETURN_IF_ERROR(combine_range(combine_salt.first[p], p, 0,
-                                           src.partition(p).size()));
+      &run.rec, &slots));
+  // The third part of the proof: a chunk whose output holds a non-int64
+  // payload folded one (int64 + double is double, and so on). Its whole
+  // source partition then re-runs unsplit on the driver (rare by
+  // construction: the plan-time schema already claimed int64), zeroing
+  // the sibling chunk slots so they contribute nothing downstream.
+  auto int64_payloads = [&](int t) {
+    if (typed_combined[t].size() > 0 &&
+        typed_combined[t].payload_mode != TypedPayloadMode::kInt64) {
+      return false;
     }
+    return std::all_of(
+        combined[t].begin(), combined[t].end(),
+        [](const HashedRow& hr) { return hr.row.tuple()[1].is_int(); });
+  };
+  for (int p = 0; p < src.num_partitions(); ++p) {
+    const int f = salt.fanout[p];
+    const int base = salt.first[p];
+    bool clean = true;
+    for (int t = base; f > 1 && t < base + f; ++t) {
+      clean = clean && int64_payloads(t);
+    }
+    if (clean) continue;
+    for (int t = base + 1; t < base + f; ++t) {
+      combined[t].clear();
+      typed_combined[t] = TypedRows();
+      tallies[t].Reset(chain.size());
+    }
+    DIABLO_RETURN_IF_ERROR(
+        combine_range(base, p, 0, src.partition(p).size()));
   }
+  StageStats& stats = run.stats;
+  stats.map_work = std::move(combine_work);
   stats.fused_ops += static_cast<int64_t>(chain.size());
+  stats.salt_fanout += salt.extra;
   for (const ChainTally& t : tallies) t.MergeInto(&stats);
   for (int64_t c : RowCounts(src)) stats.hash_agg_rows += c;
-  // The typed shuffle needs every non-empty combine output typed with
-  // one key/payload shape; a spilled or string-keyed partition drops
-  // the whole operator back to boxed rows (the typed ones re-box).
-  if (typed_shuffle_ok) {
-    use_typed_shuffle = true;
-    TypedKeyMode kmode = TypedKeyMode::kNone;
-    TypedPayloadMode pmode = TypedPayloadMode::kNone;
-    for (int t = 0; t < num_combine; ++t) {
-      if (!combined[t].empty()) {
-        use_typed_shuffle = false;
-        break;
-      }
-      const TypedRows& tc = typed_combined[t];
-      if (tc.size() == 0) continue;
-      if (kmode == TypedKeyMode::kNone) {
-        kmode = tc.key_mode;
-        pmode = tc.payload_mode;
-      } else if (tc.key_mode != kmode || tc.payload_mode != pmode) {
-        use_typed_shuffle = false;
-        break;
-      }
-    }
-    if (!use_typed_shuffle) {
-      for (int t = 0; t < num_combine; ++t) {
-        typed_combined[t].EmitHashed(&combined[t]);
-        typed_combined[t] = TypedRows();
-      }
+  // The typed layout needs every non-empty combine output typed with one
+  // key/payload shape; a spilled or mixed task drops the whole operator
+  // to boxed rows (the typed ones re-box).
+  bool use_typed = typed_layout;
+  const TypedRows* shape = nullptr;
+  for (int t = 0; t < num_combine && use_typed; ++t) {
+    const TypedRows& tc = typed_combined[t];
+    if (!combined[t].empty()) use_typed = false;
+    if (tc.size() == 0) continue;
+    if (shape == nullptr) shape = &tc;
+    if (tc.key_mode != shape->key_mode ||
+        tc.payload_mode != shape->payload_mode) {
+      use_typed = false;
     }
   }
-  int64_t combined_keys = 0;
   for (int t = 0; t < num_combine; ++t) {
-    combined_keys += static_cast<int64_t>(combined[t].size()) +
-                     static_cast<int64_t>(typed_combined[t].size());
-  }
-  stats.hash_agg_keys += combined_keys;
-  // The combined pairs carry their memoized key hashes straight into
-  // the scatter: no key is hashed twice anywhere in this operator.
-  if (use_typed_shuffle) {
-    DIABLO_ASSIGN_OR_RETURN(typed_shuffled,
-                            ShuffleTyped(typed_combined, shuffle_stage,
-                                         &bytes, &rec, &stats));
-  } else {
-    DIABLO_ASSIGN_OR_RETURN(shuffled,
-                            ShuffleHashed(combined, shuffle_stage, &bytes,
-                                          &rec, &stats));
-  }
-  std::vector<int64_t> shuffled_counts;
-  if (use_typed_shuffle) {
-    shuffled_counts.reserve(typed_shuffled.size());
-    for (const TypedRows& t : typed_shuffled) {
-      shuffled_counts.push_back(static_cast<int64_t>(t.size()));
+    if (!use_typed) {
+      typed_combined[t].EmitHashed(&combined[t]);
+      typed_combined[t] = TypedRows();
     }
-  } else {
-    shuffled_counts = RowCounts(shuffled);
+    stats.hash_agg_keys += static_cast<int64_t>(combined[t].size() +
+                                                typed_combined[t].size());
   }
-  // Reduce-side skew mitigation (DESIGN.md §17): an oversized
-  // DESTINATION is split into hash STRIPES (RemixHash % k), each folded
-  // by its own virtual task. Every row of a key shares the key's hash
-  // and hence its stripe — no key is ever split — and the stable stripe
-  // pass preserves arrival order within each stripe, so per-key fold
-  // order is untouched for ANY reduce function. The driver's un-salt is
-  // a plain sorted merge of disjoint key sets.
-  const SaltPlan reduce_salt = PlanSalt(shuffled_counts, config_.skew);
-  EmitSkewSalting(config_.events, reduce_stage, "reduce", reduce_salt);
-  const int num_reduce = static_cast<int>(reduce_salt.task_of.size());
-  std::vector<TypedRows> typed_parts;
-  std::vector<HashedVec> hashed_parts;
-  if (use_typed_shuffle) {
-    typed_parts.resize(num_reduce);
-  } else {
-    hashed_parts.resize(num_reduce);
-  }
-  for (size_t p = 0; p < shuffled_counts.size(); ++p) {
-    const int f = reduce_salt.fanout[p];
-    const int base = reduce_salt.first[p];
-    if (use_typed_shuffle) {
-      if (f == 1) {
-        typed_parts[base] = std::move(typed_shuffled[p]);
-      } else {
-        std::vector<TypedRows> stripes = StripeTyped(typed_shuffled[p], f);
-        for (int s = 0; s < f; ++s) {
-          typed_parts[base + s] = std::move(stripes[s]);
+  return use_typed;
+}
+
+template <typename Rows>
+Status Engine::ScatterWave(
+    WideRun& run, int stage, const std::vector<int64_t>& task_work,
+    const std::function<StatusOr<const Rows*>(int, Rows*)>& produce,
+    std::vector<ChainTally>* tallies, std::vector<std::vector<Rows>>* sides) {
+  const int out_parts = config_.num_partitions;
+  const int n = static_cast<int>(task_work.size());
+  // buckets[src][dst], and the bytes each source task shipped per
+  // destination (reduced into StageStats::partition_bytes after the
+  // wave).
+  std::vector<std::vector<Rows>> buckets(n);
+  std::vector<int64_t> moved_bytes(n, 0);
+  std::vector<std::vector<int64_t>> bucket_bytes(n);
+  // The wire format is a property of the boxed layout; the typed one is
+  // only chosen when no wire format is asked for.
+  const bool serialize =
+      std::is_same_v<Rows, HashedVec> && config_.serialize_shuffles;
+  const FaultInjector* inject =
+      config_.faults.enabled() ? &injector_ : nullptr;
+  WaveSlots slots;
+  if constexpr (std::is_same_v<Rows, HashedVec>) slots.buckets = &buckets;
+  slots.nums = &moved_bytes;
+  slots.num_vecs = &bucket_bytes;
+  slots.tallies = tallies;
+  DIABLO_RETURN_IF_ERROR(RunTaskWave(
+      "shuffle", stage, task_work,
+      [&](int p, int attempt) -> Status {
+        // Restartable: wipe any partial output of a failed attempt (and
+        // re-run the producer, fused chain included). Reserve from the
+        // source row count: keys spread roughly uniformly.
+        buckets[p].assign(out_parts, Rows());
+        for (Rows& bucket : buckets[p]) {
+          bucket.reserve(static_cast<size_t>(task_work[p]) /
+                             static_cast<size_t>(out_parts) +
+                         1);
         }
-        typed_shuffled[p] = TypedRows();
-      }
-    } else {
-      if (f == 1) {
-        hashed_parts[base] = std::move(shuffled[p]);
-      } else {
-        std::vector<HashedVec> stripes =
-            StripeHashed(std::move(shuffled[p]), f);
-        for (int s = 0; s < f; ++s) {
-          hashed_parts[base + s] = std::move(stripes[s]);
-        }
-      }
-    }
-  }
-  std::vector<int64_t> reduce_work(num_reduce);
-  for (int t = 0; t < num_reduce; ++t) {
-    reduce_work[t] = use_typed_shuffle
-                         ? static_cast<int64_t>(typed_parts[t].size())
-                         : static_cast<int64_t>(hashed_parts[t].size());
-  }
-  std::vector<ValueVec> sub_out(num_reduce);
-  std::vector<ChainTally> reduce_tallies(num_reduce);
-  WaveSlots reduce_slots;
-  reduce_slots.rows = &sub_out;
-  reduce_slots.tallies = &reduce_tallies;
-  st = RunTaskWave(
-      label, reduce_stage, reduce_work,
-      [&](int t, int) -> Status {
-        sub_out[t].clear();
-        reduce_tallies[t].Reset(0);
-        if (use_typed_shuffle) {
-          // Typed end-to-end: the shuffled arrays fold straight into a
-          // typed accumulator — hash, raw key bits and payload, no
-          // boxed row until the final sorted emit.
-          const TypedRows& tr = typed_parts[t];
-          TypedReduceAccumulator typed(*native_op, tr.size());
-          typed.BeginTyped(tr.key_mode, tr.payload_mode, &tr.dict_values);
-          const bool ints = tr.payload_mode == TypedPayloadMode::kInt64;
-          for (size_t i = 0; i < tr.size(); ++i) {
-            typed.AddHashedBits(tr.hashes[i], tr.key_bits[i],
-                                ints ? tr.pay_ints[i] : 0,
-                                ints ? 0.0 : tr.pay_doubles[i]);
+        moved_bytes[p] = 0;
+        bucket_bytes[p].assign(out_parts, 0);
+        Rows scratch;
+        DIABLO_ASSIGN_OR_RETURN(const Rows* src, produce(p, &scratch));
+        // Single-pass scatter: each entry carries its key hash (computed
+        // once by the producer) into its destination buffer, so the
+        // finish never rehashes. Entry i is scattered row i, so
+        // corruption coordinates do not depend on how it was produced.
+        for (size_t i = 0; i < src->size(); ++i) {
+          const int dst = HashDestination(HashAt(*src, i), out_parts);
+          // Rows that stay on the same simulated node are still
+          // accounted: with many workers almost every row crosses the
+          // network (Spark's shuffle write charges them all too).
+          int64_t bytes = 0;
+          if constexpr (std::is_same_v<Rows, HashedVec>) {
+            if (serialize) {
+              DIABLO_ASSIGN_OR_RETURN(
+                  bytes, ShipEncoded(*src, i, &buckets[p][dst], inject, stage,
+                                     p, attempt));
+            }
           }
-          reduce_tallies[t].accumulator_bytes =
-              static_cast<int64_t>(typed.MemoryBytes());
-          typed.EmitSortedRows(&sub_out[t]);
-          if (typed.rows() > 0) reduce_tallies[t].columnar_batches += 1;
-          return Status::OK();
-        }
-        const HashedVec& part = hashed_parts[t];
-        KeyedAccumulator<Value> acc(part.size());
-        std::optional<TypedReduceAccumulator> typed;
-        size_t i = 0;
-        if (try_typed) {
-          typed.emplace(*native_op, part.size());
-          // The hash crossed the shuffle with the row: trust it.
-          while (i < part.size() &&
-                 typed->AddHashed(part[i].hash, part[i].row)) {
-            ++i;
+          if (!serialize) {
+            bytes = EntryBytesAt(*src, i);
+            Append(&buckets[p][dst], *src, i);
           }
-          if (i == part.size()) {
-            reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
-                acc.MemoryBytes() + typed->MemoryBytes());
-            typed->EmitSortedRows(&sub_out[t]);
-            if (typed->rows() > 0) reduce_tallies[t].columnar_batches += 1;
-            return Status::OK();
-          }
-          typed->SpillTo(&acc);
-          reduce_tallies[t].columnar_rows_fallback +=
-              static_cast<int64_t>(part.size() - i);
+          moved_bytes[p] += bytes;
+          bucket_bytes[p][dst] += bytes;
         }
-        DIABLO_ASSIGN_OR_RETURN(sub_out[t], FoldFinish(part, i, fn, &acc));
-        reduce_tallies[t].accumulator_bytes = static_cast<int64_t>(
-            acc.MemoryBytes() + (typed.has_value() ? typed->MemoryBytes() : 0));
         return Status::OK();
       },
-      &rec, &reduce_slots);
-  if (!st.ok()) return st;
-  // Driver-side un-salt: striped destinations merge, the rest move.
-  std::vector<ValueVec> out(shuffled_counts.size());
+      &run.rec, &slots));
+  std::vector<int64_t>& dest_bytes = run.stats.partition_bytes;
+  dest_bytes.resize(std::max(dest_bytes.size(), static_cast<size_t>(out_parts)),
+                    0);
+  for (int src = 0; src < n; ++src) {
+    run.stats.shuffle_bytes += moved_bytes[src];
+    for (int dst = 0; dst < out_parts; ++dst) {
+      dest_bytes[dst] += bucket_bytes[src][dst];
+    }
+  }
+  // Concatenate in source order — the arrival order every finish folds
+  // in, identical on both layouts.
+  std::vector<Rows>& out = sides->emplace_back();
+  out.reserve(out_parts);
+  for (int dst = 0; dst < out_parts; ++dst) {
+    std::vector<Rows> parts;
+    parts.reserve(n);
+    for (int src = 0; src < n; ++src) {
+      parts.push_back(std::move(buckets[src][dst]));
+    }
+    out.push_back(Concat(&parts));
+  }
+  return Status::OK();
+}
+
+template <typename Rows>
+StatusOr<Dataset> Engine::FinishWave(
+    WideRun& run, const std::vector<std::vector<Rows>>& sides,
+    const std::function<StatusOr<ValueVec>(WideTask<Rows>&)>& finish) {
+  const WideSpec& spec = run.spec;
+  const std::vector<Rows>& dest = sides[0];
+  // Reduce-side skew mitigation (DESIGN.md §17): a destination far above
+  // the mean row count runs as several virtual tasks — contiguous row
+  // CHUNKS (groupByKey) or hash STRIPES (reduceByKey) — and one k-way
+  // un-salt merge reassembles its output byte-identically.
+  SkewConfig salt_cfg = config_.skew;
+  salt_cfg.mitigate =
+      salt_cfg.mitigate && spec.salt != WideSpec::Salt::kNone;
+  const SaltPlan salt = PlanSalt(RowCounts(dest), salt_cfg);
+  EmitSkewSalting(config_.events, run.finish_stage, "reduce", salt);
+  const int num_virtual = static_cast<int>(salt.task_of.size());
+  std::vector<Rows> stripes(num_virtual);
+  std::vector<WideTask<Rows>> tasks(num_virtual);
+  std::vector<int64_t> task_work(num_virtual);
+  for (int t = 0; t < num_virtual; ++t) {
+    const int p = salt.task_of[t];
+    const int f = salt.fanout[p];
+    WideTask<Rows>& task = tasks[t];
+    task.left = &dest[p];
+    if (sides.size() > 1) task.right = &sides[1][p];
+    if (f > 1 && spec.salt == WideSpec::Salt::kStripes) {
+      if (salt.index_of[t] == 0) {
+        std::vector<Rows> split = Stripe(dest[p], f);
+        std::move(split.begin(), split.end(), stripes.begin() + t);
+      }
+      task.left = &stripes[t];
+      task.hi = stripes[t].size();
+    } else {
+      std::tie(task.lo, task.hi) =
+          ChunkRange(dest[p].size(), salt.index_of[t], f);
+    }
+    task_work[t] = static_cast<int64_t>(task.hi - task.lo);
+  }
+  std::vector<ValueVec> sub_out(num_virtual);
+  std::vector<ChainTally> tallies(num_virtual);
+  // Per task {work, agg_rows, agg_keys}, marshalled like the rows.
+  std::vector<std::vector<int64_t>> reports(num_virtual);
+  WaveSlots slots;
+  slots.rows = &sub_out;
+  slots.tallies = &tallies;
+  slots.num_vecs = &reports;
+  DIABLO_RETURN_IF_ERROR(RunTaskWave(
+      spec.label, run.finish_stage, task_work,
+      [&](int t, int) -> Status {
+        WideTask<Rows> task = tasks[t];
+        tallies[t].Reset(0);
+        task.tally = &tallies[t];
+        DIABLO_ASSIGN_OR_RETURN(sub_out[t], finish(task));
+        reports[t] = {task.work, task.agg_rows, task.agg_keys};
+        return Status::OK();
+      },
+      &run.rec, &slots));
+  // Driver-side un-salt: split destinations merge, the rest move.
+  std::vector<ValueVec> out(dest.size());
+  int64_t salted_keys = 0;
   std::vector<int64_t> unsalt_work;
   for (size_t p = 0; p < out.size(); ++p) {
-    if (reduce_salt.fanout[p] == 1) {
-      out[p] = std::move(sub_out[reduce_salt.first[p]]);
+    const auto base = sub_out.begin() + salt.first[p];
+    if (salt.fanout[p] == 1) {
+      out[p] = std::move(*base);
       continue;
     }
-    std::vector<ValueVec> parts;
-    parts.reserve(reduce_salt.fanout[p]);
-    for (int s = 0; s < reduce_salt.fanout[p]; ++s) {
-      parts.push_back(std::move(sub_out[reduce_salt.first[p] + s]));
-    }
-    out[p] = MergeSortedRows(std::move(parts));
+    out[p] = UnsaltMerge(
+        std::vector<ValueVec>(std::make_move_iterator(base),
+                              std::make_move_iterator(base + salt.fanout[p])),
+        spec.merge_same_key, &salted_keys);
     unsalt_work.push_back(static_cast<int64_t>(out[p].size()));
   }
-  for (const ChainTally& t : reduce_tallies) t.MergeInto(&stats);
-  stats.label = FusedStageLabel(chain, label);
+  // The one stage record, filled from what the finishes reported.
+  StageStats& stats = run.stats;
+  stats.label = spec.label;
+  for (auto in = run.inputs.rbegin(); in != run.inputs.rend(); ++in) {
+    stats.label = FusedStageLabel(in->chain(), stats.label);
+  }
   stats.wide = true;
-  stats.map_work = std::move(combine_work);
-  stats.reduce_work = std::move(reduce_work);
-  stats.shuffle_bytes = bytes;
+  for (int t = 0; t < num_virtual; ++t) {
+    stats.reduce_work.push_back(reports[t][0]);
+    stats.hash_agg_rows += reports[t][1];
+    stats.hash_agg_keys += reports[t][2];
+    tallies[t].MergeInto(&stats);
+  }
+  // A key folded in several chunks was counted once per chunk.
+  stats.hash_agg_keys -= salted_keys;
   stats.partition_rows = RowCounts(out);
-  // Stripe and chunk splits never fold one key in two sub-tasks (the
-  // un-salt merges are over disjoint key sets; chunk partials re-merge
-  // in the reduce stage itself), so salted_keys stays 0 here — only
-  // groupByKey's bag-concat un-salt reports it.
-  stats.salt_fanout = combine_salt.extra + reduce_salt.extra;
-  for (int64_t c : shuffled_counts) stats.hash_agg_rows += c;
-  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  FinishStage(std::move(stats), rec);
-  if (reduce_salt.active) {
+  stats.salted_keys = salted_keys;
+  stats.salt_fanout += salt.extra;
+  FinishStage(std::move(stats), run.rec);
+  if (salt.active) {
     StageStats unsalt;
-    unsalt.label = label + ".unsalt";
-    unsalt.wide = false;
+    unsalt.label = spec.label + ".unsalt";
     unsalt.map_work = std::move(unsalt_work);
     RecordPlannerStage(std::move(unsalt));
   }
+  // The one lineage closure: replays each side's shuffle for the lost
+  // destinations and runs the boxed finish over them.
   const int out_parts = config_.num_partitions;
+  std::vector<std::shared_ptr<const LineageNode>> parents;
+  int chain_depth = 0;
+  for (const Dataset& in : run.inputs) {
+    parents.push_back(in.lineage());
+    chain_depth = std::max(chain_depth, ChainDepth(in.chain()));
+  }
   auto lineage = MakeLineage(
-      "reduceByKey", label, {src.lineage()}, nullptr,
-      [src, fn, out_parts](const std::vector<int>& lost,
-                           std::vector<ValueVec>* rebuilt,
-                           int64_t* work) -> Status {
-        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> parts,
-                                ReplayShuffle(src, lost, out_parts, work, &fn));
-        for (const HashedVec& part : parts) {
-          KeyedAccumulator<Value> acc(part.size());
-          DIABLO_ASSIGN_OR_RETURN(ValueVec rows,
-                                  FoldFinish(part, 0, fn, &acc));
-          rebuilt->push_back(std::move(rows));
+      spec.kind, spec.label, std::move(parents), nullptr,
+      [inputs = run.inputs, replay = spec.finish, combine = spec.combine,
+       out_parts](const std::vector<int>& lost, std::vector<ValueVec>* rebuilt,
+                  int64_t* work) -> Status {
+        std::vector<std::vector<HashedVec>> rows;
+        for (const Dataset& side : inputs) {
+          DIABLO_ASSIGN_OR_RETURN(
+              std::vector<HashedVec> side_rows,
+              ReplayShuffle(side, lost, out_parts, work,
+                            combine.has_value() ? &*combine : nullptr));
+          rows.push_back(std::move(side_rows));
+        }
+        for (size_t i = 0; i < lost.size(); ++i) {
+          ChainTally tally;
+          WideTask<HashedVec> task;
+          task.left = &rows[0][i];
+          if (rows.size() > 1) task.right = &rows[1][i];
+          task.hi = task.left->size();
+          task.tally = &tally;
+          DIABLO_ASSIGN_OR_RETURN(ValueVec part, replay(task));
+          rebuilt->push_back(std::move(part));
         }
         return Status::OK();
       },
-      1 + ChainDepth(src.chain()));
+      1 + chain_depth);
   return Dataset(std::move(out), std::move(lineage));
+}
+
+StatusOr<Dataset> Engine::GroupByKey(const Dataset& in,
+                                     const std::string& label) {
+  return RunWide({.kind = "groupByKey",
+                  .label = label,
+                  .salt = WideSpec::Salt::kChunks,
+                  .finish = GroupFinish,
+                  .merge_same_key = ConcatBags},
+                 {in});
 }
 
 StatusOr<Dataset> Engine::ReduceByKey(const Dataset& in, const ReduceFn& fn,
                                       const std::string& label) {
-  return ReduceByKeyImpl(in, fn, nullptr, ColumnSchema(), label);
+  return RunWide({.kind = "reduceByKey",
+                  .label = label,
+                  .salt = WideSpec::Salt::kStripes,
+                  .finish = [fn](WideTask<HashedVec>& t) {
+                    return FoldFinish(t, fn, nullptr);
+                  },
+                  .combine = fn},
+                 {in});
 }
 
 StatusOr<Dataset> Engine::ReduceByKey(const Dataset& in, BinOp op,
                                       const std::string& label,
                                       const ColumnSchema& schema) {
-  return ReduceByKeyImpl(
-      in,
-      [op](const Value& a, const Value& b) { return EvalBinOp(op, a, b); },
-      &op, schema, label);
+  const ReduceFn fn = [op](const Value& a, const Value& b) {
+    return EvalBinOp(op, a, b);
+  };
+  // Typed aggregation (EngineConfig::columnar): a built-in op whose
+  // key/value kinds columnarize folds with native arithmetic in the
+  // same arrival order — bit-identical results, no per-row Value
+  // allocation. The plan-time schema only ever skips the attempt (a
+  // definitely non-numeric value); kUnknown means detect from the data,
+  // and a deviating row mid-stream spills to the boxed accumulator.
+  const bool typed = config_.columnar &&
+                     TypedReduceAccumulator::SupportsOp(op) &&
+                     schema.value != ColumnTag::kString &&
+                     schema.value != ColumnTag::kBool;
+  return RunWide({.kind = "reduceByKey",
+                  .label = label,
+                  .salt = WideSpec::Salt::kStripes,
+                  .finish = [fn, op, typed](WideTask<HashedVec>& t) {
+                    return FoldFinish(t, fn, typed ? &op : nullptr);
+                  },
+                  .combine = fn,
+                  .native_op = op,
+                  .schema = schema,
+                  .typed = typed},
+                 {in});
 }
 
 StatusOr<Dataset> Engine::Join(const Dataset& left, const Dataset& right,
                                const std::string& label) {
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int left_stage = NextStageId();
-  const int right_stage = NextStageId();
-  const int join_stage = NextStageId();
-  stage_span.SetStageId(left_stage);
-  StageRecovery rec;
-  StageStats stats;
-  // Loss directives address both inputs at the operator's first stage:
-  // input 0 is the left side, input 1 the right.
-  DIABLO_ASSIGN_OR_RETURN(Dataset l, RecoverInput(left, left_stage, 0, &rec));
-  DIABLO_ASSIGN_OR_RETURN(Dataset r, RecoverInput(right, left_stage, 1, &rec));
-  int64_t bytes_l = 0, bytes_r = 0;
-  DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> ls,
-                          ShuffleWave(l, left_stage, &bytes_l, &rec, &stats));
-  DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rs,
-                          ShuffleWave(r, right_stage, &bytes_r, &rec, &stats));
-  std::vector<ValueVec> out(ls.size());
-  std::vector<int64_t> reduce_work(ls.size(), 0);
-  WaveSlots join_slots;
-  join_slots.rows = &out;
-  join_slots.nums = &reduce_work;
-  Status st = RunTaskWave(
-      label, join_stage, RowCounts(ls),
-      [&](int p, int) -> Status {
-        out[p] = JoinFinish(ls[p], rs[p]);
-        // One unit per build row, probe row and emitted match.
-        reduce_work[p] = static_cast<int64_t>(ls[p].size() + rs[p].size() +
-                                              out[p].size());
-        return Status::OK();
-      },
-      &rec, &join_slots);
-  if (!st.ok()) return st;
-  stats.label = FusedStageLabel(l.chain(), FusedStageLabel(r.chain(), label));
-  stats.wide = true;
-  stats.map_work = RowCounts(l);
-  for (int64_t c : RowCounts(r)) stats.map_work.push_back(c);
-  stats.reduce_work = std::move(reduce_work);
-  stats.shuffle_bytes = bytes_l + bytes_r;
-  stats.partition_rows = RowCounts(out);
-  for (int64_t c : RowCounts(ls)) stats.hash_agg_rows += c;
-  FinishStage(std::move(stats), rec);
-  const int out_parts = config_.num_partitions;
-  const int chain_depth =
-      std::max(ChainDepth(l.chain()), ChainDepth(r.chain()));
-  auto lineage = MakeLineage(
-      "join", label, {l.lineage(), r.lineage()}, nullptr,
-      [l, r, out_parts](const std::vector<int>& lost,
-                        std::vector<ValueVec>* rebuilt,
-                        int64_t* work) -> Status {
-        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> lrows,
-                                ReplayShuffle(l, lost, out_parts, work));
-        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rrows,
-                                ReplayShuffle(r, lost, out_parts, work));
-        for (size_t i = 0; i < lost.size(); ++i) {
-          rebuilt->push_back(JoinFinish(lrows[i], rrows[i]));
-        }
-        return Status::OK();
-      },
-      1 + chain_depth);
-  return Dataset(std::move(out), std::move(lineage));
+  return RunWide({.kind = "join", .label = label, .finish = JoinFinish},
+                 {left, right});
 }
 
 StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
                                   const std::string& label) {
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int left_stage = NextStageId();
-  const int right_stage = NextStageId();
-  const int cogroup_stage = NextStageId();
-  stage_span.SetStageId(left_stage);
-  StageRecovery rec;
-  StageStats stats;
-  DIABLO_ASSIGN_OR_RETURN(Dataset l, RecoverInput(left, left_stage, 0, &rec));
-  DIABLO_ASSIGN_OR_RETURN(Dataset r, RecoverInput(right, left_stage, 1, &rec));
-  int64_t bytes_l = 0, bytes_r = 0;
-  DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> ls,
-                          ShuffleWave(l, left_stage, &bytes_l, &rec, &stats));
-  DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rs,
-                          ShuffleWave(r, right_stage, &bytes_r, &rec, &stats));
-  std::vector<ValueVec> out(ls.size());
-  std::vector<int64_t> reduce_work(ls.size(), 0);
-  WaveSlots cg_slots;
-  cg_slots.rows = &out;
-  cg_slots.nums = &reduce_work;
-  Status st = RunTaskWave(
-      label, cogroup_stage, RowCounts(ls),
-      [&](int p, int) -> Status {
-        out[p] = CoGroupFinish(ls[p], rs[p]);
-        reduce_work[p] = static_cast<int64_t>(ls[p].size() + rs[p].size());
-        return Status::OK();
-      },
-      &rec, &cg_slots);
-  if (!st.ok()) return st;
-  stats.label = FusedStageLabel(l.chain(), FusedStageLabel(r.chain(), label));
-  stats.wide = true;
-  stats.map_work = RowCounts(l);
-  for (int64_t c : RowCounts(r)) stats.map_work.push_back(c);
-  stats.reduce_work = std::move(reduce_work);
-  stats.shuffle_bytes = bytes_l + bytes_r;
-  stats.partition_rows = RowCounts(out);
-  for (int64_t c : stats.reduce_work) stats.hash_agg_rows += c;
-  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  FinishStage(std::move(stats), rec);
-  const int out_parts = config_.num_partitions;
-  const int chain_depth =
-      std::max(ChainDepth(l.chain()), ChainDepth(r.chain()));
-  auto lineage = MakeLineage(
-      "coGroup", label, {l.lineage(), r.lineage()}, nullptr,
-      [l, r, out_parts](const std::vector<int>& lost,
-                        std::vector<ValueVec>* rebuilt,
-                        int64_t* work) -> Status {
-        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> lrows,
-                                ReplayShuffle(l, lost, out_parts, work));
-        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> rrows,
-                                ReplayShuffle(r, lost, out_parts, work));
-        for (size_t i = 0; i < lost.size(); ++i) {
-          rebuilt->push_back(CoGroupFinish(lrows[i], rrows[i]));
-        }
-        return Status::OK();
-      },
-      1 + chain_depth);
-  return Dataset(std::move(out), std::move(lineage));
+  return RunWide({.kind = "coGroup", .label = label, .finish = CoGroupFinish},
+                 {left, right});
 }
 
 StatusOr<Dataset> Engine::Union(const Dataset& in_a, const Dataset& in_b) {
@@ -2289,58 +2023,14 @@ StatusOr<Dataset> Engine::Union(const Dataset& in_a, const Dataset& in_b) {
 
 StatusOr<Dataset> Engine::Distinct(const Dataset& in,
                                    const std::string& label) {
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
   // Key each row by itself, shuffle, dedup per partition.
   DIABLO_ASSIGN_OR_RETURN(
       Dataset keyed,
       Map(in, [](const Value& v) -> StatusOr<Value> {
         return Value::MakePair(v, Value::MakeUnit());
       }, label + ".key"));
-  const int shuffle_stage = NextStageId();
-  const int dedup_stage = NextStageId();
-  stage_span.SetStageId(shuffle_stage);
-  StageRecovery rec;
-  StageStats stats;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src,
-                          RecoverInput(keyed, shuffle_stage, 0, &rec));
-  int64_t bytes = 0;
-  DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> shuffled,
-                          ShuffleWave(src, shuffle_stage, &bytes, &rec, &stats));
-  std::vector<ValueVec> out(shuffled.size());
-  WaveSlots dedup_slots;
-  dedup_slots.rows = &out;
-  Status st = RunTaskWave(
-      label, dedup_stage, RowCounts(shuffled),
-      [&](int p, int) -> Status {
-        out[p] = DistinctFinish(shuffled[p]);
-        return Status::OK();
-      },
-      &rec, &dedup_slots);
-  if (!st.ok()) return st;
-  stats.label = FusedStageLabel(src.chain(), label);
-  stats.wide = true;
-  stats.map_work = RowCounts(src);
-  stats.reduce_work = RowCounts(shuffled);
-  stats.shuffle_bytes = bytes;
-  stats.partition_rows = RowCounts(out);
-  for (int64_t c : RowCounts(shuffled)) stats.hash_agg_rows += c;
-  for (int64_t c : stats.partition_rows) stats.hash_agg_keys += c;
-  FinishStage(std::move(stats), rec);
-  const int out_parts = config_.num_partitions;
-  auto lineage = MakeLineage(
-      "distinct", label, {src.lineage()}, nullptr,
-      [src, out_parts](const std::vector<int>& lost,
-                       std::vector<ValueVec>* rebuilt,
-                       int64_t* work) -> Status {
-        DIABLO_ASSIGN_OR_RETURN(std::vector<HashedVec> parts,
-                                ReplayShuffle(src, lost, out_parts, work));
-        for (const HashedVec& part : parts) {
-          rebuilt->push_back(DistinctFinish(part));
-        }
-        return Status::OK();
-      },
-      1 + ChainDepth(src.chain()));
-  return Dataset(std::move(out), std::move(lineage));
+  return RunWide({.kind = "distinct", .label = label, .finish = DistinctFinish},
+                 {keyed});
 }
 
 StatusOr<Dataset> Engine::Checkpoint(const Dataset& in,

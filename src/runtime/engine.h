@@ -24,14 +24,18 @@ namespace diablo::runtime {
 class WorkerPool;
 class RemoteExecutor;
 class MetricsRegistry;
+/// One virtual task of a wide stage's finish wave (engine.cc).
+template <typename Rows>
+struct WideTask;
 
 /// Runtime skew mitigation (DESIGN.md §17). When one task of a combine
 /// or reduce wave would receive far more rows than its peers — a hot
 /// key, a key-clustered input layout, or many keys hashed together —
 /// the engine "salts" that task: it is split into sub-tasks that run in
 /// parallel, and a final un-salt merge reassembles the task's output
-/// byte-identically to the unmitigated run. Three mechanisms, chosen by
-/// operator so exactness never depends on luck:
+/// byte-identically to the unmitigated run. Salting is a property of
+/// the shared wide-stage wave, so it works on the boxed and the typed
+/// row layout alike; each operator picks the policy that keeps it exact:
 ///  - groupByKey reduce tasks split into contiguous row CHUNKS (a key's
 ///    bag is its values in arrival order, and concatenating per-chunk
 ///    bags in chunk order IS arrival order — exact for every type);
@@ -39,9 +43,12 @@ class MetricsRegistry;
 ///    hash modulo fanout): no key is ever split across sub-tasks, so
 ///    any reduce function stays exact, and the merge is a disjoint
 ///    sorted merge;
-///  - reduceByKey combine tasks over provably bit-associative folds
-///    (native {+, *, min, max} on int64 payloads) split into contiguous
-///    row chunks whose partials re-merge in the normal reduce stage.
+///  - reduceByKey combine tasks split into contiguous row chunks whose
+///    partials re-merge in the normal reduce stage, only under the
+///    exactness proof: a native {+, *, min, max} over a plan-time int64
+///    value schema, with every folded payload int64 at run time (these
+///    ops are bit-associative on wrapping int64);
+///  - join, coGroup and distinct do not salt.
 struct SkewConfig {
   /// Master switch (diablo_run --no-skew; the AB10 ablation baseline).
   bool mitigate = true;
@@ -181,11 +188,13 @@ struct StageRecovery {
 /// StageStats::fused_ops / rows_not_materialized /
 /// bytes_not_materialized make the saved intermediates observable.
 ///
-/// Wide operators aggregate through KeyedAccumulator keyed by the key
-/// hash the shuffle scatter computed once and carried with the row.
-/// Each one has a single per-destination finish that both its forward
-/// reduce wave and its lineage replay call, so a rebuilt partition is
-/// produced by the same code as the original.
+/// Wide operators all run one wide-stage wave (RunWide): scatter each
+/// input side, salt and finish per destination, record the stage once.
+/// They aggregate through KeyedAccumulator keyed by the key hash the
+/// scatter computed once and carried with the row. Each one has a single
+/// per-destination finish that both its forward finish wave and its
+/// lineage replay call, so a rebuilt partition is produced by the same
+/// code as the original.
 ///
 /// Rows of keyed datasets are pair tuples (key, value); the key may be any
 /// Value (ints, tuples of ints, strings, ...).
@@ -398,8 +407,10 @@ class Engine {
   StatusOr<int64_t> Count(const Dataset& in);
 
  private:
-  /// Emits one shuffled row: (memoized key hash, row).
-  using EmitFn = std::function<Status(size_t, const Value&)>;
+  /// A wide operator's description for RunWide, and one such operator's
+  /// stage in flight (both defined in engine.cc).
+  struct WideSpec;
+  struct WideRun;
 
   /// Runs fn(0..n-1), using up to config_.host_threads threads (the
   /// persistent pool). All partitions that could fail with a
@@ -443,49 +454,49 @@ class Engine {
   StatusOr<Dataset> RecoverInput(const Dataset& in, int stage,
                                  int input_index, StageRecovery* rec);
 
-  /// Shared scatter core of the shuffle waves: `produce(p, emit)` emits
-  /// every (key hash, row) of source partition p; the core routes each
-  /// row to hash % num_partitions (with optional wire-format round-trip
-  /// and payload corruption injection), returning per-destination rows
-  /// that CARRY the memoized key hash and the number of bytes moved.
-  /// When `dest_bytes` is non-null the bytes received per destination
-  /// partition are ACCUMULATED into it (the per-partition byte
-  /// histogram of the profile export).
-  /// `tallies` (nullable) are the per-source-task fused-chain tallies
-  /// the producer writes; listed here so the remote backend marshals
-  /// them back with the buckets.
-  StatusOr<std::vector<HashedVec>> ShuffleCore(
-      int stage, const std::vector<int64_t>& task_work,
-      const std::function<Status(int, const EmitFn&)>& produce,
-      int64_t* shuffle_bytes, std::vector<int64_t>* dest_bytes,
-      std::vector<ChainTally>* tallies, StageRecovery* rec);
+  /// The wide-stage wave (DESIGN.md §12) that groupByKey, reduceByKey,
+  /// join, coGroup and distinct all instantiate: allocates the stage ids,
+  /// recovers lost inputs, runs reduceByKey's map-side combine
+  /// (CombineWave), scatters every input side (ScatterWave) and runs the
+  /// salted per-destination finish (FinishWave), which records the stage
+  /// once and builds its one lineage closure.
+  StatusOr<Dataset> RunWide(const WideSpec& spec,
+                            const std::vector<Dataset>& inputs);
 
-  /// Hash-partitions keyed rows of `in` into num_partitions buckets as
-  /// one task wave: a single-pass scatter that applies `in`'s pending
-  /// fused chain element-by-element and hashes each produced row's key
-  /// ONCE into its destination buffer; the reduce side reuses the
-  /// carried hash instead of rehashing.
-  StatusOr<std::vector<HashedVec>> ShuffleWave(const Dataset& in, int stage,
-                                               int64_t* shuffle_bytes,
-                                               StageRecovery* rec,
-                                               StageStats* stats);
+  /// reduceByKey's map-side combine wave over run.inputs[0], folding each
+  /// source partition (or contiguous chunk of a hot one) into the typed
+  /// accumulator or the boxed one. Fills `boxed` or `typed` with the
+  /// key-sorted partials per combine task and returns true when the
+  /// output stays on the typed layout: only when no boxed rows are needed
+  /// before the finish (no wire format, fault injection or remote
+  /// backend) and every non-empty task stayed typed with one shape.
+  StatusOr<bool> CombineWave(WideRun& run, int stage,
+                             std::vector<HashedVec>* boxed,
+                             std::vector<TypedRows>* typed);
 
-  /// ShuffleWave over rows whose key hashes are already memoized (the
-  /// map-side combine output of ReduceByKey): no key is ever rehashed.
-  StatusOr<std::vector<HashedVec>> ShuffleHashed(
-      const std::vector<HashedVec>& in, int stage, int64_t* shuffle_bytes,
-      StageRecovery* rec, StageStats* stats);
+  /// One shuffle wave over a row layout (HashedVec or TypedRows):
+  /// `produce(p, scratch)` yields source task p's entries, each carrying
+  /// its memoized key hash (the boxed producer fills `scratch`); entry i
+  /// goes to destination hash % num_partitions, with the wire-format
+  /// round-trip and corruption injection on the boxed layout. Charges
+  /// the moved bytes to run.stats (shuffle_bytes, partition_bytes) and
+  /// appends the per-destination rows, sources concatenated in order, to
+  /// `sides`. `tallies` (nullable) are the producer's per-task fused
+  /// chain tallies, listed so the remote backend marshals them back.
+  template <typename Rows>
+  Status ScatterWave(
+      WideRun& run, int stage, const std::vector<int64_t>& task_work,
+      const std::function<StatusOr<const Rows*>(int, Rows*)>& produce,
+      std::vector<ChainTally>* tallies, std::vector<std::vector<Rows>>* sides);
 
-  /// ShuffleHashed without the boxing: scatters typed combine output
-  /// (runtime/column_batch.h TypedRows — cached hashes, raw key bits,
-  /// numeric payloads) straight into per-destination typed arrays. Only
-  /// engaged when every combine partition stayed typed with one
-  /// key/payload shape and no wire format, fault injection or remote
-  /// backend needs boxed rows; byte accounting charges exactly what the
-  /// boxed pair rows would have weighed, so stats match ShuffleHashed.
-  StatusOr<std::vector<TypedRows>> ShuffleTyped(
-      const std::vector<TypedRows>& in, int stage, int64_t* shuffle_bytes,
-      StageRecovery* rec, StageStats* stats);
+  /// The finish wave over the shuffled `sides`: salts side 0's hot
+  /// destinations by the operator's policy, runs `finish` once per
+  /// virtual task, un-salt merges, records the stage from what the
+  /// finishes reported, and builds the output's lineage node.
+  template <typename Rows>
+  StatusOr<Dataset> FinishWave(
+      WideRun& run, const std::vector<std::vector<Rows>>& sides,
+      const std::function<StatusOr<ValueVec>(WideTask<Rows>&)>& finish);
 
   /// Columnar Force (EngineConfig::columnar): runs a fully-kernelized
   /// fused chain as column batches — one unbox per source row, each
@@ -496,15 +507,6 @@ class Engine {
   /// backend the batches themselves cross the wire (wave_io col_batches
   /// slot); the driver re-boxes after the wave.
   StatusOr<Dataset> ForceColumnar(const Dataset& in);
-
-  /// Shared implementation of both ReduceByKey overloads. `native_op`
-  /// is non-null when the reduction is a built-in operator the columnar
-  /// typed accumulator may take over; `fn` is always the semantic truth
-  /// (the boxed fallback and recovery use it).
-  StatusOr<Dataset> ReduceByKeyImpl(const Dataset& in, const ReduceFn& fn,
-                                    const BinOp* native_op,
-                                    const ColumnSchema& schema,
-                                    const std::string& label);
 
   /// Merges `rec` into `stats` and records the stage.
   void FinishStage(StageStats stats, const StageRecovery& rec);

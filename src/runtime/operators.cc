@@ -102,9 +102,9 @@ StatusOr<Value> NumericOp(BinOp op, const Value& a, const Value& b) {
   if (a.is_int() && b.is_int()) {
     int64_t x = a.AsInt(), y = b.AsInt();
     switch (op) {
-      case BinOp::kAdd: return Value::MakeInt(x + y);
-      case BinOp::kSub: return Value::MakeInt(x - y);
-      case BinOp::kMul: return Value::MakeInt(x * y);
+      case BinOp::kAdd:
+      case BinOp::kSub:
+      case BinOp::kMul: return Value::MakeInt(WrapInt64(op, x, y));
       case BinOp::kDiv:
         if (y == 0) return Status::RuntimeError("integer division by zero");
         // INT64_MIN / -1 overflows int64 (and traps on x86).
@@ -229,7 +229,9 @@ StatusOr<Value> EvalBinOp(BinOp op, const Value& a, const Value& b) {
 StatusOr<Value> EvalUnOp(UnOp op, const Value& v) {
   switch (op) {
     case UnOp::kNeg:
-      if (v.is_int()) return Value::MakeInt(-v.AsInt());
+      if (v.is_int()) {
+        return Value::MakeInt(WrapInt64(BinOp::kSub, 0, v.AsInt()));
+      }
       if (v.is_double()) return Value::MakeDouble(-v.AsDouble());
       return Status::RuntimeError(
           StrCat("unary '-' applied to ", KindName(v.kind())));

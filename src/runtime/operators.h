@@ -1,6 +1,7 @@
 #ifndef DIABLO_RUNTIME_OPERATORS_H_
 #define DIABLO_RUNTIME_OPERATORS_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -24,6 +25,22 @@ enum class BinOp {
 };
 
 enum class UnOp { kNeg, kNot };
+
+/// int64 `+`, `-` and `*` (`op` is one of the three) with
+/// two's-complement wrap-around on overflow — Scala Long semantics, the
+/// paper's target — where plain C++ arithmetic would be undefined.
+/// Negation is WrapInt64(BinOp::kSub, 0, x). Every evaluator (boxed,
+/// columnar kernels, typed folds, the static analyses) goes through it,
+/// which also makes + and * bit-associative on int64.
+constexpr int64_t WrapInt64(BinOp op, int64_t x, int64_t y) {
+  const auto a = static_cast<uint64_t>(x);
+  const auto b = static_cast<uint64_t>(y);
+  switch (op) {
+    case BinOp::kAdd: return static_cast<int64_t>(a + b);
+    case BinOp::kSub: return static_cast<int64_t>(a - b);
+    default: return static_cast<int64_t>(a * b);  // kMul
+  }
+}
 
 /// The operator's surface syntax ("+", "==", "min", ...).
 const char* BinOpName(BinOp op);

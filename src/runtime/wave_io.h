@@ -76,9 +76,10 @@ struct WaveSlots {
   std::vector<std::vector<HashedVec>>* buckets = nullptr;
   /// Per-task partial aggregate (Reduce).
   std::vector<std::optional<Value>>* partials = nullptr;
-  /// One per-task counter (moved bytes, written bytes, reduce work).
+  /// One per-task counter (moved bytes, written bytes).
   std::vector<int64_t>* nums = nullptr;
-  /// Per-task counter vector (per-destination shuffle bytes).
+  /// Per-task counter vector (per-destination shuffle bytes, a wide
+  /// finish task's work and keyed-table counts).
   std::vector<std::vector<int64_t>>* num_vecs = nullptr;
   /// Fused-chain materialization tallies per task.
   std::vector<ChainTally>* tallies = nullptr;

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -102,6 +103,29 @@ TEST(ApplyMapKernelTest, MatchesEvalBinOpOnCoveredCombinations) {
         }
       }
     }
+  }
+}
+
+TEST(ApplyMapKernelTest, Int64OverflowWrapsLikeEvalBinOp) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  // (row, op, operand, wrapped result); 0 - INT64_MIN is -INT64_MIN.
+  const struct {
+    int64_t row;
+    BinOp op;
+    int64_t operand;
+    int64_t want;
+  } cases[] = {{kMax, BinOp::kAdd, 1, kMin},
+               {kMin, BinOp::kSub, 1, kMax},
+               {kMin, BinOp::kMul, -1, kMin},
+               {0, BinOp::kSub, kMin, kMin}};
+  for (const auto& c : cases) {
+    Column col;
+    col.Append(I(c.row));
+    std::vector<uint8_t> live(1, 1);
+    ASSERT_TRUE(ApplyMapKernel(c.op, I(c.operand), live, &col));
+    EXPECT_EQ(col.ValueAt(0), I(c.want)) << BinOpName(c.op);
+    EXPECT_EQ(col.ValueAt(0), *EvalBinOp(c.op, I(c.row), I(c.operand)));
   }
 }
 
@@ -298,8 +322,10 @@ TEST(TypedReduceAccumulatorTest, StringKeysEmitSortedWithCachedHashes) {
   for (const Value& row : rows) ASSERT_TRUE(typed.Add(row));
   EXPECT_EQ(typed.size(), 13u);
 
+  TypedRows typed_rows;
+  typed.EmitSortedTyped(&typed_rows);
   HashedVec hashed;
-  typed.EmitSortedHashed(&hashed);
+  typed_rows.EmitHashed(&hashed);
   ValueVec plain;
   typed.EmitSortedRows(&plain);
   ASSERT_EQ(hashed.size(), plain.size());

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace diablo::runtime {
 namespace {
 
@@ -19,6 +21,16 @@ TEST(Operators, IntArithmetic) {
   EXPECT_EQ(EvalBinOp(BinOp::kMul, I(2), I(3))->AsInt(), 6);
   EXPECT_EQ(EvalBinOp(BinOp::kDiv, I(7), I(2))->AsInt(), 3);
   EXPECT_EQ(EvalBinOp(BinOp::kMod, I(7), I(2))->AsInt(), 1);
+}
+
+TEST(Operators, Int64ArithmeticWrapsOnOverflow) {
+  // Scala Long semantics: two's-complement wrap-around, never UB.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(EvalBinOp(BinOp::kAdd, I(kMax), I(1))->AsInt(), kMin);
+  EXPECT_EQ(EvalBinOp(BinOp::kSub, I(kMin), I(1))->AsInt(), kMax);
+  EXPECT_EQ(EvalBinOp(BinOp::kMul, I(kMin), I(-1))->AsInt(), kMin);
+  EXPECT_EQ(EvalUnOp(UnOp::kNeg, I(kMin))->AsInt(), kMin);
 }
 
 TEST(Operators, MixedArithmeticWidens) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "parser/parser.h"
 #include "runtime/operators.h"
 
@@ -43,6 +45,23 @@ TEST(Reference, ScalarArithmeticAndWhile) {
       n := n * 2;
   )", {});
   EXPECT_EQ(interp.GetScalar("n")->AsInt(), 128);
+}
+
+TEST(Reference, Int64ArithmeticWrapsOnOverflow) {
+  auto interp = MustRun(R"(
+    var big: int = 9223372036854775807;
+    var small: int = -9223372036854775807 - 1;
+    var add: int = big + 1;
+    var sub: int = small - 1;
+    var mul: int = small * -1;
+    var neg: int = -small;
+  )", {});
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(interp.GetScalar("add")->AsInt(), kMin);
+  EXPECT_EQ(interp.GetScalar("sub")->AsInt(), kMax);
+  EXPECT_EQ(interp.GetScalar("mul")->AsInt(), kMin);
+  EXPECT_EQ(interp.GetScalar("neg")->AsInt(), kMin);
 }
 
 TEST(Reference, ForRangeInclusive) {

@@ -11,8 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,6 +72,21 @@ ValueVec SkewedStringRows(int64_t n, int64_t keys, double hot_share) {
         Value::MakePair(S("key-" + std::to_string(key)), I(i % 1000)));
   }
   return rows;
+}
+
+/// One source partition of 16000 rows and seven of 200: the map-side
+/// combine of partition 0 is the straggler a combine split targets.
+std::vector<ValueVec> HotSourceParts(const std::function<Value(int64_t)>& key) {
+  std::vector<ValueVec> parts(8);
+  for (int64_t i = 0; i < 16000; ++i) {
+    parts[0].push_back(Value::MakePair(key(i % 50), I(i % 1000)));
+  }
+  for (int p = 1; p < 8; ++p) {
+    for (int64_t i = 0; i < 200; ++i) {
+      parts[p].push_back(Value::MakePair(key(i % 50), I(i)));
+    }
+  }
+  return parts;
 }
 
 /// Engine config whose skew thresholds are scaled down so test-sized
@@ -133,6 +152,38 @@ StatusOr<std::string> OrderedModelBytes(const std::vector<ValueVec>& src,
 
 StatusOr<Value> Add(const Value& a, const Value& b) {
   return EvalBinOp(BinOp::kAdd, a, b);
+}
+
+/// The combine-split workload: reduceByKey (+) over `parts` (default
+/// HotSourceParts with int keys) behind a forced mapValues (value + 1),
+/// with the int64 value schema the planner would infer. The forced
+/// prefix gives lost-partition directives a lineage to recompute.
+StatusOr<Dataset> ReduceHotSource(
+    Engine& engine, std::vector<ValueVec> parts = HotSourceParts(I)) {
+  DIABLO_ASSIGN_OR_RETURN(
+      Dataset shifted,
+      engine.MapValues(Dataset(std::move(parts)), BinOp::kAdd, I(1)));
+  DIABLO_ASSIGN_OR_RETURN(Dataset in, engine.Force(shifted));
+  ColumnSchema schema;
+  schema.value = ColumnTag::kInt64;
+  return engine.ReduceByKey(in, BinOp::kAdd, "reduceByKey", schema);
+}
+
+/// Runs ReduceHotSource on `config` and expects the bytes of the
+/// unmitigated fault-free run, with the combine actually split.
+void ExpectHotSourceSplitExact(const EngineConfig& config) {
+  EngineConfig base = SkewTestConfig(/*mitigate=*/false);
+  base.columnar = config.columnar;
+  Engine plain(base);
+  StatusOr<Dataset> expected = ReduceHotSource(plain);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  const std::string want = Bytes(plain, *expected);
+  Engine engine(config);
+  StatusOr<Dataset> got = ReduceHotSource(engine);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(Bytes(engine, *got), want);
+  EXPECT_GT(engine.metrics().total_salt_fanout(), 0)
+      << engine.metrics().Report();
 }
 
 StatusOr<Dataset> ReduceAdd(Engine& engine, const Dataset& in) {
@@ -295,6 +346,13 @@ TEST(SkewFaultTest, FaultInjectionByteIdentical) {
   EXPECT_EQ(Bytes(engine, *got), want);
   EXPECT_GT(engine.metrics().total_attempts(),
             clean.metrics().total_attempts());
+
+  // A combine split under injected kills, on both layouts.
+  for (bool columnar : {true, false}) {
+    SCOPED_TRACE(columnar ? "columnar" : "boxed");
+    faulty.columnar = columnar;
+    ExpectHotSourceSplitExact(faulty);
+  }
 }
 
 TEST(SkewFaultTest, LostPartitionRecoveryByteIdentical) {
@@ -315,6 +373,18 @@ TEST(SkewFaultTest, LostPartitionRecoveryByteIdentical) {
   StatusOr<Dataset> got = engine.GroupByKey(engine.Parallelize(rows));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Bytes(engine, *got), want);
+
+  // Lose the hot source partition (and a cold one) of the combine stage
+  // (stage 1, after the forced prefix): it is rebuilt from lineage, then
+  // combined in chunks.
+  EngineConfig lossy = SkewTestConfig(/*mitigate=*/true);
+  lossy.faults.lose_partitions.push_back({1, 0, 0});
+  lossy.faults.lose_partitions.push_back({1, 3, 0});
+  for (bool columnar : {true, false}) {
+    SCOPED_TRACE(columnar ? "columnar" : "boxed");
+    lossy.columnar = columnar;
+    ExpectHotSourceSplitExact(lossy);
+  }
 }
 
 TEST(SkewFaultTest, SerializedShufflesByteIdentical) {
@@ -333,6 +403,16 @@ TEST(SkewFaultTest, SerializedShufflesByteIdentical) {
       engine.ReduceByKey(engine.Parallelize(rows), BinOp::kMax);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Bytes(engine, *got), want);
+
+  // A combine split whose partials cross the wire format, with payload
+  // corruption retried.
+  wire.faults.seed = 5;
+  wire.faults.corrupt_shuffle_rate = 0.01;
+  for (bool columnar : {true, false}) {
+    SCOPED_TRACE(columnar ? "columnar" : "boxed");
+    wire.columnar = columnar;
+    ExpectHotSourceSplitExact(wire);
+  }
 }
 
 TEST(SkewDistTest, DistWorkersWithChaosByteIdentical) {
@@ -358,6 +438,14 @@ TEST(SkewDistTest, DistWorkersWithChaosByteIdentical) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Bytes(engine, *got), want);
   EXPECT_GT(engine.metrics().total_dist_tasks(), 0);
+
+  // A combine split over worker processes, with a worker killed in the
+  // combine wave (stage 1, after the forced prefix).
+  for (bool columnar : {true, false}) {
+    SCOPED_TRACE(columnar ? "columnar" : "boxed");
+    config.columnar = columnar;
+    ExpectHotSourceSplitExact(config);
+  }
 }
 
 TEST(SkewCountersTest, GroupByKeyHotKeySalts) {
@@ -399,18 +487,111 @@ TEST(SkewCountersTest, ReduceByKeyImbalancedPartitionsSplitCombine) {
   schema.key = ColumnTag::kInt64;
   schema.value = ColumnTag::kInt64;
 
-  Engine plain(SkewTestConfig(/*mitigate=*/false));
-  std::string want = Bytes(
-      plain,
-      *plain.ReduceByKey(Dataset(parts), BinOp::kAdd, "reduceByKey", schema));
+  // Both row layouts, whatever the build's columnar default.
+  for (bool columnar : {true, false}) {
+    SCOPED_TRACE(columnar ? "columnar" : "boxed");
+    EngineConfig plain_config = SkewTestConfig(/*mitigate=*/false);
+    plain_config.columnar = columnar;
+    Engine plain(plain_config);
+    std::string want = Bytes(
+        plain, *plain.ReduceByKey(Dataset(parts), BinOp::kAdd, "reduceByKey",
+                                  schema));
 
-  Engine salted(SkewTestConfig(/*mitigate=*/true));
-  StatusOr<Dataset> got =
-      salted.ReduceByKey(Dataset(parts), BinOp::kAdd, "reduceByKey", schema);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(Bytes(salted, *got), want);
-  EXPECT_GT(salted.metrics().total_salt_fanout(), 0)
-      << salted.metrics().Report();
+    EngineConfig salted_config = SkewTestConfig(/*mitigate=*/true);
+    salted_config.columnar = columnar;
+    Engine salted(salted_config);
+    StatusOr<Dataset> got =
+        salted.ReduceByKey(Dataset(parts), BinOp::kAdd, "reduceByKey", schema);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(Bytes(salted, *got), want);
+    EXPECT_GT(salted.metrics().total_salt_fanout(), 0)
+        << salted.metrics().Report();
+  }
+}
+
+TEST(SkewCountersTest, DirtyCombineChunkFallsBackExactly) {
+  // The plan claims int64 values, but one chunk of the hot partition
+  // folds a double: that chunk's partials are not exactly re-mergeable,
+  // so the whole partition re-runs unsplit — on either layout the bytes
+  // are those of the unmitigated run.
+  std::vector<ValueVec> parts = HotSourceParts(I);
+  parts[0][9000] = Value::MakePair(I(0), D(0.5));
+  for (bool columnar : {true, false}) {
+    SCOPED_TRACE(columnar ? "columnar" : "boxed");
+    EngineConfig plain_config = SkewTestConfig(/*mitigate=*/false);
+    plain_config.columnar = columnar;
+    Engine plain(plain_config);
+    StatusOr<Dataset> expected = ReduceHotSource(plain, parts);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    EngineConfig salted_config = SkewTestConfig(/*mitigate=*/true);
+    salted_config.columnar = columnar;
+    Engine salted(salted_config);
+    StatusOr<Dataset> got = ReduceHotSource(salted, parts);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(Bytes(salted, *got), Bytes(plain, *expected));
+  }
+}
+
+TEST(SkewCountersTest, Int64OverflowWrapsOnBothLayoutsAndSplitCombines) {
+  // Sums that overflow int64 wrap (Scala Long semantics), identically in
+  // the typed and the boxed fold — and a combine split stays exact,
+  // because wrapping + and * are bit-associative.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const ValueVec small = {Value::MakePair(I(0), I(kMax)),
+                          Value::MakePair(I(0), I(1)),
+                          Value::MakePair(I(1), I(kMin)),
+                          Value::MakePair(I(1), I(-1))};
+  std::vector<ValueVec> hot(8);
+  for (int64_t i = 0; i < 16000; ++i) {
+    hot[0].push_back(Value::MakePair(I(i % 50), I(kMax - i % 7)));
+  }
+  for (int p = 1; p < 8; ++p) {
+    hot[p].push_back(Value::MakePair(I(p), I(kMin)));
+  }
+  ColumnSchema schema;
+  schema.value = ColumnTag::kInt64;
+  std::string want_small, want_hot;
+  for (bool columnar : {true, false}) {
+    for (bool mitigate : {false, true}) {
+      SCOPED_TRACE(std::string(columnar ? "columnar" : "boxed") +
+                   (mitigate ? " salted" : ""));
+      EngineConfig config = SkewTestConfig(mitigate);
+      config.columnar = columnar;
+      Engine engine(config);
+      StatusOr<Dataset> sums =
+          engine.ReduceByKey(engine.Parallelize(small), BinOp::kAdd);
+      ASSERT_TRUE(sums.ok()) << sums.status().ToString();
+      StatusOr<ValueVec> rows = engine.Collect(*sums);
+      ASSERT_TRUE(rows.ok());
+      std::map<int64_t, int64_t> by_key;
+      for (const Value& r : *rows) {
+        by_key[r.tuple()[0].AsInt()] = r.tuple()[1].AsInt();
+      }
+      EXPECT_EQ(by_key[0], kMin);  // INT64_MAX + 1
+      EXPECT_EQ(by_key[1], kMax);  // INT64_MIN - 1
+      StatusOr<Dataset> products = engine.ReduceByKey(
+          engine.Parallelize({Value::MakePair(I(2), I(kMin)),
+                              Value::MakePair(I(2), I(-1))}),
+          BinOp::kMul);
+      ASSERT_TRUE(products.ok()) << products.status().ToString();
+      StatusOr<Value> product = engine.First(*products);
+      ASSERT_TRUE(product.ok());
+      // INT64_MIN * -1, which is also -INT64_MIN.
+      EXPECT_EQ(product->tuple()[1].AsInt(), kMin);
+      const std::string small_bytes = Bytes(engine, *sums);
+      if (want_small.empty()) want_small = small_bytes;
+      EXPECT_EQ(small_bytes, want_small);
+
+      StatusOr<Dataset> big =
+          engine.ReduceByKey(Dataset(hot), BinOp::kAdd, "reduceByKey", schema);
+      ASSERT_TRUE(big.ok()) << big.status().ToString();
+      const std::string hot_bytes = Bytes(engine, *big);
+      if (want_hot.empty()) want_hot = hot_bytes;
+      EXPECT_EQ(hot_bytes, want_hot);
+      EXPECT_EQ(engine.metrics().total_salt_fanout() > 0, mitigate);
+    }
+  }
 }
 
 TEST(SkewCountersTest, ReduceByKeyHotDestinationStripes) {
@@ -476,6 +657,184 @@ TEST(SkewCountersTest, StringKeyShuffleStaysTyped) {
     EXPECT_EQ(s.columnar_rows_fallback, 0)
         << "stage '" << s.label << "' fell back to boxed rows";
   }
+}
+
+// ---- wide-stage accounting golden ----
+//
+// Pins every deterministic StageStats field of the five wide operators
+// across columnar on/off, skew mitigation on/off (with inputs that
+// chunk-split groupByKey, combine-split reduceByKey and stripe
+// reduceByKey) and fault-free vs faults plus wire-format shuffles.
+// Wall-clock times and memory watermarks are left out. Both columnar
+// settings are set explicitly, so every build shares one golden
+// (regenerate with DIABLO_REGOLD=1).
+
+/// 6000 rows over 3000 int keys that all hash to destination 0 of 8:
+/// one reduce task receives everything, so its wave stripes.
+ValueVec HotDestinationRows() {
+  std::vector<int64_t> hot_keys;
+  for (int64_t k = 0; hot_keys.size() < 3000; ++k) {
+    if (I(k).Hash() % 8 == 0) hot_keys.push_back(k);
+  }
+  ValueVec rows;
+  for (int rep = 0; rep < 2; ++rep) {
+    for (int64_t k : hot_keys) {
+      rows.push_back(Value::MakePair(I(k), I(k % 1000)));
+    }
+  }
+  return rows;
+}
+
+ValueVec ModPairs(int64_t n, int64_t keys, int64_t scale) {
+  ValueVec rows;
+  for (int64_t i = 0; i < n; ++i) {
+    rows.push_back(Value::MakePair(I(i % keys), I(i * scale)));
+  }
+  return rows;
+}
+
+std::string JoinInts(const std::vector<int64_t>& xs) {
+  std::string out = "[";
+  for (size_t i = 0; i < xs.size(); ++i) {
+    if (i > 0) out += ",";
+    out += std::to_string(xs[i]);
+  }
+  return out + "]";
+}
+
+std::string DumpStage(const StageStats& s) {
+  std::string out = "  " + s.label + "\n";
+  auto field = [&](const char* name, const std::string& v) {
+    out += std::string("    ") + name + "=" + v + "\n";
+  };
+  field("map_work", JoinInts(s.map_work));
+  field("reduce_work", JoinInts(s.reduce_work));
+  field("shuffle_bytes", std::to_string(s.shuffle_bytes));
+  field("partition_rows", JoinInts(s.partition_rows));
+  field("partition_bytes", JoinInts(s.partition_bytes));
+  field("attempts", std::to_string(s.attempts));
+  field("fused_ops", std::to_string(s.fused_ops));
+  field("hash_agg", std::to_string(s.hash_agg_rows) + " rows, " +
+                        std::to_string(s.hash_agg_keys) + " keys");
+  field("columnar", std::to_string(s.columnar_batches) + " batches, " +
+                        std::to_string(s.columnar_rows_fallback) +
+                        " rows_fallback");
+  field("salt", std::to_string(s.salted_keys) + " salted_keys, " +
+                    std::to_string(s.salt_fanout) + " fanout");
+  return out;
+}
+
+TEST(WideAccountingGolden, StageStatsMatchGolden) {
+  using WideRun = std::function<StatusOr<Dataset>(Engine&)>;
+  // Every keyed input gets a kernel mapValues (value + 1) that fuses
+  // into the operator's first wave.
+  auto shifted = [](Engine& e, Dataset in) {
+    return e.MapValues(in, BinOp::kAdd, I(1));
+  };
+  ColumnSchema int_values;
+  int_values.value = ColumnTag::kInt64;
+  const Engine::ReduceFn max_fn = [](const Value& a,
+                                     const Value& b) -> StatusOr<Value> {
+    return a.AsInt() >= b.AsInt() ? a : b;
+  };
+  auto reduce_hot_source = [&](std::function<Value(int64_t)> key) -> WideRun {
+    return [&, key](Engine& e) -> StatusOr<Dataset> {
+      DIABLO_ASSIGN_OR_RETURN(Dataset in,
+                              shifted(e, Dataset(HotSourceParts(key))));
+      return e.ReduceByKey(in, BinOp::kAdd, "reduceByKey", int_values);
+    };
+  };
+  const std::vector<std::pair<std::string, WideRun>> ops = {
+      {"groupByKey_chunks",
+       [&](Engine& e) -> StatusOr<Dataset> {
+         DIABLO_ASSIGN_OR_RETURN(
+             Dataset in, shifted(e, e.Parallelize(SkewedRows(12000, 32, 0.9))));
+         return e.GroupByKey(in);
+       }},
+      {"reduceByKey_int_combine_split", reduce_hot_source(I)},
+      {"reduceByKey_string_combine_split",
+       reduce_hot_source(
+           [](int64_t k) { return S("key-" + std::to_string(k)); })},
+      {"reduceByKey_tuple_combine_split",
+       reduce_hot_source([](int64_t k) {
+         return Value::MakePair(I(k % 10), I(k / 10));
+       })},
+      {"reduceByKey_int_stripes",
+       [&](Engine& e) -> StatusOr<Dataset> {
+         DIABLO_ASSIGN_OR_RETURN(
+             Dataset in, shifted(e, e.Parallelize(HotDestinationRows())));
+         return e.ReduceByKey(in, BinOp::kAdd);
+       }},
+      {"reduceByKey_userfn_stripes",
+       [&](Engine& e) -> StatusOr<Dataset> {
+         DIABLO_ASSIGN_OR_RETURN(
+             Dataset in, shifted(e, e.Parallelize(HotDestinationRows())));
+         return e.ReduceByKey(in, max_fn);
+       }},
+      {"join",
+       [&](Engine& e) -> StatusOr<Dataset> {
+         DIABLO_ASSIGN_OR_RETURN(
+             Dataset l, shifted(e, e.Parallelize(ModPairs(2000, 200, 1))));
+         return e.Join(l, e.Parallelize(ModPairs(1500, 300, 2)));
+       }},
+      {"coGroup",
+       [&](Engine& e) -> StatusOr<Dataset> {
+         DIABLO_ASSIGN_OR_RETURN(
+             Dataset l, shifted(e, e.Parallelize(ModPairs(2000, 200, 1))));
+         return e.CoGroup(l, e.Parallelize(ModPairs(1500, 300, 2)));
+       }},
+      {"distinct",
+       [&](Engine& e) -> StatusOr<Dataset> {
+         ValueVec rows;
+         for (int64_t i = 0; i < 3000; ++i) rows.push_back(I(i % 500));
+         return e.Distinct(e.Parallelize(rows));
+       }},
+  };
+
+  std::string got;
+  for (const auto& [name, run] : ops) {
+    for (bool columnar : {true, false}) {
+      for (bool mitigate : {false, true}) {
+        for (bool faults : {false, true}) {
+          EngineConfig config = SkewTestConfig(mitigate);
+          config.columnar = columnar;
+          if (faults) {
+            config.serialize_shuffles = true;
+            config.faults.seed = 23;
+            config.faults.task_failure_rate = 0.1;
+            config.faults.corrupt_shuffle_rate = 0.0005;
+            config.faults.max_task_attempts = 8;
+          }
+          Engine engine(config);
+          StatusOr<Dataset> out = run(engine);
+          ASSERT_TRUE(out.ok()) << name << ": " << out.status().ToString();
+          got += "== " + name + " columnar=" + std::to_string(columnar) +
+                 " mitigate=" + std::to_string(mitigate) +
+                 " faults=" + std::to_string(faults) + "\n";
+          for (const StageStats& s : engine.metrics().stages()) {
+            got += DumpStage(s);
+          }
+        }
+      }
+    }
+  }
+
+  const std::string golden_path =
+      std::string(GOLDEN_DIR) + "/wide_stage_stats.txt";
+  if (std::getenv("DIABLO_REGOLD") != nullptr) {
+    std::ofstream out(golden_path);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << got;
+    GTEST_SKIP() << "regenerated " << golden_path;
+  }
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path
+                         << " (regenerate with DIABLO_REGOLD=1)";
+  std::ostringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(got, want.str())
+      << "wide-stage accounting changed; if intended, rerun with "
+         "DIABLO_REGOLD=1";
 }
 
 // ---- profile feedback: graceful degradation on stale profiles ----
