@@ -5,7 +5,8 @@
 // Reproduces the paper's qualitative result: DIABLO translates every
 // program in microseconds-to-milliseconds; the template/synthesis
 // approaches are orders of magnitude slower on the flat loops and fail on
-// the complex programs (the paper's `fail` / missing entries).
+// the complex programs (the paper's `fail` / missing entries). Exits 1
+// when DIABLO fails to compile any program (marked `!` in its row).
 
 #include <chrono>
 #include <cstdio>
@@ -31,6 +32,7 @@ int main() {
               "(mean of 4 runs, as in the paper)\n");
   std::printf("%-24s %14s %20s %20s\n", "program", "DIABLO",
               "MOLD-like", "Casper-like");
+  int failures = 0;
   for (const auto& entry : diablo::bench::Table1Programs()) {
     // DIABLO compiles every program; average 4 runs.
     double diablo_ms = 0;
@@ -68,6 +70,12 @@ int main() {
     }
     std::printf("%-24s %11.3f%s %20s %20s\n", entry.name.c_str(), diablo_ms,
                 diablo_ok ? "" : "!", mold_col, casper_col);
+    if (!diablo_ok) ++failures;
+  }
+  if (failures > 0) {
+    std::fprintf(stderr, "DIABLO failed to compile %d program(s) (!)\n",
+                 failures);
+    return 1;
   }
   std::printf(
       "\nDIABLO translates all 16 programs; the baselines handle only the\n"

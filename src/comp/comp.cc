@@ -346,7 +346,7 @@ void FreeVarsInto(const CExprPtr& e, std::set<std::string>* bound,
 // ----------------------------- Substitute ----------------------------------
 
 CompPtr SubstituteComp(const CompPtr& comp,
-                       std::map<std::string, CExprPtr> subst);
+                       const std::map<std::string, CExprPtr>& outer);
 
 }  // namespace
 
@@ -363,83 +363,123 @@ CExprPtr Substitute(const CExprPtr& e,
     auto it = subst.find(e->as<CExpr::Var>().name);
     return it != subst.end() ? it->second : e;
   }
+  if (e->is<CExpr::Nested>()) {
+    const CompPtr& comp = e->as<CExpr::Nested>().comp;
+    CompPtr out = SubstituteComp(comp, subst);
+    return out == comp ? e : MakeNested(std::move(out));
+  }
+  return MapChildren(e,
+                     [&](const CExprPtr& c) { return Substitute(c, subst); });
+}
+
+CExprPtr MapChildren(const CExprPtr& e,
+                     const std::function<CExprPtr(const CExprPtr&)>& fn) {
+  // Maps `in` into `out`; true if any element changed.
+  auto map_all = [&](const std::vector<CExprPtr>& in,
+                     std::vector<CExprPtr>* out) {
+    bool changed = false;
+    out->reserve(in.size());
+    for (const CExprPtr& c : in) {
+      out->push_back(fn(c));
+      changed = changed || out->back() != c;
+    }
+    return changed;
+  };
   if (e->is<CExpr::Bin>()) {
     const auto& b = e->as<CExpr::Bin>();
-    return MakeBin(b.op, Substitute(b.lhs, subst), Substitute(b.rhs, subst));
+    CExprPtr lhs = fn(b.lhs);
+    CExprPtr rhs = fn(b.rhs);
+    if (lhs == b.lhs && rhs == b.rhs) return e;
+    return MakeBin(b.op, std::move(lhs), std::move(rhs));
   }
   if (e->is<CExpr::Un>()) {
     const auto& u = e->as<CExpr::Un>();
-    return MakeUn(u.op, Substitute(u.operand, subst));
+    CExprPtr operand = fn(u.operand);
+    return operand == u.operand ? e : MakeUn(u.op, std::move(operand));
   }
   if (e->is<CExpr::TupleCons>()) {
     std::vector<CExprPtr> elems;
-    for (const auto& c : e->as<CExpr::TupleCons>().elems) {
-      elems.push_back(Substitute(c, subst));
-    }
+    if (!map_all(e->as<CExpr::TupleCons>().elems, &elems)) return e;
     return MakeTuple(std::move(elems));
   }
   if (e->is<CExpr::RecordCons>()) {
-    std::vector<std::pair<std::string, CExprPtr>> fields;
-    for (const auto& [name, c] : e->as<CExpr::RecordCons>().fields) {
-      fields.emplace_back(name, Substitute(c, subst));
+    const auto& fields = e->as<CExpr::RecordCons>().fields;
+    std::vector<std::pair<std::string, CExprPtr>> out;
+    bool changed = false;
+    for (const auto& [name, c] : fields) {
+      out.emplace_back(name, fn(c));
+      changed = changed || out.back().second != c;
     }
-    return MakeRecord(std::move(fields));
+    return changed ? MakeRecord(std::move(out)) : e;
   }
   if (e->is<CExpr::Proj>()) {
     const auto& p = e->as<CExpr::Proj>();
-    return MakeProj(Substitute(p.base, subst), p.field);
+    CExprPtr base = fn(p.base);
+    return base == p.base ? e : MakeProj(std::move(base), p.field);
   }
   if (e->is<CExpr::Call>()) {
     const auto& c = e->as<CExpr::Call>();
     std::vector<CExprPtr> args;
-    for (const auto& a : c.args) args.push_back(Substitute(a, subst));
+    if (!map_all(c.args, &args)) return e;
     return MakeCall(c.function, std::move(args));
   }
   if (e->is<CExpr::Reduce>()) {
     const auto& r = e->as<CExpr::Reduce>();
-    return MakeReduce(r.op, Substitute(r.arg, subst));
-  }
-  if (e->is<CExpr::Nested>()) {
-    return MakeNested(SubstituteComp(e->as<CExpr::Nested>().comp, subst));
+    CExprPtr arg = fn(r.arg);
+    return arg == r.arg ? e : MakeReduce(r.op, std::move(arg));
   }
   if (e->is<CExpr::Range>()) {
     const auto& r = e->as<CExpr::Range>();
-    return MakeRange(Substitute(r.lo, subst), Substitute(r.hi, subst));
+    CExprPtr lo = fn(r.lo);
+    CExprPtr hi = fn(r.hi);
+    if (lo == r.lo && hi == r.hi) return e;
+    return MakeRange(std::move(lo), std::move(hi));
   }
   if (e->is<CExpr::Merge>()) {
     const auto& m = e->as<CExpr::Merge>();
-    CExprPtr left = Substitute(m.left, subst);
-    CExprPtr right = Substitute(m.right, subst);
+    CExprPtr left = fn(m.left);
+    CExprPtr right = fn(m.right);
+    if (left == m.left && right == m.right) return e;
     return m.has_op ? MakeMergeOp(m.op, std::move(left), std::move(right))
                     : MakeMerge(std::move(left), std::move(right));
   }
   if (e->is<CExpr::BagCons>()) {
     std::vector<CExprPtr> elems;
-    for (const auto& c : e->as<CExpr::BagCons>().elems) {
-      elems.push_back(Substitute(c, subst));
-    }
+    if (!map_all(e->as<CExpr::BagCons>().elems, &elems)) return e;
     return MakeBag(std::move(elems));
   }
-  return e;  // constants
+  return e;  // variables, constants, nested comprehensions
 }
 
 namespace {
 
 CompPtr SubstituteComp(const CompPtr& comp,
-                       std::map<std::string, CExprPtr> subst) {
-  std::vector<Qualifier> quals;
+                       const std::map<std::string, CExprPtr>& outer) {
+  // Names (re)bound here shadow the substitution from their binder on;
+  // the map is copied only when that happens.
+  std::map<std::string, CExprPtr> shadowed;
+  const std::map<std::string, CExprPtr>* subst = &outer;
+  std::vector<CExprPtr> exprs;
+  exprs.reserve(comp->qualifiers.size());
+  bool changed = false;
   for (const Qualifier& q : comp->qualifiers) {
-    Qualifier nq = q;
-    if (q.expr != nullptr) nq.expr = Substitute(q.expr, subst);
-    // Names (re)bound here shadow the substitution from this point on.
-    if (q.kind == Qualifier::Kind::kGenerator ||
-        q.kind == Qualifier::Kind::kLet ||
-        q.kind == Qualifier::Kind::kGroupBy) {
-      for (const std::string& v : q.pattern.Vars()) subst.erase(v);
+    exprs.push_back(Substitute(q.expr, *subst));
+    changed = changed || exprs.back() != q.expr;
+    if (q.kind == Qualifier::Kind::kCondition) continue;
+    for (const std::string& v : q.pattern.Vars()) {
+      if (subst->count(v) == 0) continue;
+      if (subst == &outer) {
+        shadowed = outer;
+        subst = &shadowed;
+      }
+      shadowed.erase(v);
     }
-    quals.push_back(std::move(nq));
   }
-  return MakeComp(Substitute(comp->head, subst), std::move(quals));
+  CExprPtr head = Substitute(comp->head, *subst);
+  if (!changed && head == comp->head) return comp;
+  std::vector<Qualifier> quals = comp->qualifiers;
+  for (size_t i = 0; i < quals.size(); ++i) quals[i].expr = std::move(exprs[i]);
+  return MakeComp(std::move(head), std::move(quals));
 }
 
 }  // namespace

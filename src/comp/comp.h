@@ -1,6 +1,7 @@
 #ifndef DIABLO_COMP_COMP_H_
 #define DIABLO_COMP_COMP_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -270,9 +271,17 @@ std::set<std::string> FreeVars(const CExprPtr& e);
 
 /// Capture-avoiding substitution of free variables by expressions.
 /// Substitution does not descend past a nested comprehension binder that
-/// rebinds the variable.
+/// rebinds the variable. Returns `e` itself when no variable under it is
+/// substituted, so untouched subtrees are shared, not copied.
 CExprPtr Substitute(const CExprPtr& e,
                     const std::map<std::string, CExprPtr>& subst);
+
+/// Rebuilds `e` with `fn` applied to each of its direct subexpressions,
+/// or returns `e` itself when `fn` returns every child unchanged.
+/// Variables, constants and nested comprehensions (whose children sit
+/// under binders) are returned as they are.
+CExprPtr MapChildren(const CExprPtr& e,
+                     const std::function<CExprPtr(const CExprPtr&)>& fn);
 
 /// Generates fresh variable names (x$1, x$2, ...) unique per instance.
 class NameGen {

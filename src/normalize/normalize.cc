@@ -1,5 +1,6 @@
 #include "normalize/normalize.h"
 
+#include <algorithm>
 #include <map>
 
 namespace diablo::normalize {
@@ -64,16 +65,6 @@ bool UsesVar(const CExprPtr& e, const std::string& name) {
   return comp::FreeVars(e).count(name) != 0;
 }
 
-/// True if `name` is referenced by any qualifier in [from, end) or by the
-/// head.
-bool UsedFrom(const std::vector<Qualifier>& quals, size_t from,
-              const CExprPtr& head, const std::string& name) {
-  for (size_t i = from; i < quals.size(); ++i) {
-    if (quals[i].expr != nullptr && UsesVar(quals[i].expr, name)) return true;
-  }
-  return head != nullptr && UsesVar(head, name);
-}
-
 /// True if `name` is used in the *lifted* region after the group-by at
 /// `group_at`: by a qualifier past the group-by or by the head, stopping
 /// at any rebinding of `name` (including the group-by pattern itself,
@@ -102,79 +93,126 @@ bool HasGroupBy(const CompPtr& c) {
   return false;
 }
 
-struct NormalizeState {
-  comp::NameGen* names;
-  bool changed = false;
-};
-
-CExprPtr NormalizeExprOnce(const CExprPtr& e, NormalizeState* state);
-
-/// Applies `subst` to all qualifiers from `begin` on, and to the head.
-/// A qualifier that rebinds a substituted variable shadows it for the
-/// remainder of the comprehension (e.g. Rule 17's `let v = {v}`).
-void ApplySubstFrom(std::vector<Qualifier>* quals, size_t begin,
-                    CExprPtr* head,
-                    std::map<std::string, CExprPtr> subst) {
-  for (size_t i = begin; i < quals->size() && !subst.empty(); ++i) {
-    Qualifier& q = (*quals)[i];
-    if (q.expr != nullptr) q.expr = comp::Substitute(q.expr, subst);
-    if (q.kind != Qualifier::Kind::kCondition) {
-      for (const std::string& v : q.pattern.Vars()) subst.erase(v);
+/// True if the simple `let v = e` at `i` must not be inlined: a later
+/// qualifier rebinds a free variable of `e` (inlining would capture it),
+/// or `v` is used after the next group-by, which lifts it to a bag. The
+/// group-by key itself is evaluated pre-lift, so substituting into it is
+/// fine; only post-group uses block.
+bool InlineBlocked(const std::vector<Qualifier>& quals, size_t i,
+                   const CExprPtr& head) {
+  std::set<std::string> rhs_free = comp::FreeVars(quals[i].expr);
+  for (size_t j = i + 1; j < quals.size(); ++j) {
+    if (quals[j].kind == Qualifier::Kind::kCondition) continue;
+    for (const std::string& v : quals[j].pattern.Vars()) {
+      if (rhs_free.count(v) != 0) return true;
     }
   }
-  if (!subst.empty() && *head != nullptr) {
-    *head = comp::Substitute(*head, subst);
+  for (size_t j = i + 1; j < quals.size(); ++j) {
+    if (quals[j].kind == Qualifier::Kind::kGroupBy) {
+      return UsedPostGroup(quals, j, head, quals[i].pattern.var);
+    }
   }
+  return false;
 }
 
-/// One normalization pass over a comprehension. Returns the rewritten
-/// comprehension, or an empty-bag expression when the comprehension is
-/// statically empty.
-CExprPtr NormalizeCompOnce(const CompPtr& comp, NormalizeState* state) {
-  std::vector<Qualifier> quals = comp->qualifiers;
-  CExprPtr head = comp->head;
+/// Drops every let none of whose variables a later qualifier or the head
+/// uses (right-hand sides are pure). One backward sweep finds them all: a
+/// let is live only through the qualifiers kept after it. True if any
+/// let was dropped.
+bool DropDeadLets(std::vector<Qualifier>* quals, const CExprPtr& head) {
+  size_t first = 0;  // nothing before the first let needs liveness
+  while (first < quals->size() &&
+         (*quals)[first].kind != Qualifier::Kind::kLet) {
+    ++first;
+  }
+  if (first == quals->size()) return false;
+  std::set<std::string> live = comp::FreeVars(head);
+  std::vector<bool> dead(quals->size(), false);
+  bool any_dead = false;
+  for (size_t n = quals->size(); n > first; --n) {
+    const Qualifier& q = (*quals)[n - 1];
+    if (q.kind == Qualifier::Kind::kLet) {
+      std::vector<std::string> vars = q.pattern.Vars();
+      dead[n - 1] = std::none_of(vars.begin(), vars.end(), [&](auto& v) {
+        return live.count(v) != 0;
+      });
+      any_dead = any_dead || dead[n - 1];
+      if (dead[n - 1]) continue;
+    }
+    if (q.expr != nullptr) live.merge(comp::FreeVars(q.expr));
+  }
+  if (!any_dead) return false;
+  std::vector<Qualifier> kept;
+  for (size_t i = 0; i < quals->size(); ++i) {
+    if (!dead[i]) kept.push_back(std::move((*quals)[i]));
+  }
+  *quals = std::move(kept);
+  return true;
+}
 
-  for (size_t i = 0; i < quals.size(); ++i) {
-    Qualifier& q = quals[i];
-    if (q.expr != nullptr) q.expr = NormalizeExprOnce(q.expr, state);
+/// Replaces the qualifier at `i` by the qualifiers `with`.
+void ReplaceAt(std::vector<Qualifier>* quals, size_t i,
+               std::vector<Qualifier> with) {
+  auto at = quals->erase(quals->begin() + static_cast<long>(i));
+  quals->insert(at, std::make_move_iterator(with.begin()),
+                std::make_move_iterator(with.end()));
+}
 
-    if (q.kind == Qualifier::Kind::kGenerator) {
-      // Generator over a bag literal.
-      if (q.expr->is<CExpr::BagCons>()) {
-        const auto& bag = q.expr->as<CExpr::BagCons>().elems;
-        if (bag.empty()) {
-          state->changed = true;
-          return comp::MakeBag({});
-        }
-        if (bag.size() == 1) {
-          q.kind = Qualifier::Kind::kLet;
-          q.expr = bag[0];
-          state->changed = true;
-          // fall through to let handling on the next pass
-          continue;
-        }
-        continue;  // multi-element literal: keep as a generator
+struct SweepResult {
+  bool empty = false;    // the comprehension is statically empty
+  bool changed = false;  // some qualifier or the head changed
+  bool again = false;    // it changed after a let whose inline was blocked
+};
+
+/// One left-to-right sweep over the qualifiers of a comprehension whose
+/// subexpressions are normal, applying each rule in place. Inlined lets
+/// go into a pending substitution, applied to each later qualifier as the
+/// sweep reaches it and then to the head; a substituted expression is
+/// normalized again. Dead lets are dropped at the end.
+SweepResult Sweep(std::vector<Qualifier>* quals, CExprPtr* head,
+                  comp::NameGen* names) {
+  SweepResult r;
+  bool blocked = false;
+  // A change after a blocked let may unblock it (e.g. it drops a later
+  // rebinding), so the comprehension is swept again.
+  auto mark = [&] {
+    r.changed = true;
+    r.again = r.again || blocked;
+  };
+  std::map<std::string, CExprPtr> subst;
+  size_t i = 0;
+  while (i < quals->size()) {
+    Qualifier& q = (*quals)[i];
+    CExprPtr e = comp::Substitute(q.expr, subst);
+    if (e != q.expr) {
+      q.expr = NormalizeExpr(e, names);
+      mark();
+    }
+    // A qualifier that rebinds a substituted variable shadows it for the
+    // rest of the comprehension (e.g. Rule 17's `let v = {v}`).
+    if (!subst.empty() && q.kind != Qualifier::Kind::kCondition) {
+      for (const std::string& v : q.pattern.Vars()) subst.erase(v);
+    }
+
+    if (q.kind == Qualifier::Kind::kGenerator &&
+        q.expr->is<CExpr::BagCons>()) {
+      const auto& bag = q.expr->as<CExpr::BagCons>().elems;
+      if (bag.empty()) return {.empty = true};
+      if (bag.size() == 1) {  // p <- {e}  =  let p = e
+        q.kind = Qualifier::Kind::kLet;
+        q.expr = bag[0];
+        mark();
       }
-      // Rule (2): generator over a nested comprehension without group-by.
-      if (q.expr->is<CExpr::Nested>()) {
-        CompPtr inner = q.expr->as<CExpr::Nested>().comp;
-        if (!HasGroupBy(inner)) {
-          CompPtr renamed = RenameBound(inner, state->names);
-          std::vector<Qualifier> spliced;
-          spliced.reserve(quals.size() + renamed->qualifiers.size());
-          for (size_t j = 0; j < i; ++j) spliced.push_back(quals[j]);
-          for (const Qualifier& iq : renamed->qualifiers) {
-            spliced.push_back(iq);
-          }
-          spliced.push_back(Qualifier::Let(q.pattern, renamed->head));
-          for (size_t j = i + 1; j < quals.size(); ++j) {
-            spliced.push_back(quals[j]);
-          }
-          state->changed = true;
-          return comp::MakeNested(comp::MakeComp(head, std::move(spliced)));
-        }
-        continue;
-      }
+    } else if (q.kind == Qualifier::Kind::kGenerator &&
+               q.expr->is<CExpr::Nested>() &&
+               !HasGroupBy(q.expr->as<CExpr::Nested>().comp)) {
+      // Rule (2): splice the (already normal) nested comprehension in.
+      CompPtr renamed =
+          RenameBound(q.expr->as<CExpr::Nested>().comp, names);
+      std::vector<Qualifier> spliced = renamed->qualifiers;
+      spliced.push_back(Qualifier::Let(q.pattern, renamed->head));
+      ReplaceAt(quals, i, std::move(spliced));
+      mark();
       continue;
     }
 
@@ -183,202 +221,78 @@ CExprPtr NormalizeCompOnce(const CompPtr& comp, NormalizeState* state) {
       if (q.pattern.is_tuple && q.expr->is<CExpr::TupleCons>() &&
           q.pattern.elems.size() ==
               q.expr->as<CExpr::TupleCons>().elems.size()) {
-        std::vector<Qualifier> expanded;
-        for (size_t j = 0; j < i; ++j) expanded.push_back(quals[j]);
+        std::vector<Qualifier> parts;
+        parts.reserve(q.pattern.elems.size());
         for (size_t j = 0; j < q.pattern.elems.size(); ++j) {
-          expanded.push_back(Qualifier::Let(
+          parts.push_back(Qualifier::Let(
               q.pattern.elems[j], q.expr->as<CExpr::TupleCons>().elems[j]));
         }
-        for (size_t j = i + 1; j < quals.size(); ++j) {
-          expanded.push_back(quals[j]);
-        }
-        state->changed = true;
-        return comp::MakeNested(comp::MakeComp(head, std::move(expanded)));
+        ReplaceAt(quals, i, std::move(parts));
+        mark();
+        continue;
       }
-      // Dead lets (no later use of any bound variable) are dropped; the
-      // right-hand sides are pure.
-      {
-        bool any_used = false;
-        for (const std::string& v : q.pattern.Vars()) {
-          if (UsedFrom(quals, i + 1, head, v)) any_used = true;
-        }
-        if (!any_used) {
-          std::vector<Qualifier> rest;
-          for (size_t j = 0; j < quals.size(); ++j) {
-            if (j != i) rest.push_back(quals[j]);
-          }
-          state->changed = true;
-          return comp::MakeNested(comp::MakeComp(head, std::move(rest)));
-        }
-      }
-      // Inline simple lets, but never across a group-by that still uses
-      // the variable afterwards (group-by lifts it to a bag), and never
-      // when a later qualifier rebinds a free variable of the right-hand
-      // side (that would capture it).
       if (!q.pattern.is_tuple && IsSimple(q.expr)) {
-        const std::string& name = q.pattern.var;
-        size_t group_at = quals.size();
-        for (size_t j = i + 1; j < quals.size(); ++j) {
-          if (quals[j].kind == Qualifier::Kind::kGroupBy) {
-            group_at = j;
-            break;
-          }
+        if (!InlineBlocked(*quals, i, *head)) {
+          subst[q.pattern.var] = q.expr;
+          quals->erase(quals->begin() + static_cast<long>(i));
+          mark();
+          continue;
         }
-        bool used_after_group =
-            group_at < quals.size() &&
-            UsedPostGroup(quals, group_at, head, name);
-        bool captured = false;
-        std::set<std::string> rhs_free = comp::FreeVars(q.expr);
-        for (size_t j = i + 1; j < quals.size() && !captured; ++j) {
-          if (quals[j].kind == Qualifier::Kind::kCondition) continue;
-          for (const std::string& v : quals[j].pattern.Vars()) {
-            if (rhs_free.count(v) != 0) captured = true;
-          }
-        }
-        // The group-by key itself is evaluated pre-lift, so substituting
-        // into it is fine; block only post-group uses.
-        if (!used_after_group && !captured) {
-          std::map<std::string, CExprPtr> subst{{name, q.expr}};
-          std::vector<Qualifier> rest;
-          for (size_t j = 0; j < quals.size(); ++j) {
-            if (j == i) continue;
-            rest.push_back(quals[j]);
-          }
-          CExprPtr new_head = head;
-          ApplySubstFrom(&rest, i, &new_head, subst);
-          state->changed = true;
-          return comp::MakeNested(comp::MakeComp(new_head, std::move(rest)));
-        }
+        blocked = true;
       }
-      continue;
     }
 
     if (q.kind == Qualifier::Kind::kCondition) {
-      if (q.expr->is<CExpr::BoolConst>()) {
-        if (q.expr->as<CExpr::BoolConst>().value) {
-          std::vector<Qualifier> rest;
-          for (size_t j = 0; j < quals.size(); ++j) {
-            if (j != i) rest.push_back(quals[j]);
-          }
-          state->changed = true;
-          return comp::MakeNested(comp::MakeComp(head, std::move(rest)));
-        }
-        state->changed = true;
-        return comp::MakeBag({});
+      if (q.expr->is<CExpr::BoolConst>() &&
+          !q.expr->as<CExpr::BoolConst>().value) {
+        return {.empty = true};
       }
-      if (q.expr->is<CExpr::Bin>()) {
-        const auto& b = q.expr->as<CExpr::Bin>();
-        if (b.op == BinOp::kEq && comp::Equals(b.lhs, b.rhs)) {
-          std::vector<Qualifier> rest;
-          for (size_t j = 0; j < quals.size(); ++j) {
-            if (j != i) rest.push_back(quals[j]);
-          }
-          state->changed = true;
-          return comp::MakeNested(comp::MakeComp(head, std::move(rest)));
-        }
+      const bool trivial =
+          q.expr->is<CExpr::BoolConst>() ||
+          (q.expr->is<CExpr::Bin>() &&
+           q.expr->as<CExpr::Bin>().op == BinOp::kEq &&
+           comp::Equals(q.expr->as<CExpr::Bin>().lhs,
+                        q.expr->as<CExpr::Bin>().rhs));
+      if (trivial) {  // `true` and `x == x`
+        quals->erase(quals->begin() + static_cast<long>(i));
+        mark();
+        continue;
       }
-      continue;
     }
+    ++i;
   }
-
-  head = NormalizeExprOnce(head, state);
-
-  // { h | }  =  {h}.
-  if (quals.empty()) {
-    state->changed = true;
-    return comp::MakeBag({head});
+  CExprPtr h = comp::Substitute(*head, subst);
+  if (h != *head) {
+    *head = NormalizeExpr(h, names);
+    mark();
   }
-  return comp::MakeNested(comp::MakeComp(head, std::move(quals)));
+  if (DropDeadLets(quals, *head)) mark();
+  return r;
 }
 
-CExprPtr NormalizeExprOnce(const CExprPtr& e, NormalizeState* state) {
-  if (e == nullptr) return e;
-  if (e->is<CExpr::Nested>()) {
-    return NormalizeCompOnce(e->as<CExpr::Nested>().comp, state);
+/// Normalizes the children of the comprehension first, then sweeps it
+/// until a sweep changes nothing after a blocked let. Returns `e` itself
+/// when it was already normal.
+CExprPtr NormalizeComp(const CExprPtr& e, comp::NameGen* names) {
+  const CompPtr& comp = e->as<CExpr::Nested>().comp;
+  std::vector<Qualifier> quals = comp->qualifiers;
+  bool changed = false;
+  for (Qualifier& q : quals) {
+    CExprPtr n = NormalizeExpr(q.expr, names);
+    changed = changed || n != q.expr;
+    q.expr = std::move(n);
   }
-  if (e->is<CExpr::Bin>()) {
-    const auto& b = e->as<CExpr::Bin>();
-    return comp::MakeBin(b.op, NormalizeExprOnce(b.lhs, state),
-                         NormalizeExprOnce(b.rhs, state));
-  }
-  if (e->is<CExpr::Un>()) {
-    const auto& u = e->as<CExpr::Un>();
-    return comp::MakeUn(u.op, NormalizeExprOnce(u.operand, state));
-  }
-  if (e->is<CExpr::TupleCons>()) {
-    std::vector<CExprPtr> elems;
-    for (const auto& c : e->as<CExpr::TupleCons>().elems) {
-      elems.push_back(NormalizeExprOnce(c, state));
-    }
-    return comp::MakeTuple(std::move(elems));
-  }
-  if (e->is<CExpr::RecordCons>()) {
-    std::vector<std::pair<std::string, CExprPtr>> fields;
-    for (const auto& [n, c] : e->as<CExpr::RecordCons>().fields) {
-      fields.emplace_back(n, NormalizeExprOnce(c, state));
-    }
-    return comp::MakeRecord(std::move(fields));
-  }
-  if (e->is<CExpr::Proj>()) {
-    const auto& p = e->as<CExpr::Proj>();
-    // (e1,...,en)._i projects statically.
-    CExprPtr base = NormalizeExprOnce(p.base, state);
-    if (base->is<CExpr::TupleCons>() && p.field.size() >= 2 &&
-        p.field[0] == '_') {
-      int idx = std::atoi(p.field.c_str() + 1);
-      const auto& elems = base->as<CExpr::TupleCons>().elems;
-      if (idx >= 1 && static_cast<size_t>(idx) <= elems.size()) {
-        state->changed = true;
-        return elems[static_cast<size_t>(idx) - 1];
-      }
-    }
-    if (base->is<CExpr::RecordCons>()) {
-      for (const auto& [n, c] : base->as<CExpr::RecordCons>().fields) {
-        if (n == p.field) {
-          state->changed = true;
-          return c;
-        }
-      }
-    }
-    return comp::MakeProj(base, p.field);
-  }
-  if (e->is<CExpr::Call>()) {
-    const auto& c = e->as<CExpr::Call>();
-    std::vector<CExprPtr> args;
-    for (const auto& a : c.args) args.push_back(NormalizeExprOnce(a, state));
-    return comp::MakeCall(c.function, std::move(args));
-  }
-  if (e->is<CExpr::Reduce>()) {
-    const auto& r = e->as<CExpr::Reduce>();
-    CExprPtr arg = NormalizeExprOnce(r.arg, state);
-    // ⊕/{e} = e.
-    if (arg->is<CExpr::BagCons>() &&
-        arg->as<CExpr::BagCons>().elems.size() == 1) {
-      state->changed = true;
-      return arg->as<CExpr::BagCons>().elems[0];
-    }
-    return comp::MakeReduce(r.op, arg);
-  }
-  if (e->is<CExpr::Range>()) {
-    const auto& r = e->as<CExpr::Range>();
-    return comp::MakeRange(NormalizeExprOnce(r.lo, state),
-                           NormalizeExprOnce(r.hi, state));
-  }
-  if (e->is<CExpr::Merge>()) {
-    const auto& m = e->as<CExpr::Merge>();
-    CExprPtr left = NormalizeExprOnce(m.left, state);
-    CExprPtr right = NormalizeExprOnce(m.right, state);
-    return m.has_op ? comp::MakeMergeOp(m.op, left, right)
-                    : comp::MakeMerge(left, right);
-  }
-  if (e->is<CExpr::BagCons>()) {
-    std::vector<CExprPtr> elems;
-    for (const auto& c : e->as<CExpr::BagCons>().elems) {
-      elems.push_back(NormalizeExprOnce(c, state));
-    }
-    return comp::MakeBag(std::move(elems));
-  }
-  return e;
+  CExprPtr head = NormalizeExpr(comp->head, names);
+  changed = changed || head != comp->head;
+  SweepResult r;
+  do {
+    r = Sweep(&quals, &head, names);
+    if (r.empty) return comp::MakeBag({});
+    changed = changed || r.changed;
+  } while (r.again);
+  if (quals.empty()) return comp::MakeBag({head});  // { h | } = {h}
+  return changed ? comp::MakeNested(comp::MakeComp(head, std::move(quals)))
+                 : e;
 }
 
 }  // namespace
@@ -400,14 +314,36 @@ CompPtr RenameBound(const CompPtr& c, comp::NameGen* names) {
 }
 
 CExprPtr NormalizeExpr(const CExprPtr& e, comp::NameGen* names) {
-  CExprPtr cur = e;
-  for (int iter = 0; iter < 200; ++iter) {
-    NormalizeState state{names};
-    CExprPtr next = NormalizeExprOnce(cur, &state);
-    cur = next;
-    if (!state.changed) break;
+  if (e == nullptr) return e;
+  if (e->is<CExpr::Nested>()) return NormalizeComp(e, names);
+  CExprPtr out = comp::MapChildren(
+      e, [&](const CExprPtr& c) { return NormalizeExpr(c, names); });
+  if (out->is<CExpr::Proj>()) {
+    // (e1,...,en)._i and record fields project statically.
+    const auto& p = out->as<CExpr::Proj>();
+    if (p.base->is<CExpr::TupleCons>() && p.field.size() >= 2 &&
+        p.field[0] == '_') {
+      int idx = std::atoi(p.field.c_str() + 1);
+      const auto& elems = p.base->as<CExpr::TupleCons>().elems;
+      if (idx >= 1 && static_cast<size_t>(idx) <= elems.size()) {
+        return elems[static_cast<size_t>(idx) - 1];
+      }
+    }
+    if (p.base->is<CExpr::RecordCons>()) {
+      for (const auto& [n, c] : p.base->as<CExpr::RecordCons>().fields) {
+        if (n == p.field) return c;
+      }
+    }
   }
-  return cur;
+  if (out->is<CExpr::Reduce>()) {
+    // ⊕/{e} = e.
+    const auto& arg = out->as<CExpr::Reduce>().arg;
+    if (arg->is<CExpr::BagCons>() &&
+        arg->as<CExpr::BagCons>().elems.size() == 1) {
+      return arg->as<CExpr::BagCons>().elems[0];
+    }
+  }
+  return out;
 }
 
 comp::TargetProgram NormalizeTarget(const comp::TargetProgram& program,

@@ -24,8 +24,17 @@ namespace diablo::normalize {
 ///    `false` condition collapses the comprehension to the empty bag.
 ///  * `{ h | }` becomes the bag literal {h}; `⊕/{e}` becomes e.
 ///
-/// The function is a fixpoint: it reapplies the rules until nothing
-/// changes (bounded by an internal iteration cap).
+/// Normalization is bottom-up: the children of a comprehension are
+/// normalized first, so a nested comprehension is already normal when
+/// Rule (2) splices it in. Then one left-to-right sweep applies the rules
+/// to the qualifiers in place; inlined lets become a pending substitution
+/// applied to each later qualifier and the head as the sweep reaches
+/// them, and one backward liveness pass drops dead lets. The sweep is
+/// repeated only while it changed something after a let whose inlining
+/// was blocked (by capture or by a post-group use), since the change may
+/// have lifted the block. The result is a normal form: normalizing it
+/// again returns it unchanged and draws no fresh name. Subtrees that need
+/// no rewrite are shared with the input.
 comp::CExprPtr NormalizeExpr(const comp::CExprPtr& e, comp::NameGen* names);
 
 /// Normalizes every comprehension inside a target program.

@@ -1,5 +1,6 @@
 #include "opt/optimize.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -501,7 +502,14 @@ CExprPtr OptimizeComp(const CompPtr& c, comp::NameGen* names,
   }
   CExprPtr head = OptimizeExprImpl(c->head, names, options);
 
-  for (int iter = 0; iter < 50; ++iter) {
+  // Each rewrite removes a generator (range elimination, read CSE) or a
+  // group-by (Rules 16 and 17) of this comprehension, so the loop ends
+  // within their count + 1 rounds.
+  const long rounds =
+      1 + std::count_if(quals.begin(), quals.end(), [](const Qualifier& q) {
+            return IsGenerator(q) || q.kind == Qualifier::Kind::kGroupBy;
+          });
+  for (long round = 0; round < rounds; ++round) {
     bool changed = false;
     if (options.range_elimination) {
       changed = EliminateOneRange(&quals, &head) || changed;
@@ -526,65 +534,9 @@ CExprPtr OptimizeExprImpl(const CExprPtr& e, comp::NameGen* names,
   if (e->is<CExpr::Nested>()) {
     return OptimizeComp(e->as<CExpr::Nested>().comp, names, options);
   }
-  if (e->is<CExpr::Bin>()) {
-    const auto& b = e->as<CExpr::Bin>();
-    return comp::MakeBin(b.op, OptimizeExprImpl(b.lhs, names, options),
-                         OptimizeExprImpl(b.rhs, names, options));
-  }
-  if (e->is<CExpr::Un>()) {
-    const auto& u = e->as<CExpr::Un>();
-    return comp::MakeUn(u.op, OptimizeExprImpl(u.operand, names, options));
-  }
-  if (e->is<CExpr::TupleCons>()) {
-    std::vector<CExprPtr> elems;
-    for (const auto& c : e->as<CExpr::TupleCons>().elems) {
-      elems.push_back(OptimizeExprImpl(c, names, options));
-    }
-    return comp::MakeTuple(std::move(elems));
-  }
-  if (e->is<CExpr::RecordCons>()) {
-    std::vector<std::pair<std::string, CExprPtr>> fields;
-    for (const auto& [n, c] : e->as<CExpr::RecordCons>().fields) {
-      fields.emplace_back(n, OptimizeExprImpl(c, names, options));
-    }
-    return comp::MakeRecord(std::move(fields));
-  }
-  if (e->is<CExpr::Proj>()) {
-    const auto& p = e->as<CExpr::Proj>();
-    return comp::MakeProj(OptimizeExprImpl(p.base, names, options), p.field);
-  }
-  if (e->is<CExpr::Call>()) {
-    const auto& c = e->as<CExpr::Call>();
-    std::vector<CExprPtr> args;
-    for (const auto& a : c.args) {
-      args.push_back(OptimizeExprImpl(a, names, options));
-    }
-    return comp::MakeCall(c.function, std::move(args));
-  }
-  if (e->is<CExpr::Reduce>()) {
-    const auto& r = e->as<CExpr::Reduce>();
-    return comp::MakeReduce(r.op, OptimizeExprImpl(r.arg, names, options));
-  }
-  if (e->is<CExpr::Range>()) {
-    const auto& r = e->as<CExpr::Range>();
-    return comp::MakeRange(OptimizeExprImpl(r.lo, names, options),
-                           OptimizeExprImpl(r.hi, names, options));
-  }
-  if (e->is<CExpr::Merge>()) {
-    const auto& m = e->as<CExpr::Merge>();
-    CExprPtr left = OptimizeExprImpl(m.left, names, options);
-    CExprPtr right = OptimizeExprImpl(m.right, names, options);
-    return m.has_op ? comp::MakeMergeOp(m.op, left, right)
-                    : comp::MakeMerge(left, right);
-  }
-  if (e->is<CExpr::BagCons>()) {
-    std::vector<CExprPtr> elems;
-    for (const auto& c : e->as<CExpr::BagCons>().elems) {
-      elems.push_back(OptimizeExprImpl(c, names, options));
-    }
-    return comp::MakeBag(std::move(elems));
-  }
-  return e;
+  return comp::MapChildren(e, [&](const CExprPtr& c) {
+    return OptimizeExprImpl(c, names, options);
+  });
 }
 
 }  // namespace

@@ -1,10 +1,22 @@
 // Unit tests for the comprehension normalizer: Rule (2) unnesting,
 // singleton-generator elimination, let-inlining (with group-by blocking
 // and shadowing), condition simplification, and static projections.
+// The golden test pins the normalized and optimized target text of every
+// paper program and accepted example, compared up to the numbering of
+// fresh names (regenerate with DIABLO_REGOLD=1).
 
 #include "normalize/normalize.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cctype>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
+#include "diablo/diablo.h"
+#include "workloads/programs.h"
 
 namespace diablo::normalize {
 namespace {
@@ -207,6 +219,115 @@ TEST(RenameBound, FreshensAllBinders) {
   EXPECT_NE(renamed->qualifiers[1].expr->ToString().find("k"),
             std::string::npos);
   EXPECT_EQ(renamed->qualifiers[0].expr->ToString(), "A");
+}
+
+// ---- golden target text of the paper programs and examples ----
+
+/// Renames the compiler's fresh names n$k to n$1, n$2, ... in order of
+/// first appearance. Fresh-name numbering depends on the order in which
+/// rewrites fire, so the golden compares target text up to it.
+std::string RenumberFresh(const std::string& text) {
+  auto ident = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_' ||
+           c == '$';
+  };
+  std::map<std::string, std::string> renamed;
+  std::string out;
+  size_t i = 0;
+  while (i < text.size()) {
+    if ((i == 0 || !ident(text[i - 1])) && text.compare(i, 2, "n$") == 0 &&
+        i + 2 < text.size() &&
+        std::isdigit(static_cast<unsigned char>(text[i + 2])) != 0) {
+      size_t j = i + 2;
+      while (j < text.size() &&
+             std::isdigit(static_cast<unsigned char>(text[j])) != 0) {
+        ++j;
+      }
+      auto [it, fresh] = renamed.emplace(text.substr(i, j - i), "");
+      if (fresh) it->second = "n$" + std::to_string(renamed.size());
+      out += it->second;
+      i = j;
+    } else {
+      out += text[i++];
+    }
+  }
+  return out;
+}
+
+struct GoldenProgram {
+  std::string label;
+  std::string source;
+};
+
+/// The 16 Table-1 programs, the Figure-3 programs not among them, and
+/// every accepted example program.
+std::vector<GoldenProgram> GoldenPrograms() {
+  std::vector<GoldenProgram> out;
+  for (const auto& entry : bench::Table1Programs()) {
+    out.push_back({"table1/" + entry.name, entry.source});
+  }
+  for (const auto& spec : bench::BenchmarkPrograms()) {
+    bool listed = std::any_of(out.begin(), out.end(), [&](const auto& p) {
+      return p.source == spec.source;
+    });
+    if (!listed) out.push_back({"fig3/" + spec.name, spec.source});
+  }
+  std::vector<std::filesystem::path> examples;
+  for (const auto& f : std::filesystem::directory_iterator(EXAMPLES_DIR)) {
+    if (f.is_regular_file() && f.path().extension() == ".diablo") {
+      examples.push_back(f.path());
+    }
+  }
+  std::sort(examples.begin(), examples.end());
+  for (const auto& path : examples) {
+    std::ifstream in(path);
+    std::ostringstream source;
+    source << in.rdbuf();
+    out.push_back({"examples/" + path.filename().string(), source.str()});
+  }
+  return out;
+}
+
+TEST(NormalizeGolden, PaperProgramsAndExamples) {
+  std::string got;
+  for (const GoldenProgram& program : GoldenPrograms()) {
+    SCOPED_TRACE(program.label);
+    CompileOptions unoptimized;
+    unoptimized.enable_optimizer = false;
+    auto normalized = Compile(program.source, unoptimized);
+    ASSERT_TRUE(normalized.ok()) << normalized.status().ToString();
+    auto optimized = Compile(program.source);
+    ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
+    got += RenumberFresh("== " + program.label + "\n-- normalized\n" +
+                         normalized->TargetToString() + "\n-- optimized\n" +
+                         optimized->TargetToString() + "\n");
+
+    // Both outputs are normal forms: normalizing them again changes no
+    // text and draws no fresh name.
+    for (const auto* target : {&normalized->target, &optimized->target}) {
+      comp::NameGen names("z");
+      EXPECT_EQ(NormalizeTarget(*target, &names).ToString(),
+                target->ToString());
+      EXPECT_EQ(names.Fresh(), "z$1");
+    }
+  }
+
+  const std::string golden_path =
+      std::string(GOLDEN_DIR) + "/normalized_targets.txt";
+  if (std::getenv("DIABLO_REGOLD") != nullptr) {
+    std::ofstream out(golden_path);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << got;
+    GTEST_SKIP() << "regenerated " << golden_path;
+  }
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path
+                         << " (regenerate with DIABLO_REGOLD=1)";
+  std::ostringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(got, want.str())
+      << "normalized or optimized target text changed; if intended, rerun "
+         "with DIABLO_REGOLD=1";
 }
 
 }  // namespace

@@ -217,6 +217,49 @@ TEST(Cse, PreservesResults) {
   EXPECT_LT(e1.metrics().num_wide_stages(), e2.metrics().num_wide_stages());
 }
 
+TEST(Cse, SixtyReadsOfOneElementCollapseToOneGenerator) {
+  // R[i] := V[i] + V[i] + ... with 60 reads: every read after the first
+  // is a duplicate, so normalization and CSE must run to completion and
+  // leave a single generator over V, planned like a single read.
+  auto program = [](int reads) {
+    std::string sum = "V[i]";
+    for (int k = 1; k < reads; ++k) sum += " + V[i]";
+    return "var R: vector[double] = vector();\nfor i = 0, 9 do R[i] := " +
+           sum + ";";
+  };
+  const std::string src = program(60);
+  auto compiled = Compile(src);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const std::string target = compiled->TargetToString();
+  size_t generators = 0;
+  for (size_t at = target.find("<- V"); at != std::string::npos;
+       at = target.find("<- V", at + 1)) {
+    ++generators;
+  }
+  EXPECT_EQ(generators, 1u) << target;
+
+  runtime::ValueVec v;
+  for (int i = 0; i < 10; ++i) {
+    v.push_back(runtime::Value::MakePair(runtime::Value::MakeInt(i),
+                                         runtime::Value::MakeDouble(i + 0.25)));
+  }
+  Bindings inputs = {{"V", runtime::Value::MakeBag(v)}};
+  runtime::Engine engine;
+  auto run = diablo::Run(*compiled, &engine, inputs);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  auto reference = RunReference(src, inputs);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  auto want = (*reference)->GetArray("R");
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_TRUE(runtime::BagAlmostEquals(*run->Array("R"), *want, 1e-9));
+
+  runtime::Engine single;
+  ASSERT_TRUE(CompileAndRun(program(1), &single, inputs).ok());
+  EXPECT_EQ(engine.metrics().num_stages(), single.metrics().num_stages());
+  EXPECT_EQ(engine.metrics().num_wide_stages(),
+            single.metrics().num_wide_stages());
+}
+
 // Optimizations must preserve results (checked end to end).
 TEST(OptimizerSoundness, SameResultsWithAndWithout) {
   const char* src = R"(
