@@ -1,7 +1,6 @@
 #include "analysis/diagnostics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <tuple>
 
 namespace diablo::analysis {
@@ -137,39 +136,6 @@ std::string RenderTextAll(const std::vector<Diagnostic>& diags,
                           const std::string& filename) {
   std::string out;
   for (const auto& d : diags) out += RenderText(d, source, filename);
-  return out;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
   return out;
 }
 

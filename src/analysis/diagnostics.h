@@ -145,9 +145,6 @@ std::string RenderJson(const Diagnostic& d);
 std::string RenderJsonAll(const std::vector<Diagnostic>& diags,
                           const std::string& filename);
 
-/// Escapes a string for embedding in a JSON string literal.
-std::string JsonEscape(const std::string& s);
-
 }  // namespace diablo::analysis
 
 #endif  // DIABLO_ANALYSIS_DIAGNOSTICS_H_

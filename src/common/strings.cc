@@ -1,5 +1,7 @@
 #include "common/strings.h"
 
+#include <cstdio>
+
 namespace diablo {
 
 std::string Join(const std::vector<std::string>& parts,
@@ -15,6 +17,39 @@ std::string Join(const std::vector<std::string>& parts,
 bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() &&
          s.compare(0, prefix.size(), prefix) == 0;
+}
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 std::string LocationString(const SourceLocation& loc) {

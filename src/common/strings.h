@@ -23,6 +23,10 @@ std::string Join(const std::vector<std::string>& parts,
 /// True iff `s` starts with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);
 
+/// Escapes `s` for embedding in a JSON string literal: `"` and `\`, the
+/// \n \t \r shorthands, and \u00XX for every other control character.
+std::string JsonEscape(const std::string& s);
+
 /// A position in a source file, 1-based.
 struct SourceLocation {
   int line = 1;

@@ -689,14 +689,14 @@ Status Engine::RunPerPartition(int n,
 Status Engine::RunTaskWave(const std::string& label, int stage,
                            const std::vector<int64_t>& task_work,
                            const std::function<Status(int, int)>& fn,
-                           StageRecovery* rec, const WaveSlots* slots) {
+                           StageStats* stats, const WaveSlots* slots) {
   const int n = static_cast<int>(task_work.size());
   if (n == 0) return Status::OK();
   TraceRecorder* tr = trace();
   ScopedSpan wave_span(tr, SpanKind::kWave, label);
   wave_span.SetStageId(stage);
   if (config_.remote != nullptr && slots != nullptr) {
-    return RunTaskWaveRemote(label, stage, task_work, fn, rec, *slots, tr,
+    return RunTaskWaveRemote(label, stage, task_work, fn, stats, *slots, tr,
                              wave_span.id());
   }
   // Times one task attempt into a task span under the wave. Tracing
@@ -713,7 +713,7 @@ Status Engine::RunTaskWave(const std::string& label, int stage,
   if (!config_.faults.enabled()) {
     // Fault-free fast path: every task succeeds on its first attempt and
     // no retry bookkeeping is kept.
-    rec->attempts += n;
+    stats->attempts += n;
     return RunPerPartition(n, [&](int p) { return invoke(p, 0); });
   }
   const FaultConfig& fc = config_.faults;
@@ -765,8 +765,8 @@ Status Engine::RunTaskWave(const std::string& label, int stage,
                ") exhausted"));
   });
   for (int p = 0; p < n; ++p) {
-    rec->attempts += attempts[p];
-    rec->recovery_seconds += recovery[p];
+    stats->attempts += attempts[p];
+    stats->recovery_seconds += recovery[p];
   }
   return st;
 }
@@ -774,7 +774,7 @@ Status Engine::RunTaskWave(const std::string& label, int stage,
 Status Engine::RunTaskWaveRemote(const std::string& label, int stage,
                                  const std::vector<int64_t>& task_work,
                                  const std::function<Status(int, int)>& fn,
-                                 StageRecovery* rec, const WaveSlots& slots,
+                                 StageStats* stats, const WaveSlots& slots,
                                  TraceRecorder* tr, int64_t wave_span_id) {
   const int n = static_cast<int>(task_work.size());
   const FaultConfig& fc = config_.faults;
@@ -932,20 +932,20 @@ Status Engine::RunTaskWaveRemote(const std::string& label, int stage,
     }
   };
 
-  RemoteWaveStats stats;
-  Status st = config_.remote->RunWave(wave, &stats);
+  RemoteWaveStats remote;
+  Status st = config_.remote->RunWave(wave, &remote);
   for (int p = 0; p < n; ++p) {
-    rec->attempts += attempts[p];
-    rec->recovery_seconds += recovery[p];
+    stats->attempts += attempts[p];
+    stats->recovery_seconds += recovery[p];
   }
-  rec->dist_tasks += stats.tasks;
-  rec->dist_retries += stats.real_retries;
-  rec->dist_workers_lost += stats.workers_lost;
+  stats->dist_tasks += remote.tasks;
+  stats->dist_retries += remote.real_retries;
+  stats->dist_workers_lost += remote.workers_lost;
   return st;
 }
 
 StatusOr<Dataset> Engine::RecoverInput(const Dataset& in, int stage,
-                                       int input_index, StageRecovery* rec) {
+                                       int input_index, StageStats* stats) {
   if (!config_.faults.enabled()) return in;
   std::vector<int> lost =
       injector_.LostPartitions(stage, input_index, in.num_partitions());
@@ -983,9 +983,9 @@ StatusOr<Dataset> Engine::RecoverInput(const Dataset& in, int stage,
     // Durable data (source or checkpoint): re-read from stable
     // storage. The rows survive; only the re-read scan is charged.
     for (int p : lost) {
-      rec->recomputed_partitions += 1;
-      rec->recovery_seconds += static_cast<double>(parts[p].size()) *
-                               config_.cluster.seconds_per_work_unit;
+      stats->recomputed_partitions += 1;
+      stats->recovery_seconds += static_cast<double>(parts[p].size()) *
+                                 config_.cluster.seconds_per_work_unit;
     }
   } else if (lineage->recompute_many) {
     // Single-pass multi-partition recovery: one scan over the ancestor
@@ -1000,17 +1000,17 @@ StatusOr<Dataset> Engine::RecoverInput(const Dataset& in, int stage,
                  " partitions, expected ", lost.size()));
     }
     for (size_t i = 0; i < lost.size(); ++i) {
-      rec->recomputed_partitions += 1;
+      stats->recomputed_partitions += 1;
       parts[lost[i]] = std::move(rebuilt[i]);
     }
-    rec->recovery_seconds +=
+    stats->recovery_seconds +=
         static_cast<double>(work) * config_.cluster.seconds_per_work_unit;
   } else if (lineage->recompute) {
     for (int p : lost) {
-      rec->recomputed_partitions += 1;
+      stats->recomputed_partitions += 1;
       int64_t work = 0;
       DIABLO_ASSIGN_OR_RETURN(parts[p], lineage->recompute(p, &work));
-      rec->recovery_seconds +=
+      stats->recovery_seconds +=
           static_cast<double>(work) * config_.cluster.seconds_per_work_unit;
     }
   } else {
@@ -1024,13 +1024,7 @@ StatusOr<Dataset> Engine::RecoverInput(const Dataset& in, int stage,
   return Dataset(std::move(parts), lineage, in.chain_ptr());
 }
 
-void Engine::FinishStage(StageStats stats, const StageRecovery& rec) {
-  stats.attempts = rec.attempts;
-  stats.recomputed_partitions = rec.recomputed_partitions;
-  stats.recovery_seconds = rec.recovery_seconds;
-  stats.dist_tasks = rec.dist_tasks;
-  stats.dist_retries = rec.dist_retries;
-  stats.dist_workers_lost = rec.dist_workers_lost;
+void Engine::FinishStage(StageStats stats) {
   stats.pool_tasks = pool_tasks_pending_;
   pool_tasks_pending_ = 0;
   stats.cost_decisions += cost_decisions_pending_;
@@ -1252,8 +1246,8 @@ StatusOr<Dataset> Engine::Force(const Dataset& in) {
   ScopedSpan stage_span(trace(), SpanKind::kStage, label);
   const int stage = NextStageId();
   stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
+  StageStats stats{.label = label};
+  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &stats));
   const int n = src.num_partitions();
   std::vector<ValueVec> out(n);
   std::vector<ChainTally> tallies(n);
@@ -1279,13 +1273,13 @@ StatusOr<Dataset> Engine::Force(const Dataset& in) {
         }
         return Status::OK();
       },
-      &rec, &slots);
+      &stats, &slots);
   if (!st.ok()) return st;
-  StageStats stats{label, /*wide=*/false, RowCounts(src), {}, 0};
+  stats.map_work = RowCounts(src);
   stats.fused_ops = static_cast<int64_t>(chain.size());
   for (const ChainTally& t : tallies) t.MergeInto(&stats);
   stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(stats), rec);
+  FinishStage(std::move(stats));
   auto lineage = MakeLineage(
       "fused", label, {src.lineage()},
       ChainReplay(src), nullptr, ChainDepth(chain));
@@ -1298,8 +1292,8 @@ StatusOr<Dataset> Engine::ForceColumnar(const Dataset& in) {
   ScopedSpan stage_span(trace(), SpanKind::kStage, label);
   const int stage = NextStageId();
   stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
+  StageStats stats{.label = label};
+  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &stats));
   const int n = src.num_partitions();
   const bool on_value = chain[0].kernel->on_value;
   std::vector<ColumnBatch> batches(n);
@@ -1373,15 +1367,15 @@ StatusOr<Dataset> Engine::ForceColumnar(const Dataset& in) {
         batches[p] = std::move(batch);
         return Status::OK();
       },
-      &rec, &slots);
+      &stats, &slots);
   if (!st.ok()) return st;
   std::vector<ValueVec> out(n);
   for (int p = 0; p < n; ++p) batches[p].EmitRows(&out[p]);
-  StageStats stats{label, /*wide=*/false, RowCounts(src), {}, 0};
+  stats.map_work = RowCounts(src);
   stats.fused_ops = static_cast<int64_t>(chain.size());
   for (const ChainTally& t : tallies) t.MergeInto(&stats);
   stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(stats), rec);
+  FinishStage(std::move(stats));
   auto lineage = MakeLineage(
       "fused", label, {src.lineage()},
       ChainReplay(src), nullptr, ChainDepth(chain));
@@ -1413,13 +1407,12 @@ struct Engine::WideSpec {
 };
 
 /// One wide operator's stage in flight: its spec, the id of its finish
-/// wave, its recovered inputs, and the recovery tallies and StageStats
-/// every wave of the stage accumulates into.
+/// wave, its recovered inputs, and the one StageStats every wave and
+/// input recovery of the stage accumulates into.
 struct Engine::WideRun {
   const WideSpec& spec;
   int finish_stage = 0;
   std::vector<Dataset> inputs;
-  StageRecovery rec;
   StageStats stats;
 };
 
@@ -1431,15 +1424,14 @@ StatusOr<Dataset> Engine::RunWide(const WideSpec& spec,
   const int first = NextStageId();
   stage_span.SetStageId(first);
   const int scatter_stage = first + (spec.combine.has_value() ? 1 : 0);
-  WideRun run{spec, scatter_stage + static_cast<int>(inputs.size()), {}, {},
-              {}};
+  WideRun run{spec, scatter_stage + static_cast<int>(inputs.size()), {}, {}};
   next_stage_id_ = run.finish_stage + 1;
   // Loss directives address every input at the operator's first stage:
   // input s is side s (a join's left side is 0, its right side 1).
   for (size_t s = 0; s < inputs.size(); ++s) {
     DIABLO_ASSIGN_OR_RETURN(
         Dataset side,
-        RecoverInput(inputs[s], first, static_cast<int>(s), &run.rec));
+        RecoverInput(inputs[s], first, static_cast<int>(s), &run.stats));
     run.inputs.push_back(std::move(side));
   }
   if (spec.combine.has_value()) {
@@ -1627,7 +1619,7 @@ StatusOr<bool> Engine::CombineWave(WideRun& run, int stage,
                                          salt.index_of[t], salt.fanout[p]);
         return combine_range(t, p, lo, hi);
       },
-      &run.rec, &slots));
+      &run.stats, &slots));
   // The third part of the proof: a chunk whose output holds a non-int64
   // payload folded one (int64 + double is double, and so on). Its whole
   // source partition then re-runs unsplit on the driver (rare by
@@ -1756,7 +1748,7 @@ Status Engine::ScatterWave(
         }
         return Status::OK();
       },
-      &run.rec, &slots));
+      &run.stats, &slots));
   std::vector<int64_t>& dest_bytes = run.stats.partition_bytes;
   dest_bytes.resize(std::max(dest_bytes.size(), static_cast<size_t>(out_parts)),
                     0);
@@ -1837,7 +1829,7 @@ StatusOr<Dataset> Engine::FinishWave(
         reports[t] = {task.work, task.agg_rows, task.agg_keys};
         return Status::OK();
       },
-      &run.rec, &slots));
+      &run.stats, &slots));
   // Driver-side un-salt: split destinations merge, the rest move.
   std::vector<ValueVec> out(dest.size());
   int64_t salted_keys = 0;
@@ -1872,7 +1864,7 @@ StatusOr<Dataset> Engine::FinishWave(
   stats.partition_rows = RowCounts(out);
   stats.salted_keys = salted_keys;
   stats.salt_fanout += salt.extra;
-  FinishStage(std::move(stats), run.rec);
+  FinishStage(std::move(stats));
   if (salt.active) {
     StageStats unsalt;
     unsalt.label = spec.label + ".unsalt";
@@ -2000,7 +1992,7 @@ StatusOr<Dataset> Engine::Union(const Dataset& in_a, const Dataset& in_b) {
   }
   StageStats union_stats{"union", /*wide=*/false, RowCounts(out), {}, 0};
   union_stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(union_stats), StageRecovery());
+  FinishStage(std::move(union_stats));
   auto lineage = MakeLineage(
       "union", "union", {a.lineage(), b.lineage()},
       [a, b](int p, int64_t* work) -> StatusOr<ValueVec> {
@@ -2038,8 +2030,8 @@ StatusOr<Dataset> Engine::Checkpoint(const Dataset& in,
   ScopedSpan stage_span(trace(), SpanKind::kStage, label);
   const int stage = NextStageId();
   stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
+  StageStats stats{.label = label};
+  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &stats));
   const FusedChain& chain = src.chain();
   const int n = src.num_partitions();
   // The "write": each task serializes its partition to (simulated)
@@ -2079,15 +2071,14 @@ StatusOr<Dataset> Engine::Checkpoint(const Dataset& in,
         }
         return Status::OK();
       },
-      &rec, &ckpt_slots);
+      &stats, &ckpt_slots);
   if (!st.ok()) return st;
-  int64_t total_bytes = 0;
-  for (int64_t b : written) total_bytes += b;
-  StageStats stats{label, /*wide=*/false, RowCounts(src), {}, total_bytes};
+  stats.map_work = RowCounts(src);
+  for (int64_t b : written) stats.shuffle_bytes += b;
   stats.fused_ops = static_cast<int64_t>(chain.size());
   for (const ChainTally& t : tallies) t.MergeInto(&stats);
   stats.partition_rows = chain.empty() ? RowCounts(src) : RowCounts(out);
-  FinishStage(std::move(stats), rec);
+  FinishStage(std::move(stats));
   // Durable node: recoveries stop here, and lineage depth resets to 0.
   auto node = std::make_shared<LineageNode>();
   node->kind = "checkpoint";
@@ -2104,8 +2095,8 @@ StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in,
   ScopedSpan stage_span(trace(), SpanKind::kStage, label);
   const int stage = NextStageId();
   stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
+  StageStats stats{.label = label};
+  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &stats));
   const FusedChain& chain = src.chain();
   // Per-partition partial reduce (with any pending fused chain folding
   // straight into the partial), then combine partials on the driver.
@@ -2133,12 +2124,12 @@ StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in,
         }
         return Status::OK();
       },
-      &rec, &reduce_slots);
+      &stats, &reduce_slots);
   if (!st.ok()) return st;
-  StageStats stats{label, /*wide=*/false, RowCounts(src), {}, 0};
+  stats.map_work = RowCounts(src);
   stats.fused_ops = static_cast<int64_t>(chain.size());
   for (const ChainTally& t : tallies) t.MergeInto(&stats);
-  FinishStage(std::move(stats), rec);
+  FinishStage(std::move(stats));
   std::optional<Value> acc;
   for (auto& part : partials) {
     if (!part.has_value()) continue;
@@ -2162,8 +2153,8 @@ StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in, BinOp op,
   ScopedSpan stage_span(trace(), SpanKind::kStage, label);
   const int stage = NextStageId();
   stage_span.SetStageId(stage);
-  StageRecovery rec;
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &rec));
+  StageStats stats{.label = label};
+  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &stats));
   const FusedChain& chain = src.chain();
   // Same shape as the closure Reduce, but each partition's partial folds
   // with native int64/double arithmetic (TypedFold) in arrival order —
@@ -2209,12 +2200,12 @@ StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in, BinOp op,
         }
         return Status::OK();
       },
-      &rec, &reduce_slots);
+      &stats, &reduce_slots);
   if (!st.ok()) return st;
-  StageStats stats{label, /*wide=*/false, RowCounts(src), {}, 0};
+  stats.map_work = RowCounts(src);
   stats.fused_ops = static_cast<int64_t>(chain.size());
   for (const ChainTally& t : tallies) t.MergeInto(&stats);
-  FinishStage(std::move(stats), rec);
+  FinishStage(std::move(stats));
   std::optional<Value> acc;
   for (auto& part : partials) {
     if (!part.has_value()) continue;
@@ -2250,7 +2241,7 @@ StatusOr<int64_t> Engine::Count(const Dataset& in) {
   DIABLO_ASSIGN_OR_RETURN(Dataset src, Force(in));
   StageStats count_stats{"count", /*wide=*/false, RowCounts(src), {}, 0};
   count_stats.partition_rows = RowCounts(src);
-  FinishStage(std::move(count_stats), StageRecovery());
+  FinishStage(std::move(count_stats));
   return src.TotalRows();
 }
 

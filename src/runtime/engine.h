@@ -159,17 +159,6 @@ struct EngineProvenance {
   std::string statement;  ///< short statement label, e.g. "assign P"
 };
 
-/// Per-stage fault-handling tallies, merged into the recorded StageStats.
-struct StageRecovery {
-  int64_t attempts = 0;
-  int64_t recomputed_partitions = 0;
-  double recovery_seconds = 0;
-  /// Distributed-backend tallies (zero unless EngineConfig::remote).
-  int64_t dist_tasks = 0;
-  int64_t dist_retries = 0;
-  int64_t dist_workers_lost = 0;
-};
-
 /// The DIABLO execution substrate: a from-scratch, in-process
 /// data-parallel engine with the Spark RDD operator vocabulary.
 ///
@@ -424,35 +413,36 @@ class Engine {
 
   /// Runs one wave of tasks (one per entry of `task_work`) under the
   /// fault model: injected kills and TaskLost results are retried up to
-  /// the budget with simulated backoff charged to `rec`; genuine errors
-  /// abort immediately. `fn(partition, attempt)` must be restartable.
+  /// the budget with simulated backoff charged to `stats`; genuine
+  /// errors abort immediately. `fn(partition, attempt)` must be
+  /// restartable. Adds the wave's attempts to `stats`.
   /// `slots` describes the per-task output slots `fn` writes; when
   /// EngineConfig::remote is set the wave runs on the remote backend,
   /// which marshals exactly those slots back from the workers.
   Status RunTaskWave(const std::string& label, int stage,
                      const std::vector<int64_t>& task_work,
                      const std::function<Status(int, int)>& fn,
-                     StageRecovery* rec, const WaveSlots* slots = nullptr);
+                     StageStats* stats, const WaveSlots* slots = nullptr);
 
   /// Remote dispatch of one task wave via EngineConfig::remote: builds
   /// the RemoteTaskWave closure bundle (worker-side run/encode,
   /// coordinator-side install, the engine-owned simulated-fault hooks,
-  /// and trace/recovery hooks) and merges the backend's counters into
-  /// `rec` in task-index order for deterministic accounting.
+  /// and trace/recovery hooks) and adds the backend's counters to
+  /// `stats` in task-index order for deterministic accounting.
   Status RunTaskWaveRemote(const std::string& label, int stage,
                            const std::vector<int64_t>& task_work,
                            const std::function<Status(int, int)>& fn,
-                           StageRecovery* rec, const WaveSlots& slots,
+                           StageStats* stats, const WaveSlots& slots,
                            TraceRecorder* tr, int64_t wave_span_id);
 
   /// Applies any one-shot lost-partition directives targeting
   /// (stage, input_index): rebuilds the lost partitions from `in`'s
   /// lineage — in ONE source pass via LineageNode::recompute_many when
-  /// the node provides it — charging the recomputation to `rec`. The
+  /// the node provides it — charging the recomputation to `stats`. The
   /// returned dataset keeps `in`'s pending fused chain. Returns `in`
   /// unchanged when nothing was lost.
   StatusOr<Dataset> RecoverInput(const Dataset& in, int stage,
-                                 int input_index, StageRecovery* rec);
+                                 int input_index, StageStats* stats);
 
   /// The wide-stage wave (DESIGN.md §12) that groupByKey, reduceByKey,
   /// join, coGroup and distinct all instantiate: allocates the stage ids,
@@ -508,8 +498,9 @@ class Engine {
   /// slot); the driver re-boxes after the wave.
   StatusOr<Dataset> ForceColumnar(const Dataset& in);
 
-  /// Merges `rec` into `stats` and records the stage.
-  void FinishStage(StageStats stats, const StageRecovery& rec);
+  /// Drains the engine's pending tallies into `stats`, stamps the
+  /// provenance, and records the stage.
+  void FinishStage(StageStats stats);
 
   /// Builds a lineage node for a dataset produced by this engine. The
   /// recompute closures are only retained when fault injection is on.

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "common/strings.h"
+
 namespace diablo::runtime {
 
 namespace {
@@ -11,39 +13,6 @@ double SteadyNowUs() {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 std::string FmtUs(double us) {
@@ -87,7 +56,7 @@ void EventLog::WriteJsonl(std::ostream& os) const {
   for (const auto& stamped : events_) {
     const Event& e = stamped.event;
     os << "{\"schema_version\":" << kSchemaVersion << ",\"event\":\""
-       << EscapeJson(e.name) << "\",\"ts_us\":" << FmtUs(stamped.ts_us)
+       << JsonEscape(e.name) << "\",\"ts_us\":" << FmtUs(stamped.ts_us)
        << ",\"stage\":";
     if (e.stage_id >= 0) {
       os << e.stage_id;
@@ -97,17 +66,17 @@ void EventLog::WriteJsonl(std::ostream& os) const {
     os << ",\"location\":";
     if (e.src_line > 0) {
       os << "{\"file\":\""
-         << EscapeJson(e.src_file.empty() ? "<program>" : e.src_file)
+         << JsonEscape(e.src_file.empty() ? "<program>" : e.src_file)
          << "\",\"line\":" << e.src_line << ",\"column\":" << e.src_column
          << "}";
     } else {
       os << "null";
     }
     for (const auto& [key, value] : e.ints) {
-      os << ",\"" << EscapeJson(key) << "\":" << value;
+      os << ",\"" << JsonEscape(key) << "\":" << value;
     }
     for (const auto& [key, value] : e.strs) {
-      os << ",\"" << EscapeJson(key) << "\":\"" << EscapeJson(value) << "\"";
+      os << ",\"" << JsonEscape(key) << "\":\"" << JsonEscape(value) << "\"";
     }
     os << "}\n";
   }

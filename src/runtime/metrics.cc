@@ -1,6 +1,9 @@
 #include "runtime/metrics.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <numeric>
+#include <ostream>
 #include <queue>
 #include <sstream>
 
@@ -41,124 +44,47 @@ int64_t Metrics::total_work() const {
   return n;
 }
 
-int64_t Metrics::total_shuffle_bytes() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.shuffle_bytes;
-  return n;
+namespace {
+
+std::string FormatValue(int64_t v) { return std::to_string(v); }
+
+std::string FormatValue(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
 }
 
-int64_t Metrics::total_attempts() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.attempts;
-  return n;
+}  // namespace
+
+std::string StageCounter::Format(const StageStats& stage) const {
+  return std::visit([&](auto m) { return FormatValue(stage.*m); }, member);
 }
 
-int64_t Metrics::total_recomputed_partitions() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.recomputed_partitions;
-  return n;
+std::string StageCounter::FormatTotal(const Metrics& metrics) const {
+  return std::visit(
+      [&](auto m) {
+        return FormatValue(fold == Fold::kMax ? metrics.Max(m)
+                                              : metrics.Sum(m));
+      },
+      member);
 }
 
-double Metrics::total_recovery_seconds() const {
-  double n = 0;
-  for (const auto& s : stages_) n += s.recovery_seconds;
-  return n;
+bool StageCounter::IsZero(const StageStats& stage) const {
+  return std::visit([&](auto m) { return stage.*m == 0; }, member);
 }
 
-int64_t Metrics::total_fused_ops() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.fused_ops;
-  return n;
-}
-
-int64_t Metrics::total_rows_not_materialized() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.rows_not_materialized;
-  return n;
-}
-
-int64_t Metrics::total_bytes_not_materialized() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.bytes_not_materialized;
-  return n;
-}
-
-int64_t Metrics::total_hash_agg_rows() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.hash_agg_rows;
-  return n;
-}
-
-int64_t Metrics::total_hash_agg_keys() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.hash_agg_keys;
-  return n;
-}
-
-int64_t Metrics::total_pool_tasks() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.pool_tasks;
-  return n;
-}
-
-int64_t Metrics::total_columnar_batches() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.columnar_batches;
-  return n;
-}
-
-int64_t Metrics::total_columnar_rows_fallback() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.columnar_rows_fallback;
-  return n;
-}
-
-int64_t Metrics::total_dist_tasks() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.dist_tasks;
-  return n;
-}
-
-int64_t Metrics::total_dist_retries() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.dist_retries;
-  return n;
-}
-
-int64_t Metrics::total_dist_workers_lost() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.dist_workers_lost;
-  return n;
-}
-
-int64_t Metrics::total_salted_keys() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.salted_keys;
-  return n;
-}
-
-int64_t Metrics::total_salt_fanout() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.salt_fanout;
-  return n;
-}
-
-int64_t Metrics::total_cost_decisions() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n += s.cost_decisions;
-  return n;
-}
-
-int64_t Metrics::max_peak_rss_bytes() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n = std::max(n, s.peak_rss_bytes);
-  return n;
-}
-
-int64_t Metrics::max_accumulator_bytes_peak() const {
-  int64_t n = 0;
-  for (const auto& s : stages_) n = std::max(n, s.accumulator_bytes_peak);
-  return n;
+void WriteStageCounters(const StageStats& stage, std::ostream& os) {
+  os << "map_work="
+     << std::accumulate(stage.map_work.begin(), stage.map_work.end(),
+                        int64_t{0})
+     << " reduce_work="
+     << std::accumulate(stage.reduce_work.begin(), stage.reduce_work.end(),
+                        int64_t{0});
+  for (const StageCounter& c : kStageCounters) {
+    if (c.fold == StageCounter::Fold::kSum && !c.IsZero(stage)) {
+      os << " " << c.name << "=" << c.Format(stage);
+    }
+  }
 }
 
 double Metrics::SimulatedFaultFreeSeconds(const ClusterModel& model) const {
@@ -186,46 +112,13 @@ double Metrics::SimulatedSeconds(const ClusterModel& model) const {
 std::string Metrics::Report() const {
   std::ostringstream os;
   for (const auto& s : stages_) {
-    int64_t map_total = 0, reduce_total = 0;
-    for (int64_t w : s.map_work) map_total += w;
-    for (int64_t w : s.reduce_work) reduce_total += w;
     os << (s.wide ? "[wide]   " : "[narrow] ") << s.label;
     if (s.src_line > 0) {
       os << " [" << (s.src_file.empty() ? "<program>" : s.src_file) << ":"
          << s.src_line << ":" << s.src_column << "]";
     }
-    os << ": map_work=" << map_total << " reduce_work=" << reduce_total
-       << " shuffle_bytes=" << s.shuffle_bytes << " attempts=" << s.attempts;
-    if (s.recomputed_partitions > 0 || s.recovery_seconds > 0) {
-      os << " recomputed=" << s.recomputed_partitions
-         << " recovery_s=" << s.recovery_seconds;
-    }
-    if (s.fused_ops > 0) {
-      os << " fused_ops=" << s.fused_ops
-         << " rows_unmaterialized=" << s.rows_not_materialized
-         << " bytes_unmaterialized=" << s.bytes_not_materialized;
-    }
-    if (s.hash_agg_rows > 0 || s.hash_agg_keys > 0) {
-      os << " hash_agg_rows=" << s.hash_agg_rows
-         << " hash_agg_keys=" << s.hash_agg_keys;
-    }
-    if (s.pool_tasks > 0) os << " pool_tasks=" << s.pool_tasks;
-    if (s.columnar_batches > 0 || s.columnar_rows_fallback > 0) {
-      os << " columnar_batches=" << s.columnar_batches
-         << " columnar_rows_fallback=" << s.columnar_rows_fallback;
-    }
-    if (s.dist_tasks > 0) {
-      os << " dist_tasks=" << s.dist_tasks;
-      if (s.dist_retries > 0) os << " dist_retries=" << s.dist_retries;
-      if (s.dist_workers_lost > 0) {
-        os << " dist_workers_lost=" << s.dist_workers_lost;
-      }
-    }
-    if (s.salted_keys > 0 || s.salt_fanout > 0) {
-      os << " salted_keys=" << s.salted_keys
-         << " salt_fanout=" << s.salt_fanout;
-    }
-    if (s.cost_decisions > 0) os << " cost_decisions=" << s.cost_decisions;
+    os << ": ";
+    WriteStageCounters(s, os);
     os << "\n";
   }
   return os.str();

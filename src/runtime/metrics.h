@@ -1,8 +1,11 @@
 #ifndef DIABLO_RUNTIME_METRICS_H_
 #define DIABLO_RUNTIME_METRICS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace diablo::runtime {
@@ -111,6 +114,60 @@ struct StageStats {
   int64_t accumulator_bytes_peak = 0;
 };
 
+class Metrics;
+
+/// One numeric counter of StageStats, as every export renders it: the
+/// profile JSON writes it under `name` in the run totals and in each
+/// stage object, and the text reports print it as `name=value`.
+struct StageCounter {
+  /// How the counter folds over the stages of a run. Memory watermarks
+  /// are maxima (RSS is monotone, accumulators are per-task peaks);
+  /// every other counter is a sum.
+  enum class Fold { kSum, kMax };
+  const char* name;
+  std::variant<int64_t StageStats::*, double StageStats::*> member;
+  Fold fold = Fold::kSum;
+
+  /// The counter of one stage: integers in full, reals as %.6g.
+  std::string Format(const StageStats& stage) const;
+  /// The counter folded over every stage of `metrics`, formatted alike.
+  std::string FormatTotal(const Metrics& metrics) const;
+  bool IsZero(const StageStats& stage) const;
+};
+
+/// The counter table, in export order. A counter added to StageStats and
+/// listed here reaches the profile totals, each profile stage object,
+/// --plan-report and --explain-analyze without further code.
+inline constexpr StageCounter kStageCounters[] = {
+    {"shuffle_bytes", &StageStats::shuffle_bytes},
+    {"attempts", &StageStats::attempts},
+    {"recomputed_partitions", &StageStats::recomputed_partitions},
+    {"recovery_seconds", &StageStats::recovery_seconds},
+    {"fused_ops", &StageStats::fused_ops},
+    {"rows_not_materialized", &StageStats::rows_not_materialized},
+    {"bytes_not_materialized", &StageStats::bytes_not_materialized},
+    {"hash_agg_rows", &StageStats::hash_agg_rows},
+    {"hash_agg_keys", &StageStats::hash_agg_keys},
+    {"pool_tasks", &StageStats::pool_tasks},
+    {"columnar_batches", &StageStats::columnar_batches},
+    {"columnar_rows_fallback", &StageStats::columnar_rows_fallback},
+    {"salted_keys", &StageStats::salted_keys},
+    {"salt_fanout", &StageStats::salt_fanout},
+    {"cost_decisions", &StageStats::cost_decisions},
+    {"dist_tasks", &StageStats::dist_tasks},
+    {"dist_retries", &StageStats::dist_retries},
+    {"dist_workers_lost", &StageStats::dist_workers_lost},
+    {"peak_rss_bytes", &StageStats::peak_rss_bytes, StageCounter::Fold::kMax},
+    {"accumulator_bytes_peak", &StageStats::accumulator_bytes_peak,
+     StageCounter::Fold::kMax},
+};
+
+/// The one counter line of a stage in the text reports (Metrics::Report,
+/// WriteExplainAnalyze): `map_work=M reduce_work=R`, then ` name=value`
+/// for every nonzero summed counter. Watermarks are left out, so the
+/// line is identical for identical runs.
+void WriteStageCounters(const StageStats& stage, std::ostream& os);
+
 /// Parameters of the deterministic cluster cost model.
 ///
 /// The engine executes on the local host but *accounts* as if tasks were
@@ -146,46 +203,69 @@ class Metrics {
   int64_t num_stages() const { return static_cast<int64_t>(stages_.size()); }
   int64_t num_wide_stages() const;
   int64_t total_work() const;
-  int64_t total_shuffle_bytes() const;
-  /// Task attempts across all stages (fault tolerance; see StageStats).
-  int64_t total_attempts() const;
-  /// Partitions recomputed from lineage across all stages.
-  int64_t total_recomputed_partitions() const;
-  /// Simulated seconds of recovery work across all stages.
-  double total_recovery_seconds() const;
-  /// Fused narrow operators executed inside stage waves (see StageStats).
-  int64_t total_fused_ops() const;
-  /// Intermediate rows streamed through fused chains instead of built
-  /// as full datasets.
-  int64_t total_rows_not_materialized() const;
-  /// Estimated bytes of those skipped intermediates.
-  int64_t total_bytes_not_materialized() const;
-  /// Rows inserted into hash KeyedAccumulators across all stages.
-  int64_t total_hash_agg_rows() const;
-  /// Distinct keys those accumulators produced.
-  int64_t total_hash_agg_keys() const;
-  /// Tasks executed on the persistent worker pool across all stages.
-  int64_t total_pool_tasks() const;
-  /// Partition batches run through typed columnar fast paths.
-  int64_t total_columnar_batches() const;
-  /// Rows that fell back from columnar to boxed execution mid-stage.
-  int64_t total_columnar_rows_fallback() const;
-  /// Tasks dispatched to distributed worker processes across all stages.
-  int64_t total_dist_tasks() const;
-  /// Task re-dispatches after real worker deaths across all stages.
-  int64_t total_dist_retries() const;
-  /// Worker processes lost (and recovered from) across all stages.
-  int64_t total_dist_workers_lost() const;
-  /// Keys folded in more than one salted sub-task across all stages.
-  int64_t total_salted_keys() const;
-  /// Extra sub-tasks skew mitigation created across all stages.
-  int64_t total_salt_fanout() const;
-  /// Profile-informed plan decisions taken across all stages.
-  int64_t total_cost_decisions() const;
-  /// High-water marks across all stages (memory watermarks are maxima,
-  /// not sums: RSS is monotone and accumulators are per-task peaks).
-  int64_t max_peak_rss_bytes() const;
-  int64_t max_accumulator_bytes_peak() const;
+
+  /// A StageStats counter summed over all stages, in stage order.
+  template <typename T>
+  T Sum(T StageStats::*member) const {
+    T total = 0;
+    for (const auto& s : stages_) total += s.*member;
+    return total;
+  }
+  /// A StageStats counter's largest value over all stages (0 when none).
+  template <typename T>
+  T Max(T StageStats::*member) const {
+    T high = 0;
+    for (const auto& s : stages_) high = std::max(high, s.*member);
+    return high;
+  }
+
+  /// Run totals of the kStageCounters entries (see StageStats).
+  int64_t total_shuffle_bytes() const {
+    return Sum(&StageStats::shuffle_bytes);
+  }
+  int64_t total_attempts() const { return Sum(&StageStats::attempts); }
+  int64_t total_recomputed_partitions() const {
+    return Sum(&StageStats::recomputed_partitions);
+  }
+  double total_recovery_seconds() const {
+    return Sum(&StageStats::recovery_seconds);
+  }
+  int64_t total_fused_ops() const { return Sum(&StageStats::fused_ops); }
+  int64_t total_rows_not_materialized() const {
+    return Sum(&StageStats::rows_not_materialized);
+  }
+  int64_t total_bytes_not_materialized() const {
+    return Sum(&StageStats::bytes_not_materialized);
+  }
+  int64_t total_hash_agg_rows() const {
+    return Sum(&StageStats::hash_agg_rows);
+  }
+  int64_t total_hash_agg_keys() const {
+    return Sum(&StageStats::hash_agg_keys);
+  }
+  int64_t total_pool_tasks() const { return Sum(&StageStats::pool_tasks); }
+  int64_t total_columnar_batches() const {
+    return Sum(&StageStats::columnar_batches);
+  }
+  int64_t total_columnar_rows_fallback() const {
+    return Sum(&StageStats::columnar_rows_fallback);
+  }
+  int64_t total_dist_tasks() const { return Sum(&StageStats::dist_tasks); }
+  int64_t total_dist_retries() const { return Sum(&StageStats::dist_retries); }
+  int64_t total_dist_workers_lost() const {
+    return Sum(&StageStats::dist_workers_lost);
+  }
+  int64_t total_salted_keys() const { return Sum(&StageStats::salted_keys); }
+  int64_t total_salt_fanout() const { return Sum(&StageStats::salt_fanout); }
+  int64_t total_cost_decisions() const {
+    return Sum(&StageStats::cost_decisions);
+  }
+  int64_t max_peak_rss_bytes() const {
+    return Max(&StageStats::peak_rss_bytes);
+  }
+  int64_t max_accumulator_bytes_peak() const {
+    return Max(&StageStats::accumulator_bytes_peak);
+  }
 
   /// Simulated wall-clock seconds on a cluster described by `model`,
   /// recovery overhead included.
@@ -196,7 +276,8 @@ class Metrics {
   /// overhead the fault model charges.
   double SimulatedFaultFreeSeconds(const ClusterModel& model) const;
 
-  /// One line per stage: label, tasks, work, shuffled bytes.
+  /// One line per stage: kind, label, source location, then the stage's
+  /// WriteStageCounters line.
   std::string Report() const;
 
  private:

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/strings.h"
+
 namespace diablo::runtime {
 
 namespace {
@@ -20,39 +22,6 @@ std::string EscapeLabelValue(const std::string& s) {
       out += "\\n";
     } else {
       out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string EscapeJsonString(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
     }
   }
   return out;
@@ -92,8 +61,8 @@ void WriteLabelsJson(const MetricLabels& labels, std::ostream& os) {
   os << "{";
   for (size_t i = 0; i < labels.size(); ++i) {
     if (i > 0) os << ",";
-    os << "\"" << EscapeJsonString(labels[i].first) << "\":\""
-       << EscapeJsonString(labels[i].second) << "\"";
+    os << "\"" << JsonEscape(labels[i].first) << "\":\""
+       << JsonEscape(labels[i].second) << "\"";
   }
   os << "}";
 }
@@ -254,7 +223,7 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
       for (const auto& [label_str, series] : family.series) {
         if (!first) os << ",";
         first = false;
-        os << "\n{\"name\":\"" << EscapeJsonString(name) << "\",\"labels\":";
+        os << "\n{\"name\":\"" << JsonEscape(name) << "\",\"labels\":";
         WriteLabelsJson(series.labels, os);
         switch (kind) {
           case Kind::kCounter:

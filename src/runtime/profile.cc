@@ -205,6 +205,23 @@ class JsonParser {
   size_t pos_ = 0;
 };
 
+/// True when `num` truncates to an int64 without overflow (false for
+/// NaN and the infinities).
+bool FitsInt64(double num) { return num >= -0x1p63 && num < 0x1p63; }
+
+/// Count `key` of stage `index`: 0 when absent or not a number, an error
+/// when no int64 holds it.
+StatusOr<int64_t> StageCount(const JsonValue* v, size_t index,
+                             const std::string& key) {
+  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return 0;
+  if (!FitsInt64(v->num)) {
+    return Status::InvalidArgument(
+        StrCat("profile JSON: stage ", index, " \"", key, "\": ", v->num,
+               " is not a finite count in the int64 range"));
+  }
+  return static_cast<int64_t>(v->num);
+}
+
 }  // namespace
 
 const JsonValue* JsonValue::Find(const std::string& key) const {
@@ -215,7 +232,9 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
 
 int64_t JsonValue::Int(const std::string& key, int64_t fallback) const {
   const JsonValue* v = Find(key);
-  if (v == nullptr || v->kind != Kind::kNumber) return fallback;
+  if (v == nullptr || v->kind != Kind::kNumber || !FitsInt64(v->num)) {
+    return fallback;
+  }
   return static_cast<int64_t>(v->num);
 }
 
@@ -245,7 +264,8 @@ StatusOr<ProfileData> ProfileData::Parse(const std::string& json_text) {
   ProfileData data;
   data.program_ = root.Str("program");
   data.stages_.reserve(stages->arr.size());
-  for (const JsonValue& s : stages->arr) {
+  for (size_t i = 0; i < stages->arr.size(); ++i) {
+    const JsonValue& s = stages->arr[i];
     if (!s.is_object()) continue;
     ProfileStage stage;
     stage.label = s.Str("label");
@@ -257,16 +277,20 @@ StatusOr<ProfileData> ProfileData::Parse(const std::string& json_text) {
       stage.line = static_cast<int>(loc->Int("line"));
       stage.column = static_cast<int>(loc->Int("column"));
     }
-    stage.map_work = s.Int("map_work");
-    stage.reduce_work = s.Int("reduce_work");
-    stage.shuffle_bytes = s.Int("shuffle_bytes");
-    stage.hash_agg_keys = s.Int("hash_agg_keys");
+    for (auto [key, count] :
+         {std::pair{"map_work", &stage.map_work},
+          std::pair{"reduce_work", &stage.reduce_work},
+          std::pair{"shuffle_bytes", &stage.shuffle_bytes},
+          std::pair{"hash_agg_keys", &stage.hash_agg_keys}}) {
+      DIABLO_ASSIGN_OR_RETURN(*count, StageCount(s.Find(key), i, key));
+    }
     if (const JsonValue* parts = s.Find("partitions")) {
       if (const JsonValue* rows = parts->Find("rows")) {
         for (const JsonValue& r : rows->arr) {
-          if (r.kind == JsonValue::Kind::kNumber) {
-            stage.partition_rows.push_back(static_cast<int64_t>(r.num));
-          }
+          if (r.kind != JsonValue::Kind::kNumber) continue;
+          DIABLO_ASSIGN_OR_RETURN(const int64_t n,
+                                  StageCount(&r, i, "partitions.rows"));
+          stage.partition_rows.push_back(n);
         }
       }
     }

@@ -41,7 +41,8 @@ struct JsonValue {
   bool is_array() const { return kind == Kind::kArray; }
   /// Member lookup; null value when absent or not an object.
   const JsonValue* Find(const std::string& key) const;
-  /// Numeric member as int64 (truncated), or `fallback`.
+  /// Numeric member as int64 (truncated), or `fallback` when absent, not
+  /// a number, or outside the int64 range.
   int64_t Int(const std::string& key, int64_t fallback = 0) const;
   /// String member, or "" when absent.
   std::string Str(const std::string& key) const;
@@ -72,7 +73,8 @@ class ProfileData {
  public:
   /// Parses the JSON text of a `--profile-out` export. Any
   /// schema_version >= 1 is accepted (later versions only add keys).
-  /// Malformed JSON or a missing "stages" array is an error; individual
+  /// Malformed JSON, a missing "stages" array, or a stage count that no
+  /// int64 holds (non-finite or out of range) is an error; individual
   /// stages missing optional keys parse as zeros.
   static StatusOr<ProfileData> Parse(const std::string& json_text);
 

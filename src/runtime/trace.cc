@@ -4,8 +4,11 @@
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <ostream>
 #include <sstream>
+
+#include "common/strings.h"
 
 namespace diablo::runtime {
 
@@ -21,39 +24,6 @@ double SteadyNowUs() {
 constexpr double kOpenSentinel = -1.0;
 
 thread_local int g_trace_worker = 0;
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Fixed-point microseconds: trace timestamps don't need more than
 /// 0.001us and scientific notation confuses trace viewers.
@@ -75,7 +45,7 @@ void WriteLocationJson(const std::string& file, int line, int column,
     os << "null";
     return;
   }
-  os << "{\"file\":\"" << EscapeJson(file.empty() ? "<program>" : file)
+  os << "{\"file\":\"" << JsonEscape(file.empty() ? "<program>" : file)
      << "\",\"line\":" << line << ",\"column\":" << column << "}";
 }
 
@@ -313,7 +283,7 @@ void WriteChromeTrace(const std::vector<TraceSpan>& spans, std::ostream& os) {
     const int tid = s.kind == SpanKind::kTask ? s.worker : 0;
     os << "{\"ph\":\"X\",\"pid\":" << s.process << ",\"tid\":" << tid
        << ",\"name\":\""
-       << EscapeJson(s.name) << "\",\"cat\":\"" << SpanKindName(s.kind)
+       << JsonEscape(s.name) << "\",\"cat\":\"" << SpanKindName(s.kind)
        << "\",\"ts\":" << FmtUs(s.start_us) << ",\"dur\":" << FmtUs(s.dur_us)
        << ",\"args\":{\"span\":" << s.id << ",\"parent\":" << s.parent;
     if (s.stage_id >= 0) os << ",\"stage\":" << s.stage_id;
@@ -417,34 +387,16 @@ void WriteProfileJson(const Metrics& metrics, const ClusterModel& model,
     }
     if (s.kind == SpanKind::kRun) run_wall_us += s.dur_us;
   }
-  os << "{\"schema_version\":4,\"program\":\"" << EscapeJson(program)
+  os << "{\"schema_version\":4,\"program\":\"" << JsonEscape(program)
      << "\",\"tracing\":" << (spans.empty() ? "false" : "true")
      << ",\"run_wall_us\":" << FmtDouble(run_wall_us) << ",\"totals\":{"
      << "\"stages\":" << metrics.num_stages()
      << ",\"wide_stages\":" << metrics.num_wide_stages()
-     << ",\"work\":" << metrics.total_work()
-     << ",\"shuffle_bytes\":" << metrics.total_shuffle_bytes()
-     << ",\"attempts\":" << metrics.total_attempts()
-     << ",\"recomputed_partitions\":" << metrics.total_recomputed_partitions()
-     << ",\"recovery_seconds\":" << FmtDouble(metrics.total_recovery_seconds())
-     << ",\"fused_ops\":" << metrics.total_fused_ops()
-     << ",\"rows_not_materialized\":" << metrics.total_rows_not_materialized()
-     << ",\"bytes_not_materialized\":" << metrics.total_bytes_not_materialized()
-     << ",\"hash_agg_rows\":" << metrics.total_hash_agg_rows()
-     << ",\"hash_agg_keys\":" << metrics.total_hash_agg_keys()
-     << ",\"pool_tasks\":" << metrics.total_pool_tasks()
-     << ",\"columnar_batches\":" << metrics.total_columnar_batches()
-     << ",\"columnar_rows_fallback\":"
-     << metrics.total_columnar_rows_fallback()
-     << ",\"salted_keys\":" << metrics.total_salted_keys()
-     << ",\"salt_fanout\":" << metrics.total_salt_fanout()
-     << ",\"cost_decisions\":" << metrics.total_cost_decisions()
-     << ",\"dist_tasks\":" << metrics.total_dist_tasks()
-     << ",\"dist_retries\":" << metrics.total_dist_retries()
-     << ",\"dist_workers_lost\":" << metrics.total_dist_workers_lost()
-     << ",\"peak_rss_bytes\":" << metrics.max_peak_rss_bytes()
-     << ",\"accumulator_bytes_peak\":" << metrics.max_accumulator_bytes_peak()
-     << ",\"simulated_seconds\":" << FmtDouble(metrics.SimulatedSeconds(model))
+     << ",\"work\":" << metrics.total_work();
+  for (const StageCounter& c : kStageCounters) {
+    os << ",\"" << c.name << "\":" << c.FormatTotal(metrics);
+  }
+  os << ",\"simulated_seconds\":" << FmtDouble(metrics.SimulatedSeconds(model))
      << ",\"simulated_fault_free_seconds\":"
      << FmtDouble(metrics.SimulatedFaultFreeSeconds(model))
      << "},\"processes\":[";
@@ -473,32 +425,19 @@ void WriteProfileJson(const Metrics& metrics, const ClusterModel& model,
   const auto& stages = metrics.stages();
   for (size_t i = 0; i < stages.size(); ++i) {
     const auto& s = stages[i];
-    int64_t map_total = 0, reduce_total = 0;
-    for (int64_t w : s.map_work) map_total += w;
-    for (int64_t w : s.reduce_work) reduce_total += w;
     os << (i == 0 ? "" : ",") << "\n{\"index\":" << i << ",\"label\":\""
-       << EscapeJson(s.label) << "\",\"wide\":" << (s.wide ? "true" : "false")
+       << JsonEscape(s.label) << "\",\"wide\":" << (s.wide ? "true" : "false")
        << ",\"location\":";
     WriteLocationJson(s.src_file, s.src_line, s.src_column, os);
-    os << ",\"map_work\":" << map_total << ",\"reduce_work\":" << reduce_total
-       << ",\"shuffle_bytes\":" << s.shuffle_bytes
-       << ",\"attempts\":" << s.attempts
-       << ",\"recomputed_partitions\":" << s.recomputed_partitions
-       << ",\"recovery_seconds\":" << FmtDouble(s.recovery_seconds)
-       << ",\"fused_ops\":" << s.fused_ops
-       << ",\"rows_not_materialized\":" << s.rows_not_materialized
-       << ",\"bytes_not_materialized\":" << s.bytes_not_materialized
-       << ",\"hash_agg_rows\":" << s.hash_agg_rows
-       << ",\"hash_agg_keys\":" << s.hash_agg_keys
-       << ",\"pool_tasks\":" << s.pool_tasks
-       << ",\"columnar_batches\":" << s.columnar_batches
-       << ",\"columnar_rows_fallback\":" << s.columnar_rows_fallback
-       << ",\"salted_keys\":" << s.salted_keys
-       << ",\"salt_fanout\":" << s.salt_fanout
-       << ",\"cost_decisions\":" << s.cost_decisions
-       << ",\"peak_rss_bytes\":" << s.peak_rss_bytes
-       << ",\"accumulator_bytes_peak\":" << s.accumulator_bytes_peak
-       << ",\"partitions\":{\"rows\":";
+    os << ",\"map_work\":"
+       << std::accumulate(s.map_work.begin(), s.map_work.end(), int64_t{0})
+       << ",\"reduce_work\":"
+       << std::accumulate(s.reduce_work.begin(), s.reduce_work.end(),
+                          int64_t{0});
+    for (const StageCounter& c : kStageCounters) {
+      os << ",\"" << c.name << "\":" << c.Format(s);
+    }
+    os << ",\"partitions\":{\"rows\":";
     WriteIntArray(s.partition_rows, os);
     os << ",\"bytes\":";
     WriteIntArray(s.partition_bytes, os);
@@ -568,26 +507,8 @@ void WriteExplainAnalyze(const Metrics& metrics, const ClusterModel& model,
        << LocationSuffix(span.src_file, span.src_line, span.src_column)
        << "  (wall " << FmtDouble(span.dur_us / 1000.0) << " ms)\n";
     if (stats != nullptr) {
-      int64_t map_total = 0, reduce_total = 0;
-      for (int64_t w : stats->map_work) map_total += w;
-      for (int64_t w : stats->reduce_work) reduce_total += w;
-      os << "      map_work=" << map_total << " reduce_work=" << reduce_total
-         << " shuffle_bytes=" << stats->shuffle_bytes
-         << " attempts=" << stats->attempts;
-      if (stats->recomputed_partitions > 0 || stats->recovery_seconds > 0) {
-        os << " recomputed=" << stats->recomputed_partitions
-           << " recovery_s=" << FmtDouble(stats->recovery_seconds);
-      }
-      if (stats->fused_ops > 0) os << " fused_ops=" << stats->fused_ops;
-      if (stats->hash_agg_rows > 0) {
-        os << " hash_agg_rows=" << stats->hash_agg_rows
-           << " hash_agg_keys=" << stats->hash_agg_keys;
-      }
-      if (stats->pool_tasks > 0) os << " pool_tasks=" << stats->pool_tasks;
-      if (stats->columnar_batches > 0 || stats->columnar_rows_fallback > 0) {
-        os << " columnar_batches=" << stats->columnar_batches
-           << " columnar_rows_fallback=" << stats->columnar_rows_fallback;
-      }
+      os << "      ";
+      WriteStageCounters(*stats, os);
       os << "\n";
     }
     const TaskTimeStats t = AggregateTaskTimes(spans, span.id);

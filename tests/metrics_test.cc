@@ -1,14 +1,21 @@
 // Unit tests for the cluster cost model (LPT makespan, stage accounting
-// and scaling behaviour of SimulatedSeconds) and for the MetricsRegistry
-// (counter/gauge/histogram semantics and the Prometheus exposition).
+// and scaling behaviour of SimulatedSeconds), for the stage counter table
+// behind every stage export, for the shared JSON string escaper, and for
+// the MetricsRegistry (counter/gauge/histogram semantics and the
+// Prometheus exposition).
 
 #include "runtime/metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
+#include <type_traits>
 
+#include "common/strings.h"
 #include "runtime/metrics_registry.h"
+#include "runtime/profile.h"
+#include "runtime/trace.h"
 
 namespace diablo::runtime {
 namespace {
@@ -90,8 +97,120 @@ TEST(Metrics, ReportIncludesRecoveryCounters) {
   metrics.AddStage({"grp", true, {5}, {3}, 42, 6, 2, 0.5});
   std::string report = metrics.Report();
   EXPECT_NE(report.find("attempts=6"), std::string::npos);
-  EXPECT_NE(report.find("recomputed=2"), std::string::npos);
-  EXPECT_NE(report.find("recovery_s="), std::string::npos);
+  EXPECT_NE(report.find("recomputed_partitions=2"), std::string::npos);
+  EXPECT_NE(report.find("recovery_seconds="), std::string::npos);
+}
+
+/// The lines of `text` that start with `prefix`, in order.
+std::vector<std::string> LinesStartingWith(const std::string& text,
+                                           const std::string& prefix) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(prefix, 0) == 0) out.push_back(line);
+  }
+  return out;
+}
+
+// Every kStageCounters entry, given a distinct nonzero value in each of two
+// stages, reaches the profile totals (folded), both profile stage objects,
+// and both stages' lines of --plan-report and --explain-analyze; the
+// watermarks stay out of the text reports.
+TEST(StageCounters, EveryCounterReachesEveryExport) {
+  constexpr size_t kCounters = std::size(kStageCounters);
+  // Stage 0 is the larger value for odd rows, stage 1 for even rows, so a
+  // max fold is told apart from "the last stage's value".
+  auto value = [](size_t k, int stage) -> int64_t {
+    const int64_t base = 1000 * static_cast<int64_t>(k + 1);
+    return base + (stage == 0 ? (k % 2 == 1 ? 900 : 100) : 500);
+  };
+  Metrics metrics;
+  for (int i = 0; i < 2; ++i) {
+    StageStats stage;
+    stage.label = "stage" + std::to_string(i);
+    stage.wide = i == 1;
+    stage.map_work = {7};
+    for (size_t k = 0; k < kCounters; ++k) {
+      std::visit(
+          [&](auto m) {
+            stage.*m = static_cast<std::decay_t<decltype(stage.*m)>>(
+                value(k, i));
+          },
+          kStageCounters[k].member);
+    }
+    metrics.AddStage(stage);
+  }
+  auto expected_total = [&](size_t k) -> int64_t {
+    return kStageCounters[k].fold == StageCounter::Fold::kMax
+               ? std::max(value(k, 0), value(k, 1))
+               : value(k, 0) + value(k, 1);
+  };
+
+  std::ostringstream profile;
+  WriteProfileJson(metrics, ClusterModel(), {}, "p", profile);
+  StatusOr<JsonValue> root = ParseJson(profile.str());
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  const JsonValue* totals = root->Find("totals");
+  const JsonValue* stages = root->Find("stages");
+  ASSERT_NE(totals, nullptr);
+  ASSERT_NE(stages, nullptr);
+  ASSERT_EQ(stages->arr.size(), 2u);
+  for (size_t k = 0; k < kCounters; ++k) {
+    const std::string name = kStageCounters[k].name;
+    const JsonValue* total = totals->Find(name);
+    ASSERT_NE(total, nullptr) << name;
+    EXPECT_EQ(total->num, static_cast<double>(expected_total(k))) << name;
+    for (int i = 0; i < 2; ++i) {
+      const JsonValue* own = stages->arr[static_cast<size_t>(i)].Find(name);
+      ASSERT_NE(own, nullptr) << name << " stage " << i;
+      EXPECT_EQ(own->num, static_cast<double>(value(k, i)))
+          << name << " stage " << i;
+    }
+  }
+
+  // Two stage spans under one statement, so explain-analyze prints both
+  // stages' counter lines.
+  std::vector<TraceSpan> spans(4);
+  spans[0].kind = SpanKind::kRun;
+  spans[1].id = 1;
+  spans[1].parent = 0;
+  spans[1].kind = SpanKind::kStatement;
+  for (int i = 0; i < 2; ++i) {
+    TraceSpan& span = spans[static_cast<size_t>(2 + i)];
+    span.id = 2 + i;
+    span.parent = 1;
+    span.kind = SpanKind::kStage;
+    span.metrics_index = i;
+  }
+  std::ostringstream explain;
+  WriteExplainAnalyze(metrics, ClusterModel(), spans, explain);
+  const std::string report = metrics.Report();
+  const std::vector<std::vector<std::string>> reports = {
+      LinesStartingWith(report, "["),
+      LinesStartingWith(explain.str(), "      map_work=")};
+  for (const auto& lines : reports) {
+    ASSERT_EQ(lines.size(), 2u);
+    for (int i = 0; i < 2; ++i) {
+      const std::string line = lines[static_cast<size_t>(i)] + " ";
+      for (size_t k = 0; k < kCounters; ++k) {
+        const std::string name = kStageCounters[k].name;
+        const std::string field = name + "=";
+        if (kStageCounters[k].fold == StageCounter::Fold::kMax) {
+          EXPECT_EQ(line.find(field), std::string::npos) << line;
+        } else {
+          EXPECT_NE(line.find(" " + field + std::to_string(value(k, i)) + " "),
+                    std::string::npos)
+              << name << " stage " << i << ": " << line;
+        }
+      }
+    }
+  }
+}
+
+TEST(JsonEscape, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(JsonEscape("a\"b\\c\nd\te\rf\x01g"),
+            "a\\\"b\\\\c\\nd\\te\\rf\\u0001g");
+  EXPECT_EQ(JsonEscape("plain / text"), "plain / text");
 }
 
 TEST(Metrics, MoreWorkersNeverSlower) {

@@ -897,6 +897,22 @@ TEST(ProfileFeedbackTest, StaleProfileDegradesGracefully) {
 TEST(ProfileFeedbackTest, MalformedProfileIsAnError) {
   EXPECT_FALSE(ProfileData::Parse("{not json").ok());
   EXPECT_FALSE(ProfileData::Parse(R"({"schema_version": 3})").ok());
+  // A count no int64 holds is an error naming the stage and the key,
+  // not a float-to-integer conversion overflow.
+  auto huge = ProfileData::Parse(
+      R"({"schema_version":4,"stages":[{"label":"x","map_work":1e300}]})");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(huge.status().message().find("stage 0 \"map_work\""),
+            std::string::npos)
+      << huge.status().ToString();
+  auto infinite = ProfileData::Parse(
+      R"({"schema_version":4,"stages":[{"label":"x","map_work":1},)"
+      R"({"label":"y","partitions":{"rows":[1,1e999]}}]})");
+  ASSERT_FALSE(infinite.ok());
+  EXPECT_NE(infinite.status().message().find("stage 1 \"partitions.rows\""),
+            std::string::npos)
+      << infinite.status().ToString();
 }
 
 TEST(ProfileFeedbackTest, RecommendPartitionsFallsBackWithoutRows) {

@@ -42,6 +42,7 @@ STAGE_KEYS = [
     "bytes_not_materialized", "hash_agg_rows", "hash_agg_keys",
     "pool_tasks", "columnar_batches", "columnar_rows_fallback",
     "salted_keys", "salt_fanout", "cost_decisions",
+    "dist_tasks", "dist_retries", "dist_workers_lost",
     "peak_rss_bytes", "accumulator_bytes_peak",
     "partitions", "tasks",
 ]
