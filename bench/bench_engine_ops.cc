@@ -191,14 +191,11 @@ BENCHMARK(BM_DistReduceByKeyTraced)
     ->Args({100000, 10000, 1})
     ->ArgNames({"rows", "keys", "trace"});
 
-// The AB9 ablation pair CI gates with check_bench_regression.py
-// --pair: reduceByKey with the columnar engine (typed combine, typed
-// shuffle, typed reduce — no boxed pair row between the source and the
-// final sorted emit) against the boxed baseline on the same input.
+// reduceByKey on the typed layout: typed combine, typed shuffle, typed
+// reduce — no boxed pair row between the source and the final sorted
+// emit.
 void BM_ColumnarReduceByKey(benchmark::State& state) {
-  diablo::runtime::EngineConfig config;
-  config.columnar = state.range(2) != 0;
-  Engine engine(config);
+  Engine engine;
   Dataset ds = KeyedData(engine, state.range(0), state.range(1));
   for (auto _ : state) {
     auto out = engine.ReduceByKey(ds, BinOp::kAdd);
@@ -207,16 +204,13 @@ void BM_ColumnarReduceByKey(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ColumnarReduceByKey)
-    ->Args({200000, 25000, 0})
-    ->Args({200000, 25000, 1})
-    ->ArgNames({"rows", "keys", "columnar"});
+    ->Args({200000, 25000})
+    ->ArgNames({"rows", "keys"});
 
-// Second AB9 pair: a fused chain where every operator carries a kernel,
-// so the columnar engine runs it as vector loops over a double column.
+// A fused chain where every operator carries a kernel, so Force runs it
+// as vector loops over a double column.
 void BM_ColumnarFusedChain(benchmark::State& state) {
-  diablo::runtime::EngineConfig config;
-  config.columnar = state.range(1) != 0;
-  Engine engine(config);
+  Engine engine;
   Dataset ds = KeyedData(engine, state.range(0), 100);
   for (auto _ : state) {
     auto a = engine.MapValues(ds, BinOp::kMul, Value::MakeDouble(2.0));
@@ -228,10 +222,7 @@ void BM_ColumnarFusedChain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ColumnarFusedChain)
-    ->Args({200000, 0})
-    ->Args({200000, 1})
-    ->ArgNames({"rows", "columnar"});
+BENCHMARK(BM_ColumnarFusedChain)->Arg(200000)->ArgName("rows");
 
 // The AB10 ablation pair: reduceByKey over a Zipf(2)-keyed count whose
 // input is hash-partitioned by key — the heavy hitter's rows pile into
@@ -296,7 +287,7 @@ void BM_ValueHash(benchmark::State& state) {
 }
 BENCHMARK(BM_ValueHash);
 
-// Satellite of the AB9 columnar work: vectorized Value::Hash over a
+// Vectorized Value::Hash over a
 // whole column vs hashing each boxed row. String columns read the hash
 // cached at dictionary-intern time, so per-row hashing cost collapses
 // to an array load; tag 0 = int64 column, 1 = dictionary strings,

@@ -524,9 +524,11 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
 
   // Backstop so no chaos schedule, however hostile, can hang the wave:
   // generous enough for every task to burn its full deadline budget.
+  // Summed in int64: each count may be as large as an int.
   const int64_t stall_budget_ms =
       static_cast<int64_t>(config_.task_deadline_ms) *
-          (num_tasks + config_.max_task_retries + config_.max_respawns + 2) +
+          (static_cast<int64_t>(num_tasks) + config_.max_task_retries +
+           config_.max_respawns + 2) +
       static_cast<int64_t>(config_.heartbeat_ms) * config_.missed_beats * 4;
   const Clock::time_point wave_start = Clock::now();
 

@@ -153,7 +153,7 @@ StatusOr<Value> EvalExpr(const CExprPtr& e, const DriverCtx& ctx) {
       DIABLO_ASSIGN_OR_RETURN(Dataset ds, ExecutePlan(sub, *ctx.state));
       BinOp op = r.op;
       // The BinOp overload lets the engine fold with native arithmetic
-      // under EngineConfig::columnar (bit-identical to EvalBinOp).
+      // while the rows are numeric (bit-identical to EvalBinOp).
       DIABLO_ASSIGN_OR_RETURN(
           std::optional<Value> acc,
           ctx.state->engine->Reduce(

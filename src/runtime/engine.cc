@@ -330,6 +330,130 @@ Status ApplyChain(const FusedChain& chain, size_t i, const Value& v,
   return Status::RuntimeError("unknown fused operator kind");
 }
 
+// The per-partition bodies of the narrow-stage wave (Engine::RunNarrow).
+// Each runs the chain over one source partition with a template sink
+// inside ApplyChain; only the per-partition call goes through
+// std::function.
+
+/// The row body: collects the chain's surviving rows of one partition
+/// into `out`. Force runs it, and so does a lost partition's replay.
+Status ApplyChainRows(const FusedChain& chain, const ValueVec& rows,
+                      ChainTally* tally, ValueVec* out) {
+  out->clear();
+  out->reserve(rows.size());
+  for (const Value& row : rows) {
+    DIABLO_RETURN_IF_ERROR(ApplyChain(chain, 0, row, tally,
+                                      [&](const Value& v) -> Status {
+                                        out->push_back(v);
+                                        return Status::OK();
+                                      }));
+  }
+  return Status::OK();
+}
+
+/// The column-batch body of a fully-kernelized chain
+/// (ChainFullyKernelized): one unbox per source row, each kernel a vector
+/// loop over the typed payload, one compaction of the survivors. A
+/// partition the kernels can't handle (unsupported type mix, non-pair
+/// rows under a value chain) replays the boxed per-row chain —
+/// byte-identical by construction — into a boxed-column batch, counted in
+/// columnar_rows_fallback. Under the distributed backend the batch itself
+/// crosses the wire (the col_batches slot); the driver re-boxes it.
+Status ApplyChainBatch(const FusedChain& chain, const ValueVec& rows,
+                       ChainTally* tally, ColumnBatch* out) {
+  auto replay = [&]() -> Status {
+    tally->Reset(tally->rows.size());
+    ColumnBatch fallback;
+    for (const Value& row : rows) {
+      DIABLO_RETURN_IF_ERROR(ApplyChain(chain, 0, row, tally,
+                                        [&](const Value& v) -> Status {
+                                          fallback.values.Append(v);
+                                          return Status::OK();
+                                        }));
+    }
+    tally->columnar_rows_fallback += static_cast<int64_t>(rows.size());
+    *out = std::move(fallback);
+    return Status::OK();
+  };
+  const bool on_value = chain[0].kernel->on_value;
+  ColumnBatch batch;
+  batch.pairs = on_value;
+  for (const Value& row : rows) {
+    if (on_value) {
+      if (!row.is_tuple() || row.tuple().size() != 2) return replay();
+      batch.keys.push_back(row.tuple()[0]);
+      batch.values.Append(row.tuple()[1]);
+    } else {
+      batch.values.Append(row);
+    }
+  }
+  std::vector<uint8_t> live(batch.size(), 1);
+  for (size_t i = 0; i < chain.size(); ++i) {
+    const ColumnKernel& k = *chain[i].kernel;
+    const bool handled =
+        chain[i].kind == FusedOp::Kind::kFilter
+            ? ApplyFilterKernel(k.op, k.operand, batch.values, &live)
+            : ApplyMapKernel(k.op, k.operand, live, &batch.values);
+    if (!handled) return replay();
+    if (i + 1 < chain.size()) {
+      // Interior boundary: record what the boxed tally would — the
+      // surviving row count and the first survivor's size.
+      int64_t alive = 0;
+      size_t first = live.size();
+      for (size_t r = 0; r < live.size(); ++r) {
+        if (live[r] == 0) continue;
+        if (first == live.size()) first = r;
+        ++alive;
+      }
+      tally->rows[i] = alive;
+      tally->sample_bytes[i] =
+          first == live.size() ? 0 : batch.RowAt(first).SerializedBytes();
+    }
+  }
+  batch.Compact(live);
+  tally->columnar_batches += 1;
+  *out = std::move(batch);
+  return Status::OK();
+}
+
+/// The fold body of Reduce: folds the chain's rows of one partition into
+/// `partial` in arrival order. With `native_op`, TypedFold folds them
+/// natively while they allow it (bit-identical to EvalBinOp, including
+/// the int->double promotion mid-fold); from the first row of any other
+/// kind the typed partial turns boxed and `fn` folds the rest.
+Status FoldPartition(const FusedChain& chain, const ValueVec& rows,
+                     const Engine::ReduceFn& fn, const BinOp* native_op,
+                     ChainTally* tally, std::optional<Value>* partial) {
+  partial->reset();
+  std::optional<TypedFold> typed;
+  if (native_op != nullptr) typed.emplace(*native_op);
+  int64_t boxed_rows = 0;
+  for (const Value& row : rows) {
+    DIABLO_RETURN_IF_ERROR(ApplyChain(
+        chain, 0, row, tally, [&](const Value& v) -> Status {
+          if (typed.has_value()) {
+            if (typed->Add(v)) return Status::OK();
+            if (!typed->empty()) *partial = typed->Result();
+            typed.reset();
+          }
+          ++boxed_rows;
+          if (!partial->has_value()) {
+            *partial = v;
+            return Status::OK();
+          }
+          DIABLO_ASSIGN_OR_RETURN(**partial, fn(**partial, v));
+          return Status::OK();
+        }));
+  }
+  if (typed.has_value()) {
+    if (typed->rows() > 0) tally->columnar_batches += 1;
+    if (!typed->empty()) *partial = typed->Result();
+  } else if (native_op != nullptr) {
+    tally->columnar_rows_fallback += boxed_rows;
+  }
+  return Status::OK();
+}
+
 /// The stage label of a fused chain: its operator labels joined with '+'.
 std::string ChainLabel(const FusedChain& chain) {
   std::string label;
@@ -361,22 +485,16 @@ bool ChainFullyKernelized(const FusedChain& chain) {
   return true;
 }
 
-/// Lineage recompute of one partition of a Force stage, columnar or
-/// not: replays the boxed chain over the source rows. Replay IS the
+/// Lineage recompute of one partition of a Force stage, whichever body
+/// produced it: the row body over the source rows. Replay IS the
 /// semantic truth, and a lost partition is the rare path.
 LineageNode::RecomputeFn ChainReplay(const Dataset& src) {
   return [src](int p, int64_t* work) -> StatusOr<ValueVec> {
     const ValueVec& rows = src.partition(p);
     *work += static_cast<int64_t>(rows.size());
     ValueVec rebuilt;
-    rebuilt.reserve(rows.size());
-    for (const Value& row : rows) {
-      DIABLO_RETURN_IF_ERROR(ApplyChain(src.chain(), 0, row, nullptr,
-                                        [&](const Value& v) -> Status {
-                                          rebuilt.push_back(v);
-                                          return Status::OK();
-                                        }));
-    }
+    DIABLO_RETURN_IF_ERROR(
+        ApplyChainRows(src.chain(), rows, nullptr, &rebuilt));
     return rebuilt;
   };
 }
@@ -1037,62 +1155,57 @@ void Engine::FinishStage(StageStats stats) {
   stats.peak_rss_bytes = std::max(MetricsRegistry::ProcessPeakRssBytes(),
                                   worker_rss_pending_);
   worker_rss_pending_ = 0;
-  if (provenance_.line > 0) {
-    stats.src_file = provenance_.file;
-    stats.src_line = provenance_.line;
-    stats.src_column = provenance_.column;
-  }
-  if (config_.registry != nullptr) {
-    const MetricLabels stage_labels = {
-        {"stage", StrCat(metrics_.stages().size())}, {"label", stats.label}};
-    config_.registry->CounterAdd("diablo_stages_total", 1);
-    config_.registry->CounterAdd("diablo_task_attempts_total", stats.attempts);
-    config_.registry->CounterAdd("diablo_shuffle_bytes_total",
-                                 stats.shuffle_bytes);
-    config_.registry->GaugeSet("diablo_stage_peak_rss_bytes",
-                               static_cast<double>(stats.peak_rss_bytes),
-                               stage_labels);
-    if (stats.accumulator_bytes_peak > 0) {
-      config_.registry->GaugeSet(
-          "diablo_stage_accumulator_bytes_peak",
-          static_cast<double>(stats.accumulator_bytes_peak), stage_labels);
-    }
-    config_.registry->HistogramObserve(
-        "diablo_stage_shuffle_bytes", static_cast<double>(stats.shuffle_bytes));
-  }
-  if (TraceRecorder* t = trace()) {
-    // The innermost open stage span belongs to the operator finishing
-    // this stage (each operator opens exactly one before it runs).
-    const int64_t span = t->OpenSpan(SpanKind::kStage);
-    if (span >= 0) {
-      t->SetName(span, stats.label);
-      t->SetMetricsIndex(span, static_cast<int>(metrics_.stages().size()));
-      t->SetShuffleBytes(span, stats.shuffle_bytes);
-      if (!stats.partition_rows.empty()) {
-        int64_t rows = 0;
-        for (int64_t c : stats.partition_rows) rows += c;
-        t->SetRows(span, rows);
-      }
-      t->SetLocation(span, stats.src_file, stats.src_line, stats.src_column);
-    }
-  }
-  metrics_.AddStage(std::move(stats));
+  // The innermost open stage span belongs to the operator finishing this
+  // stage (each operator opens exactly one before it runs).
+  TraceRecorder* t = trace();
+  AddStage(std::move(stats), t != nullptr ? t->OpenSpan(SpanKind::kStage) : -1);
 }
 
 void Engine::RecordPlannerStage(StageStats stats) {
+  // Zero-duration stage span: the work happened inside other spans (or
+  // is purely simulated); this records the stage's existence, label,
+  // and provenance in the trace.
+  ScopedSpan span(trace(), SpanKind::kStage, stats.label);
+  AddStage(std::move(stats), span.id());
+}
+
+void Engine::AddStage(StageStats stats, int64_t span) {
   if (provenance_.line > 0) {
     stats.src_file = provenance_.file;
     stats.src_line = provenance_.line;
     stats.src_column = provenance_.column;
   }
-  if (TraceRecorder* t = trace()) {
-    // Zero-duration stage span: the work happened inside other spans
-    // (or is purely simulated); this records the stage's existence,
-    // label, and provenance in the trace.
-    ScopedSpan span(t, SpanKind::kStage, stats.label);
-    t->SetMetricsIndex(span.id(), static_cast<int>(metrics_.stages().size()));
-    t->SetShuffleBytes(span.id(), stats.shuffle_bytes);
-    span.SetLocation(stats.src_file, stats.src_line, stats.src_column);
+  const auto index = static_cast<int>(metrics_.stages().size());
+  if (MetricsRegistry* r = config_.registry) {
+    const MetricLabels stage_labels = {{"stage", StrCat(index)},
+                                       {"label", stats.label}};
+    r->CounterAdd("diablo_stages_total", 1);
+    r->CounterAdd("diablo_task_attempts_total", stats.attempts);
+    r->CounterAdd("diablo_shuffle_bytes_total", stats.shuffle_bytes);
+    // Per-stage watermarks, where the record holds one (a planner stage
+    // measures none).
+    if (stats.peak_rss_bytes > 0) {
+      r->GaugeSet("diablo_stage_peak_rss_bytes",
+                  static_cast<double>(stats.peak_rss_bytes), stage_labels);
+    }
+    if (stats.accumulator_bytes_peak > 0) {
+      r->GaugeSet("diablo_stage_accumulator_bytes_peak",
+                  static_cast<double>(stats.accumulator_bytes_peak),
+                  stage_labels);
+    }
+    r->HistogramObserve("diablo_stage_shuffle_bytes",
+                        static_cast<double>(stats.shuffle_bytes));
+  }
+  if (TraceRecorder* t = trace(); t != nullptr && span >= 0) {
+    t->SetName(span, stats.label);
+    t->SetMetricsIndex(span, index);
+    t->SetShuffleBytes(span, stats.shuffle_bytes);
+    if (!stats.partition_rows.empty()) {
+      int64_t rows = 0;
+      for (int64_t c : stats.partition_rows) rows += c;
+      t->SetRows(span, rows);
+    }
+    t->SetLocation(span, stats.src_file, stats.src_line, stats.src_column);
   }
   metrics_.AddStage(std::move(stats));
 }
@@ -1236,146 +1349,70 @@ StatusOr<Dataset> Engine::FilterValues(const Dataset& in, BinOp op,
   return Narrow(in, std::move(fop));
 }
 
-StatusOr<Dataset> Engine::Force(const Dataset& in) {
-  if (in.materialized()) return in;
-  const FusedChain& chain = in.chain();
-  if (config_.columnar && ChainFullyKernelized(chain)) {
-    return ForceColumnar(in);
-  }
-  const std::string label = ChainLabel(chain);
+StatusOr<Dataset> Engine::RunNarrow(
+    const Dataset& in, const std::string& label, bool keeps_rows,
+    WaveSlots slots, const NarrowBody& body,
+    const std::function<void(StageStats*)>& add_counters) {
   ScopedSpan stage_span(trace(), SpanKind::kStage, label);
   const int stage = NextStageId();
   stage_span.SetStageId(stage);
-  StageStats stats{.label = label};
+  StageStats stats;
+  stats.label = label;
   DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &stats));
-  const int n = src.num_partitions();
-  std::vector<ValueVec> out(n);
-  std::vector<ChainTally> tallies(n);
-  WaveSlots slots;
-  slots.rows = &out;
+  const FusedChain& chain = src.chain();
+  // Kept output rows are materialized, so only the chain's interior
+  // boundaries count as saved.
+  const size_t boundaries =
+      keeps_rows && !chain.empty() ? chain.size() - 1 : chain.size();
+  std::vector<ChainTally> tallies(src.num_partitions());
   slots.tallies = &tallies;
-  Status st = RunTaskWave(
+  DIABLO_RETURN_IF_ERROR(RunTaskWave(
       label, stage, RowCounts(src),
       [&](int p, int) -> Status {
         // Restartable: a failed attempt re-runs the whole fused chain.
-        out[p].clear();
-        out[p].reserve(src.partition(p).size());
-        // The last operator's outputs ARE materialized here, so only
-        // the chain.size()-1 interior boundaries count as saved.
-        tallies[p].Reset(chain.size() - 1);
-        for (const Value& row : src.partition(p)) {
-          DIABLO_RETURN_IF_ERROR(
-              ApplyChain(chain, 0, row, &tallies[p],
-                         [&](const Value& v) -> Status {
-                           out[p].push_back(v);
-                           return Status::OK();
-                         }));
-        }
-        return Status::OK();
+        tallies[p].Reset(boundaries);
+        return body(p, src.partition(p), &tallies[p]);
       },
-      &stats, &slots);
-  if (!st.ok()) return st;
+      &stats, &slots));
   stats.map_work = RowCounts(src);
   stats.fused_ops = static_cast<int64_t>(chain.size());
   for (const ChainTally& t : tallies) t.MergeInto(&stats);
-  stats.partition_rows = RowCounts(out);
+  if (add_counters) add_counters(&stats);
   FinishStage(std::move(stats));
-  auto lineage = MakeLineage(
-      "fused", label, {src.lineage()},
-      ChainReplay(src), nullptr, ChainDepth(chain));
-  return Dataset(std::move(out), std::move(lineage));
+  return src;
 }
 
-StatusOr<Dataset> Engine::ForceColumnar(const Dataset& in) {
+StatusOr<Dataset> Engine::Force(const Dataset& in) {
+  if (in.materialized()) return in;
   const FusedChain& chain = in.chain();
   const std::string label = ChainLabel(chain);
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageStats stats{.label = label};
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &stats));
-  const int n = src.num_partitions();
-  const bool on_value = chain[0].kernel->on_value;
-  std::vector<ColumnBatch> batches(n);
-  std::vector<ChainTally> tallies(n);
+  std::vector<ValueVec> out(in.num_partitions());
+  // A fully-kernelized chain runs as column batches, re-boxed after the
+  // wave; any other chain runs row by row.
+  std::vector<ColumnBatch> batches;
   WaveSlots slots;
-  slots.col_batches = &batches;
-  slots.tallies = &tallies;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        // Restartable: a failed attempt rebuilds the batch from scratch.
-        const ValueVec& rows = src.partition(p);
-        tallies[p].Reset(chain.size() - 1);
-        batches[p] = ColumnBatch();
-        // A partition the kernels can't handle (unsupported type mix,
-        // non-pair rows under a value chain) replays the boxed per-row
-        // chain — byte-identical by construction — and still ships its
-        // output as a (boxed-column) batch.
-        auto replay = [&]() -> Status {
-          tallies[p].Reset(chain.size() - 1);
-          ColumnBatch fallback;
-          for (const Value& row : rows) {
-            DIABLO_RETURN_IF_ERROR(
-                ApplyChain(chain, 0, row, &tallies[p],
-                           [&](const Value& v) -> Status {
-                             fallback.values.Append(v);
-                             return Status::OK();
-                           }));
-          }
-          tallies[p].columnar_rows_fallback +=
-              static_cast<int64_t>(rows.size());
-          batches[p] = std::move(fallback);
-          return Status::OK();
-        };
-        ColumnBatch batch;
-        batch.pairs = on_value;
-        for (const Value& row : rows) {
-          if (on_value) {
-            if (!row.is_tuple() || row.tuple().size() != 2) return replay();
-            batch.keys.push_back(row.tuple()[0]);
-            batch.values.Append(row.tuple()[1]);
-          } else {
-            batch.values.Append(row);
-          }
-        }
-        std::vector<uint8_t> live(batch.size(), 1);
-        for (size_t i = 0; i < chain.size(); ++i) {
-          const ColumnKernel& k = *chain[i].kernel;
-          const bool handled =
-              chain[i].kind == FusedOp::Kind::kFilter
-                  ? ApplyFilterKernel(k.op, k.operand, batch.values, &live)
-                  : ApplyMapKernel(k.op, k.operand, live, &batch.values);
-          if (!handled) return replay();
-          if (i + 1 < chain.size()) {
-            // Interior boundary: record what the boxed tally would —
-            // the surviving row count and the first survivor's size.
-            int64_t alive = 0;
-            size_t first = live.size();
-            for (size_t r = 0; r < live.size(); ++r) {
-              if (live[r] == 0) continue;
-              if (first == live.size()) first = r;
-              ++alive;
-            }
-            tallies[p].rows[i] = alive;
-            tallies[p].sample_bytes[i] =
-                first == live.size() ? 0 : batch.RowAt(first).SerializedBytes();
-          }
-        }
-        batch.Compact(live);
-        tallies[p].columnar_batches += 1;
-        batches[p] = std::move(batch);
-        return Status::OK();
-      },
-      &stats, &slots);
-  if (!st.ok()) return st;
-  std::vector<ValueVec> out(n);
-  for (int p = 0; p < n; ++p) batches[p].EmitRows(&out[p]);
-  stats.map_work = RowCounts(src);
-  stats.fused_ops = static_cast<int64_t>(chain.size());
-  for (const ChainTally& t : tallies) t.MergeInto(&stats);
-  stats.partition_rows = RowCounts(out);
-  FinishStage(std::move(stats));
+  NarrowBody body;
+  if (ChainFullyKernelized(chain)) {
+    batches.resize(out.size());
+    slots.col_batches = &batches;
+    body = [&](int p, const ValueVec& rows, ChainTally* tally) {
+      return ApplyChainBatch(chain, rows, tally, &batches[p]);
+    };
+  } else {
+    slots.rows = &out;
+    body = [&](int p, const ValueVec& rows, ChainTally* tally) {
+      return ApplyChainRows(chain, rows, tally, &out[p]);
+    };
+  }
+  DIABLO_ASSIGN_OR_RETURN(
+      Dataset src,
+      RunNarrow(in, label, /*keeps_rows=*/true, slots, body,
+                [&](StageStats* stats) {
+                  for (size_t p = 0; p < batches.size(); ++p) {
+                    batches[p].EmitRows(&out[p]);
+                  }
+                  stats->partition_rows = RowCounts(out);
+                }));
   auto lineage = MakeLineage(
       "fused", label, {src.lineage()},
       ChainReplay(src), nullptr, ChainDepth(chain));
@@ -1400,7 +1437,7 @@ struct Engine::WideSpec {
   std::optional<ReduceFn> combine{};
   /// reduceByKey with a built-in op, and the plan-time schema of its
   /// (key, value) rows; `typed` when the typed accumulator may fold
-  /// them (EngineConfig::columnar, and an op and value type it covers).
+  /// them (an op and a value type it covers).
   std::optional<BinOp> native_op{};
   ColumnSchema schema{};
   bool typed = false;
@@ -1463,11 +1500,10 @@ StatusOr<Dataset> Engine::RunWide(const WideSpec& spec,
     const FusedChain& chain = side.chain();
     std::vector<ChainTally> tallies(side.num_partitions());
     // The boxed producer: applies the side's pending fused chain element
-    // by element and hashes each produced row's key once — a whole key
-    // column at a time under EngineConfig::columnar (HashColumn,
-    // bit-identical to per-row Value::Hash; string keys hash once per
-    // distinct dictionary entry).
-    const bool columnar = config_.columnar;
+    // by element and hashes the produced keys once, a whole key column at
+    // a time (HashColumn, bit-identical to per-row Value::Hash; string
+    // keys hash once per distinct dictionary entry). A column of tuple or
+    // mixed-kind keys is kBoxed and counts as fallback rows.
     auto produce = [&](int p, HashedVec* rows) -> StatusOr<const HashedVec*> {
       tallies[p].Reset(chain.size());
       Column keycol;
@@ -1476,12 +1512,12 @@ StatusOr<Dataset> Engine::RunWide(const WideSpec& spec,
         DIABLO_RETURN_IF_ERROR(ApplyChain(
             chain, 0, row, &tallies[p], [&](const Value& v) -> Status {
               DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
-              if (columnar) keycol.Append(*key);
-              rows->push_back(HashedRow{columnar ? 0 : key->Hash(), v});
+              keycol.Append(*key);
+              rows->push_back(HashedRow{0, v});
               return Status::OK();
             }));
       }
-      if (columnar && !rows->empty()) {
+      if (!rows->empty()) {
         std::vector<size_t> hashes;
         HashColumn(keycol, &hashes);
         for (size_t i = 0; i < rows->size(); ++i) (*rows)[i].hash = hashes[i];
@@ -1937,14 +1973,13 @@ StatusOr<Dataset> Engine::ReduceByKey(const Dataset& in, BinOp op,
   const ReduceFn fn = [op](const Value& a, const Value& b) {
     return EvalBinOp(op, a, b);
   };
-  // Typed aggregation (EngineConfig::columnar): a built-in op whose
-  // key/value kinds columnarize folds with native arithmetic in the
-  // same arrival order — bit-identical results, no per-row Value
-  // allocation. The plan-time schema only ever skips the attempt (a
-  // definitely non-numeric value); kUnknown means detect from the data,
-  // and a deviating row mid-stream spills to the boxed accumulator.
-  const bool typed = config_.columnar &&
-                     TypedReduceAccumulator::SupportsOp(op) &&
+  // Typed aggregation: a built-in op whose key/value kinds columnarize
+  // folds with native arithmetic in the same arrival order —
+  // bit-identical results, no per-row Value allocation. The plan-time
+  // schema only ever skips the attempt (a definitely non-numeric value);
+  // kUnknown means detect from the data, and a deviating row mid-stream
+  // spills to the boxed accumulator.
+  const bool typed = TypedReduceAccumulator::SupportsOp(op) &&
                      schema.value != ColumnTag::kString &&
                      schema.value != ColumnTag::kBool;
   return RunWide({.kind = "reduceByKey",
@@ -2027,58 +2062,37 @@ StatusOr<Dataset> Engine::Distinct(const Dataset& in,
 
 StatusOr<Dataset> Engine::Checkpoint(const Dataset& in,
                                      const std::string& label) {
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageStats stats{.label = label};
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &stats));
-  const FusedChain& chain = src.chain();
-  const int n = src.num_partitions();
+  const FusedChain& chain = in.chain();
   // The "write": each task serializes its partition to (simulated)
   // stable storage, running any pending fused chain straight into the
   // writer. Charged as a narrow stage whose shuffle_bytes are the bytes
   // written.
-  std::vector<ValueVec> out(n);
-  std::vector<int64_t> written(n, 0);
-  std::vector<ChainTally> tallies(n);
-  WaveSlots ckpt_slots;
-  ckpt_slots.rows = &out;
-  ckpt_slots.nums = &written;
-  ckpt_slots.tallies = &tallies;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        out[p].clear();
-        written[p] = 0;
-        // The written rows are materialized (they become the durable
-        // dataset), so only interior boundaries count as saved.
-        tallies[p].Reset(chain.empty() ? 0 : chain.size() - 1);
-        if (chain.empty()) {
-          for (const Value& row : src.partition(p)) {
-            written[p] += row.SerializedBytes();
-          }
-          return Status::OK();
-        }
-        out[p].reserve(src.partition(p).size());
-        for (const Value& row : src.partition(p)) {
-          DIABLO_RETURN_IF_ERROR(
-              ApplyChain(chain, 0, row, &tallies[p],
-                         [&](const Value& v) -> Status {
-                           written[p] += v.SerializedBytes();
-                           out[p].push_back(v);
-                           return Status::OK();
-                         }));
-        }
-        return Status::OK();
-      },
-      &stats, &ckpt_slots);
-  if (!st.ok()) return st;
-  stats.map_work = RowCounts(src);
-  for (int64_t b : written) stats.shuffle_bytes += b;
-  stats.fused_ops = static_cast<int64_t>(chain.size());
-  for (const ChainTally& t : tallies) t.MergeInto(&stats);
-  stats.partition_rows = chain.empty() ? RowCounts(src) : RowCounts(out);
-  FinishStage(std::move(stats));
+  std::vector<ValueVec> out(in.num_partitions());
+  std::vector<int64_t> written(out.size(), 0);
+  WaveSlots slots;
+  slots.rows = &out;
+  slots.nums = &written;
+  DIABLO_ASSIGN_OR_RETURN(
+      Dataset src,
+      RunNarrow(
+          in, label, /*keeps_rows=*/true, slots,
+          [&](int p, const ValueVec& rows, ChainTally* tally) -> Status {
+            // Without a chain the source rows themselves are written.
+            const ValueVec* kept = &rows;
+            if (!chain.empty()) {
+              DIABLO_RETURN_IF_ERROR(
+                  ApplyChainRows(chain, rows, tally, &out[p]));
+              kept = &out[p];
+            }
+            written[p] = 0;
+            for (const Value& v : *kept) written[p] += v.SerializedBytes();
+            return Status::OK();
+          },
+          [&](StageStats* stats) {
+            for (int64_t b : written) stats->shuffle_bytes += b;
+            stats->partition_rows =
+                chain.empty() ? stats->map_work : RowCounts(out);
+          }));
   // Durable node: recoveries stop here, and lineage depth resets to 0.
   auto node = std::make_shared<LineageNode>();
   node->kind = "checkpoint";
@@ -2092,120 +2106,33 @@ StatusOr<Dataset> Engine::Checkpoint(const Dataset& in,
 StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in,
                                               const ReduceFn& fn,
                                               const std::string& label) {
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageStats stats{.label = label};
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &stats));
-  const FusedChain& chain = src.chain();
-  // Per-partition partial reduce (with any pending fused chain folding
-  // straight into the partial), then combine partials on the driver.
-  std::vector<std::optional<Value>> partials(src.num_partitions());
-  std::vector<ChainTally> tallies(src.num_partitions());
-  WaveSlots reduce_slots;
-  reduce_slots.partials = &partials;
-  reduce_slots.tallies = &tallies;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        partials[p].reset();
-        tallies[p].Reset(chain.size());
-        for (const Value& row : src.partition(p)) {
-          DIABLO_RETURN_IF_ERROR(ApplyChain(
-              chain, 0, row, &tallies[p],
-              [&](const Value& v) -> Status {
-                if (!partials[p].has_value()) {
-                  partials[p] = v;
-                } else {
-                  DIABLO_ASSIGN_OR_RETURN(*partials[p], fn(*partials[p], v));
-                }
-                return Status::OK();
-              }));
-        }
-        return Status::OK();
-      },
-      &stats, &reduce_slots);
-  if (!st.ok()) return st;
-  stats.map_work = RowCounts(src);
-  stats.fused_ops = static_cast<int64_t>(chain.size());
-  for (const ChainTally& t : tallies) t.MergeInto(&stats);
-  FinishStage(std::move(stats));
-  std::optional<Value> acc;
-  for (auto& part : partials) {
-    if (!part.has_value()) continue;
-    if (!acc.has_value()) {
-      acc = std::move(part);
-    } else {
-      DIABLO_ASSIGN_OR_RETURN(*acc, fn(*acc, *part));
-    }
-  }
-  return acc;
+  return Fold(in, fn, nullptr, label);
 }
 
 StatusOr<std::optional<Value>> Engine::Reduce(const Dataset& in, BinOp op,
                                               const std::string& label) {
-  ReduceFn fn = [op](const Value& a, const Value& b) {
+  const ReduceFn fn = [op](const Value& a, const Value& b) {
     return EvalBinOp(op, a, b);
   };
-  if (!config_.columnar || !TypedFold::SupportsOp(op)) {
-    return Reduce(in, fn, label);
-  }
-  ScopedSpan stage_span(trace(), SpanKind::kStage, label);
-  const int stage = NextStageId();
-  stage_span.SetStageId(stage);
-  StageStats stats{.label = label};
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, RecoverInput(in, stage, 0, &stats));
-  const FusedChain& chain = src.chain();
-  // Same shape as the closure Reduce, but each partition's partial folds
-  // with native int64/double arithmetic (TypedFold) in arrival order —
-  // bit-identical to EvalBinOp, including the int->double promotion when
-  // a double appears mid-fold. A row of any other kind converts the
-  // typed partial to a boxed accumulator and continues with EvalBinOp.
-  std::vector<std::optional<Value>> partials(src.num_partitions());
-  std::vector<ChainTally> tallies(src.num_partitions());
-  WaveSlots reduce_slots;
-  reduce_slots.partials = &partials;
-  reduce_slots.tallies = &tallies;
-  Status st = RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        partials[p].reset();
-        tallies[p].Reset(chain.size());
-        TypedFold fold(op);
-        bool typed_active = true;
-        int64_t boxed_rows = 0;
-        for (const Value& row : src.partition(p)) {
-          DIABLO_RETURN_IF_ERROR(ApplyChain(
-              chain, 0, row, &tallies[p],
-              [&](const Value& v) -> Status {
-                if (typed_active) {
-                  if (fold.Add(v)) return Status::OK();
-                  if (!fold.empty()) partials[p] = fold.Result();
-                  typed_active = false;
-                }
-                ++boxed_rows;
-                if (!partials[p].has_value()) {
-                  partials[p] = v;
-                } else {
-                  DIABLO_ASSIGN_OR_RETURN(*partials[p], fn(*partials[p], v));
-                }
-                return Status::OK();
-              }));
-        }
-        if (typed_active) {
-          if (fold.rows() > 0) tallies[p].columnar_batches += 1;
-          if (!fold.empty()) partials[p] = fold.Result();
-        } else {
-          tallies[p].columnar_rows_fallback += boxed_rows;
-        }
-        return Status::OK();
-      },
-      &stats, &reduce_slots);
-  if (!st.ok()) return st;
-  stats.map_work = RowCounts(src);
-  stats.fused_ops = static_cast<int64_t>(chain.size());
-  for (const ChainTally& t : tallies) t.MergeInto(&stats);
-  FinishStage(std::move(stats));
+  return Fold(in, fn, TypedFold::SupportsOp(op) ? &op : nullptr, label);
+}
+
+StatusOr<std::optional<Value>> Engine::Fold(const Dataset& in,
+                                            const ReduceFn& fn,
+                                            const BinOp* native_op,
+                                            const std::string& label) {
+  // Per-partition partials (any pending fused chain folding straight
+  // into them), then the partials in partition order on the driver.
+  std::vector<std::optional<Value>> partials(in.num_partitions());
+  WaveSlots slots;
+  slots.partials = &partials;
+  DIABLO_RETURN_IF_ERROR(
+      RunNarrow(in, label, /*keeps_rows=*/false, slots,
+                [&](int p, const ValueVec& rows, ChainTally* tally) {
+                  return FoldPartition(in.chain(), rows, fn, native_op, tally,
+                                       &partials[p]);
+                })
+          .status());
   std::optional<Value> acc;
   for (auto& part : partials) {
     if (!part.has_value()) continue;

@@ -86,26 +86,20 @@ struct EngineConfig {
   /// shuffle bytes the exact encoded size. Off by default (the
   /// SerializedBytes() estimate is used instead).
   bool serialize_shuffles = false;
-  /// When true (the default), the hot operators run typed columnar fast
-  /// paths (runtime/column_batch.h): reduceByKey combines through a
-  /// typed accumulator with native int64/double arithmetic and cached
-  /// key hashes, shuffle scatters hash whole key columns at once
-  /// (string keys hash once per distinct dictionary entry), Reduce over
-  /// a built-in operator folds natively, and fully-kernelized fused
-  /// chains execute as column batches. Rows that don't columnarize
-  /// (heterogeneous kinds, non-scalar keys, closure-only operators)
-  /// fall back to the boxed per-row path mid-stream — results are
-  /// byte-identical either way (tests/columnar_test.cc), and
-  /// StageStats::columnar_batches / columnar_rows_fallback make the
-  /// split observable. False restores the pure boxed engine, kept as
-  /// the AB9 ablation baseline. Building with
-  /// -DDIABLO_NO_COLUMNAR_DEFAULT flips the default off (the CI
-  /// boxed-matrix legs).
-#ifdef DIABLO_NO_COLUMNAR_DEFAULT
-  bool columnar = false;
-#else
-  bool columnar = true;
-#endif
+  /// The typed columnar paths (runtime/column_batch.h) are not a
+  /// setting. Each is chosen from what the engine observes: a
+  /// fully-kernelized fused chain runs as column batches; a built-in op
+  /// that TypedFold or TypedReduceAccumulator covers folds natively; the
+  /// plan-time ColumnSchema may skip a typed attempt; and every shuffle
+  /// scatter hashes whole key columns (HashColumn, bit-identical to
+  /// Value::Hash). Rows that don't columnarize (heterogeneous kinds,
+  /// tuple keys, closure operators) take the boxed per-row path,
+  /// mid-stream and per partition, with byte-identical results
+  /// (tests/columnar_test.cc); StageStats::columnar_batches and
+  /// columnar_rows_fallback make the split observable. The constant
+  /// stays for readers that report it, such as the end-to-end
+  /// benchmark's `columnar_default` host fact.
+  static constexpr bool columnar = true;
   /// Runtime skew mitigation thresholds (see SkewConfig above). On by
   /// default; outputs are byte-identical with or without it
   /// (tests/skew_test.cc), only wall-clock and task accounting change.
@@ -301,7 +295,7 @@ class Engine {
   /// against a constant. Semantically identical to the closure forms —
   /// EvalBinOp defines the result — but the op is visible to the engine,
   /// so a fully-kernelized fused chain executes vectorized over column
-  /// batches under EngineConfig::columnar.
+  /// batches.
   StatusOr<Dataset> Map(const Dataset& in, BinOp op, const Value& operand,
                         const std::string& label = "map");
   StatusOr<Dataset> MapValues(const Dataset& in, BinOp op,
@@ -338,12 +332,12 @@ class Engine {
   /// combine before shuffling, like Spark's reduceByKey.
   StatusOr<Dataset> ReduceByKey(const Dataset& in, const ReduceFn& fn,
                                 const std::string& label = "reduceByKey");
-  /// ReduceByKey with a built-in commutative operator. Under
-  /// EngineConfig::columnar the combine and reduce sides run through the
-  /// typed accumulator when the op and the observed key/value kinds
-  /// allow it; `schema` is the plan-time hint (kUnknown fields mean
-  /// "detect from the data") that lets the engine skip the typed attempt
-  /// when the planner already knows the value type can't columnarize.
+  /// ReduceByKey with a built-in commutative operator. The combine and
+  /// reduce sides run through the typed accumulator when the op and the
+  /// observed key/value kinds allow it; `schema` is the plan-time hint
+  /// (kUnknown fields mean "detect from the data") that lets the engine
+  /// skip the typed attempt when the planner already knows the value
+  /// type can't columnarize.
   StatusOr<Dataset> ReduceByKey(const Dataset& in, BinOp op,
                                 const std::string& label = "reduceByKey",
                                 const ColumnSchema& schema = ColumnSchema());
@@ -379,9 +373,9 @@ class Engine {
   /// Action: combines all rows with `fn`; nullopt for an empty dataset.
   StatusOr<std::optional<Value>> Reduce(const Dataset& in, const ReduceFn& fn,
                                         const std::string& label = "reduce");
-  /// Reduce with a built-in operator: per-partition partials fold with
-  /// native int64/double arithmetic (same arrival order, bit-identical
-  /// results) under EngineConfig::columnar.
+  /// Reduce with a built-in operator: when TypedFold covers the op,
+  /// per-partition partials fold with native int64/double arithmetic
+  /// (same arrival order, bit-identical results).
   StatusOr<std::optional<Value>> Reduce(const Dataset& in, BinOp op,
                                         const std::string& label = "reduce");
 
@@ -488,19 +482,43 @@ class Engine {
       WideRun& run, const std::vector<std::vector<Rows>>& sides,
       const std::function<StatusOr<ValueVec>(WideTask<Rows>&)>& finish);
 
-  /// Columnar Force (EngineConfig::columnar): runs a fully-kernelized
-  /// fused chain as column batches — one unbox per source row, each
-  /// kernel a vector loop over the typed payload, one re-box per
-  /// surviving row. A partition whose rows don't columnarize replays the
-  /// boxed per-row chain (byte-identical by construction) and is counted
-  /// in StageStats::columnar_rows_fallback. Under the distributed
-  /// backend the batches themselves cross the wire (wave_io col_batches
-  /// slot); the driver re-boxes after the wave.
-  StatusOr<Dataset> ForceColumnar(const Dataset& in);
+  /// A narrow stage's per-partition body: `body(p, rows, tally)` runs the
+  /// input's pending chain over source partition p's `rows`, writes the
+  /// operator's slot p and records the chain's boundaries in `tally`.
+  /// Restartable: every attempt resets its own outputs.
+  using NarrowBody =
+      std::function<Status(int, const ValueVec&, ChainTally*)>;
 
-  /// Drains the engine's pending tallies into `stats`, stamps the
-  /// provenance, and records the stage.
+  /// The narrow-stage wave (DESIGN.md §8) that Force, Checkpoint and
+  /// Reduce instantiate: opens the stage span, allocates the stage id,
+  /// recovers the input, and runs `body` once per source partition under
+  /// the fault model, marshalling `slots` plus the tallies. Each
+  /// attempt's tally counts the chain's interior boundaries when the
+  /// stage keeps its output rows (`keeps_rows`), and every boundary
+  /// otherwise. Folds map work, fused ops and the tallies into the stage
+  /// record, lets `add_counters` (nullable) add the operator's own, and
+  /// records the stage. Returns the recovered input.
+  StatusOr<Dataset> RunNarrow(
+      const Dataset& in, const std::string& label, bool keeps_rows,
+      WaveSlots slots, const NarrowBody& body,
+      const std::function<void(StageStats*)>& add_counters = nullptr);
+
+  /// Both Reduce overloads: a narrow wave folds each partition into a
+  /// partial (natively first when `native_op` is non-null), then the
+  /// driver folds the partials in partition order with `fn`.
+  StatusOr<std::optional<Value>> Fold(const Dataset& in, const ReduceFn& fn,
+                                      const BinOp* native_op,
+                                      const std::string& label);
+
+  /// Drains the engine's pending tallies into `stats` and records the
+  /// stage on the innermost open stage span.
   void FinishStage(StageStats stats);
+
+  /// The tail every stage record goes through (FinishStage and
+  /// RecordPlannerStage): stamps the provenance, writes the registry's
+  /// stage series and trace span `span`'s fields (-1 = none) from the
+  /// record, and appends it to metrics().
+  void AddStage(StageStats stats, int64_t span);
 
   /// Builds a lineage node for a dataset produced by this engine. The
   /// recompute closures are only retained when fault injection is on.

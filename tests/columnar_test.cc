@@ -1,11 +1,14 @@
-// Columnar execution property tests (EngineConfig::columnar).
+// Columnar execution property tests.
 //
 // The columnar fast paths — batch kernels over fused chains, the
 // vectorized shuffle scatter, the typed reduceByKey combine and the
 // typed scalar fold — carry one contract: byte-identical results to the
-// boxed per-row engine for every workload, partition count, host thread
-// count, fault schedule and distributed chaos kill. Rows the typed paths
-// cannot represent must spill to boxed mid-stream without consuming or
+// boxed per-row path for every workload, partition count, host thread
+// count, fault schedule and distributed chaos kill. The engine-level
+// tests take that boxed expectation from the closure route: the same
+// workloads written with closures, which carry no kernel and no native
+// op and so run boxed by construction. Rows the typed paths cannot
+// represent must spill to boxed mid-stream without consuming or
 // reordering anything.
 
 #include "runtime/column_batch.h"
@@ -13,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -376,18 +380,78 @@ TEST(TypedFoldTest, NonNumericRowSpillsWithoutConsuming) {
 // ---------------------------------------------------------------------
 // Engine-level property: columnar execution is byte-identical to boxed.
 
-StatusOr<ValueVec> WordCount(Engine& engine, const ValueVec& words) {
+/// How a workload spells its built-in operators. The kernel route uses
+/// the BinOp overloads, which the engine may run typed. The closure
+/// route wraps the same EvalBinOp in closures, which carry no kernel and
+/// no native op, so every fused chain, combine and fold on it is boxed.
+struct Route {
+  bool kernels = true;
+
+  StatusOr<Dataset> Map(Engine& e, const Dataset& in, BinOp op,
+                        const Value& operand) const {
+    if (kernels) return e.Map(in, op, operand);
+    return e.Map(in, [op, operand](const Value& v) {
+      return EvalBinOp(op, v, operand);
+    });
+  }
+  StatusOr<Dataset> MapValues(Engine& e, const Dataset& in, BinOp op,
+                              const Value& operand) const {
+    if (kernels) return e.MapValues(in, op, operand);
+    return e.MapValues(in, [op, operand](const Value& v) {
+      return EvalBinOp(op, v, operand);
+    });
+  }
+  StatusOr<Dataset> Filter(Engine& e, const Dataset& in, BinOp op,
+                           const Value& operand) const {
+    if (kernels) return e.Filter(in, op, operand);
+    return e.Filter(in, [op, operand](const Value& v) -> StatusOr<bool> {
+      DIABLO_ASSIGN_OR_RETURN(Value keep, EvalBinOp(op, v, operand));
+      return keep.AsBool();
+    });
+  }
+  StatusOr<Dataset> FilterValues(Engine& e, const Dataset& in, BinOp op,
+                                 const Value& operand) const {
+    if (kernels) return e.FilterValues(in, op, operand);
+    return e.Filter(in, [op, operand](const Value& row) -> StatusOr<bool> {
+      DIABLO_ASSIGN_OR_RETURN(Value keep,
+                              EvalBinOp(op, row.tuple()[1], operand));
+      return keep.AsBool();
+    });
+  }
+  Engine::ReduceFn Fn(BinOp op) const {
+    return [op](const Value& a, const Value& b) {
+      return EvalBinOp(op, a, b);
+    };
+  }
+  StatusOr<Dataset> ReduceByKey(Engine& e, const Dataset& in,
+                                BinOp op) const {
+    if (kernels) return e.ReduceByKey(in, op);
+    return e.ReduceByKey(in, Fn(op));
+  }
+  StatusOr<std::optional<Value>> Reduce(Engine& e, const Dataset& in,
+                                        BinOp op) const {
+    if (kernels) return e.Reduce(in, op);
+    return e.Reduce(in, Fn(op));
+  }
+};
+
+constexpr Route kKernels{true};
+constexpr Route kClosures{false};
+
+StatusOr<ValueVec> WordCount(Engine& engine, const ValueVec& words,
+                             const Route& route) {
   Dataset ds = engine.Parallelize(words);
   DIABLO_ASSIGN_OR_RETURN(
       Dataset pairs, engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
         return Value::MakePair(v, I(1));
       }));
   DIABLO_ASSIGN_OR_RETURN(Dataset counts,
-                          engine.ReduceByKey(pairs, BinOp::kAdd));
+                          route.ReduceByKey(engine, pairs, BinOp::kAdd));
   return engine.Collect(counts);
 }
 
-StatusOr<ValueVec> PageRankIters(Engine& engine, const ValueVec& edges) {
+StatusOr<ValueVec> PageRankIters(Engine& engine, const ValueVec& edges,
+                                 const Route& route) {
   Dataset links = engine.Parallelize(edges);
   DIABLO_ASSIGN_OR_RETURN(Dataset grouped, engine.GroupByKey(links));
   DIABLO_ASSIGN_OR_RETURN(
@@ -410,7 +474,7 @@ StatusOr<ValueVec> PageRankIters(Engine& engine, const ValueVec& edges) {
           return out;
         }));
     DIABLO_ASSIGN_OR_RETURN(Dataset summed,
-                            engine.ReduceByKey(contribs, BinOp::kAdd));
+                            route.ReduceByKey(engine, contribs, BinOp::kAdd));
     DIABLO_ASSIGN_OR_RETURN(
         ranks, engine.MapValues(summed, [](const Value& v) -> StatusOr<Value> {
           return D(0.15 + 0.85 * v.AsDouble());
@@ -419,9 +483,11 @@ StatusOr<ValueVec> PageRankIters(Engine& engine, const ValueVec& edges) {
   return engine.Collect(ranks);
 }
 
-StatusOr<ValueVec> RelationalMix(Engine& engine, const ValueVec& rows) {
+StatusOr<ValueVec> RelationalMix(Engine& engine, const ValueVec& rows,
+                                 const Route& route) {
   Dataset ds = engine.Parallelize(rows);
-  DIABLO_ASSIGN_OR_RETURN(Dataset sums, engine.ReduceByKey(ds, BinOp::kAdd));
+  DIABLO_ASSIGN_OR_RETURN(Dataset sums,
+                          route.ReduceByKey(engine, ds, BinOp::kAdd));
   DIABLO_ASSIGN_OR_RETURN(Dataset joined, engine.Join(ds, sums));
   DIABLO_ASSIGN_OR_RETURN(ValueVec out, engine.Collect(joined));
   DIABLO_ASSIGN_OR_RETURN(Dataset cg, engine.CoGroup(ds, sums));
@@ -437,20 +503,24 @@ StatusOr<ValueVec> RelationalMix(Engine& engine, const ValueVec& rows) {
   return out;
 }
 
-/// Fully-kernelized fused chains plus typed shuffle/reduce: the
-/// workload that drives every columnar fast path at once. Input rows
-/// are (int64 key, double value) pairs.
-StatusOr<ValueVec> KernelChains(Engine& engine, const ValueVec& rows) {
+/// Fully-kernelized fused chains plus typed shuffle/reduce: on the
+/// kernel route, the workload that drives every columnar fast path at
+/// once. Input rows are (int64 key, double value) pairs.
+StatusOr<ValueVec> KernelChains(Engine& engine, const ValueVec& rows,
+                                const Route& route) {
   Dataset ds = engine.Parallelize(rows);
-  // Paired chain over the value column: every op carries a kernel, so
-  // under columnar the whole chain runs as batch kernels in Force.
-  DIABLO_ASSIGN_OR_RETURN(Dataset a, engine.MapValues(ds, BinOp::kMul, D(2.0)));
-  DIABLO_ASSIGN_OR_RETURN(a, engine.FilterValues(a, BinOp::kLt, D(60.0)));
-  DIABLO_ASSIGN_OR_RETURN(a, engine.MapValues(a, BinOp::kAdd, D(1.0)));
+  // Paired chain over the value column: on the kernel route every op
+  // carries a kernel, so the whole chain runs as batch kernels in Force.
+  DIABLO_ASSIGN_OR_RETURN(Dataset a,
+                          route.MapValues(engine, ds, BinOp::kMul, D(2.0)));
+  DIABLO_ASSIGN_OR_RETURN(
+      a, route.FilterValues(engine, a, BinOp::kLt, D(60.0)));
+  DIABLO_ASSIGN_OR_RETURN(a, route.MapValues(engine, a, BinOp::kAdd, D(1.0)));
   DIABLO_ASSIGN_OR_RETURN(a, engine.Force(a));
   DIABLO_ASSIGN_OR_RETURN(ValueVec out, engine.Collect(a));
   // Typed combine + reduce through the shuffle (double payloads).
-  DIABLO_ASSIGN_OR_RETURN(Dataset sums, engine.ReduceByKey(a, BinOp::kAdd));
+  DIABLO_ASSIGN_OR_RETURN(Dataset sums,
+                          route.ReduceByKey(engine, a, BinOp::kAdd));
   DIABLO_ASSIGN_OR_RETURN(ValueVec sum_rows, engine.Collect(sums));
   // Scalar (non-pair) chain over int64 keys.
   DIABLO_ASSIGN_OR_RETURN(
@@ -458,13 +528,17 @@ StatusOr<ValueVec> KernelChains(Engine& engine, const ValueVec& rows) {
         return v.tuple()[0];
       }));
   DIABLO_ASSIGN_OR_RETURN(keys, engine.Force(keys));
-  DIABLO_ASSIGN_OR_RETURN(Dataset scaled, engine.Map(keys, BinOp::kMul, I(3)));
-  DIABLO_ASSIGN_OR_RETURN(scaled, engine.Filter(scaled, BinOp::kNe, I(12)));
-  DIABLO_ASSIGN_OR_RETURN(scaled, engine.Map(scaled, BinOp::kAdd, I(100)));
+  DIABLO_ASSIGN_OR_RETURN(Dataset scaled,
+                          route.Map(engine, keys, BinOp::kMul, I(3)));
+  DIABLO_ASSIGN_OR_RETURN(scaled,
+                          route.Filter(engine, scaled, BinOp::kNe, I(12)));
+  DIABLO_ASSIGN_OR_RETURN(scaled,
+                          route.Map(engine, scaled, BinOp::kAdd, I(100)));
   DIABLO_ASSIGN_OR_RETURN(scaled, engine.Force(scaled));
   DIABLO_ASSIGN_OR_RETURN(ValueVec scaled_rows, engine.Collect(scaled));
   // Typed scalar fold.
-  DIABLO_ASSIGN_OR_RETURN(auto total, engine.Reduce(scaled, BinOp::kAdd));
+  DIABLO_ASSIGN_OR_RETURN(auto total,
+                          route.Reduce(engine, scaled, BinOp::kAdd));
   out.insert(out.end(), sum_rows.begin(), sum_rows.end());
   out.insert(out.end(), scaled_rows.begin(), scaled_rows.end());
   if (total.has_value()) out.push_back(*total);
@@ -472,16 +546,17 @@ StatusOr<ValueVec> KernelChains(Engine& engine, const ValueVec& rows) {
 }
 
 StatusOr<ValueVec> RunWorkload(Engine& engine, int which,
-                               const ValueVec& rows) {
+                               const ValueVec& rows,
+                               const Route& route = kKernels) {
   switch (which) {
     case 0:
-      return WordCount(engine, rows);
+      return WordCount(engine, rows, route);
     case 1:
-      return PageRankIters(engine, rows);
+      return PageRankIters(engine, rows, route);
     case 2:
-      return RelationalMix(engine, rows);
+      return RelationalMix(engine, rows, route);
     default:
-      return KernelChains(engine, rows);
+      return KernelChains(engine, rows, route);
   }
 }
 
@@ -524,22 +599,22 @@ TEST(ColumnarProperty, ColumnarMatchesBoxedByteForByte) {
       ValueVec rows = WorkloadInput(which, rng);
       const int parts = 1 + static_cast<int>(rng() % 12);
       for (int host_threads : {1, 4}) {
-        EngineConfig col_config;
-        col_config.num_partitions = parts;
-        col_config.host_threads = host_threads;
-        col_config.columnar = true;
-        EngineConfig boxed_config = col_config;
-        boxed_config.columnar = false;
+        EngineConfig config;
+        config.num_partitions = parts;
+        config.host_threads = host_threads;
 
-        Engine columnar(col_config), boxed(boxed_config);
-        auto col_out = RunWorkload(columnar, which, rows);
-        auto boxed_out = RunWorkload(boxed, which, rows);
+        Engine columnar(config), boxed(config);
+        auto col_out = RunWorkload(columnar, which, rows, kKernels);
+        auto boxed_out = RunWorkload(boxed, which, rows, kClosures);
         ASSERT_TRUE(col_out.ok()) << col_out.status().ToString();
         ASSERT_TRUE(boxed_out.ok()) << boxed_out.status().ToString();
         EXPECT_EQ(*col_out, *boxed_out)
             << "workload " << which << " seed " << seed << " threads "
             << host_threads;
-        EXPECT_EQ(boxed.metrics().total_columnar_batches(), 0);
+        // Only the shuffle scatter's key hashing runs typed on the
+        // closure route; the kernel route adds typed folds or chains.
+        EXPECT_GT(columnar.metrics().total_columnar_batches(),
+                  boxed.metrics().total_columnar_batches());
       }
     }
   }
@@ -549,7 +624,6 @@ TEST(ColumnarProperty, CountersReportTypedExecution) {
   std::mt19937_64 rng(2026);
   ValueVec rows = WorkloadInput(/*which=*/3, rng);
   EngineConfig config;
-  config.columnar = true;
   config.host_threads = 2;
   Engine engine(config);
   auto out = RunWorkload(engine, 3, rows);
@@ -563,7 +637,7 @@ TEST(ColumnarProperty, CountersReportTypedExecution) {
 TEST(ColumnarProperty, HeterogeneousRowsFallBackAndStayIdentical) {
   // Mixed int/double values demote the batch column to boxed: the fused
   // chain must replay per-row (counted as fallback) and still match the
-  // boxed engine exactly.
+  // closure route exactly.
   ValueVec rows;
   std::mt19937_64 rng(31);
   for (int i = 0; i < 300; ++i) {
@@ -571,13 +645,12 @@ TEST(ColumnarProperty, HeterogeneousRowsFallBackAndStayIdentical) {
                                : D(static_cast<double>(rng() % 50) * 0.5);
     rows.push_back(Value::MakePair(I(static_cast<int64_t>(rng() % 7)), v));
   }
-  auto run = [&](bool columnar) {
-    EngineConfig config;
-    config.columnar = columnar;
-    Engine engine(config);
-    auto a = engine.MapValues(engine.Parallelize(rows), BinOp::kMul, D(2.0));
+  auto run = [&](const Route& route) {
+    Engine engine;
+    auto a =
+        route.MapValues(engine, engine.Parallelize(rows), BinOp::kMul, D(2.0));
     EXPECT_TRUE(a.ok());
-    auto b = engine.FilterValues(*a, BinOp::kGe, D(3.0));
+    auto b = route.FilterValues(engine, *a, BinOp::kGe, D(3.0));
     EXPECT_TRUE(b.ok());
     auto forced = engine.Force(*b);
     EXPECT_TRUE(forced.ok());
@@ -586,12 +659,26 @@ TEST(ColumnarProperty, HeterogeneousRowsFallBackAndStayIdentical) {
     return std::make_pair(out.ok() ? *out : ValueVec{},
                           engine.metrics().total_columnar_rows_fallback());
   };
-  auto [col_out, col_fallback] = run(true);
-  auto [boxed_out, boxed_fallback] = run(false);
+  auto [col_out, col_fallback] = run(kKernels);
+  auto [boxed_out, boxed_fallback] = run(kClosures);
   ASSERT_FALSE(col_out.empty());
   EXPECT_EQ(col_out, boxed_out);
   EXPECT_GT(col_fallback, 0);
   EXPECT_EQ(boxed_fallback, 0);
+}
+
+TEST(ColumnarProperty, ReduceCarriesTypedPartialIntoBoxedFold) {
+  // A string after ints: the natively folded partial must carry into the
+  // boxed fold, which rejects int + string exactly as the closure route
+  // does. Losing the partial would fold the string alone and succeed.
+  for (const Route& route : {kKernels, kClosures}) {
+    SCOPED_TRACE(route.kernels ? "kernels" : "closures");
+    Engine engine;
+    auto got = route.Reduce(engine, engine.Parallelize({I(1), I(2), S("x")}, 1),
+                            BinOp::kAdd);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kRuntimeError);
+  }
 }
 
 TEST(ColumnarProperty, ColumnarUnderFaultsMatchesBoxedFaultFree) {
@@ -606,14 +693,11 @@ TEST(ColumnarProperty, ColumnarUnderFaultsMatchesBoxedFaultFree) {
       std::mt19937_64 rng(seed * 2741 + which + 11);
       ValueVec rows = WorkloadInput(which, rng);
 
-      EngineConfig clean_config;
-      clean_config.columnar = false;
-      Engine clean(clean_config);
-      auto expected = RunWorkload(clean, which, rows);
+      Engine clean;
+      auto expected = RunWorkload(clean, which, rows, kClosures);
       ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
       EngineConfig faulty_config;
-      faulty_config.columnar = true;
       faulty_config.host_threads = 4;
       faulty_config.faults.seed = seed + 17;
       faulty_config.faults.task_failure_rate = 0.08;
@@ -631,22 +715,18 @@ TEST(ColumnarProperty, ColumnarUnderFaultsMatchesBoxedFaultFree) {
 
 TEST(ColumnarProperty, LostPartitionRecoveryReplaysColumnarStages) {
   // Deterministic lost-partition directives drive the recompute_many
-  // closures behind every columnar stage — including the boxed replay
-  // closure the columnar Force registers — and the rebuilt partitions
-  // must be byte-identical to both the clean columnar and the clean
-  // boxed run.
+  // closures behind every columnar stage — including the row-body
+  // replay closure a column-batch Force registers — and the rebuilt
+  // partitions must be byte-identical to the clean closure-route run.
   std::mt19937_64 rng(4242);
   ValueVec rows = WorkloadInput(/*which=*/3, rng);
-  EngineConfig boxed_config;
-  boxed_config.columnar = false;
-  Engine boxed(boxed_config);
-  auto expected = RunWorkload(boxed, 3, rows);
+  Engine boxed;
+  auto expected = RunWorkload(boxed, 3, rows, kClosures);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   int64_t fired = 0;
   for (int stage = 0; stage < 8; ++stage) {
     EngineConfig config;
-    config.columnar = true;
     config.faults.lose_partitions.push_back({stage, 2, 0});
     Engine engine(config);
     auto got = RunWorkload(engine, 3, rows);
@@ -660,7 +740,7 @@ TEST(ColumnarProperty, LostPartitionRecoveryReplaysColumnarStages) {
 
 // ---------------------------------------------------------------------
 // Distributed: columnar batches genuinely cross the wire, survive real
-// worker kills, and still match the boxed single-process engine.
+// worker kills, and still match the single-process closure route.
 
 std::string Bytes(const ValueVec& rows) {
   std::string out;
@@ -671,10 +751,8 @@ std::string Bytes(const ValueVec& rows) {
 TEST(ColumnarDistTest, ColumnarOverWorkersMatchesBoxedLocal) {
   std::mt19937_64 rng(606);
   ValueVec rows = WorkloadInput(/*which=*/3, rng);
-  EngineConfig boxed_config;
-  boxed_config.columnar = false;
-  Engine local(boxed_config);
-  auto expected = RunWorkload(local, 3, rows);
+  Engine local;
+  auto expected = RunWorkload(local, 3, rows, kClosures);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   dist::DistConfig dist_config;
@@ -682,7 +760,6 @@ TEST(ColumnarDistTest, ColumnarOverWorkersMatchesBoxedLocal) {
   dist_config.heartbeat_ms = 50;
   dist::Coordinator coordinator(dist_config);
   EngineConfig config;
-  config.columnar = true;
   config.remote = &coordinator;
   config.dist_lose_on_kill = true;
   Engine dist(config);
@@ -697,10 +774,8 @@ TEST(ColumnarDistTest, ColumnarOverWorkersMatchesBoxedLocal) {
 TEST(ColumnarDistTest, SurvivesChaosKillsWithIdenticalOutput) {
   std::mt19937_64 rng(607);
   ValueVec rows = WorkloadInput(/*which=*/3, rng);
-  EngineConfig boxed_config;
-  boxed_config.columnar = false;
-  Engine local(boxed_config);
-  auto expected = RunWorkload(local, 3, rows);
+  Engine local;
+  auto expected = RunWorkload(local, 3, rows, kClosures);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   // Two SIGKILLs mid-wave: redistribute, re-dispatch and lineage
@@ -712,7 +787,6 @@ TEST(ColumnarDistTest, SurvivesChaosKillsWithIdenticalOutput) {
   dist_config.chaos.kills.push_back({/*stage=*/4, /*worker=*/1, 1});
   dist::Coordinator coordinator(dist_config);
   EngineConfig config;
-  config.columnar = true;
   config.remote = &coordinator;
   config.dist_lose_on_kill = true;
   Engine dist(config);

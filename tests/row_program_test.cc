@@ -17,6 +17,7 @@
 
 #include "algebra/local.h"
 #include "comp/comp.h"
+#include "runtime/metrics_registry.h"
 #include "tests/test_util.h"
 
 namespace diablo::plan {
@@ -248,6 +249,48 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param).name + "_t" +
              std::to_string(std::get<1>(info.param));
     });
+
+TEST(PlannerStageTest, RegistryCountsEveryRecordedStage) {
+  // A broadcast join's ship and a cartesian product are planner stages,
+  // recorded by the evaluator rather than by an operator wave. The
+  // registry's stage series must count them like every other stage.
+  const std::string source =
+      "var S: vector[double] = vector();\n"
+      "for i = 0, 7 do\n"
+      "  S[i] += V[i] * W[i];\n"
+      "var R: matrix[double] = matrix();\n"
+      "for i = 0, 3 do\n"
+      "  for j = 0, 3 do\n"
+      "    R[i,j] := A[i] * B[j];\n";
+  const Bindings inputs = {{"V", DoubleVector(Doubles(8, 0.5))},
+                           {"W", DoubleVector(Doubles(8, 0.25))},
+                           {"A", DoubleVector(Doubles(4, 1.5))},
+                           {"B", DoubleVector(Doubles(4, 0.5))}};
+  runtime::MetricsRegistry registry;
+  runtime::EngineConfig config;
+  config.broadcast_join_threshold_bytes = 1 << 20;
+  config.registry = &registry;
+  runtime::Engine engine(config);
+  auto run = CompileAndRun(source, &engine, inputs);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const runtime::Metrics& m = engine.metrics();
+  auto has_stage = [&](const std::string& fragment) {
+    return std::any_of(m.stages().begin(), m.stages().end(),
+                       [&](const runtime::StageStats& s) {
+                         return s.label.find(fragment) != std::string::npos;
+                       });
+  };
+  ASSERT_TRUE(has_stage("].ship")) << m.Report();
+  ASSERT_TRUE(has_stage("].product")) << m.Report();
+  EXPECT_EQ(registry.CounterValue("diablo_stages_total"),
+            static_cast<int64_t>(m.stages().size()));
+  EXPECT_EQ(registry.CounterValue("diablo_task_attempts_total"),
+            m.total_attempts());
+  EXPECT_EQ(registry.CounterValue("diablo_shuffle_bytes_total"),
+            m.total_shuffle_bytes());
+  EXPECT_EQ(registry.HistogramCount("diablo_stage_shuffle_bytes"),
+            static_cast<int64_t>(m.stages().size()));
+}
 
 // ------------------------- comprehension plans -----------------------------
 

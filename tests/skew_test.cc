@@ -1,12 +1,12 @@
 // Property tests for runtime skew mitigation (DESIGN.md §17): a salted
 // run — hot reduce/combine tasks split across sub-tasks, merged back by
 // the un-salt step — must be byte-for-byte identical to the unmitigated
-// engine across workloads, partition/thread sweeps, columnar and boxed
-// execution, fused and forced narrow prefixes, an ordered std::map
-// model of the operators, fault injection, lost-partition lineage
-// recovery, and the multi-process distributed backend. Also covers the
-// --profile-in feedback loop: a stale profile degrades gracefully to
-// the static plan rules.
+// engine across workloads, partition/thread sweeps, kernel and closure
+// routes, typed and boxed row layouts, fused and forced narrow
+// prefixes, an ordered std::map model of the operators, fault
+// injection, lost-partition lineage recovery, and the multi-process
+// distributed backend. Also covers the --profile-in feedback loop: a
+// stale profile degrades gracefully to the static plan rules.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +34,15 @@ namespace {
 Value I(int64_t v) { return Value::MakeInt(v); }
 Value D(double v) { return Value::MakeDouble(v); }
 Value S(const std::string& v) { return Value::MakeString(v); }
+
+/// (i, j) tuple keys: a key column of them is kBoxed, so every operator
+/// over them runs its boxed row layout.
+Value TupleKey(int64_t k) { return Value::MakePair(I(k % 10), I(k / 10)); }
+
+/// The key shapes of the combine-split cases: int keys keep reduceByKey
+/// on the typed accumulator, tuple keys put it on the boxed one.
+const std::pair<const char*, Value (*)(int64_t)> kKeyLayouts[] = {
+    {"int keys", I}, {"tuple keys", TupleKey}};
 
 /// Byte-identity oracle: the serialized codec bytes of every collected
 /// row, in collection order.
@@ -169,31 +178,32 @@ StatusOr<Dataset> ReduceHotSource(
   return engine.ReduceByKey(in, BinOp::kAdd, "reduceByKey", schema);
 }
 
-/// Runs ReduceHotSource on `config` and expects the bytes of the
-/// unmitigated fault-free run, with the combine actually split.
+/// Runs ReduceHotSource on `config` for each key layout and expects the
+/// bytes of the unmitigated fault-free run, with the combine actually
+/// split.
 void ExpectHotSourceSplitExact(const EngineConfig& config) {
-  EngineConfig base = SkewTestConfig(/*mitigate=*/false);
-  base.columnar = config.columnar;
-  Engine plain(base);
-  StatusOr<Dataset> expected = ReduceHotSource(plain);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-  const std::string want = Bytes(plain, *expected);
-  Engine engine(config);
-  StatusOr<Dataset> got = ReduceHotSource(engine);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(Bytes(engine, *got), want);
-  EXPECT_GT(engine.metrics().total_salt_fanout(), 0)
-      << engine.metrics().Report();
-}
-
-StatusOr<Dataset> ReduceAdd(Engine& engine, const Dataset& in) {
-  return engine.ReduceByKey(in, BinOp::kAdd);
+  for (const auto& [layout, key] : kKeyLayouts) {
+    SCOPED_TRACE(layout);
+    Engine plain(SkewTestConfig(/*mitigate=*/false));
+    StatusOr<Dataset> expected = ReduceHotSource(plain, HotSourceParts(key));
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    const std::string want = Bytes(plain, *expected);
+    Engine engine(config);
+    StatusOr<Dataset> got = ReduceHotSource(engine, HotSourceParts(key));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(Bytes(engine, *got), want);
+    EXPECT_GT(engine.metrics().total_salt_fanout(), 0)
+        << engine.metrics().Report();
+  }
 }
 
 struct SkewCase {
   int partitions;
   int threads;
-  bool columnar;
+  /// The kernel route (true: kernel mapValues and native reduceByKey
+  /// ops, which run typed where the rows allow) or the closure route
+  /// (the same operators as closures, boxed by construction).
+  bool kernels;
   /// The narrow prefix ahead of the wide operator (SkewMatrixTest::Input)
   /// fuses into the operator's combine wave; false materializes it in a
   /// stage of its own first (Engine::Force, the eager reference).
@@ -208,7 +218,7 @@ std::string CaseName(const ::testing::TestParamInfo<SkewCase>& info) {
   const SkewCase& c = info.param;
   std::string name = "p" + std::to_string(c.partitions) + "_t" +
                      std::to_string(c.threads);
-  name += c.columnar ? "_columnar" : "_boxed";
+  name += c.kernels ? "_columnar" : "_boxed";
   if (!c.fuse) name += "_nofuse";
   if (!c.hash_agg) name += "_nohashagg";
   return name;
@@ -222,18 +232,33 @@ class SkewMatrixTest : public ::testing::TestWithParam<SkewCase> {
     EngineConfig config = SkewTestConfig(mitigate);
     config.num_partitions = GetParam().partitions;
     config.host_threads = GetParam().threads;
-    config.columnar = GetParam().columnar;
     return config;
   }
 
-  /// The wide operator's input: `rows` parallelized, then a kernel
-  /// mapValues (value + 1) — fused into the operator, or forced first.
+  /// The wide operator's input: `rows` parallelized, then mapValues
+  /// (value + 1) on the case's route — fused into the operator, or
+  /// forced first.
   StatusOr<Dataset> Input(Engine& engine, const ValueVec& rows) const {
+    Dataset in = engine.Parallelize(rows);
     DIABLO_ASSIGN_OR_RETURN(
         Dataset shifted,
-        engine.MapValues(engine.Parallelize(rows), BinOp::kAdd, I(1)));
+        GetParam().kernels
+            ? engine.MapValues(in, BinOp::kAdd, I(1))
+            : engine.MapValues(in, [](const Value& v) {
+                return EvalBinOp(BinOp::kAdd, v, I(1));
+              }));
     if (GetParam().fuse) return shifted;
     return engine.Force(shifted);
+  }
+
+  /// reduceByKey (+) on the case's route.
+  WideOp ReduceAdd() const {
+    if (GetParam().kernels) {
+      return [](Engine& e, const Dataset& in) {
+        return e.ReduceByKey(in, BinOp::kAdd);
+      };
+    }
+    return [](Engine& e, const Dataset& in) { return e.ReduceByKey(in, Add); };
   }
 
   /// Runs `op` over Input(rows) on an unmitigated and on a salted engine
@@ -274,7 +299,7 @@ TEST_P(SkewMatrixTest, ReduceByKeyByteIdentical) {
   // map-side combine flattens the skew; the counter tests below pin
   // workloads that provably do. Here only byte-identity matters.
   const Engine::ReduceFn add = Add;
-  ExpectSaltingExact(SkewedRows(20000, 64, 0.8), ReduceAdd, &add);
+  ExpectSaltingExact(SkewedRows(20000, 64, 0.8), ReduceAdd(), &add);
 }
 
 TEST_P(SkewMatrixTest, GroupByKeyByteIdentical) {
@@ -300,7 +325,7 @@ TEST_P(SkewMatrixTest, UserReduceFnByteIdentical) {
 
 TEST_P(SkewMatrixTest, StringKeysByteIdentical) {
   const Engine::ReduceFn add = Add;
-  ExpectSaltingExact(SkewedStringRows(15000, 40, 0.8), ReduceAdd, &add);
+  ExpectSaltingExact(SkewedStringRows(15000, 40, 0.8), ReduceAdd(), &add);
 }
 
 TEST_P(SkewMatrixTest, DoublePayloadByteIdentical) {
@@ -313,7 +338,7 @@ TEST_P(SkewMatrixTest, DoublePayloadByteIdentical) {
     rows.push_back(Value::MakePair(I(key), D(0.1 * static_cast<double>(i % 97))));
   }
   const Engine::ReduceFn add = Add;
-  ExpectSaltingExact(rows, ReduceAdd, &add);
+  ExpectSaltingExact(rows, ReduceAdd(), &add);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -348,11 +373,7 @@ TEST(SkewFaultTest, FaultInjectionByteIdentical) {
             clean.metrics().total_attempts());
 
   // A combine split under injected kills, on both layouts.
-  for (bool columnar : {true, false}) {
-    SCOPED_TRACE(columnar ? "columnar" : "boxed");
-    faulty.columnar = columnar;
-    ExpectHotSourceSplitExact(faulty);
-  }
+  ExpectHotSourceSplitExact(faulty);
 }
 
 TEST(SkewFaultTest, LostPartitionRecoveryByteIdentical) {
@@ -380,11 +401,7 @@ TEST(SkewFaultTest, LostPartitionRecoveryByteIdentical) {
   EngineConfig lossy = SkewTestConfig(/*mitigate=*/true);
   lossy.faults.lose_partitions.push_back({1, 0, 0});
   lossy.faults.lose_partitions.push_back({1, 3, 0});
-  for (bool columnar : {true, false}) {
-    SCOPED_TRACE(columnar ? "columnar" : "boxed");
-    lossy.columnar = columnar;
-    ExpectHotSourceSplitExact(lossy);
-  }
+  ExpectHotSourceSplitExact(lossy);
 }
 
 TEST(SkewFaultTest, SerializedShufflesByteIdentical) {
@@ -408,11 +425,7 @@ TEST(SkewFaultTest, SerializedShufflesByteIdentical) {
   // corruption retried.
   wire.faults.seed = 5;
   wire.faults.corrupt_shuffle_rate = 0.01;
-  for (bool columnar : {true, false}) {
-    SCOPED_TRACE(columnar ? "columnar" : "boxed");
-    wire.columnar = columnar;
-    ExpectHotSourceSplitExact(wire);
-  }
+  ExpectHotSourceSplitExact(wire);
 }
 
 TEST(SkewDistTest, DistWorkersWithChaosByteIdentical) {
@@ -441,11 +454,7 @@ TEST(SkewDistTest, DistWorkersWithChaosByteIdentical) {
 
   // A combine split over worker processes, with a worker killed in the
   // combine wave (stage 1, after the forced prefix).
-  for (bool columnar : {true, false}) {
-    SCOPED_TRACE(columnar ? "columnar" : "boxed");
-    config.columnar = columnar;
-    ExpectHotSourceSplitExact(config);
-  }
+  ExpectHotSourceSplitExact(config);
 }
 
 TEST(SkewCountersTest, GroupByKeyHotKeySalts) {
@@ -471,35 +480,21 @@ TEST(SkewCountersTest, ReduceByKeyImbalancedPartitionsSplitCombine) {
   // One source partition holds 16k rows, the other seven 200 each: the
   // map-side combine wave is the straggler, and the combine-split
   // mechanism (exact for native int64 +) must split it.
-  std::vector<ValueVec> parts(8);
-  for (int64_t i = 0; i < 16000; ++i) {
-    parts[0].push_back(Value::MakePair(I(i % 50), I(i % 1000)));
-  }
-  for (int p = 1; p < 8; ++p) {
-    for (int64_t i = 0; i < 200; ++i) {
-      parts[p].push_back(Value::MakePair(I(i % 50), I(i)));
-    }
-  }
-
   // Combine-splitting requires a plan-time-proven int64 fold: pass the
-  // schema the planner would have inferred for these rows.
+  // value schema the planner would have inferred for these rows.
   ColumnSchema schema;
-  schema.key = ColumnTag::kInt64;
   schema.value = ColumnTag::kInt64;
 
-  // Both row layouts, whatever the build's columnar default.
-  for (bool columnar : {true, false}) {
-    SCOPED_TRACE(columnar ? "columnar" : "boxed");
-    EngineConfig plain_config = SkewTestConfig(/*mitigate=*/false);
-    plain_config.columnar = columnar;
-    Engine plain(plain_config);
+  // Both row layouts: int keys stay typed, tuple keys go boxed.
+  for (const auto& [layout, key] : kKeyLayouts) {
+    SCOPED_TRACE(layout);
+    const std::vector<ValueVec> parts = HotSourceParts(key);
+    Engine plain(SkewTestConfig(/*mitigate=*/false));
     std::string want = Bytes(
         plain, *plain.ReduceByKey(Dataset(parts), BinOp::kAdd, "reduceByKey",
                                   schema));
 
-    EngineConfig salted_config = SkewTestConfig(/*mitigate=*/true);
-    salted_config.columnar = columnar;
-    Engine salted(salted_config);
+    Engine salted(SkewTestConfig(/*mitigate=*/true));
     StatusOr<Dataset> got =
         salted.ReduceByKey(Dataset(parts), BinOp::kAdd, "reduceByKey", schema);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -514,18 +509,14 @@ TEST(SkewCountersTest, DirtyCombineChunkFallsBackExactly) {
   // folds a double: that chunk's partials are not exactly re-mergeable,
   // so the whole partition re-runs unsplit — on either layout the bytes
   // are those of the unmitigated run.
-  std::vector<ValueVec> parts = HotSourceParts(I);
-  parts[0][9000] = Value::MakePair(I(0), D(0.5));
-  for (bool columnar : {true, false}) {
-    SCOPED_TRACE(columnar ? "columnar" : "boxed");
-    EngineConfig plain_config = SkewTestConfig(/*mitigate=*/false);
-    plain_config.columnar = columnar;
-    Engine plain(plain_config);
+  for (const auto& [layout, key] : kKeyLayouts) {
+    SCOPED_TRACE(layout);
+    std::vector<ValueVec> parts = HotSourceParts(key);
+    parts[0][9000] = Value::MakePair(key(0), D(0.5));
+    Engine plain(SkewTestConfig(/*mitigate=*/false));
     StatusOr<Dataset> expected = ReduceHotSource(plain, parts);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    EngineConfig salted_config = SkewTestConfig(/*mitigate=*/true);
-    salted_config.columnar = columnar;
-    Engine salted(salted_config);
+    Engine salted(SkewTestConfig(/*mitigate=*/true));
     StatusOr<Dataset> got = ReduceHotSource(salted, parts);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(Bytes(salted, *got), Bytes(plain, *expected));
@@ -538,41 +529,39 @@ TEST(SkewCountersTest, Int64OverflowWrapsOnBothLayoutsAndSplitCombines) {
   // because wrapping + and * are bit-associative.
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
-  const ValueVec small = {Value::MakePair(I(0), I(kMax)),
-                          Value::MakePair(I(0), I(1)),
-                          Value::MakePair(I(1), I(kMin)),
-                          Value::MakePair(I(1), I(-1))};
-  std::vector<ValueVec> hot(8);
-  for (int64_t i = 0; i < 16000; ++i) {
-    hot[0].push_back(Value::MakePair(I(i % 50), I(kMax - i % 7)));
-  }
-  for (int p = 1; p < 8; ++p) {
-    hot[p].push_back(Value::MakePair(I(p), I(kMin)));
-  }
   ColumnSchema schema;
   schema.value = ColumnTag::kInt64;
-  std::string want_small, want_hot;
-  for (bool columnar : {true, false}) {
+  // Int keys fold on the typed accumulator, tuple keys on the boxed one;
+  // both must wrap to the same values.
+  for (const auto& [layout, key] : kKeyLayouts) {
+    const ValueVec small = {
+        Value::MakePair(key(0), I(kMax)), Value::MakePair(key(0), I(1)),
+        Value::MakePair(key(1), I(kMin)), Value::MakePair(key(1), I(-1))};
+    std::vector<ValueVec> hot(8);
+    for (int64_t i = 0; i < 16000; ++i) {
+      hot[0].push_back(Value::MakePair(key(i % 50), I(kMax - i % 7)));
+    }
+    for (int p = 1; p < 8; ++p) {
+      hot[p].push_back(Value::MakePair(key(p), I(kMin)));
+    }
+    std::string want_small, want_hot;
     for (bool mitigate : {false, true}) {
-      SCOPED_TRACE(std::string(columnar ? "columnar" : "boxed") +
-                   (mitigate ? " salted" : ""));
-      EngineConfig config = SkewTestConfig(mitigate);
-      config.columnar = columnar;
-      Engine engine(config);
+      SCOPED_TRACE(std::string(layout) + (mitigate ? " salted" : ""));
+      Engine engine(SkewTestConfig(mitigate));
       StatusOr<Dataset> sums =
           engine.ReduceByKey(engine.Parallelize(small), BinOp::kAdd);
       ASSERT_TRUE(sums.ok()) << sums.status().ToString();
       StatusOr<ValueVec> rows = engine.Collect(*sums);
       ASSERT_TRUE(rows.ok());
-      std::map<int64_t, int64_t> by_key;
+      std::map<Value, int64_t> by_key;
       for (const Value& r : *rows) {
-        by_key[r.tuple()[0].AsInt()] = r.tuple()[1].AsInt();
+        by_key[r.tuple()[0]] = r.tuple()[1].AsInt();
       }
-      EXPECT_EQ(by_key[0], kMin);  // INT64_MAX + 1
-      EXPECT_EQ(by_key[1], kMax);  // INT64_MIN - 1
+      EXPECT_EQ(by_key[key(0)], kMin);  // INT64_MAX + 1
+      EXPECT_EQ(by_key[key(1)], kMax);  // INT64_MIN - 1
       StatusOr<Dataset> products = engine.ReduceByKey(
-          engine.Parallelize({Value::MakePair(I(2), I(kMin)),
-                              Value::MakePair(I(2), I(-1))}),
+          engine.Parallelize({Value::MakePair(key(2), I(kMin)),
+                              Value::MakePair(key(2), I(-1))}),
           BinOp::kMul);
       ASSERT_TRUE(products.ok()) << products.status().ToString();
       StatusOr<Value> product = engine.First(*products);
@@ -662,12 +651,10 @@ TEST(SkewCountersTest, StringKeyShuffleStaysTyped) {
 // ---- wide-stage accounting golden ----
 //
 // Pins every deterministic StageStats field of the five wide operators
-// across columnar on/off, skew mitigation on/off (with inputs that
-// chunk-split groupByKey, combine-split reduceByKey and stripe
-// reduceByKey) and fault-free vs faults plus wire-format shuffles.
-// Wall-clock times and memory watermarks are left out. Both columnar
-// settings are set explicitly, so every build shares one golden
-// (regenerate with DIABLO_REGOLD=1).
+// across skew mitigation on/off (with inputs that chunk-split
+// groupByKey, combine-split reduceByKey and stripe reduceByKey) and
+// fault-free vs faults plus wire-format shuffles. Wall-clock times and
+// memory watermarks are left out (regenerate with DIABLO_REGOLD=1).
 
 /// 6000 rows over 3000 int keys that all hash to destination 0 of 8:
 /// one reduce task receives everything, so its wave stripes.
@@ -755,10 +742,7 @@ TEST(WideAccountingGolden, StageStatsMatchGolden) {
       {"reduceByKey_string_combine_split",
        reduce_hot_source(
            [](int64_t k) { return S("key-" + std::to_string(k)); })},
-      {"reduceByKey_tuple_combine_split",
-       reduce_hot_source([](int64_t k) {
-         return Value::MakePair(I(k % 10), I(k / 10));
-       })},
+      {"reduceByKey_tuple_combine_split", reduce_hot_source(TupleKey)},
       {"reduceByKey_int_stripes",
        [&](Engine& e) -> StatusOr<Dataset> {
          DIABLO_ASSIGN_OR_RETURN(
@@ -793,27 +777,23 @@ TEST(WideAccountingGolden, StageStatsMatchGolden) {
 
   std::string got;
   for (const auto& [name, run] : ops) {
-    for (bool columnar : {true, false}) {
-      for (bool mitigate : {false, true}) {
-        for (bool faults : {false, true}) {
-          EngineConfig config = SkewTestConfig(mitigate);
-          config.columnar = columnar;
-          if (faults) {
-            config.serialize_shuffles = true;
-            config.faults.seed = 23;
-            config.faults.task_failure_rate = 0.1;
-            config.faults.corrupt_shuffle_rate = 0.0005;
-            config.faults.max_task_attempts = 8;
-          }
-          Engine engine(config);
-          StatusOr<Dataset> out = run(engine);
-          ASSERT_TRUE(out.ok()) << name << ": " << out.status().ToString();
-          got += "== " + name + " columnar=" + std::to_string(columnar) +
-                 " mitigate=" + std::to_string(mitigate) +
-                 " faults=" + std::to_string(faults) + "\n";
-          for (const StageStats& s : engine.metrics().stages()) {
-            got += DumpStage(s);
-          }
+    for (bool mitigate : {false, true}) {
+      for (bool faults : {false, true}) {
+        EngineConfig config = SkewTestConfig(mitigate);
+        if (faults) {
+          config.serialize_shuffles = true;
+          config.faults.seed = 23;
+          config.faults.task_failure_rate = 0.1;
+          config.faults.corrupt_shuffle_rate = 0.0005;
+          config.faults.max_task_attempts = 8;
+        }
+        Engine engine(config);
+        StatusOr<Dataset> out = run(engine);
+        ASSERT_TRUE(out.ok()) << name << ": " << out.status().ToString();
+        got += "== " + name + " mitigate=" + std::to_string(mitigate) +
+               " faults=" + std::to_string(faults) + "\n";
+        for (const StageStats& s : engine.metrics().stages()) {
+          got += DumpStage(s);
         }
       }
     }
@@ -835,6 +815,105 @@ TEST(WideAccountingGolden, StageStatsMatchGolden) {
   EXPECT_EQ(got, want.str())
       << "wide-stage accounting changed; if intended, rerun with "
          "DIABLO_REGOLD=1";
+}
+
+// ---- boxed columns through every operator ----
+
+TEST(BoxedColumnsTest, EveryOperatorMatchesClosureRoute) {
+  // Tuple keys make every scatter's key column kBoxed, and payloads that
+  // mix int and double defeat the value kernels, so the kernel route's
+  // fused chain replays its column batch row by row. Each case must
+  // still match the closure route, which is boxed by construction, byte
+  // for byte — also when lost partitions are rebuilt from lineage: the
+  // forced chain under the wide operator, and the wide operator itself
+  // under the closing stage.
+  ValueVec rows;
+  for (int64_t i = 0; i < 3000; ++i) {
+    rows.push_back(Value::MakePair(
+        TupleKey(i % 40), i % 3 == 0 ? I(i % 100) : D(0.5 * (i % 50))));
+  }
+  ValueVec other;
+  for (int64_t j = 0; j < 60; ++j) {
+    other.push_back(Value::MakePair(TupleKey(j), I(j)));
+  }
+  using Op =
+      std::function<StatusOr<Dataset>(Engine&, const Dataset&, bool kernels)>;
+  const std::vector<std::pair<std::string, Op>> ops = {
+      {"groupByKey",
+       [](Engine& e, const Dataset& in, bool) { return e.GroupByKey(in); }},
+      {"reduceByKey",
+       [](Engine& e, const Dataset& in, bool kernels) {
+         return kernels ? e.ReduceByKey(in, BinOp::kAdd)
+                        : e.ReduceByKey(in, Add);
+       }},
+      {"join",
+       [&](Engine& e, const Dataset& in, bool) {
+         return e.Join(in, e.Parallelize(other));
+       }},
+      {"coGroup",
+       [&](Engine& e, const Dataset& in, bool) {
+         return e.CoGroup(in, e.Parallelize(other));
+       }},
+      {"distinct",
+       [](Engine& e, const Dataset& in, bool) { return e.Distinct(in); }},
+  };
+  // A forced mapValues+filter chain, the operator, then a closure stage
+  // over its output (a loss there recomputes the operator's partitions).
+  auto run = [&](Engine& e, const Op& op,
+                 bool kernels) -> StatusOr<std::string> {
+    Dataset in = e.Parallelize(rows);
+    if (kernels) {
+      DIABLO_ASSIGN_OR_RETURN(in, e.MapValues(in, BinOp::kMul, I(2)));
+      DIABLO_ASSIGN_OR_RETURN(in, e.FilterValues(in, BinOp::kGe, D(3.0)));
+    } else {
+      DIABLO_ASSIGN_OR_RETURN(in, e.MapValues(in, [](const Value& v) {
+        return EvalBinOp(BinOp::kMul, v, I(2));
+      }));
+      DIABLO_ASSIGN_OR_RETURN(
+          in, e.Filter(in, [](const Value& row) -> StatusOr<bool> {
+            DIABLO_ASSIGN_OR_RETURN(
+                Value keep, EvalBinOp(BinOp::kGe, row.tuple()[1], D(3.0)));
+            return keep.AsBool();
+          }));
+    }
+    DIABLO_ASSIGN_OR_RETURN(in, e.Force(in));
+    DIABLO_ASSIGN_OR_RETURN(Dataset out, op(e, in, kernels));
+    DIABLO_ASSIGN_OR_RETURN(
+        out, e.Map(out, [](const Value& v) -> StatusOr<Value> { return v; }));
+    DIABLO_ASSIGN_OR_RETURN(out, e.Force(out));
+    return Bytes(e, out);
+  };
+  EngineConfig lossy;
+  for (int stage = 0; stage < 12; ++stage) {
+    for (int input : {0, 1}) {
+      lossy.faults.lose_partitions.push_back({stage, 3, input});
+    }
+  }
+  for (const auto& [name, op] : ops) {
+    SCOPED_TRACE(name);
+    Engine closures;
+    StatusOr<std::string> want = run(closures, op, /*kernels=*/false);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+    Engine kernels;
+    StatusOr<std::string> got = run(kernels, op, /*kernels=*/true);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, *want);
+    // The column-batch replay, and the operator's boxed key column.
+    const std::vector<StageStats>& stages = kernels.metrics().stages();
+    EXPECT_GT(stages.front().columnar_rows_fallback, 0);
+    EXPECT_TRUE(std::any_of(stages.begin(), stages.end(),
+                            [](const StageStats& s) {
+                              return s.wide && s.columnar_rows_fallback > 0;
+                            }))
+        << kernels.metrics().Report();
+
+    Engine recovering(lossy);
+    StatusOr<std::string> rebuilt = run(recovering, op, /*kernels=*/true);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    EXPECT_EQ(*rebuilt, *want);
+    EXPECT_GT(recovering.metrics().total_recomputed_partitions(), 0);
+  }
 }
 
 // ---- profile feedback: graceful degradation on stale profiles ----

@@ -15,9 +15,10 @@ baseline are reported but never fail — CI machines differ, thresholds
 guard the tracked hot path only.
 
 --pair FAST,SLOW,MIN_SPEEDUP[,NAME] (repeatable) compares two *named*
-benchmarks within the CURRENT run — an ablation pair built with
-different flags (e.g. columnar vs boxed) — and fails (exit 1) unless
-real_time(SLOW) / real_time(FAST) >= MIN_SPEEDUP. The optional NAME
+benchmarks within the CURRENT run — an ablation pair that differs in
+one setting (e.g. AB10's skew mitigation, mitigate:1 vs mitigate:0) —
+and fails (exit 1) unless real_time(SLOW) / real_time(FAST) >=
+MIN_SPEEDUP. The optional NAME
 labels the ablation in every verdict line and in the failure summary,
 so a red gate says which ablation regressed rather than just a ratio;
 without it the label is "FAST vs SLOW". Either benchmark missing from

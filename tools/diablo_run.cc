@@ -39,10 +39,10 @@
 //   --no-skew                disable runtime skew mitigation (salting of
 //                            hot reduce tasks; SkewConfig::mitigate=0)
 //   --no-trace               disable span recording (EngineConfig::tracing)
-//   --no-columnar            boxed per-row execution (columnar=0, AB9)
 //   --partitions N           engine partitions, N >= 1 (default 8)
 //   --workers N              simulated cluster workers, N >= 1 (default 4)
-//   --threads N              host threads executing partition tasks
+//   --threads N              host threads executing partition tasks,
+//                            N >= 1 (default 1)
 //   --broadcast-mb N         enable broadcast joins for arrays <= N MB
 //                            (N >= 0; 0 keeps shuffle joins)
 //   --serialize-shuffles     round-trip shuffled rows through the codec
@@ -51,7 +51,7 @@
 //   --straggler-rate P       straggler probability [0,1]
 //   --corrupt-rate P         shuffle-payload corruption probability
 //                            (needs --serialize-shuffles to take effect)
-//   --max-attempts N         retry budget per task (default 4)
+//   --max-attempts N         retry budget per task, N >= 1 (default 4)
 //   --kill S:P               kill partition P of stage S once (repeatable)
 //   --lose S:P[:I]           lose input partition P of stage S (input I,
 //                            default 0); recomputed from lineage
@@ -64,17 +64,20 @@
 //                            backend instead of the distributed engine
 //   --reference              run the sequential reference interpreter
 //                            instead of the distributed engine
-//   --dist-workers N         execute task waves on N forked worker
+//   --dist-workers N         execute task waves on N >= 1 forked worker
 //                            processes over loopback TCP (src/dist/);
 //                            output is byte-identical to in-process runs
-//   --dist-heartbeat-ms N    worker heartbeat period (default 250)
+//   --dist-heartbeat-ms N    worker heartbeat period, 10 <= N <= 3600000
+//                            (default 250)
 //   --dist-missed-beats N    heartbeats missed before a worker is
-//                            declared dead (default 8)
+//                            declared dead, N >= 1 (default 8)
 //   --dist-deadline-ms N     per-task deadline before the holding worker
-//                            is declared dead (default 30000)
+//                            is declared dead, 50 <= N <= 86400000
+//                            (default 30000)
 //   --dist-max-task-retries N  re-dispatches allowed per task after real
-//                            worker deaths (default 3)
-//   --dist-max-respawns N    dead workers re-forked per run (default 4)
+//                            worker deaths, N >= 0 (default 3)
+//   --dist-max-respawns N    dead workers re-forked per run, N >= 0
+//                            (default 4)
 //   --dist-stall W:MS        test hook: worker W sleeps MS ms per task
 //   --dist-verbose           log dispatch/death/respawn events to stderr
 //   --chaos-kill S:W[:K]     SIGKILL worker W during stage S after it
@@ -84,6 +87,11 @@
 //                            probability [0,1], drawn deterministically
 //                            from the chaos seed
 //   --chaos-seed N           seed of the deterministic chaos schedule
+//
+// Counts without a stated upper bound stop at 2147483647. The heartbeat
+// and deadline bounds (one hour, one day) keep the coordinator's wave
+// stall budget, deadline x (tasks + retries + respawns + 2) plus
+// heartbeat x missed beats x 4, within int64.
 //
 // Exit codes (documented in docs/LANGUAGE.md): 0 success, 1 CLI or I/O
 // error, 2 parse error, 3 restriction violation, 4 translation error,
@@ -278,6 +286,10 @@ long long ParseIntFlag(const std::string& flag, const std::string& text,
 }
 
 constexpr long long kMaxCount = std::numeric_limits<int>::max();
+/// Upper bounds of the distributed backend's timing flags (see the file
+/// header): one hour and one day.
+constexpr long long kMaxHeartbeatMs = 60LL * 60 * 1000;
+constexpr long long kMaxDeadlineMs = 24LL * 60 * 60 * 1000;
 
 /// Parses "S:P" or "S:P:I" colon-separated small integers.
 std::vector<int> SplitColonInts(const std::string& arg, size_t min_fields,
@@ -359,8 +371,6 @@ int main(int argc, char** argv) {
       engine_config.skew.mitigate = false;
     } else if (arg == "--no-trace") {
       engine_config.tracing = false;
-    } else if (arg == "--no-columnar") {
-      engine_config.columnar = false;
     } else if (arg == "--partitions") {
       engine_config.num_partitions =
           static_cast<int>(ParseIntFlag(arg, next(), 1, kMaxCount));
@@ -370,7 +380,7 @@ int main(int argc, char** argv) {
           static_cast<int>(ParseIntFlag(arg, next(), 1, kMaxCount));
     } else if (arg == "--threads") {
       engine_config.host_threads =
-          static_cast<int>(ParseIntFlag(arg, next()));
+          static_cast<int>(ParseIntFlag(arg, next(), 1, kMaxCount));
     } else if (arg == "--broadcast-mb") {
       engine_config.broadcast_join_threshold_bytes =
           ParseIntFlag(arg, next(), 0,
@@ -389,7 +399,7 @@ int main(int argc, char** argv) {
       engine_config.faults.corrupt_shuffle_rate = ParseDoubleFlag(arg, next());
     } else if (arg == "--max-attempts") {
       engine_config.faults.max_task_attempts =
-          static_cast<int>(ParseIntFlag(arg, next()));
+          static_cast<int>(ParseIntFlag(arg, next(), 1, kMaxCount));
     } else if (arg == "--kill") {
       std::vector<int> sp = SplitColonInts(next(), 2, 2);
       engine_config.faults.kill_tasks.push_back({sp[0], sp[1]});
@@ -406,20 +416,22 @@ int main(int argc, char** argv) {
       run_options.tile_config.tile_cols =
           ParseIntFlag(arg, next(), 1, kMaxCount);
     } else if (arg == "--dist-workers") {
-      dist_workers = static_cast<int>(ParseIntFlag(arg, next()));
-      if (dist_workers <= 0) Die("--dist-workers expects a positive count");
+      dist_workers = static_cast<int>(ParseIntFlag(arg, next(), 1, kMaxCount));
     } else if (arg == "--dist-heartbeat-ms") {
-      dist_config.heartbeat_ms = static_cast<int>(ParseIntFlag(arg, next()));
+      dist_config.heartbeat_ms =
+          static_cast<int>(ParseIntFlag(arg, next(), 10, kMaxHeartbeatMs));
     } else if (arg == "--dist-missed-beats") {
-      dist_config.missed_beats = static_cast<int>(ParseIntFlag(arg, next()));
+      dist_config.missed_beats =
+          static_cast<int>(ParseIntFlag(arg, next(), 1, kMaxCount));
     } else if (arg == "--dist-deadline-ms") {
       dist_config.task_deadline_ms =
-          static_cast<int>(ParseIntFlag(arg, next()));
+          static_cast<int>(ParseIntFlag(arg, next(), 50, kMaxDeadlineMs));
     } else if (arg == "--dist-max-task-retries") {
       dist_config.max_task_retries =
-          static_cast<int>(ParseIntFlag(arg, next()));
+          static_cast<int>(ParseIntFlag(arg, next(), 0, kMaxCount));
     } else if (arg == "--dist-max-respawns") {
-      dist_config.max_respawns = static_cast<int>(ParseIntFlag(arg, next()));
+      dist_config.max_respawns =
+          static_cast<int>(ParseIntFlag(arg, next(), 0, kMaxCount));
     } else if (arg == "--dist-stall") {
       std::vector<int> wm = SplitColonInts(next(), 2, 2);
       dist_config.stall_worker = wm[0];
