@@ -1,6 +1,9 @@
 #include "common/strings.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace diablo {
 
@@ -12,6 +15,32 @@ std::string Join(const std::vector<std::string>& parts,
     out += parts[i];
   }
   return out;
+}
+
+NumberParse ParseInt64(const std::string& text, int64_t* out) {
+  if (text.empty()) return NumberParse::kNotANumber;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (*end != '\0') return NumberParse::kNotANumber;
+  if (errno == ERANGE) return NumberParse::kOutOfRange;
+  *out = v;
+  return NumberParse::kOk;
+}
+
+NumberParse ParseDouble(const std::string& text, double* out) {
+  if (text.empty()) return NumberParse::kNotANumber;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (*end != '\0') return NumberParse::kNotANumber;
+  // strtod flags ERANGE on overflow (+-inf), on a nonzero value that
+  // rounds to 0, and on subnormal results; only the first two lose it.
+  if (errno == ERANGE && (std::isinf(v) || v == 0)) {
+    return NumberParse::kOutOfRange;
+  }
+  *out = v;
+  return NumberParse::kOk;
 }
 
 bool StartsWith(const std::string& s, const std::string& prefix) {

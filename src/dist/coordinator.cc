@@ -23,6 +23,7 @@
 #include "dist/wire.h"
 #include "dist/worker.h"
 #include "runtime/events.h"
+#include "runtime/fault.h"
 
 namespace diablo::dist {
 
@@ -69,11 +70,6 @@ struct WorkerState {
 
 struct TaskState {
   bool done = false;
-  /// Next simulated attempt number (coordinator-side mirror of the
-  /// engine's per-task attempt counter; begin_attempt is only called
-  /// for attempts inside the simulated budget so local and distributed
-  /// runs charge identical attempt counts).
-  int next_sim_attempt = 0;
   /// Simulated attempt currently (or last) dispatched.
   int cur_attempt = -1;
   /// True when the task lost its worker mid-flight and must re-run the
@@ -215,10 +211,10 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
     declare_dead(w, "chaos kill");
   };
 
-  // Hands the next dispatchable task to `w`, running the simulated
-  // fault loop (begin_attempt / sim_kill / charge_failure) exactly as
-  // the local scheduler would, so distributed runs charge the same
-  // simulated attempts, backoff, and straggler time.
+  // Hands the next dispatchable task to `w`. A fresh dispatch starts the
+  // task's next simulated attempt in the wave's ledger, which charges
+  // and skips the attempts the injector kills; a real-retry re-dispatch
+  // re-runs the attempt the dead worker held.
   auto dispatch_next = [&](int w) {
     WorkerState& ws = workers[w];
     while (ws.alive && ws.connected && ws.in_flight < 0 &&
@@ -229,23 +225,12 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
       if (task.done) continue;
       int attempt = task.cur_attempt;
       if (!task.redispatch_same) {
-        // Simulated attempt loop (mirrors the local scheduler).
-        bool exhausted = false;
-        for (;;) {
-          if (task.next_sim_attempt >= wave.max_sim_attempts) {
-            record_task_failure(p, wave.sim_budget_exhausted(p));
-            exhausted = true;
-            break;
-          }
-          attempt = task.next_sim_attempt++;
-          wave.begin_attempt(p);
-          if (wave.sim_kill(p, attempt)) {
-            wave.charge_failure(p, attempt);
-            continue;
-          }
-          break;
+        StatusOr<int> next = wave.attempts->Begin(p);
+        if (!next.ok()) {
+          record_task_failure(p, next.status());
+          continue;
         }
-        if (exhausted) continue;
+        attempt = *next;
       }
       task.cur_attempt = attempt;
       task.redispatch_same = false;
@@ -262,7 +247,6 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
       ws.in_flight = p;
       ws.dispatched_at = Clock::now();
       ++stats->tasks;
-      wave.on_dispatch(p, attempt, w);
     }
   };
 
@@ -400,17 +384,16 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
         declare_dead(w, "corrupt result slots");
         return;
       }
-      wave.charge_success(p, attempt);
+      wave.attempts->Succeed(p, attempt);
       task.done = true;
       ++tasks_done;
       stats->result_bytes += static_cast<int64_t>(slots.size());
       ++ws.results_in_wave;
-      wave.on_complete(p, attempt, w);
       maybe_chaos_kill(w);
     } else if (task_status.code() == StatusCode::kTaskLost) {
       // Simulated in-task fault (e.g. corrupt shuffle row): retryable,
       // next simulated attempt.
-      wave.charge_failure(p, attempt);
+      wave.attempts->Fail(p, attempt, "task_lost");
       ws.queue.push_front(p);
     } else {
       record_task_failure(p, std::move(task_status));
@@ -442,8 +425,7 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
           break;  // last_heard already refreshed
         case FrameType::kTelemetry: {
           // Arrives just before its task result (same socket, so order
-          // is guaranteed); splice it while the task is still in
-          // flight so on_complete can see it happened.
+          // is guaranteed), for every attempt the worker ran.
           runtime::WorkerTelemetry telemetry;
           if (!DecodeTelemetryPayload(frame.payload, &telemetry).ok()) {
             declare_dead(w, "corrupt telemetry");

@@ -271,9 +271,9 @@ void WorkerMain(const WorkerParams& params,
     // Telemetry goes out under the same sender lock scheme, immediately
     // before the result frame; TCP ordering then guarantees the
     // coordinator splices the spans before it processes the result.
-    // Only successful tasks ship telemetry: failed simulated attempts
-    // never produce a coordinator-side task span either.
-    if (params.telemetry && task_status.ok()) {
+    // Every attempt the worker ran ships its span, failed or not, just
+    // as the local scheduler traces every attempt it runs.
+    if (params.telemetry) {
       runtime::WorkerTelemetry telemetry;
       telemetry.task = p;
       telemetry.attempt = attempt;

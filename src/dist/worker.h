@@ -24,7 +24,7 @@ struct WorkerParams {
   /// without real clock dependence in assertions.
   int stall_ms = 0;
   /// Record task spans + process counters and ship them in a kTelemetry
-  /// frame before every successful task result.
+  /// frame before every task result.
   bool telemetry = false;
 };
 

@@ -161,13 +161,15 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& source) {
       Token t;
       t.loc = at;
       t.text = num;
-      if (is_double) {
-        t.kind = TokenKind::kDouble;
-        t.double_value = std::stod(num);
-      } else {
-        t.kind = TokenKind::kInt;
-        t.int_value = std::stoll(num);
+      const NumberParse parsed =
+          is_double ? ParseDouble(num, &t.double_value)
+                    : ParseInt64(num, &t.int_value);
+      if (parsed != NumberParse::kOk) {
+        return Status::ParseError(
+            StrCat(is_double ? "double" : "integer", " literal ", num,
+                   " out of range at ", LocationString(at)));
       }
+      t.kind = is_double ? TokenKind::kDouble : TokenKind::kInt;
       tokens.push_back(std::move(t));
       continue;
     }

@@ -49,13 +49,6 @@ std::vector<int64_t> RowCounts(const Dataset& ds) {
   return RowCounts(ds.partitions());
 }
 
-/// Simulated scheduler backoff charged before retrying after `attempt`
-/// failed: base * 2^attempt, with the exponent capped so the charge can
-/// never overflow to infinity on absurd budgets.
-double RetryBackoff(const FaultConfig& fc, int attempt) {
-  return fc.retry_backoff_seconds * std::ldexp(1.0, std::min(attempt, 16));
-}
-
 /// Worker clock offsets below this are treated as zero when splicing
 /// worker telemetry spans into the driver trace: forked workers share
 /// the driver's CLOCK_MONOTONIC, so the Hello-measured offset is pure
@@ -740,8 +733,7 @@ StatusOr<std::vector<HashedVec>> ReplayShuffle(
 
 }  // namespace
 
-Engine::Engine(EngineConfig config)
-    : config_(std::move(config)), injector_(config_.faults) {
+Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   if (config_.num_partitions < 1) config_.num_partitions = 1;
   if (config_.host_threads < 1) config_.host_threads = 1;
   if (config_.faults.max_task_attempts < 1) config_.faults.max_task_attempts = 1;
@@ -754,9 +746,8 @@ Engine::Engine(EngineConfig config)
   // Real kills recover through lineage, so the recompute closures must
   // survive even with every simulated fault class disarmed.
   if (config_.dist_lose_on_kill) config_.faults.retain_lineage = true;
-#ifndef DIABLO_DISABLE_TRACING
+  injector_ = FaultInjector(config_.faults);
   if (config_.tracing) trace_ = std::make_unique<TraceRecorder>();
-#endif
 }
 
 Engine::~Engine() = default;
@@ -788,22 +779,6 @@ Dataset Engine::Range(int64_t lo, int64_t hi) const {
   return Parallelize(std::move(rows));
 }
 
-Status Engine::RunPerPartition(int n,
-                               const std::function<Status(int)>& fn) const {
-  if (n <= 0) return Status::OK();
-  if (std::min(config_.host_threads, n) <= 1) {
-    // Serial order stops at the first error, which IS the
-    // lowest-indexed failing partition.
-    for (int i = 0; i < n; ++i) DIABLO_RETURN_IF_ERROR(fn(i));
-    return Status::OK();
-  }
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<WorkerPool>(config_.host_threads);
-  }
-  pool_tasks_pending_ += n;
-  return pool_->Run(n, fn);
-}
-
 Status Engine::RunTaskWave(const std::string& label, int stage,
                            const std::vector<int64_t>& task_work,
                            const std::function<Status(int, int)>& fn,
@@ -813,166 +788,76 @@ Status Engine::RunTaskWave(const std::string& label, int stage,
   TraceRecorder* tr = trace();
   ScopedSpan wave_span(tr, SpanKind::kWave, label);
   wave_span.SetStageId(stage);
+  TaskAttempts attempts(injector_, config_.cluster.seconds_per_work_unit,
+                        config_.events, label, stage, task_work);
+  Status st;
   if (config_.remote != nullptr && slots != nullptr) {
-    return RunTaskWaveRemote(label, stage, task_work, fn, stats, *slots, tr,
-                             wave_span.id());
-  }
-  // Times one task attempt into a task span under the wave. Tracing
-  // never perturbs execution: the stage/partition/attempt coordinates
-  // the fault injector sees are identical either way.
-  auto invoke = [&](int p, int attempt) -> Status {
-    if (tr == nullptr) return fn(p, attempt);
-    const double t0 = tr->NowUs();
-    Status st = fn(p, attempt);
-    tr->AddTask(wave_span.id(), t0, tr->NowUs() - t0, CurrentTraceWorker(), p,
-                attempt, stage, task_work[p]);
-    return st;
-  };
-  if (!config_.faults.enabled()) {
-    // Fault-free fast path: every task succeeds on its first attempt and
-    // no retry bookkeeping is kept.
-    stats->attempts += n;
-    return RunPerPartition(n, [&](int p) { return invoke(p, 0); });
-  }
-  const FaultConfig& fc = config_.faults;
-  const int budget = fc.max_task_attempts;
-  // One structured event per failed attempt. EventLog::Emit locks, so
-  // the wave threads may race here without ordering guarantees beyond
-  // the log's own timestamping.
-  auto emit_retry = [&](int p, int attempt, const char* reason) {
-    if (config_.events == nullptr) return;
-    Event e;
-    e.name = "task_retry";
-    e.stage_id = stage;
-    e.ints.emplace_back("partition", p);
-    e.ints.emplace_back("attempt", attempt);
-    e.strs.emplace_back("reason", reason);
-    config_.events->Emit(std::move(e));
-  };
-  // Per-task tallies, merged in index order below so the floating-point
-  // sums are identical for every host_threads setting.
-  std::vector<int64_t> attempts(n, 0);
-  std::vector<double> recovery(n, 0.0);
-  Status st = RunPerPartition(n, [&](int p) -> Status {
-    const double task_seconds = static_cast<double>(task_work[p]) *
-                                config_.cluster.seconds_per_work_unit;
-    for (int attempt = 0; attempt < budget; ++attempt) {
-      ++attempts[p];
-      if (injector_.TaskAttemptFails(stage, p, attempt)) {
-        // The attempt dies partway through: its work is wasted and the
-        // scheduler waits out a backoff before relaunching.
-        recovery[p] += task_seconds + RetryBackoff(fc, attempt);
-        emit_retry(p, attempt, "sim_kill");
-        continue;
+    st = RunTaskWaveRemote(label, stage, task_work, fn, &attempts, stats,
+                           *slots, tr, wave_span.id());
+  } else {
+    // One task's attempt loop. Each attempt it runs is timed into a task
+    // span under the wave; tracing never perturbs execution, since the
+    // coordinates the fault injector sees are identical either way.
+    auto task = [&](int p) -> Status {
+      for (;;) {
+        DIABLO_ASSIGN_OR_RETURN(const int attempt, attempts.Begin(p));
+        const double t0 = tr != nullptr ? tr->NowUs() : 0.0;
+        Status run = fn(p, attempt);
+        if (tr != nullptr) {
+          tr->AddTask(wave_span.id(), t0, tr->NowUs() - t0,
+                      CurrentTraceWorker(), p, attempt, stage, task_work[p]);
+        }
+        if (run.ok()) {
+          attempts.Succeed(p, attempt);
+          return run;
+        }
+        // Only simulated faults are retryable; a genuine callback error
+        // aborts the stage unchanged.
+        if (run.code() != StatusCode::kTaskLost) return run;
+        attempts.Fail(p, attempt, "task_lost");
       }
-      Status run = invoke(p, attempt);
-      if (run.ok()) {
-        const double mult = injector_.StragglerMultiplier(stage, p, attempt);
-        if (mult > 1.0) recovery[p] += (mult - 1.0) * task_seconds;
-        return Status::OK();
+    };
+    if (std::min(config_.host_threads, n) <= 1) {
+      // Serial order stops at the first error, which IS the
+      // lowest-indexed failing task.
+      for (int p = 0; p < n && st.ok(); ++p) st = task(p);
+    } else {
+      if (pool_ == nullptr) {
+        pool_ = std::make_unique<WorkerPool>(config_.host_threads);
       }
-      // Only simulated faults are retryable; a genuine callback error
-      // aborts the stage unchanged.
-      if (run.code() != StatusCode::kTaskLost) return run;
-      recovery[p] += task_seconds + RetryBackoff(fc, attempt);
-      emit_retry(p, attempt, "task_lost");
+      stats->pool_tasks += n;
+      st = pool_->Run(n, task);
     }
-    return Status::RuntimeError(
-        StrCat("stage #", stage, " '", label, "': partition ", p,
-               " failed after ", budget, " attempts; retry budget (", budget,
-               ") exhausted"));
-  });
-  for (int p = 0; p < n; ++p) {
-    stats->attempts += attempts[p];
-    stats->recovery_seconds += recovery[p];
   }
+  attempts.AddTo(stats);
   return st;
 }
 
 Status Engine::RunTaskWaveRemote(const std::string& label, int stage,
                                  const std::vector<int64_t>& task_work,
                                  const std::function<Status(int, int)>& fn,
-                                 StageStats* stats, const WaveSlots& slots,
-                                 TraceRecorder* tr, int64_t wave_span_id) {
-  const int n = static_cast<int>(task_work.size());
-  const FaultConfig& fc = config_.faults;
-  const bool faults_on = fc.enabled();
-  // Per-task tallies written by the coordinator-side hooks, merged in
-  // index order below — same deterministic float summation as the local
-  // scheduler, whatever order results come off the sockets.
-  std::vector<int64_t> attempts(n, 0);
-  std::vector<double> recovery(n, 0.0);
-  std::vector<double> dispatch_t0(n, 0.0);
-  auto task_seconds = [&](int p) {
-    return static_cast<double>(task_work[p]) *
-           config_.cluster.seconds_per_work_unit;
-  };
-
-  // Tasks whose worker shipped a kTelemetry frame before the result:
-  // their worker-side span replaces the coordinator's synthesized
-  // dispatch→result span (keeping both would double-count the task in
-  // AggregateTaskTimes). Telemetry frames precede their kTaskResult on
-  // the wire, so the flag is always set before on_complete fires.
-  std::vector<char> telemetry_seen(static_cast<size_t>(n), 0);
-
+                                 TaskAttempts* attempts, StageStats* stats,
+                                 const WaveSlots& slots, TraceRecorder* tr,
+                                 int64_t wave_span_id) {
   RemoteTaskWave wave;
   wave.label = label;
   wave.stage = stage;
   wave.task_work = task_work;
+  wave.attempts = attempts;
   wave.want_telemetry = tr != nullptr || config_.registry != nullptr;
-  wave.max_sim_attempts = faults_on ? fc.max_task_attempts : 1;
   wave.run = fn;
   wave.encode = [&slots](int p) { return EncodeTaskSlots(slots, p); };
   wave.install = [&slots](int p, const std::string& bytes) {
     return DecodeTaskSlots(slots, p, bytes);
   };
-  wave.begin_attempt = [&attempts](int p) {
-    return static_cast<int>(attempts[p]++);
-  };
-  wave.sim_kill = [this, faults_on, stage](int p, int attempt) {
-    return faults_on && injector_.TaskAttemptFails(stage, p, attempt);
-  };
-  wave.charge_failure = [&, this, stage](int p, int attempt) {
-    recovery[p] += task_seconds(p) + RetryBackoff(fc, attempt);
-    if (config_.events != nullptr) {
-      Event e;
-      e.name = "task_retry";
-      e.stage_id = stage;
-      e.ints.emplace_back("partition", p);
-      e.ints.emplace_back("attempt", attempt);
-      e.strs.emplace_back("reason", "sim_kill");
-      config_.events->Emit(std::move(e));
-    }
-  };
-  wave.charge_success = [&, this](int p, int attempt) {
-    if (!faults_on) return;
-    const double mult = injector_.StragglerMultiplier(stage, p, attempt);
-    if (mult > 1.0) recovery[p] += (mult - 1.0) * task_seconds(p);
-  };
-  const int budget = wave.max_sim_attempts;
-  wave.sim_budget_exhausted = [label, stage, budget](int p) {
-    // Message identical to the local scheduler's, so tests comparing
-    // failure modes across backends see the same error.
-    return Status::RuntimeError(
-        StrCat("stage #", stage, " '", label, "': partition ", p,
-               " failed after ", budget, " attempts; retry budget (", budget,
-               ") exhausted"));
-  };
-  wave.on_dispatch = [&dispatch_t0, tr](int p, int, int) {
-    if (tr != nullptr) dispatch_t0[p] = tr->NowUs();
-  };
-  wave.on_telemetry = [&, this, tr, wave_span_id, stage](
+  wave.on_telemetry = [&, this, tr, wave_span_id](
                           int worker, double clock_offset_us,
                           const WorkerTelemetry& telemetry) {
-    if (telemetry.task >= 0 && telemetry.task < n) {
-      telemetry_seen[static_cast<size_t>(telemetry.task)] = 1;
-    }
-    // Worker-side memory watermark: attributed to the consuming stage
-    // at the next FinishStage (same drain pattern as pool task
-    // tallies), and published per worker in the registry.
-    if (telemetry.peak_rss_bytes > worker_rss_pending_) {
-      worker_rss_pending_ = telemetry.peak_rss_bytes;
-    }
+    // Worker-side memory watermark: maxed into the stage record (which
+    // FinishStage raises to the driver's own peak), and published per
+    // worker in the registry.
+    stats->peak_rss_bytes =
+        std::max(stats->peak_rss_bytes, telemetry.peak_rss_bytes);
     if (config_.registry != nullptr) {
       config_.registry->GaugeMax("diablo_worker_peak_rss_bytes",
                                  static_cast<double>(telemetry.peak_rss_bytes),
@@ -1010,18 +895,6 @@ Status Engine::RunTaskWaveRemote(const std::string& label, int stage,
       tr->AddRemoteSpan(wave_span_id, std::move(span));
     }
   };
-  wave.on_complete = [&, tr, wave_span_id, stage](int p, int attempt,
-                                                  int worker) {
-    // Skip the synthesized span when the worker's own telemetry span
-    // for this task was already spliced in (see wave.on_telemetry).
-    if (tr != nullptr && !telemetry_seen[static_cast<size_t>(p)]) {
-      // Worker-process rows in the Chrome trace: remote worker w runs
-      // as trace worker w+1 (0 is the driver), same convention as the
-      // in-process thread pool.
-      tr->AddTask(wave_span_id, dispatch_t0[p], tr->NowUs() - dispatch_t0[p],
-                  worker + 1, p, attempt, stage, task_work[p]);
-    }
-  };
   wave.on_worker_lost = [&, this, tr, stage](int worker,
                                              const std::vector<int>& pending,
                                              const std::string& reason) {
@@ -1052,10 +925,6 @@ Status Engine::RunTaskWaveRemote(const std::string& label, int stage,
 
   RemoteWaveStats remote;
   Status st = config_.remote->RunWave(wave, &remote);
-  for (int p = 0; p < n; ++p) {
-    stats->attempts += attempts[p];
-    stats->recovery_seconds += recovery[p];
-  }
   stats->dist_tasks += remote.tasks;
   stats->dist_retries += remote.real_retries;
   stats->dist_workers_lost += remote.workers_lost;
@@ -1143,18 +1012,14 @@ StatusOr<Dataset> Engine::RecoverInput(const Dataset& in, int stage,
 }
 
 void Engine::FinishStage(StageStats stats) {
-  stats.pool_tasks = pool_tasks_pending_;
-  pool_tasks_pending_ = 0;
   stats.cost_decisions += cost_decisions_pending_;
   cost_decisions_pending_ = 0;
   // Per-stage memory high-water mark: the driver's own peak RSS, raised
-  // by any worker-process peak shipped in telemetry frames since the
-  // last stage boundary (drained like pool task tallies). RSS is
-  // monotone, so the per-stage series shows which stage first pushed
-  // the process high-water mark.
+  // by any worker-process peak the stage's waves received in telemetry
+  // frames. RSS is monotone, so the per-stage series shows which stage
+  // first pushed the process high-water mark.
   stats.peak_rss_bytes = std::max(MetricsRegistry::ProcessPeakRssBytes(),
-                                  worker_rss_pending_);
-  worker_rss_pending_ = 0;
+                                  stats.peak_rss_bytes);
   // The innermost open stage span belongs to the operator finishing this
   // stage (each operator opens exactly one before it runs).
   TraceRecorder* t = trace();

@@ -105,16 +105,16 @@ struct EngineConfig {
   /// (tests/skew_test.cc), only wall-clock and task accounting change.
   SkewConfig skew;
   /// Deterministic fault injection and recovery policy (runtime/fault.h).
-  /// Off by default: with no fault class enabled the engine skips all
-  /// fault bookkeeping and retains no lineage closures.
+  /// Off by default: with no fault class enabled no draw ever fires, and
+  /// the engine skips input-loss recovery and retains no lineage
+  /// closures.
   FaultConfig faults;
   /// When true (the default), the engine records wall-clock trace spans
   /// (run > statement > stage > wave > task, plus recovery spans) into a
   /// TraceRecorder reachable via Engine::trace() — see runtime/trace.h
   /// and DESIGN.md §13. Tracing never changes stage numbering, fault
   /// coordinates, or any program output byte (asserted in trace_test).
-  /// False makes every hook a single null-pointer test; defining
-  /// DIABLO_DISABLE_TRACING compiles the hooks out entirely.
+  /// False makes every hook a single null-pointer test.
   bool tracing = true;
   /// When set, every task wave executes on this remote backend (the
   /// multi-process coordinator of src/dist/) instead of in-process
@@ -214,15 +214,8 @@ class Engine {
   const Metrics& metrics() const { return metrics_; }
 
   /// The engine's trace recorder, or null when tracing is off — the
-  /// null test IS the tracing-off fast path, and every trace hook in
-  /// the engine folds away when DIABLO_DISABLE_TRACING is defined.
-  TraceRecorder* trace() const {
-#ifdef DIABLO_DISABLE_TRACING
-    return nullptr;
-#else
-    return trace_.get();
-#endif
-  }
+  /// null test IS the tracing-off fast path.
+  TraceRecorder* trace() const { return trace_.get(); }
 
   /// Installs the source provenance stamped into subsequently finished
   /// stages, returning the previous value so callers can nest scopes
@@ -241,8 +234,8 @@ class Engine {
 
   /// Counts one profile-informed plan decision (broadcast-vs-hash join,
   /// partition count chosen from --profile-in evidence); drained into
-  /// the next finished stage's StageStats::cost_decisions, mirroring
-  /// how pool task tallies are attributed.
+  /// the next finished stage's StageStats::cost_decisions, since plan
+  /// decisions arrive between stages.
   void RecordCostDecision() {
     ++cost_decisions_pending_;
     if (config_.events != nullptr) {
@@ -262,9 +255,7 @@ class Engine {
   void ResetRunState() {
     metrics_.Clear();
     next_stage_id_ = 0;
-    pool_tasks_pending_ = 0;
     cost_decisions_pending_ = 0;
-    worker_rss_pending_ = 0;
     if (TraceRecorder* t = trace()) t->Clear();
   }
 
@@ -395,21 +386,18 @@ class Engine {
   struct WideSpec;
   struct WideRun;
 
-  /// Runs fn(0..n-1), using up to config_.host_threads threads (the
-  /// persistent pool). All partitions that could fail with a
-  /// lower index than the lowest known failure are executed, and the
-  /// error of the lowest-indexed failing partition is returned — so
-  /// failures are reproducible across host_threads settings.
-  Status RunPerPartition(int n, const std::function<Status(int)>& fn) const;
-
   /// Allocates the next task-wave id (the injector's stage coordinate).
   int NextStageId() { return next_stage_id_++; }
 
   /// Runs one wave of tasks (one per entry of `task_work`) under the
-  /// fault model: injected kills and TaskLost results are retried up to
-  /// the budget with simulated backoff charged to `stats`; genuine
-  /// errors abort immediately. `fn(partition, attempt)` must be
-  /// restartable. Adds the wave's attempts to `stats`.
+  /// fault model, on up to config_.host_threads threads (the persistent
+  /// pool). Every attempt goes through one TaskAttempts ledger: injected
+  /// kills and TaskLost results are retried up to the budget with
+  /// simulated backoff; genuine errors abort immediately, and the error
+  /// of the lowest-indexed failing task is returned, so failures are
+  /// reproducible across host_threads settings. `fn(partition, attempt)`
+  /// must be restartable. Adds the wave's attempts, recovery seconds and
+  /// pool tasks to `stats`, the record of the stage the wave belongs to.
   /// `slots` describes the per-task output slots `fn` writes; when
   /// EngineConfig::remote is set the wave runs on the remote backend,
   /// which marshals exactly those slots back from the workers.
@@ -420,14 +408,15 @@ class Engine {
 
   /// Remote dispatch of one task wave via EngineConfig::remote: builds
   /// the RemoteTaskWave closure bundle (worker-side run/encode,
-  /// coordinator-side install, the engine-owned simulated-fault hooks,
-  /// and trace/recovery hooks) and adds the backend's counters to
-  /// `stats` in task-index order for deterministic accounting.
+  /// coordinator-side install, telemetry and worker-loss hooks) around
+  /// the wave's `attempts` ledger, and adds the backend's counters and
+  /// the workers' peak RSS to `stats`.
   Status RunTaskWaveRemote(const std::string& label, int stage,
                            const std::vector<int64_t>& task_work,
                            const std::function<Status(int, int)>& fn,
-                           StageStats* stats, const WaveSlots& slots,
-                           TraceRecorder* tr, int64_t wave_span_id);
+                           TaskAttempts* attempts, StageStats* stats,
+                           const WaveSlots& slots, TraceRecorder* tr,
+                           int64_t wave_span_id);
 
   /// Applies any one-shot lost-partition directives targeting
   /// (stage, input_index): rebuilds the lost partitions from `in`'s
@@ -510,8 +499,9 @@ class Engine {
                                       const BinOp* native_op,
                                       const std::string& label);
 
-  /// Drains the engine's pending tallies into `stats` and records the
-  /// stage on the innermost open stage span.
+  /// Drains the pending cost decisions into `stats`, raises its peak RSS
+  /// to the driver's own, and records the stage on the innermost open
+  /// stage span.
   void FinishStage(StageStats stats);
 
   /// The tail every stage record goes through (FinishStage and
@@ -533,6 +523,7 @@ class Engine {
 
   EngineConfig config_;
   Metrics metrics_;
+  /// Built from config_.faults once the constructor has clamped it.
   FaultInjector injector_;
   int next_stage_id_ = 0;
   /// Created in the constructor when config_.tracing; never reassigned,
@@ -540,23 +531,12 @@ class Engine {
   std::unique_ptr<TraceRecorder> trace_;
   /// Current statement scope (SwapProvenance), driver-side only.
   EngineProvenance provenance_;
-  /// Tasks run on the persistent pool since the last FinishStage, which
-  /// drains the tally into StageStats::pool_tasks. Driver-side counter
-  /// (RunPerPartition returns only after the wave completes); mutable
-  /// because RunPerPartition is const.
-  mutable int64_t pool_tasks_pending_ = 0;
   /// Profile-informed decisions since the last FinishStage (see
   /// RecordCostDecision).
   int64_t cost_decisions_pending_ = 0;
-  /// Largest worker-process peak RSS shipped in telemetry frames since
-  /// the last FinishStage, which folds it into the finishing stage's
-  /// StageStats::peak_rss_bytes (max with the driver's own getrusage
-  /// reading) — same drain pattern as pool_tasks_pending_.
-  int64_t worker_rss_pending_ = 0;
   /// Persistent worker pool, created lazily on the first multi-threaded
-  /// wave and reused for the engine's whole lifetime. Mutable: creating
-  /// it does not change observable engine state.
-  mutable std::unique_ptr<WorkerPool> pool_;
+  /// wave and reused for the engine's whole lifetime.
+  std::unique_ptr<WorkerPool> pool_;
   /// Partitions owed by workers that died mid-wave
   /// (EngineConfig::dist_lose_on_kill): registered by the remote
   /// backend's on_worker_lost hook, consumed by the next RecoverInput

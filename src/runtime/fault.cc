@@ -1,6 +1,12 @@
 #include "runtime/fault.h"
 
+#include <algorithm>
+#include <cmath>
 #include <utility>
+
+#include "common/strings.h"
+#include "runtime/events.h"
+#include "runtime/metrics.h"
 
 namespace diablo::runtime {
 
@@ -94,6 +100,64 @@ std::vector<int> FaultInjector::LostPartitions(int stage, int input_index,
     }
   }
   return lost;
+}
+
+TaskAttempts::TaskAttempts(const FaultInjector& injector,
+                           double seconds_per_work_unit, EventLog* events,
+                           std::string label, int stage,
+                           const std::vector<int64_t>& task_work)
+    : injector_(injector),
+      seconds_per_work_unit_(seconds_per_work_unit),
+      events_(events),
+      label_(std::move(label)),
+      stage_(stage),
+      task_work_(task_work),
+      started_(task_work.size(), 0),
+      recovery_(task_work.size(), 0.0) {}
+
+double TaskAttempts::TaskSeconds(int p) const {
+  return static_cast<double>(task_work_[p]) * seconds_per_work_unit_;
+}
+
+StatusOr<int> TaskAttempts::Begin(int p) {
+  const int budget = injector_.config().max_task_attempts;
+  while (started_[p] < budget) {
+    const int attempt = static_cast<int>(started_[p]++);
+    if (!injector_.TaskAttemptFails(stage_, p, attempt)) return attempt;
+    // The attempt dies partway through: its work is wasted and the
+    // scheduler waits out a backoff before relaunching.
+    Fail(p, attempt, "sim_kill");
+  }
+  return Status::RuntimeError(
+      StrCat("stage #", stage_, " '", label_, "': partition ", p,
+             " failed after ", budget, " attempts; retry budget (", budget,
+             ") exhausted"));
+}
+
+void TaskAttempts::Fail(int p, int attempt, const char* reason) {
+  recovery_[p] += TaskSeconds(p) +
+                  injector_.config().retry_backoff_seconds *
+                      std::ldexp(1.0, std::min(attempt, 16));
+  if (events_ == nullptr) return;
+  Event e;
+  e.name = "task_retry";
+  e.stage_id = stage_;
+  e.ints.emplace_back("partition", p);
+  e.ints.emplace_back("attempt", attempt);
+  e.strs.emplace_back("reason", reason);
+  events_->Emit(std::move(e));
+}
+
+void TaskAttempts::Succeed(int p, int attempt) {
+  const double mult = injector_.StragglerMultiplier(stage_, p, attempt);
+  if (mult > 1.0) recovery_[p] += (mult - 1.0) * TaskSeconds(p);
+}
+
+void TaskAttempts::AddTo(StageStats* stats) const {
+  for (size_t p = 0; p < started_.size(); ++p) {
+    stats->attempts += started_[p];
+    stats->recovery_seconds += recovery_[p];
+  }
 }
 
 }  // namespace diablo::runtime

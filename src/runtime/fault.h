@@ -3,9 +3,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/status.h"
+
 namespace diablo::runtime {
+
+struct StageStats;
+class EventLog;
 
 /// Deterministic fault injection for the simulated cluster engine.
 ///
@@ -79,7 +85,9 @@ struct FaultConfig {
   bool retain_lineage = false;
 
   /// True when any fault class can fire. When false the engine skips
-  /// all fault bookkeeping (and builds no recompute closures).
+  /// input-loss recovery and corruption draws, and builds no recompute
+  /// closures; its waves still run the TaskAttempts loop, whose draws
+  /// then never fire.
   bool enabled() const;
 };
 
@@ -117,6 +125,50 @@ class FaultInjector {
   double Uniform(uint64_t stream, uint64_t a, uint64_t b, uint64_t c) const;
 
   FaultConfig config_;
+};
+
+/// The attempt ledger of one task wave: the one record of which attempts
+/// each task ran and what the fault model charged for them. Both
+/// schedulers drive it, the engine's in-process wave (RunTaskWave) and
+/// the distributed coordinator (src/dist/), so a wave charges the same
+/// attempts, recovery seconds and task_retry events wherever its tasks
+/// run. A task's entries are written by one thread at a time (its own
+/// attempt loop, or the coordinator's event loop), and AddTo sums them in
+/// task-index order, so the floating-point totals never depend on the
+/// schedule.
+class TaskAttempts {
+ public:
+  /// Task p's time is task_work[p] * seconds_per_work_unit; `task_work`
+  /// must outlive the ledger. `events` may be null.
+  TaskAttempts(const FaultInjector& injector, double seconds_per_work_unit,
+               EventLog* events, std::string label, int stage,
+               const std::vector<int64_t>& task_work);
+
+  /// Starts task p's next attempt and returns its 0-based number. An
+  /// attempt the injector kills before it runs is charged as failed
+  /// ("sim_kill") and skipped. Once FaultConfig::max_task_attempts
+  /// attempts have started, returns the retry-budget error instead.
+  StatusOr<int> Begin(int p);
+  /// Charges a failed attempt: its wasted task time plus the scheduler's
+  /// backoff before the next one (base * 2^attempt, the exponent capped
+  /// so absurd budgets never overflow), and emits one task_retry event.
+  void Fail(int p, int attempt, const char* reason);
+  /// Charges a successful attempt's straggler delay, if it straggled.
+  void Succeed(int p, int attempt);
+  /// Adds the wave's attempts and recovery seconds to `stats`.
+  void AddTo(StageStats* stats) const;
+
+ private:
+  double TaskSeconds(int p) const;
+
+  const FaultInjector& injector_;
+  double seconds_per_work_unit_;
+  EventLog* events_;
+  std::string label_;
+  int stage_;
+  const std::vector<int64_t>& task_work_;
+  std::vector<int64_t> started_;
+  std::vector<double> recovery_;
 };
 
 }  // namespace diablo::runtime

@@ -10,6 +10,8 @@
 
 namespace diablo::runtime {
 
+class TaskAttempts;
+
 /// One span recorded inside a worker process and shipped back with the
 /// task result (kTelemetry frame). Times are ABSOLUTE worker
 /// steady-clock microseconds; the coordinator rebases them into its
@@ -45,19 +47,19 @@ struct WorkerTelemetry {
 ///  - `run` and `encode` execute on the WORKER side (after fork they run
 ///    in the child against its copy-on-write snapshot of the wave
 ///    closures).
-///  - `install` and every hook below execute on the COORDINATOR side,
-///    against the driver's live slot vectors.
+///  - `install`, `attempts` and the hooks below are used on the
+///    COORDINATOR side, against the driver's live slot vectors.
 ///
-/// Simulated faults stay engine-owned: the coordinator drives the same
-/// attempt loop the local scheduler runs (begin_attempt / sim_kill /
-/// charge_*) so a distributed run charges byte-identical simulated
-/// retry and straggler time. Real worker deaths are a separate budget:
-/// a task lost to a SIGKILL is re-dispatched with the SAME simulated
-/// attempt number, keeping the deterministic fault schedule aligned
-/// between local and distributed runs.
+/// Simulated faults stay engine-owned: the coordinator starts, fails
+/// and completes every simulated attempt through the wave's
+/// TaskAttempts ledger (runtime/fault.h), the same ledger the local
+/// scheduler uses, so a distributed run charges identical attempts,
+/// retry and straggler time, and task_retry events. Real worker deaths
+/// are a separate budget: a task lost to a SIGKILL is re-dispatched with
+/// the SAME simulated attempt number, keeping the deterministic fault
+/// schedule aligned between local and distributed runs.
 ///
-/// Every member must be set; the engine always provides all of them
-/// (with trivial bodies when fault injection or tracing is off).
+/// Every member must be set; the engine always provides all of them.
 struct RemoteTaskWave {
   /// Human-readable op label ("map", "shuffle", ...), for errors/logs.
   std::string label;
@@ -65,9 +67,6 @@ struct RemoteTaskWave {
   int stage = 0;
   /// Per-task work estimate (rows), sized to the number of tasks.
   std::vector<int64_t> task_work;
-  /// Simulated retry budget: a task whose simulated attempt counter
-  /// reaches this bound fails the wave via `sim_budget_exhausted`.
-  int max_sim_attempts = 1;
 
   /// WORKER: runs task `p` as simulated attempt `attempt`, writing the
   /// worker-local copy of the wave's slots. May return TaskLost (a
@@ -79,35 +78,21 @@ struct RemoteTaskWave {
   /// the driver's slot vectors.
   std::function<Status(int p, const std::string& bytes)> install;
 
-  /// COORDINATOR: starts the next simulated attempt of task `p` and
-  /// returns its 0-based attempt number (charges the engine's per-stage
-  /// attempt counter).
-  std::function<int(int p)> begin_attempt;
-  /// COORDINATOR: true when the deterministic injector kills simulated
-  /// attempt `attempt` of task `p` before it would run.
-  std::function<bool(int p, int attempt)> sim_kill;
-  /// COORDINATOR: charges simulated recovery time (task time + backoff)
-  /// for a failed simulated attempt.
-  std::function<void(int p, int attempt)> charge_failure;
-  /// COORDINATOR: charges simulated straggler slowdown, if any, for a
-  /// successful attempt.
-  std::function<void(int p, int attempt)> charge_success;
-  /// COORDINATOR: the error a task reports when its simulated retry
-  /// budget is exhausted (message identical to the local scheduler's).
-  std::function<Status(int p)> sim_budget_exhausted;
+  /// COORDINATOR: the wave's attempt ledger. Begin picks the simulated
+  /// attempt each dispatch runs (or fails the task once its budget is
+  /// spent); a TaskLost result is charged with Fail, a success with
+  /// Succeed. Not owned.
+  TaskAttempts* attempts = nullptr;
 
-  /// Ask workers to record and ship task telemetry (kTelemetry frames).
-  /// Costs one extra frame per task result; off when the engine has
-  /// neither a trace recorder nor a metrics registry.
+  /// Ask workers to record and ship task telemetry (kTelemetry frames),
+  /// one span for every attempt they run. Costs one extra frame per
+  /// task result; off when the engine has neither a trace recorder nor
+  /// a metrics registry.
   bool want_telemetry = false;
 
-  /// COORDINATOR trace hooks. `worker` is the 0-based worker index.
-  std::function<void(int p, int attempt, int worker)> on_dispatch;
-  std::function<void(int p, int attempt, int worker)> on_complete;
-  /// COORDINATOR: telemetry received from `worker` for one task, before
-  /// the matching on_complete. `clock_offset_us` is the worker's steady
+  /// COORDINATOR: telemetry received from `worker` for one attempt, just
+  /// before its task result. `clock_offset_us` is the worker's steady
   /// clock minus the coordinator's, measured at the Hello handshake.
-  /// Null when want_telemetry is false.
   std::function<void(int worker, double clock_offset_us,
                      const WorkerTelemetry& telemetry)>
       on_telemetry;

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "dist/chaos.h"
@@ -572,6 +574,87 @@ TEST(DistEndToEndTest, SimulatedFaultsAccountIdenticallyOverDist) {
   EXPECT_EQ(dist.metrics().total_attempts(), local.metrics().total_attempts());
   EXPECT_EQ(dist.metrics().total_recovery_seconds(),
             local.metrics().total_recovery_seconds());
+}
+
+/// Every task_retry event as (stage, partition, attempt, reason), sorted:
+/// the events' own order depends on scheduling, their set does not.
+std::vector<std::tuple<int, int64_t, int64_t, std::string>> SortedRetries(
+    const runtime::EventLog& events) {
+  std::vector<std::tuple<int, int64_t, int64_t, std::string>> out;
+  for (const runtime::StampedEvent& se : events.Snapshot()) {
+    const runtime::Event& e = se.event;
+    if (e.name != "task_retry") continue;
+    int64_t partition = -1;
+    int64_t attempt = -1;
+    for (const auto& [key, value] : e.ints) {
+      if (key == "partition") partition = value;
+      if (key == "attempt") attempt = value;
+    }
+    std::string reason;
+    for (const auto& [key, value] : e.strs) {
+      if (key == "reason") reason = value;
+    }
+    out.emplace_back(e.stage_id, partition, attempt, reason);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Task spans per stage id in an engine's trace.
+std::map<int, int> TaskSpansPerStage(const Engine& engine) {
+  std::map<int, int> out;
+  for (const runtime::TraceSpan& s : engine.trace()->Snapshot()) {
+    if (s.kind == runtime::SpanKind::kTask) ++out[s.stage_id];
+  }
+  return out;
+}
+
+TEST(DistEndToEndTest, EveryFaultClassAccountsIdenticallyOverDist) {
+  // Killed attempts, stragglers and corrupted shuffle payloads all go
+  // through one attempt ledger, whichever scheduler runs the wave: the
+  // distributed run must charge the same attempts and recovery seconds,
+  // log the same retries with the same reasons, and trace one task span
+  // per attempt it ran, exactly like the in-process run.
+  EngineConfig faulty;
+  faulty.serialize_shuffles = true;
+  faulty.faults.seed = 3;
+  faulty.faults.task_failure_rate = 0.15;
+  faulty.faults.straggler_rate = 0.2;
+  faulty.faults.corrupt_shuffle_rate = 0.05;
+  faulty.faults.max_task_attempts = 8;
+  runtime::EventLog local_events;
+  EngineConfig local_config = faulty;
+  local_config.events = &local_events;
+  Engine local(local_config);
+  auto expected = RunIterativeRanks(local);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  runtime::EventLog dist_events;
+  Coordinator coordinator(FastDist(2));
+  EngineConfig dist_config = faulty;
+  dist_config.events = &dist_events;
+  dist_config.remote = &coordinator;
+  dist_config.dist_lose_on_kill = true;
+  Engine dist(dist_config);
+  auto got = RunIterativeRanks(dist);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+  EXPECT_EQ(Bytes(*got), Bytes(*expected));
+  EXPECT_EQ(dist.metrics().total_attempts(), local.metrics().total_attempts());
+  EXPECT_EQ(dist.metrics().total_recovery_seconds(),
+            local.metrics().total_recovery_seconds());
+  const auto retries = SortedRetries(local_events);
+  EXPECT_EQ(SortedRetries(dist_events), retries);
+  EXPECT_EQ(TaskSpansPerStage(dist), TaskSpansPerStage(local));
+
+  // Both retryable fault classes fired, so the comparison covers them.
+  auto fired = [&](const std::string& reason) {
+    return std::any_of(retries.begin(), retries.end(), [&](const auto& r) {
+      return std::get<3>(r) == reason;
+    });
+  };
+  EXPECT_TRUE(fired("sim_kill"));
+  EXPECT_TRUE(fired("task_lost"));
 }
 
 TEST(DistEndToEndTest, ChaosOutputIdenticalWithTracingOnAndOff) {

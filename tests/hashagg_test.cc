@@ -529,7 +529,7 @@ TEST(HashAggProperty, DistinctRecoveryUnderFaults) {
 }
 
 // ---------------------------------------------------------------------
-// Deterministic error selection (the RunPerPartition contract).
+// Deterministic error selection (the RunTaskWave contract).
 
 TEST(DeterministicErrors, SameErrorForEveryThreadCountAndScheduler) {
   // Several partitions fail; the reported error must be the one from the

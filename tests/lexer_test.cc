@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <utility>
+
 namespace diablo::parser {
 namespace {
 
@@ -95,6 +99,42 @@ TEST(Lexer, RejectsUnknownCharacters) {
   auto tokens = Tokenize("a @ b");
   ASSERT_FALSE(tokens.ok());
   EXPECT_NE(tokens.status().message().find("'@'"), std::string::npos);
+}
+
+TEST(Lexer, OutOfRangeLiteralsAreParseErrorsAtTheirLocation) {
+  // Each of these used to escape the lexer as std::out_of_range and
+  // abort the process.
+  const std::pair<const char*, const char*> kCases[] = {
+      {"var x: int = 99999999999999999999;",
+       "integer literal 99999999999999999999 out of range at line 1, "
+       "column 14"},
+      {"x := 9223372036854775808", "integer literal 9223372036854775808"},
+      {"x := 1.5 +\n  1e999", "double literal 1e999 out of range at line 2, "
+                              "column 3"},
+      {"x := 1e-400", "double literal 1e-400 out of range at line 1, column 6"},
+      {"x := 2e-324", "double literal 2e-324 out of range"},
+  };
+  for (const auto& [src, message] : kCases) {
+    auto tokens = Tokenize(src);
+    ASSERT_FALSE(tokens.ok()) << src;
+    EXPECT_EQ(tokens.status().code(), StatusCode::kParseError) << src;
+    EXPECT_NE(tokens.status().message().find(message), std::string::npos)
+        << tokens.status().ToString();
+  }
+}
+
+TEST(Lexer, LiteralsAtTheRangeEdgesKeepTheirValues) {
+  auto tokens = Tokenize(
+      "9223372036854775807 1.7976931348623157e308 1e-310 0e-999 0.0e400");
+  ASSERT_TRUE(tokens.ok()) << tokens.status().ToString();
+  EXPECT_EQ((*tokens)[0].int_value, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ((*tokens)[1].double_value, std::numeric_limits<double>::max());
+  // A subnormal value is kept; only a nonzero spelling that rounds to 0
+  // is rejected, and an all-zero one is simply 0.
+  EXPECT_EQ((*tokens)[2].double_value, 1e-310);
+  EXPECT_GT((*tokens)[2].double_value, 0.0);
+  EXPECT_EQ((*tokens)[3].double_value, 0.0);
+  EXPECT_EQ((*tokens)[4].double_value, 0.0);
 }
 
 }  // namespace

@@ -88,7 +88,11 @@
 //                            from the chaos seed
 //   --chaos-seed N           seed of the deterministic chaos schedule
 //
-// Counts without a stated upper bound stop at 2147483647. The heartbeat
+// Counts without a stated upper bound stop at 2147483647, and so does
+// every field of --kill, --lose, --dist-stall and --chaos-kill, which
+// must also be >= 0. A --scalar or CSV number follows the lexer's range
+// rule: an int beyond int64, or a double that overflows or rounds a
+// nonzero value to 0, dies naming the flag or path:line. The heartbeat
 // and deadline bounds (one hour, one day) keep the coordinator's wave
 // stall budget, deadline x (tasks + retries + respawns + 2) plus
 // heartbeat x missed beats x 4, within int64.
@@ -121,6 +125,7 @@
 #include "analysis/loop_lint.h"
 #include "analysis/merge_algebra.h"
 #include "analysis/restrictions.h"
+#include "common/strings.h"
 #include "diablo/diablo.h"
 #include "dist/coordinator.h"
 #include "parser/parser.h"
@@ -130,6 +135,7 @@
 
 namespace {
 
+using diablo::NumberParse;
 using diablo::Status;
 using diablo::StatusCode;
 using diablo::runtime::Value;
@@ -181,22 +187,26 @@ std::string ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-/// Parses a literal: bool, int, double, or quoted/bare string.
-Value ParseScalar(const std::string& text) {
+/// Parses a literal: bool, int, double, or quoted/bare string. A number
+/// the lexer would reject as out of range dies naming `where` (the flag,
+/// or the CSV file's path:line) instead of clamping, so two distinct
+/// keys can never load as one.
+Value ParseScalar(const std::string& text, const std::string& where) {
   if (text == "true") return Value::MakeBool(true);
   if (text == "false") return Value::MakeBool(false);
   if (text.size() >= 2 && text.front() == '"' && text.back() == '"') {
     return Value::MakeString(text.substr(1, text.size() - 2));
   }
-  char* end = nullptr;
-  long long as_int = std::strtoll(text.c_str(), &end, 10);
-  if (end != nullptr && *end == '\0' && !text.empty()) {
-    return Value::MakeInt(as_int);
+  int64_t as_int = 0;
+  NumberParse parsed = diablo::ParseInt64(text, &as_int);
+  if (parsed == NumberParse::kOk) return Value::MakeInt(as_int);
+  double as_double = 0;
+  if (parsed == NumberParse::kNotANumber) {
+    parsed = diablo::ParseDouble(text, &as_double);
+    if (parsed == NumberParse::kOk) return Value::MakeDouble(as_double);
   }
-  end = nullptr;
-  double as_double = std::strtod(text.c_str(), &end);
-  if (end != nullptr && *end == '\0' && !text.empty()) {
-    return Value::MakeDouble(as_double);
+  if (parsed == NumberParse::kOutOfRange) {
+    Die(where + ": number '" + text + "' is out of range");
   }
   return Value::MakeString(text);
 }
@@ -233,10 +243,11 @@ Value LoadCsv(const std::string& path, bool matrix) {
       Die(path + ":" + std::to_string(lineno) + ": expected " +
           std::to_string(expected) + " fields");
     }
-    Value key = matrix ? Value::MakeTuple({ParseScalar(fields[0]),
-                                           ParseScalar(fields[1])})
-                       : ParseScalar(fields[0]);
-    rows.push_back(Value::MakePair(key, ParseScalar(fields.back())));
+    const std::string where = path + ":" + std::to_string(lineno);
+    Value key = matrix ? Value::MakeTuple({ParseScalar(fields[0], where),
+                                           ParseScalar(fields[1], where)})
+                       : ParseScalar(fields[0], where);
+    rows.push_back(Value::MakePair(key, ParseScalar(fields.back(), where)));
   }
   return Value::MakeBag(std::move(rows));
 }
@@ -291,23 +302,22 @@ constexpr long long kMaxCount = std::numeric_limits<int>::max();
 constexpr long long kMaxHeartbeatMs = 60LL * 60 * 1000;
 constexpr long long kMaxDeadlineMs = 24LL * 60 * 60 * 1000;
 
-/// Parses "S:P" or "S:P:I" colon-separated small integers.
-std::vector<int> SplitColonInts(const std::string& arg, size_t min_fields,
+/// Parses `flag`'s colon-separated argument ("S:P", "S:P:I", "W:MS",
+/// ...). Every field narrows into an int coordinate or count, so each
+/// must be an integer in [0, 2147483647].
+std::vector<int> SplitColonInts(const std::string& flag,
+                                const std::string& arg, size_t min_fields,
                                 size_t max_fields) {
   std::vector<int> out;
   std::string field;
   std::istringstream in(arg);
   while (std::getline(in, field, ':')) {
-    char* end = nullptr;
-    long v = std::strtol(field.c_str(), &end, 10);
-    if (field.empty() || end == nullptr || *end != '\0') {
-      Die("expected colon-separated integers, got " + arg);
-    }
-    out.push_back(static_cast<int>(v));
+    out.push_back(static_cast<int>(ParseIntFlag(flag, field, 0, kMaxCount)));
   }
   if (out.size() < min_fields || out.size() > max_fields) {
-    Die("expected STAGE:PARTITION" +
-        std::string(max_fields > 2 ? "[:INPUT]" : "") + ", got " + arg);
+    Die(flag + " expects " + std::to_string(min_fields) +
+        (max_fields > min_fields ? " or " + std::to_string(max_fields) : "") +
+        " colon-separated fields, got " + arg);
   }
   return out;
 }
@@ -338,7 +348,7 @@ int main(int argc, char** argv) {
     };
     if (arg == "--scalar") {
       NameValue nv = SplitBinding(next());
-      inputs[nv.name] = ParseScalar(nv.value);
+      inputs[nv.name] = ParseScalar(nv.value, "--scalar " + nv.name);
     } else if (arg == "--vector") {
       NameValue nv = SplitBinding(next());
       inputs[nv.name] = LoadCsv(nv.value, /*matrix=*/false);
@@ -401,10 +411,10 @@ int main(int argc, char** argv) {
       engine_config.faults.max_task_attempts =
           static_cast<int>(ParseIntFlag(arg, next(), 1, kMaxCount));
     } else if (arg == "--kill") {
-      std::vector<int> sp = SplitColonInts(next(), 2, 2);
+      std::vector<int> sp = SplitColonInts(arg, next(), 2, 2);
       engine_config.faults.kill_tasks.push_back({sp[0], sp[1]});
     } else if (arg == "--lose") {
-      std::vector<int> sp = SplitColonInts(next(), 2, 3);
+      std::vector<int> sp = SplitColonInts(arg, next(), 2, 3);
       engine_config.faults.lose_partitions.push_back(
           {sp[0], sp[1], sp.size() > 2 ? sp[2] : 0});
     } else if (arg == "--tiled") {
@@ -433,13 +443,13 @@ int main(int argc, char** argv) {
       dist_config.max_respawns =
           static_cast<int>(ParseIntFlag(arg, next(), 0, kMaxCount));
     } else if (arg == "--dist-stall") {
-      std::vector<int> wm = SplitColonInts(next(), 2, 2);
+      std::vector<int> wm = SplitColonInts(arg, next(), 2, 2);
       dist_config.stall_worker = wm[0];
       dist_config.stall_ms = wm[1];
     } else if (arg == "--dist-verbose") {
       dist_config.verbose = true;
     } else if (arg == "--chaos-kill") {
-      std::vector<int> sw = SplitColonInts(next(), 2, 3);
+      std::vector<int> sw = SplitColonInts(arg, next(), 2, 3);
       dist_config.chaos.kills.push_back(
           {sw[0], sw[1], sw.size() > 2 ? sw[2] : 0});
     } else if (arg == "--chaos-kill-rate") {
