@@ -87,7 +87,11 @@ class ProgramRun {
 };
 
 /// Host inputs: bag values are sparse arrays of (key, value) pairs,
-/// everything else binds a scalar.
+/// everything else binds a scalar. An array is a map (paper §3.4): each
+/// key appears in at most one pair. The backends differ on a repeated
+/// key (the reference interpreter keeps the last pair, a scan of the
+/// engine or the local backend sees every pair), and the optimizer's
+/// merge elision assumes maps, so callers must not bind one.
 using Bindings = std::map<std::string, runtime::Value>;
 
 /// Execution-time options.

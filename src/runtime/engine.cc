@@ -1890,8 +1890,10 @@ StatusOr<Dataset> Engine::Union(const Dataset& in_a, const Dataset& in_b) {
   for (int p = 0; p < b.num_partitions(); ++p) {
     for (const Value& v : b.partition(p)) out[p].push_back(v);
   }
-  StageStats union_stats{"union", /*wide=*/false, RowCounts(out), {}, 0};
-  union_stats.partition_rows = RowCounts(out);
+  StageStats union_stats;
+  union_stats.label = "union";
+  union_stats.map_work = RowCounts(out);
+  union_stats.partition_rows = union_stats.map_work;
   FinishStage(std::move(union_stats));
   auto lineage = MakeLineage(
       "union", "union", {a.lineage(), b.lineage()},
@@ -2031,8 +2033,10 @@ StatusOr<Value> Engine::First(const Dataset& in) {
 StatusOr<int64_t> Engine::Count(const Dataset& in) {
   ScopedSpan stage_span(trace(), SpanKind::kStage, "count");
   DIABLO_ASSIGN_OR_RETURN(Dataset src, Force(in));
-  StageStats count_stats{"count", /*wide=*/false, RowCounts(src), {}, 0};
-  count_stats.partition_rows = RowCounts(src);
+  StageStats count_stats;
+  count_stats.label = "count";
+  count_stats.map_work = RowCounts(src);
+  count_stats.partition_rows = count_stats.map_work;
   FinishStage(std::move(count_stats));
   return src.TotalRows();
 }

@@ -169,8 +169,10 @@ StatusOr<Dataset> ZipMergeAdd(Engine& engine, const Dataset& in_a,
       out[static_cast<size_t>(p)].push_back(Value::MakePair(key, tile));
     }
   }
-  engine.metrics().AddStage(
-      {"zipMerge", /*wide=*/false, work, {}, /*shuffle_bytes=*/0});
+  runtime::StageStats stats;
+  stats.label = "zipMerge";
+  stats.map_work = std::move(work);
+  engine.metrics().AddStage(std::move(stats));
   return Dataset(std::move(out));
 }
 

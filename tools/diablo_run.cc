@@ -46,11 +46,13 @@
 //   --broadcast-mb N         enable broadcast joins for arrays <= N MB
 //                            (N >= 0; 0 keeps shuffle joins)
 //   --serialize-shuffles     round-trip shuffled rows through the codec
-//   --fault-seed N           seed of the deterministic fault injector
+//   --fault-seed N           seed of the deterministic fault injector,
+//                            0 <= N <= 9223372036854775807
 //   --fail-rate P            per-attempt task kill probability [0,1]
 //   --straggler-rate P       straggler probability [0,1]
 //   --corrupt-rate P         shuffle-payload corruption probability
-//                            (needs --serialize-shuffles to take effect)
+//                            [0,1] (needs --serialize-shuffles to take
+//                            effect)
 //   --max-attempts N         retry budget per task, N >= 1 (default 4)
 //   --kill S:P               kill partition P of stage S once (repeatable)
 //   --lose S:P[:I]           lose input partition P of stage S (input I,
@@ -86,13 +88,17 @@
 //   --chaos-kill-rate P      per-(stage,worker,result) SIGKILL
 //                            probability [0,1], drawn deterministically
 //                            from the chaos seed
-//   --chaos-seed N           seed of the deterministic chaos schedule
+//   --chaos-seed N           seed of the deterministic chaos schedule,
+//                            0 <= N <= 9223372036854775807
 //
 // Counts without a stated upper bound stop at 2147483647, and so does
 // every field of --kill, --lose, --dist-stall and --chaos-kill, which
-// must also be >= 0. A --scalar or CSV number follows the lexer's range
-// rule: an int beyond int64, or a double that overflows or rounds a
-// nonzero value to 0, dies naming the flag or path:line. The heartbeat
+// must also be >= 0. A rate outside [0,1], or NaN, dies naming the flag,
+// as does a seed below 0 or beyond int64. A --scalar or CSV number
+// follows the lexer's range rule: an int beyond int64, or a double that
+// overflows or rounds a nonzero value to 0, dies naming the flag or
+// path:line. A CSV key repeated on a later line dies naming both lines,
+// since an array binds each key once (diablo::Bindings). The heartbeat
 // and deadline bounds (one hour, one day) keep the coordinator's wave
 // stall budget, deadline x (tasks + retries + respawns + 2) plus
 // heartbeat x missed beats x 4, within int64.
@@ -115,6 +121,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -227,11 +234,14 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
 }
 
 /// Loads `key,value` lines into a sparse vector, or `i,j,value` lines
-/// into a sparse matrix when `matrix` is set.
+/// into a sparse matrix when `matrix` is set. An array is a map, so a key
+/// repeated on a later line dies naming both lines: the engine would
+/// keep both rows and the reference interpreter only the last.
 Value LoadCsv(const std::string& path, bool matrix) {
   std::ifstream in(path);
   if (!in) Die("cannot open " + path);
   ValueVec rows;
+  std::map<Value, int> first_line;
   std::string line;
   int lineno = 0;
   while (std::getline(in, line)) {
@@ -247,6 +257,11 @@ Value LoadCsv(const std::string& path, bool matrix) {
     Value key = matrix ? Value::MakeTuple({ParseScalar(fields[0], where),
                                            ParseScalar(fields[1], where)})
                        : ParseScalar(fields[0], where);
+    auto [seen, fresh] = first_line.emplace(key, lineno);
+    if (!fresh) {
+      Die(where + ": key " + key.ToString() + " repeats line " +
+          std::to_string(seen->second) + "; an array holds one value per key");
+    }
     rows.push_back(Value::MakePair(key, ParseScalar(fields.back(), where)));
   }
   return Value::MakeBag(std::move(rows));
@@ -263,33 +278,32 @@ NameValue SplitBinding(const std::string& arg) {
   return {arg.substr(0, eq), arg.substr(eq + 1)};
 }
 
-/// Strict numeric flag parsing: a fault rate silently read as 0 would
-/// turn an injection experiment into a fault-free run, so garbage dies.
-double ParseDoubleFlag(const std::string& flag, const std::string& text) {
-  char* end = nullptr;
-  double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || end == nullptr || *end != '\0') {
-    Die(flag + " expects a number, got '" + text + "'");
+/// Strict probability flags (the four rates): a rate silently read as 0
+/// would turn an injection experiment into a fault-free run, and one
+/// above 1 exhausts the retry budget as if the program had failed, so
+/// garbage, NaN and values outside [0, 1] die naming the flag.
+double ParseRateFlag(const std::string& flag, const std::string& text) {
+  double v = 0;
+  if (diablo::ParseDouble(text, &v) != NumberParse::kOk ||
+      !(v >= 0.0 && v <= 1.0)) {
+    Die(flag + " expects a probability in [0, 1], got '" + text + "'");
   }
   return v;
 }
 
-long long ParseIntFlag(const std::string& flag, const std::string& text) {
-  char* end = nullptr;
-  long long v = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0') {
-    Die(flag + " expects an integer, got '" + text + "'");
-  }
-  return v;
-}
-
-/// ParseIntFlag restricted to [lo, hi]: a zero count would divide the
-/// cost model by zero, and an out-of-range value must die rather than
-/// wrap when narrowed or shifted into its field.
+/// Strict integer flags under the lexer's range rule, restricted to
+/// [lo, hi]: a zero count would divide the cost model by zero, a seed
+/// beyond int64 would clamp onto another seed's schedule, and an
+/// out-of-range value must die rather than wrap when narrowed or shifted
+/// into its field.
 long long ParseIntFlag(const std::string& flag, const std::string& text,
                        long long lo, long long hi) {
-  const long long v = ParseIntFlag(flag, text);
-  if (v < lo || v > hi) {
+  int64_t v = 0;
+  const NumberParse parsed = diablo::ParseInt64(text, &v);
+  if (parsed == NumberParse::kNotANumber) {
+    Die(flag + " expects an integer, got '" + text + "'");
+  }
+  if (parsed == NumberParse::kOutOfRange || v < lo || v > hi) {
     Die(flag + " expects an integer in [" + std::to_string(lo) + ", " +
         std::to_string(hi) + "], got '" + text + "'");
   }
@@ -297,6 +311,7 @@ long long ParseIntFlag(const std::string& flag, const std::string& text,
 }
 
 constexpr long long kMaxCount = std::numeric_limits<int>::max();
+constexpr long long kMaxSeed = std::numeric_limits<int64_t>::max();
 /// Upper bounds of the distributed backend's timing flags (see the file
 /// header): one hour and one day.
 constexpr long long kMaxHeartbeatMs = 60LL * 60 * 1000;
@@ -400,13 +415,13 @@ int main(int argc, char** argv) {
       engine_config.serialize_shuffles = true;
     } else if (arg == "--fault-seed") {
       engine_config.faults.seed =
-          static_cast<uint64_t>(ParseIntFlag(arg, next()));
+          static_cast<uint64_t>(ParseIntFlag(arg, next(), 0, kMaxSeed));
     } else if (arg == "--fail-rate") {
-      engine_config.faults.task_failure_rate = ParseDoubleFlag(arg, next());
+      engine_config.faults.task_failure_rate = ParseRateFlag(arg, next());
     } else if (arg == "--straggler-rate") {
-      engine_config.faults.straggler_rate = ParseDoubleFlag(arg, next());
+      engine_config.faults.straggler_rate = ParseRateFlag(arg, next());
     } else if (arg == "--corrupt-rate") {
-      engine_config.faults.corrupt_shuffle_rate = ParseDoubleFlag(arg, next());
+      engine_config.faults.corrupt_shuffle_rate = ParseRateFlag(arg, next());
     } else if (arg == "--max-attempts") {
       engine_config.faults.max_task_attempts =
           static_cast<int>(ParseIntFlag(arg, next(), 1, kMaxCount));
@@ -453,10 +468,10 @@ int main(int argc, char** argv) {
       dist_config.chaos.kills.push_back(
           {sw[0], sw[1], sw.size() > 2 ? sw[2] : 0});
     } else if (arg == "--chaos-kill-rate") {
-      dist_config.chaos.kill_rate = ParseDoubleFlag(arg, next());
+      dist_config.chaos.kill_rate = ParseRateFlag(arg, next());
     } else if (arg == "--chaos-seed") {
       dist_config.chaos.seed =
-          static_cast<uint64_t>(ParseIntFlag(arg, next()));
+          static_cast<uint64_t>(ParseIntFlag(arg, next(), 0, kMaxSeed));
       chaos_seed_set = true;
     } else if (arg == "--no-opt") {
       compile_options.enable_optimizer = false;
