@@ -1,6 +1,9 @@
 #ifndef DIABLO_ANALYSIS_AFFINE_H_
 #define DIABLO_ANALYSIS_AFFINE_H_
 
+#include <cstdint>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -24,6 +27,29 @@ bool UsesLoopIndex(const ast::ExprPtr& e,
 /// a plain variable is affine only when the context is empty.
 bool IsAffineDest(const ast::LValuePtr& d,
                   const std::vector<std::string>& context);
+
+/// An affine form c0 + Σ coeff[i]·i over integer loop indexes.
+struct AffineForm {
+  std::map<std::string, int64_t> coeff;
+  /// The loop-invariant term; nullopt when it is not a literal (a scalar,
+  /// an array read, a call).
+  std::optional<int64_t> c0 = 0;
+};
+
+/// `e` as an affine form in `loop_indexes` whose coefficients are integer
+/// literals; nullopt for any other shape, for a coefficient that is a
+/// variable, and when a coefficient or c0 overflows int64.
+std::optional<AffineForm> ExtractAffine(
+    const ast::ExprPtr& e, const std::set<std::string>& loop_indexes);
+
+/// True when distinct iterations of the loops with indexes `context`
+/// provably write distinct elements of `d` (projections are stripped):
+/// every subscript is an ExtractAffine form, and the coefficient matrix,
+/// one row per subscript and one column per index, has full column rank.
+/// A plain variable is injective only under no loop. False proves
+/// nothing: `A[10*i+j]` with j in 0..9 is injective but rank-deficient.
+bool IsInjectiveDest(const ast::LValuePtr& d,
+                     const std::vector<std::string>& context);
 
 }  // namespace diablo::analysis
 

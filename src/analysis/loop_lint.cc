@@ -119,67 +119,6 @@ std::optional<int64_t> EvalIndexExpr(
   return std::nullopt;
 }
 
-/// An affine form c0 + Σ coeff[v]·v over integer loop indexes, for the
-/// GCD solvability pre-filter.
-struct AffineForm {
-  std::map<std::string, int64_t> coeff;
-  int64_t c0 = 0;
-};
-
-std::optional<AffineForm> ExtractAffine(const ast::ExprPtr& e,
-                                        const std::set<std::string>& vars) {
-  if (e == nullptr) return std::nullopt;
-  if (e->is<Expr::IntConst>()) {
-    AffineForm f;
-    f.c0 = e->as<Expr::IntConst>().value;
-    return f;
-  }
-  if (e->is<Expr::LVal>()) {
-    const ast::LValuePtr& d = e->as<Expr::LVal>().lvalue;
-    if (!d->is_var() || vars.count(d->var().name) == 0) return std::nullopt;
-    AffineForm f;
-    f.coeff[d->var().name] = 1;
-    return f;
-  }
-  if (e->is<Expr::Un>()) {
-    const auto& un = e->as<Expr::Un>();
-    if (un.op != UnOp::kNeg) return std::nullopt;
-    auto f = ExtractAffine(un.operand, vars);
-    if (!f.has_value()) return std::nullopt;
-    for (auto& [v, c] : f->coeff) c = -c;
-    f->c0 = -f->c0;
-    return f;
-  }
-  if (e->is<Expr::Bin>()) {
-    const auto& bin = e->as<Expr::Bin>();
-    auto l = ExtractAffine(bin.lhs, vars);
-    auto r = ExtractAffine(bin.rhs, vars);
-    if (!l.has_value() || !r.has_value()) return std::nullopt;
-    if (bin.op == BinOp::kAdd || bin.op == BinOp::kSub) {
-      int64_t sign = bin.op == BinOp::kAdd ? 1 : -1;
-      for (const auto& [v, c] : r->coeff) l->coeff[v] += sign * c;
-      l->c0 += sign * r->c0;
-      return l;
-    }
-    if (bin.op == BinOp::kMul) {
-      // One side must be a pure constant.
-      const AffineForm* cst = l->coeff.empty() ? &*l : nullptr;
-      const AffineForm* other = cst == &*l ? &*r : nullptr;
-      if (cst == nullptr && r->coeff.empty()) {
-        cst = &*r;
-        other = &*l;
-      }
-      if (cst == nullptr || other == nullptr) return std::nullopt;
-      AffineForm f;
-      for (const auto& [v, c] : other->coeff) f.coeff[v] = c * cst->c0;
-      f.c0 = other->c0 * cst->c0;
-      return f;
-    }
-    return std::nullopt;
-  }
-  return std::nullopt;
-}
-
 /// True when the linear Diophantine equation Σ ai·xi = rhs has an integer
 /// solution (ignoring domain bounds): gcd(ai) divides rhs.
 bool GcdSolvable(const std::vector<int64_t>& coeffs, int64_t rhs) {
@@ -225,11 +164,14 @@ std::optional<Witness> FindWitness(const ast::LValuePtr& d1,
     for (size_t k = 0; k < idx1.size(); ++k) {
       auto a1 = ExtractAffine(idx1[k], v1);
       auto a2 = ExtractAffine(idx2[k], v2);
-      if (!a1.has_value() || !a2.has_value()) continue;
+      if (!a1.has_value() || !a2.has_value() || !a1->c0.has_value() ||
+          !a2->c0.has_value()) {
+        continue;
+      }
       std::vector<int64_t> coeffs;
       for (const auto& [v, c] : a1->coeff) coeffs.push_back(c);
       for (const auto& [v, c] : a2->coeff) coeffs.push_back(-c);
-      if (!GcdSolvable(coeffs, a2->c0 - a1->c0)) return std::nullopt;
+      if (!GcdSolvable(coeffs, *a2->c0 - *a1->c0)) return std::nullopt;
     }
   }
 
@@ -496,12 +438,33 @@ class LoopLinter {
     std::map<std::string, Bounds> bounds;
     CollectBounds(loop, &bounds);
 
-    // Restriction 1: non-incremental update destinations must be affine
-    // and cover every enclosing loop index. A destination that fails is
-    // its own race: two iterations write the same element.
+    // Restriction 1: non-incremental update destinations must be affine,
+    // cover every enclosing loop index and be injective in them. A
+    // destination that fails is its own race: two iterations write the
+    // same element.
     for (const StmtAccessInfo& info : accesses) {
       for (const ast::LValuePtr& d : info.writers) {
-        if (IsAffineDest(d, info.context)) continue;
+        if (IsAffineDest(d, info.context)) {
+          if (IsInjectiveDest(d, info.context)) continue;
+          // Rank-deficient, like A[i+j]: a race only when two iterations
+          // within the known bounds meet (A[10*i+j] with j in 0..9 never
+          // does).
+          std::optional<Witness> witness =
+              FindWitness(d, info.context, d, info.context,
+                          /*conflict_is_write=*/true, bounds, options_);
+          if (!witness.has_value()) continue;
+          Emit(diag::kNonAffineDest, Severity::kError,
+               info.stmt != nullptr ? info.stmt->loc : SourceLocation{},
+               StrCat("destination ", d->ToString(),
+                      " of a non-incremental update is not injective in "
+                      "loop indexes (",
+                      Join(info.context, ","), ")"),
+               "two iterations write the same element and the merge keeps "
+               "an arbitrary one; give each index its own dimension, or "
+               "accumulate with an incremental update (+=, min=, ...)",
+               std::move(witness));
+          continue;
+        }
         std::set<std::string> ctx_set(info.context.begin(),
                                       info.context.end());
         bool indexes_affine = true;

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/emptiness.h"
 #include "common/strings.h"
 #include "plan/plan.h"
 #include "runtime/dataset.h"
@@ -57,9 +58,6 @@ struct ExprFacts {
   /// comprehension, array variable); kUnboundedRows when unknown.
   int64_t max_rows = kUnboundedRows;
 };
-
-/// Three-value emptiness for the P104 (merge into empty array) advisory.
-enum class Emptiness { kEmpty, kNonEmpty, kUnknown };
 
 /// True when `e` contains `⊕/v` for some v in `vars` (a reduction of a
 /// group-by-lifted bag — the reduceByKey shape).
@@ -127,19 +125,6 @@ bool ContainsReduceOfVar(const CExprPtr& e,
   return false;
 }
 
-/// Collects the names of variables assigned anywhere under `stmts`
-/// (for the while-body widening of the emptiness lattice).
-void CollectAssignedVars(const std::vector<TargetStmtPtr>& stmts,
-                         std::set<std::string>* out) {
-  for (const auto& s : stmts) {
-    if (s->is<TargetStmt::Assign>()) {
-      out->insert(s->as<TargetStmt::Assign>().var);
-    } else if (s->is<TargetStmt::While>()) {
-      CollectAssignedVars(s->as<TargetStmt::While>().body, out);
-    }
-  }
-}
-
 void CollectDeclaredArrays(const std::vector<TargetStmtPtr>& stmts,
                            std::set<std::string>* out) {
   for (const auto& s : stmts) {
@@ -172,6 +157,7 @@ class PlanLinter {
     for (const std::string& v : declared) {
       if (arrays_.count(v) == 0) arrays_[v] = runtime::Dataset();
     }
+    into_empty_ = AssignmentsToEmptyArrays(target.stmts);
     WalkStmts(target.stmts);
     // P103: a narrow-only producer whose array feeds exactly one scan and
     // no join could have been fused into its consumer.
@@ -203,11 +189,6 @@ class PlanLinter {
             std::string message, std::string hint) {
     diags_.push_back(Diagnostic{code, severity, loc, std::move(message),
                                 std::move(hint), std::nullopt});
-  }
-
-  Emptiness StateOf(const std::string& var) const {
-    auto it = empties_.find(var);
-    return it == empties_.end() ? Emptiness::kUnknown : it->second;
   }
 
   /// The prior-run stage measured for a wide stage of the statement at
@@ -306,9 +287,6 @@ class PlanLinter {
     for (const auto& s : stmts) {
       if (s->is<TargetStmt::Declare>()) {
         const auto& d = s->as<TargetStmt::Declare>();
-        empties_[d.var] = (d.is_array && d.init == nullptr)
-                              ? Emptiness::kEmpty
-                              : Emptiness::kNonEmpty;
         if (d.is_array && d.init == nullptr) array_rows_[d.var] = 0;
         if (d.init != nullptr) {
           ExprFacts facts = AnalyzeExpr(d.init, s->loc);
@@ -321,6 +299,15 @@ class PlanLinter {
         const auto& a = s->as<TargetStmt::Assign>();
         ExprFacts facts = AnalyzeExpr(a.value, s->loc);
         Report(StrCat("assignment to '", a.var, "'"), facts, s->loc);
+        if (SelfMerge(*s) != nullptr && into_empty_.count(s.get()) != 0) {
+          Emit(diag::kEmptyMerge, Severity::kWarning, s->loc,
+               StrCat("merge into provably empty array '", a.var,
+                      "': the coGroup's left side has no rows here"),
+               "the optimizer drops this merge, and its wide stage, when "
+               "the update's keys are provably unique: every incremental "
+               "update, and := under for-range loops with an injective "
+               "subscript");
+        }
         if (a.is_array) {
           array_rows_[a.var] = facts.max_rows;
           // Producer bookkeeping for P103: narrow when the update's
@@ -332,22 +319,15 @@ class PlanLinter {
           }
           producers_[a.var] = Producer{s->loc, narrow};
         }
-        empties_[a.var] = Emptiness::kNonEmpty;
         continue;
       }
       if (s->is<TargetStmt::While>()) {
         const auto& w = s->as<TargetStmt::While>();
         ExprFacts facts = AnalyzeExpr(w.cond, s->loc);
         Report("while condition", facts, s->loc);
-        // Widen: anything assigned in the body has unknown emptiness on
-        // every iteration after the first (a re-declaration inside the
-        // body resets it to empty each time round).
-        std::set<std::string> assigned;
-        CollectAssignedVars(w.body, &assigned);
-        for (const std::string& v : assigned) {
-          empties_[v] = Emptiness::kUnknown;
-          // Row bounds widen the same way: a body assignment may grow
-          // the array on every iteration.
+        // Widen row bounds as the emptiness walk widens emptiness: a
+        // body assignment may grow the array on every iteration.
+        for (const std::string& v : WrittenVars(w.body)) {
           array_rows_[v] = kUnboundedRows;
         }
         WalkStmts(w.body);
@@ -406,14 +386,6 @@ class PlanLinter {
       std::string left_var;
       if (m.left != nullptr && m.left->is<CExpr::Var>()) {
         left_var = m.left->as<CExpr::Var>().name;
-      }
-      if (!left_var.empty() && StateOf(left_var) == Emptiness::kEmpty) {
-        Emit(diag::kEmptyMerge, Severity::kWarning, loc,
-             StrCat("merge into provably empty array '", left_var,
-                    "': the coGroup's left side has no rows here"),
-             "build the array directly from the comprehension instead of "
-             "merging into an empty one (saves one wide stage per "
-             "update)");
       }
       facts->stages.push_back(WideStage{
           left_var.empty() ? "merge" : StrCat("merge[", left_var, "]"), 2});
@@ -702,7 +674,8 @@ class PlanLinter {
 
   std::vector<Diagnostic> diags_;
   int total_wide_ = 0;
-  std::map<std::string, Emptiness> empties_;
+  /// Array assignments whose destination is provably empty (P104).
+  std::set<const TargetStmt*> into_empty_;
   /// Static row-count upper bounds for arrays (kUnboundedRows = unknown).
   std::map<std::string, int64_t> array_rows_;
   std::map<std::string, Producer> producers_;

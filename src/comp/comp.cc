@@ -70,13 +70,15 @@ CExprPtr MakeNested(CompPtr comp) {
 CExprPtr MakeRange(CExprPtr lo, CExprPtr hi) {
   return Wrap(CExpr{CExpr::Range{std::move(lo), std::move(hi)}});
 }
-CExprPtr MakeMerge(CExprPtr left, CExprPtr right) {
+CExprPtr MakeMerge(CExprPtr left, CExprPtr right, bool unique_keys) {
   return Wrap(CExpr{CExpr::Merge{std::move(left), std::move(right),
-                                 /*has_op=*/false, runtime::BinOp::kAdd}});
+                                 /*has_op=*/false, runtime::BinOp::kAdd,
+                                 unique_keys}});
 }
-CExprPtr MakeMergeOp(runtime::BinOp op, CExprPtr left, CExprPtr right) {
-  return Wrap(
-      CExpr{CExpr::Merge{std::move(left), std::move(right), /*has_op=*/true, op}});
+CExprPtr MakeMergeOp(runtime::BinOp op, CExprPtr left, CExprPtr right,
+                     bool unique_keys) {
+  return Wrap(CExpr{CExpr::Merge{std::move(left), std::move(right),
+                                 /*has_op=*/true, op, unique_keys}});
 }
 CExprPtr MakeBag(std::vector<CExprPtr> elems) {
   return Wrap(CExpr{CExpr::BagCons{std::move(elems)}});
@@ -229,7 +231,8 @@ bool Equals(const CExprPtr& a, const CExprPtr& b) {
     const auto& x = a->as<CExpr::Merge>();
     const auto& y = b->as<CExpr::Merge>();
     return x.has_op == y.has_op && (!x.has_op || x.op == y.op) &&
-           Equals(x.left, y.left) && Equals(x.right, y.right);
+           x.unique_keys == y.unique_keys && Equals(x.left, y.left) &&
+           Equals(x.right, y.right);
   }
   const auto& x = a->as<CExpr::BagCons>().elems;
   const auto& y = b->as<CExpr::BagCons>().elems;
@@ -440,8 +443,10 @@ CExprPtr MapChildren(const CExprPtr& e,
     CExprPtr left = fn(m.left);
     CExprPtr right = fn(m.right);
     if (left == m.left && right == m.right) return e;
-    return m.has_op ? MakeMergeOp(m.op, std::move(left), std::move(right))
-                    : MakeMerge(std::move(left), std::move(right));
+    return m.has_op ? MakeMergeOp(m.op, std::move(left), std::move(right),
+                                  m.unique_keys)
+                    : MakeMerge(std::move(left), std::move(right),
+                                m.unique_keys);
   }
   if (e->is<CExpr::BagCons>()) {
     std::vector<CExprPtr> elems;

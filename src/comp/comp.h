@@ -125,6 +125,12 @@ struct CExpr {
     CExprPtr right;
     bool has_op;
     runtime::BinOp op;
+    /// The translator's proof that no key repeats in `right` when the
+    /// program's arrays are maps: always for rule (15a), whose delta is
+    /// grouped by key, and for rule (15b) under for-range loops with an
+    /// injective subscript. Then ∅ ⊳ Y = ∅ ⊳⊕ Y = Y, which lets the
+    /// optimizer drop a merge into a provably empty array. Not printed.
+    bool unique_keys = false;
   };
   /// Bag literal {e1,...,en} (used for singleton bags in the rules).
   struct BagCons {
@@ -164,8 +170,9 @@ CExprPtr MakeCall(std::string fn, std::vector<CExprPtr> args);
 CExprPtr MakeReduce(runtime::BinOp op, CExprPtr arg);
 CExprPtr MakeNested(CompPtr comp);
 CExprPtr MakeRange(CExprPtr lo, CExprPtr hi);
-CExprPtr MakeMerge(CExprPtr left, CExprPtr right);
-CExprPtr MakeMergeOp(runtime::BinOp op, CExprPtr left, CExprPtr right);
+CExprPtr MakeMerge(CExprPtr left, CExprPtr right, bool unique_keys = false);
+CExprPtr MakeMergeOp(runtime::BinOp op, CExprPtr left, CExprPtr right,
+                     bool unique_keys = false);
 CExprPtr MakeBag(std::vector<CExprPtr> elems);
 
 /// A qualifier of a comprehension.

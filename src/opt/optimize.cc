@@ -5,6 +5,7 @@
 #include <optional>
 #include <set>
 
+#include "analysis/emptiness.h"
 #include "normalize/normalize.h"
 
 namespace diablo::opt {
@@ -539,6 +540,44 @@ CExprPtr OptimizeExprImpl(const CExprPtr& e, comp::NameGen* names,
   });
 }
 
+// ------------------------- target statements --------------------------------
+
+std::vector<comp::TargetStmtPtr> OptimizeStmts(
+    const std::vector<comp::TargetStmtPtr>& stmts,
+    const std::set<const comp::TargetStmt*>& into_empty,
+    comp::NameGen* names, const OptimizeOptions& options) {
+  std::vector<comp::TargetStmtPtr> out;
+  for (const auto& s : stmts) {
+    if (s->is<comp::TargetStmt::Assign>()) {
+      const auto& a = s->as<comp::TargetStmt::Assign>();
+      CExprPtr value = a.value;
+      // Merge elision: V := V ⊳ Y into a provably empty V is V := Y when
+      // Y's keys are unique, since ∅ ⊳ Y keeps Y's one value per key and
+      // ∅ ⊳⊕ Y passes each delta through (ReduceBag of one value is the
+      // value). The array is then built straight from its first update.
+      const comp::CExpr::Merge* merge = analysis::SelfMerge(*s);
+      if (merge != nullptr && merge->unique_keys &&
+          into_empty.count(s.get()) != 0) {
+        value = merge->right;
+      }
+      out.push_back(comp::MakeAssign(a.var, OptimizeExpr(value, names, options),
+                                     a.is_array, s->loc));
+    } else if (s->is<comp::TargetStmt::While>()) {
+      const auto& w = s->as<comp::TargetStmt::While>();
+      out.push_back(comp::MakeWhile(
+          OptimizeExpr(w.cond, names, options),
+          OptimizeStmts(w.body, into_empty, names, options), s->loc));
+    } else {
+      const auto& d = s->as<comp::TargetStmt::Declare>();
+      out.push_back(comp::MakeDeclare(
+          d.var, d.is_array,
+          d.init != nullptr ? OptimizeExpr(d.init, names, options) : nullptr,
+          s->loc));
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 CExprPtr OptimizeExpr(const CExprPtr& e, comp::NameGen* names,
@@ -551,26 +590,9 @@ comp::TargetProgram OptimizeTarget(const comp::TargetProgram& program,
                                    comp::NameGen* names,
                                    const OptimizeOptions& options) {
   comp::TargetProgram out;
-  for (const auto& s : program.stmts) {
-    if (s->is<comp::TargetStmt::Assign>()) {
-      const auto& a = s->as<comp::TargetStmt::Assign>();
-      out.stmts.push_back(comp::MakeAssign(
-          a.var, OptimizeExpr(a.value, names, options), a.is_array, s->loc));
-    } else if (s->is<comp::TargetStmt::While>()) {
-      const auto& w = s->as<comp::TargetStmt::While>();
-      comp::TargetProgram body;
-      body.stmts = w.body;
-      comp::TargetProgram opt_body = OptimizeTarget(body, names, options);
-      out.stmts.push_back(comp::MakeWhile(OptimizeExpr(w.cond, names, options),
-                                          std::move(opt_body.stmts), s->loc));
-    } else {
-      const auto& d = s->as<comp::TargetStmt::Declare>();
-      out.stmts.push_back(comp::MakeDeclare(
-          d.var, d.is_array,
-          d.init != nullptr ? OptimizeExpr(d.init, names, options) : nullptr,
-          s->loc));
-    }
-  }
+  out.stmts = OptimizeStmts(program.stmts,
+                            analysis::AssignmentsToEmptyArrays(program.stmts),
+                            names, options);
   return out;
 }
 

@@ -34,6 +34,11 @@ comp::CExprPtr OptimizeExpr(const comp::CExprPtr& e, comp::NameGen* names,
                             const OptimizeOptions& options = {});
 
 /// Optimizes every comprehension in a target program and renormalizes.
+/// Also drops the merge of `V := V ⊳ Y` (or `V ⊳⊕ Y`) when V is provably
+/// empty at that statement (analysis::AssignmentsToEmptyArrays) and the
+/// translator proved Y's keys unique (CExpr::Merge::unique_keys): the
+/// statement becomes `V := Y`, which is exact, and V keeps Y's
+/// partitioning instead of the merge's hash-by-key layout.
 comp::TargetProgram OptimizeTarget(const comp::TargetProgram& program,
                                    comp::NameGen* names,
                                    const OptimizeOptions& options = {});

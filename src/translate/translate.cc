@@ -1,5 +1,6 @@
 #include "translate/translate.h"
 
+#include "analysis/affine.h"
 #include "analysis/restrictions.h"
 #include "common/strings.h"
 
@@ -353,6 +354,10 @@ class Translator {
 
   std::map<std::string, VarInfo> vars_;
   Rules rules_;
+  /// Indexes of the enclosing parallel for-range loops, outermost first,
+  /// and how many for-in loops enclose the statement being translated.
+  std::vector<std::string> range_indexes_;
+  int for_in_depth_ = 0;
 };
 
 StatusOr<std::vector<TargetStmtPtr>> Translator::TranslateIncr(
@@ -378,6 +383,7 @@ StatusOr<std::vector<TargetStmtPtr>> Translator::TranslateIncr(
     }
     // Rule (15a), coGroup form:
     //   V := V ⊳⊕ { (k, ⊕/v) | q, v <- E[e], k <- K[d], group by k }.
+    // The group-by makes the delta's keys unique.
     std::vector<Qualifier> quals = q;
     std::string v = rules_.names().Fresh();
     quals.push_back(Qualifier::Generator(Pattern::Var(v), value));
@@ -394,7 +400,7 @@ StatusOr<std::vector<TargetStmtPtr>> Translator::TranslateIncr(
     return std::vector<TargetStmtPtr>{comp::MakeAssign(
         array,
         comp::MakeMergeOp(node.op, comp::MakeVar(array),
-                          comp::MakeNested(delta)),
+                          comp::MakeNested(delta), /*unique_keys=*/true),
         /*is_array=*/true, loc)};
   }
   // Scalar destination (group key is the unit tuple; Rule (16) later
@@ -445,9 +451,16 @@ StatusOr<std::vector<TargetStmtPtr>> Translator::TranslateAssign(
     CompPtr update = comp::MakeComp(
         comp::MakeTuple({comp::MakeVar(k), comp::MakeVar(v)}),
         std::move(quals));
+    // Each iteration yields at most one (k, v) when arrays are maps, so
+    // the keys are unique when distinct iterations write distinct
+    // elements. A for-in index is an element value, which may repeat.
+    const bool unique_keys =
+        for_in_depth_ == 0 &&
+        analysis::IsInjectiveDest(node.dest, range_indexes_);
     return std::vector<TargetStmtPtr>{comp::MakeAssign(
         array,
-        comp::MakeMerge(comp::MakeVar(array), comp::MakeNested(update)),
+        comp::MakeMerge(comp::MakeVar(array), comp::MakeNested(update),
+                        unique_keys),
         /*is_array=*/true, loc)};
   }
   const std::string& var = dest.var().name;
@@ -550,7 +563,10 @@ StatusOr<std::vector<TargetStmtPtr>> Translator::S(
     quals.push_back(Qualifier::Generator(
         Pattern::Var(node.var),
         comp::MakeRange(comp::MakeVar(v1), comp::MakeVar(v2))));
-    return S(*node.body, quals);
+    range_indexes_.push_back(node.var);
+    auto body = S(*node.body, quals);
+    range_indexes_.pop_back();
+    return body;
   }
   // (15e) for-in.
   if (s.is<Stmt::ForEach>()) {
@@ -567,7 +583,10 @@ StatusOr<std::vector<TargetStmtPtr>> Translator::S(
     quals.push_back(Qualifier::Generator(
         Pattern::Tuple({Pattern::Var(i), Pattern::Var(node.var)}),
         comp::MakeVar(a)));
-    return S(*node.body, quals);
+    ++for_in_depth_;
+    auto body = S(*node.body, quals);
+    --for_in_depth_;
+    return body;
   }
   // (15f) while.
   if (s.is<Stmt::While>()) {

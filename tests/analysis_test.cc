@@ -128,6 +128,36 @@ TEST(Affine, Destinations) {
   EXPECT_TRUE(IsAffineDest(parse_dest("closest[i]._2"), {"i"}));
 }
 
+TEST(Affine, InjectiveDestinations) {
+  auto parse_dest = [](const std::string& s) {
+    auto p = parser::ParseProgram(s + " := 0;");
+    EXPECT_TRUE(p.ok()) << p.status().ToString();
+    return p->stmts[0]->as<ast::Stmt::Assign>().dest;
+  };
+  // Full column rank: distinct iterations write distinct elements.
+  EXPECT_TRUE(IsInjectiveDest(parse_dest("V[i]"), {"i"}));
+  EXPECT_TRUE(IsInjectiveDest(parse_dest("V[2*i + n]"), {"i"}));
+  EXPECT_TRUE(IsInjectiveDest(parse_dest("M[i,j]"), {"i", "j"}));
+  EXPECT_TRUE(IsInjectiveDest(parse_dest("M[j+1,i-2]"), {"i", "j"}));
+  EXPECT_TRUE(IsInjectiveDest(parse_dest("M[i+j,i-j]"), {"i", "j"}));
+  EXPECT_TRUE(IsInjectiveDest(parse_dest("T[i,j,i+j]"), {"i", "j"}));
+  EXPECT_TRUE(IsInjectiveDest(parse_dest("closest[i]._2"), {"i"}));
+  EXPECT_TRUE(IsInjectiveDest(parse_dest("n"), {}));  // one iteration
+  // Rank-deficient: some pair of iterations may meet.
+  EXPECT_FALSE(IsInjectiveDest(parse_dest("V[i+j]"), {"i", "j"}));
+  EXPECT_FALSE(IsInjectiveDest(parse_dest("M[i+j,2*i+2*j]"), {"i", "j"}));
+  EXPECT_FALSE(IsInjectiveDest(parse_dest("V[10*i+j]"), {"i", "j"}));
+  EXPECT_FALSE(IsInjectiveDest(parse_dest("V[0*i]"), {"i"}));
+  EXPECT_FALSE(IsInjectiveDest(parse_dest("V[i]"), {"i", "j"}));
+  EXPECT_FALSE(IsInjectiveDest(parse_dest("n"), {"i"}));
+  // Not provable: a variable coefficient may be 0, and a non-affine
+  // subscript has no coefficient matrix.
+  EXPECT_FALSE(IsInjectiveDest(parse_dest("V[n*i]"), {"i"}));
+  EXPECT_FALSE(IsInjectiveDest(parse_dest("V[W[i]]"), {"i"}));
+  EXPECT_FALSE(
+      IsInjectiveDest(parse_dest("V[4611686018427387904*i*4]"), {"i"}));
+}
+
 TEST(Indexes, OfDestination) {
   auto p = MustParse("for i = 0, 9 do for j = 0, 9 do M[i,j] += V[k];");
   auto accesses = CollectAccesses(*p.stmts[0]);

@@ -59,7 +59,7 @@ def main(argv):
 
     local = run([runner] + program_args)
     dist = run([runner] + program_args + [
-        "--dist-workers", "3", "--chaos-kill", "2:0",
+        "--dist-workers", "3", "--chaos-kill", "0:0",
         f"--trace-out={trace}", f"--profile-out={profile}",
         f"--metrics-out={metrics}", f"--events-out={events}"])
     if local.stdout != dist.stdout:
