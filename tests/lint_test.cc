@@ -476,28 +476,6 @@ TEST(PlanLint, EmptyMergeKeptWhenKeysMayRepeat) {
   EXPECT_TRUE(HasCode(lint.diagnostics, diag::kEmptyMerge));
 }
 
-TEST(PlanLint, EmptyMergeJoinsZeroTripWhileLoops) {
-  // A is filled before the loop and re-declared inside it. A loop that
-  // runs zero times leaves A filled, so after the loop A is not provably
-  // empty and the last update keeps its merge.
-  const std::string src = R"(
-    var d: double = 1.0;
-    var A: vector[double] = vector();
-    for i = 0, 3 do
-      A[i] := V[i];
-    while (d > 0.1) {
-      var A: vector[double] = vector();
-      d := d / 2.0;
-    }
-    for i = 0, 3 do
-      A[i+4] := V[i];
-  )";
-  auto compiled = Compile(src);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  const std::string text = compiled->target.ToString();
-  EXPECT_NE(text.find("A := A <|"), std::string::npos) << text;
-}
-
 TEST(PlanLint, EmptyMergeWidensThroughWhileLoops) {
   // Vold is assigned inside the while body, so from the second iteration
   // on it is not empty: no P104 for it.
