@@ -444,27 +444,15 @@ class LoopLinter {
     // same element.
     for (const StmtAccessInfo& info : accesses) {
       for (const ast::LValuePtr& d : info.writers) {
-        if (IsAffineDest(d, info.context)) {
-          if (IsInjectiveDest(d, info.context)) continue;
-          // Rank-deficient, like A[i+j]: a race only when two iterations
-          // within the known bounds meet (A[10*i+j] with j in 0..9 never
-          // does).
-          std::optional<Witness> witness =
-              FindWitness(d, info.context, d, info.context,
-                          /*conflict_is_write=*/true, bounds, options_);
-          if (!witness.has_value()) continue;
-          Emit(diag::kNonAffineDest, Severity::kError,
-               info.stmt != nullptr ? info.stmt->loc : SourceLocation{},
-               StrCat("destination ", d->ToString(),
-                      " of a non-incremental update is not injective in "
-                      "loop indexes (",
-                      Join(info.context, ","), ")"),
-               "two iterations write the same element and the merge keeps "
-               "an arbitrary one; give each index its own dimension, or "
-               "accumulate with an incremental update (+=, min=, ...)",
-               std::move(witness));
-          continue;
-        }
+        const bool affine = IsAffineDest(d, info.context);
+        if (affine && IsInjectiveDest(d, info.context)) continue;
+        std::optional<Witness> witness =
+            FindWitness(d, info.context, d, info.context,
+                        /*conflict_is_write=*/true, bounds, options_);
+        // An affine but rank-deficient subscript, like A[i+j], is a race
+        // only when two iterations within the known bounds meet
+        // (A[10*i+j] with j in 0..9 never does).
+        if (affine && !witness.has_value()) continue;
         std::set<std::string> ctx_set(info.context.begin(),
                                       info.context.end());
         bool indexes_affine = true;
@@ -473,10 +461,15 @@ class LoopLinter {
             indexes_affine = false;
           }
         }
-        const char* code =
-            indexes_affine ? diag::kDestMissesIndexes : diag::kNonAffineDest;
+        const char* code = indexes_affine && !affine
+                               ? diag::kDestMissesIndexes
+                               : diag::kNonAffineDest;
         std::string hint =
-            indexes_affine
+            affine ? "two iterations write the same element and the merge "
+                     "keeps an arbitrary one; give each index its own "
+                     "dimension, or accumulate with an incremental update "
+                     "(+=, min=, ...)"
+            : indexes_affine
                 ? "every enclosing loop index must appear in the "
                   "destination subscript; add an array dimension per "
                   "index (the paper's §3.2 vectorization rewrite)"
@@ -485,12 +478,10 @@ class LoopLinter {
         Emit(code, Severity::kError,
              info.stmt != nullptr ? info.stmt->loc : SourceLocation{},
              StrCat("destination ", d->ToString(),
-                    " of a non-incremental update is not affine in "
-                    "loop indexes (",
+                    " of a non-incremental update is not ",
+                    affine ? "injective" : "affine", " in loop indexes (",
                     Join(info.context, ","), ")"),
-             std::move(hint),
-             FindWitness(d, info.context, d, info.context,
-                         /*conflict_is_write=*/true, bounds, options_));
+             std::move(hint), std::move(witness));
       }
     }
 
