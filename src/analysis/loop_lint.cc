@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -257,6 +258,102 @@ std::optional<Witness> FindWitness(const ast::LValuePtr& d1,
   }
 }
 
+/// Two distinct iterations of the loops with indexes `ctx` under which the
+/// affine `:=` destination `d` names one element, as a write–write
+/// witness. Two such iterations x and y exist iff some nonzero difference
+/// e = y - x fits the loops' bounds and solves C·e = 0 for the
+/// subscript's coefficient matrix C (the offsets cancel). So the search
+/// enumerates differences, not pairs of iterations: exact on the loops'
+/// known bounds and over [0, max_domain) for the others, unless that
+/// takes more than max_combinations differences, when every index is
+/// clamped to max_domain values as FindWitness clamps its domain. It
+/// tries e in lexicographic order with
+/// its first nonzero entry positive, and x is the lowest iteration that
+/// keeps x + e in bounds. `*collides` reports whether such an e exists;
+/// the witness is absent when a subscript offset is not a literal.
+std::optional<Witness> FindWriteWriteWitness(
+    const ast::LValuePtr& d, const std::vector<std::string>& ctx,
+    const std::map<std::string, Bounds>& bounds,
+    const LoopLintOptions& options, bool* collides) {
+  *collides = false;
+  const std::set<std::string> ctx_set(ctx.begin(), ctx.end());
+  std::vector<std::vector<int64_t>> rows;
+  for (const ast::ExprPtr& e : IndexExprsOf(d)) {
+    std::optional<AffineForm> f = ExtractAffine(e, ctx_set);
+    if (!f.has_value()) return std::nullopt;
+    std::vector<int64_t>& row = rows.emplace_back();
+    for (const std::string& v : ctx) {
+      auto it = f->coeff.find(v);
+      row.push_back(it == f->coeff.end() ? 0 : it->second);
+    }
+  }
+  std::vector<int64_t> lo, span;
+  for (const std::string& v : ctx) {
+    auto it = bounds.find(v);
+    const bool known = it != bounds.end() && it->second.known;
+    int64_t sp = options.max_domain - 1;
+    if (known && __builtin_sub_overflow(it->second.hi, it->second.lo, &sp)) {
+      sp = std::numeric_limits<int64_t>::max();
+    }
+    lo.push_back(known ? it->second.lo : 0);
+    span.push_back(sp);
+  }
+  auto count = [&] {
+    long long n = 1;
+    for (int64_t sp : span) {
+      if (sp > options.max_combinations) return options.max_combinations + 1;
+      n = std::min(options.max_combinations + 1, n * (2 * sp + 1));
+    }
+    return n;
+  };
+  // Too many differences for exact bounds: search the small ones, as
+  // FindWitness clamps its domain.
+  if (count() > options.max_combinations) {
+    for (int64_t& sp : span) {
+      sp = std::min<int64_t>(sp, options.max_domain - 1);
+    }
+    if (count() > options.max_combinations) return std::nullopt;
+  }
+  std::vector<int64_t> e(ctx.size());
+  for (size_t k = 0; k < e.size(); ++k) e[k] = -span[k];
+  while (true) {
+    size_t lead = 0;
+    while (lead < e.size() && e[lead] == 0) ++lead;
+    bool solves = lead < e.size() && e[lead] > 0;
+    for (size_t r = 0; r < rows.size() && solves; ++r) {
+      __int128 sum = 0;
+      for (size_t k = 0; k < e.size(); ++k) sum += __int128{rows[r][k]} * e[k];
+      solves = sum == 0;
+    }
+    if (solves) {
+      *collides = true;
+      Witness w;
+      w.array = d->RootName();
+      w.conflict_is_write = true;
+      std::map<std::string, int64_t> env;
+      for (size_t k = 0; k < ctx.size(); ++k) {
+        const int64_t x = lo[k] + std::max<int64_t>(0, -e[k]);
+        env[ctx[k]] = x;
+        w.write_iteration.push_back({ctx[k], x});
+        w.read_iteration.push_back({ctx[k], x + e[k]});
+      }
+      for (const ast::ExprPtr& sub : IndexExprsOf(d)) {
+        std::optional<int64_t> at = EvalIndexExpr(sub, env);
+        if (!at.has_value()) return std::nullopt;
+        w.element.push_back(*at);
+      }
+      return w;
+    }
+    size_t k = e.size();
+    while (k > 0 && e[k - 1] == span[k - 1]) {
+      e[k - 1] = -span[k - 1];
+      --k;
+    }
+    if (k == 0) return std::nullopt;
+    ++e[k - 1];
+  }
+}
+
 // ------------------------- the linter ---------------------------------------
 
 const ast::LValuePtr& StripProjections(const ast::LValuePtr& d) {
@@ -446,13 +543,17 @@ class LoopLinter {
       for (const ast::LValuePtr& d : info.writers) {
         const bool affine = IsAffineDest(d, info.context);
         if (affine && IsInjectiveDest(d, info.context)) continue;
-        std::optional<Witness> witness =
-            FindWitness(d, info.context, d, info.context,
-                        /*conflict_is_write=*/true, bounds, options_);
         // An affine but rank-deficient subscript, like A[i+j], is a race
-        // only when two iterations within the known bounds meet
+        // only when two iterations within the loops' bounds meet
         // (A[10*i+j] with j in 0..9 never does).
-        if (affine && !witness.has_value()) continue;
+        bool collides = true;
+        std::optional<Witness> witness =
+            affine ? FindWriteWriteWitness(d, info.context, bounds, options_,
+                                           &collides)
+                   : FindWitness(d, info.context, d, info.context,
+                                 /*conflict_is_write=*/true, bounds,
+                                 options_);
+        if (!collides) continue;
         std::set<std::string> ctx_set(info.context.begin(),
                                       info.context.end());
         bool indexes_affine = true;

@@ -196,6 +196,31 @@ TEST(LoopLint, RankDeficientButInjectiveOnBoundsIsAccepted) {
   ASSERT_NE(d, nullptr);
   ASSERT_TRUE(d->witness.has_value());
   EXPECT_EQ(d->witness->element, std::vector<int64_t>{2});
+  // With j in 0..10 the collision needs j=10, beyond the max_domain
+  // values a pair search tries; the search over differences is exact on
+  // known bounds.
+  diags = Lint(R"(
+    for i = 0, 9 do
+      for j = 0, 10 do
+        A[10*i+j] := M[i,j];
+  )");
+  d = FindCode(diags, diag::kNonAffineDest);
+  ASSERT_NE(d, nullptr);
+  ASSERT_TRUE(d->witness.has_value());
+  using Iteration = std::vector<std::pair<std::string, int64_t>>;
+  EXPECT_EQ(d->witness->write_iteration, (Iteration{{"i", 0}, {"j", 10}}));
+  EXPECT_EQ(d->witness->read_iteration, (Iteration{{"i", 1}, {"j", 0}}));
+  EXPECT_EQ(d->witness->element, std::vector<int64_t>{10});
+  // A scalar offset cancels between the two iterations: still a race,
+  // reported without a witness since the element depends on n.
+  diags = Lint(R"(
+    for i = 0, 3 do
+      for j = 0, 3 do
+        A[i+j+n] := M[i,j];
+  )");
+  d = FindCode(diags, diag::kNonAffineDest);
+  ASSERT_NE(d, nullptr);
+  EXPECT_FALSE(d->witness.has_value());
 }
 
 TEST(LoopLint, BubbleSortReportsRecurrenceAndScalarDest) {
