@@ -123,8 +123,10 @@ int main(int argc, char** argv) {
         DIABLO_ASSIGN_OR_RETURN(Dataset sums,
                                 engine.ReduceByKey(cur, BinOp::kAdd));
         DIABLO_ASSIGN_OR_RETURN(
-            cur, engine.MapValues(sums, [](const Value& v) -> StatusOr<Value> {
-              return Value::MakeDouble(v.AsDouble() * 0.5);
+            cur, engine.Map(sums, [](const Value& row) -> StatusOr<Value> {
+              return Value::MakePair(
+                  row.tuple()[0],
+                  Value::MakeDouble(row.tuple()[1].AsDouble() * 0.5));
             }));
       }
       return engine.Collect(cur);

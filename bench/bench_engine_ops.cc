@@ -79,9 +79,11 @@ void BM_NarrowChain(benchmark::State& state) {
         *expanded, [](const Value& v) -> diablo::StatusOr<bool> {
           return v.tuple()[1].ToDouble() >= 0;
         });
-    auto scaled = engine.MapValues(
+    auto scaled = engine.Map(
         *kept, [](const Value& v) -> diablo::StatusOr<Value> {
-          return Value::MakeDouble(v.ToDouble() * 0.5);
+          return Value::MakePair(v.tuple()[0],
+                                 Value::MakeDouble(v.tuple()[1].ToDouble() *
+                                                   0.5));
         });
     auto out = engine.ReduceByKey(*scaled, BinOp::kAdd);
     benchmark::DoNotOptimize(out);
@@ -206,23 +208,6 @@ void BM_ColumnarReduceByKey(benchmark::State& state) {
 BENCHMARK(BM_ColumnarReduceByKey)
     ->Args({200000, 25000})
     ->ArgNames({"rows", "keys"});
-
-// A fused chain where every operator carries a kernel, so Force runs it
-// as vector loops over a double column.
-void BM_ColumnarFusedChain(benchmark::State& state) {
-  Engine engine;
-  Dataset ds = KeyedData(engine, state.range(0), 100);
-  for (auto _ : state) {
-    auto a = engine.MapValues(ds, BinOp::kMul, Value::MakeDouble(2.0));
-    auto b = engine.MapValues(*a, BinOp::kAdd, Value::MakeDouble(1.0));
-    auto c = engine.FilterValues(*b, BinOp::kLt, Value::MakeDouble(1e7));
-    auto d = engine.MapValues(*c, BinOp::kSub, Value::MakeDouble(0.5));
-    auto out = engine.Force(*d);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ColumnarFusedChain)->Arg(200000)->ArgName("rows");
 
 // The AB10 ablation pair: reduceByKey over a Zipf(2)-keyed count whose
 // input is hash-partitioned by key — the heavy hitter's rows pile into

@@ -577,7 +577,9 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
       int owner = fd_owner[i];
       if (owner == -1) {
         int conn_fd = accept(listen_fd, nullptr, nullptr);
-        if (conn_fd >= 0) pending.push_back(PendingConn{conn_fd, {}});
+        if (conn_fd >= 0) {
+          pending.push_back(PendingConn{conn_fd, FrameReader()});
+        }
       } else if (owner <= -2) {
         size_t idx = static_cast<size_t>(-owner - 2);
         if (!drain_pending(idx)) consumed_pending.push_back(idx);

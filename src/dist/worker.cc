@@ -69,6 +69,8 @@ double DoubleFromBits(uint64_t bits) {
 /// one mutex; interleaving a heartbeat inside a half-written result
 /// frame would corrupt the stream.
 struct LockedSender {
+  explicit LockedSender(int socket_fd) : fd(socket_fd) {}
+
   int fd;
   std::mutex mu;
 
@@ -221,7 +223,7 @@ void WorkerMain(const WorkerParams& params,
   auto fd_or = ConnectWithBackoff(params.port, params.connect_attempts,
                                   params.connect_backoff_ms);
   if (!fd_or.ok()) _exit(3);
-  LockedSender sender{*fd_or};
+  LockedSender sender(*fd_or);
 
   std::string hello =
       EncodeHelloPayload(params.worker_id, static_cast<int64_t>(getpid()),

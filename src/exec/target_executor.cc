@@ -52,11 +52,9 @@ const plan::ExecState& TargetExecutor::State() {
 Status TargetExecutor::StoreArray(const std::string& name, Dataset sparse) {
   // Stored arrays are materialization boundaries: the plan's trailing
   // narrow operators (the translated comprehension's flatMap/map/filter
-  // tail) run here as one fused stage — vectorized over column batches
-  // when every operator in the chain carries a kernel and the rows
-  // columnarize, per-row otherwise — and everything
-  // downstream (planner size estimates, tile packing, direct partition
-  // reads) sees real rows.
+  // tail) run here as one fused stage, and everything downstream
+  // (planner size estimates, tile packing, direct partition reads) sees
+  // real rows.
   DIABLO_ASSIGN_OR_RETURN(sparse, engine_->Force(sparse));
   if (!IsTiled(name)) {
     arrays_[name] = std::move(sparse);

@@ -150,66 +150,6 @@ void Column::DemoteToBoxed() {
   tag_ = ColumnTag::kBoxed;
 }
 
-void Column::PromoteToDouble() {
-  doubles_.reserve(ints_.size());
-  for (int64_t x : ints_) doubles_.push_back(static_cast<double>(x));
-  ints_.clear();
-  tag_ = ColumnTag::kDouble;
-}
-
-// ColumnBatch ----------------------------------------------------------------
-
-Value ColumnBatch::RowAt(size_t i) const {
-  if (pairs) return Value::MakePair(keys[i], values.ValueAt(i));
-  return values.ValueAt(i);
-}
-
-void ColumnBatch::EmitRows(ValueVec* out) const {
-  out->reserve(out->size() + size());
-  for (size_t i = 0; i < size(); ++i) out->push_back(RowAt(i));
-}
-
-namespace {
-
-template <typename Vec>
-void CompactVec(const std::vector<uint8_t>& live, Vec* vec) {
-  size_t w = 0;
-  for (size_t i = 0; i < vec->size(); ++i) {
-    if (!live[i]) continue;
-    if (w != i) (*vec)[w] = std::move((*vec)[i]);
-    ++w;
-  }
-  vec->resize(w);
-}
-
-}  // namespace
-
-void ColumnBatch::Compact(const std::vector<uint8_t>& live) {
-  if (pairs) CompactVec(live, &keys);
-  switch (values.tag()) {
-    case ColumnTag::kBool:
-      CompactVec(live, &values.mutable_bools());
-      break;
-    case ColumnTag::kInt64:
-      CompactVec(live, &values.mutable_ints());
-      break;
-    case ColumnTag::kDouble:
-      CompactVec(live, &values.mutable_doubles());
-      break;
-    case ColumnTag::kString:
-      // Codes compact; the dictionary may keep entries no surviving row
-      // references — harmless, and cheaper than re-interning.
-      CompactVec(live, &values.mutable_codes());
-      break;
-    default:
-      CompactVec(live, &values.mutable_boxed());
-      break;
-  }
-  size_t alive = 0;
-  for (uint8_t l : live) alive += l != 0 ? 1 : 0;
-  values.set_size(alive);
-}
-
 // HashColumn -----------------------------------------------------------------
 
 void HashColumn(const Column& col, std::vector<size_t>* out) {
@@ -251,34 +191,7 @@ void HashColumn(const Column& col, std::vector<size_t>* out) {
   }
 }
 
-// Kernel eligibility ---------------------------------------------------------
-
-bool IsColumnarMapOp(BinOp op) {
-  switch (op) {
-    case BinOp::kAdd:
-    case BinOp::kSub:
-    case BinOp::kMul:
-    case BinOp::kMin:
-    case BinOp::kMax:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsColumnarCmpOp(BinOp op) {
-  switch (op) {
-    case BinOp::kEq:
-    case BinOp::kNe:
-    case BinOp::kLt:
-    case BinOp::kLe:
-    case BinOp::kGt:
-    case BinOp::kGe:
-      return true;
-    default:
-      return false;
-  }
-}
+// Typed folds ---------------------------------------------------------------
 
 bool IsColumnarReduceOp(BinOp op) {
   switch (op) {
@@ -287,171 +200,6 @@ bool IsColumnarReduceOp(BinOp op) {
     case BinOp::kMin:
     case BinOp::kMax:
       return true;
-    default:
-      return false;
-  }
-}
-
-// Map kernel -----------------------------------------------------------------
-
-namespace {
-
-/// x ⊕ y for ⊕ in {+, -, *}: wrapping on int64 (NumericOp's
-/// expressions), IEEE on double.
-template <typename T>
-T Arith(BinOp op, T x, T y) {
-  if constexpr (std::is_same_v<T, int64_t>) {
-    return WrapInt64(op, x, y);
-  } else {
-    return op == BinOp::kAdd ? x + y : op == BinOp::kSub ? x - y : x * y;
-  }
-}
-
-template <typename T>
-void MapLoop(BinOp op, T y, const std::vector<uint8_t>& live,
-             std::vector<T>* xs) {
-  // Same expressions as NumericOp: x ⊕ y with x the row, y the operand.
-  // Only live rows are touched, so a filtered-out row can never trip
-  // arithmetic the boxed path would not have evaluated.
-  const size_t n = xs->size();
-  T* x = xs->data();
-  switch (op) {
-    case BinOp::kAdd:
-      for (size_t i = 0; i < n; ++i)
-        if (live[i]) x[i] = Arith(BinOp::kAdd, x[i], y);
-      break;
-    case BinOp::kSub:
-      for (size_t i = 0; i < n; ++i)
-        if (live[i]) x[i] = Arith(BinOp::kSub, x[i], y);
-      break;
-    case BinOp::kMul:
-      for (size_t i = 0; i < n; ++i)
-        if (live[i]) x[i] = Arith(BinOp::kMul, x[i], y);
-      break;
-    case BinOp::kMin:
-      for (size_t i = 0; i < n; ++i)
-        if (live[i]) x[i] = std::min(x[i], y);
-      break;
-    default:  // kMax (callers pre-check IsColumnarMapOp)
-      for (size_t i = 0; i < n; ++i)
-        if (live[i]) x[i] = std::max(x[i], y);
-      break;
-  }
-}
-
-}  // namespace
-
-bool ApplyMapKernel(BinOp op, const Value& operand,
-                    const std::vector<uint8_t>& live, Column* col) {
-  if (!IsColumnarMapOp(op)) return false;
-  if (col->tag() == ColumnTag::kString) {
-    // String concatenation shares '+': transform each dictionary entry
-    // once; codes are untouched (distinct entries stay distinct under a
-    // common suffix).
-    if (op != BinOp::kAdd || !operand.is_string()) return false;
-    StringDictionary next;
-    for (uint32_t c = 0; c < col->dict().size(); ++c) {
-      next.Intern(Value::MakeString(col->dict().str(c) + operand.AsString()));
-    }
-    col->mutable_dict() = std::move(next);
-    return true;
-  }
-  if (!operand.is_numeric()) return false;
-  if (col->tag() == ColumnTag::kInt64) {
-    if (operand.is_int()) {
-      MapLoop<int64_t>(op, operand.AsInt(), live, &col->mutable_ints());
-      return true;
-    }
-    col->PromoteToDouble();  // int ⊕ double promotes, like NumericOp
-  }
-  if (col->tag() != ColumnTag::kDouble) return false;
-  MapLoop<double>(op, operand.ToDouble(), live, &col->mutable_doubles());
-  return true;
-}
-
-// Filter kernel --------------------------------------------------------------
-
-namespace {
-
-bool CmpVerdict(BinOp op, int cmp) {
-  switch (op) {
-    case BinOp::kLt: return cmp < 0;
-    case BinOp::kLe: return cmp <= 0;
-    case BinOp::kGt: return cmp > 0;
-    default: return cmp >= 0;  // kGe
-  }
-}
-
-template <typename Get>
-void FilterNumericLoop(BinOp op, double y, size_t n, Get get,
-                       std::vector<uint8_t>* live) {
-  uint8_t* keep = live->data();
-  if (op == BinOp::kEq || op == BinOp::kNe) {
-    const bool want = op == BinOp::kEq;
-    for (size_t i = 0; i < n; ++i)
-      if (keep[i]) keep[i] = (get(i) == y) == want ? 1 : 0;
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (!keep[i]) continue;
-    // Exactly EvalBinOp's comparison: a three-way via doubles, so NaN
-    // rows land on cmp=1 (">"-side), not on a direct operator.
-    const double x = get(i);
-    const int cmp = x == y ? 0 : (x < y ? -1 : 1);
-    keep[i] = CmpVerdict(op, cmp) ? 1 : 0;
-  }
-}
-
-}  // namespace
-
-bool ApplyFilterKernel(BinOp op, const Value& operand, const Column& col,
-                       std::vector<uint8_t>* live) {
-  if (!IsColumnarCmpOp(op)) return false;
-  const size_t n = col.size();
-  switch (col.tag()) {
-    case ColumnTag::kInt64:
-      if (!operand.is_numeric()) return false;
-      FilterNumericLoop(
-          op, operand.ToDouble(), n,
-          [&](size_t i) { return static_cast<double>(col.ints()[i]); }, live);
-      return true;
-    case ColumnTag::kDouble:
-      if (!operand.is_numeric()) return false;
-      FilterNumericLoop(
-          op, operand.ToDouble(), n, [&](size_t i) { return col.doubles()[i]; },
-          live);
-      return true;
-    case ColumnTag::kString: {
-      if (!operand.is_string()) return false;
-      // One verdict per dictionary entry, an array load per row.
-      const StringDictionary& dict = col.dict();
-      std::vector<uint8_t> verdict(dict.size());
-      for (uint32_t c = 0; c < dict.size(); ++c) {
-        const int cmp = dict.str(c).compare(operand.AsString());
-        const bool keep = op == BinOp::kEq   ? cmp == 0
-                          : op == BinOp::kNe ? cmp != 0
-                                             : CmpVerdict(op, cmp);
-        verdict[c] = keep ? 1 : 0;
-      }
-      uint8_t* keep = live->data();
-      const auto& codes = col.codes();
-      for (size_t i = 0; i < n; ++i)
-        if (keep[i]) keep[i] = verdict[codes[i]];
-      return true;
-    }
-    case ColumnTag::kBool: {
-      // Structural equality only; ordering bools is a boxed-path error.
-      if ((op != BinOp::kEq && op != BinOp::kNe) || !operand.is_bool()) {
-        return false;
-      }
-      const uint8_t y = operand.AsBool() ? 1 : 0;
-      const bool want = op == BinOp::kEq;
-      uint8_t* keep = live->data();
-      const auto& xs = col.bools();
-      for (size_t i = 0; i < n; ++i)
-        if (keep[i]) keep[i] = ((xs[i] != 0) == (y != 0)) == want ? 1 : 0;
-      return true;
-    }
     default:
       return false;
   }
@@ -481,11 +229,18 @@ size_t TableSizeFor(size_t expected_keys) {
   return size;
 }
 
+/// acc ⊕ v for a native fold op: + and * wrap on int64 (NumericOp's
+/// expressions) and are IEEE on double.
 template <typename T>
 T FoldStep(BinOp op, T acc, T v) {
   switch (op) {
-    case BinOp::kAdd: return Arith(BinOp::kAdd, acc, v);
-    case BinOp::kMul: return Arith(BinOp::kMul, acc, v);
+    case BinOp::kAdd:
+    case BinOp::kMul:
+      if constexpr (std::is_same_v<T, int64_t>) {
+        return WrapInt64(op, acc, v);
+      } else {
+        return op == BinOp::kAdd ? acc + v : acc * v;
+      }
     case BinOp::kMin: return std::min(acc, v);
     default: return std::max(acc, v);  // kMax
   }

@@ -13,18 +13,20 @@
 #include "runtime/operators.h"
 #include "runtime/value.h"
 
-/// Typed columnar (SoA) partition batches and the vectorized kernels the
-/// engine's hot operators run over them (EngineConfig::columnar).
+/// Typed columns and the typed aggregation paths of the engine: the
+/// shuffle scatter hashes whole key columns (HashColumn), reduceByKey
+/// folds through TypedReduceAccumulator and ships TypedRows, and Reduce
+/// folds through TypedFold.
 ///
-/// The contract with the boxed path is absolute: every kernel reproduces
-/// the boxed element-at-a-time semantics bit for bit — the same
-/// Value::Hash bits, the same IEEE operation order, the same int64
-/// expressions, the same output ordering — so a columnar run is
+/// The contract with the boxed path is absolute: every typed path
+/// reproduces the boxed element-at-a-time semantics bit for bit — the
+/// same Value::Hash bits, the same IEEE operation order, the same int64
+/// expressions, the same output ordering — so a typed run is
 /// byte-identical to a boxed run (enforced by tests/columnar_test.cc).
-/// Anything a kernel cannot reproduce exactly is not vectorized: the
-/// column demotes to boxed Values (a spill column) or the caller falls
-/// back to the per-row path, and the engine counts the fallback
-/// (StageStats::columnar_rows_fallback).
+/// Anything a typed path cannot reproduce exactly stays boxed: the
+/// column demotes to boxed Values (a spill column) or the accumulator
+/// spills to the boxed one mid-stream, and the engine counts the
+/// fallback (StageStats::columnar_rows_fallback).
 
 namespace diablo::runtime {
 
@@ -101,19 +103,6 @@ class Column {
   const StringDictionary& dict() const { return dict_; }
   const ValueVec& boxed() const { return boxed_; }
 
-  std::vector<int64_t>& mutable_ints() { return ints_; }
-  std::vector<double>& mutable_doubles() { return doubles_; }
-  ValueVec& mutable_boxed() { return boxed_; }
-  StringDictionary& mutable_dict() { return dict_; }
-  std::vector<uint32_t>& mutable_codes() { return codes_; }
-  std::vector<uint8_t>& mutable_bools() { return bools_; }
-  void set_tag(ColumnTag tag) { tag_ = tag; }
-  void set_size(size_t n) { size_ = n; }
-
-  /// Converts an int64 column to double in place (x -> (double)x), the
-  /// promotion NumericOp applies when the other operand is a double.
-  void PromoteToDouble();
-
  private:
   ColumnTag tag_ = ColumnTag::kUnknown;
   size_t size_ = 0;
@@ -125,55 +114,15 @@ class Column {
   ValueVec boxed_;
 };
 
-/// A batch of rows in columnar form. Two shapes:
-///  - pair rows (keyed operators): `keys` holds the key of every row
-///    (boxed — keys are routed and compared, not transformed) and
-///    `values` holds the value column;
-///  - scalar rows: `keys` is empty and `values` holds the whole row.
-/// Batches are what a columnar fused wave ships across the dist wire
-/// (serialize.h SerializeColumnBatch, wave_io col_batches slot).
-struct ColumnBatch {
-  bool pairs = false;
-  ValueVec keys;
-  Column values;
-
-  size_t size() const { return values.size(); }
-  /// Rebuilds row `i` as a boxed Value.
-  Value RowAt(size_t i) const;
-  /// Appends every row as boxed Values to `out`.
-  void EmitRows(ValueVec* out) const;
-  /// Drops rows with `live[i] == 0` in place, preserving the order of
-  /// the survivors (`live.size()` must equal `size()`). Typed payloads
-  /// compact without boxing; a string column keeps its dictionary.
-  void Compact(const std::vector<uint8_t>& live);
-};
-
 /// Vectorized Value::Hash over a column: `(*out)[i]` equals
 /// `col.ValueAt(i).Hash()` bit for bit. String rows read the hash cached
 /// at intern time — one Value::Hash per distinct entry per batch.
 void HashColumn(const Column& col, std::vector<size_t>* out);
 
-/// Ops the vectorized kernels cover. Anything else (kDiv/kMod with their
-/// divide-by-zero errors, kAnd/kOr, kArgmin) stays on the boxed path.
-bool IsColumnarMapOp(BinOp op);     ///< {+, -, *, min, max}
-bool IsColumnarCmpOp(BinOp op);     ///< {==, !=, <, <=, >, >=}
-bool IsColumnarReduceOp(BinOp op);  ///< {+, *, min, max}
-
-/// Applies `row ⊕ operand` to every row of `col` with `live[i] != 0`,
-/// reproducing NumericOp exactly (int64 expressions when both sides are
-/// ints, double promotion otherwise). Returns false — column untouched —
-/// when the combination is not covered (non-numeric column or operand,
-/// op not in IsColumnarMapOp); the caller must fall back to per-row
-/// evaluation.
-bool ApplyMapKernel(BinOp op, const Value& operand,
-                    const std::vector<uint8_t>& live, Column* col);
-
-/// Clears `(*live)[i]` for rows failing `row ⊕ operand`, reproducing
-/// EvalBinOp comparison semantics exactly (numeric via double compare,
-/// strings via std::string::compare with the verdict computed once per
-/// dictionary entry). Returns false — mask untouched — when not covered.
-bool ApplyFilterKernel(BinOp op, const Value& operand, const Column& col,
-                       std::vector<uint8_t>* live);
+/// Ops the typed folds cover: {+, *, min, max}. Anything else (kDiv and
+/// kMod with their divide-by-zero errors, kAnd/kOr, kArgmin) stays on
+/// the boxed path.
+bool IsColumnarReduceOp(BinOp op);
 
 /// Key/payload shapes the typed reduce path pins on first sight.
 enum class TypedKeyMode : uint8_t { kNone, kBool, kInt64, kDouble, kString };

@@ -3,13 +3,11 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "runtime/operators.h"
 #include "runtime/value.h"
 
 namespace diablo::runtime {
@@ -58,38 +56,20 @@ struct LineageNode {
   int depth = 0;
 };
 
-/// Vectorizable description of a narrow operator: the closure is known
-/// to be `row ⊕ operand` (map/filter) or `value ⊕ operand` over (k,v)
-/// pair rows (mapValues / value filter) for a built-in BinOp and a
-/// constant right operand. The closure stays the semantic truth — the
-/// kernel is an equivalent, engine-visible form that a columnar fused
-/// wave can run vectorized (runtime/column_batch.h).
-struct ColumnKernel {
-  BinOp op = BinOp::kAdd;
-  Value operand;
-  /// True: applies to the value of (k,v) pair rows (mapValues /
-  /// FilterValues). False: applies to the whole row.
-  bool on_value = false;
-};
-
 /// One deferred narrow operator in a fused chain. The callbacks mirror
 /// Engine::MapFn/PredFn/FlatMapFn; which one is set depends on `kind`.
 struct FusedOp {
-  enum class Kind { kMap, kMapValues, kFilter, kFlatMap };
+  enum class Kind { kMap, kFilter, kFlatMap };
 
   Kind kind = Kind::kMap;
   /// Stage-label fragment; fused stages join these with '+'.
   std::string label;
-  /// Set for kMap and kMapValues.
+  /// Set for kMap.
   std::function<StatusOr<Value>(const Value&)> map;
   /// Set for kFilter.
   std::function<StatusOr<bool>(const Value&)> pred;
   /// Set for kFlatMap.
   std::function<StatusOr<ValueVec>(const Value&)> flat;
-  /// Set when the operator was built from a BinOp + constant operand
-  /// (the kernel-carrying Engine overloads); lets a columnar Force run
-  /// the whole chain vectorized. Never required for correctness.
-  std::optional<ColumnKernel> kernel;
   /// How many plan operators this one stands for. A compiled row
   /// segment (plan/row_program.h) replaces several qualifiers with one
   /// closure; lineage depth still counts every one of them, so
@@ -115,8 +95,8 @@ inline int ChainDepth(const FusedChain& chain) {
 /// lineage node used for fault recovery.
 ///
 /// A dataset may be *lazy*: the stored partitions are the source rows
-/// and `chain()` holds narrow operators (map / mapValues / filter /
-/// flatMap) not yet applied. The engine runs the whole chain
+/// and `chain()` holds narrow operators (map / filter / flatMap) not
+/// yet applied. The engine runs the whole chain
 /// element-by-element inside the next stage boundary (shuffle, reduce,
 /// collect, checkpoint, Force) with no intermediate materialization.
 /// TotalRows()/TotalBytes()/partition() observe the SOURCE rows of a

@@ -33,9 +33,6 @@ struct WideTask {
 
 namespace {
 
-/// Payload of a Distinct accumulator entry: key presence is the datum.
-struct NoPayload {};
-
 /// Rows per partition (or per task's output) of any row layout.
 template <typename Part>
 std::vector<int64_t> RowCounts(const std::vector<Part>& parts) {
@@ -295,16 +292,6 @@ Status ApplyChain(const FusedChain& chain, size_t i, const Value& v,
       if (tally != nullptr) tally->Record(i, out);
       return ApplyChain(chain, i + 1, out, tally, sink);
     }
-    case FusedOp::Kind::kMapValues: {
-      if (!v.is_tuple() || v.tuple().size() != 2) {
-        return Status::RuntimeError(
-            StrCat("mapValues applied to non-pair row: ", v.ToString()));
-      }
-      DIABLO_ASSIGN_OR_RETURN(Value mv, op.map(v.tuple()[1]));
-      Value out = Value::MakePair(v.tuple()[0], std::move(mv));
-      if (tally != nullptr) tally->Record(i, out);
-      return ApplyChain(chain, i + 1, out, tally, sink);
-    }
     case FusedOp::Kind::kFilter: {
       DIABLO_ASSIGN_OR_RETURN(bool keep, op.pred(v));
       if (!keep) return Status::OK();
@@ -341,71 +328,6 @@ Status ApplyChainRows(const FusedChain& chain, const ValueVec& rows,
                                         return Status::OK();
                                       }));
   }
-  return Status::OK();
-}
-
-/// The column-batch body of a fully-kernelized chain
-/// (ChainFullyKernelized): one unbox per source row, each kernel a vector
-/// loop over the typed payload, one compaction of the survivors. A
-/// partition the kernels can't handle (unsupported type mix, non-pair
-/// rows under a value chain) replays the boxed per-row chain —
-/// byte-identical by construction — into a boxed-column batch, counted in
-/// columnar_rows_fallback. Under the distributed backend the batch itself
-/// crosses the wire (the col_batches slot); the driver re-boxes it.
-Status ApplyChainBatch(const FusedChain& chain, const ValueVec& rows,
-                       ChainTally* tally, ColumnBatch* out) {
-  auto replay = [&]() -> Status {
-    tally->Reset(tally->rows.size());
-    ColumnBatch fallback;
-    for (const Value& row : rows) {
-      DIABLO_RETURN_IF_ERROR(ApplyChain(chain, 0, row, tally,
-                                        [&](const Value& v) -> Status {
-                                          fallback.values.Append(v);
-                                          return Status::OK();
-                                        }));
-    }
-    tally->columnar_rows_fallback += static_cast<int64_t>(rows.size());
-    *out = std::move(fallback);
-    return Status::OK();
-  };
-  const bool on_value = chain[0].kernel->on_value;
-  ColumnBatch batch;
-  batch.pairs = on_value;
-  for (const Value& row : rows) {
-    if (on_value) {
-      if (!row.is_tuple() || row.tuple().size() != 2) return replay();
-      batch.keys.push_back(row.tuple()[0]);
-      batch.values.Append(row.tuple()[1]);
-    } else {
-      batch.values.Append(row);
-    }
-  }
-  std::vector<uint8_t> live(batch.size(), 1);
-  for (size_t i = 0; i < chain.size(); ++i) {
-    const ColumnKernel& k = *chain[i].kernel;
-    const bool handled =
-        chain[i].kind == FusedOp::Kind::kFilter
-            ? ApplyFilterKernel(k.op, k.operand, batch.values, &live)
-            : ApplyMapKernel(k.op, k.operand, live, &batch.values);
-    if (!handled) return replay();
-    if (i + 1 < chain.size()) {
-      // Interior boundary: record what the boxed tally would — the
-      // surviving row count and the first survivor's size.
-      int64_t alive = 0;
-      size_t first = live.size();
-      for (size_t r = 0; r < live.size(); ++r) {
-        if (live[r] == 0) continue;
-        if (first == live.size()) first = r;
-        ++alive;
-      }
-      tally->rows[i] = alive;
-      tally->sample_bytes[i] =
-          first == live.size() ? 0 : batch.RowAt(first).SerializedBytes();
-    }
-  }
-  batch.Compact(live);
-  tally->columnar_batches += 1;
-  *out = std::move(batch);
   return Status::OK();
 }
 
@@ -464,23 +386,8 @@ std::string FusedStageLabel(const FusedChain& chain,
   return chain.empty() ? label : ChainLabel(chain) + "+" + label;
 }
 
-/// True when every operator of the chain carries a column kernel and
-/// all kernels agree on the row shape (whole rows vs pair values) — the
-/// precondition for running the chain over one column batch.
-bool ChainFullyKernelized(const FusedChain& chain) {
-  if (chain.empty()) return false;
-  if (!chain[0].kernel.has_value()) return false;
-  const bool on_value = chain[0].kernel->on_value;
-  for (const FusedOp& op : chain) {
-    if (!op.kernel.has_value()) return false;
-    if (op.kernel->on_value != on_value) return false;
-  }
-  return true;
-}
-
-/// Lineage recompute of one partition of a Force stage, whichever body
-/// produced it: the row body over the source rows. Replay IS the
-/// semantic truth, and a lost partition is the rare path.
+/// Lineage recompute of one partition of a Force stage: the row body
+/// over the source rows.
 LineageNode::RecomputeFn ChainReplay(const Dataset& src) {
   return [src](int p, int64_t* work) -> StatusOr<ValueVec> {
     const ValueVec& rows = src.partition(p);
@@ -670,19 +577,6 @@ StatusOr<ValueVec> CoGroupFinish(WideTask<HashedVec>& t) {
                         Value::MakeBag(std::move(e.payload.second))));
   });
   t.work = t.agg_rows = static_cast<int64_t>(left.size() + right.size());
-  t.agg_keys = static_cast<int64_t>(out.size());
-  return out;
-}
-
-/// distinct: every distinct row (the key of its (row, unit) pair) once.
-StatusOr<ValueVec> DistinctFinish(WideTask<HashedVec>& t) {
-  const HashedVec& part = *t.left;
-  KeyedAccumulator<NoPayload> seen(part.size());
-  for (const HashedRow& hr : part) {
-    seen.FindOrCreate(hr.hash, hr.row.tuple()[0]);
-  }
-  ValueVec out = SortedRows(&seen, [](auto& e) { return std::move(e.key); });
-  t.work = t.agg_rows = static_cast<int64_t>(part.size());
   t.agg_keys = static_cast<int64_t>(out.size());
   return out;
 }
@@ -1112,15 +1006,6 @@ StatusOr<Dataset> Engine::Map(const Dataset& in, const MapFn& fn,
   return Narrow(in, std::move(op));
 }
 
-StatusOr<Dataset> Engine::MapValues(const Dataset& in, const MapFn& fn,
-                                    const std::string& label) {
-  FusedOp op;
-  op.kind = FusedOp::Kind::kMapValues;
-  op.label = label;
-  op.map = fn;
-  return Narrow(in, std::move(op));
-}
-
 StatusOr<Dataset> Engine::Filter(const Dataset& in, const PredFn& pred,
                                  const std::string& label) {
   FusedOp op;
@@ -1137,81 +1022,6 @@ StatusOr<Dataset> Engine::FlatMap(const Dataset& in, const FlatMapFn& fn,
   op.label = label;
   op.flat = fn;
   return Narrow(in, std::move(op));
-}
-
-StatusOr<Dataset> Engine::Map(const Dataset& in, BinOp op, const Value& operand,
-                              const std::string& label) {
-  Value captured = operand;
-  MapFn fn = [op, captured](const Value& row) {
-    return EvalBinOp(op, row, captured);
-  };
-  FusedOp fop;
-  fop.kind = FusedOp::Kind::kMap;
-  fop.label = label;
-  fop.map = std::move(fn);
-  fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/false};
-  return Narrow(in, std::move(fop));
-}
-
-StatusOr<Dataset> Engine::MapValues(const Dataset& in, BinOp op,
-                                    const Value& operand,
-                                    const std::string& label) {
-  Value captured = operand;
-  // The fused kMapValues operator hands `map` the pair's value (see
-  // ApplyChain), so this closure sees the value directly.
-  MapFn fn = [op, captured](const Value& v) {
-    return EvalBinOp(op, v, captured);
-  };
-  FusedOp fop;
-  fop.kind = FusedOp::Kind::kMapValues;
-  fop.label = label;
-  fop.map = std::move(fn);
-  fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/true};
-  return Narrow(in, std::move(fop));
-}
-
-StatusOr<Dataset> Engine::Filter(const Dataset& in, BinOp op,
-                                 const Value& operand,
-                                 const std::string& label) {
-  Value captured = operand;
-  PredFn pred = [op, captured](const Value& row) -> StatusOr<bool> {
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalBinOp(op, row, captured));
-    if (!v.is_bool()) {
-      return Status::RuntimeError(
-          StrCat("filter predicate evaluated to non-bool: ", v.ToString()));
-    }
-    return v.AsBool();
-  };
-  FusedOp fop;
-  fop.kind = FusedOp::Kind::kFilter;
-  fop.label = label;
-  fop.pred = std::move(pred);
-  fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/false};
-  return Narrow(in, std::move(fop));
-}
-
-StatusOr<Dataset> Engine::FilterValues(const Dataset& in, BinOp op,
-                                       const Value& operand,
-                                       const std::string& label) {
-  Value captured = operand;
-  PredFn pred = [op, captured](const Value& row) -> StatusOr<bool> {
-    if (!row.is_tuple() || row.tuple().size() != 2) {
-      return Status::RuntimeError(
-          StrCat("filterValues applied to non-pair row: ", row.ToString()));
-    }
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalBinOp(op, row.tuple()[1], captured));
-    if (!v.is_bool()) {
-      return Status::RuntimeError(
-          StrCat("filter predicate evaluated to non-bool: ", v.ToString()));
-    }
-    return v.AsBool();
-  };
-  FusedOp fop;
-  fop.kind = FusedOp::Kind::kFilter;
-  fop.label = label;
-  fop.pred = std::move(pred);
-  fop.kernel = ColumnKernel{op, std::move(captured), /*on_value=*/true};
-  return Narrow(in, std::move(fop));
 }
 
 StatusOr<Dataset> Engine::RunNarrow(
@@ -1252,32 +1062,16 @@ StatusOr<Dataset> Engine::Force(const Dataset& in) {
   const FusedChain& chain = in.chain();
   const std::string label = ChainLabel(chain);
   std::vector<ValueVec> out(in.num_partitions());
-  // A fully-kernelized chain runs as column batches, re-boxed after the
-  // wave; any other chain runs row by row.
-  std::vector<ColumnBatch> batches;
   WaveSlots slots;
-  NarrowBody body;
-  if (ChainFullyKernelized(chain)) {
-    batches.resize(out.size());
-    slots.col_batches = &batches;
-    body = [&](int p, const ValueVec& rows, ChainTally* tally) {
-      return ApplyChainBatch(chain, rows, tally, &batches[p]);
-    };
-  } else {
-    slots.rows = &out;
-    body = [&](int p, const ValueVec& rows, ChainTally* tally) {
-      return ApplyChainRows(chain, rows, tally, &out[p]);
-    };
-  }
+  slots.rows = &out;
   DIABLO_ASSIGN_OR_RETURN(
       Dataset src,
-      RunNarrow(in, label, /*keeps_rows=*/true, slots, body,
-                [&](StageStats* stats) {
-                  for (size_t p = 0; p < batches.size(); ++p) {
-                    batches[p].EmitRows(&out[p]);
-                  }
-                  stats->partition_rows = RowCounts(out);
-                }));
+      RunNarrow(
+          in, label, /*keeps_rows=*/true, slots,
+          [&](int p, const ValueVec& rows, ChainTally* tally) {
+            return ApplyChainRows(chain, rows, tally, &out[p]);
+          },
+          [&](StageStats* stats) { stats->partition_rows = RowCounts(out); }));
   auto lineage = MakeLineage(
       "fused", label, {src.lineage()},
       ChainReplay(src), nullptr, ChainDepth(chain));
@@ -1288,8 +1082,8 @@ StatusOr<Dataset> Engine::Force(const Dataset& in) {
 struct Engine::WideSpec {
   const char* kind = "";  ///< lineage node kind
   std::string label{};
-  /// How the finish wave splits a hot destination (join, coGroup and
-  /// distinct never salt).
+  /// How the finish wave splits a hot destination (join and coGroup
+  /// never salt).
   enum class Salt { kNone, kChunks, kStripes } salt = Salt::kNone;
   /// The finish over boxed rows: the forward finish on the boxed layout
   /// and the lineage replay's.
@@ -1872,61 +1666,6 @@ StatusOr<Dataset> Engine::CoGroup(const Dataset& left, const Dataset& right,
                  {left, right});
 }
 
-StatusOr<Dataset> Engine::Union(const Dataset& in_a, const Dataset& in_b) {
-  ScopedSpan stage_span(trace(), SpanKind::kStage, "union");
-  DIABLO_ASSIGN_OR_RETURN(Dataset a, Force(in_a));
-  DIABLO_ASSIGN_OR_RETURN(Dataset b, Force(in_b));
-  const int n = std::max(a.num_partitions(), b.num_partitions());
-  std::vector<ValueVec> out(n);
-  for (int p = 0; p < n; ++p) {
-    size_t total = 0;
-    if (p < a.num_partitions()) total += a.partition(p).size();
-    if (p < b.num_partitions()) total += b.partition(p).size();
-    out[p].reserve(total);
-  }
-  for (int p = 0; p < a.num_partitions(); ++p) {
-    for (const Value& v : a.partition(p)) out[p].push_back(v);
-  }
-  for (int p = 0; p < b.num_partitions(); ++p) {
-    for (const Value& v : b.partition(p)) out[p].push_back(v);
-  }
-  StageStats union_stats;
-  union_stats.label = "union";
-  union_stats.map_work = RowCounts(out);
-  union_stats.partition_rows = union_stats.map_work;
-  FinishStage(std::move(union_stats));
-  auto lineage = MakeLineage(
-      "union", "union", {a.lineage(), b.lineage()},
-      [a, b](int p, int64_t* work) -> StatusOr<ValueVec> {
-        ValueVec rebuilt;
-        rebuilt.reserve(
-            (p < a.num_partitions() ? a.partition(p).size() : 0) +
-            (p < b.num_partitions() ? b.partition(p).size() : 0));
-        if (p < a.num_partitions()) {
-          *work += static_cast<int64_t>(a.partition(p).size());
-          for (const Value& v : a.partition(p)) rebuilt.push_back(v);
-        }
-        if (p < b.num_partitions()) {
-          *work += static_cast<int64_t>(b.partition(p).size());
-          for (const Value& v : b.partition(p)) rebuilt.push_back(v);
-        }
-        return rebuilt;
-      });
-  return Dataset(std::move(out), std::move(lineage));
-}
-
-StatusOr<Dataset> Engine::Distinct(const Dataset& in,
-                                   const std::string& label) {
-  // Key each row by itself, shuffle, dedup per partition.
-  DIABLO_ASSIGN_OR_RETURN(
-      Dataset keyed,
-      Map(in, [](const Value& v) -> StatusOr<Value> {
-        return Value::MakePair(v, Value::MakeUnit());
-      }, label + ".key"));
-  return RunWide({.kind = "distinct", .label = label, .finish = DistinctFinish},
-                 {keyed});
-}
-
 StatusOr<Dataset> Engine::Checkpoint(const Dataset& in,
                                      const std::string& label) {
   const FusedChain& chain = in.chain();
@@ -2028,17 +1767,6 @@ StatusOr<Value> Engine::First(const Dataset& in) {
     if (!part.empty()) return part[0];
   }
   return Status::RuntimeError("First() on an empty dataset");
-}
-
-StatusOr<int64_t> Engine::Count(const Dataset& in) {
-  ScopedSpan stage_span(trace(), SpanKind::kStage, "count");
-  DIABLO_ASSIGN_OR_RETURN(Dataset src, Force(in));
-  StageStats count_stats;
-  count_stats.label = "count";
-  count_stats.map_work = RowCounts(src);
-  count_stats.partition_rows = count_stats.map_work;
-  FinishStage(std::move(count_stats));
-  return src.TotalRows();
 }
 
 }  // namespace diablo::runtime

@@ -48,7 +48,7 @@ struct WideTask;
 ///    exactness proof: a native {+, *, min, max} over a plan-time int64
 ///    value schema, with every folded payload int64 at run time (these
 ///    ops are bit-associative on wrapping int64);
-///  - join, coGroup and distinct do not salt.
+///  - join and coGroup do not salt.
 struct SkewConfig {
   /// Master switch (diablo_run --no-skew; the AB10 ablation baseline).
   bool mitigate = true;
@@ -87,18 +87,18 @@ struct EngineConfig {
   /// SerializedBytes() estimate is used instead).
   bool serialize_shuffles = false;
   /// The typed columnar paths (runtime/column_batch.h) are not a
-  /// setting. Each is chosen from what the engine observes: a
-  /// fully-kernelized fused chain runs as column batches; a built-in op
-  /// that TypedFold or TypedReduceAccumulator covers folds natively; the
-  /// plan-time ColumnSchema may skip a typed attempt; and every shuffle
-  /// scatter hashes whole key columns (HashColumn, bit-identical to
-  /// Value::Hash). Rows that don't columnarize (heterogeneous kinds,
-  /// tuple keys, closure operators) take the boxed per-row path,
-  /// mid-stream and per partition, with byte-identical results
-  /// (tests/columnar_test.cc); StageStats::columnar_batches and
-  /// columnar_rows_fallback make the split observable. The constant
-  /// stays for readers that report it, such as the end-to-end
-  /// benchmark's `columnar_default` host fact.
+  /// setting. Each is chosen from what the engine observes: a built-in
+  /// op that TypedFold (Reduce) or TypedReduceAccumulator (reduceByKey,
+  /// whose combine output may cross the shuffle as TypedRows) covers
+  /// folds natively; the plan-time ColumnSchema may skip a typed
+  /// attempt; and every shuffle scatter hashes whole key columns
+  /// (HashColumn, bit-identical to Value::Hash). Rows that don't
+  /// columnarize (heterogeneous kinds, tuple keys, closure reduce
+  /// functions) take the boxed per-row path, mid-stream and per
+  /// partition, with byte-identical results (tests/columnar_test.cc);
+  /// StageStats::columnar_batches and columnar_rows_fallback make the
+  /// split observable. The constant stays for readers that report it,
+  /// such as the end-to-end benchmark's `columnar_default` host fact.
   static constexpr bool columnar = true;
   /// Runtime skew mitigation thresholds (see SkewConfig above). On by
   /// default; outputs are byte-identical with or without it
@@ -156,13 +156,14 @@ struct EngineProvenance {
 /// The DIABLO execution substrate: a from-scratch, in-process
 /// data-parallel engine with the Spark RDD operator vocabulary.
 ///
-/// Datasets are hash-partitioned; narrow operators (map/filter/flatMap)
-/// transform partitions in place, wide operators (groupByKey, reduceByKey,
-/// join, coGroup, distinct) redistribute rows by key hash — a shuffle.
-/// Every stage records a StageStats entry in metrics(), from which the
-/// cluster cost model computes a simulated distributed run time
-/// (DESIGN.md §3 explains why this substitution preserves the paper's
-/// comparisons).
+/// The operators are the ones DIABLO plans call (paper §3.3): the narrow
+/// map, filter and flatMap, the wide groupByKey, reduceByKey, join and
+/// coGroup, and Force, Checkpoint, Reduce, Collect and First. Datasets
+/// are hash-partitioned; narrow operators transform partitions in place,
+/// wide operators redistribute rows by key hash — a shuffle. Every stage
+/// records a StageStats entry in metrics(), from which the cluster cost
+/// model computes a simulated distributed run time (DESIGN.md §3 explains
+/// why this substitution preserves the paper's comparisons).
 ///
 /// Narrow operators defer: they return a lazy Dataset whose pending
 /// chain runs fused inside the next stage boundary, one element at a
@@ -272,41 +273,17 @@ class Engine {
   StatusOr<Dataset> Map(const Dataset& in, const MapFn& fn,
                         const std::string& label = "map");
 
-  /// Narrow: applies `fn` to the value of every (k,v) pair row, keeping
-  /// the key — Spark's mapValues.
-  StatusOr<Dataset> MapValues(const Dataset& in, const MapFn& fn,
-                              const std::string& label = "mapValues");
-
   /// Narrow: keeps rows satisfying `pred`.
   StatusOr<Dataset> Filter(const Dataset& in, const PredFn& pred,
                            const std::string& label = "filter");
-
-  /// Kernel-carrying narrow operators: `row ⊕ operand` (or the pair
-  /// value / a comparison predicate) expressed as a built-in BinOp
-  /// against a constant. Semantically identical to the closure forms —
-  /// EvalBinOp defines the result — but the op is visible to the engine,
-  /// so a fully-kernelized fused chain executes vectorized over column
-  /// batches.
-  StatusOr<Dataset> Map(const Dataset& in, BinOp op, const Value& operand,
-                        const std::string& label = "map");
-  StatusOr<Dataset> MapValues(const Dataset& in, BinOp op,
-                              const Value& operand,
-                              const std::string& label = "mapValues");
-  StatusOr<Dataset> Filter(const Dataset& in, BinOp op, const Value& operand,
-                           const std::string& label = "filter");
-  /// Filter on the value of (k,v) pair rows: keeps rows with
-  /// `v ⊕ operand` true. Errors on non-pair rows, like MapValues.
-  StatusOr<Dataset> FilterValues(const Dataset& in, BinOp op,
-                                 const Value& operand,
-                                 const std::string& label = "filter");
 
   /// Narrow: maps every row to a bag of rows and concatenates.
   StatusOr<Dataset> FlatMap(const Dataset& in, const FlatMapFn& fn,
                             const std::string& label = "flatMap");
 
-  /// Narrow: appends a prebuilt fused operator. Map, MapValues, Filter
-  /// and FlatMap build theirs from a closure; the plan evaluator's
-  /// compiled row segments (plan/row_program.h) arrive ready-made.
+  /// Narrow: appends a prebuilt fused operator. Map, Filter and FlatMap
+  /// build theirs from a closure; the plan evaluator's compiled row
+  /// segments (plan/row_program.h) arrive ready-made.
   StatusOr<Dataset> Narrow(const Dataset& in, FusedOp op);
 
   /// Materializes any pending fused chain as ONE task wave (the stage
@@ -342,15 +319,6 @@ class Engine {
   StatusOr<Dataset> CoGroup(const Dataset& left, const Dataset& right,
                             const std::string& label = "coGroup");
 
-  /// Narrow: bag union (concatenation) of the two datasets. Metadata
-  /// only (like Spark's union): no tasks run beyond forcing any pending
-  /// chains of the inputs, so no faults can hit the union itself.
-  StatusOr<Dataset> Union(const Dataset& a, const Dataset& b);
-
-  /// Wide: removes duplicate rows.
-  StatusOr<Dataset> Distinct(const Dataset& in,
-                             const std::string& label = "distinct");
-
   /// Writes the dataset to (simulated) stable storage and truncates its
   /// lineage: the result is durable, so recoveries stop here instead of
   /// walking further back. Use inside iterative loops (PageRank,
@@ -376,9 +344,6 @@ class Engine {
 
   /// Action: the first row in partition order; error when empty.
   StatusOr<Value> First(const Dataset& in);
-
-  /// Action: number of rows (charged as a narrow scan).
-  StatusOr<int64_t> Count(const Dataset& in);
 
  private:
   /// A wide operator's description for RunWide, and one such operator's
@@ -428,7 +393,7 @@ class Engine {
                                  int input_index, StageStats* stats);
 
   /// The wide-stage wave (DESIGN.md §12) that groupByKey, reduceByKey,
-  /// join, coGroup and distinct all instantiate: allocates the stage ids,
+  /// join and coGroup all instantiate: allocates the stage ids,
   /// recovers lost inputs, runs reduceByKey's map-side combine
   /// (CombineWave), scatters every input side (ScatterWave) and runs the
   /// salted per-destination finish (FinishWave), which records the stage

@@ -57,14 +57,13 @@ struct StageStats {
   /// (0 when host_threads <= 1 or the waves were too small to
   /// parallelize).
   int64_t pool_tasks = 0;
-  /// Columnar-execution accounting (runtime/column_batch.h, under
-  /// EngineConfig::columnar). `columnar_batches` counts partition
-  /// batches this stage executed through a typed columnar fast path
-  /// (typed reduceByKey combine/reduce, vectorized scatter key hashing,
-  /// kernelized fused chains); `columnar_rows_fallback` counts rows that
-  /// bounced back to the boxed per-row path mid-stage (heterogeneous
-  /// kinds, non-scalar keys, uncovered operators). Both 0 when columnar
-  /// execution is off.
+  /// Columnar-execution accounting (runtime/column_batch.h).
+  /// `columnar_batches` counts task partitions this stage ran through a
+  /// typed path: a scatter that hashed a whole scalar key column, a
+  /// typed reduceByKey combine or reduce, or a typed Reduce fold;
+  /// `columnar_rows_fallback` counts rows that took the boxed per-row
+  /// path instead (heterogeneous kinds, non-scalar keys, a native op's
+  /// rows spilling mid-stream).
   int64_t columnar_batches = 0;
   int64_t columnar_rows_fallback = 0;
   /// Multi-process distributed backend accounting (src/dist/). Tasks

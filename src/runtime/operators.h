@@ -30,7 +30,7 @@ enum class UnOp { kNeg, kNot };
 /// two's-complement wrap-around on overflow — Scala Long semantics, the
 /// paper's target — where plain C++ arithmetic would be undefined.
 /// Negation is WrapInt64(BinOp::kSub, 0, x). Every evaluator (boxed,
-/// columnar kernels, typed folds, the static analyses) goes through it,
+/// typed folds, the static analyses) goes through it,
 /// which also makes + and * bit-associative on int64.
 constexpr int64_t WrapInt64(BinOp op, int64_t x, int64_t y) {
   const auto a = static_cast<uint64_t>(x);

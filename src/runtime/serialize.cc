@@ -220,177 +220,6 @@ StatusOr<Value> Deserialize(const std::string& data) {
   return v;
 }
 
-namespace {
-
-/// Shared bound for the column-batch decoder: every element of a typed
-/// payload costs at least one byte, so a count prefix larger than the
-/// remaining buffer is corrupt and must fail before any reserve().
-Status CheckBatchCount(uint32_t n, const std::string& data, size_t offset,
-                       const char* what) {
-  if (static_cast<size_t>(n) > data.size() - offset) {
-    return Status::RuntimeError(
-        StrCat("oversized ", what, " count in column batch"));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-void SerializeColumnBatch(const ColumnBatch& batch, std::string* out) {
-  const Column& col = batch.values;
-  PutWireU32(static_cast<uint32_t>(col.size()), out);
-  out->push_back(batch.pairs ? 1 : 0);
-  if (batch.pairs) {
-    for (const Value& k : batch.keys) SerializeValue(k, out);
-  }
-  out->push_back(static_cast<char>(col.tag()));
-  switch (col.tag()) {
-    case ColumnTag::kUnknown:
-      break;  // empty column, no payload
-    case ColumnTag::kBool:
-      for (uint8_t b : col.bools()) out->push_back(b ? 1 : 0);
-      break;
-    case ColumnTag::kInt64:
-      for (int64_t x : col.ints()) {
-        PutWireU64(static_cast<uint64_t>(x), out);
-      }
-      break;
-    case ColumnTag::kDouble:
-      for (double d : col.doubles()) {
-        uint64_t bits;
-        std::memcpy(&bits, &d, sizeof(bits));
-        PutWireU64(bits, out);
-      }
-      break;
-    case ColumnTag::kString: {
-      const StringDictionary& dict = col.dict();
-      PutWireU32(static_cast<uint32_t>(dict.size()), out);
-      for (uint32_t c = 0; c < dict.size(); ++c) {
-        const std::string& s = dict.str(c);
-        PutWireU32(static_cast<uint32_t>(s.size()), out);
-        out->append(s);
-      }
-      for (uint32_t code : col.codes()) PutWireU32(code, out);
-      break;
-    }
-    case ColumnTag::kBoxed:
-      for (const Value& v : col.boxed()) SerializeValue(v, out);
-      break;
-  }
-}
-
-StatusOr<ColumnBatch> DeserializeColumnBatch(const std::string& data,
-                                             size_t* offset) {
-  DIABLO_ASSIGN_OR_RETURN(uint32_t n, GetWireU32(data, offset));
-  DIABLO_RETURN_IF_ERROR(CheckBatchCount(n, data, *offset, "row"));
-  if (*offset >= data.size()) return Truncated();
-  char pairs_flag = data[(*offset)++];
-  if (pairs_flag != 0 && pairs_flag != 1) {
-    return Status::RuntimeError("corrupt pairs flag in column batch");
-  }
-  ColumnBatch batch;
-  batch.pairs = pairs_flag == 1;
-  if (batch.pairs) {
-    batch.keys.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      DIABLO_ASSIGN_OR_RETURN(Value k, DeserializeValue(data, offset));
-      batch.keys.push_back(std::move(k));
-    }
-  }
-  if (*offset >= data.size()) return Truncated();
-  uint8_t tag_byte = static_cast<uint8_t>(data[(*offset)++]);
-  if (tag_byte > static_cast<uint8_t>(ColumnTag::kBoxed)) {
-    return Status::RuntimeError(
-        StrCat("unknown column tag ", static_cast<int>(tag_byte),
-               " in column batch"));
-  }
-  ColumnTag tag = static_cast<ColumnTag>(tag_byte);
-  Column& col = batch.values;
-  if (tag == ColumnTag::kUnknown && n != 0) {
-    return Status::RuntimeError("untagged non-empty column in column batch");
-  }
-  switch (tag) {
-    case ColumnTag::kUnknown:
-      break;
-    case ColumnTag::kBool: {
-      auto& bools = col.mutable_bools();
-      bools.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        if (*offset >= data.size()) return Truncated();
-        char b = data[(*offset)++];
-        if (b != 0 && b != 1) {
-          return Status::RuntimeError("corrupt bool in column batch");
-        }
-        bools.push_back(static_cast<uint8_t>(b));
-      }
-      break;
-    }
-    case ColumnTag::kInt64: {
-      auto& ints = col.mutable_ints();
-      ints.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        DIABLO_ASSIGN_OR_RETURN(uint64_t bits, GetWireU64(data, offset));
-        ints.push_back(static_cast<int64_t>(bits));
-      }
-      break;
-    }
-    case ColumnTag::kDouble: {
-      auto& doubles = col.mutable_doubles();
-      doubles.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        DIABLO_ASSIGN_OR_RETURN(uint64_t bits, GetWireU64(data, offset));
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        doubles.push_back(d);
-      }
-      break;
-    }
-    case ColumnTag::kString: {
-      DIABLO_ASSIGN_OR_RETURN(uint32_t dict_size, GetWireU32(data, offset));
-      DIABLO_RETURN_IF_ERROR(
-          CheckBatchCount(dict_size, data, *offset, "dictionary"));
-      StringDictionary& dict = col.mutable_dict();
-      for (uint32_t c = 0; c < dict_size; ++c) {
-        DIABLO_ASSIGN_OR_RETURN(uint32_t len, GetWireU32(data, offset));
-        if (*offset + len > data.size()) return Truncated();
-        uint32_t code =
-            dict.Intern(Value::MakeString(data.substr(*offset, len)));
-        *offset += len;
-        // A duplicate entry re-interns to an earlier code; codes pointing
-        // at it would decode to a batch whose dictionary disagrees with
-        // the encoder's, so reject the buffer as corrupt.
-        if (code != c) {
-          return Status::RuntimeError(
-              "duplicate dictionary entry in column batch");
-        }
-      }
-      auto& codes = col.mutable_codes();
-      codes.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        DIABLO_ASSIGN_OR_RETURN(uint32_t code, GetWireU32(data, offset));
-        if (code >= dict_size) {
-          return Status::RuntimeError(
-              "dictionary code out of range in column batch");
-        }
-        codes.push_back(code);
-      }
-      break;
-    }
-    case ColumnTag::kBoxed: {
-      auto& boxed = col.mutable_boxed();
-      boxed.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        DIABLO_ASSIGN_OR_RETURN(Value v, DeserializeValue(data, offset));
-        boxed.push_back(std::move(v));
-      }
-      break;
-    }
-  }
-  col.set_tag(tag);
-  col.set_size(n);
-  return batch;
-}
-
 void SerializeHashedRow(const HashedRow& hr, std::string* out) {
   PutWireU64(static_cast<uint64_t>(hr.hash), out);
   SerializeValue(hr.row, out);

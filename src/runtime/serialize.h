@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "runtime/column_batch.h"
 #include "runtime/keyed_accumulator.h"
 #include "runtime/value.h"
 
@@ -55,17 +54,6 @@ StatusOr<HashedRow> DeserializeHashedRow(const std::string& data,
 void SerializeHashedVec(const HashedVec& rows, std::string* out);
 StatusOr<HashedVec> DeserializeHashedVec(const std::string& data,
                                          size_t* offset);
-
-/// A columnar partition batch (runtime/column_batch.h): u32 row count,
-/// pairs flag, the boxed keys when paired, then the value column as a
-/// tag byte + typed payload (int64/double as u64 patterns, bools as
-/// validated 0/1 bytes, strings as a deduplicated dictionary + u32
-/// codes, boxed spill columns as encoded values). The decoder bounds
-/// every count, validates codes against the dictionary and rejects
-/// duplicate dictionary entries, so corrupt bytes fail with a Status.
-void SerializeColumnBatch(const ColumnBatch& batch, std::string* out);
-StatusOr<ColumnBatch> DeserializeColumnBatch(const std::string& data,
-                                             size_t* offset);
 
 }  // namespace diablo::runtime
 

@@ -138,14 +138,6 @@ StatusOr<std::string> EncodeTaskSlots(const WaveSlots& slots, int task) {
   } else {
     out.push_back(kAbsent);
   }
-  if (slots.col_batches != nullptr) {
-    DIABLO_RETURN_IF_ERROR(
-        CheckTask(task, slots.col_batches->size(), "col_batches"));
-    out.push_back(kPresent);
-    SerializeColumnBatch((*slots.col_batches)[task], &out);
-  } else {
-    out.push_back(kAbsent);
-  }
   return out;
 }
 
@@ -242,16 +234,6 @@ Status DecodeTaskSlots(const WaveSlots& slots, int task,
     tally.columnar_rows_fallback = static_cast<int64_t>(cf);
     tally.accumulator_bytes = static_cast<int64_t>(ab);
     (*slots.tallies)[task] = std::move(tally);
-  }
-  DIABLO_ASSIGN_OR_RETURN(
-      bool has_batch,
-      GetFlag(bytes, &offset, slots.col_batches != nullptr, "col_batches"));
-  if (has_batch) {
-    DIABLO_RETURN_IF_ERROR(
-        CheckTask(task, slots.col_batches->size(), "col_batches"));
-    DIABLO_ASSIGN_OR_RETURN(ColumnBatch batch,
-                            DeserializeColumnBatch(bytes, &offset));
-    (*slots.col_batches)[task] = std::move(batch);
   }
   if (offset != bytes.size()) {
     return Status::RuntimeError("trailing bytes after task-slot payload");

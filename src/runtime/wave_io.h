@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "runtime/column_batch.h"
 #include "runtime/keyed_accumulator.h"
 #include "runtime/metrics.h"
 #include "runtime/value.h"
@@ -83,10 +82,6 @@ struct WaveSlots {
   std::vector<std::vector<int64_t>>* num_vecs = nullptr;
   /// Fused-chain materialization tallies per task.
   std::vector<ChainTally>* tallies = nullptr;
-  /// Columnar batch output per task (columnar fused waves under the
-  /// distributed backend ship the batch itself — typed payloads and
-  /// string dictionaries — instead of boxed rows).
-  std::vector<ColumnBatch>* col_batches = nullptr;
 };
 
 /// Encodes every present slot of task `task` as length-prefixed wire

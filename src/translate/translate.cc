@@ -197,7 +197,8 @@ StatusOr<CExprPtr> Rules::E(const Expr& e) {
   const auto& call = e.as<Expr::Call>();
   if (!ast::IsBuiltinFunction(call.function)) {
     return Status::TranslationError(
-        StrCat("unknown function '", call.function, "' in expression"));
+        StrCat("unknown function '", call.function, "' in expression (",
+               LocationString(e.loc), ")"));
   }
   std::vector<Qualifier> quals;
   std::vector<CExprPtr> args;
@@ -230,7 +231,8 @@ StatusOr<CExprPtr> Rules::LValueRead(const LValue& d) {
   auto it = vars_.find(ix.array);
   if (it != vars_.end() && !it->second.is_array) {
     return Status::TranslationError(
-        StrCat("indexing non-array variable '", ix.array, "'"));
+        StrCat("indexing non-array variable '", ix.array, "' (",
+               LocationString(d.loc), ")"));
   }
   std::vector<Qualifier> quals;
   std::vector<std::string> keys;
@@ -366,20 +368,22 @@ StatusOr<std::vector<TargetStmtPtr>> Translator::TranslateIncr(
   if (!runtime::IsCommutativeMonoid(node.op)) {
     return Status::TranslationError(
         StrCat("incremental update operator '", runtime::BinOpName(node.op),
-               "' is not a commutative monoid"));
+               "' is not a commutative monoid (", LocationString(loc), ")"));
   }
   const LValue& dest = *node.dest;
   if (dest.is_proj()) {
     return Status::Unsupported(
         StrCat("incremental update to record field ", dest.ToString(),
-               " is not supported by the translator"));
+               " is not supported by the translator (", LocationString(loc),
+               ")"));
   }
   DIABLO_ASSIGN_OR_RETURN(CExprPtr value, rules_.E(*node.value));
   if (dest.is_index()) {
     const std::string& array = dest.index().array;
     if (!IsArray(array)) {
       return Status::TranslationError(
-          StrCat("indexing non-array variable '", array, "'"));
+          StrCat("indexing non-array variable '", array, "' (",
+                 LocationString(loc), ")"));
     }
     // Rule (15a), coGroup form:
     //   V := V ⊳⊕ { (k, ⊕/v) | q, v <- E[e], k <- K[d], group by k }.
@@ -409,7 +413,8 @@ StatusOr<std::vector<TargetStmtPtr>> Translator::TranslateIncr(
   const std::string& var = dest.var().name;
   if (IsArray(var)) {
     return Status::TranslationError(
-        StrCat("incremental update to whole array '", var, "'"));
+        StrCat("incremental update to whole array '", var, "' (",
+               LocationString(loc), ")"));
   }
   std::vector<Qualifier> quals = q;
   std::string v = rules_.names().Fresh();
@@ -438,7 +443,8 @@ StatusOr<std::vector<TargetStmtPtr>> Translator::TranslateAssign(
     const std::string& array = dest.index().array;
     if (!IsArray(array)) {
       return Status::TranslationError(
-          StrCat("indexing non-array variable '", array, "'"));
+          StrCat("indexing non-array variable '", array, "' (",
+                 LocationString(loc), ")"));
     }
     // Rule (15b): V := V ⊳ { (k, v) | q, v <- E[e], k <- K[d] }.
     DIABLO_ASSIGN_OR_RETURN(CExprPtr value, rules_.E(*node.value));
@@ -473,7 +479,8 @@ StatusOr<std::vector<TargetStmtPtr>> Translator::TranslateAssign(
           node.value->as<Expr::LVal>().lvalue->var().name;
       if (!IsArray(src)) {
         return Status::TranslationError(
-            StrCat("assigning scalar '", src, "' to array '", var, "'"));
+            StrCat("assigning scalar '", src, "' to array '", var, "' (",
+                   LocationString(loc), ")"));
       }
       return std::vector<TargetStmtPtr>{comp::MakeAssign(
           var, comp::MakeVar(src), /*is_array=*/true, loc)};
@@ -532,7 +539,8 @@ StatusOr<std::vector<TargetStmtPtr>> Translator::S(
     const auto& node = s.as<Stmt::Decl>();
     if (!q.empty()) {
       return Status::TranslationError(
-          StrCat("declaration of '", node.name, "' inside a for-loop"));
+          StrCat("declaration of '", node.name, "' inside a for-loop (",
+                 LocationString(s.loc), ")"));
     }
     auto it = vars_.find(node.name);
     bool is_array = it != vars_.end() && it->second.is_array;
@@ -549,7 +557,8 @@ StatusOr<std::vector<TargetStmtPtr>> Translator::S(
     if (analysis::ContainsWhile(*node.body)) {
       if (!q.empty()) {
         return Status::TranslationError(
-            "sequential for-loop nested inside a parallel for-loop");
+            StrCat("sequential for-loop nested inside a parallel for-loop (",
+                   LocationString(s.loc), ")"));
       }
       return TranslateSequentialFor(node, s.loc);
     }
@@ -573,7 +582,8 @@ StatusOr<std::vector<TargetStmtPtr>> Translator::S(
     const auto& node = s.as<Stmt::ForEach>();
     if (analysis::ContainsWhile(*node.body)) {
       return Status::Unsupported(
-          "for-in loop containing a while-loop cannot be translated");
+          StrCat("for-in loop containing a while-loop cannot be translated (",
+                 LocationString(s.loc), ")"));
     }
     DIABLO_ASSIGN_OR_RETURN(CExprPtr domain, rules_.E(*node.collection));
     std::vector<Qualifier> quals = q;
@@ -593,7 +603,8 @@ StatusOr<std::vector<TargetStmtPtr>> Translator::S(
     const auto& node = s.as<Stmt::While>();
     if (!q.empty()) {
       return Status::TranslationError(
-          "while-loop nested inside a parallel for-loop");
+          StrCat("while-loop nested inside a parallel for-loop (",
+                 LocationString(s.loc), ")"));
     }
     DIABLO_ASSIGN_OR_RETURN(CExprPtr cond, rules_.E(*node.cond));
     DIABLO_ASSIGN_OR_RETURN(std::vector<TargetStmtPtr> body,

@@ -1,20 +1,20 @@
 // Columnar execution property tests.
 //
-// The columnar fast paths — batch kernels over fused chains, the
-// vectorized shuffle scatter, the typed reduceByKey combine and the
-// typed scalar fold — carry one contract: byte-identical results to the
-// boxed per-row path for every workload, partition count, host thread
-// count, fault schedule and distributed chaos kill. The engine-level
-// tests take that boxed expectation from the closure route: the same
-// workloads written with closures, which carry no kernel and no native
-// op and so run boxed by construction. Rows the typed paths cannot
-// represent must spill to boxed mid-stream without consuming or
-// reordering anything.
+// The typed paths — the column-hashing shuffle scatter, the typed
+// reduceByKey combine and reduce, and the typed scalar fold — carry one
+// contract: byte-identical results to the boxed per-row path for every
+// workload, partition count, host thread count, fault schedule and
+// distributed chaos kill. The engine-level tests take that boxed
+// expectation from the closure route: the same workloads with their
+// folds written as closures, which carry no native op and so run boxed
+// by construction. Rows the typed paths cannot represent must spill to
+// boxed mid-stream without consuming or reordering anything.
 
 #include "runtime/column_batch.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <optional>
 #include <random>
@@ -36,7 +36,7 @@ Value D(double v) { return Value::MakeDouble(v); }
 Value S(const std::string& v) { return Value::MakeString(v); }
 
 // ---------------------------------------------------------------------
-// Column / kernel unit tests.
+// Column and typed-accumulator unit tests.
 
 TEST(HashColumnTest, MatchesPerRowValueHashForEveryTag) {
   std::vector<ValueVec> shapes = {
@@ -81,172 +81,6 @@ TEST(ColumnTest, KindChangeDemotesToBoxedPreservingRows) {
   ASSERT_EQ(col.size(), rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(col.ValueAt(i), rows[i]) << "row " << i;
-  }
-}
-
-TEST(ApplyMapKernelTest, MatchesEvalBinOpOnCoveredCombinations) {
-  const ValueVec int_rows = {I(-5), I(0), I(3), I(41), I(-1000)};
-  const ValueVec dbl_rows = {D(-5.5), D(0.0), D(3.25), D(41.0)};
-  for (BinOp op : {BinOp::kAdd, BinOp::kSub, BinOp::kMul, BinOp::kMin,
-                   BinOp::kMax}) {
-    for (const Value& operand : {I(3), D(2.5)}) {
-      for (const ValueVec* rows : {&int_rows, &dbl_rows}) {
-        Column col;
-        for (const Value& v : *rows) col.Append(v);
-        std::vector<uint8_t> live(rows->size(), 1);
-        live[1] = 0;  // dead rows are don't-care but must not crash
-        ASSERT_TRUE(ApplyMapKernel(op, operand, live, &col))
-            << BinOpName(op) << " " << operand.ToString();
-        for (size_t i = 0; i < rows->size(); ++i) {
-          if (!live[i]) continue;
-          auto expected = EvalBinOp(op, (*rows)[i], operand);
-          ASSERT_TRUE(expected.ok());
-          EXPECT_EQ(col.ValueAt(i), *expected)
-              << BinOpName(op) << " row " << (*rows)[i].ToString()
-              << " operand " << operand.ToString();
-        }
-      }
-    }
-  }
-}
-
-TEST(ApplyMapKernelTest, Int64OverflowWrapsLikeEvalBinOp) {
-  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
-  // (row, op, operand, wrapped result); 0 - INT64_MIN is -INT64_MIN.
-  const struct {
-    int64_t row;
-    BinOp op;
-    int64_t operand;
-    int64_t want;
-  } cases[] = {{kMax, BinOp::kAdd, 1, kMin},
-               {kMin, BinOp::kSub, 1, kMax},
-               {kMin, BinOp::kMul, -1, kMin},
-               {0, BinOp::kSub, kMin, kMin}};
-  for (const auto& c : cases) {
-    Column col;
-    col.Append(I(c.row));
-    std::vector<uint8_t> live(1, 1);
-    ASSERT_TRUE(ApplyMapKernel(c.op, I(c.operand), live, &col));
-    EXPECT_EQ(col.ValueAt(0), I(c.want)) << BinOpName(c.op);
-    EXPECT_EQ(col.ValueAt(0), *EvalBinOp(c.op, I(c.row), I(c.operand)));
-  }
-}
-
-TEST(ApplyMapKernelTest, StringConcatTransformsDictionaryOnce) {
-  Column col;
-  for (const char* w : {"a", "b", "a", ""}) col.Append(S(w));
-  std::vector<uint8_t> live(col.size(), 1);
-  ASSERT_TRUE(ApplyMapKernel(BinOp::kAdd, S("_sfx"), live, &col));
-  const ValueVec expected = {S("a_sfx"), S("b_sfx"), S("a_sfx"), S("_sfx")};
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(col.ValueAt(i), expected[i]) << "row " << i;
-  }
-  // Distinct entries stay distinct: the dictionary was rewritten, not
-  // the per-row codes.
-  EXPECT_EQ(col.dict().size(), 3u);
-}
-
-TEST(ApplyMapKernelTest, UncoveredCombinationsLeaveColumnUntouched) {
-  std::vector<uint8_t> live(1, 1);
-  Column strings;
-  strings.Append(S("a"));
-  EXPECT_FALSE(ApplyMapKernel(BinOp::kMul, S("b"), live, &strings));
-  EXPECT_FALSE(ApplyMapKernel(BinOp::kAdd, I(1), live, &strings));
-  EXPECT_EQ(strings.ValueAt(0), S("a"));
-
-  Column ints;
-  ints.Append(I(10));
-  EXPECT_FALSE(ApplyMapKernel(BinOp::kDiv, I(2), live, &ints));
-  EXPECT_FALSE(ApplyMapKernel(BinOp::kAdd, S("nope"), live, &ints));
-  EXPECT_EQ(ints.ValueAt(0), I(10));
-  EXPECT_EQ(ints.tag(), ColumnTag::kInt64);
-
-  Column boxed;
-  boxed.Append(Value::MakeTuple({I(1), I(2)}));
-  EXPECT_FALSE(ApplyMapKernel(BinOp::kAdd, I(1), live, &boxed));
-}
-
-TEST(ApplyFilterKernelTest, MatchesEvalBinOpComparisons) {
-  struct Case {
-    ValueVec rows;
-    Value operand;
-  };
-  std::vector<Case> cases = {
-      {{I(-5), I(0), I(5), I(6), I(5)}, I(5)},
-      {{I(1), I(4), I(5), I(9)}, D(4.5)},
-      {{D(0.0), D(-0.0), D(2.5), D(9.0)}, D(2.5)},
-      {{S("ant"), S("bee"), S("ant"), S("cat"), S("")}, S("bee")},
-  };
-  for (BinOp op : {BinOp::kEq, BinOp::kNe, BinOp::kLt, BinOp::kLe,
-                   BinOp::kGt, BinOp::kGe}) {
-    for (size_t c = 0; c < cases.size(); ++c) {
-      Column col;
-      for (const Value& v : cases[c].rows) col.Append(v);
-      std::vector<uint8_t> live(cases[c].rows.size(), 1);
-      live.back() = 0;  // already-dead rows must stay dead
-      ASSERT_TRUE(ApplyFilterKernel(op, cases[c].operand, col, &live))
-          << BinOpName(op) << " case " << c;
-      for (size_t i = 0; i < cases[c].rows.size(); ++i) {
-        if (i + 1 == cases[c].rows.size()) {
-          EXPECT_EQ(live[i], 0) << "dead row revived";
-          continue;
-        }
-        auto verdict = EvalBinOp(op, cases[c].rows[i], cases[c].operand);
-        ASSERT_TRUE(verdict.ok());
-        EXPECT_EQ(live[i] != 0, verdict->AsBool())
-            << BinOpName(op) << " case " << c << " row " << i;
-      }
-    }
-  }
-}
-
-TEST(ApplyFilterKernelTest, UncoveredCombinationsLeaveMaskUntouched) {
-  Column boxed;
-  boxed.Append(Value::MakeTuple({I(1)}));
-  std::vector<uint8_t> live(1, 1);
-  EXPECT_FALSE(ApplyFilterKernel(BinOp::kLt, I(5), boxed, &live));
-  EXPECT_EQ(live[0], 1);
-
-  Column ints;
-  ints.Append(I(1));
-  EXPECT_FALSE(ApplyFilterKernel(BinOp::kAnd, I(1), ints, &live));
-  EXPECT_FALSE(ApplyFilterKernel(BinOp::kLt, S("str"), ints, &live));
-}
-
-TEST(ColumnBatchTest, CompactPreservesSurvivorOrderForEveryTag) {
-  std::mt19937_64 rng(11);
-  for (int shape = 0; shape < 5; ++shape) {
-    ColumnBatch batch;
-    for (int i = 0; i < 17; ++i) {
-      switch (shape) {
-        case 0: batch.values.Append(I(i * 11 - 40)); break;
-        case 1: batch.values.Append(D(i * 0.75)); break;
-        case 2: batch.values.Append(S("w" + std::to_string(i % 5))); break;
-        case 3: batch.values.Append(Value::MakeBool(i % 3 == 0)); break;
-        default:
-          batch.pairs = true;
-          batch.keys.push_back(I(i % 4));
-          batch.values.Append(i % 2 == 0 ? I(i) : S("mixed"));  // boxed
-          break;
-      }
-    }
-    std::vector<uint8_t> live(batch.size());
-    ValueVec survivors;
-    ValueVec surviving_keys;
-    for (size_t i = 0; i < live.size(); ++i) {
-      live[i] = rng() % 3 != 0 ? 1 : 0;
-      if (live[i]) {
-        if (batch.pairs) surviving_keys.push_back(batch.keys[i]);
-        survivors.push_back(batch.RowAt(i));
-      }
-    }
-    batch.Compact(live);
-    ASSERT_EQ(batch.size(), survivors.size()) << "shape " << shape;
-    for (size_t i = 0; i < survivors.size(); ++i) {
-      EXPECT_EQ(batch.RowAt(i), survivors[i])
-          << "shape " << shape << " row " << i;
-    }
   }
 }
 
@@ -380,44 +214,13 @@ TEST(TypedFoldTest, NonNumericRowSpillsWithoutConsuming) {
 // ---------------------------------------------------------------------
 // Engine-level property: columnar execution is byte-identical to boxed.
 
-/// How a workload spells its built-in operators. The kernel route uses
-/// the BinOp overloads, which the engine may run typed. The closure
-/// route wraps the same EvalBinOp in closures, which carry no kernel and
-/// no native op, so every fused chain, combine and fold on it is boxed.
+/// How a workload spells its built-in folds. The native-op route uses
+/// the BinOp overloads of ReduceByKey and Reduce, which the engine may
+/// run typed. The closure route wraps the same EvalBinOp in closures,
+/// which carry no native op, so every combine and fold on it is boxed.
 struct Route {
-  bool kernels = true;
+  bool native_ops = true;
 
-  StatusOr<Dataset> Map(Engine& e, const Dataset& in, BinOp op,
-                        const Value& operand) const {
-    if (kernels) return e.Map(in, op, operand);
-    return e.Map(in, [op, operand](const Value& v) {
-      return EvalBinOp(op, v, operand);
-    });
-  }
-  StatusOr<Dataset> MapValues(Engine& e, const Dataset& in, BinOp op,
-                              const Value& operand) const {
-    if (kernels) return e.MapValues(in, op, operand);
-    return e.MapValues(in, [op, operand](const Value& v) {
-      return EvalBinOp(op, v, operand);
-    });
-  }
-  StatusOr<Dataset> Filter(Engine& e, const Dataset& in, BinOp op,
-                           const Value& operand) const {
-    if (kernels) return e.Filter(in, op, operand);
-    return e.Filter(in, [op, operand](const Value& v) -> StatusOr<bool> {
-      DIABLO_ASSIGN_OR_RETURN(Value keep, EvalBinOp(op, v, operand));
-      return keep.AsBool();
-    });
-  }
-  StatusOr<Dataset> FilterValues(Engine& e, const Dataset& in, BinOp op,
-                                 const Value& operand) const {
-    if (kernels) return e.FilterValues(in, op, operand);
-    return e.Filter(in, [op, operand](const Value& row) -> StatusOr<bool> {
-      DIABLO_ASSIGN_OR_RETURN(Value keep,
-                              EvalBinOp(op, row.tuple()[1], operand));
-      return keep.AsBool();
-    });
-  }
   Engine::ReduceFn Fn(BinOp op) const {
     return [op](const Value& a, const Value& b) {
       return EvalBinOp(op, a, b);
@@ -425,18 +228,26 @@ struct Route {
   }
   StatusOr<Dataset> ReduceByKey(Engine& e, const Dataset& in,
                                 BinOp op) const {
-    if (kernels) return e.ReduceByKey(in, op);
+    if (native_ops) return e.ReduceByKey(in, op);
     return e.ReduceByKey(in, Fn(op));
   }
   StatusOr<std::optional<Value>> Reduce(Engine& e, const Dataset& in,
                                         BinOp op) const {
-    if (kernels) return e.Reduce(in, op);
+    if (native_ops) return e.Reduce(in, op);
     return e.Reduce(in, Fn(op));
   }
 };
 
-constexpr Route kKernels{true};
+constexpr Route kNativeOps{true};
 constexpr Route kClosures{false};
+
+/// (k, v) -> (k, fn(v)) over pair rows.
+StatusOr<Dataset> MapPairValues(Engine& engine, const Dataset& in,
+                                std::function<Value(const Value&)> fn) {
+  return engine.Map(in, [fn](const Value& row) -> StatusOr<Value> {
+    return Value::MakePair(row.tuple()[0], fn(row.tuple()[1]));
+  });
+}
 
 StatusOr<ValueVec> WordCount(Engine& engine, const ValueVec& words,
                              const Route& route) {
@@ -456,8 +267,7 @@ StatusOr<ValueVec> PageRankIters(Engine& engine, const ValueVec& edges,
   DIABLO_ASSIGN_OR_RETURN(Dataset grouped, engine.GroupByKey(links));
   DIABLO_ASSIGN_OR_RETURN(
       Dataset ranks,
-      engine.MapValues(grouped,
-                       [](const Value&) -> StatusOr<Value> { return D(1.0); }));
+      MapPairValues(engine, grouped, [](const Value&) { return D(1.0); }));
   for (int iter = 0; iter < 2; ++iter) {
     DIABLO_ASSIGN_OR_RETURN(Dataset joined, engine.Join(grouped, ranks));
     DIABLO_ASSIGN_OR_RETURN(
@@ -476,7 +286,7 @@ StatusOr<ValueVec> PageRankIters(Engine& engine, const ValueVec& edges,
     DIABLO_ASSIGN_OR_RETURN(Dataset summed,
                             route.ReduceByKey(engine, contribs, BinOp::kAdd));
     DIABLO_ASSIGN_OR_RETURN(
-        ranks, engine.MapValues(summed, [](const Value& v) -> StatusOr<Value> {
+        ranks, MapPairValues(engine, summed, [](const Value& v) {
           return D(0.15 + 0.85 * v.AsDouble());
         }));
   }
@@ -492,48 +302,47 @@ StatusOr<ValueVec> RelationalMix(Engine& engine, const ValueVec& rows,
   DIABLO_ASSIGN_OR_RETURN(ValueVec out, engine.Collect(joined));
   DIABLO_ASSIGN_OR_RETURN(Dataset cg, engine.CoGroup(ds, sums));
   DIABLO_ASSIGN_OR_RETURN(ValueVec cg_rows, engine.Collect(cg));
-  DIABLO_ASSIGN_OR_RETURN(
-      Dataset keys, engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
-        return v.tuple()[0];
-      }));
-  DIABLO_ASSIGN_OR_RETURN(Dataset uniq, engine.Distinct(keys));
-  DIABLO_ASSIGN_OR_RETURN(ValueVec uniq_rows, engine.Collect(uniq));
   out.insert(out.end(), cg_rows.begin(), cg_rows.end());
-  out.insert(out.end(), uniq_rows.begin(), uniq_rows.end());
   return out;
 }
 
-/// Fully-kernelized fused chains plus typed shuffle/reduce: on the
-/// kernel route, the workload that drives every columnar fast path at
-/// once. Input rows are (int64 key, double value) pairs.
-StatusOr<ValueVec> KernelChains(Engine& engine, const ValueVec& rows,
-                                const Route& route) {
+/// Forced narrow chains feeding every typed path at once: the typed
+/// combine and reduce through the shuffle (double payloads) and the
+/// typed scalar fold. Input rows are (int64 key, double value) pairs.
+StatusOr<ValueVec> NativeOps(Engine& engine, const ValueVec& rows,
+                             const Route& route) {
   Dataset ds = engine.Parallelize(rows);
-  // Paired chain over the value column: on the kernel route every op
-  // carries a kernel, so the whole chain runs as batch kernels in Force.
-  DIABLO_ASSIGN_OR_RETURN(Dataset a,
-                          route.MapValues(engine, ds, BinOp::kMul, D(2.0)));
+  // Paired chain over the values: (v * 2 < 60) + 1.
   DIABLO_ASSIGN_OR_RETURN(
-      a, route.FilterValues(engine, a, BinOp::kLt, D(60.0)));
-  DIABLO_ASSIGN_OR_RETURN(a, route.MapValues(engine, a, BinOp::kAdd, D(1.0)));
+      Dataset a, MapPairValues(engine, ds, [](const Value& v) {
+        return D(v.AsDouble() * 2.0);
+      }));
+  DIABLO_ASSIGN_OR_RETURN(
+      a, engine.Filter(a, [](const Value& row) -> StatusOr<bool> {
+        return row.tuple()[1].AsDouble() < 60.0;
+      }));
+  DIABLO_ASSIGN_OR_RETURN(a, MapPairValues(engine, a, [](const Value& v) {
+                            return D(v.AsDouble() + 1.0);
+                          }));
   DIABLO_ASSIGN_OR_RETURN(a, engine.Force(a));
   DIABLO_ASSIGN_OR_RETURN(ValueVec out, engine.Collect(a));
   // Typed combine + reduce through the shuffle (double payloads).
   DIABLO_ASSIGN_OR_RETURN(Dataset sums,
                           route.ReduceByKey(engine, a, BinOp::kAdd));
   DIABLO_ASSIGN_OR_RETURN(ValueVec sum_rows, engine.Collect(sums));
-  // Scalar (non-pair) chain over int64 keys.
+  // Scalar (non-pair) chain over int64 keys: (k * 3 != 12) + 100.
   DIABLO_ASSIGN_OR_RETURN(
-      Dataset keys, engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
-        return v.tuple()[0];
+      Dataset scaled, engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
+        return I(v.tuple()[0].AsInt() * 3);
       }));
-  DIABLO_ASSIGN_OR_RETURN(keys, engine.Force(keys));
-  DIABLO_ASSIGN_OR_RETURN(Dataset scaled,
-                          route.Map(engine, keys, BinOp::kMul, I(3)));
-  DIABLO_ASSIGN_OR_RETURN(scaled,
-                          route.Filter(engine, scaled, BinOp::kNe, I(12)));
-  DIABLO_ASSIGN_OR_RETURN(scaled,
-                          route.Map(engine, scaled, BinOp::kAdd, I(100)));
+  DIABLO_ASSIGN_OR_RETURN(
+      scaled, engine.Filter(scaled, [](const Value& v) -> StatusOr<bool> {
+        return v.AsInt() != 12;
+      }));
+  DIABLO_ASSIGN_OR_RETURN(
+      scaled, engine.Map(scaled, [](const Value& v) -> StatusOr<Value> {
+        return I(v.AsInt() + 100);
+      }));
   DIABLO_ASSIGN_OR_RETURN(scaled, engine.Force(scaled));
   DIABLO_ASSIGN_OR_RETURN(ValueVec scaled_rows, engine.Collect(scaled));
   // Typed scalar fold.
@@ -547,7 +356,7 @@ StatusOr<ValueVec> KernelChains(Engine& engine, const ValueVec& rows,
 
 StatusOr<ValueVec> RunWorkload(Engine& engine, int which,
                                const ValueVec& rows,
-                               const Route& route = kKernels) {
+                               const Route& route = kNativeOps) {
   switch (which) {
     case 0:
       return WordCount(engine, rows, route);
@@ -556,7 +365,7 @@ StatusOr<ValueVec> RunWorkload(Engine& engine, int which,
     case 2:
       return RelationalMix(engine, rows, route);
     default:
-      return KernelChains(engine, rows, route);
+      return NativeOps(engine, rows, route);
   }
 }
 
@@ -604,7 +413,7 @@ TEST(ColumnarProperty, ColumnarMatchesBoxedByteForByte) {
         config.host_threads = host_threads;
 
         Engine columnar(config), boxed(config);
-        auto col_out = RunWorkload(columnar, which, rows, kKernels);
+        auto col_out = RunWorkload(columnar, which, rows, kNativeOps);
         auto boxed_out = RunWorkload(boxed, which, rows, kClosures);
         ASSERT_TRUE(col_out.ok()) << col_out.status().ToString();
         ASSERT_TRUE(boxed_out.ok()) << boxed_out.status().ToString();
@@ -612,7 +421,7 @@ TEST(ColumnarProperty, ColumnarMatchesBoxedByteForByte) {
             << "workload " << which << " seed " << seed << " threads "
             << host_threads;
         // Only the shuffle scatter's key hashing runs typed on the
-        // closure route; the kernel route adds typed folds or chains.
+        // closure route; the native-op route adds the typed folds.
         EXPECT_GT(columnar.metrics().total_columnar_batches(),
                   boxed.metrics().total_columnar_batches());
       }
@@ -628,16 +437,16 @@ TEST(ColumnarProperty, CountersReportTypedExecution) {
   Engine engine(config);
   auto out = RunWorkload(engine, 3, rows);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  // Fused chains, shuffle scatters, typed combines and the typed fold
-  // all count batches; nothing in this workload needs to fall back.
+  // Typed combines, reduces and the typed fold count batches; nothing
+  // in this workload needs to fall back.
   EXPECT_GT(engine.metrics().total_columnar_batches(), 0);
   EXPECT_EQ(engine.metrics().total_columnar_rows_fallback(), 0);
 }
 
 TEST(ColumnarProperty, HeterogeneousRowsFallBackAndStayIdentical) {
-  // Mixed int/double values demote the batch column to boxed: the fused
-  // chain must replay per-row (counted as fallback) and still match the
-  // closure route exactly.
+  // Mixed int/double values make the typed combine spill mid-stream to
+  // the boxed accumulator (counted as fallback); the result must still
+  // match the closure route exactly.
   ValueVec rows;
   std::mt19937_64 rng(31);
   for (int i = 0; i < 300; ++i) {
@@ -647,19 +456,15 @@ TEST(ColumnarProperty, HeterogeneousRowsFallBackAndStayIdentical) {
   }
   auto run = [&](const Route& route) {
     Engine engine;
-    auto a =
-        route.MapValues(engine, engine.Parallelize(rows), BinOp::kMul, D(2.0));
-    EXPECT_TRUE(a.ok());
-    auto b = route.FilterValues(engine, *a, BinOp::kGe, D(3.0));
-    EXPECT_TRUE(b.ok());
-    auto forced = engine.Force(*b);
-    EXPECT_TRUE(forced.ok());
-    auto out = engine.Collect(*forced);
+    auto sums =
+        route.ReduceByKey(engine, engine.Parallelize(rows), BinOp::kAdd);
+    EXPECT_TRUE(sums.ok());
+    auto out = engine.Collect(*sums);
     EXPECT_TRUE(out.ok());
     return std::make_pair(out.ok() ? *out : ValueVec{},
                           engine.metrics().total_columnar_rows_fallback());
   };
-  auto [col_out, col_fallback] = run(kKernels);
+  auto [col_out, col_fallback] = run(kNativeOps);
   auto [boxed_out, boxed_fallback] = run(kClosures);
   ASSERT_FALSE(col_out.empty());
   EXPECT_EQ(col_out, boxed_out);
@@ -671,8 +476,8 @@ TEST(ColumnarProperty, ReduceCarriesTypedPartialIntoBoxedFold) {
   // A string after ints: the natively folded partial must carry into the
   // boxed fold, which rejects int + string exactly as the closure route
   // does. Losing the partial would fold the string alone and succeed.
-  for (const Route& route : {kKernels, kClosures}) {
-    SCOPED_TRACE(route.kernels ? "kernels" : "closures");
+  for (const Route& route : {kNativeOps, kClosures}) {
+    SCOPED_TRACE(route.native_ops ? "native ops" : "closures");
     Engine engine;
     auto got = route.Reduce(engine, engine.Parallelize({I(1), I(2), S("x")}, 1),
                             BinOp::kAdd);
@@ -686,8 +491,8 @@ TEST(ColumnarProperty, ColumnarUnderFaultsMatchesBoxedFaultFree) {
   // coordinates the execution strategy does not change — so injected
   // task failures and shuffle corruption hit the columnar engine at the
   // same points and must never produce a divergent answer.
-  // serialize_shuffles drives every shuffled row (and every columnar
-  // batch tally) through the wire codec.
+  // serialize_shuffles drives every shuffled row through the wire
+  // codec.
   for (int which = 0; which < 4; ++which) {
     for (uint64_t seed = 0; seed < 3; ++seed) {
       std::mt19937_64 rng(seed * 2741 + which + 11);
@@ -715,9 +520,9 @@ TEST(ColumnarProperty, ColumnarUnderFaultsMatchesBoxedFaultFree) {
 
 TEST(ColumnarProperty, LostPartitionRecoveryReplaysColumnarStages) {
   // Deterministic lost-partition directives drive the recompute_many
-  // closures behind every columnar stage — including the row-body
-  // replay closure a column-batch Force registers — and the rebuilt
-  // partitions must be byte-identical to the clean closure-route run.
+  // closures behind every typed stage and the replay closure of every
+  // Force, and the rebuilt partitions must be byte-identical to the
+  // clean closure-route run.
   std::mt19937_64 rng(4242);
   ValueVec rows = WorkloadInput(/*which=*/3, rng);
   Engine boxed;
@@ -739,8 +544,9 @@ TEST(ColumnarProperty, LostPartitionRecoveryReplaysColumnarStages) {
 }
 
 // ---------------------------------------------------------------------
-// Distributed: columnar batches genuinely cross the wire, survive real
-// worker kills, and still match the single-process closure route.
+// Distributed: typed stages run in forked workers, their tallies cross
+// the wire, they survive real worker kills, and they still match the
+// single-process closure route.
 
 std::string Bytes(const ValueVec& rows) {
   std::string out;
@@ -779,7 +585,7 @@ TEST(ColumnarDistTest, SurvivesChaosKillsWithIdenticalOutput) {
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   // Two SIGKILLs mid-wave: redistribute, re-dispatch and lineage
-  // recovery all replay columnar stages on the survivors.
+  // recovery all replay typed stages on the survivors.
   dist::DistConfig dist_config;
   dist_config.num_workers = 3;
   dist_config.heartbeat_ms = 50;

@@ -360,7 +360,7 @@ TEST(FaultTolerance, CompiledProgramSurvivesInjection) {
 // durable re-read), and the run must stay byte-identical to the
 // fault-free one.
 
-enum class WideOp { kGroupByKey, kReduceByKey, kJoin, kCoGroup, kDistinct };
+enum class WideOp { kGroupByKey, kReduceByKey, kJoin, kCoGroup };
 
 /// How the operator's output is consumed, and as which input index of
 /// the consuming stage the lost partitions are addressed.
@@ -371,11 +371,10 @@ enum class Consumer { kCheckpoint, kJoinLeft, kJoinRight, kCoGroupLeft,
 /// plus the combine of reduceByKey or the second shuffle of join and
 /// coGroup. The consuming stage's id is this count.
 int WaveCount(WideOp op) {
-  return op == WideOp::kGroupByKey || op == WideOp::kDistinct ? 2 : 3;
+  return op == WideOp::kGroupByKey ? 2 : 3;
 }
 
-/// Left input: double payloads whose float sums depend on fold order,
-/// with repeated (key, value) rows so distinct has work to do.
+/// Left input: double payloads whose float sums depend on fold order.
 ValueVec RecoveryLeftRows() {
   ValueVec rows;
   for (int i = 0; i < 400; ++i) {
@@ -400,8 +399,8 @@ struct RecoveryRun {
   int64_t recomputed = 0;
 };
 
-/// Runs `op` over the two inputs — each carrying its own pending
-/// mapValues chain the replay must re-apply, the left one spread over 5
+/// Runs `op` over the two inputs — each carrying its own pending map
+/// over the values that the replay must re-apply, the left one spread over 5
 /// source partitions — then consumes the result with `consumer`. Every
 /// partition in `lost` of op's output is lost when the consuming stage
 /// starts.
@@ -419,16 +418,20 @@ StatusOr<RecoveryRun> RunWithLostOutput(WideOp op, Consumer consumer,
   Engine engine(config);
   DIABLO_ASSIGN_OR_RETURN(
       Dataset left,
-      engine.MapValues(engine.Parallelize(RecoveryLeftRows(), 5),
-                       [](const Value& v) -> StatusOr<Value> {
-                         return Value::MakeDouble(v.AsDouble() * 1.5 + 0.25);
-                       }));
+      engine.Map(engine.Parallelize(RecoveryLeftRows(), 5),
+                 [](const Value& row) -> StatusOr<Value> {
+                   return Value::MakePair(
+                       row.tuple()[0],
+                       Value::MakeDouble(row.tuple()[1].AsDouble() * 1.5 +
+                                         0.25));
+                 }));
   DIABLO_ASSIGN_OR_RETURN(
       Dataset right,
-      engine.MapValues(engine.Parallelize(RecoveryRightRows(), 4),
-                       [](const Value& v) -> StatusOr<Value> {
-                         return I(v.AsInt() * 2 + 1);
-                       }));
+      engine.Map(engine.Parallelize(RecoveryRightRows(), 4),
+                 [](const Value& row) -> StatusOr<Value> {
+                   return Value::MakePair(row.tuple()[0],
+                                          I(row.tuple()[1].AsInt() * 2 + 1));
+                 }));
   StatusOr<Dataset> out = Status::RuntimeError("unknown operator");
   switch (op) {
     case WideOp::kGroupByKey:
@@ -442,9 +445,6 @@ StatusOr<RecoveryRun> RunWithLostOutput(WideOp op, Consumer consumer,
       break;
     case WideOp::kCoGroup:
       out = engine.CoGroup(left, right);
-      break;
-    case WideOp::kDistinct:
-      out = engine.Distinct(left);
       break;
   }
   if (!out.ok()) return out.status();
@@ -518,10 +518,6 @@ TEST(WideRecovery, JoinOutputRebuiltFromLineage) {
 
 TEST(WideRecovery, CoGroupOutputRebuiltFromLineage) {
   ExpectLostOutputRebuilt(WideOp::kCoGroup);
-}
-
-TEST(WideRecovery, DistinctOutputRebuiltFromLineage) {
-  ExpectLostOutputRebuilt(WideOp::kDistinct);
 }
 
 }  // namespace

@@ -57,9 +57,14 @@ StatusOr<ValueVec> RunProgram(Engine& engine, const ValueVec& rows,
       }
       case 1: {
         DIABLO_ASSIGN_OR_RETURN(
-            cur, engine.MapValues(cur, [](const Value& v) -> StatusOr<Value> {
-              return D(v.AsDouble() * 0.5 - 3.0);
-            }));
+            cur, engine.Map(
+                     cur,
+                     [](const Value& v) -> StatusOr<Value> {
+                       return Value::MakePair(
+                           v.tuple()[0],
+                           D(v.tuple()[1].AsDouble() * 0.5 - 3.0));
+                     },
+                     "mapValues"));
         break;
       }
       case 2: {
@@ -213,10 +218,12 @@ TEST(FusionMetrics, FusedStagesReportSavedMaterialization) {
         return v.tuple()[1].AsDouble() < 200.0;
       });
   ASSERT_TRUE(kept.ok());
-  auto scaled = engine.MapValues(
-      *kept, [](const Value& v) -> StatusOr<Value> {
-        return D(v.AsDouble() * 2.0);
-      });
+  auto scaled = engine.Map(
+      *kept,
+      [](const Value& v) -> StatusOr<Value> {
+        return Value::MakePair(v.tuple()[0], D(v.tuple()[1].AsDouble() * 2.0));
+      },
+      "mapValues");
   ASSERT_TRUE(scaled.ok());
   // Nothing ran yet: narrow operators defer under fusion.
   EXPECT_EQ(engine.metrics().stages().size(), 0u);
@@ -239,54 +246,45 @@ TEST(FusionMetrics, KeptRowsCountOnlyInteriorBoundaries) {
   // map (+1) then filter (< 500) over 0..999: 1000 rows cross the map
   // boundary and 499 the filter's. Force and Checkpoint keep the
   // filter's rows, so only the map boundary counts as not materialized;
-  // Reduce keeps none, so both count. The column-batch body of a
-  // kernel chain reports what the row body does.
+  // Reduce keeps none, so both count.
   ValueVec rows;
   for (int64_t i = 0; i < 1000; ++i) rows.push_back(I(i));
-  for (bool kernels : {false, true}) {
-    SCOPED_TRACE(kernels ? "kernel chain" : "closure chain");
-    Engine engine;
-    auto chain = [&]() -> StatusOr<Dataset> {
-      Dataset in = engine.Parallelize(rows);
-      if (kernels) {
-        DIABLO_ASSIGN_OR_RETURN(in, engine.Map(in, BinOp::kAdd, I(1)));
-        return engine.Filter(in, BinOp::kLt, I(500));
-      }
-      DIABLO_ASSIGN_OR_RETURN(
-          in, engine.Map(in, [](const Value& v) -> StatusOr<Value> {
-            return I(v.AsInt() + 1);
-          }));
-      return engine.Filter(in, [](const Value& v) -> StatusOr<bool> {
-        return v.AsInt() < 500;
-      });
-    };
-    auto forced = chain();
-    ASSERT_TRUE(forced.ok());
-    auto kept = engine.Force(*forced);
-    ASSERT_TRUE(kept.ok());
-    auto written = chain();
-    ASSERT_TRUE(written.ok());
-    ASSERT_TRUE(engine.Checkpoint(*written).ok());
-    auto folded = chain();
-    ASSERT_TRUE(folded.ok());
-    ASSERT_TRUE(engine.Reduce(*folded, BinOp::kAdd).ok());
-    const std::vector<StageStats>& stages = engine.metrics().stages();
-    ASSERT_EQ(stages.size(), 3u);
-    EXPECT_EQ(stages[0].rows_not_materialized, 1000);
-    EXPECT_EQ(stages[1].rows_not_materialized, 1000);
-    EXPECT_EQ(stages[2].rows_not_materialized, 1499);
-    EXPECT_EQ(stages[0].columnar_batches > 0, kernels);
-    // Checkpoint charges the rows it writes, the filter's, not its input.
-    int64_t kept_bytes = 0;
-    for (const ValueVec& part : kept->partitions()) {
-      for (const Value& v : part) kept_bytes += v.SerializedBytes();
-    }
-    EXPECT_EQ(kept->TotalRows(), 499);
-    EXPECT_EQ(stages[1].shuffle_bytes, kept_bytes);
-    int64_t written_rows = 0;
-    for (int64_t r : stages[1].partition_rows) written_rows += r;
-    EXPECT_EQ(written_rows, 499);
+  Engine engine;
+  auto chain = [&]() -> StatusOr<Dataset> {
+    Dataset in = engine.Parallelize(rows);
+    DIABLO_ASSIGN_OR_RETURN(
+        in, engine.Map(in, [](const Value& v) -> StatusOr<Value> {
+          return I(v.AsInt() + 1);
+        }));
+    return engine.Filter(in, [](const Value& v) -> StatusOr<bool> {
+      return v.AsInt() < 500;
+    });
+  };
+  auto forced = chain();
+  ASSERT_TRUE(forced.ok());
+  auto kept = engine.Force(*forced);
+  ASSERT_TRUE(kept.ok());
+  auto written = chain();
+  ASSERT_TRUE(written.ok());
+  ASSERT_TRUE(engine.Checkpoint(*written).ok());
+  auto folded = chain();
+  ASSERT_TRUE(folded.ok());
+  ASSERT_TRUE(engine.Reduce(*folded, BinOp::kAdd).ok());
+  const std::vector<StageStats>& stages = engine.metrics().stages();
+  ASSERT_EQ(stages.size(), 3u);
+  EXPECT_EQ(stages[0].rows_not_materialized, 1000);
+  EXPECT_EQ(stages[1].rows_not_materialized, 1000);
+  EXPECT_EQ(stages[2].rows_not_materialized, 1499);
+  // Checkpoint charges the rows it writes, the filter's, not its input.
+  int64_t kept_bytes = 0;
+  for (const ValueVec& part : kept->partitions()) {
+    for (const Value& v : part) kept_bytes += v.SerializedBytes();
   }
+  EXPECT_EQ(kept->TotalRows(), 499);
+  EXPECT_EQ(stages[1].shuffle_bytes, kept_bytes);
+  int64_t written_rows = 0;
+  for (int64_t r : stages[1].partition_rows) written_rows += r;
+  EXPECT_EQ(written_rows, 499);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <atomic>
 #include <map>
 #include <random>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -158,7 +157,7 @@ TEST(WorkerPool, EmptyAndUndersizedWaves) {
 
 using Parts = std::vector<ValueVec>;
 
-enum class WideOp { kGroupByKey, kReduceByKey, kJoin, kCoGroup, kDistinct };
+enum class WideOp { kGroupByKey, kReduceByKey, kJoin, kCoGroup };
 enum class KeyKind { kInt, kString, kTuple };
 
 Value RandomKey(KeyKind kind, int64_t k) {
@@ -233,14 +232,6 @@ Parts Model(WideOp op, const Parts& a, const Parts& b, int p) {
     }
     return out;
   }
-  if (op == WideOp::kDistinct) {
-    const Parts arrived = Arrivals(a, p, [](const Value& v) { return v; });
-    for (int d = 0; d < p; ++d) {
-      const std::set<Value> seen(arrived[d].begin(), arrived[d].end());
-      out[d].assign(seen.begin(), seen.end());
-    }
-    return out;
-  }
   const Parts left = Arrivals(a, p, PairKey);
   const Parts right = Arrivals(b, p, PairKey);
   for (int d = 0; d < p; ++d) {
@@ -294,9 +285,6 @@ StatusOr<Parts> RunOp(WideOp op, const EngineConfig& config, const Parts& a,
     case WideOp::kCoGroup:
       out = engine.CoGroup(Dataset(a), Dataset(b));
       break;
-    case WideOp::kDistinct:
-      out = engine.Distinct(Dataset(a));
-      break;
   }
   if (!out.ok()) return out.status();
   *recovery += engine.metrics().total_recovery_seconds();
@@ -316,20 +304,14 @@ std::string Bytes(const Parts& parts) {
 void ExpectOperatorsMatchModel(bool faults) {
   double recovery = 0;
   for (WideOp op : {WideOp::kGroupByKey, WideOp::kReduceByKey, WideOp::kJoin,
-                    WideOp::kCoGroup, WideOp::kDistinct}) {
+                    WideOp::kCoGroup}) {
     for (KeyKind kind : {KeyKind::kInt, KeyKind::kString, KeyKind::kTuple}) {
       for (uint64_t seed = 0; seed < 3; ++seed) {
         std::mt19937_64 rng(seed * 7919 + static_cast<uint64_t>(op) * 131 +
                             static_cast<uint64_t>(kind) * 17 + 1);
         const int p = 1 + static_cast<int>(rng() % 12);
-        Parts a = RandomParts(kind, rng);
+        const Parts a = RandomParts(kind, rng);
         const Parts b = RandomParts(kind, rng);
-        if (op == WideOp::kDistinct) {
-          // Distinct over the bare keys: plenty of duplicates.
-          for (ValueVec& part : a) {
-            for (Value& row : part) row = Value(row.tuple()[0]);
-          }
-        }
         const std::string want = Bytes(Model(op, a, b, p));
         for (int host_threads : {1, 4}) {
           EngineConfig config;
@@ -402,8 +384,9 @@ StatusOr<ValueVec> PageRankIters(Engine& engine, const ValueVec& edges) {
   DIABLO_ASSIGN_OR_RETURN(Dataset grouped, engine.GroupByKey(links));
   DIABLO_ASSIGN_OR_RETURN(
       Dataset ranks,
-      engine.MapValues(grouped,
-                       [](const Value&) -> StatusOr<Value> { return D(1.0); }));
+      engine.Map(grouped, [](const Value& row) -> StatusOr<Value> {
+        return Value::MakePair(row.tuple()[0], D(1.0));
+      }));
   for (int iter = 0; iter < 2; ++iter) {
     DIABLO_ASSIGN_OR_RETURN(Dataset joined, engine.Join(grouped, ranks));
     DIABLO_ASSIGN_OR_RETURN(
@@ -422,8 +405,9 @@ StatusOr<ValueVec> PageRankIters(Engine& engine, const ValueVec& edges) {
     DIABLO_ASSIGN_OR_RETURN(Dataset summed,
                             engine.ReduceByKey(contribs, BinOp::kAdd));
     DIABLO_ASSIGN_OR_RETURN(
-        ranks, engine.MapValues(summed, [](const Value& v) -> StatusOr<Value> {
-          return D(0.15 + 0.85 * v.AsDouble());
+        ranks, engine.Map(summed, [](const Value& row) -> StatusOr<Value> {
+          return Value::MakePair(row.tuple()[0],
+                                 D(0.15 + 0.85 * row.tuple()[1].AsDouble()));
         }));
   }
   return engine.Collect(ranks);
@@ -437,11 +421,10 @@ StatusOr<ValueVec> CollectThroughCheckpoint(Engine& engine,
   return engine.Collect(ckpt);
 }
 
-// Join + coGroup + distinct over the same keyed rows, concatenated.
-// Stage ids: reduceByKey 0-2; join 3-5 (input 1 is the reduceByKey
-// output); its checkpoint 6; coGroup 7-9 (input 1 again the
-// reduceByKey output); its checkpoint 10; distinct 11-12; its
-// checkpoint 13.
+// Join + coGroup over the same keyed rows, concatenated. Stage ids:
+// reduceByKey 0-2; join 3-5 (input 1 is the reduceByKey output); its
+// checkpoint 6; coGroup 7-9 (input 1 again the reduceByKey output); its
+// checkpoint 10.
 StatusOr<ValueVec> RelationalMix(Engine& engine, const ValueVec& rows) {
   Dataset ds = engine.Parallelize(rows);
   DIABLO_ASSIGN_OR_RETURN(Dataset sums, engine.ReduceByKey(ds, BinOp::kAdd));
@@ -451,15 +434,7 @@ StatusOr<ValueVec> RelationalMix(Engine& engine, const ValueVec& rows) {
   DIABLO_ASSIGN_OR_RETURN(Dataset cg, engine.CoGroup(ds, sums));
   DIABLO_ASSIGN_OR_RETURN(ValueVec cg_rows,
                           CollectThroughCheckpoint(engine, cg));
-  DIABLO_ASSIGN_OR_RETURN(
-      Dataset keys, engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
-        return v.tuple()[0];
-      }));
-  DIABLO_ASSIGN_OR_RETURN(Dataset uniq, engine.Distinct(keys));
-  DIABLO_ASSIGN_OR_RETURN(ValueVec uniq_rows,
-                          CollectThroughCheckpoint(engine, uniq));
   out.insert(out.end(), cg_rows.begin(), cg_rows.end());
-  out.insert(out.end(), uniq_rows.begin(), uniq_rows.end());
   return out;
 }
 
@@ -479,7 +454,6 @@ TEST(HashAggProperty, LostPartitionRecoveryUsesAccumulatorReplay) {
       {6, 2, 0},   // join output, consumed by its checkpoint
       {7, 2, 1},   // reduceByKey output, consumed by the coGroup
       {10, 2, 0},  // coGroup output
-      {13, 2, 0},  // distinct output
   };
   for (const LosePartition& lose : directives) {
     EngineConfig config;
@@ -492,40 +466,6 @@ TEST(HashAggProperty, LostPartitionRecoveryUsesAccumulatorReplay) {
     EXPECT_EQ(engine.metrics().total_recomputed_partitions(), 1)
         << "stage " << lose.stage;
   }
-}
-
-TEST(HashAggProperty, DistinctRecoveryUnderFaults) {
-  // Distinct's dedup and its lost-partition replay both run on the
-  // accumulator; randomized task failures plus a lost partition of the
-  // distinct output (stages 0-1 are its shuffle and dedup, stage 2 the
-  // checkpoint consuming it) must reproduce the clean answer.
-  ValueVec rows;
-  std::mt19937_64 rng(91);
-  for (int i = 0; i < 400; ++i) {
-    rows.push_back(Value::MakePair(I(static_cast<int64_t>(rng() % 29)),
-                                   S("v" + std::to_string(rng() % 5))));
-  }
-  auto run = [&](EngineConfig config) {
-    Engine engine(config);
-    auto uniq = engine.Distinct(engine.Parallelize(rows));
-    EXPECT_TRUE(uniq.ok()) << uniq.status().ToString();
-    auto out = CollectThroughCheckpoint(engine, *uniq);
-    EXPECT_TRUE(out.ok()) << out.status().ToString();
-    return std::make_pair(out.ok() ? *out : ValueVec{},
-                          engine.metrics().total_recomputed_partitions());
-  };
-  const auto [expected, clean_recomputed] = run(EngineConfig{});
-  ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(clean_recomputed, 0);
-
-  EngineConfig faulty;
-  faulty.faults.seed = 5;
-  faulty.faults.task_failure_rate = 0.1;
-  faulty.faults.max_task_attempts = 10;
-  faulty.faults.lose_partitions.push_back({2, 3, 0});
-  const auto [got, recomputed] = run(faulty);
-  EXPECT_EQ(got, expected);
-  EXPECT_EQ(recomputed, 1);
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,10 @@
 
 #include <iterator>
 #include <sstream>
+#include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/strings.h"
 #include "runtime/metrics_registry.h"
@@ -50,10 +53,29 @@ TEST(Lpt, NeverBelowLowerBounds) {
   }
 }
 
+/// A stage record with the fields the cost-model tests set, named one
+/// by one: a positional StageStats initializer would leave its vector
+/// and string members to -Wmissing-field-initializers.
+StageStats Stage(std::string label, bool wide, std::vector<int64_t> map_work,
+                 std::vector<int64_t> reduce_work, int64_t shuffle_bytes,
+                 int64_t attempts = 0, int64_t recomputed_partitions = 0,
+                 double recovery_seconds = 0) {
+  StageStats s;
+  s.label = std::move(label);
+  s.wide = wide;
+  s.map_work = std::move(map_work);
+  s.reduce_work = std::move(reduce_work);
+  s.shuffle_bytes = shuffle_bytes;
+  s.attempts = attempts;
+  s.recomputed_partitions = recomputed_partitions;
+  s.recovery_seconds = recovery_seconds;
+  return s;
+}
+
 TEST(Metrics, Accumulation) {
   Metrics metrics;
-  metrics.AddStage({"map", false, {10, 20}, {}, 0});
-  metrics.AddStage({"reduce", true, {30}, {15}, 1000});
+  metrics.AddStage(Stage("map", false, {10, 20}, {}, 0));
+  metrics.AddStage(Stage("reduce", true, {30}, {15}, 1000));
   EXPECT_EQ(metrics.num_stages(), 2);
   EXPECT_EQ(metrics.num_wide_stages(), 1);
   EXPECT_EQ(metrics.total_work(), 75);
@@ -64,9 +86,10 @@ TEST(Metrics, Accumulation) {
 
 TEST(Metrics, RecoveryCountersAggregateAndClear) {
   Metrics metrics;
-  metrics.AddStage({"map", false, {10}, {}, 0, /*attempts=*/3,
-                    /*recomputed_partitions=*/1, /*recovery_seconds=*/0.25});
-  metrics.AddStage({"reduce", true, {30}, {15}, 1000, 5, 2, 0.5});
+  metrics.AddStage(Stage("map", false, {10}, {}, 0, /*attempts=*/3,
+                         /*recomputed_partitions=*/1,
+                         /*recovery_seconds=*/0.25));
+  metrics.AddStage(Stage("reduce", true, {30}, {15}, 1000, 5, 2, 0.5));
   EXPECT_EQ(metrics.total_attempts(), 8);
   EXPECT_EQ(metrics.total_recomputed_partitions(), 3);
   EXPECT_DOUBLE_EQ(metrics.total_recovery_seconds(), 0.75);
@@ -79,22 +102,22 @@ TEST(Metrics, RecoveryCountersAggregateAndClear) {
 
 TEST(Metrics, SimulatedSecondsDecomposesIntoFaultFreePlusRecovery) {
   Metrics metrics;
-  metrics.AddStage({"map", false, {10, 20}, {}, 0, 4, 0, 0.125});
-  metrics.AddStage({"join", true, {5, 5}, {7}, 2048, 3, 1, 0.0625});
+  metrics.AddStage(Stage("map", false, {10, 20}, {}, 0, 4, 0, 0.125));
+  metrics.AddStage(Stage("join", true, {5, 5}, {7}, 2048, 3, 1, 0.0625));
   ClusterModel model;
   EXPECT_DOUBLE_EQ(metrics.SimulatedSeconds(model),
                    metrics.SimulatedFaultFreeSeconds(model) +
                        metrics.total_recovery_seconds());
   // With no recovery charged, both figures coincide.
   Metrics clean;
-  clean.AddStage({"map", false, {10, 20}, {}, 0, 2, 0, 0.0});
+  clean.AddStage(Stage("map", false, {10, 20}, {}, 0, 2, 0, 0.0));
   EXPECT_DOUBLE_EQ(clean.SimulatedSeconds(model),
                    clean.SimulatedFaultFreeSeconds(model));
 }
 
 TEST(Metrics, ReportIncludesRecoveryCounters) {
   Metrics metrics;
-  metrics.AddStage({"grp", true, {5}, {3}, 42, 6, 2, 0.5});
+  metrics.AddStage(Stage("grp", true, {5}, {3}, 42, 6, 2, 0.5));
   std::string report = metrics.Report();
   EXPECT_NE(report.find("attempts=6"), std::string::npos);
   EXPECT_NE(report.find("recomputed_partitions=2"), std::string::npos);
@@ -217,7 +240,7 @@ TEST(Metrics, MoreWorkersNeverSlower) {
   Metrics metrics;
   std::vector<int64_t> tasks;
   for (int i = 0; i < 32; ++i) tasks.push_back(1000 + i * 17);
-  metrics.AddStage({"stage", true, tasks, tasks, 1 << 20});
+  metrics.AddStage(Stage("stage", true, tasks, tasks, 1 << 20));
   ClusterModel model;
   double prev = 1e100;
   for (int workers : {1, 2, 4, 8, 16}) {
@@ -235,8 +258,8 @@ TEST(Metrics, ShuffleBytesCost) {
   model.narrow_stage_latency_seconds = 0;
   model.seconds_per_work_unit = 0;
   Metrics light, heavy;
-  light.AddStage({"s", true, {}, {}, 1000});
-  heavy.AddStage({"s", true, {}, {}, 100000});
+  light.AddStage(Stage("s", true, {}, {}, 1000));
+  heavy.AddStage(Stage("s", true, {}, {}, 100000));
   EXPECT_GT(heavy.SimulatedSeconds(model), light.SimulatedSeconds(model));
   EXPECT_DOUBLE_EQ(heavy.SimulatedSeconds(model),
                    100.0 * light.SimulatedSeconds(model));
@@ -245,14 +268,14 @@ TEST(Metrics, ShuffleBytesCost) {
 TEST(Metrics, WideStagesPayLatency) {
   ClusterModel model;
   Metrics narrow, wide;
-  narrow.AddStage({"n", false, {1}, {}, 0});
-  wide.AddStage({"w", true, {1}, {}, 0});
+  narrow.AddStage(Stage("n", false, {1}, {}, 0));
+  wide.AddStage(Stage("w", true, {1}, {}, 0));
   EXPECT_GT(wide.SimulatedSeconds(model), narrow.SimulatedSeconds(model));
 }
 
 TEST(Metrics, Report) {
   Metrics metrics;
-  metrics.AddStage({"join", true, {5}, {3}, 42});
+  metrics.AddStage(Stage("join", true, {5}, {3}, 42));
   std::string report = metrics.Report();
   EXPECT_NE(report.find("join"), std::string::npos);
   EXPECT_NE(report.find("shuffle_bytes=42"), std::string::npos);

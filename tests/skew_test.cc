@@ -1,8 +1,8 @@
 // Property tests for runtime skew mitigation (DESIGN.md §17): a salted
 // run — hot reduce/combine tasks split across sub-tasks, merged back by
 // the un-salt step — must be byte-for-byte identical to the unmitigated
-// engine across workloads, partition/thread sweeps, kernel and closure
-// routes, typed and boxed row layouts, fused and forced narrow
+// engine across workloads, partition/thread sweeps, native-op and
+// closure routes, typed and boxed row layouts, fused and forced narrow
 // prefixes, an ordered std::map model of the operators, fault
 // injection, lost-partition lineage recovery, and the multi-process
 // distributed backend. Also covers the --profile-in feedback loop: a
@@ -163,6 +163,20 @@ StatusOr<Value> Add(const Value& a, const Value& b) {
   return EvalBinOp(BinOp::kAdd, a, b);
 }
 
+/// (k, v) -> (k, v ⊕ operand) over pair rows, labelled as the mapValues
+/// stage it stands for.
+StatusOr<Dataset> MapPairValues(Engine& engine, const Dataset& in, BinOp op,
+                                const Value& operand) {
+  return engine.Map(
+      in,
+      [op, operand](const Value& row) -> StatusOr<Value> {
+        DIABLO_ASSIGN_OR_RETURN(Value v,
+                                EvalBinOp(op, row.tuple()[1], operand));
+        return Value::MakePair(row.tuple()[0], std::move(v));
+      },
+      "mapValues");
+}
+
 /// The combine-split workload: reduceByKey (+) over `parts` (default
 /// HotSourceParts with int keys) behind a forced mapValues (value + 1),
 /// with the int64 value schema the planner would infer. The forced
@@ -171,7 +185,7 @@ StatusOr<Dataset> ReduceHotSource(
     Engine& engine, std::vector<ValueVec> parts = HotSourceParts(I)) {
   DIABLO_ASSIGN_OR_RETURN(
       Dataset shifted,
-      engine.MapValues(Dataset(std::move(parts)), BinOp::kAdd, I(1)));
+      MapPairValues(engine, Dataset(std::move(parts)), BinOp::kAdd, I(1)));
   DIABLO_ASSIGN_OR_RETURN(Dataset in, engine.Force(shifted));
   ColumnSchema schema;
   schema.value = ColumnTag::kInt64;
@@ -200,10 +214,10 @@ void ExpectHotSourceSplitExact(const EngineConfig& config) {
 struct SkewCase {
   int partitions;
   int threads;
-  /// The kernel route (true: kernel mapValues and native reduceByKey
-  /// ops, which run typed where the rows allow) or the closure route
-  /// (the same operators as closures, boxed by construction).
-  bool kernels;
+  /// The native-op route (true: reduceByKey with a built-in op, which
+  /// runs typed where the rows allow) or the closure route (the same
+  /// fold as a closure, boxed by construction).
+  bool native_ops;
   /// The narrow prefix ahead of the wide operator (SkewMatrixTest::Input)
   /// fuses into the operator's combine wave; false materializes it in a
   /// stage of its own first (Engine::Force, the eager reference).
@@ -218,7 +232,7 @@ std::string CaseName(const ::testing::TestParamInfo<SkewCase>& info) {
   const SkewCase& c = info.param;
   std::string name = "p" + std::to_string(c.partitions) + "_t" +
                      std::to_string(c.threads);
-  name += c.kernels ? "_columnar" : "_boxed";
+  name += c.native_ops ? "_columnar" : "_boxed";
   if (!c.fuse) name += "_nofuse";
   if (!c.hash_agg) name += "_nohashagg";
   return name;
@@ -236,24 +250,18 @@ class SkewMatrixTest : public ::testing::TestWithParam<SkewCase> {
   }
 
   /// The wide operator's input: `rows` parallelized, then mapValues
-  /// (value + 1) on the case's route — fused into the operator, or
-  /// forced first.
+  /// (value + 1) — fused into the operator, or forced first.
   StatusOr<Dataset> Input(Engine& engine, const ValueVec& rows) const {
-    Dataset in = engine.Parallelize(rows);
     DIABLO_ASSIGN_OR_RETURN(
         Dataset shifted,
-        GetParam().kernels
-            ? engine.MapValues(in, BinOp::kAdd, I(1))
-            : engine.MapValues(in, [](const Value& v) {
-                return EvalBinOp(BinOp::kAdd, v, I(1));
-              }));
+        MapPairValues(engine, engine.Parallelize(rows), BinOp::kAdd, I(1)));
     if (GetParam().fuse) return shifted;
     return engine.Force(shifted);
   }
 
   /// reduceByKey (+) on the case's route.
   WideOp ReduceAdd() const {
-    if (GetParam().kernels) {
+    if (GetParam().native_ops) {
       return [](Engine& e, const Dataset& in) {
         return e.ReduceByKey(in, BinOp::kAdd);
       };
@@ -713,10 +721,10 @@ std::string DumpStage(const StageStats& s) {
 
 TEST(WideAccountingGolden, StageStatsMatchGolden) {
   using WideRun = std::function<StatusOr<Dataset>(Engine&)>;
-  // Every keyed input gets a kernel mapValues (value + 1) that fuses
-  // into the operator's first wave.
+  // Every keyed input gets a mapValues (value + 1) that fuses into the
+  // operator's first wave.
   auto shifted = [](Engine& e, Dataset in) {
-    return e.MapValues(in, BinOp::kAdd, I(1));
+    return MapPairValues(e, in, BinOp::kAdd, I(1));
   };
   ColumnSchema int_values;
   int_values.value = ColumnTag::kInt64;
@@ -767,12 +775,6 @@ TEST(WideAccountingGolden, StageStatsMatchGolden) {
              Dataset l, shifted(e, e.Parallelize(ModPairs(2000, 200, 1))));
          return e.CoGroup(l, e.Parallelize(ModPairs(1500, 300, 2)));
        }},
-      {"distinct",
-       [&](Engine& e) -> StatusOr<Dataset> {
-         ValueVec rows;
-         for (int64_t i = 0; i < 3000; ++i) rows.push_back(I(i % 500));
-         return e.Distinct(e.Parallelize(rows));
-       }},
   };
 
   std::string got;
@@ -821,10 +823,10 @@ TEST(WideAccountingGolden, StageStatsMatchGolden) {
 
 TEST(BoxedColumnsTest, EveryOperatorMatchesClosureRoute) {
   // Tuple keys make every scatter's key column kBoxed, and payloads that
-  // mix int and double defeat the value kernels, so the kernel route's
-  // fused chain replays its column batch row by row. Each case must
-  // still match the closure route, which is boxed by construction, byte
-  // for byte — also when lost partitions are rebuilt from lineage: the
+  // mix int and double make the native reduceByKey's typed combine spill
+  // to the boxed accumulator. Each of the four wide operators must still
+  // match the closure route, which is boxed by construction, byte for
+  // byte — also when lost partitions are rebuilt from lineage: the
   // forced chain under the wide operator, and the wide operator itself
   // under the closing stage.
   ValueVec rows;
@@ -836,15 +838,15 @@ TEST(BoxedColumnsTest, EveryOperatorMatchesClosureRoute) {
   for (int64_t j = 0; j < 60; ++j) {
     other.push_back(Value::MakePair(TupleKey(j), I(j)));
   }
-  using Op =
-      std::function<StatusOr<Dataset>(Engine&, const Dataset&, bool kernels)>;
+  using Op = std::function<StatusOr<Dataset>(Engine&, const Dataset&,
+                                             bool native_ops)>;
   const std::vector<std::pair<std::string, Op>> ops = {
       {"groupByKey",
        [](Engine& e, const Dataset& in, bool) { return e.GroupByKey(in); }},
       {"reduceByKey",
-       [](Engine& e, const Dataset& in, bool kernels) {
-         return kernels ? e.ReduceByKey(in, BinOp::kAdd)
-                        : e.ReduceByKey(in, Add);
+       [](Engine& e, const Dataset& in, bool native_ops) {
+         return native_ops ? e.ReduceByKey(in, BinOp::kAdd)
+                           : e.ReduceByKey(in, Add);
        }},
       {"join",
        [&](Engine& e, const Dataset& in, bool) {
@@ -854,30 +856,21 @@ TEST(BoxedColumnsTest, EveryOperatorMatchesClosureRoute) {
        [&](Engine& e, const Dataset& in, bool) {
          return e.CoGroup(in, e.Parallelize(other));
        }},
-      {"distinct",
-       [](Engine& e, const Dataset& in, bool) { return e.Distinct(in); }},
   };
   // A forced mapValues+filter chain, the operator, then a closure stage
   // over its output (a loss there recomputes the operator's partitions).
   auto run = [&](Engine& e, const Op& op,
-                 bool kernels) -> StatusOr<std::string> {
-    Dataset in = e.Parallelize(rows);
-    if (kernels) {
-      DIABLO_ASSIGN_OR_RETURN(in, e.MapValues(in, BinOp::kMul, I(2)));
-      DIABLO_ASSIGN_OR_RETURN(in, e.FilterValues(in, BinOp::kGe, D(3.0)));
-    } else {
-      DIABLO_ASSIGN_OR_RETURN(in, e.MapValues(in, [](const Value& v) {
-        return EvalBinOp(BinOp::kMul, v, I(2));
-      }));
-      DIABLO_ASSIGN_OR_RETURN(
-          in, e.Filter(in, [](const Value& row) -> StatusOr<bool> {
-            DIABLO_ASSIGN_OR_RETURN(
-                Value keep, EvalBinOp(BinOp::kGe, row.tuple()[1], D(3.0)));
-            return keep.AsBool();
-          }));
-    }
+                 bool native_ops) -> StatusOr<std::string> {
+    DIABLO_ASSIGN_OR_RETURN(
+        Dataset in, MapPairValues(e, e.Parallelize(rows), BinOp::kMul, I(2)));
+    DIABLO_ASSIGN_OR_RETURN(
+        in, e.Filter(in, [](const Value& row) -> StatusOr<bool> {
+          DIABLO_ASSIGN_OR_RETURN(
+              Value keep, EvalBinOp(BinOp::kGe, row.tuple()[1], D(3.0)));
+          return keep.AsBool();
+        }));
     DIABLO_ASSIGN_OR_RETURN(in, e.Force(in));
-    DIABLO_ASSIGN_OR_RETURN(Dataset out, op(e, in, kernels));
+    DIABLO_ASSIGN_OR_RETURN(Dataset out, op(e, in, native_ops));
     DIABLO_ASSIGN_OR_RETURN(
         out, e.Map(out, [](const Value& v) -> StatusOr<Value> { return v; }));
     DIABLO_ASSIGN_OR_RETURN(out, e.Force(out));
@@ -892,24 +885,23 @@ TEST(BoxedColumnsTest, EveryOperatorMatchesClosureRoute) {
   for (const auto& [name, op] : ops) {
     SCOPED_TRACE(name);
     Engine closures;
-    StatusOr<std::string> want = run(closures, op, /*kernels=*/false);
+    StatusOr<std::string> want = run(closures, op, /*native_ops=*/false);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
 
-    Engine kernels;
-    StatusOr<std::string> got = run(kernels, op, /*kernels=*/true);
+    Engine native;
+    StatusOr<std::string> got = run(native, op, /*native_ops=*/true);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(*got, *want);
-    // The column-batch replay, and the operator's boxed key column.
-    const std::vector<StageStats>& stages = kernels.metrics().stages();
-    EXPECT_GT(stages.front().columnar_rows_fallback, 0);
+    // The operator's boxed key column (or spilled typed combine).
+    const std::vector<StageStats>& stages = native.metrics().stages();
     EXPECT_TRUE(std::any_of(stages.begin(), stages.end(),
                             [](const StageStats& s) {
                               return s.wide && s.columnar_rows_fallback > 0;
                             }))
-        << kernels.metrics().Report();
+        << native.metrics().Report();
 
     Engine recovering(lossy);
-    StatusOr<std::string> rebuilt = run(recovering, op, /*kernels=*/true);
+    StatusOr<std::string> rebuilt = run(recovering, op, /*native_ops=*/true);
     ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
     EXPECT_EQ(*rebuilt, *want);
     EXPECT_GT(recovering.metrics().total_recomputed_partitions(), 0);

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/strings.h"
 #include "normalize/normalize.h"
 #include "parser/parser.h"
 
@@ -188,6 +191,43 @@ TEST(RuleS, UnsupportedConstructsAreReported) {
   auto result = Translate(*p);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnsupported);
+}
+
+TEST(RuleS, EveryErrorNamesItsLine) {
+  struct Case {
+    const char* src;
+    const char* what;
+    int line;  ///< of the rejected statement
+  };
+  // A later declaration makes an indexed name a scalar.
+  const Case cases[] = {
+      {"var x: int = 0;\nx := f(3);", "unknown function 'f'", 2},
+      {"var c: double = 0.0;\nc.y += 1.0;", "record field c.y", 2},
+      {"x[1] := 2;\nvar x: int = 0;", "indexing non-array variable 'x'", 1},
+      {"x[1] += 2;\nvar x: int = 0;", "indexing non-array variable 'x'", 1},
+      {"var y: int = x[1];\nvar x: int = 0;",
+       "indexing non-array variable 'x'", 1},
+      {"var V: vector[int] = vector();\nV += 1;",
+       "incremental update to whole array 'V'", 2},
+      {"var V: vector[int] = vector();\nvar x: int = 0;\nV := x;",
+       "assigning scalar 'x' to array 'V'", 3},
+      {"var x: int = 0;\nfor i = 1, 3 do\n  var y: int = i;",
+       "declaration of 'y' inside a for-loop", 3},
+      {"var x: int = 0;\nfor v in V do { while (v > 0.0) x += 1; }",
+       "for-in loop containing a while-loop", 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.src);
+    auto p = parser::ParseProgram(c.src);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    auto result = Translate(*p);
+    ASSERT_FALSE(result.ok());
+    const std::string& msg = result.status().message();
+    EXPECT_NE(msg.find(c.what), std::string::npos) << msg;
+    EXPECT_NE(msg.find(StrCat("(line ", c.line, ", column ")),
+              std::string::npos)
+        << msg;
+  }
 }
 
 TEST(InferVars, ClassifiesNames) {
