@@ -12,6 +12,7 @@ namespace diablo::bench {
 using runtime::BinOp;
 using runtime::Dataset;
 using runtime::Engine;
+using runtime::TupleView;
 using runtime::Value;
 using runtime::ValueVec;
 
@@ -336,7 +337,7 @@ StatusOr<Value> HwKMeans(Engine& engine, const Bindings& inputs) {
                           engine.ReduceByKey(assigned, BinOp::kAdd));
   DIABLO_ASSIGN_OR_RETURN(
       Dataset next, engine.Map(sums, [](const Value& row) -> StatusOr<Value> {
-        const ValueVec& acc = row.tuple()[1].tuple();
+        const TupleView acc = row.tuple()[1].tuple();
         double cnt = acc[2].ToDouble();
         return Value::MakePair(
             row.tuple()[0], Value::MakeTuple({DV(acc[0].ToDouble() / cnt),

@@ -59,7 +59,7 @@ StatusOr<Value> UpdateFieldPath(const Value& cur,
   if (cur.is_tuple() && field.size() >= 2 && field[0] == '_') {
     int idx = std::atoi(field.c_str() + 1);
     if (idx >= 1 && static_cast<size_t>(idx) <= cur.tuple().size()) {
-      ValueVec elems = cur.tuple();
+      ValueVec elems(cur.tuple().begin(), cur.tuple().end());
       DIABLO_ASSIGN_OR_RETURN(
           elems[static_cast<size_t>(idx) - 1],
           UpdateFieldPath(elems[static_cast<size_t>(idx) - 1], path, at + 1,

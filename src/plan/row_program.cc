@@ -115,17 +115,25 @@ class UnExpr final : public RowExpr {
   RowExprPtr operand_;
 };
 
-/// Evaluates `exprs` in order into owned values.
-Status EvalAll(const std::vector<RowExprPtr>& exprs, const RowFrame& frame,
-               ValueVec* values) {
-  values->reserve(exprs.size());
-  for (const RowExprPtr& e : exprs) {
-    Value t;
+/// Evaluates `exprs` in order into out[0], out[1], ...: straight into a
+/// tuple's block or an argument array, with no vector in between.
+Status EvalInto(const std::vector<RowExprPtr>& exprs, const RowFrame& frame,
+                Value* out) {
+  for (size_t i = 0; i < exprs.size(); ++i) {
     const Value* v = nullptr;
-    DIABLO_RETURN_IF_ERROR(e->Eval(frame, &t, &v));
-    values->push_back(Take(&t, v));
+    DIABLO_RETURN_IF_ERROR(exprs[i]->Eval(frame, &out[i], &v));
+    if (v != &out[i]) out[i] = *v;
   }
   return Status::OK();
+}
+
+/// The tuple of `exprs`' values, built in place in its one block.
+StatusOr<Value> EvalTuple(const std::vector<RowExprPtr>& exprs,
+                          const RowFrame& frame) {
+  Value* elems = nullptr;
+  Value tuple = Value::NewTuple(exprs.size(), &elems);
+  DIABLO_RETURN_IF_ERROR(EvalInto(exprs, frame, elems));
+  return tuple;
 }
 
 /// Tuple and bag literals.
@@ -135,10 +143,13 @@ class ConsExpr final : public RowExpr {
       : bag_(bag), elems_(std::move(elems)) {}
   Status Eval(const RowFrame& frame, Value* tmp,
               const Value** out) const override {
-    ValueVec values;
-    DIABLO_RETURN_IF_ERROR(EvalAll(elems_, frame, &values));
-    *tmp = bag_ ? Value::MakeBag(std::move(values))
-                : Value::MakeTuple(std::move(values));
+    if (bag_) {
+      ValueVec values(elems_.size());
+      DIABLO_RETURN_IF_ERROR(EvalInto(elems_, frame, values.data()));
+      *tmp = Value::MakeBag(std::move(values));
+    } else {
+      DIABLO_ASSIGN_OR_RETURN(*tmp, EvalTuple(elems_, frame));
+    }
     *out = tmp;
     return Status::OK();
   }
@@ -154,8 +165,8 @@ class RecordExpr final : public RowExpr {
       : names_(std::move(names)), fields_(std::move(fields)) {}
   Status Eval(const RowFrame& frame, Value* tmp,
               const Value** out) const override {
-    ValueVec values;
-    DIABLO_RETURN_IF_ERROR(EvalAll(fields_, frame, &values));
+    ValueVec values(fields_.size());
+    DIABLO_RETURN_IF_ERROR(EvalInto(fields_, frame, values.data()));
     runtime::FieldVec record;
     record.reserve(values.size());
     for (size_t i = 0; i < values.size(); ++i) {
@@ -222,17 +233,28 @@ class CallExpr final : public RowExpr {
         args_(std::move(args)) {}
   Status Eval(const RowFrame& frame, Value* tmp,
               const Value** out) const override {
-    ValueVec args;
-    DIABLO_RETURN_IF_ERROR(EvalAll(args_, frame, &args));
+    // On the stack up to the widest builtin's arity; a call with more
+    // arguments only lives to report its arity error.
+    Value inline_args[kInlineArgs];
+    ValueVec spilled;
+    Value* args = inline_args;
+    if (args_.size() > kInlineArgs) {
+      spilled.resize(args_.size());
+      args = spilled.data();
+    }
+    DIABLO_RETURN_IF_ERROR(EvalInto(args_, frame, args));
     if (!fn_.has_value()) {
       return Status::RuntimeError(StrCat("unknown builtin '", name_, "'"));
     }
-    DIABLO_ASSIGN_OR_RETURN(*tmp, runtime::EvalBuiltin(*fn_, args));
+    DIABLO_ASSIGN_OR_RETURN(
+        *tmp, runtime::EvalBuiltin(*fn_, {args, args_.size()}));
     *out = tmp;
     return Status::OK();
   }
 
  private:
+  static constexpr size_t kInlineArgs = 3;  // inRange(x, lo, hi)
+
   std::string name_;
   std::optional<runtime::Builtin> fn_;
   std::vector<RowExprPtr> args_;
@@ -420,9 +442,7 @@ StatusOr<Value> EvalKey(const std::vector<RowExprPtr>& keys,
     DIABLO_RETURN_IF_ERROR(keys[0]->Eval(frame, &t, &v));
     return Take(&t, v);
   }
-  ValueVec parts;
-  DIABLO_RETURN_IF_ERROR(EvalAll(keys, frame, &parts));
-  return Value::MakeTuple(std::move(parts));
+  return EvalTuple(keys, frame);
 }
 
 /// Points frame.slots[slot...] at the components of `value` that
@@ -515,14 +535,10 @@ class RowSegment {
     return out;
   }
 
-  StatusOr<ValueVec> FlatMap(const Value& row) const {
-    ValueVec out;
-    auto emit = [&out](Value v) {
-      out.push_back(std::move(v));
-      return Status::OK();
-    };
-    DIABLO_RETURN_IF_ERROR(Run(row, emit));
-    return out;
+  /// Hands each output row to `sink` as soon as it is built.
+  Status FlatMap(const Value& row, runtime::RowSink sink) const {
+    auto emit = [&sink](Value v) { return sink(v); };
+    return Run(row, emit);
   }
 
  private:
@@ -651,12 +667,14 @@ Status RowSegment::RunFrom(size_t i, const RowFrame& frame,
 }
 
 StatusOr<Value> RowSegment::MakeOutput(const RowFrame& frame) const {
-  auto env = [&]() {
-    ValueVec values;
-    values.reserve(width);
-    for (size_t i = 0; i < width; ++i) values.push_back(*frame.slots[i]);
-    return Value::MakeTuple(std::move(values));
+  // Copies the slots' values into a tuple built in place.
+  auto gather = [&frame](size_t n, auto slot_at) {
+    Value* elems = nullptr;
+    Value tuple = Value::NewTuple(n, &elems);
+    for (size_t i = 0; i < n; ++i) elems[i] = *frame.slots[slot_at(i)];
+    return tuple;
   };
+  auto env = [&]() { return gather(width, [](size_t i) { return i; }); };
   switch (output) {
     case Output::kEnv:
       return env();
@@ -672,11 +690,9 @@ StatusOr<Value> RowSegment::MakeOutput(const RowFrame& frame) const {
     }
     case Output::kGroupKey: {
       DIABLO_ASSIGN_OR_RETURN(Value key, EvalKey(keys, frame));
-      ValueVec payload;
-      payload.reserve(positions.size());
-      for (size_t p : positions) payload.push_back(*frame.slots[p]);
-      return Value::MakePair(std::move(key),
-                             Value::MakeTuple(std::move(payload)));
+      return Value::MakePair(
+          std::move(key),
+          gather(positions.size(), [this](size_t i) { return positions[i]; }));
     }
     case Output::kReduceKey: {
       DIABLO_ASSIGN_OR_RETURN(Value key, EvalKey(keys, frame));
@@ -796,7 +812,9 @@ FusedOp RowSegmentBuilder::Finish() {
     op.map = [seg](const Value& row) { return seg->Map(row); };
   } else {
     op.kind = FusedOp::Kind::kFlatMap;
-    op.flat = [seg](const Value& row) { return seg->FlatMap(row); };
+    op.flat = [seg](const Value& row, runtime::RowSink sink) {
+      return seg->FlatMap(row, sink);
+    };
   }
   return op;
 }

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -56,6 +57,27 @@ struct LineageNode {
   int depth = 0;
 };
 
+/// Where a fused flatMap hands its output rows, one at a time: the rest
+/// of the chain, or the stage's own sink. A non-owning reference to the
+/// caller's callable `Status(const Value&)`, converted implicitly from
+/// it and valid only during the call it is passed to, so emitting a row
+/// costs one indirect call and no allocation.
+class RowSink {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, RowSink>)
+  RowSink(F& f)
+      : target_(&f), call_([](void* target, const Value& row) -> Status {
+          return (*static_cast<F*>(target))(row);
+        }) {}
+
+  Status operator()(const Value& row) const { return call_(target_, row); }
+
+ private:
+  void* target_;
+  Status (*call_)(void*, const Value&);
+};
+
 /// One deferred narrow operator in a fused chain. The callbacks mirror
 /// Engine::MapFn/PredFn/FlatMapFn; which one is set depends on `kind`.
 struct FusedOp {
@@ -68,8 +90,9 @@ struct FusedOp {
   std::function<StatusOr<Value>(const Value&)> map;
   /// Set for kFilter.
   std::function<StatusOr<bool>(const Value&)> pred;
-  /// Set for kFlatMap.
-  std::function<StatusOr<ValueVec>(const Value&)> flat;
+  /// Set for kFlatMap: streams the rows of one input row into the sink,
+  /// stopping at the first error (its own or the sink's).
+  std::function<Status(const Value&, RowSink)> flat;
   /// How many plan operators this one stands for. A compiled row
   /// segment (plan/row_program.h) replaces several qualifiers with one
   /// closure; lineage depth still counts every one of them, so

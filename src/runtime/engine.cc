@@ -299,12 +299,11 @@ Status ApplyChain(const FusedChain& chain, size_t i, const Value& v,
       return ApplyChain(chain, i + 1, v, tally, sink);
     }
     case FusedOp::Kind::kFlatMap: {
-      DIABLO_ASSIGN_OR_RETURN(ValueVec vs, op.flat(v));
-      for (const Value& out : vs) {
+      auto next = [&](const Value& out) -> Status {
         if (tally != nullptr) tally->Record(i, out);
-        DIABLO_RETURN_IF_ERROR(ApplyChain(chain, i + 1, out, tally, sink));
-      }
-      return Status::OK();
+        return ApplyChain(chain, i + 1, out, tally, sink);
+      };
+      return op.flat(v, next);
     }
   }
   return Status::RuntimeError("unknown fused operator kind");
@@ -451,7 +450,7 @@ StatusOr<ValueVec> GroupFinish(WideTask<HashedVec>& t) {
   const HashedVec& part = *t.left;
   KeyedAccumulator<ValueVec> groups(t.hi - t.lo);
   for (size_t i = t.lo; i < t.hi; ++i) {
-    const ValueVec& kv = part[i].row.tuple();
+    const TupleView kv = part[i].row.tuple();
     groups.FindOrCreate(part[i].hash, kv[0]).payload.push_back(kv[1]);
   }
   t.tally->accumulator_bytes = static_cast<int64_t>(groups.MemoryBytes());
@@ -488,7 +487,7 @@ StatusOr<ValueVec> FoldFinish(WideTask<HashedVec>& t,
     t.tally->columnar_rows_fallback += static_cast<int64_t>(part.size() - i);
   }
   for (; i < part.size(); ++i) {
-    const ValueVec& kv = part[i].row.tuple();
+    const TupleView kv = part[i].row.tuple();
     DIABLO_RETURN_IF_ERROR(FoldInto(&acc, part[i].hash, kv[0], kv[1], fn));
   }
   t.tally->accumulator_bytes = static_cast<int64_t>(
@@ -536,12 +535,12 @@ StatusOr<ValueVec> JoinFinish(WideTask<HashedVec>& t) {
   const HashedVec& right = *t.right;
   KeyedAccumulator<ValueVec> build(left.size());
   for (const HashedRow& hr : left) {
-    const ValueVec& kv = hr.row.tuple();
+    const TupleView kv = hr.row.tuple();
     build.FindOrCreate(hr.hash, kv[0]).payload.push_back(kv[1]);
   }
   ValueVec out;
   for (const HashedRow& hr : right) {
-    const ValueVec& kv = hr.row.tuple();
+    const TupleView kv = hr.row.tuple();
     const ValueVec* lvs = build.Find(hr.hash, kv[0]);
     if (lvs == nullptr) continue;
     for (const Value& lv : *lvs) {
@@ -563,11 +562,11 @@ StatusOr<ValueVec> CoGroupFinish(WideTask<HashedVec>& t) {
   KeyedAccumulator<std::pair<ValueVec, ValueVec>> groups(left.size() +
                                                           right.size());
   for (const HashedRow& hr : left) {
-    const ValueVec& kv = hr.row.tuple();
+    const TupleView kv = hr.row.tuple();
     groups.FindOrCreate(hr.hash, kv[0]).payload.first.push_back(kv[1]);
   }
   for (const HashedRow& hr : right) {
-    const ValueVec& kv = hr.row.tuple();
+    const TupleView kv = hr.row.tuple();
     groups.FindOrCreate(hr.hash, kv[0]).payload.second.push_back(kv[1]);
   }
   ValueVec out = SortedRows(&groups, [](auto& e) {
@@ -615,7 +614,7 @@ StatusOr<std::vector<HashedVec>> ReplayShuffle(
     for (size_t i = 0; i < kept.size(); ++i) {
       KeyedAccumulator<Value> acc(kept[i].size());
       for (const HashedRow& hr : kept[i]) {
-        const ValueVec& kv = hr.row.tuple();
+        const TupleView kv = hr.row.tuple();
         DIABLO_RETURN_IF_ERROR(
             FoldInto(&acc, hr.hash, kv[0], kv[1], *combine));
       }
@@ -1020,7 +1019,11 @@ StatusOr<Dataset> Engine::FlatMap(const Dataset& in, const FlatMapFn& fn,
   FusedOp op;
   op.kind = FusedOp::Kind::kFlatMap;
   op.label = label;
-  op.flat = fn;
+  op.flat = [fn](const Value& row, RowSink sink) -> Status {
+    DIABLO_ASSIGN_OR_RETURN(ValueVec out, fn(row));
+    for (const Value& v : out) DIABLO_RETURN_IF_ERROR(sink(v));
+    return Status::OK();
+  };
   return Narrow(in, std::move(op));
 }
 

@@ -149,14 +149,14 @@ StatusOr<Value> EvalBinOp(BinOp op, const Value& a, const Value& b) {
           StrCat("elementwise '", BinOpName(op), "' on tuples of arity ",
                  a.tuple().size(), " and ", b.tuple().size()));
     }
-    ValueVec out;
-    out.reserve(a.tuple().size());
-    for (size_t i = 0; i < a.tuple().size(); ++i) {
-      DIABLO_ASSIGN_OR_RETURN(Value v,
-                              EvalBinOp(op, a.tuple()[i], b.tuple()[i]));
-      out.push_back(std::move(v));
+    const TupleView x = a.tuple();
+    const TupleView y = b.tuple();
+    Value* elems = nullptr;
+    Value out = Value::NewTuple(x.size(), &elems);
+    for (size_t i = 0; i < x.size(); ++i) {
+      DIABLO_ASSIGN_OR_RETURN(elems[i], EvalBinOp(op, x[i], y[i]));
     }
-    return Value::MakeTuple(std::move(out));
+    return out;
   }
   if (op == BinOp::kArgmin) {
     // (score, payload...) tuples; the identity pair (inf, ()) loses to
@@ -274,7 +274,7 @@ std::optional<Builtin> FindBuiltin(const std::string& name) {
   return std::nullopt;
 }
 
-StatusOr<Value> EvalBuiltin(Builtin fn, const ValueVec& args) {
+StatusOr<Value> EvalBuiltin(Builtin fn, std::span<const Value> args) {
   const BuiltinInfo& info = kBuiltins[static_cast<size_t>(fn)];
   if (args.size() != info.arity) {
     return Status::RuntimeError(StrCat("builtin ", info.name, " expects ",

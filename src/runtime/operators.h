@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/status.h"
@@ -80,7 +81,7 @@ std::optional<Builtin> FindBuiltin(const std::string& name);
 /// Applies `fn` to evaluated arguments; every builtin takes a fixed
 /// number of numeric arguments. abs keeps ints int and fails on
 /// INT64_MIN, whose magnitude no int64 holds.
-StatusOr<Value> EvalBuiltin(Builtin fn, const ValueVec& args);
+StatusOr<Value> EvalBuiltin(Builtin fn, std::span<const Value> args);
 
 /// Multiset equality of two bags: same elements with the same
 /// multiplicities, irrespective of order. This is the correct equality for

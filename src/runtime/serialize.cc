@@ -172,15 +172,22 @@ StatusOr<Value> DeserializeValueAtDepth(const std::string& data, size_t* offset,
       if (static_cast<size_t>(n) > data.size() - *offset) {
         return Truncated();  // cheap sanity bound: >=1 byte per element
       }
-      ValueVec elems;
-      elems.reserve(n);
+      // A tuple decodes straight into its block, a bag into its vector.
+      Value tuple;
+      Value* elems = nullptr;
+      ValueVec bag;
+      if (tag == kTagTuple) {
+        tuple = Value::NewTuple(n, &elems);
+      } else {
+        bag.resize(n);
+        elems = bag.data();
+      }
       for (uint32_t i = 0; i < n; ++i) {
         DIABLO_ASSIGN_OR_RETURN(
-            Value v, DeserializeValueAtDepth(data, offset, depth + 1));
-        elems.push_back(std::move(v));
+            elems[i], DeserializeValueAtDepth(data, offset, depth + 1));
       }
-      return tag == kTagTuple ? Value::MakeTuple(std::move(elems))
-                              : Value::MakeBag(std::move(elems));
+      return tag == kTagTuple ? std::move(tuple)
+                              : Value::MakeBag(std::move(bag));
     }
     case kTagRecord: {
       DIABLO_ASSIGN_OR_RETURN(uint32_t n, GetU32(data, offset));

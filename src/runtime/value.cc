@@ -1,6 +1,8 @@
 #include "runtime/value.h"
 
 #include <functional>
+#include <memory>
+#include <new>
 #include <sstream>
 
 #include "common/strings.h"
@@ -14,7 +16,27 @@ size_t HashCombine(size_t seed, size_t h) {
   return seed ^ (h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
+/// A tuple's or a bag's elements: they hash, compare and size alike.
+TupleView Elements(const Value& v) {
+  return v.is_tuple() ? v.tuple() : TupleView(v.bag());
+}
+
 }  // namespace
+
+Value::TupleRef::TupleRef(size_t n, Value** elems_out) {
+  static_assert(sizeof(Block) % alignof(Value) == 0,
+                "the elements follow the header without padding");
+  void* raw = ::operator new(sizeof(Block) + n * sizeof(Value));
+  block_ = new (raw) Block{1, static_cast<uint32_t>(n)};
+  *elems_out = elems(block_);
+  std::uninitialized_value_construct_n(*elems_out, n);
+}
+
+void Value::TupleRef::Free(Block* b) {
+  std::destroy_n(elems(b), b->size);
+  b->~Block();
+  ::operator delete(b);
+}
 
 const Value* Value::FindField(const std::string& name) const {
   for (const auto& [fname, fval] : fields()) {
@@ -48,8 +70,8 @@ int Value::Compare(const Value& other) const {
       return AsString().compare(other.AsString());
     case Kind::kTuple:
     case Kind::kBag: {
-      const ValueVec& a = is_tuple() ? tuple() : bag();
-      const ValueVec& b = other.is_tuple() ? other.tuple() : other.bag();
+      const TupleView a = Elements(*this);
+      const TupleView b = Elements(other);
       size_t n = std::min(a.size(), b.size());
       for (size_t i = 0; i < n; ++i) {
         int c = a[i].Compare(b[i]);
@@ -88,8 +110,7 @@ size_t Value::Hash() const {
       return HashCombine(seed, std::hash<std::string>()(AsString()));
     case Kind::kTuple:
     case Kind::kBag: {
-      const ValueVec& elems = is_tuple() ? tuple() : bag();
-      for (const Value& v : elems) seed = HashCombine(seed, v.Hash());
+      for (const Value& v : Elements(*this)) seed = HashCombine(seed, v.Hash());
       return seed;
     }
     case Kind::kRecord: {
@@ -116,9 +137,8 @@ int64_t Value::SerializedBytes() const {
       return 4 + static_cast<int64_t>(AsString().size());
     case Kind::kTuple:
     case Kind::kBag: {
-      const ValueVec& elems = is_tuple() ? tuple() : bag();
       int64_t n = 4;
-      for (const Value& v : elems) n += v.SerializedBytes();
+      for (const Value& v : Elements(*this)) n += v.SerializedBytes();
       return n;
     }
     case Kind::kRecord: {

@@ -1,8 +1,11 @@
 #ifndef DIABLO_RUNTIME_VALUE_H_
 #define DIABLO_RUNTIME_VALUE_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <variant>
@@ -14,11 +17,15 @@ namespace diablo::runtime {
 
 class Value;
 
-/// The element container shared by tuples and bags. Bags and tuples are
-/// immutable once constructed, so the payload is shared between copies of a
-/// Value — copying a Value is always O(1).
+/// A bag's element container, and the currency of cold code that
+/// gathers values before building a tuple. Bags and tuples are immutable
+/// once constructed, so the payload is shared between copies of a Value
+/// — copying a Value is always O(1).
 using ValueVec = std::vector<Value>;
 using SharedValues = std::shared_ptr<const ValueVec>;
+
+/// A tuple's elements, read in place from its block.
+using TupleView = std::span<const Value>;
 
 /// A field list for record values: name/value pairs in declaration order.
 using FieldVec = std::vector<std::pair<std::string, Value>>;
@@ -51,15 +58,25 @@ class Value {
   static Value MakeString(std::string s) {
     return Value(Rep(std::make_shared<const std::string>(std::move(s))));
   }
-  static Value MakeTuple(ValueVec elems) {
-    return Value(Rep(TupleRep{std::make_shared<const ValueVec>(std::move(elems))}));
+  /// A tuple of `n` unit elements in one fresh block. `*elems` points at
+  /// the first; the caller fills them in place before the value is copied
+  /// or read, so building a tuple costs one allocation.
+  static Value NewTuple(size_t n, Value** elems) {
+    return Value(Rep(TupleRef(n, elems)));
   }
   static Value MakePair(Value a, Value b) {
-    ValueVec v;
-    v.reserve(2);
-    v.push_back(std::move(a));
-    v.push_back(std::move(b));
-    return MakeTuple(std::move(v));
+    Value* e = nullptr;
+    Value pair = NewTuple(2, &e);
+    e[0] = std::move(a);
+    e[1] = std::move(b);
+    return pair;
+  }
+  /// For callers that gather the elements first; hot paths use NewTuple.
+  static Value MakeTuple(ValueVec elems) {
+    Value* e = nullptr;
+    Value tuple = NewTuple(elems.size(), &e);
+    std::move(elems.begin(), elems.end(), e);
+    return tuple;
   }
   static Value MakeRecord(FieldVec fields) {
     return Value(Rep(RecordRep{std::make_shared<const FieldVec>(std::move(fields))}));
@@ -97,7 +114,7 @@ class Value {
   double ToDouble() const { return is_int() ? static_cast<double>(AsInt()) : AsDouble(); }
 
   /// Tuple elements; requires is_tuple().
-  const ValueVec& tuple() const { return *std::get<TupleRep>(rep_).elems; }
+  TupleView tuple() const { return std::get<TupleRef>(rep_).view(); }
   /// Record fields; requires is_record().
   const FieldVec& fields() const { return *std::get<RecordRep>(rep_).fields; }
   /// Bag elements; requires is_bag().
@@ -130,12 +147,48 @@ class Value {
 
  private:
   struct Unit {};
-  struct TupleRep { SharedValues elems; };
   struct RecordRep { SharedFields fields; };
   struct BagRep { SharedValues elems; };
 
+  /// A counted reference to a tuple's one heap block: an atomic
+  /// reference count and the arity, followed by the elements inline.
+  /// The count is 32 bits: four billion Values (96 GB) never share one
+  /// tuple here.
+  class TupleRef {
+   public:
+    TupleRef(size_t n, Value** elems);
+    TupleRef(const TupleRef& other) noexcept : block_(other.block_) {
+      if (block_ != nullptr) block_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+    TupleRef(TupleRef&& other) noexcept : block_(other.block_) {
+      other.block_ = nullptr;
+    }
+    TupleRef& operator=(TupleRef other) noexcept {
+      std::swap(block_, other.block_);
+      return *this;
+    }
+    ~TupleRef() {
+      if (block_ != nullptr &&
+          block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        Free(block_);
+      }
+    }
+
+    TupleView view() const { return TupleView(elems(block_), block_->size); }
+
+   private:
+    struct Block {
+      std::atomic<uint32_t> refs;
+      uint32_t size;
+    };
+    static Value* elems(Block* b) { return reinterpret_cast<Value*>(b + 1); }
+    static void Free(Block* b);
+
+    Block* block_;
+  };
+
   using Rep = std::variant<Unit, bool, int64_t, double,
-                           std::shared_ptr<const std::string>, TupleRep,
+                           std::shared_ptr<const std::string>, TupleRef,
                            RecordRep, BagRep>;
 
   explicit Value(Rep rep) : rep_(std::move(rep)) {}

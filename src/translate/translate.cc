@@ -30,7 +30,10 @@ void InferVarsLValue(const ast::LValuePtr& d,
     InferVarsLValue(d->proj().base, vars);
     return;
   }
-  (*vars)[d->index().array].is_array = true;
+  // Indexing makes an undeclared name an array; a declared scalar stays
+  // one, so the translator rejects the indexing at its location.
+  VarInfo& info = (*vars)[d->index().array];
+  if (!info.declared) info.is_array = true;
   for (const auto& e : d->index().indices) InferVarsExpr(e, vars);
 }
 

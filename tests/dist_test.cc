@@ -36,6 +36,7 @@ using runtime::EngineConfig;
 using runtime::HashedRow;
 using runtime::HashedVec;
 using runtime::Serialize;
+using runtime::TupleView;
 using runtime::Value;
 using runtime::ValueVec;
 using runtime::WaveSlots;
@@ -431,7 +432,7 @@ StatusOr<ValueVec> RunIterativeRanks(Engine& engine) {
     DIABLO_ASSIGN_OR_RETURN(
         Dataset contrib,
         engine.Map(ranks, [](const Value& v) -> StatusOr<Value> {
-          const ValueVec& kv = v.tuple();
+          const TupleView kv = v.tuple();
           return Value::MakePair(I((kv[0].AsInt() + 1) % 7),
                                  D(kv[1].AsDouble() * 0.85 + 0.15));
         }, "pr.contrib"));

@@ -199,7 +199,8 @@ TEST(RuleS, EveryErrorNamesItsLine) {
     const char* what;
     int line;  ///< of the rejected statement
   };
-  // A later declaration makes an indexed name a scalar.
+  // A declaration makes an indexed name a scalar, before or after the
+  // indexing.
   const Case cases[] = {
       {"var x: int = 0;\nx := f(3);", "unknown function 'f'", 2},
       {"var c: double = 0.0;\nc.y += 1.0;", "record field c.y", 2},
@@ -207,6 +208,10 @@ TEST(RuleS, EveryErrorNamesItsLine) {
       {"x[1] += 2;\nvar x: int = 0;", "indexing non-array variable 'x'", 1},
       {"var y: int = x[1];\nvar x: int = 0;",
        "indexing non-array variable 'x'", 1},
+      {"var x: int = 0;\nx[1] := 2;", "indexing non-array variable 'x'", 2},
+      {"var x: int = 0;\nx[1] += 2;", "indexing non-array variable 'x'", 2},
+      {"var x: int = 5;\nvar y: int = x[1];",
+       "indexing non-array variable 'x'", 2},
       {"var V: vector[int] = vector();\nV += 1;",
        "incremental update to whole array 'V'", 2},
       {"var V: vector[int] = vector();\nvar x: int = 0;\nV := x;",
@@ -245,6 +250,18 @@ TEST(InferVars, ClassifiesNames) {
   EXPECT_TRUE(vars.at("V").is_array);   // for-in domain
   EXPECT_TRUE(vars.at("M").is_array);   // indexed
   EXPECT_FALSE(vars.at("V").declared);  // host input
+}
+
+TEST(InferVars, IndexingKeepsADeclaredScalarScalar) {
+  auto p = parser::ParseProgram(R"(
+    var x: int = 0;
+    x[1] := 2;
+    var y: int = x[2];
+  )");
+  ASSERT_TRUE(p.ok());
+  auto vars = InferVars(*p);
+  EXPECT_FALSE(vars.at("x").is_array);
+  EXPECT_TRUE(vars.at("x").declared);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 namespace diablo::runtime {
 namespace {
@@ -113,6 +115,110 @@ TEST(Value, CopyIsShallowAndCheap) {
   Value bag = Value::MakeBag(std::move(big));
   Value copy = bag;  // shares the payload
   EXPECT_EQ(&bag.bag(), &copy.bag());
+}
+
+// A tuple is one block: the copies read the same elements in place.
+TEST(Value, TupleCopiesShareOneBlock) {
+  Value tuple = Value::MakeTuple({Value::MakeInt(1), Value::MakeString("x")});
+  Value copy = tuple;
+  EXPECT_EQ(tuple.tuple().data(), copy.tuple().data());
+  Value moved = std::move(copy);
+  EXPECT_EQ(tuple.tuple().data(), moved.tuple().data());
+  copy = moved;
+  EXPECT_EQ(tuple.tuple().data(), copy.tuple().data());
+  const Value& alias = copy;
+  copy = alias;  // self-assignment keeps the block alive
+  EXPECT_EQ(copy.ToString(), "(1,\"x\")");
+}
+
+TEST(Value, TupleBuildersAgree) {
+  Value* elems = nullptr;
+  Value built = Value::NewTuple(2, &elems);
+  elems[0] = Value::MakeInt(4);
+  elems[1] = Value::MakeDouble(0.5);
+  const Value made = Value::MakeTuple({Value::MakeInt(4), Value::MakeDouble(0.5)});
+  const Value pair = Value::MakePair(Value::MakeInt(4), Value::MakeDouble(0.5));
+  for (const Value* v : {&made, &pair}) {
+    EXPECT_EQ(built, *v);
+    EXPECT_EQ(built.Hash(), v->Hash());
+    EXPECT_EQ(built.ToString(), v->ToString());
+    EXPECT_EQ(built.SerializedBytes(), v->SerializedBytes());
+  }
+  Value* none = nullptr;
+  const Value empty = Value::NewTuple(0, &none);
+  EXPECT_EQ(empty, Value::MakeTuple({}));
+  EXPECT_TRUE(empty.tuple().empty());
+}
+
+// Literals recorded with the shared_ptr<vector> tuples this block
+// replaced: hashes (and with them shuffle destinations), wire sizes,
+// printing and order must not move.
+TEST(Value, TupleHashSizeTextAndOrderAreUnchanged) {
+  auto I = [](int64_t i) { return Value::MakeInt(i); };
+  const Value nested =
+      Value::MakePair(Value::MakePair(I(1), Value::MakeString("a")),
+                      Value::MakePair(Value::MakeDouble(2.5), Value::MakeBool(true)));
+  const Value deep = Value::MakePair(
+      I(1), Value::MakePair(I(2), Value::MakePair(I(3), Value::MakeTuple({}))));
+  const Value empty = Value::MakeTuple({});
+  const Value pairs =
+      Value::MakePair(Value::MakePair(I(1), I(2)), Value::MakePair(I(3), I(4)));
+  const Value mixed = Value::MakeTuple(
+      {I(7), Value::MakeBag({Value::MakePair(I(1), Value::MakeDouble(0.5))}),
+       Value::MakeRecord({{"f", I(2)}})});
+  struct Case {
+    const Value* value;
+    const char* text;
+    size_t hash;
+    int64_t bytes;
+  };
+  const Case cases[] = {
+      {&nested, "((1,\"a\"),(2.5,true))", 47062045145056098ULL, 34},
+      {&deep, "(1,(2,(3,())))", 8618974205308760385ULL, 40},
+      {&empty, "()", 13272178845ULL, 4},
+      {&pairs, "((1,2),(3,4))", 8539267341355224168ULL, 44},
+      {&mixed, "(7,{(1,0.5)},<f=2>)", 2181351580238121984ULL, 53},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    EXPECT_EQ(c.value->ToString(), c.text);
+    EXPECT_EQ(c.value->Hash(), c.hash);
+    EXPECT_EQ(c.value->SerializedBytes(), c.bytes);
+  }
+  EXPECT_EQ(nested.Compare(pairs), 1);  // "a" (string) sorts after 2 (int)
+  EXPECT_EQ(pairs.Compare(nested), -1);
+  EXPECT_EQ(empty.Compare(Value()), 1);  // tuple kind after unit
+  EXPECT_EQ(empty.Compare(pairs), -1);   // shorter prefix first
+  EXPECT_EQ(deep.Compare(deep), 0);
+  EXPECT_EQ(pairs.Compare(Value::MakePair(Value::MakePair(I(1), I(2)),
+                                          Value::MakePair(I(3), I(5)))),
+            -1);
+}
+
+// The reference count is atomic: threads copying and dropping one
+// shared tuple (and tuples nested in it) never free it early or twice.
+TEST(Value, SharedTupleSurvivesConcurrentCopies) {
+  const Value inner = Value::MakePair(Value::MakeInt(7), Value::MakeString("s"));
+  const Value shared = Value::MakePair(inner, Value::MakeDouble(1.5));
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20000;
+  std::vector<std::thread> threads;
+  std::vector<int64_t> sums(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, &sums, t] {
+      std::vector<Value> held;
+      for (int r = 0; r < kRounds; ++r) {
+        Value copy = shared;
+        held.push_back(copy.tuple()[0]);
+        if (held.size() == 16) held.clear();
+        sums[t] += copy.tuple()[0].tuple()[0].AsInt();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int64_t sum : sums) EXPECT_EQ(sum, int64_t{7} * kRounds);
+  EXPECT_EQ(shared.ToString(), "((7,\"s\"),1.5)");
+  EXPECT_EQ(shared.tuple()[0].tuple().data(), inner.tuple().data());
 }
 
 }  // namespace
