@@ -17,192 +17,11 @@ using runtime::ValueVec;
 
 namespace {
 
-constexpr int64_t kMaxLocalRange = 1 << 24;
-
 /// Appends the components of `value` that `pattern` binds to `out`.
 Status BindPattern(const Pattern& pattern, const Value& value,
                    ValueVec* out) {
   return DestructurePattern(pattern, value,
                             [out](const Value& v) { out->push_back(v); });
-}
-
-// --------------------------- driver expressions -----------------------------
-
-/// Evaluates a comprehension expression on the driver. Names resolve to
-/// the plan's driver-bound prefix (`schema`-ordered `values`), then to
-/// driver scalars, then to whole arrays (collected); nested
-/// comprehensions are planned and executed. Per-row evaluation is
-/// compiled instead (plan/row_program.h).
-struct DriverCtx {
-  const std::vector<std::string>* schema;
-  const ValueVec* values;
-  const ExecState* state;
-};
-
-StatusOr<Value> EvalExpr(const CExprPtr& e, const DriverCtx& ctx);
-
-StatusOr<Value> EvalCallExpr(const CExpr::Call& call, const DriverCtx& ctx) {
-  ValueVec args;
-  for (const auto& a : call.args) {
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(a, ctx));
-    args.push_back(std::move(v));
-  }
-  std::optional<runtime::Builtin> fn = runtime::FindBuiltin(call.function);
-  if (!fn.has_value()) {
-    return Status::RuntimeError(
-        StrCat("unknown builtin '", call.function, "'"));
-  }
-  return runtime::EvalBuiltin(*fn, args);
-}
-
-StatusOr<Value> EvalExpr(const CExprPtr& e, const DriverCtx& ctx) {
-  if (e->is<CExpr::Var>()) {
-    const std::string& name = e->as<CExpr::Var>().name;
-    for (size_t i = 0; i < ctx.schema->size(); ++i) {
-      if ((*ctx.schema)[i] == name) return (*ctx.values)[i];
-    }
-    if (ctx.state->scalars != nullptr) {
-      auto it = ctx.state->scalars->find(name);
-      if (it != ctx.state->scalars->end()) return it->second;
-    }
-    if (ctx.state->arrays != nullptr) {
-      auto it = ctx.state->arrays->find(name);
-      if (it != ctx.state->arrays->end()) {
-        // Materialize the array as a bag of pairs.
-        DIABLO_ASSIGN_OR_RETURN(ValueVec rows,
-                                ctx.state->engine->Collect(it->second));
-        return Value::MakeBag(std::move(rows));
-      }
-    }
-    return Status::RuntimeError(StrCat("unbound variable '", name, "'"));
-  }
-  if (e->is<CExpr::IntConst>()) {
-    return Value::MakeInt(e->as<CExpr::IntConst>().value);
-  }
-  if (e->is<CExpr::DoubleConst>()) {
-    return Value::MakeDouble(e->as<CExpr::DoubleConst>().value);
-  }
-  if (e->is<CExpr::BoolConst>()) {
-    return Value::MakeBool(e->as<CExpr::BoolConst>().value);
-  }
-  if (e->is<CExpr::StringConst>()) {
-    return Value::MakeString(e->as<CExpr::StringConst>().value);
-  }
-  if (e->is<CExpr::Bin>()) {
-    const auto& b = e->as<CExpr::Bin>();
-    DIABLO_ASSIGN_OR_RETURN(Value l, EvalExpr(b.lhs, ctx));
-    // Short-circuit booleans.
-    if (b.op == BinOp::kAnd && l.is_bool() && !l.AsBool()) {
-      return Value::MakeBool(false);
-    }
-    if (b.op == BinOp::kOr && l.is_bool() && l.AsBool()) {
-      return Value::MakeBool(true);
-    }
-    DIABLO_ASSIGN_OR_RETURN(Value r, EvalExpr(b.rhs, ctx));
-    return runtime::EvalBinOp(b.op, l, r);
-  }
-  if (e->is<CExpr::Un>()) {
-    const auto& u = e->as<CExpr::Un>();
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(u.operand, ctx));
-    return runtime::EvalUnOp(u.op, v);
-  }
-  if (e->is<CExpr::TupleCons>()) {
-    ValueVec elems;
-    for (const auto& c : e->as<CExpr::TupleCons>().elems) {
-      DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(c, ctx));
-      elems.push_back(std::move(v));
-    }
-    return Value::MakeTuple(std::move(elems));
-  }
-  if (e->is<CExpr::RecordCons>()) {
-    runtime::FieldVec fields;
-    for (const auto& [n, c] : e->as<CExpr::RecordCons>().fields) {
-      DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(c, ctx));
-      fields.emplace_back(n, std::move(v));
-    }
-    return Value::MakeRecord(std::move(fields));
-  }
-  if (e->is<CExpr::Proj>()) {
-    const auto& p = e->as<CExpr::Proj>();
-    DIABLO_ASSIGN_OR_RETURN(Value base, EvalExpr(p.base, ctx));
-    if (base.is_record()) {
-      const Value* f = base.FindField(p.field);
-      if (f == nullptr) {
-        return Status::RuntimeError(StrCat("record ", base.ToString(),
-                                           " has no field '", p.field, "'"));
-      }
-      return *f;
-    }
-    if (base.is_tuple() && p.field.size() >= 2 && p.field[0] == '_') {
-      int idx = std::atoi(p.field.c_str() + 1);
-      if (idx >= 1 && static_cast<size_t>(idx) <= base.tuple().size()) {
-        return base.tuple()[static_cast<size_t>(idx) - 1];
-      }
-    }
-    return Status::RuntimeError(StrCat("cannot project .", p.field,
-                                       " out of ", base.ToString()));
-  }
-  if (e->is<CExpr::Call>()) return EvalCallExpr(e->as<CExpr::Call>(), ctx);
-  if (e->is<CExpr::Reduce>()) {
-    const auto& r = e->as<CExpr::Reduce>();
-    // Reduce a distributed comprehension without collecting it.
-    if (r.arg->is<CExpr::Nested>()) {
-      DIABLO_ASSIGN_OR_RETURN(
-          CompPlan sub,
-          BuildPlan(r.arg->as<CExpr::Nested>().comp, *ctx.state));
-      DIABLO_ASSIGN_OR_RETURN(Dataset ds, ExecutePlan(sub, *ctx.state));
-      BinOp op = r.op;
-      // The BinOp overload lets the engine fold with native arithmetic
-      // while the rows are numeric (bit-identical to EvalBinOp).
-      DIABLO_ASSIGN_OR_RETURN(
-          std::optional<Value> acc,
-          ctx.state->engine->Reduce(
-              ds, op, StrCat("reduce[", runtime::BinOpName(op), "]")));
-      if (acc.has_value()) return *acc;
-      return runtime::MonoidIdentity(op, Value::MakeInt(0));
-    }
-    DIABLO_ASSIGN_OR_RETURN(Value bag, EvalExpr(r.arg, ctx));
-    if (!bag.is_bag()) {
-      return Status::RuntimeError(
-          StrCat("reduction ", runtime::BinOpName(r.op), "/ applied to ",
-                 bag.ToString()));
-    }
-    return runtime::ReduceBag(r.op, bag.bag());
-  }
-  if (e->is<CExpr::Nested>()) {
-    DIABLO_ASSIGN_OR_RETURN(
-        CompPlan sub, BuildPlan(e->as<CExpr::Nested>().comp, *ctx.state));
-    DIABLO_ASSIGN_OR_RETURN(Dataset ds, ExecutePlan(sub, *ctx.state));
-    DIABLO_ASSIGN_OR_RETURN(ValueVec rows, ctx.state->engine->Collect(ds));
-    return Value::MakeBag(std::move(rows));
-  }
-  if (e->is<CExpr::Range>()) {
-    const auto& r = e->as<CExpr::Range>();
-    DIABLO_ASSIGN_OR_RETURN(Value lo, EvalExpr(r.lo, ctx));
-    DIABLO_ASSIGN_OR_RETURN(Value hi, EvalExpr(r.hi, ctx));
-    if (!lo.is_int() || !hi.is_int()) {
-      return Status::RuntimeError("range bounds must be integers");
-    }
-    int64_t a = lo.AsInt(), b = hi.AsInt();
-    if (b - a + 1 > kMaxLocalRange) {
-      return Status::RuntimeError("range too large to materialize per-row");
-    }
-    ValueVec elems;
-    for (int64_t i = a; i <= b; ++i) elems.push_back(Value::MakeInt(i));
-    return Value::MakeBag(std::move(elems));
-  }
-  if (e->is<CExpr::Merge>()) {
-    DIABLO_ASSIGN_OR_RETURN(Dataset ds, EvalArrayExpr(e, *ctx.state));
-    DIABLO_ASSIGN_OR_RETURN(ValueVec rows, ctx.state->engine->Collect(ds));
-    return Value::MakeBag(std::move(rows));
-  }
-  // BagCons.
-  ValueVec elems;
-  for (const auto& c : e->as<CExpr::BagCons>().elems) {
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(c, ctx));
-    elems.push_back(std::move(v));
-  }
-  return Value::MakeBag(std::move(elems));
 }
 
 }  // namespace
@@ -214,7 +33,11 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
   // Variables bound on the driver before any generator.
   std::vector<std::string> prefix_schema;
   ValueVec prefix;
-  const DriverCtx driver_ctx{&prefix_schema, &prefix, &state};
+  // Evaluates `e` on the driver, against the prefix.
+  auto eval_driver = [&](const CExprPtr& e) {
+    return EvalRowExpr(
+        *CompileRowExpr(e, prefix_schema, state, /*on_driver=*/true), prefix);
+  };
   // The stream, and the open segment compiling the narrow qualifiers
   // over it into one fused operator (DESIGN.md §19). Set together.
   std::optional<Dataset> ds;
@@ -255,7 +78,7 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
           seg->Let(op.pattern, op.expr);
           break;
         }
-        DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(op.expr, driver_ctx));
+        DIABLO_ASSIGN_OR_RETURN(Value v, eval_driver(op.expr));
         DIABLO_RETURN_IF_ERROR(BindPattern(op.pattern, v, &prefix));
         op.pattern.CollectVars(&prefix_schema);
         break;
@@ -265,7 +88,7 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
           seg->Filter(op.expr);
           break;
         }
-        DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(op.expr, driver_ctx));
+        DIABLO_ASSIGN_OR_RETURN(Value v, eval_driver(op.expr));
         if (!v.is_bool()) {
           return Status::RuntimeError(
               StrCat("condition evaluated to ", v.ToString()));
@@ -284,18 +107,26 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
         break;
       }
       case StreamOp::Kind::kSourceRange: {
-        DIABLO_ASSIGN_OR_RETURN(Value lo, EvalExpr(op.expr, driver_ctx));
-        DIABLO_ASSIGN_OR_RETURN(Value hi, EvalExpr(op.expr2, driver_ctx));
+        DIABLO_ASSIGN_OR_RETURN(Value lo, eval_driver(op.expr));
+        DIABLO_ASSIGN_OR_RETURN(Value hi, eval_driver(op.expr2));
         if (!lo.is_int() || !hi.is_int()) {
           return Status::RuntimeError("range bounds must be integers");
+        }
+        // The unsigned span is exact for hi >= lo; the count, span + 1,
+        // is too large exactly when the span reaches max_size().
+        const int64_t a = lo.AsInt(), b = hi.AsInt();
+        if (b >= a && static_cast<uint64_t>(b) - static_cast<uint64_t>(a) >=
+                          ValueVec().max_size()) {
+          return Status::RuntimeError(
+              StrCat("range(", a, ", ", b, ") at ", LocationString(op.loc),
+                     " has too many elements to materialize"));
         }
         SegmentBinder binder;
         binder.kind = SegmentBinder::Kind::kRange;
         binder.label = "range";
         binder.pattern = op.pattern;
         binder.prefix = prefix;
-        open(engine.Range(lo.AsInt(), hi.AsInt()), std::move(binder),
-             op.schema_after);
+        open(engine.Range(a, b), std::move(binder), op.schema_after);
         break;
       }
       case StreamOp::Kind::kIterateBag: {
@@ -303,7 +134,7 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
           seg->Iterate(op.pattern, op.expr);
           break;
         }
-        DIABLO_ASSIGN_OR_RETURN(Value bag, EvalExpr(op.expr, driver_ctx));
+        DIABLO_ASSIGN_OR_RETURN(Value bag, eval_driver(op.expr));
         if (!bag.is_bag()) {
           return Status::RuntimeError(
               StrCat("generator domain is not a bag: ", bag.ToString()));
@@ -445,7 +276,7 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
 
   // Yield the head per surviving row.
   if (!ds.has_value()) {
-    DIABLO_ASSIGN_OR_RETURN(Value v, EvalExpr(plan.head, driver_ctx));
+    DIABLO_ASSIGN_OR_RETURN(Value v, eval_driver(plan.head));
     return engine.Parallelize({std::move(v)}, 1);
   }
   DIABLO_RETURN_IF_ERROR(close(std::move(*seg).FinishHead(plan.head)));
@@ -455,9 +286,7 @@ StatusOr<Dataset> ExecutePlan(const CompPlan& plan, const ExecState& state) {
 // --------------------------- driver / array entry points --------------------
 
 StatusOr<Value> EvalDriverExpr(const CExprPtr& e, const ExecState& state) {
-  const std::vector<std::string> no_schema;
-  const ValueVec no_values;
-  return EvalExpr(e, DriverCtx{&no_schema, &no_values, &state});
+  return EvalRowExpr(*CompileRowExpr(e, {}, state, /*on_driver=*/true), {});
 }
 
 StatusOr<Dataset> EvalArrayExpr(const CExprPtr& e, const ExecState& state) {
@@ -469,12 +298,8 @@ StatusOr<Dataset> EvalArrayExpr(const CExprPtr& e, const ExecState& state) {
     return Status::RuntimeError(StrCat("unknown array '", name, "'"));
   }
   if (e->is<CExpr::BagCons>()) {
-    ValueVec rows;
-    for (const auto& c : e->as<CExpr::BagCons>().elems) {
-      DIABLO_ASSIGN_OR_RETURN(Value v, EvalDriverExpr(c, state));
-      rows.push_back(std::move(v));
-    }
-    return engine.Parallelize(std::move(rows));
+    DIABLO_ASSIGN_OR_RETURN(Value bag, EvalDriverExpr(e, state));
+    return engine.Parallelize(bag.bag());
   }
   if (e->is<CExpr::Nested>()) {
     DIABLO_ASSIGN_OR_RETURN(CompPlan plan,
@@ -485,33 +310,9 @@ StatusOr<Dataset> EvalArrayExpr(const CExprPtr& e, const ExecState& state) {
     const auto& m = e->as<CExpr::Merge>();
     DIABLO_ASSIGN_OR_RETURN(Dataset left, EvalArrayExpr(m.left, state));
     DIABLO_ASSIGN_OR_RETURN(Dataset right, EvalArrayExpr(m.right, state));
-    if (!m.has_op) return runtime::ArrayMerge(engine, left, right);
-    // Combining merge: old ⊕ delta per key, one side alone passes through.
-    BinOp op = m.op;
-    DIABLO_ASSIGN_OR_RETURN(Dataset grouped,
-                            engine.CoGroup(left, right, "mergeInc"));
-    return engine.FlatMap(
-        grouped,
-        [op](const Value& row) -> StatusOr<ValueVec> {
-          const Value& key = row.tuple()[0];
-          const ValueVec& olds = row.tuple()[1].tuple()[0].bag();
-          const ValueVec& deltas = row.tuple()[1].tuple()[1].bag();
-          ValueVec out;
-          if (deltas.empty()) {
-            if (!olds.empty()) {
-              out.push_back(Value::MakePair(key, olds.back()));
-            }
-            return out;
-          }
-          DIABLO_ASSIGN_OR_RETURN(Value acc, runtime::ReduceBag(op, deltas));
-          if (!olds.empty()) {
-            DIABLO_ASSIGN_OR_RETURN(acc,
-                                    runtime::EvalBinOp(op, olds.back(), acc));
-          }
-          out.push_back(Value::MakePair(key, std::move(acc)));
-          return out;
-        },
-        "mergeInc.combine");
+    return runtime::ArrayMerge(
+        engine, left, right,
+        m.has_op ? std::optional<BinOp>(m.op) : std::nullopt);
   }
   return Status::RuntimeError(
       StrCat("expression is not array-valued: ", e->ToString()));

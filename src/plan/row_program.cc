@@ -321,12 +321,50 @@ class RangeExpr final : public RowExpr {
   RowExprPtr hi_;
 };
 
+/// On the driver: an array variable, nested comprehension or merge, run
+/// on the engine and collected to a bag, or with `reduce` folded by a
+/// distributed reduce.
+class EngineExpr final : public RowExpr {
+ public:
+  EngineExpr(CExprPtr array, std::optional<BinOp> reduce,
+             const ExecState& state)
+      : array_(std::move(array)), reduce_(reduce), state_(state) {}
+  Status Eval(const RowFrame&, Value* tmp, const Value** out) const override {
+    DIABLO_ASSIGN_OR_RETURN(runtime::Dataset ds,
+                            EvalArrayExpr(array_, state_));
+    runtime::Engine& engine = *state_.engine;
+    if (reduce_.has_value()) {
+      // The BinOp overload folds with native arithmetic while the rows
+      // are numeric (bit-identical to EvalBinOp).
+      DIABLO_ASSIGN_OR_RETURN(
+          std::optional<Value> acc,
+          engine.Reduce(ds, *reduce_,
+                        StrCat("reduce[", runtime::BinOpName(*reduce_), "]")));
+      *tmp = acc.has_value()
+                 ? std::move(*acc)
+                 : runtime::MonoidIdentity(*reduce_, Value::MakeInt(0));
+    } else {
+      DIABLO_ASSIGN_OR_RETURN(ValueVec rows, engine.Collect(ds));
+      *tmp = Value::MakeBag(std::move(rows));
+    }
+    *out = tmp;
+    return Status::OK();
+  }
+
+ private:
+  CExprPtr array_;
+  std::optional<BinOp> reduce_;
+  ExecState state_;
+};
+
 }  // namespace
 
 RowExprPtr CompileRowExpr(const CExprPtr& e,
                           const std::vector<std::string>& schema,
-                          const ExecState& state) {
-  auto sub = [&](const CExprPtr& c) { return CompileRowExpr(c, schema, state); };
+                          const ExecState& state, bool on_driver) {
+  auto sub = [&](const CExprPtr& c) {
+    return CompileRowExpr(c, schema, state, on_driver);
+  };
   auto subs = [&](const std::vector<CExprPtr>& cs) {
     std::vector<RowExprPtr> out;
     out.reserve(cs.size());
@@ -345,6 +383,9 @@ RowExprPtr CompileRowExpr(const CExprPtr& e,
       }
     }
     if (state.arrays != nullptr && state.arrays->count(name) != 0) {
+      if (on_driver) {
+        return std::make_unique<EngineExpr>(e, std::nullopt, state);
+      }
       return std::make_unique<ErrorExpr>(
           StrCat("distributed array '", name,
                  "' used as a value inside a row expression"));
@@ -403,11 +444,17 @@ RowExprPtr CompileRowExpr(const CExprPtr& e,
   }
   if (e->is<CExpr::Reduce>()) {
     const auto& r = e->as<CExpr::Reduce>();
+    if (on_driver && r.arg->is<CExpr::Nested>()) {
+      return std::make_unique<EngineExpr>(r.arg, r.op, state);
+    }
     return std::make_unique<ReduceExpr>(r.op, sub(r.arg));
   }
   if (e->is<CExpr::Range>()) {
     const auto& r = e->as<CExpr::Range>();
     return std::make_unique<RangeExpr>(sub(r.lo), sub(r.hi));
+  }
+  if (on_driver) {  // Nested or Merge
+    return std::make_unique<EngineExpr>(e, std::nullopt, state);
   }
   if (e->is<CExpr::Nested>()) {
     return std::make_unique<ErrorExpr>(

@@ -37,6 +37,15 @@ struct RowFrame {
 /// the driver scalar's value when the expression is compiled. Literals
 /// are boxed and builtins resolved once. A name that resolves to nothing
 /// compiles to a node that errors only when it is evaluated.
+///
+/// Four constructs need the engine: a distributed array used as a value,
+/// a nested comprehension, an array merge, and ⊕/ over a nested
+/// comprehension. In a row they compile to nodes that error when
+/// evaluated. `on_driver` compiles an expression the driver evaluates
+/// once per statement: each runs on the engine when the node is
+/// evaluated (so a short-circuited operand starts no stage), the first
+/// three collected to a bag, the reduction as a distributed reduce with
+/// no collect (the monoid identity when empty).
 class RowExpr {
  public:
   virtual ~RowExpr() = default;
@@ -50,7 +59,7 @@ using RowExprPtr = std::unique_ptr<const RowExpr>;
 
 RowExprPtr CompileRowExpr(const comp::CExprPtr& e,
                           const std::vector<std::string>& schema,
-                          const ExecState& state);
+                          const ExecState& state, bool on_driver = false);
 
 /// Evaluates `e` with slot i bound to env[i].
 StatusOr<runtime::Value> EvalRowExpr(const RowExpr& e,

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/strings.h"
+#include "runtime/operators.h"
 
 namespace diablo::runtime {
 
@@ -37,57 +38,33 @@ StatusOr<ValueVec> ArrayMergeLocal(const ValueVec& x, const ValueVec& y) {
 }
 
 StatusOr<Dataset> ArrayMerge(Engine& engine, const Dataset& x,
-                             const Dataset& y, const std::string& label) {
+                             const Dataset& y, std::optional<BinOp> op) {
+  const std::string label = op.has_value() ? "mergeInc" : "arrayMerge";
   DIABLO_ASSIGN_OR_RETURN(Dataset grouped, engine.CoGroup(x, y, label));
-  // For every key: choose the last y value when present, else the last x
-  // value (right bias of ⊳).
   return engine.FlatMap(
       grouped,
-      [](const Value& row) -> StatusOr<ValueVec> {
+      [op](const Value& row) -> StatusOr<ValueVec> {
         const Value& key = row.tuple()[0];
         const Value& sides = row.tuple()[1];
         const ValueVec& xs = sides.tuple()[0].bag();
         const ValueVec& ys = sides.tuple()[1].bag();
         ValueVec out;
-        if (!ys.empty()) {
-          out.push_back(Value::MakePair(key, ys.back()));
-        } else if (!xs.empty()) {
-          out.push_back(Value::MakePair(key, xs.back()));
+        if (ys.empty()) {
+          if (!xs.empty()) out.push_back(Value::MakePair(key, xs.back()));
+          return out;
         }
+        if (!op.has_value()) {
+          out.push_back(Value::MakePair(key, ys.back()));
+          return out;
+        }
+        DIABLO_ASSIGN_OR_RETURN(Value acc, ReduceBag(*op, ys));
+        if (!xs.empty()) {
+          DIABLO_ASSIGN_OR_RETURN(acc, EvalBinOp(*op, xs.back(), acc));
+        }
+        out.push_back(Value::MakePair(key, std::move(acc)));
         return out;
       },
-      label + ".choose");
-}
-
-Value ArrayIndexLocal(const ValueVec& array, const Value& key) {
-  for (const Value& row : array) {
-    if (row.is_tuple() && row.tuple().size() == 2 && row.tuple()[0] == key) {
-      return Value::SingletonBag(row.tuple()[1]);
-    }
-  }
-  return Value::EmptyBag();
-}
-
-ValueVec DenseToSparseVector(const std::vector<double>& values) {
-  ValueVec out;
-  out.reserve(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    out.push_back(Value::MakePair(Value::MakeInt(static_cast<int64_t>(i)),
-                                  Value::MakeDouble(values[i])));
-  }
-  return out;
-}
-
-ValueVec DenseToSparseMatrix(const std::vector<std::vector<double>>& rows) {
-  ValueVec out;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (size_t j = 0; j < rows[i].size(); ++j) {
-      out.push_back(Value::MakePair(
-          MatrixKey(static_cast<int64_t>(i), static_cast<int64_t>(j)),
-          Value::MakeDouble(rows[i][j])));
-    }
-  }
-  return out;
+      label + (op.has_value() ? ".combine" : ".choose"));
 }
 
 Value MatrixKey(int64_t i, int64_t j) {

@@ -15,30 +15,6 @@ namespace diablo::runtime {
 
 namespace {
 
-/// Must stay bit-identical to the combiner in value.cc: HashColumn and
-/// the typed accumulators promise the exact Value::Hash bits.
-inline size_t HashCombine(size_t seed, size_t h) {
-  return seed ^ (h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
-}
-
-inline size_t KindSeed(Value::Kind kind) {
-  return static_cast<size_t>(kind) * 0x9e3779b9u;
-}
-
-inline size_t HashInt64(int64_t x) {
-  return HashCombine(KindSeed(Value::Kind::kInt), std::hash<int64_t>()(x));
-}
-
-inline size_t HashDoubleBits(int64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return HashCombine(KindSeed(Value::Kind::kDouble), std::hash<double>()(d));
-}
-
-inline size_t HashBoolBits(int64_t bits) {
-  return HashCombine(KindSeed(Value::Kind::kBool), bits != 0 ? 1u : 0u);
-}
-
 inline int64_t DoubleToBits(double d) {
   int64_t bits;
   std::memcpy(&bits, &d, sizeof(bits));
@@ -158,21 +134,17 @@ void HashColumn(const Column& col, std::vector<size_t>* out) {
   switch (col.tag()) {
     case ColumnTag::kBool: {
       const auto& xs = col.bools();
-      for (size_t i = 0; i < n; ++i) (*out)[i] = HashBoolBits(xs[i]);
+      for (size_t i = 0; i < n; ++i) (*out)[i] = HashBool(xs[i] != 0);
       break;
     }
     case ColumnTag::kInt64: {
       const auto& xs = col.ints();
-      const std::hash<int64_t> h;
-      const size_t seed = KindSeed(Value::Kind::kInt);
-      for (size_t i = 0; i < n; ++i) (*out)[i] = HashCombine(seed, h(xs[i]));
+      for (size_t i = 0; i < n; ++i) (*out)[i] = HashInt(xs[i]);
       break;
     }
     case ColumnTag::kDouble: {
       const auto& xs = col.doubles();
-      const std::hash<double> h;
-      const size_t seed = KindSeed(Value::Kind::kDouble);
-      for (size_t i = 0; i < n; ++i) (*out)[i] = HashCombine(seed, h(xs[i]));
+      for (size_t i = 0; i < n; ++i) (*out)[i] = HashDouble(xs[i]);
       break;
     }
     case ColumnTag::kString: {
@@ -315,9 +287,9 @@ bool TypedReduceAccumulator::AddInternal(const Value& row, bool trusted_hash,
     }
     if (!trusted_hash) {
       switch (key_mode_) {
-        case KeyMode::kBool: hash = HashBoolBits(bits); break;
-        case KeyMode::kInt64: hash = HashInt64(bits); break;
-        default: hash = HashDoubleBits(bits); break;
+        case KeyMode::kBool: hash = HashBool(bits != 0); break;
+        case KeyMode::kInt64: hash = HashInt(bits); break;
+        default: hash = HashDouble(key.AsDouble()); break;
       }
     }
     const size_t before = hashes_.size();

@@ -635,10 +635,10 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
     // extra threads at fork time (a forked child inherits only the
     // calling thread, so a pool worker's locks would be orphaned).
     config_.host_threads = 1;
+    // Real kills recover through lineage, so the recompute closures must
+    // survive even with every simulated fault class disarmed.
+    config_.faults.retain_lineage = true;
   }
-  // Real kills recover through lineage, so the recompute closures must
-  // survive even with every simulated fault class disarmed.
-  if (config_.dist_lose_on_kill) config_.faults.retain_lineage = true;
   injector_ = FaultInjector(config_.faults);
   if (config_.tracing) trace_ = std::make_unique<TraceRecorder>();
 }
@@ -666,8 +666,14 @@ Dataset Engine::Parallelize(ValueVec rows, int num_partitions) const {
 Dataset Engine::Range(int64_t lo, int64_t hi) const {
   ValueVec rows;
   if (hi >= lo) {
-    rows.reserve(static_cast<size_t>(hi - lo + 1));
-    for (int64_t i = lo; i <= hi; ++i) rows.push_back(Value::MakeInt(i));
+    // Counting by unsigned offset neither overflows the span nor runs
+    // past INT64_MAX.
+    const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    rows.reserve(span + 1);
+    for (uint64_t k = 0; k <= span; ++k) {
+      rows.push_back(
+          Value::MakeInt(static_cast<int64_t>(static_cast<uint64_t>(lo) + k)));
+    }
   }
   return Parallelize(std::move(rows));
 }
@@ -809,11 +815,9 @@ Status Engine::RunTaskWaveRemote(const std::string& label, int stage,
         config_.events->Emit(std::move(e));
       }
     }
-    if (config_.dist_lose_on_kill) {
-      // Register the dead worker's partitions for lineage recovery at
-      // the next stage boundary (consumed by RecoverInput).
-      for (int p : pending) pending_lost_partitions_.push_back(p);
-    }
+    // Register the dead worker's partitions for lineage recovery at the
+    // next stage boundary (consumed by RecoverInput).
+    for (int p : pending) pending_lost_partitions_.push_back(p);
   };
 
   RemoteWaveStats remote;
@@ -830,10 +834,10 @@ StatusOr<Dataset> Engine::RecoverInput(const Dataset& in, int stage,
   std::vector<int> lost =
       injector_.LostPartitions(stage, input_index, in.num_partitions());
   if (input_index == 0 && !pending_lost_partitions_.empty()) {
-    // Partitions owed by workers that really died in an earlier wave
-    // (dist_lose_on_kill): rebuild them from lineage here. The rebuilt
-    // rows are bit-identical to what the survivors recomputed, so this
-    // only exercises the recovery path — it can never change output.
+    // Partitions owed by workers that really died in an earlier wave:
+    // rebuild them from lineage here. The rebuilt rows are bit-identical
+    // to what the survivors recomputed, so this only exercises the
+    // recovery path — it can never change output.
     for (int p : pending_lost_partitions_) {
       if (p >= 0 && p < in.num_partitions()) lost.push_back(p);
     }

@@ -121,15 +121,14 @@ struct EngineConfig {
   /// threads: workers run the task closures against their forked
   /// copy-on-write snapshot and results come back over the wire
   /// (runtime/wave_io.h). The engine then forces host_threads = 1, so
-  /// no pool thread exists at fork time. Not owned.
+  /// no pool thread exists at fork time. It also treats a real worker
+  /// death as a partition loss: the dead worker's partitions go through
+  /// the lineage recompute_many path at the next stage boundary (the
+  /// engine sets FaultConfig::retain_lineage so the closures exist). The
+  /// rebuilt partitions are bit-identical, so the fault-injection
+  /// invariant (DESIGN.md §9) is the correctness oracle for real
+  /// SIGKILLs. Not owned.
   RemoteExecutor* remote = nullptr;
-  /// With `remote`: treat a real worker death as a partition loss and
-  /// route the dead worker's partitions through the lineage
-  /// recompute_many path at the next stage boundary (forces
-  /// FaultConfig::retain_lineage so the closures exist). The rebuilt
-  /// partitions are bit-identical — PR 1's fault-injection invariant is
-  /// the correctness oracle for real SIGKILLs.
-  bool dist_lose_on_kill = false;
   /// Cluster telemetry sinks (DESIGN.md §18), both nullable and not
   /// owned. `registry` receives named counters/gauges/histograms
   /// (per-stage peak RSS, accumulator watermarks, task durations) for
@@ -266,7 +265,8 @@ class Engine {
   Dataset Parallelize(ValueVec rows, int num_partitions) const;
 
   /// The integer range [lo, hi] (inclusive, as in the paper's `range`),
-  /// split into contiguous partitions.
+  /// split into contiguous partitions. The caller keeps its count within
+  /// ValueVec::max_size().
   Dataset Range(int64_t lo, int64_t hi) const;
 
   /// Narrow: applies `fn` to every row.
@@ -503,7 +503,7 @@ class Engine {
   /// wave and reused for the engine's whole lifetime.
   std::unique_ptr<WorkerPool> pool_;
   /// Partitions owed by workers that died mid-wave
-  /// (EngineConfig::dist_lose_on_kill): registered by the remote
+  /// (EngineConfig::remote): registered by the remote
   /// backend's on_worker_lost hook, consumed by the next RecoverInput
   /// (input 0), which rebuilds them from lineage via recompute_many —
   /// real kills exercise the same recovery path as simulated losses.

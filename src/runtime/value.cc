@@ -11,11 +11,6 @@ namespace diablo::runtime {
 
 namespace {
 
-size_t HashCombine(size_t seed, size_t h) {
-  // Boost-style combiner.
-  return seed ^ (h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
-}
-
 /// A tuple's or a bag's elements: they hash, compare and size alike.
 TupleView Elements(const Value& v) {
   return v.is_tuple() ? v.tuple() : TupleView(v.bag());
@@ -96,16 +91,16 @@ int Value::Compare(const Value& other) const {
 }
 
 size_t Value::Hash() const {
-  size_t seed = static_cast<size_t>(kind()) * 0x9e3779b9u;
+  size_t seed = HashKindSeed(kind());
   switch (kind()) {
     case Kind::kUnit:
       return seed;
     case Kind::kBool:
-      return HashCombine(seed, AsBool() ? 1u : 0u);
+      return HashBool(AsBool());
     case Kind::kInt:
-      return HashCombine(seed, std::hash<int64_t>()(AsInt()));
+      return HashInt(AsInt());
     case Kind::kDouble:
-      return HashCombine(seed, std::hash<double>()(AsDouble()));
+      return HashDouble(AsDouble());
     case Kind::kString:
       return HashCombine(seed, std::hash<std::string>()(AsString()));
     case Kind::kTuple:

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -195,6 +196,28 @@ class Value {
 
   Rep rep_;
 };
+
+// The bits Value::Hash is built from. The typed column kernels
+// (runtime/column_batch.cc) hash raw bools, int64s and doubles with
+// these, so their hashes equal Value::Hash of the boxed value.
+
+/// Boost-style combiner.
+inline size_t HashCombine(size_t seed, size_t h) {
+  return seed ^ (h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
+}
+inline size_t HashKindSeed(Value::Kind kind) {
+  return static_cast<size_t>(kind) * 0x9e3779b9u;
+}
+inline size_t HashBool(bool b) {
+  return HashCombine(HashKindSeed(Value::Kind::kBool), b ? 1u : 0u);
+}
+inline size_t HashInt(int64_t i) {
+  return HashCombine(HashKindSeed(Value::Kind::kInt), std::hash<int64_t>()(i));
+}
+inline size_t HashDouble(double d) {
+  return HashCombine(HashKindSeed(Value::Kind::kDouble),
+                     std::hash<double>()(d));
+}
 
 /// Hash functor so Values can key std::unordered_map.
 struct ValueHash {

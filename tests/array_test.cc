@@ -1,12 +1,14 @@
 // Unit tests for the sparse-array operations: the merge operator ⊳
-// (local and distributed), lifted indexing, and dense-to-sparse
-// conversion helpers.
+// (local and distributed) and the combining merge ⊳⊕.
 
 #include "runtime/array.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "runtime/operators.h"
 
@@ -72,28 +74,41 @@ TEST(ArrayMergeDistributed, AgreesWithLocal) {
   }
 }
 
-TEST(ArrayIndexLocal, LiftedSemantics) {
-  ValueVec arr = Pairs({{1, 10}, {2, 20}});
-  Value hit = ArrayIndexLocal(arr, I(2));
-  ASSERT_TRUE(hit.is_bag());
-  ASSERT_EQ(hit.bag().size(), 1u);
-  EXPECT_EQ(hit.bag()[0].AsInt(), 20);
-  Value miss = ArrayIndexLocal(arr, I(9));
-  EXPECT_TRUE(miss.is_bag());
-  EXPECT_TRUE(miss.bag().empty());
-}
-
-TEST(DenseConversions, VectorAndMatrix) {
-  ValueVec vec = DenseToSparseVector({1.5, 2.5});
-  ASSERT_EQ(vec.size(), 2u);
-  EXPECT_EQ(vec[1].tuple()[0].AsInt(), 1);
-  EXPECT_DOUBLE_EQ(vec[1].tuple()[1].AsDouble(), 2.5);
-
-  ValueVec mat = DenseToSparseMatrix({{1, 2}, {3, 4}});
-  ASSERT_EQ(mat.size(), 4u);
-  // Row-major: last element is ((1,1),4).
-  EXPECT_EQ(mat[3].tuple()[0], MatrixKey(1, 1));
-  EXPECT_DOUBLE_EQ(mat[3].tuple()[1].AsDouble(), 4);
+TEST(ArrayMergeDistributed, CombiningMergeAgreesWithLocalFold) {
+  // Key 1 is in x only and key 4 in y only: both pass through. Key 2 has
+  // two deltas, key 3 one.
+  ValueVec x = Pairs({{1, 10}, {2, 20}, {3, 30}});
+  ValueVec y = Pairs({{2, 1}, {4, 40}, {2, 2}, {3, 5}});
+  std::map<Value, Value> folded;
+  for (const Value& row : x) folded.emplace(row.tuple()[0], row.tuple()[1]);
+  for (const Value& row : y) {
+    auto [it, fresh] = folded.try_emplace(row.tuple()[0], row.tuple()[1]);
+    if (!fresh) {
+      it->second = EvalBinOp(BinOp::kAdd, it->second, row.tuple()[1]).value();
+    }
+  }
+  ValueVec expected;
+  for (const auto& [k, v] : folded) expected.push_back(Value::MakePair(k, v));
+  ASSERT_TRUE(BagEquals(Value::MakeBag(expected),
+                        Value::MakeBag(Pairs({{1, 10}, {2, 23}, {3, 35},
+                                              {4, 40}}))));
+  for (int parts : {1, 3, 8}) {
+    EngineConfig config;
+    config.num_partitions = parts;
+    Engine engine(config);
+    auto merged = ArrayMerge(engine, engine.Parallelize(x),
+                             engine.Parallelize(y), BinOp::kAdd);
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    ValueVec got = engine.Collect(*merged).value();
+    EXPECT_TRUE(BagEquals(Value::MakeBag(got), Value::MakeBag(expected)))
+        << parts << " partitions";
+    std::vector<std::string> labels;
+    for (const StageStats& s : engine.metrics().stages()) {
+      labels.push_back(s.label);
+    }
+    EXPECT_EQ(labels, (std::vector<std::string>{"mergeInc",
+                                                "mergeInc.combine"}));
+  }
 }
 
 }  // namespace

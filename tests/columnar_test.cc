@@ -567,7 +567,6 @@ TEST(ColumnarDistTest, ColumnarOverWorkersMatchesBoxedLocal) {
   dist::Coordinator coordinator(dist_config);
   EngineConfig config;
   config.remote = &coordinator;
-  config.dist_lose_on_kill = true;
   Engine dist(config);
   auto got = RunWorkload(dist, 3, rows);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -594,7 +593,6 @@ TEST(ColumnarDistTest, SurvivesChaosKillsWithIdenticalOutput) {
   dist::Coordinator coordinator(dist_config);
   EngineConfig config;
   config.remote = &coordinator;
-  config.dist_lose_on_kill = true;
   Engine dist(config);
   auto got = RunWorkload(dist, 3, rows);
   ASSERT_TRUE(got.ok()) << got.status().ToString();

@@ -456,7 +456,6 @@ std::string Bytes(const ValueVec& rows) {
 EngineConfig DistConfigured(Coordinator* coordinator) {
   EngineConfig config;
   config.remote = coordinator;
-  config.dist_lose_on_kill = true;
   return config;
 }
 
@@ -567,7 +566,6 @@ TEST(DistEndToEndTest, SimulatedFaultsAccountIdenticallyOverDist) {
   Coordinator coordinator(FastDist(2));
   EngineConfig dist_config = faulty;
   dist_config.remote = &coordinator;
-  dist_config.dist_lose_on_kill = true;
   Engine dist(dist_config);
   auto got = RunIterativeRanks(dist);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -635,7 +633,6 @@ TEST(DistEndToEndTest, EveryFaultClassAccountsIdenticallyOverDist) {
   EngineConfig dist_config = faulty;
   dist_config.events = &dist_events;
   dist_config.remote = &coordinator;
-  dist_config.dist_lose_on_kill = true;
   Engine dist(dist_config);
   auto got = RunIterativeRanks(dist);
   ASSERT_TRUE(got.ok()) << got.status().ToString();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "runtime/operators.h"
@@ -65,6 +66,16 @@ TEST_P(EngineParamTest, RangeInclusive) {
   EXPECT_EQ(rows.front().AsInt(), 3);
   EXPECT_EQ(rows.back().AsInt(), 7);
   EXPECT_EQ(engine.Range(5, 4).TotalRows(), 0);
+}
+
+TEST(EngineRange, EndsAtTheInt64Limits) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  Engine engine;
+  EXPECT_EQ(engine.Collect(engine.Range(kMax - 2, kMax)).value(),
+            (ValueVec{I(kMax - 2), I(kMax - 1), I(kMax)}));
+  EXPECT_EQ(engine.Collect(engine.Range(kMin, kMin + 1)).value(),
+            (ValueVec{I(kMin), I(kMin + 1)}));
 }
 
 TEST_P(EngineParamTest, MapFilterFlatMap) {

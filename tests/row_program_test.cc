@@ -1,10 +1,12 @@
 // Compiled row programs (plan/row_program.h, DESIGN.md §19): slot
 // resolution, scalar capture, short-circuit and error behaviour of
-// compiled expressions, and segments ending in every wide operator plus
-// broadcast probes, cartesian products and iterated bags. Loop programs
-// are checked against the sequential reference interpreter at 1 and 4
-// host threads; the group-by and iterate plans, which no loop program
-// produces, are checked against the local algebra backend.
+// compiled expressions, their driver mode (arrays, nested
+// comprehensions, merges and reductions run on the engine), and segments
+// ending in every wide operator plus broadcast probes, cartesian
+// products and iterated bags. Loop programs are checked against the
+// sequential reference interpreter at 1 and 4 host threads; the group-by
+// and iterate plans, which no loop program produces, are checked against
+// the local algebra backend.
 
 #include "plan/row_program.h"
 
@@ -18,6 +20,7 @@
 #include "algebra/local.h"
 #include "comp/comp.h"
 #include "runtime/metrics_registry.h"
+#include "runtime/operators.h"
 #include "tests/test_util.h"
 
 namespace diablo::plan {
@@ -46,8 +49,14 @@ using testing::IV;
 class RowExprTest : public ::testing::Test {
  protected:
   RowExprTest() {
+    state_.engine = &engine_;
     state_.scalars = &scalars_;
     state_.arrays = &arrays_;
+    arrays_["A"] = engine_.Parallelize(ARows());
+  }
+
+  static ValueVec ARows() {
+    return {Value::MakePair(IV(1), IV(10)), Value::MakePair(IV(2), IV(20))};
   }
 
   StatusOr<Value> Eval(const comp::CExprPtr& e,
@@ -56,10 +65,29 @@ class RowExprTest : public ::testing::Test {
     return EvalRowExpr(*CompileRowExpr(e, schema, state_), env);
   }
 
+  /// Labels of the stages the engine has recorded.
+  std::vector<std::string> StageLabels() const {
+    std::vector<std::string> labels;
+    for (const auto& s : engine_.metrics().stages()) labels.push_back(s.label);
+    return labels;
+  }
+
+  runtime::Engine engine_;
   std::map<std::string, Value> scalars_;
   std::map<std::string, runtime::Dataset> arrays_;
   ExecState state_;
 };
+
+/// { v | (i, v) <- A, v > bound } as a nested comprehension.
+comp::CExprPtr ValuesOfAAbove(int64_t bound) {
+  return comp::MakeNested(MakeComp(
+      MakeVar("v"),
+      {Qualifier::Generator(
+           Pattern::Tuple({Pattern::Var("i"), Pattern::Var("v")}),
+           MakeVar("A")),
+       Qualifier::Condition(
+           MakeBin(BinOp::kGt, MakeVar("v"), MakeInt(bound)))}));
+}
 
 TEST_F(RowExprTest, FirstSchemaEntryWinsOverLaterSlotsAndScalars) {
   scalars_["x"] = IV(100);
@@ -112,7 +140,6 @@ TEST_F(RowExprTest, ProjectionsReadSlotsAndKeepTheirErrors) {
 }
 
 TEST_F(RowExprTest, UnboundNameErrorsOnlyWhenEvaluated) {
-  arrays_["A"] = runtime::Dataset();
   auto skipped =
       Eval(MakeBin(BinOp::kAnd, MakeBool(false), MakeVar("nope")), {}, {});
   ASSERT_TRUE(skipped.ok()) << skipped.status().ToString();
@@ -126,6 +153,70 @@ TEST_F(RowExprTest, UnboundNameErrorsOnlyWhenEvaluated) {
   ASSERT_FALSE(array.ok());
   EXPECT_EQ(array.status().message(),
             "distributed array 'A' used as a value inside a row expression");
+}
+
+// In a row the same variable errors (UnboundNameErrorsOnlyWhenEvaluated).
+TEST_F(RowExprTest, ArrayVariableIsItsCollectedBagOnTheDriver) {
+  auto bag = EvalDriverExpr(MakeVar("A"), state_);
+  ASSERT_TRUE(bag.ok()) << bag.status().ToString();
+  EXPECT_TRUE(runtime::BagEquals(*bag, Value::MakeBag(ARows())));
+}
+
+TEST_F(RowExprTest, ShortCircuitOnTheDriverRunsNoStage) {
+  auto sum_is_30 = MakeBin(BinOp::kEq,
+                           MakeReduce(BinOp::kAdd, ValuesOfAAbove(0)),
+                           MakeInt(30));
+  auto skipped =
+      EvalDriverExpr(MakeBin(BinOp::kAnd, MakeBool(false), sum_is_30), state_);
+  ASSERT_TRUE(skipped.ok()) << skipped.status().ToString();
+  EXPECT_FALSE(skipped->AsBool());
+  EXPECT_TRUE(StageLabels().empty());
+
+  auto taken =
+      EvalDriverExpr(MakeBin(BinOp::kAnd, MakeBool(true), sum_is_30), state_);
+  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  EXPECT_TRUE(taken->AsBool());
+  EXPECT_FALSE(StageLabels().empty());
+}
+
+TEST_F(RowExprTest, ReductionOfAnEmptyNestedComprehensionIsTheIdentity) {
+  auto sum = EvalDriverExpr(MakeReduce(BinOp::kAdd, ValuesOfAAbove(100)),
+                            state_);
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_EQ(*sum, IV(0));
+  const std::vector<std::string> labels = StageLabels();
+  EXPECT_EQ(std::count(labels.begin(), labels.end(), "reduce[+]"), 1)
+      << ::testing::PrintToString(labels);
+}
+
+TEST_F(RowExprTest, MergeCollectsOnTheDriverAndErrorsInARow) {
+  arrays_["B"] = engine_.Parallelize(
+      {Value::MakePair(IV(2), IV(200)), Value::MakePair(IV(3), IV(300))});
+  auto merge = comp::MakeMerge(MakeVar("A"), MakeVar("B"));
+  auto bag = EvalDriverExpr(merge, state_);
+  ASSERT_TRUE(bag.ok()) << bag.status().ToString();
+  EXPECT_TRUE(runtime::BagEquals(
+      *bag, Value::MakeBag({Value::MakePair(IV(1), IV(10)),
+                            Value::MakePair(IV(2), IV(200)),
+                            Value::MakePair(IV(3), IV(300))})));
+
+  auto row = Eval(merge, {}, {});
+  ASSERT_FALSE(row.ok());
+  EXPECT_EQ(row.status().message(), "array merge in a row expression");
+}
+
+TEST_F(RowExprTest, WidestRangeIsTooLargeOnTheDriverAsInARow) {
+  auto range =
+      comp::MakeRange(MakeInt(std::numeric_limits<int64_t>::min()),
+                      MakeInt(std::numeric_limits<int64_t>::max()));
+  auto on_driver = EvalDriverExpr(range, state_);
+  ASSERT_FALSE(on_driver.ok());
+  EXPECT_EQ(on_driver.status().message(),
+            "range too large to materialize per-row");
+  auto in_row = Eval(range, {}, {});
+  ASSERT_FALSE(in_row.ok());
+  EXPECT_EQ(in_row.status().message(),
+            "range too large to materialize per-row");
 }
 
 // ------------------------- whole programs ----------------------------------

@@ -452,7 +452,6 @@ TEST(SkewDistTest, DistWorkersWithChaosByteIdentical) {
   dist::Coordinator coordinator(dist_config);
   EngineConfig config = SkewTestConfig(/*mitigate=*/true);
   config.remote = &coordinator;
-  config.dist_lose_on_kill = true;
   Engine engine(config);
   StatusOr<Dataset> got =
       engine.ReduceByKey(engine.Parallelize(rows), BinOp::kAdd);

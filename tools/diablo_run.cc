@@ -601,9 +601,6 @@ int main(int argc, char** argv) {
     if (!chaos_seed_set) dist_config.chaos.seed = engine_config.faults.seed;
     coordinator = std::make_unique<diablo::dist::Coordinator>(dist_config);
     engine_config.remote = coordinator.get();
-    // Real SIGKILLs feed the lineage recovery path: the next stage
-    // rebuilds the dead worker's partitions via recompute_many.
-    engine_config.dist_lose_on_kill = true;
     // Effective seeds, so any chaos run can be replayed exactly:
     // re-running with these values reproduces the kill schedule.
     std::fprintf(stderr,
