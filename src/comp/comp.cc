@@ -67,8 +67,9 @@ CExprPtr MakeReduce(runtime::BinOp op, CExprPtr arg) {
 CExprPtr MakeNested(CompPtr comp) {
   return Wrap(CExpr{CExpr::Nested{std::move(comp)}});
 }
-CExprPtr MakeRange(CExprPtr lo, CExprPtr hi) {
-  return Wrap(CExpr{CExpr::Range{std::move(lo), std::move(hi)}});
+CExprPtr MakeRange(CExprPtr lo, CExprPtr hi,
+                   std::optional<SourceLocation> loc) {
+  return Wrap(CExpr{CExpr::Range{std::move(lo), std::move(hi), loc}});
 }
 CExprPtr MakeMerge(CExprPtr left, CExprPtr right, bool unique_keys) {
   return Wrap(CExpr{CExpr::Merge{std::move(left), std::move(right),
@@ -436,7 +437,7 @@ CExprPtr MapChildren(const CExprPtr& e,
     CExprPtr lo = fn(r.lo);
     CExprPtr hi = fn(r.hi);
     if (lo == r.lo && hi == r.hi) return e;
-    return MakeRange(std::move(lo), std::move(hi));
+    return MakeRange(std::move(lo), std::move(hi), r.loc);
   }
   if (e->is<CExpr::Merge>()) {
     const auto& m = e->as<CExpr::Merge>();

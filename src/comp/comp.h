@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -110,10 +111,13 @@ struct CExpr {
   struct Nested {
     CompPtr comp;
   };
-  /// The iteration domain range(lo,hi), inclusive on both ends.
+  /// The iteration domain range(lo,hi), inclusive on both ends. `loc` is
+  /// the `for` header that rule (15d) translated it from; equality and
+  /// printing ignore it.
   struct Range {
     CExprPtr lo;
     CExprPtr hi;
+    std::optional<SourceLocation> loc;
   };
   /// Array merge X ⊳ Y (right-biased union by key). When `has_op` is
   /// true this is the *combining* merge X ⊳⊕ Y: keys present on both
@@ -169,7 +173,8 @@ CExprPtr MakeString(std::string v);
 CExprPtr MakeCall(std::string fn, std::vector<CExprPtr> args);
 CExprPtr MakeReduce(runtime::BinOp op, CExprPtr arg);
 CExprPtr MakeNested(CompPtr comp);
-CExprPtr MakeRange(CExprPtr lo, CExprPtr hi);
+CExprPtr MakeRange(CExprPtr lo, CExprPtr hi,
+                   std::optional<SourceLocation> loc = std::nullopt);
 CExprPtr MakeMerge(CExprPtr left, CExprPtr right, bool unique_keys = false);
 CExprPtr MakeMergeOp(runtime::BinOp op, CExprPtr left, CExprPtr right,
                      bool unique_keys = false);

@@ -81,7 +81,8 @@ struct StreamOp {
   std::vector<std::string> schema_after;
 
   /// Source location of the loop statement this operator was translated
-  /// from (line 0 = unknown). Flows into StageStats and trace spans.
+  /// from (line 0 = unknown): a range source's own `for` header, the
+  /// plan's statement for every other operator.
   SourceLocation loc{0, 0};
 
   std::string ToString() const;

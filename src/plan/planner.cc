@@ -263,6 +263,8 @@ StatusOr<CompPlan> BuildPlan(const comp::CompPtr& comp,
             op.pattern = q.pattern;
             op.expr = r.lo;
             op.expr2 = r.hi;
+            // Its errors name the `for` header, not the body statement.
+            if (r.loc.has_value()) op.loc = *r.loc;
             extend_schema(q.pattern);
             has_source = true;
             break;
@@ -356,7 +358,9 @@ StatusOr<CompPlan> BuildPlan(const comp::CompPtr& comp,
   }
 
   plan.driver_only = !has_source;
-  for (StreamOp& op : plan.ops) op.loc = plan.loc;
+  for (StreamOp& op : plan.ops) {
+    if (op.loc.line == 0) op.loc = plan.loc;
+  }
   AnnotatePlanSchemas(&plan);
   return plan;
 }

@@ -1,5 +1,7 @@
 #include "runtime/value.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <new>
@@ -18,19 +20,54 @@ TupleView Elements(const Value& v) {
 
 }  // namespace
 
-Value::TupleRef::TupleRef(size_t n, Value** elems_out) {
+Value Value::MakeString(std::string s) {
+  return Value(Kind::kString, Word{.block = new StringBlock{{}, std::move(s)}});
+}
+
+Value Value::NewTuple(size_t n, Value** elems) {
   static_assert(sizeof(Block) % alignof(Value) == 0,
                 "the elements follow the header without padding");
   void* raw = ::operator new(sizeof(Block) + n * sizeof(Value));
-  block_ = new (raw) Block{1, static_cast<uint32_t>(n)};
-  *elems_out = elems(block_);
-  std::uninitialized_value_construct_n(*elems_out, n);
+  Block* block = new (raw) Block{1, static_cast<uint32_t>(n)};
+  *elems = reinterpret_cast<Value*>(block + 1);
+  std::uninitialized_value_construct_n(*elems, n);
+  return Value(Kind::kTuple, Word{.block = block});
 }
 
-void Value::TupleRef::Free(Block* b) {
-  std::destroy_n(elems(b), b->size);
-  b->~Block();
-  ::operator delete(b);
+Value Value::MakeRecord(FieldVec fields) {
+  return Value(Kind::kRecord,
+               Word{.block = new RecordBlock{{}, std::move(fields)}});
+}
+
+Value Value::MakeBag(ValueVec elems) {
+  return Value(Kind::kBag, Word{.block = new BagBlock{{}, std::move(elems)}});
+}
+
+void Value::Free(Kind kind, Block* block) {
+  switch (kind) {
+    case Kind::kString:
+      delete static_cast<StringBlock*>(block);
+      return;
+    case Kind::kTuple:
+      std::destroy_n(reinterpret_cast<Value*>(block + 1), block->size);
+      block->~Block();
+      ::operator delete(block);
+      return;
+    case Kind::kRecord:
+      delete static_cast<RecordBlock*>(block);
+      return;
+    case Kind::kBag:
+      delete static_cast<BagBlock*>(block);
+      return;
+    default:
+      return;
+  }
+}
+
+void Value::WrongKind(Kind want) const {
+  std::fprintf(stderr, "runtime::Value: %s accessor called on a %s value\n",
+               KindName(want), KindName(kind_));
+  std::abort();
 }
 
 const Value* Value::FindField(const std::string& name) const {
@@ -52,13 +89,13 @@ int Value::Compare(const Value& other) const {
     case Kind::kUnit:
       return 0;
     case Kind::kBool:
-      return (AsBool() == other.AsBool()) ? 0 : (AsBool() ? 1 : -1);
+      return (word_.b == other.word_.b) ? 0 : (word_.b ? 1 : -1);
     case Kind::kInt: {
-      int64_t a = AsInt(), b = other.AsInt();
+      int64_t a = word_.i, b = other.word_.i;
       return a == b ? 0 : (a < b ? -1 : 1);
     }
     case Kind::kDouble: {
-      double a = AsDouble(), b = other.AsDouble();
+      double a = word_.d, b = other.word_.d;
       return a == b ? 0 : (a < b ? -1 : 1);
     }
     case Kind::kString:
@@ -96,11 +133,11 @@ size_t Value::Hash() const {
     case Kind::kUnit:
       return seed;
     case Kind::kBool:
-      return HashBool(AsBool());
+      return HashBool(word_.b);
     case Kind::kInt:
-      return HashInt(AsInt());
+      return HashInt(word_.i);
     case Kind::kDouble:
-      return HashDouble(AsDouble());
+      return HashDouble(word_.d);
     case Kind::kString:
       return HashCombine(seed, std::hash<std::string>()(AsString()));
     case Kind::kTuple:

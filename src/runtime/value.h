@@ -5,11 +5,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "common/status.h"
@@ -23,14 +21,12 @@ class Value;
 /// once constructed, so the payload is shared between copies of a Value
 /// — copying a Value is always O(1).
 using ValueVec = std::vector<Value>;
-using SharedValues = std::shared_ptr<const ValueVec>;
 
 /// A tuple's elements, read in place from its block.
 using TupleView = std::span<const Value>;
 
 /// A field list for record values: name/value pairs in declaration order.
 using FieldVec = std::vector<std::pair<std::string, Value>>;
-using SharedFields = std::shared_ptr<const FieldVec>;
 
 /// A dynamically-typed runtime value.
 ///
@@ -45,26 +41,52 @@ using SharedFields = std::shared_ptr<const FieldVec>;
 ///  - Tuple          fixed-arity heterogeneous sequence
 ///  - Record         named fields, `<A = 1, B = "x">`
 ///  - Bag            an unordered multiset (represented as a vector)
+///
+/// A Value is a kind byte and one payload word: the bool, int64 or double
+/// itself, or a pointer to the counted heap block of a string, tuple,
+/// record or bag. Copying a scalar copies 16 bytes; copying a heap kind
+/// also bumps the block's count.
 class Value {
  public:
-  enum class Kind { kUnit, kBool, kInt, kDouble, kString, kTuple, kRecord, kBag };
+  /// The enumerator values seed Hash and order Compare, so they never
+  /// move. Every kind from kString on lives in a counted block.
+  enum class Kind : uint8_t { kUnit, kBool, kInt, kDouble, kString, kTuple, kRecord, kBag };
 
   /// Constructs the unit value.
-  Value() : rep_(Unit{}) {}
+  Value() noexcept = default;
+  Value(const Value& other) noexcept : kind_(other.kind_), word_(other.word_) {
+    Retain();
+  }
+  /// Leaves `other` unit.
+  Value(Value&& other) noexcept : kind_(other.kind_), word_(other.word_) {
+    other.kind_ = Kind::kUnit;
+  }
+  Value& operator=(const Value& other) noexcept {
+    if (this != &other) *this = Value(other);
+    return *this;
+  }
+  /// Takes `other`'s payload before dropping this one's, so `other` may be
+  /// this value or live inside the block it drops; leaves `other` unit.
+  Value& operator=(Value&& other) noexcept {
+    const Kind kind = other.kind_;
+    const Word word = other.word_;
+    other.kind_ = Kind::kUnit;
+    Release();
+    kind_ = kind;
+    word_ = word;
+    return *this;
+  }
+  ~Value() { Release(); }
 
   static Value MakeUnit() { return Value(); }
-  static Value MakeBool(bool b) { return Value(Rep(b)); }
-  static Value MakeInt(int64_t i) { return Value(Rep(i)); }
-  static Value MakeDouble(double d) { return Value(Rep(d)); }
-  static Value MakeString(std::string s) {
-    return Value(Rep(std::make_shared<const std::string>(std::move(s))));
-  }
+  static Value MakeBool(bool b) { return Value(Kind::kBool, Word{.b = b}); }
+  static Value MakeInt(int64_t i) { return Value(Kind::kInt, Word{.i = i}); }
+  static Value MakeDouble(double d) { return Value(Kind::kDouble, Word{.d = d}); }
+  static Value MakeString(std::string s);
   /// A tuple of `n` unit elements in one fresh block. `*elems` points at
   /// the first; the caller fills them in place before the value is copied
   /// or read, so building a tuple costs one allocation.
-  static Value NewTuple(size_t n, Value** elems) {
-    return Value(Rep(TupleRef(n, elems)));
-  }
+  static Value NewTuple(size_t n, Value** elems);
   static Value MakePair(Value a, Value b) {
     Value* e = nullptr;
     Value pair = NewTuple(2, &e);
@@ -79,12 +101,8 @@ class Value {
     std::move(elems.begin(), elems.end(), e);
     return tuple;
   }
-  static Value MakeRecord(FieldVec fields) {
-    return Value(Rep(RecordRep{std::make_shared<const FieldVec>(std::move(fields))}));
-  }
-  static Value MakeBag(ValueVec elems) {
-    return Value(Rep(BagRep{std::make_shared<const ValueVec>(std::move(elems))}));
-  }
+  static Value MakeRecord(FieldVec fields);
+  static Value MakeBag(ValueVec elems);
   static Value EmptyBag() { return MakeBag({}); }
   /// The singleton bag {v}.
   static Value SingletonBag(Value v) {
@@ -93,7 +111,7 @@ class Value {
     return MakeBag(std::move(e));
   }
 
-  Kind kind() const { return static_cast<Kind>(rep_.index()); }
+  Kind kind() const { return kind_; }
 
   bool is_unit() const { return kind() == Kind::kUnit; }
   bool is_bool() const { return kind() == Kind::kBool; }
@@ -105,21 +123,24 @@ class Value {
   bool is_record() const { return kind() == Kind::kRecord; }
   bool is_bag() const { return kind() == Kind::kBag; }
 
-  bool AsBool() const { return std::get<bool>(rep_); }
-  int64_t AsInt() const { return std::get<int64_t>(rep_); }
-  double AsDouble() const { return std::get<double>(rep_); }
-  const std::string& AsString() const {
-    return *std::get<std::shared_ptr<const std::string>>(rep_);
-  }
+  // The typed accessors abort the process, naming both kinds, when the
+  // value holds another kind.
+  bool AsBool() const { return Expect(Kind::kBool).b; }
+  int64_t AsInt() const { return Expect(Kind::kInt).i; }
+  double AsDouble() const { return Expect(Kind::kDouble).d; }
+  const std::string& AsString() const;
   /// Numeric value widened to double; requires is_numeric().
-  double ToDouble() const { return is_int() ? static_cast<double>(AsInt()) : AsDouble(); }
+  double ToDouble() const { return is_int() ? static_cast<double>(word_.i) : AsDouble(); }
 
   /// Tuple elements; requires is_tuple().
-  TupleView tuple() const { return std::get<TupleRef>(rep_).view(); }
+  TupleView tuple() const {
+    const Block* b = Expect(Kind::kTuple).block;
+    return TupleView(reinterpret_cast<const Value*>(b + 1), b->size);
+  }
   /// Record fields; requires is_record().
-  const FieldVec& fields() const { return *std::get<RecordRep>(rep_).fields; }
+  const FieldVec& fields() const;
   /// Bag elements; requires is_bag().
-  const ValueVec& bag() const { return *std::get<BagRep>(rep_).elems; }
+  const ValueVec& bag() const;
 
   /// Looks up a record field by name; nullptr if absent.
   const Value* FindField(const std::string& name) const;
@@ -147,55 +168,72 @@ class Value {
   std::string ToString() const;
 
  private:
-  struct Unit {};
-  struct RecordRep { SharedFields fields; };
-  struct BagRep { SharedValues elems; };
+  /// The header every heap kind's block starts with: an atomic reference
+  /// count and, for a tuple, the arity, whose elements follow inline. The
+  /// count is 32 bits: four billion Values (64 GB) never share one block
+  /// here. A copy increments it (relaxed), a drop decrements it
+  /// (acquire-release) and the last drop frees the block.
+  struct Block {
+    std::atomic<uint32_t> refs{1};
+    uint32_t size = 0;
+  };
+  struct StringBlock;
+  struct RecordBlock;
+  struct BagBlock;
 
-  /// A counted reference to a tuple's one heap block: an atomic
-  /// reference count and the arity, followed by the elements inline.
-  /// The count is 32 bits: four billion Values (96 GB) never share one
-  /// tuple here.
-  class TupleRef {
-   public:
-    TupleRef(size_t n, Value** elems);
-    TupleRef(const TupleRef& other) noexcept : block_(other.block_) {
-      if (block_ != nullptr) block_->refs.fetch_add(1, std::memory_order_relaxed);
-    }
-    TupleRef(TupleRef&& other) noexcept : block_(other.block_) {
-      other.block_ = nullptr;
-    }
-    TupleRef& operator=(TupleRef other) noexcept {
-      std::swap(block_, other.block_);
-      return *this;
-    }
-    ~TupleRef() {
-      if (block_ != nullptr &&
-          block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        Free(block_);
-      }
-    }
-
-    TupleView view() const { return TupleView(elems(block_), block_->size); }
-
-   private:
-    struct Block {
-      std::atomic<uint32_t> refs;
-      uint32_t size;
-    };
-    static Value* elems(Block* b) { return reinterpret_cast<Value*>(b + 1); }
-    static void Free(Block* b);
-
-    Block* block_;
+  union Word {
+    int64_t i;
+    double d;
+    bool b;
+    Block* block;
   };
 
-  using Rep = std::variant<Unit, bool, int64_t, double,
-                           std::shared_ptr<const std::string>, TupleRef,
-                           RecordRep, BagRep>;
+  Value(Kind kind, Word word) noexcept : kind_(kind), word_(word) {}
 
-  explicit Value(Rep rep) : rep_(std::move(rep)) {}
+  bool on_heap() const { return kind_ >= Kind::kString; }
+  void Retain() const {
+    if (on_heap()) word_.block->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  void Release() {
+    if (on_heap() &&
+        word_.block->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      Free(kind_, word_.block);
+    }
+  }
+  static void Free(Kind kind, Block* block);
 
-  Rep rep_;
+  /// The payload, once the kind is `want`.
+  const Word& Expect(Kind want) const {
+    if (kind_ != want) [[unlikely]] WrongKind(want);
+    return word_;
+  }
+  [[noreturn]] void WrongKind(Kind want) const;
+
+  Kind kind_ = Kind::kUnit;
+  Word word_{.i = 0};
 };
+
+static_assert(sizeof(Value) == 16, "a kind byte and one payload word");
+
+struct Value::StringBlock : Block {
+  std::string s;
+};
+struct Value::RecordBlock : Block {
+  FieldVec fields;
+};
+struct Value::BagBlock : Block {
+  ValueVec elems;
+};
+
+inline const std::string& Value::AsString() const {
+  return static_cast<const StringBlock*>(Expect(Kind::kString).block)->s;
+}
+inline const FieldVec& Value::fields() const {
+  return static_cast<const RecordBlock*>(Expect(Kind::kRecord).block)->fields;
+}
+inline const ValueVec& Value::bag() const {
+  return static_cast<const BagBlock*>(Expect(Kind::kBag).block)->elems;
+}
 
 // The bits Value::Hash is built from. The typed column kernels
 // (runtime/column_batch.cc) hash raw bools, int64s and doubles with

@@ -574,7 +574,7 @@ StatusOr<std::vector<TargetStmtPtr>> Translator::S(
     quals.push_back(Qualifier::Generator(Pattern::Var(v2), hi));
     quals.push_back(Qualifier::Generator(
         Pattern::Var(node.var),
-        comp::MakeRange(comp::MakeVar(v1), comp::MakeVar(v2))));
+        comp::MakeRange(comp::MakeVar(v1), comp::MakeVar(v2), s.loc)));
     range_indexes_.push_back(node.var);
     auto body = S(*node.body, quals);
     range_indexes_.pop_back();

@@ -1,7 +1,8 @@
-// Heap allocations of the tuple representation and of the compiled row
-// path (DESIGN.md §19): a tuple is one block, and a segment builds its
-// outputs in place. This binary replaces the global operator new with a
-// counting one, so the counts are exact and need no timing.
+// Heap allocations of the Value representation and of the compiled row
+// path (DESIGN.md §19, §20): a scalar takes no heap, every heap kind is
+// one counted block, and a segment builds its outputs in place. This
+// binary replaces the global operator new with one that counts calls and
+// bytes, so the counts pin the footprint exactly and need no timing.
 
 #include <gtest/gtest.h>
 
@@ -20,14 +21,20 @@
 namespace {
 
 std::atomic<int64_t> g_allocations{0};
+std::atomic<int64_t> g_bytes{0};
+
+void Count(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
+}
 
 void* TryAllocate(std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(n);
   return std::malloc(n == 0 ? 1 : n);
 }
 
 void* TryAllocateAligned(std::size_t n, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(n);
   const auto a = static_cast<std::size_t>(align);
   // aligned_alloc wants a whole number of alignments.
   return std::aligned_alloc(a, n == 0 ? a : (n + a - 1) / a * a);
@@ -103,31 +110,110 @@ using runtime::ValueVec;
 using testing::DV;
 using testing::IV;
 
-/// The heap blocks `fn` allocates.
+/// The heap blocks `fn` allocates, and their requested bytes.
+struct Allocations {
+  int64_t calls = 0;
+  int64_t bytes = 0;
+};
+
 template <typename Fn>
-int64_t AllocationsOf(Fn&& fn) {
-  const int64_t before = g_allocations.load();
+Allocations AllocationsOf(Fn&& fn) {
+  const int64_t calls = g_allocations.load();
+  const int64_t bytes = g_bytes.load();
   fn();
-  return g_allocations.load() - before;
+  return {g_allocations.load() - calls, g_bytes.load() - bytes};
+}
+
+/// A heap kind's block: the 8-byte header (count and arity), then the
+/// payload.
+constexpr int64_t Block(std::size_t payload) {
+  return 8 + static_cast<int64_t>(payload);
+}
+
+TEST(ValueAllocations, ScalarsAllocateNothing) {
+  const Allocations a = AllocationsOf([] {
+    Value v = Value::MakeUnit();
+    v = Value::MakeBool(true);
+    v = IV(-7);
+    v = DV(0.5);
+    const Value copy = v;
+    EXPECT_EQ(copy.ToString(), "0.5");
+  });
+  EXPECT_EQ(a.calls, 0);
+  EXPECT_EQ(a.bytes, 0);
 }
 
 TEST(TupleAllocations, MakePairAllocatesOnceAndCopiesAllocateNothing) {
   Value pair;
-  EXPECT_EQ(AllocationsOf([&] { pair = Value::MakePair(IV(1), DV(2.5)); }), 1);
+  Allocations a = AllocationsOf([&] { pair = Value::MakePair(IV(1), DV(2.5)); });
+  EXPECT_EQ(a.calls, 1);
+  EXPECT_EQ(a.bytes, 40);  // the header and two 16-byte Values
   std::optional<Value> copy;
-  EXPECT_EQ(AllocationsOf([&] { copy.emplace(pair); }), 0);
+  a = AllocationsOf([&] { copy.emplace(pair); });
+  EXPECT_EQ(a.calls, 0);
   EXPECT_EQ(copy->ToString(), "(1,2.5)");
 }
 
 TEST(TupleAllocations, NewTupleAllocatesOnce) {
   Value tuple;
-  EXPECT_EQ(AllocationsOf([&] {
-              Value* elems = nullptr;
-              tuple = Value::NewTuple(5, &elems);
-              for (int i = 0; i < 5; ++i) elems[i] = IV(i);
-            }),
-            1);
+  const Allocations a = AllocationsOf([&] {
+    Value* elems = nullptr;
+    tuple = Value::NewTuple(5, &elems);
+    for (int i = 0; i < 5; ++i) elems[i] = IV(i);
+  });
+  EXPECT_EQ(a.calls, 1);
+  EXPECT_EQ(a.bytes, 88);  // the header and five 16-byte Values
   EXPECT_EQ(tuple.ToString(), "(0,1,2,3,4)");
+}
+
+// A string, a record or a bag is one block around its payload: the only
+// other allocation is the payload's own buffer, which the caller built.
+TEST(ValueAllocations, StringRecordAndBagAllocateOneBlock) {
+  Value str;
+  Allocations a = AllocationsOf([&] { str = Value::MakeString("key1"); });
+  EXPECT_EQ(a.calls, 1);  // "key1" fits the short-string buffer
+  EXPECT_EQ(a.bytes, Block(sizeof(std::string)));
+
+  std::string long_text(100, 'x');
+  a = AllocationsOf([&] { str = Value::MakeString(std::move(long_text)); });
+  EXPECT_EQ(a.calls, 1);
+  EXPECT_EQ(a.bytes, Block(sizeof(std::string)));
+
+  runtime::FieldVec fields;
+  fields.emplace_back("f", IV(1));
+  Value record;
+  a = AllocationsOf([&] { record = Value::MakeRecord(std::move(fields)); });
+  EXPECT_EQ(a.calls, 1);
+  EXPECT_EQ(a.bytes, Block(sizeof(runtime::FieldVec)));
+
+  ValueVec elems = {IV(1), IV(2)};
+  Value bag;
+  a = AllocationsOf([&] { bag = Value::MakeBag(std::move(elems)); });
+  EXPECT_EQ(a.calls, 1);
+  EXPECT_EQ(a.bytes, Block(sizeof(ValueVec)));
+  EXPECT_EQ(record.ToString(), "<f=1>");
+  EXPECT_EQ(bag.ToString(), "{1,2}");
+}
+
+TEST(ValueAllocations, CopiesAllocateNothing) {
+  const ValueVec values = {
+      Value(),          Value::MakeBool(false),
+      IV(3),            DV(1.5),
+      Value::MakeString(std::string(100, 's')),
+      Value::MakePair(IV(1), DV(2.5)),
+      Value::MakeRecord({{"f", IV(2)}}),
+      Value::MakeBag({IV(4)})};
+  std::vector<std::optional<Value>> copies(values.size());
+  const Allocations a = AllocationsOf([&] {
+    for (size_t i = 0; i < values.size(); ++i) {
+      copies[i].emplace(values[i]);
+      Value assigned;
+      assigned = values[i];
+    }
+  });
+  EXPECT_EQ(a.calls, 0);
+  EXPECT_EQ(a.bytes, 0);
+  for (size_t i = 0; i < values.size(); ++i) EXPECT_EQ(*copies[i], values[i]);
 }
 
 /// Segments over array rows (i, v), i = 0..n-1, as a scan binds them.
@@ -164,7 +250,7 @@ TEST_F(SegmentAllocations, KeyRowBuildsAtMostTwoBlocksPerRow) {
       ASSERT_TRUE(keyed.ok()) << keyed.status().ToString();
       out.push_back(std::move(*keyed));
     }
-  });
+  }).calls;
   // The (key, environment) pair and the environment tuple; the scalar
   // key and the row's frame take no heap.
   EXPECT_LE(allocations, 2 * static_cast<int64_t>(rows.size()));
@@ -191,7 +277,7 @@ TEST_F(SegmentAllocations, FilterAllocatesOnlyTheRowsItKeeps) {
       const Status st = op->flat(row, sink);
       ASSERT_TRUE(st.ok()) << st.ToString();
     }
-  });
+  }).calls;
   ASSERT_EQ(kept.size(), 10u);
   EXPECT_EQ(kept.front().ToString(), "(10,5)");
   // One block per kept row, its environment tuple. The 90 rows the

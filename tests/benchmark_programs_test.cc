@@ -79,6 +79,40 @@ TEST_P(BenchmarkProgramTest, UnoptimizedExecutionMatchesReference) {
   }
 }
 
+// The end-to-end benchmark runs partition tasks on two host threads.
+// That must not change a result (EngineConfig::host_threads): every
+// declared output prints as in the one-thread run. Under tsan this also
+// races the reference counts of the strings, records, bags and tuples
+// real plans share between pool threads.
+TEST_P(BenchmarkProgramTest, TwoHostThreadsMatchOneThread) {
+  const ProgramSpec& spec = GetProgram(GetParam());
+  std::mt19937_64 rng(42);
+  Bindings inputs = spec.make_inputs(SmallScale(spec.name), rng);
+  auto compiled = Compile(spec.source);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  auto outputs = [&](int host_threads) {
+    runtime::EngineConfig config;
+    config.host_threads = host_threads;
+    runtime::Engine engine(config);
+    std::vector<std::string> texts;
+    auto run = ::diablo::Run(*compiled, &engine, inputs);
+    if (!run.ok()) return std::vector<std::string>{run.status().ToString()};
+    for (const std::string& name : spec.scalar_outputs) {
+      auto v = run->Scalar(name);
+      texts.push_back(name + " = " + (v.ok() ? v->ToString() : v.status().ToString()));
+    }
+    for (const std::string& name : spec.array_outputs) {
+      auto v = run->Array(name);
+      texts.push_back(name + " = " + (v.ok() ? v->ToString() : v.status().ToString()));
+    }
+    return texts;
+  };
+  const std::vector<std::string> one = outputs(1);
+  ASSERT_EQ(one.size(), spec.scalar_outputs.size() + spec.array_outputs.size())
+      << one.front();
+  EXPECT_EQ(outputs(2), one);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllPrograms, BenchmarkProgramTest,
     ::testing::Values("conditional_sum", "equal", "string_match",

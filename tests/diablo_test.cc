@@ -64,6 +64,22 @@ TEST(Facade, RuntimeErrorsSurface) {
   EXPECT_EQ(run.status().code(), StatusCode::kRuntimeError);
 }
 
+// A range too large to materialize is reported at its `for` header, not
+// at the statement in the loop body.
+TEST(Facade, HugeRangeErrorNamesTheForHeader) {
+  runtime::Engine engine;
+  auto run = CompileAndRun("var s: int = 0;\n"
+                           "  for i = 1, n do\n"
+                           "    s += i;\n",
+                           &engine, {{"n", IV(int64_t{1} << 62)}});
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kRuntimeError);
+  EXPECT_NE(run.status().message().find(
+                "range(1, 4611686018427387904) at line 2, column 3 "),
+            std::string::npos)
+      << run.status().ToString();
+}
+
 TEST(Facade, RunRequiresEngine) {
   auto compiled = Compile("var x: int = 1;");
   ASSERT_TRUE(compiled.ok());

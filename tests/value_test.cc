@@ -1,5 +1,6 @@
 // Unit tests for runtime::Value: construction, equality, ordering,
-// hashing, serialization sizes and printing.
+// hashing, serialization sizes and printing, and the 16-byte layout's
+// sharing, moves, self-assignment and kind checks.
 
 #include "runtime/value.h"
 
@@ -131,6 +132,76 @@ TEST(Value, TupleCopiesShareOneBlock) {
   EXPECT_EQ(copy.ToString(), "(1,\"x\")");
 }
 
+// Every heap kind is one counted block that copies share.
+TEST(Value, HeapKindCopiesShareOneBlock) {
+  const Value str = Value::MakeString("a string past the short-string buffer");
+  const Value rec = Value::MakeRecord({{"a", Value::MakeInt(1)}});
+  const Value bag = Value::MakeBag({Value::MakeInt(1), Value::MakeInt(2)});
+  const Value str_copy = str;
+  const Value rec_copy = rec;
+  const Value bag_copy = bag;
+  EXPECT_EQ(str.AsString().data(), str_copy.AsString().data());
+  EXPECT_EQ(&rec.fields(), &rec_copy.fields());
+  EXPECT_EQ(&bag.bag(), &bag_copy.bag());
+}
+
+/// One value of every kind.
+ValueVec OneOfEachKind() {
+  return {Value(),
+          Value::MakeBool(true),
+          Value::MakeInt(-3),
+          Value::MakeDouble(0.25),
+          Value::MakeString("s"),
+          Value::MakePair(Value::MakeInt(1), Value::MakeString("t")),
+          Value::MakeRecord({{"f", Value::MakeInt(2)}}),
+          Value::MakeBag({Value::MakeInt(3)})};
+}
+
+TEST(Value, MovedFromValueIsUnit) {
+  for (Value& v : OneOfEachKind()) {
+    SCOPED_TRACE(v.ToString());
+    const std::string text = v.ToString();
+    Value constructed(std::move(v));
+    EXPECT_TRUE(v.is_unit());  // NOLINT(bugprone-use-after-move)
+    Value assigned = Value::MakeString("dropped");
+    assigned = std::move(constructed);
+    EXPECT_TRUE(constructed.is_unit());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(assigned.ToString(), text);
+  }
+}
+
+TEST(Value, SelfAssignmentKeepsEveryKind) {
+  for (Value& v : OneOfEachKind()) {
+    SCOPED_TRACE(v.ToString());
+    const std::string text = v.ToString();
+    const size_t hash = v.Hash();
+    Value& alias = v;
+    v = alias;
+    EXPECT_EQ(v.ToString(), text);
+    v = std::move(alias);
+    EXPECT_EQ(v.ToString(), text);
+    EXPECT_EQ(v.Hash(), hash);
+  }
+  // Assigning a value an element of its own tuple or bag takes the
+  // element before the block holding it is dropped.
+  Value t = Value::MakePair(Value::MakeString("inner"), Value::MakeInt(1));
+  t = t.tuple()[0];
+  EXPECT_EQ(t.ToString(), "\"inner\"");
+  Value b = Value::MakeBag({Value::MakeRecord({{"f", Value::MakeInt(5)}})});
+  b = b.bag()[0];
+  EXPECT_EQ(b.ToString(), "<f=5>");
+}
+
+// A typed accessor on the wrong kind stops the process and names both
+// kinds, as the uncaught std::get throw of the variant did.
+TEST(ValueDeathTest, WrongKindAccessorAbortsNamingBothKinds) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Value str = Value::MakeString("x");
+  const Value bag = Value::MakeBag({});
+  EXPECT_DEATH((void)str.AsInt(), "int accessor called on a string value");
+  EXPECT_DEATH((void)bag.tuple(), "tuple accessor called on a bag value");
+}
+
 TEST(Value, TupleBuildersAgree) {
   Value* elems = nullptr;
   Value built = Value::NewTuple(2, &elems);
@@ -196,10 +267,14 @@ TEST(Value, TupleHashSizeTextAndOrderAreUnchanged) {
 }
 
 // The reference count is atomic: threads copying and dropping one
-// shared tuple (and tuples nested in it) never free it early or twice.
+// shared tuple (and the tuple, string, record and bag nested in it) never
+// free a block early or twice.
 TEST(Value, SharedTupleSurvivesConcurrentCopies) {
   const Value inner = Value::MakePair(Value::MakeInt(7), Value::MakeString("s"));
-  const Value shared = Value::MakePair(inner, Value::MakeDouble(1.5));
+  const Value str = Value::MakeString("a string past the short-string buffer");
+  const Value rec = Value::MakeRecord({{"f", Value::MakeInt(2)}});
+  const Value bag = Value::MakeBag({Value::MakeInt(3), Value::MakeInt(4)});
+  const Value shared = Value::MakeTuple({inner, Value::MakeDouble(1.5), str, rec, bag});
   constexpr int kThreads = 4;
   constexpr int kRounds = 20000;
   std::vector<std::thread> threads;
@@ -209,16 +284,24 @@ TEST(Value, SharedTupleSurvivesConcurrentCopies) {
       std::vector<Value> held;
       for (int r = 0; r < kRounds; ++r) {
         Value copy = shared;
-        held.push_back(copy.tuple()[0]);
+        const TupleView elems = copy.tuple();
+        held.push_back(elems[0]);
+        held.push_back(elems[2 + r % 3]);
         if (held.size() == 16) held.clear();
-        sums[t] += copy.tuple()[0].tuple()[0].AsInt();
+        sums[t] += elems[0].tuple()[0].AsInt() +
+                   static_cast<int64_t>(elems[2].AsString().size()) +
+                   elems[3].fields()[0].second.AsInt() + elems[4].bag()[1].AsInt();
       }
     });
   }
   for (std::thread& th : threads) th.join();
-  for (int64_t sum : sums) EXPECT_EQ(sum, int64_t{7} * kRounds);
-  EXPECT_EQ(shared.ToString(), "((7,\"s\"),1.5)");
+  for (int64_t sum : sums) EXPECT_EQ(sum, int64_t{7 + 37 + 2 + 4} * kRounds);
+  EXPECT_EQ(shared.ToString(),
+            "((7,\"s\"),1.5,\"a string past the short-string buffer\",<f=2>,{3,4})");
   EXPECT_EQ(shared.tuple()[0].tuple().data(), inner.tuple().data());
+  EXPECT_EQ(shared.tuple()[2].AsString().data(), str.AsString().data());
+  EXPECT_EQ(&shared.tuple()[3].fields(), &rec.fields());
+  EXPECT_EQ(&shared.tuple()[4].bag(), &bag.bag());
 }
 
 }  // namespace
