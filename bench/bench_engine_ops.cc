@@ -167,12 +167,12 @@ BENCHMARK(BM_ReduceByKeyHotTraced)
     ->ArgNames({"rows", "keys", "trace"});
 
 // The cluster-telemetry overhead gate: the same reduceByKey executed
-// over forked worker processes, with tracing (and therefore the
-// per-task kTelemetry frames the workers ship back) off vs on.
+// over forked worker processes, with tracing off vs on.
 // tools/check_trace_overhead.py holds the traced variant within the
-// same 5% budget as the local pair above — spans ride an
-// already-open socket just ahead of each result frame, so the frame
-// overhead, not the span bookkeeping, is what this measures.
+// same 5% budget as the local pair above. Every task result carries
+// the attempt's timing and the worker's peak RSS in both arms, so what
+// this measures is the driver's span bookkeeping: building each worker
+// span and splicing it into the trace.
 void BM_DistReduceByKeyTraced(benchmark::State& state) {
   diablo::dist::DistConfig dist_config;
   dist_config.num_workers = 2;

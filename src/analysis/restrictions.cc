@@ -111,12 +111,9 @@ std::string RestrictionReport::ToString() const {
   return Join(lines, "\n");
 }
 
-RestrictionReport CheckProgram(const ast::Program& program) {
+std::vector<Diagnostic> RestrictionDiagnostics(const ast::Program& program) {
   // The Definition 3.1 checker proper lives in the loop linter, which
   // reports rich diagnostics (stable codes, race witnesses, hints).
-  // The report keeps only the error-severity subset as plain messages,
-  // already sorted by source location and deduplicated.
-  RestrictionReport report;
   std::vector<Diagnostic> diags = LintLoops(program);
   // Proven semantic errors (D2xx): statically out-of-bounds writes and
   // zero divisors from the abstract interpreter, non-associative merges
@@ -128,7 +125,14 @@ RestrictionReport CheckProgram(const ast::Program& program) {
     diags.push_back(std::move(d));
   }
   SortAndDedupe(&diags);
-  for (const Diagnostic& d : diags) {
+  return diags;
+}
+
+RestrictionReport CheckProgram(const ast::Program& program) {
+  // The report keeps only the error-severity subset as plain messages,
+  // already sorted by source location and deduplicated.
+  RestrictionReport report;
+  for (const Diagnostic& d : RestrictionDiagnostics(program)) {
     if (d.severity != Severity::kError) continue;
     report.ok = false;
     report.violations.push_back({d.message, d.loc});

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/diagnostics.h"
 #include "ast/ast.h"
 #include "common/status.h"
 
@@ -52,6 +53,14 @@ struct RestrictionReport {
 ///
 /// Call with the canonicalized program (CanonicalizeIncrements).
 RestrictionReport CheckProgram(const ast::Program& program);
+
+/// Every diagnostic the restriction check weighs, sorted by source
+/// location and deduplicated: LintLoops' Definition 3.1 checks, then the
+/// proven semantic errors (D2xx) of AnalyzeProgram and
+/// LintMergeOperators, each with its witness. CheckProgram keeps the
+/// error-severity subset; diablo_run renders all of them when it
+/// rejects a program. Call with the canonicalized program.
+std::vector<Diagnostic> RestrictionDiagnostics(const ast::Program& program);
 
 /// Convenience wrapper returning a RestrictionViolation status listing
 /// all violations, or OK.

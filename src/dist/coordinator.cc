@@ -24,6 +24,7 @@
 #include "dist/worker.h"
 #include "runtime/events.h"
 #include "runtime/fault.h"
+#include "runtime/trace.h"
 
 namespace diablo::dist {
 
@@ -33,12 +34,6 @@ using Clock = std::chrono::steady_clock;
 
 int64_t MsSince(Clock::time_point then, Clock::time_point now) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(now - then)
-      .count();
-}
-
-double SteadyNowUs() {
-  return std::chrono::duration<double, std::micro>(
-             Clock::now().time_since_epoch())
       .count();
 }
 
@@ -57,7 +52,7 @@ struct WorkerState {
   Clock::time_point dispatched_at;
   std::deque<int> queue;
   /// Worker steady clock minus coordinator steady clock (µs), measured
-  /// when the Hello arrived; rebases telemetry span times.
+  /// when the Hello arrived; rebases the task results' start times.
   double clock_offset_us = 0;
   /// Results installed from this worker id during the current wave,
   /// cumulative across respawns — the chaos-kill trigger coordinate.
@@ -137,7 +132,6 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
     params.heartbeat_ms = config_.heartbeat_ms;
     params.connect_attempts = config_.connect_attempts;
     params.connect_backoff_ms = config_.connect_backoff_ms;
-    params.telemetry = wave.want_telemetry;
     if (w == config_.stall_worker) params.stall_ms = config_.stall_ms;
     pid_t pid = fork();
     if (pid < 0) {
@@ -359,13 +353,21 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
     int p = 0;
     int attempt = 0;
     Status task_status;
+    double start_us = 0;
+    double dur_us = 0;
+    int64_t peak_rss_bytes = 0;
     std::string slots;
     Status decoded =
-        DecodeTaskResultPayload(payload, &p, &attempt, &task_status, &slots);
+        DecodeTaskResultPayload(payload, &p, &attempt, &task_status, &start_us,
+                                &dur_us, &peak_rss_bytes, &slots);
     if (!decoded.ok() || p < 0 || p >= num_tasks) {
       declare_dead(w, "corrupt task result");
       return;
     }
+    // Every attempt the worker ran is reported, even one whose result
+    // loses to a re-dispatch below.
+    wave.on_attempt(w, ws.clock_offset_us, p, attempt, start_us, dur_us,
+                    peak_rss_bytes);
     if (ws.in_flight != p) {
       // A result for a task this worker no longer owns (e.g. it was
       // re-dispatched after a deadline while the reply was in the
@@ -423,19 +425,6 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
       switch (frame.type) {
         case FrameType::kHeartbeat:
           break;  // last_heard already refreshed
-        case FrameType::kTelemetry: {
-          // Arrives just before its task result (same socket, so order
-          // is guaranteed), for every attempt the worker ran.
-          runtime::WorkerTelemetry telemetry;
-          if (!DecodeTelemetryPayload(frame.payload, &telemetry).ok()) {
-            declare_dead(w, "corrupt telemetry");
-            return;
-          }
-          if (wave.on_telemetry) {
-            wave.on_telemetry(w, ws.clock_offset_us, telemetry);
-          }
-          break;
-        }
         case FrameType::kTaskResult:
           handle_result(w, frame.payload);
           if (!workers[w].alive) return;  // reader is gone
@@ -484,7 +473,7 @@ Status Coordinator::RunWave(const runtime::RemoteTaskWave& wave,
     // offset plus one-way latency. Forked workers on one host share
     // CLOCK_MONOTONIC, so the residual is pure latency — the engine
     // collapses sub-threshold offsets to zero when splicing spans.
-    ws.clock_offset_us = worker_steady_us - SteadyNowUs();
+    ws.clock_offset_us = worker_steady_us - runtime::SteadyNowUs();
     if (!SendFrame(conn.fd, FrameType::kHelloAck, std::string()).ok()) {
       CloseFd(conn.fd);
       return false;

@@ -38,7 +38,6 @@ bool IsKnownFrameType(uint8_t type) {
     case FrameType::kTask:
     case FrameType::kTaskResult:
     case FrameType::kShutdown:
-    case FrameType::kTelemetry:
       return true;
   }
   return false;

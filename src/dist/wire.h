@@ -36,14 +36,11 @@ enum class FrameType : uint8_t {
   kHeartbeat = 3,
   /// Coordinator -> worker: run task p as simulated attempt a.
   kTask = 4,
-  /// Worker -> coordinator: task status + encoded result slots.
+  /// Worker -> coordinator: task status, the attempt's timing and the
+  /// worker's peak RSS, and the encoded result slots.
   kTaskResult = 5,
   /// Coordinator -> worker: exit cleanly (empty payload).
   kShutdown = 6,
-  /// Worker -> coordinator: task telemetry (spans + process counters),
-  /// sent immediately before the matching kTaskResult when the
-  /// coordinator requested telemetry in the task frame.
-  kTelemetry = 7,
 };
 
 /// True for the frame types above; anything else on the wire is corrupt.

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstring>
 #include <mutex>
 #include <thread>
 
@@ -12,15 +11,19 @@
 #include "dist/wire.h"
 #include "runtime/metrics_registry.h"
 #include "runtime/serialize.h"
+#include "runtime/trace.h"
 
 namespace diablo::dist {
 
 namespace {
 
+using runtime::GetWireDouble;
 using runtime::GetWireU32;
 using runtime::GetWireU64;
+using runtime::PutWireDouble;
 using runtime::PutWireU32;
 using runtime::PutWireU64;
+using runtime::SteadyNowUs;
 
 Status RebuildStatus(uint32_t code, std::string msg) {
   switch (static_cast<StatusCode>(code)) {
@@ -47,24 +50,6 @@ Status RebuildStatus(uint32_t code, std::string msg) {
                                   " in task result: ", msg));
 }
 
-double SteadyNowUs() {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-uint64_t DoubleBits(double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double DoubleFromBits(uint64_t bits) {
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 /// Heartbeats share the task-result socket, so every send goes through
 /// one mutex; interleaving a heartbeat inside a half-written result
 /// frame would corrupt the stream.
@@ -88,7 +73,7 @@ std::string EncodeHelloPayload(int worker_id, int64_t pid, uint64_t token,
   PutWireU32(static_cast<uint32_t>(worker_id), &out);
   PutWireU64(static_cast<uint64_t>(pid), &out);
   PutWireU64(token, &out);
-  PutWireU64(DoubleBits(steady_now_us), &out);
+  PutWireDouble(steady_now_us, &out);
   return out;
 }
 
@@ -99,14 +84,14 @@ Status DecodeHelloPayload(const std::string& payload, int* worker_id,
   DIABLO_ASSIGN_OR_RETURN(uint32_t id, GetWireU32(payload, &offset));
   DIABLO_ASSIGN_OR_RETURN(uint64_t p, GetWireU64(payload, &offset));
   DIABLO_ASSIGN_OR_RETURN(uint64_t t, GetWireU64(payload, &offset));
-  DIABLO_ASSIGN_OR_RETURN(uint64_t now_bits, GetWireU64(payload, &offset));
+  DIABLO_ASSIGN_OR_RETURN(double now_us, GetWireDouble(payload, &offset));
   if (offset != payload.size()) {
     return Status::DistError("trailing bytes in hello payload");
   }
   *worker_id = static_cast<int>(id);
   *pid = static_cast<int64_t>(p);
   *token = t;
-  *steady_now_us = DoubleFromBits(now_bits);
+  *steady_now_us = now_us;
   return Status::OK();
 }
 
@@ -130,6 +115,8 @@ Status DecodeTaskPayload(const std::string& payload, int* p, int* attempt) {
 }
 
 std::string EncodeTaskResultPayload(int p, int attempt, const Status& status,
+                                    double start_us, double dur_us,
+                                    int64_t peak_rss_bytes,
                                     const std::string& slots) {
   std::string out;
   PutWireU32(static_cast<uint32_t>(p), &out);
@@ -137,13 +124,18 @@ std::string EncodeTaskResultPayload(int p, int attempt, const Status& status,
   PutWireU32(static_cast<uint32_t>(status.code()), &out);
   PutWireU32(static_cast<uint32_t>(status.message().size()), &out);
   out.append(status.message());
+  PutWireDouble(start_us, &out);
+  PutWireDouble(dur_us, &out);
+  PutWireU64(static_cast<uint64_t>(peak_rss_bytes), &out);
+  PutWireU32(static_cast<uint32_t>(slots.size()), &out);
   out.append(slots);
   return out;
 }
 
 Status DecodeTaskResultPayload(const std::string& payload, int* p,
                                int* attempt, Status* task_status,
-                               std::string* slots) {
+                               double* start_us, double* dur_us,
+                               int64_t* peak_rss_bytes, std::string* slots) {
   size_t offset = 0;
   DIABLO_ASSIGN_OR_RETURN(uint32_t task, GetWireU32(payload, &offset));
   DIABLO_ASSIGN_OR_RETURN(uint32_t att, GetWireU32(payload, &offset));
@@ -154,67 +146,22 @@ Status DecodeTaskResultPayload(const std::string& payload, int* p,
   }
   std::string msg = payload.substr(offset, msg_len);
   offset += msg_len;
+  DIABLO_ASSIGN_OR_RETURN(double start, GetWireDouble(payload, &offset));
+  DIABLO_ASSIGN_OR_RETURN(double dur, GetWireDouble(payload, &offset));
+  DIABLO_ASSIGN_OR_RETURN(uint64_t rss, GetWireU64(payload, &offset));
+  DIABLO_ASSIGN_OR_RETURN(uint32_t slots_len, GetWireU32(payload, &offset));
+  if (slots_len != payload.size() - offset) {
+    return Status::DistError(
+        StrCat("task result slots length ", slots_len, " does not match the ",
+               payload.size() - offset, " bytes left"));
+  }
   *p = static_cast<int>(task);
   *attempt = static_cast<int>(att);
   *task_status = RebuildStatus(code, std::move(msg));
+  *start_us = start;
+  *dur_us = dur;
+  *peak_rss_bytes = static_cast<int64_t>(rss);
   *slots = payload.substr(offset);
-  return Status::OK();
-}
-
-std::string EncodeTelemetryPayload(const runtime::WorkerTelemetry& telemetry) {
-  std::string out;
-  PutWireU32(static_cast<uint32_t>(telemetry.task), &out);
-  PutWireU32(static_cast<uint32_t>(telemetry.attempt), &out);
-  PutWireU64(static_cast<uint64_t>(telemetry.peak_rss_bytes), &out);
-  PutWireU32(static_cast<uint32_t>(telemetry.spans.size()), &out);
-  for (const auto& span : telemetry.spans) {
-    PutWireU64(DoubleBits(span.start_abs_us), &out);
-    PutWireU64(DoubleBits(span.dur_us), &out);
-    PutWireU32(static_cast<uint32_t>(span.partition), &out);
-    PutWireU32(static_cast<uint32_t>(span.attempt), &out);
-    PutWireU32(static_cast<uint32_t>(span.stage_id), &out);
-    PutWireU64(static_cast<uint64_t>(span.rows), &out);
-  }
-  return out;
-}
-
-Status DecodeTelemetryPayload(const std::string& payload,
-                              runtime::WorkerTelemetry* telemetry) {
-  size_t offset = 0;
-  DIABLO_ASSIGN_OR_RETURN(uint32_t task, GetWireU32(payload, &offset));
-  DIABLO_ASSIGN_OR_RETURN(uint32_t att, GetWireU32(payload, &offset));
-  DIABLO_ASSIGN_OR_RETURN(uint64_t rss, GetWireU64(payload, &offset));
-  DIABLO_ASSIGN_OR_RETURN(uint32_t nspans, GetWireU32(payload, &offset));
-  // Each span costs exactly 36 payload bytes; bounding the count
-  // against the remaining bytes keeps a corrupt prefix from reserving
-  // the machine away.
-  if (static_cast<uint64_t>(nspans) * 36 > payload.size() - offset) {
-    return Status::DistError("oversized span count in telemetry payload");
-  }
-  telemetry->task = static_cast<int>(task);
-  telemetry->attempt = static_cast<int>(att);
-  telemetry->peak_rss_bytes = static_cast<int64_t>(rss);
-  telemetry->spans.clear();
-  telemetry->spans.reserve(nspans);
-  for (uint32_t i = 0; i < nspans; ++i) {
-    runtime::WorkerSpan span;
-    DIABLO_ASSIGN_OR_RETURN(uint64_t start_bits, GetWireU64(payload, &offset));
-    DIABLO_ASSIGN_OR_RETURN(uint64_t dur_bits, GetWireU64(payload, &offset));
-    DIABLO_ASSIGN_OR_RETURN(uint32_t partition, GetWireU32(payload, &offset));
-    DIABLO_ASSIGN_OR_RETURN(uint32_t span_att, GetWireU32(payload, &offset));
-    DIABLO_ASSIGN_OR_RETURN(uint32_t stage, GetWireU32(payload, &offset));
-    DIABLO_ASSIGN_OR_RETURN(uint64_t rows, GetWireU64(payload, &offset));
-    span.start_abs_us = DoubleFromBits(start_bits);
-    span.dur_us = DoubleFromBits(dur_bits);
-    span.partition = static_cast<int>(partition);
-    span.attempt = static_cast<int>(span_att);
-    span.stage_id = static_cast<int>(stage);
-    span.rows = static_cast<int64_t>(rows);
-    telemetry->spans.push_back(span);
-  }
-  if (offset != payload.size()) {
-    return Status::DistError("trailing bytes in telemetry payload");
-  }
   return Status::OK();
 }
 
@@ -259,7 +206,7 @@ void WorkerMain(const WorkerParams& params,
       std::this_thread::sleep_for(std::chrono::milliseconds(params.stall_ms));
     }
 
-    const double task_t0 = SteadyNowUs();
+    const double start_us = SteadyNowUs();
     Status task_status = wave.run(p, attempt);
     std::string slots;
     if (task_status.ok()) {
@@ -270,34 +217,11 @@ void WorkerMain(const WorkerParams& params,
         task_status = slots_or.status();
       }
     }
-    // Telemetry goes out under the same sender lock scheme, immediately
-    // before the result frame; TCP ordering then guarantees the
-    // coordinator splices the spans before it processes the result.
-    // Every attempt the worker ran ships its span, failed or not, just
-    // as the local scheduler traces every attempt it runs.
-    if (params.telemetry) {
-      runtime::WorkerTelemetry telemetry;
-      telemetry.task = p;
-      telemetry.attempt = attempt;
-      telemetry.peak_rss_bytes = runtime::MetricsRegistry::ProcessPeakRssBytes();
-      runtime::WorkerSpan span;
-      span.start_abs_us = task_t0;
-      span.dur_us = SteadyNowUs() - task_t0;
-      span.partition = p;
-      span.attempt = attempt;
-      span.stage_id = wave.stage;
-      span.rows = p >= 0 && p < static_cast<int>(wave.task_work.size())
-                      ? wave.task_work[static_cast<size_t>(p)]
-                      : -1;
-      telemetry.spans.push_back(span);
-      if (!sender
-               .Send(FrameType::kTelemetry, EncodeTelemetryPayload(telemetry))
-               .ok()) {
-        _exit(3);
-      }
-    }
-    std::string result = EncodeTaskResultPayload(p, attempt, task_status,
-                                                 slots);
+    // Every attempt the worker ran reports its timing, failed or not,
+    // just as the local scheduler traces every attempt it runs.
+    std::string result = EncodeTaskResultPayload(
+        p, attempt, task_status, start_us, SteadyNowUs() - start_us,
+        runtime::MetricsRegistry::ProcessPeakRssBytes(), slots);
     if (!sender.Send(FrameType::kTaskResult, result).ok()) _exit(3);
   }
 }

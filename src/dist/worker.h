@@ -23,9 +23,6 @@ struct WorkerParams {
   /// deadline/heartbeat test can make one worker pathologically slow
   /// without real clock dependence in assertions.
   int stall_ms = 0;
-  /// Record task spans + process counters and ship them in a kTelemetry
-  /// frame before every task result.
-  bool telemetry = false;
 };
 
 /// Body of a forked worker child. Connects back to the coordinator,
@@ -41,7 +38,7 @@ struct WorkerParams {
 /// exercised directly in tests). The hello carries the worker's
 /// absolute steady-clock reading (µs) taken just before the send; the
 /// coordinator subtracts its own reading at receive to measure the
-/// clock offset used to rebase telemetry span times.
+/// clock offset used to rebase the task results' start times.
 std::string EncodeHelloPayload(int worker_id, int64_t pid, uint64_t token,
                                double steady_now_us);
 Status DecodeHelloPayload(const std::string& payload, int* worker_id,
@@ -49,17 +46,19 @@ Status DecodeHelloPayload(const std::string& payload, int* worker_id,
                           double* steady_now_us);
 std::string EncodeTaskPayload(int p, int attempt);
 Status DecodeTaskPayload(const std::string& payload, int* p, int* attempt);
+/// The result of every attempt a worker runs, failed or not: task,
+/// attempt, status, the attempt's start (absolute worker steady-clock
+/// µs) and duration, the worker's peak RSS in bytes when it ended, and
+/// the length-prefixed encoded slots (empty unless the attempt
+/// succeeded). The decoder rejects truncation and trailing bytes.
 std::string EncodeTaskResultPayload(int p, int attempt, const Status& status,
+                                    double start_us, double dur_us,
+                                    int64_t peak_rss_bytes,
                                     const std::string& slots);
 Status DecodeTaskResultPayload(const std::string& payload, int* p,
                                int* attempt, Status* task_status,
-                               std::string* slots);
-/// kTelemetry payload: task + attempt it accompanies, worker peak RSS,
-/// and the spans recorded while running the task (absolute worker
-/// steady-clock times; see runtime::WorkerTelemetry).
-std::string EncodeTelemetryPayload(const runtime::WorkerTelemetry& telemetry);
-Status DecodeTelemetryPayload(const std::string& payload,
-                              runtime::WorkerTelemetry* telemetry);
+                               double* start_us, double* dur_us,
+                               int64_t* peak_rss_bytes, std::string* slots);
 
 }  // namespace diablo::dist
 

@@ -13,27 +13,24 @@
 
 namespace diablo::runtime {
 
-/// One node of a dataset's lineage graph — the recipe for rebuilding a
-/// lost partition from its ancestors, the way Spark recovers RDD
+/// One node of a dataset's lineage graph — the recipe for rebuilding
+/// lost partitions from its ancestors, the way Spark recovers RDD
 /// partitions after an executor death. The engine attaches a node to
-/// every dataset it produces; `recompute` re-derives one partition from
-/// the (materialized) parent datasets captured in its closure and must
+/// every dataset it produces; `recompute` re-derives partitions from the
+/// (materialized) parent datasets captured in its closure and must
 /// reproduce the original computation bit-for-bit, evaluation order
 /// included, so recovered runs equal fault-free runs exactly.
 struct LineageNode {
-  /// Recomputes partition `p`, adding the rows scanned to `*work` (the
-  /// cost model prices recovery from it).
-  using RecomputeFn = std::function<StatusOr<ValueVec>(int p, int64_t* work)>;
-
-  /// Recomputes several lost partitions in ONE pass over the ancestor
-  /// data: `parts` lists the lost partition ids (ascending) and
-  /// `rebuilt[i]` receives the rows of `parts[i]`. Shuffle-producing
-  /// operators install this instead of RecomputeFn so recovery scans
-  /// each source row once, hashes it once, and keeps only rows whose
-  /// destination is lost — not once per lost destination.
-  using RecomputeManyFn = std::function<Status(
-      const std::vector<int>& parts, std::vector<ValueVec>* rebuilt,
-      int64_t* work)>;
+  /// Recomputes the lost partitions `parts` (ascending ids) in one call:
+  /// `rebuilt` receives one entry per id, in order, and the rows scanned
+  /// are added to `*work` (the cost model prices recovery from it). A
+  /// shuffle-producing operator's replay scans each source row once,
+  /// hashes it once, and keeps only rows whose destination is lost — not
+  /// once per lost destination; a Force stage's replays each partition's
+  /// chain.
+  using RecomputeFn = std::function<Status(const std::vector<int>& parts,
+                                           std::vector<ValueVec>* rebuilt,
+                                           int64_t* work)>;
 
   /// Operator kind: "source", "checkpoint", "map", "fused", "shuffle", ...
   std::string kind;
@@ -44,12 +41,9 @@ struct LineageNode {
   bool durable = false;
   std::vector<std::shared_ptr<const LineageNode>> parents;
   /// Null for durable nodes, and for every node when the engine runs
-  /// without fault injection (no recovery can be asked, so no closures
+  /// without fault injection (no recovery can be asked, so no closure
   /// — and no ancestor datasets — are retained).
   RecomputeFn recompute;
-  /// Preferred over `recompute` when set: single-pass multi-partition
-  /// recovery (see RecomputeManyFn). Same retention rules.
-  RecomputeManyFn recompute_many;
   /// Length of the longest chain of non-durable ancestors, this node
   /// included. Checkpoint() resets it to 0; iterative loops use it to
   /// decide when lineage has grown long enough to truncate. Fused

@@ -18,17 +18,39 @@ namespace diablo::runtime {
 
 /// One virtual task of a wide stage's finish wave: the rows each input
 /// side delivered to it (side 0 restricted to [lo, hi) — a chunk when
-/// salted), and what its finish reports for the stage record.
+/// salted), and the task's record, where its finish reports its work,
+/// keyed-table counts, accumulator bytes and columnar counters.
 template <typename Rows>
 struct WideTask {
   const Rows* left = nullptr;
   const Rows* right = nullptr;  ///< join and coGroup only
   size_t lo = 0;
   size_t hi = 0;
-  ChainTally* tally = nullptr;  ///< accumulator bytes, columnar counters
-  int64_t work = 0;             ///< StageStats::reduce_work units
-  int64_t agg_rows = 0;         ///< rows inserted into keyed tables
-  int64_t agg_keys = 0;         ///< distinct keys those tables produced
+  StageStats* record = nullptr;
+};
+
+/// Per-task tally of the intermediates a fused chain streamed through
+/// instead of materializing: rows produced at each operator boundary,
+/// with bytes estimated from the first row crossing that boundary (a
+/// full per-row SerializedBytes() walk would cost more than the
+/// materialization it measures). Each task attempt keeps its own and
+/// adds it to its record at the end of its body.
+struct ChainTally {
+  std::vector<int64_t> rows;
+  std::vector<int64_t> sample_bytes;
+
+  explicit ChainTally(size_t boundaries)
+      : rows(boundaries, 0), sample_bytes(boundaries, 0) {}
+  void Record(size_t boundary, const Value& v) {
+    if (boundary >= rows.size()) return;
+    if (rows[boundary]++ == 0) sample_bytes[boundary] = v.SerializedBytes();
+  }
+  void AddTo(StageStats* record) const {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      record->rows_not_materialized += rows[i];
+      record->bytes_not_materialized += rows[i] * sample_bytes[i];
+    }
+  }
 };
 
 namespace {
@@ -273,14 +295,11 @@ StatusOr<int64_t> ShipEncoded(const HashedVec& rows, size_t i, HashedVec* into,
   return static_cast<int64_t>(wire.size());
 }
 
-// ChainTally moved to runtime/wave_io.h: the distributed backend
-// marshals the per-task tallies back with the wave's output slots.
-
 /// Applies chain[i..] to `v` element-by-element, delivering every
 /// surviving output row to `sink` (a Status(const Value&) callable).
 /// Rows produced at boundary b are recorded in `tally` (may be null;
-/// boundaries past its Reset() size — i.e. outputs the caller does
-/// materialize — are ignored).
+/// boundaries past its size — i.e. outputs the caller does materialize
+/// — are ignored).
 template <typename Sink>
 Status ApplyChain(const FusedChain& chain, size_t i, const Value& v,
                   ChainTally* tally, Sink&& sink) {
@@ -334,10 +353,12 @@ Status ApplyChainRows(const FusedChain& chain, const ValueVec& rows,
 /// `partial` in arrival order. With `native_op`, TypedFold folds them
 /// natively while they allow it (bit-identical to EvalBinOp, including
 /// the int->double promotion mid-fold); from the first row of any other
-/// kind the typed partial turns boxed and `fn` folds the rest.
+/// kind the typed partial turns boxed and `fn` folds the rest. The
+/// columnar counters go to the task's `record`.
 Status FoldPartition(const FusedChain& chain, const ValueVec& rows,
                      const Engine::ReduceFn& fn, const BinOp* native_op,
-                     ChainTally* tally, std::optional<Value>* partial) {
+                     ChainTally* tally, StageStats* record,
+                     std::optional<Value>* partial) {
   partial->reset();
   std::optional<TypedFold> typed;
   if (native_op != nullptr) typed.emplace(*native_op);
@@ -360,10 +381,10 @@ Status FoldPartition(const FusedChain& chain, const ValueVec& rows,
         }));
   }
   if (typed.has_value()) {
-    if (typed->rows() > 0) tally->columnar_batches += 1;
+    if (typed->rows() > 0) record->columnar_batches += 1;
     if (!typed->empty()) *partial = typed->Result();
   } else if (native_op != nullptr) {
-    tally->columnar_rows_fallback += boxed_rows;
+    record->columnar_rows_fallback += boxed_rows;
   }
   return Status::OK();
 }
@@ -385,16 +406,18 @@ std::string FusedStageLabel(const FusedChain& chain,
   return chain.empty() ? label : ChainLabel(chain) + "+" + label;
 }
 
-/// Lineage recompute of one partition of a Force stage: the row body
-/// over the source rows.
+/// Lineage recompute of a Force stage: the row body over each lost
+/// partition's source rows.
 LineageNode::RecomputeFn ChainReplay(const Dataset& src) {
-  return [src](int p, int64_t* work) -> StatusOr<ValueVec> {
-    const ValueVec& rows = src.partition(p);
-    *work += static_cast<int64_t>(rows.size());
-    ValueVec rebuilt;
-    DIABLO_RETURN_IF_ERROR(
-        ApplyChainRows(src.chain(), rows, nullptr, &rebuilt));
-    return rebuilt;
+  return [src](const std::vector<int>& lost, std::vector<ValueVec>* rebuilt,
+               int64_t* work) -> Status {
+    for (int p : lost) {
+      const ValueVec& rows = src.partition(p);
+      *work += static_cast<int64_t>(rows.size());
+      DIABLO_RETURN_IF_ERROR(ApplyChainRows(src.chain(), rows, nullptr,
+                                            &rebuilt->emplace_back()));
+    }
+    return Status::OK();
   };
 }
 
@@ -440,10 +463,18 @@ HashedVec CombinedRows(KeyedAccumulator<Value>* acc) {
 
 // The per-destination finishes of the wide operators. Each turns the
 // rows one finish task received, in arrival order, into its output rows
-// and reports its work and keyed-table counts. The forward finish wave
-// and the lineage replay (recompute_many) both call them, so recovery
+// and reports its work and keyed-table counts in the task's record. The
+// forward finish wave and the lineage replay both call them, so recovery
 // cannot drift from the forward path. All but JoinFinish canonicalize
 // the key order with one SortByKey; a join emits in probe order.
+
+/// A finish task's report: its reduce-side work units, the rows it
+/// inserted into keyed tables and the distinct keys they produced.
+void RecordFinish(StageStats* record, size_t work, size_t rows, size_t keys) {
+  record->reduce_work = {static_cast<int64_t>(work)};
+  record->hash_agg_rows = static_cast<int64_t>(rows);
+  record->hash_agg_keys = static_cast<int64_t>(keys);
+}
 
 /// groupByKey: (key, Bag-of-values), each bag in arrival order.
 StatusOr<ValueVec> GroupFinish(WideTask<HashedVec>& t) {
@@ -453,13 +484,13 @@ StatusOr<ValueVec> GroupFinish(WideTask<HashedVec>& t) {
     const TupleView kv = part[i].row.tuple();
     groups.FindOrCreate(part[i].hash, kv[0]).payload.push_back(kv[1]);
   }
-  t.tally->accumulator_bytes = static_cast<int64_t>(groups.MemoryBytes());
+  t.record->accumulator_bytes_peak =
+      static_cast<int64_t>(groups.MemoryBytes());
   ValueVec out = SortedRows(&groups, [](auto& e) {
     return Value::MakePair(std::move(e.key),
                            Value::MakeBag(std::move(e.payload)));
   });
-  t.work = t.agg_rows = static_cast<int64_t>(t.hi - t.lo);
-  t.agg_keys = static_cast<int64_t>(out.size());
+  RecordFinish(t.record, t.hi - t.lo, t.hi - t.lo, out.size());
   return out;
 }
 
@@ -484,25 +515,24 @@ StatusOr<ValueVec> FoldFinish(WideTask<HashedVec>& t,
   const bool all_typed = typed.has_value() && i == part.size();
   if (typed.has_value() && !all_typed) {
     typed->SpillTo(&acc);
-    t.tally->columnar_rows_fallback += static_cast<int64_t>(part.size() - i);
+    t.record->columnar_rows_fallback += static_cast<int64_t>(part.size() - i);
   }
   for (; i < part.size(); ++i) {
     const TupleView kv = part[i].row.tuple();
     DIABLO_RETURN_IF_ERROR(FoldInto(&acc, part[i].hash, kv[0], kv[1], fn));
   }
-  t.tally->accumulator_bytes = static_cast<int64_t>(
+  t.record->accumulator_bytes_peak = static_cast<int64_t>(
       acc.MemoryBytes() + (typed.has_value() ? typed->MemoryBytes() : 0));
   ValueVec out;
   if (all_typed) {
     typed->EmitSortedRows(&out);
-    if (typed->rows() > 0) t.tally->columnar_batches += 1;
+    if (typed->rows() > 0) t.record->columnar_batches += 1;
   } else {
     out = SortedRows(&acc, [](auto& e) {
       return Value::MakePair(std::move(e.key), std::move(e.payload));
     });
   }
-  t.work = t.agg_rows = static_cast<int64_t>(part.size());
-  t.agg_keys = static_cast<int64_t>(out.size());
+  RecordFinish(t.record, part.size(), part.size(), out.size());
   return out;
 }
 
@@ -519,12 +549,11 @@ StatusOr<ValueVec> TypedFoldFinish(WideTask<TypedRows>& t, BinOp op) {
                         ints ? rows.pay_ints[i] : 0,
                         ints ? 0.0 : rows.pay_doubles[i]);
   }
-  t.tally->accumulator_bytes = static_cast<int64_t>(typed.MemoryBytes());
+  t.record->accumulator_bytes_peak = static_cast<int64_t>(typed.MemoryBytes());
   ValueVec out;
   typed.EmitSortedRows(&out);
-  if (typed.rows() > 0) t.tally->columnar_batches += 1;
-  t.work = t.agg_rows = static_cast<int64_t>(rows.size());
-  t.agg_keys = static_cast<int64_t>(out.size());
+  if (typed.rows() > 0) t.record->columnar_batches += 1;
+  RecordFinish(t.record, rows.size(), rows.size(), out.size());
   return out;
 }
 
@@ -548,9 +577,8 @@ StatusOr<ValueVec> JoinFinish(WideTask<HashedVec>& t) {
     }
   }
   // One unit per build row, probe row and emitted match.
-  t.work = static_cast<int64_t>(left.size() + right.size() + out.size());
-  t.agg_rows = static_cast<int64_t>(left.size());
-  t.agg_keys = static_cast<int64_t>(build.size());
+  RecordFinish(t.record, left.size() + right.size() + out.size(), left.size(),
+               build.size());
   return out;
 }
 
@@ -575,8 +603,8 @@ StatusOr<ValueVec> CoGroupFinish(WideTask<HashedVec>& t) {
         Value::MakePair(Value::MakeBag(std::move(e.payload.first)),
                         Value::MakeBag(std::move(e.payload.second))));
   });
-  t.work = t.agg_rows = static_cast<int64_t>(left.size() + right.size());
-  t.agg_keys = static_cast<int64_t>(out.size());
+  RecordFinish(t.record, left.size() + right.size(),
+               left.size() + right.size(), out.size());
   return out;
 }
 
@@ -678,21 +706,28 @@ Dataset Engine::Range(int64_t lo, int64_t hi) const {
   return Parallelize(std::move(rows));
 }
 
-Status Engine::RunTaskWave(const std::string& label, int stage,
-                           const std::vector<int64_t>& task_work,
-                           const std::function<Status(int, int)>& fn,
-                           StageStats* stats, const WaveSlots* slots) {
+StatusOr<std::vector<StageStats>> Engine::RunTaskWave(
+    const std::string& label, int stage, const std::vector<int64_t>& task_work,
+    const TaskFn& fn, StageStats* stats, WaveSlots slots) {
   const int n = static_cast<int>(task_work.size());
-  if (n == 0) return Status::OK();
+  std::vector<StageStats> records(n);
+  if (n == 0) return records;
   TraceRecorder* tr = trace();
   ScopedSpan wave_span(tr, SpanKind::kWave, label);
   wave_span.SetStageId(stage);
   TaskAttempts attempts(injector_, config_.cluster.seconds_per_work_unit,
                         config_.events, label, stage, task_work);
+  // One attempt of task p, starting from an empty record. On the remote
+  // backend this runs on the worker, so the reset happens there too.
+  auto run = [&](int p, int attempt) -> Status {
+    records[p] = StageStats();
+    return fn(p, attempt, &records[p]);
+  };
   Status st;
-  if (config_.remote != nullptr && slots != nullptr) {
-    st = RunTaskWaveRemote(label, stage, task_work, fn, &attempts, stats,
-                           *slots, tr, wave_span.id());
+  if (config_.remote != nullptr) {
+    slots.records = &records;
+    st = RunTaskWaveRemote(label, stage, task_work, run, &attempts, stats,
+                           slots, tr, wave_span.id());
   } else {
     // One task's attempt loop. Each attempt it runs is timed into a task
     // span under the wave; tracing never perturbs execution, since the
@@ -701,18 +736,18 @@ Status Engine::RunTaskWave(const std::string& label, int stage,
       for (;;) {
         DIABLO_ASSIGN_OR_RETURN(const int attempt, attempts.Begin(p));
         const double t0 = tr != nullptr ? tr->NowUs() : 0.0;
-        Status run = fn(p, attempt);
+        Status result = run(p, attempt);
         if (tr != nullptr) {
           tr->AddTask(wave_span.id(), t0, tr->NowUs() - t0,
                       CurrentTraceWorker(), p, attempt, stage, task_work[p]);
         }
-        if (run.ok()) {
+        if (result.ok()) {
           attempts.Succeed(p, attempt);
-          return run;
+          return result;
         }
         // Only simulated faults are retryable; a genuine callback error
         // aborts the stage unchanged.
-        if (run.code() != StatusCode::kTaskLost) return run;
+        if (result.code() != StatusCode::kTaskLost) return result;
         attempts.Fail(p, attempt, "task_lost");
       }
     };
@@ -729,12 +764,13 @@ Status Engine::RunTaskWave(const std::string& label, int stage,
     }
   }
   attempts.AddTo(stats);
-  return st;
+  DIABLO_RETURN_IF_ERROR(st);
+  return records;
 }
 
 Status Engine::RunTaskWaveRemote(const std::string& label, int stage,
                                  const std::vector<int64_t>& task_work,
-                                 const std::function<Status(int, int)>& fn,
+                                 const std::function<Status(int, int)>& run,
                                  TaskAttempts* attempts, StageStats* stats,
                                  const WaveSlots& slots, TraceRecorder* tr,
                                  int64_t wave_span_id) {
@@ -743,56 +779,50 @@ Status Engine::RunTaskWaveRemote(const std::string& label, int stage,
   wave.stage = stage;
   wave.task_work = task_work;
   wave.attempts = attempts;
-  wave.want_telemetry = tr != nullptr || config_.registry != nullptr;
-  wave.run = fn;
+  wave.run = run;
   wave.encode = [&slots](int p) { return EncodeTaskSlots(slots, p); };
   wave.install = [&slots](int p, const std::string& bytes) {
     return DecodeTaskSlots(slots, p, bytes);
   };
-  wave.on_telemetry = [&, this, tr, wave_span_id](
-                          int worker, double clock_offset_us,
-                          const WorkerTelemetry& telemetry) {
+  wave.on_attempt = [&, this, tr, wave_span_id, stage](
+                        int worker, double clock_offset_us, int p,
+                        int attempt, double start_us, double dur_us,
+                        int64_t peak_rss_bytes) {
     // Worker-side memory watermark: maxed into the stage record (which
     // FinishStage raises to the driver's own peak), and published per
     // worker in the registry.
-    stats->peak_rss_bytes =
-        std::max(stats->peak_rss_bytes, telemetry.peak_rss_bytes);
+    stats->peak_rss_bytes = std::max(stats->peak_rss_bytes, peak_rss_bytes);
     if (config_.registry != nullptr) {
       config_.registry->GaugeMax("diablo_worker_peak_rss_bytes",
-                                 static_cast<double>(telemetry.peak_rss_bytes),
+                                 static_cast<double>(peak_rss_bytes),
                                  {{"worker", StrCat(worker)}});
-      for (const WorkerSpan& ws : telemetry.spans) {
-        config_.registry->HistogramObserve("diablo_task_duration_us",
-                                           ws.dur_us,
-                                           {{"process", StrCat(worker + 1)}});
-      }
+      config_.registry->HistogramObserve("diablo_task_duration_us", dur_us,
+                                         {{"process", StrCat(worker + 1)}});
     }
     if (tr == nullptr) return;
-    // Clock alignment: worker span times are absolute steady-clock
-    // readings from the worker process; the Hello handshake measured
+    // Clock alignment: the start time is an absolute steady-clock
+    // reading from the worker process; the Hello handshake measured
     // worker_now - driver_now, so subtracting the offset (then the
-    // trace epoch) rebases them onto the driver timeline. Offsets
-    // below the threshold collapse to zero — see kClockAlignThresholdUs.
+    // trace epoch) rebases it onto the driver timeline. Offsets below
+    // the threshold collapse to zero — see kClockAlignThresholdUs.
     const double applied = std::abs(clock_offset_us) < kClockAlignThresholdUs
                                ? 0.0
                                : clock_offset_us;
-    for (const WorkerSpan& ws : telemetry.spans) {
-      TraceSpan span;
-      span.kind = SpanKind::kTask;
-      span.name = "task";
-      span.start_us = ws.start_abs_us - applied - tr->EpochUs();
-      span.dur_us = ws.dur_us;
-      // Remote worker w is trace worker w+1 (0 = driver) and Chrome
-      // process lane w+1 (0 = coordinator).
-      span.worker = worker + 1;
-      span.partition = ws.partition;
-      span.attempt = ws.attempt;
-      span.stage_id = ws.stage_id;
-      span.rows = ws.rows;
-      span.process = worker + 1;
-      span.clock_offset_us = clock_offset_us;
-      tr->AddRemoteSpan(wave_span_id, std::move(span));
-    }
+    TraceSpan span;
+    span.kind = SpanKind::kTask;
+    span.name = "task";
+    span.start_us = start_us - applied - tr->EpochUs();
+    span.dur_us = dur_us;
+    // Remote worker w is trace worker w+1 (0 = driver) and Chrome
+    // process lane w+1 (0 = coordinator).
+    span.worker = worker + 1;
+    span.partition = p;
+    span.attempt = attempt;
+    span.stage_id = stage;
+    span.rows = task_work[static_cast<size_t>(p)];
+    span.process = worker + 1;
+    span.clock_offset_us = clock_offset_us;
+    tr->AddRemoteSpan(wave_span_id, std::move(span));
   };
   wave.on_worker_lost = [&, this, tr, stage](int worker,
                                              const std::vector<int>& pending,
@@ -871,12 +901,12 @@ StatusOr<Dataset> Engine::RecoverInput(const Dataset& in, int stage,
       stats->recovery_seconds += static_cast<double>(parts[p].size()) *
                                  config_.cluster.seconds_per_work_unit;
     }
-  } else if (lineage->recompute_many) {
-    // Single-pass multi-partition recovery: one scan over the ancestor
-    // data rebuilds every lost partition at once.
+  } else if (lineage->recompute) {
+    // Multi-partition recovery: one call rebuilds every lost partition
+    // (a shuffle's replay in one scan over the ancestor data).
     std::vector<ValueVec> rebuilt;
     int64_t work = 0;
-    DIABLO_RETURN_IF_ERROR(lineage->recompute_many(lost, &rebuilt, &work));
+    DIABLO_RETURN_IF_ERROR(lineage->recompute(lost, &rebuilt, &work));
     if (rebuilt.size() != lost.size()) {
       return Status::RuntimeError(
           StrCat("stage #", stage, ": lineage recompute of dataset '",
@@ -889,14 +919,6 @@ StatusOr<Dataset> Engine::RecoverInput(const Dataset& in, int stage,
     }
     stats->recovery_seconds +=
         static_cast<double>(work) * config_.cluster.seconds_per_work_unit;
-  } else if (lineage->recompute) {
-    for (int p : lost) {
-      stats->recomputed_partitions += 1;
-      int64_t work = 0;
-      DIABLO_ASSIGN_OR_RETURN(parts[p], lineage->recompute(p, &work));
-      stats->recovery_seconds +=
-          static_cast<double>(work) * config_.cluster.seconds_per_work_unit;
-    }
   } else {
     return Status::RuntimeError(
         StrCat("stage #", stage, ": input partition ", lost.front(),
@@ -975,8 +997,7 @@ void Engine::AddStage(StageStats stats, int64_t span) {
 std::shared_ptr<const LineageNode> Engine::MakeLineage(
     std::string kind, std::string label,
     std::vector<std::shared_ptr<const LineageNode>> parents,
-    LineageNode::RecomputeFn recompute,
-    LineageNode::RecomputeManyFn recompute_many, int depth_increment) const {
+    LineageNode::RecomputeFn recompute, int depth_increment) const {
   auto node = std::make_shared<LineageNode>();
   node->kind = std::move(kind);
   node->label = std::move(label);
@@ -987,12 +1008,9 @@ std::shared_ptr<const LineageNode> Engine::MakeLineage(
   node->depth = depth + depth_increment;
   node->parents = std::move(parents);
   // Without fault injection no recovery can ever be requested, so the
-  // closures (and the ancestor datasets they capture) are dropped here —
+  // closure (and the ancestor datasets it captures) is dropped here —
   // fault-free runs retain no extra memory.
-  if (config_.faults.enabled()) {
-    node->recompute = std::move(recompute);
-    node->recompute_many = std::move(recompute_many);
-  }
+  if (config_.faults.enabled()) node->recompute = std::move(recompute);
   return node;
 }
 
@@ -1046,19 +1064,21 @@ StatusOr<Dataset> Engine::RunNarrow(
   // boundaries count as saved.
   const size_t boundaries =
       keeps_rows && !chain.empty() ? chain.size() - 1 : chain.size();
-  std::vector<ChainTally> tallies(src.num_partitions());
-  slots.tallies = &tallies;
-  DIABLO_RETURN_IF_ERROR(RunTaskWave(
-      label, stage, RowCounts(src),
-      [&](int p, int) -> Status {
-        // Restartable: a failed attempt re-runs the whole fused chain.
-        tallies[p].Reset(boundaries);
-        return body(p, src.partition(p), &tallies[p]);
-      },
-      &stats, &slots));
+  DIABLO_ASSIGN_OR_RETURN(
+      std::vector<StageStats> records,
+      RunTaskWave(
+          label, stage, RowCounts(src),
+          [&](int p, int, StageStats* record) -> Status {
+            // Restartable: a failed attempt re-runs the whole fused chain.
+            ChainTally tally(boundaries);
+            DIABLO_RETURN_IF_ERROR(body(p, src.partition(p), &tally, record));
+            tally.AddTo(record);
+            return Status::OK();
+          },
+          &stats, slots));
   stats.map_work = RowCounts(src);
   stats.fused_ops = static_cast<int64_t>(chain.size());
-  for (const ChainTally& t : tallies) t.MergeInto(&stats);
+  FoldTaskRecords(records, &stats);
   if (add_counters) add_counters(&stats);
   FinishStage(std::move(stats));
   return src;
@@ -1075,13 +1095,12 @@ StatusOr<Dataset> Engine::Force(const Dataset& in) {
       Dataset src,
       RunNarrow(
           in, label, /*keeps_rows=*/true, slots,
-          [&](int p, const ValueVec& rows, ChainTally* tally) {
+          [&](int p, const ValueVec& rows, ChainTally* tally, StageStats*) {
             return ApplyChainRows(chain, rows, tally, &out[p]);
           },
           [&](StageStats* stats) { stats->partition_rows = RowCounts(out); }));
-  auto lineage = MakeLineage(
-      "fused", label, {src.lineage()},
-      ChainReplay(src), nullptr, ChainDepth(chain));
+  auto lineage = MakeLineage("fused", label, {src.lineage()}, ChainReplay(src),
+                             ChainDepth(chain));
   return Dataset(std::move(out), std::move(lineage));
 }
 
@@ -1150,8 +1169,10 @@ StatusOr<Dataset> Engine::RunWide(const WideSpec& spec,
       std::vector<std::vector<Rows>> sides;
       DIABLO_RETURN_IF_ERROR(ScatterWave<Rows>(
           run, scatter_stage, RowCounts(combined),
-          [&](int p, Rows*) -> StatusOr<const Rows*> { return &combined[p]; },
-          nullptr, &sides));
+          [&](int p, Rows*, StageStats*) -> StatusOr<const Rows*> {
+            return &combined[p];
+          },
+          &sides));
       return FinishWave<Rows>(run, sides, finish);
     };
     if (!use_typed) return shuffle_and_finish(boxed, spec.finish);
@@ -1164,19 +1185,19 @@ StatusOr<Dataset> Engine::RunWide(const WideSpec& spec,
   for (size_t s = 0; s < run.inputs.size(); ++s) {
     const Dataset& side = run.inputs[s];
     const FusedChain& chain = side.chain();
-    std::vector<ChainTally> tallies(side.num_partitions());
     // The boxed producer: applies the side's pending fused chain element
     // by element and hashes the produced keys once, a whole key column at
     // a time (HashColumn, bit-identical to per-row Value::Hash; string
     // keys hash once per distinct dictionary entry). A column of tuple or
     // mixed-kind keys is kBoxed and counts as fallback rows.
-    auto produce = [&](int p, HashedVec* rows) -> StatusOr<const HashedVec*> {
-      tallies[p].Reset(chain.size());
+    auto produce = [&](int p, HashedVec* rows,
+                       StageStats* record) -> StatusOr<const HashedVec*> {
+      ChainTally tally(chain.size());
       Column keycol;
       rows->reserve(side.partition(p).size());
       for (const Value& row : side.partition(p)) {
         DIABLO_RETURN_IF_ERROR(ApplyChain(
-            chain, 0, row, &tallies[p], [&](const Value& v) -> Status {
+            chain, 0, row, &tally, [&](const Value& v) -> Status {
               DIABLO_ASSIGN_OR_RETURN(const Value* key, RowKey(v));
               keycol.Append(*key);
               rows->push_back(HashedRow{0, v});
@@ -1188,22 +1209,20 @@ StatusOr<Dataset> Engine::RunWide(const WideSpec& spec,
         HashColumn(keycol, &hashes);
         for (size_t i = 0; i < rows->size(); ++i) (*rows)[i].hash = hashes[i];
         if (keycol.tag() == ColumnTag::kBoxed) {
-          tallies[p].columnar_rows_fallback +=
-              static_cast<int64_t>(rows->size());
+          record->columnar_rows_fallback += static_cast<int64_t>(rows->size());
         } else {
-          tallies[p].columnar_batches += 1;
+          record->columnar_batches += 1;
         }
       }
+      tally.AddTo(record);
       return rows;
     };
     const std::vector<int64_t> counts = RowCounts(side);
     DIABLO_RETURN_IF_ERROR(ScatterWave<HashedVec>(
-        run, scatter_stage + static_cast<int>(s), counts, produce, &tallies,
-        &sides));
+        run, scatter_stage + static_cast<int>(s), counts, produce, &sides));
     run.stats.map_work.insert(run.stats.map_work.end(), counts.begin(),
                               counts.end());
     run.stats.fused_ops += static_cast<int64_t>(chain.size());
-    for (const ChainTally& t : tallies) t.MergeInto(&run.stats);
   }
   return FinishWave<HashedVec>(run, sides, spec.finish);
 }
@@ -1245,19 +1264,19 @@ StatusOr<bool> Engine::CombineWave(WideRun& run, int stage,
                                      salt.index_of[t], salt.fanout[p]);
     combine_work[t] = static_cast<int64_t>(hi - lo);
   }
-  std::vector<ChainTally> tallies(num_combine);
   std::vector<HashedVec>& combined = *boxed;
   std::vector<TypedRows>& typed_combined = *typed_out;
   combined.assign(num_combine, HashedVec());
   typed_combined.assign(num_combine, TypedRows());
   // Folds rows [lo, hi) of source partition p into output slot `slot`
-  // exactly as the unsplit combine folds a whole partition: wave tasks
-  // call it with their chunk, and the dirty-chunk fallback below re-runs
-  // it over a full partition.
-  auto combine_range = [&](int slot, int p, size_t lo, size_t hi) -> Status {
+  // exactly as the unsplit combine folds a whole partition, reporting in
+  // the slot's empty `record`: wave tasks call it with their chunk, and
+  // the dirty-chunk fallback below re-runs it over a full partition.
+  auto combine_range = [&](int slot, int p, size_t lo, size_t hi,
+                           StageStats* record) -> Status {
     combined[slot].clear();
     typed_combined[slot] = TypedRows();
-    tallies[slot].Reset(chain.size());
+    ChainTally tally(chain.size());
     KeyedAccumulator<Value> acc(hi - lo);
     std::optional<TypedReduceAccumulator> typed;
     if (spec.typed) typed.emplace(*native_op, hi - lo);
@@ -1288,14 +1307,12 @@ StatusOr<bool> Engine::CombineWave(WideRun& run, int stage,
     } else {
       for (size_t i = lo; i < hi; ++i) {
         DIABLO_RETURN_IF_ERROR(
-            ApplyChain(chain, 0, part[i], &tallies[slot], combine));
+            ApplyChain(chain, 0, part[i], &tally, combine));
       }
     }
     // Task-level accumulator watermark (the boxed accumulator always
-    // reserves its capacity, so both live footprints are summed);
-    // ChainTally carries it across the dist wire into
-    // StageStats::accumulator_bytes_peak.
-    tallies[slot].accumulator_bytes = static_cast<int64_t>(
+    // reserves its capacity, so both live footprints are summed).
+    record->accumulator_bytes_peak = static_cast<int64_t>(
         acc.MemoryBytes() + (typed.has_value() ? typed->MemoryBytes() : 0));
     if (typed.has_value()) {
       typed->EmitSortedTyped(&typed_combined[slot]);
@@ -1303,30 +1320,33 @@ StatusOr<bool> Engine::CombineWave(WideRun& run, int stage,
         typed_combined[slot].EmitHashed(&combined[slot]);
         typed_combined[slot] = TypedRows();
       }
-      if (typed->rows() > 0) tallies[slot].columnar_batches += 1;
+      if (typed->rows() > 0) record->columnar_batches += 1;
     } else {
       combined[slot] = CombinedRows(&acc);
     }
-    tallies[slot].columnar_rows_fallback += boxed_rows;
+    record->columnar_rows_fallback += boxed_rows;
+    tally.AddTo(record);
     return Status::OK();
   };
   WaveSlots slots;
   slots.hashed = &combined;
-  slots.tallies = &tallies;
-  DIABLO_RETURN_IF_ERROR(RunTaskWave(
-      spec.label + ".combine", stage, combine_work,
-      [&](int t, int) -> Status {
-        const int p = salt.task_of[t];
-        const auto [lo, hi] = ChunkRange(src.partition(p).size(),
-                                         salt.index_of[t], salt.fanout[p]);
-        return combine_range(t, p, lo, hi);
-      },
-      &run.stats, &slots));
+  DIABLO_ASSIGN_OR_RETURN(
+      std::vector<StageStats> records,
+      RunTaskWave(
+          spec.label + ".combine", stage, combine_work,
+          [&](int t, int, StageStats* record) -> Status {
+            const int p = salt.task_of[t];
+            const auto [lo, hi] = ChunkRange(src.partition(p).size(),
+                                             salt.index_of[t], salt.fanout[p]);
+            return combine_range(t, p, lo, hi, record);
+          },
+          &run.stats, slots));
   // The third part of the proof: a chunk whose output holds a non-int64
   // payload folded one (int64 + double is double, and so on). Its whole
   // source partition then re-runs unsplit on the driver (rare by
   // construction: the plan-time schema already claimed int64), zeroing
-  // the sibling chunk slots so they contribute nothing downstream.
+  // the sibling chunk slots and records so they contribute nothing
+  // downstream.
   auto int64_payloads = [&](int t) {
     if (typed_combined[t].size() > 0 &&
         typed_combined[t].payload_mode != TypedPayloadMode::kInt64) {
@@ -1344,19 +1364,19 @@ StatusOr<bool> Engine::CombineWave(WideRun& run, int stage,
       clean = clean && int64_payloads(t);
     }
     if (clean) continue;
-    for (int t = base + 1; t < base + f; ++t) {
+    for (int t = base; t < base + f; ++t) {
       combined[t].clear();
       typed_combined[t] = TypedRows();
-      tallies[t].Reset(chain.size());
+      records[t] = StageStats();
     }
-    DIABLO_RETURN_IF_ERROR(
-        combine_range(base, p, 0, src.partition(p).size()));
+    DIABLO_RETURN_IF_ERROR(combine_range(base, p, 0, src.partition(p).size(),
+                                         &records[base]));
   }
   StageStats& stats = run.stats;
   stats.map_work = std::move(combine_work);
   stats.fused_ops += static_cast<int64_t>(chain.size());
   stats.salt_fanout += salt.extra;
-  for (const ChainTally& t : tallies) t.MergeInto(&stats);
+  FoldTaskRecords(records, &stats);
   for (int64_t c : RowCounts(src)) stats.hash_agg_rows += c;
   // The typed layout needs every non-empty combine output typed with one
   // key/payload shape; a spilled or mixed task drops the whole operator
@@ -1387,16 +1407,12 @@ StatusOr<bool> Engine::CombineWave(WideRun& run, int stage,
 template <typename Rows>
 Status Engine::ScatterWave(
     WideRun& run, int stage, const std::vector<int64_t>& task_work,
-    const std::function<StatusOr<const Rows*>(int, Rows*)>& produce,
-    std::vector<ChainTally>* tallies, std::vector<std::vector<Rows>>* sides) {
+    const std::function<StatusOr<const Rows*>(int, Rows*, StageStats*)>&
+        produce,
+    std::vector<std::vector<Rows>>* sides) {
   const int out_parts = config_.num_partitions;
   const int n = static_cast<int>(task_work.size());
-  // buckets[src][dst], and the bytes each source task shipped per
-  // destination (reduced into StageStats::partition_bytes after the
-  // wave).
-  std::vector<std::vector<Rows>> buckets(n);
-  std::vector<int64_t> moved_bytes(n, 0);
-  std::vector<std::vector<int64_t>> bucket_bytes(n);
+  std::vector<std::vector<Rows>> buckets(n);  // buckets[src][dst]
   // The wire format is a property of the boxed layout; the typed one is
   // only chosen when no wire format is asked for.
   const bool serialize =
@@ -1405,61 +1421,60 @@ Status Engine::ScatterWave(
       config_.faults.enabled() ? &injector_ : nullptr;
   WaveSlots slots;
   if constexpr (std::is_same_v<Rows, HashedVec>) slots.buckets = &buckets;
-  slots.nums = &moved_bytes;
-  slots.num_vecs = &bucket_bytes;
-  slots.tallies = tallies;
-  DIABLO_RETURN_IF_ERROR(RunTaskWave(
-      "shuffle", stage, task_work,
-      [&](int p, int attempt) -> Status {
-        // Restartable: wipe any partial output of a failed attempt (and
-        // re-run the producer, fused chain included). Reserve from the
-        // source row count: keys spread roughly uniformly.
-        buckets[p].assign(out_parts, Rows());
-        for (Rows& bucket : buckets[p]) {
-          bucket.reserve(static_cast<size_t>(task_work[p]) /
-                             static_cast<size_t>(out_parts) +
-                         1);
-        }
-        moved_bytes[p] = 0;
-        bucket_bytes[p].assign(out_parts, 0);
-        Rows scratch;
-        DIABLO_ASSIGN_OR_RETURN(const Rows* src, produce(p, &scratch));
-        // Single-pass scatter: each entry carries its key hash (computed
-        // once by the producer) into its destination buffer, so the
-        // finish never rehashes. Entry i is scattered row i, so
-        // corruption coordinates do not depend on how it was produced.
-        for (size_t i = 0; i < src->size(); ++i) {
-          const int dst = HashDestination(HashAt(*src, i), out_parts);
-          // Rows that stay on the same simulated node are still
-          // accounted: with many workers almost every row crosses the
-          // network (Spark's shuffle write charges them all too).
-          int64_t bytes = 0;
-          if constexpr (std::is_same_v<Rows, HashedVec>) {
-            if (serialize) {
-              DIABLO_ASSIGN_OR_RETURN(
-                  bytes, ShipEncoded(*src, i, &buckets[p][dst], inject, stage,
-                                     p, attempt));
+  DIABLO_ASSIGN_OR_RETURN(
+      std::vector<StageStats> records,
+      RunTaskWave(
+          "shuffle", stage, task_work,
+          [&](int p, int attempt, StageStats* record) -> Status {
+            // Restartable: wipe any partial output of a failed attempt (and
+            // re-run the producer, fused chain included). Reserve from the
+            // source row count: keys spread roughly uniformly.
+            buckets[p].assign(out_parts, Rows());
+            for (Rows& bucket : buckets[p]) {
+              bucket.reserve(static_cast<size_t>(task_work[p]) /
+                                 static_cast<size_t>(out_parts) +
+                             1);
             }
-          }
-          if (!serialize) {
-            bytes = EntryBytesAt(*src, i);
-            Append(&buckets[p][dst], *src, i);
-          }
-          moved_bytes[p] += bytes;
-          bucket_bytes[p][dst] += bytes;
-        }
-        return Status::OK();
-      },
-      &run.stats, &slots));
+            // The bytes this task ships, in all and per destination.
+            int64_t moved = 0;
+            std::vector<int64_t>& dest_bytes = record->partition_bytes;
+            dest_bytes.assign(out_parts, 0);
+            Rows scratch;
+            DIABLO_ASSIGN_OR_RETURN(const Rows* src,
+                                    produce(p, &scratch, record));
+            // Single-pass scatter: each entry carries its key hash (computed
+            // once by the producer) into its destination buffer, so the
+            // finish never rehashes. Entry i is scattered row i, so
+            // corruption coordinates do not depend on how it was produced.
+            for (size_t i = 0; i < src->size(); ++i) {
+              const int dst = HashDestination(HashAt(*src, i), out_parts);
+              // Rows that stay on the same simulated node are still
+              // accounted: with many workers almost every row crosses the
+              // network (Spark's shuffle write charges them all too).
+              int64_t bytes = 0;
+              if constexpr (std::is_same_v<Rows, HashedVec>) {
+                if (serialize) {
+                  DIABLO_ASSIGN_OR_RETURN(
+                      bytes, ShipEncoded(*src, i, &buckets[p][dst], inject,
+                                         stage, p, attempt));
+                }
+              }
+              if (!serialize) {
+                bytes = EntryBytesAt(*src, i);
+                Append(&buckets[p][dst], *src, i);
+              }
+              moved += bytes;
+              dest_bytes[dst] += bytes;
+            }
+            record->shuffle_bytes = moved;
+            return Status::OK();
+          },
+          &run.stats, slots));
+  // One entry per destination, also when no source task shipped any.
   std::vector<int64_t>& dest_bytes = run.stats.partition_bytes;
   dest_bytes.resize(std::max(dest_bytes.size(), static_cast<size_t>(out_parts)),
                     0);
-  for (int src = 0; src < n; ++src) {
-    run.stats.shuffle_bytes += moved_bytes[src];
-    for (int dst = 0; dst < out_parts; ++dst) {
-      dest_bytes[dst] += bucket_bytes[src][dst];
-    }
-  }
+  FoldTaskRecords(records, &run.stats);
   // Concatenate in source order — the arrival order every finish folds
   // in, identical on both layouts.
   std::vector<Rows>& out = sides->emplace_back();
@@ -1514,24 +1529,19 @@ StatusOr<Dataset> Engine::FinishWave(
     task_work[t] = static_cast<int64_t>(task.hi - task.lo);
   }
   std::vector<ValueVec> sub_out(num_virtual);
-  std::vector<ChainTally> tallies(num_virtual);
-  // Per task {work, agg_rows, agg_keys}, marshalled like the rows.
-  std::vector<std::vector<int64_t>> reports(num_virtual);
   WaveSlots slots;
   slots.rows = &sub_out;
-  slots.tallies = &tallies;
-  slots.num_vecs = &reports;
-  DIABLO_RETURN_IF_ERROR(RunTaskWave(
-      spec.label, run.finish_stage, task_work,
-      [&](int t, int) -> Status {
-        WideTask<Rows> task = tasks[t];
-        tallies[t].Reset(0);
-        task.tally = &tallies[t];
-        DIABLO_ASSIGN_OR_RETURN(sub_out[t], finish(task));
-        reports[t] = {task.work, task.agg_rows, task.agg_keys};
-        return Status::OK();
-      },
-      &run.stats, &slots));
+  DIABLO_ASSIGN_OR_RETURN(
+      std::vector<StageStats> records,
+      RunTaskWave(
+          spec.label, run.finish_stage, task_work,
+          [&](int t, int, StageStats* record) -> Status {
+            WideTask<Rows> task = tasks[t];
+            task.record = record;
+            DIABLO_ASSIGN_OR_RETURN(sub_out[t], finish(task));
+            return Status::OK();
+          },
+          &run.stats, slots));
   // Driver-side un-salt: split destinations merge, the rest move.
   std::vector<ValueVec> out(dest.size());
   int64_t salted_keys = 0;
@@ -1555,12 +1565,7 @@ StatusOr<Dataset> Engine::FinishWave(
     stats.label = FusedStageLabel(in->chain(), stats.label);
   }
   stats.wide = true;
-  for (int t = 0; t < num_virtual; ++t) {
-    stats.reduce_work.push_back(reports[t][0]);
-    stats.hash_agg_rows += reports[t][1];
-    stats.hash_agg_keys += reports[t][2];
-    tallies[t].MergeInto(&stats);
-  }
+  FoldTaskRecords(records, &stats);
   // A key folded in several chunks was counted once per chunk.
   stats.hash_agg_keys -= salted_keys;
   stats.partition_rows = RowCounts(out);
@@ -1583,7 +1588,7 @@ StatusOr<Dataset> Engine::FinishWave(
     chain_depth = std::max(chain_depth, ChainDepth(in.chain()));
   }
   auto lineage = MakeLineage(
-      spec.kind, spec.label, std::move(parents), nullptr,
+      spec.kind, spec.label, std::move(parents),
       [inputs = run.inputs, replay = spec.finish, combine = spec.combine,
        out_parts](const std::vector<int>& lost, std::vector<ValueVec>* rebuilt,
                   int64_t* work) -> Status {
@@ -1596,12 +1601,12 @@ StatusOr<Dataset> Engine::FinishWave(
           rows.push_back(std::move(side_rows));
         }
         for (size_t i = 0; i < lost.size(); ++i) {
-          ChainTally tally;
+          StageStats record;
           WideTask<HashedVec> task;
           task.left = &rows[0][i];
           if (rows.size() > 1) task.right = &rows[1][i];
           task.hi = task.left->size();
-          task.tally = &tally;
+          task.record = &record;
           DIABLO_ASSIGN_OR_RETURN(ValueVec part, replay(task));
           rebuilt->push_back(std::move(part));
         }
@@ -1681,15 +1686,14 @@ StatusOr<Dataset> Engine::Checkpoint(const Dataset& in,
   // writer. Charged as a narrow stage whose shuffle_bytes are the bytes
   // written.
   std::vector<ValueVec> out(in.num_partitions());
-  std::vector<int64_t> written(out.size(), 0);
   WaveSlots slots;
   slots.rows = &out;
-  slots.nums = &written;
   DIABLO_ASSIGN_OR_RETURN(
       Dataset src,
       RunNarrow(
           in, label, /*keeps_rows=*/true, slots,
-          [&](int p, const ValueVec& rows, ChainTally* tally) -> Status {
+          [&](int p, const ValueVec& rows, ChainTally* tally,
+              StageStats* record) -> Status {
             // Without a chain the source rows themselves are written.
             const ValueVec* kept = &rows;
             if (!chain.empty()) {
@@ -1697,12 +1701,12 @@ StatusOr<Dataset> Engine::Checkpoint(const Dataset& in,
                   ApplyChainRows(chain, rows, tally, &out[p]));
               kept = &out[p];
             }
-            written[p] = 0;
-            for (const Value& v : *kept) written[p] += v.SerializedBytes();
+            for (const Value& v : *kept) {
+              record->shuffle_bytes += v.SerializedBytes();
+            }
             return Status::OK();
           },
           [&](StageStats* stats) {
-            for (int64_t b : written) stats->shuffle_bytes += b;
             stats->partition_rows =
                 chain.empty() ? stats->map_work : RowCounts(out);
           }));
@@ -1741,9 +1745,10 @@ StatusOr<std::optional<Value>> Engine::Fold(const Dataset& in,
   slots.partials = &partials;
   DIABLO_RETURN_IF_ERROR(
       RunNarrow(in, label, /*keeps_rows=*/false, slots,
-                [&](int p, const ValueVec& rows, ChainTally* tally) {
+                [&](int p, const ValueVec& rows, ChainTally* tally,
+                    StageStats* record) {
                   return FoldPartition(in.chain(), rows, fn, native_op, tally,
-                                       &partials[p]);
+                                       record, &partials[p]);
                 })
           .status());
   std::optional<Value> acc;

@@ -24,9 +24,11 @@ namespace diablo::runtime {
 class WorkerPool;
 class RemoteExecutor;
 class MetricsRegistry;
-/// One virtual task of a wide stage's finish wave (engine.cc).
+/// One virtual task of a wide stage's finish wave, and the per-task
+/// fused-chain tally (both engine.cc).
 template <typename Rows>
 struct WideTask;
+struct ChainTally;
 
 /// Runtime skew mitigation (DESIGN.md §17). When one task of a combine
 /// or reduce wave would receive far more rows than its peers — a hot
@@ -123,8 +125,8 @@ struct EngineConfig {
   /// (runtime/wave_io.h). The engine then forces host_threads = 1, so
   /// no pool thread exists at fork time. It also treats a real worker
   /// death as a partition loss: the dead worker's partitions go through
-  /// the lineage recompute_many path at the next stage boundary (the
-  /// engine sets FaultConfig::retain_lineage so the closures exist). The
+  /// the lineage recompute path at the next stage boundary (the engine
+  /// sets FaultConfig::retain_lineage so the closures exist). The
   /// rebuilt partitions are bit-identical, so the fault-injection
   /// invariant (DESIGN.md §9) is the correctness oracle for real
   /// SIGKILLs. Not owned.
@@ -354,41 +356,47 @@ class Engine {
   /// Allocates the next task-wave id (the injector's stage coordinate).
   int NextStageId() { return next_stage_id_++; }
 
+  /// One task of a wave: `fn(p, attempt, record)` runs partition p as
+  /// simulated attempt `attempt`, writes the wave's slot p and reports
+  /// what it measured in `record`, which starts empty every attempt.
+  using TaskFn = std::function<Status(int, int, StageStats*)>;
+
   /// Runs one wave of tasks (one per entry of `task_work`) under the
   /// fault model, on up to config_.host_threads threads (the persistent
   /// pool). Every attempt goes through one TaskAttempts ledger: injected
   /// kills and TaskLost results are retried up to the budget with
   /// simulated backoff; genuine errors abort immediately, and the error
   /// of the lowest-indexed failing task is returned, so failures are
-  /// reproducible across host_threads settings. `fn(partition, attempt)`
-  /// must be restartable. Adds the wave's attempts, recovery seconds and
-  /// pool tasks to `stats`, the record of the stage the wave belongs to.
-  /// `slots` describes the per-task output slots `fn` writes; when
-  /// EngineConfig::remote is set the wave runs on the remote backend,
-  /// which marshals exactly those slots back from the workers.
-  Status RunTaskWave(const std::string& label, int stage,
-                     const std::vector<int64_t>& task_work,
-                     const std::function<Status(int, int)>& fn,
-                     StageStats* stats, const WaveSlots* slots = nullptr);
+  /// reproducible across host_threads settings. `fn` must be
+  /// restartable. Adds the wave's attempts, recovery seconds and pool
+  /// tasks to `stats`, the record of the stage the wave belongs to, and
+  /// returns each task's record of its successful attempt, for the
+  /// caller to fold into `stats` with FoldTaskRecords. `slots` describes
+  /// the per-task output slots `fn` writes; when EngineConfig::remote is
+  /// set the wave runs on the remote backend, which marshals exactly
+  /// those slots, and the records, back from the workers.
+  StatusOr<std::vector<StageStats>> RunTaskWave(
+      const std::string& label, int stage,
+      const std::vector<int64_t>& task_work, const TaskFn& fn,
+      StageStats* stats, WaveSlots slots);
 
   /// Remote dispatch of one task wave via EngineConfig::remote: builds
-  /// the RemoteTaskWave closure bundle (worker-side run/encode,
-  /// coordinator-side install, telemetry and worker-loss hooks) around
+  /// the RemoteTaskWave closure bundle (worker-side `run`/encode,
+  /// coordinator-side install, per-attempt and worker-loss hooks) around
   /// the wave's `attempts` ledger, and adds the backend's counters and
   /// the workers' peak RSS to `stats`.
   Status RunTaskWaveRemote(const std::string& label, int stage,
                            const std::vector<int64_t>& task_work,
-                           const std::function<Status(int, int)>& fn,
+                           const std::function<Status(int, int)>& run,
                            TaskAttempts* attempts, StageStats* stats,
                            const WaveSlots& slots, TraceRecorder* tr,
                            int64_t wave_span_id);
 
   /// Applies any one-shot lost-partition directives targeting
   /// (stage, input_index): rebuilds the lost partitions from `in`'s
-  /// lineage — in ONE source pass via LineageNode::recompute_many when
-  /// the node provides it — charging the recomputation to `stats`. The
-  /// returned dataset keeps `in`'s pending fused chain. Returns `in`
-  /// unchanged when nothing was lost.
+  /// lineage in one LineageNode::recompute call, charging the
+  /// recomputation to `stats`. The returned dataset keeps `in`'s pending
+  /// fused chain. Returns `in` unchanged when nothing was lost.
   StatusOr<Dataset> RecoverInput(const Dataset& in, int stage,
                                  int input_index, StageStats* stats);
 
@@ -413,19 +421,20 @@ class Engine {
                              std::vector<TypedRows>* typed);
 
   /// One shuffle wave over a row layout (HashedVec or TypedRows):
-  /// `produce(p, scratch)` yields source task p's entries, each carrying
-  /// its memoized key hash (the boxed producer fills `scratch`); entry i
-  /// goes to destination hash % num_partitions, with the wire-format
-  /// round-trip and corruption injection on the boxed layout. Charges
-  /// the moved bytes to run.stats (shuffle_bytes, partition_bytes) and
-  /// appends the per-destination rows, sources concatenated in order, to
-  /// `sides`. `tallies` (nullable) are the producer's per-task fused
-  /// chain tallies, listed so the remote backend marshals them back.
+  /// `produce(p, scratch, record)` yields source task p's entries, each
+  /// carrying its memoized key hash (the boxed producer fills `scratch`
+  /// and reports its chain and columnar counters in the task's
+  /// `record`); entry i goes to destination hash % num_partitions, with
+  /// the wire-format round-trip and corruption injection on the boxed
+  /// layout. Charges the moved bytes to run.stats (shuffle_bytes,
+  /// partition_bytes) and appends the per-destination rows, sources
+  /// concatenated in order, to `sides`.
   template <typename Rows>
   Status ScatterWave(
       WideRun& run, int stage, const std::vector<int64_t>& task_work,
-      const std::function<StatusOr<const Rows*>(int, Rows*)>& produce,
-      std::vector<ChainTally>* tallies, std::vector<std::vector<Rows>>* sides);
+      const std::function<StatusOr<const Rows*>(int, Rows*, StageStats*)>&
+          produce,
+      std::vector<std::vector<Rows>>* sides);
 
   /// The finish wave over the shuffled `sides`: salts side 0's hot
   /// destinations by the operator's policy, runs `finish` once per
@@ -436,22 +445,23 @@ class Engine {
       WideRun& run, const std::vector<std::vector<Rows>>& sides,
       const std::function<StatusOr<ValueVec>(WideTask<Rows>&)>& finish);
 
-  /// A narrow stage's per-partition body: `body(p, rows, tally)` runs the
-  /// input's pending chain over source partition p's `rows`, writes the
-  /// operator's slot p and records the chain's boundaries in `tally`.
+  /// A narrow stage's per-partition body: `body(p, rows, tally, record)`
+  /// runs the input's pending chain over source partition p's `rows`,
+  /// writes the operator's slot p, records the chain's boundaries in
+  /// `tally` and any counter of its own in the task's `record`.
   /// Restartable: every attempt resets its own outputs.
   using NarrowBody =
-      std::function<Status(int, const ValueVec&, ChainTally*)>;
+      std::function<Status(int, const ValueVec&, ChainTally*, StageStats*)>;
 
   /// The narrow-stage wave (DESIGN.md §8) that Force, Checkpoint and
   /// Reduce instantiate: opens the stage span, allocates the stage id,
   /// recovers the input, and runs `body` once per source partition under
-  /// the fault model, marshalling `slots` plus the tallies. Each
-  /// attempt's tally counts the chain's interior boundaries when the
-  /// stage keeps its output rows (`keeps_rows`), and every boundary
-  /// otherwise. Folds map work, fused ops and the tallies into the stage
-  /// record, lets `add_counters` (nullable) add the operator's own, and
-  /// records the stage. Returns the recovered input.
+  /// the fault model, marshalling `slots`. Each attempt's tally counts
+  /// the chain's interior boundaries when the stage keeps its output
+  /// rows (`keeps_rows`), and every boundary otherwise, and goes into
+  /// the task's record. Folds map work, fused ops and the task records
+  /// into the stage record, lets `add_counters` (nullable) add the
+  /// operator's own, and records the stage. Returns the recovered input.
   StatusOr<Dataset> RunNarrow(
       const Dataset& in, const std::string& label, bool keeps_rows,
       WaveSlots slots, const NarrowBody& body,
@@ -476,15 +486,13 @@ class Engine {
   void AddStage(StageStats stats, int64_t span);
 
   /// Builds a lineage node for a dataset produced by this engine. The
-  /// recompute closures are only retained when fault injection is on.
+  /// recompute closure is only retained when fault injection is on.
   /// `depth_increment` is how many operators the node stands for (a
   /// fused stage advances depth by its whole chain length).
   std::shared_ptr<const LineageNode> MakeLineage(
       std::string kind, std::string label,
       std::vector<std::shared_ptr<const LineageNode>> parents,
-      LineageNode::RecomputeFn recompute,
-      LineageNode::RecomputeManyFn recompute_many = nullptr,
-      int depth_increment = 1) const;
+      LineageNode::RecomputeFn recompute, int depth_increment) const;
 
   EngineConfig config_;
   Metrics metrics_;
@@ -505,8 +513,8 @@ class Engine {
   /// Partitions owed by workers that died mid-wave
   /// (EngineConfig::remote): registered by the remote
   /// backend's on_worker_lost hook, consumed by the next RecoverInput
-  /// (input 0), which rebuilds them from lineage via recompute_many —
-  /// real kills exercise the same recovery path as simulated losses.
+  /// (input 0), which rebuilds them from lineage — real kills exercise
+  /// the same recovery path as simulated losses.
   std::vector<int> pending_lost_partitions_;
 };
 

@@ -1,19 +1,13 @@
 #include "runtime/events.h"
 
-#include <chrono>
 #include <cstdio>
 
 #include "common/strings.h"
+#include "runtime/trace.h"
 
 namespace diablo::runtime {
 
 namespace {
-
-double SteadyNowUs() {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::string FmtUs(double us) {
   char buf[64];

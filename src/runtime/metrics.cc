@@ -60,17 +60,39 @@ std::string StageCounter::Format(const StageStats& stage) const {
   return std::visit([&](auto m) { return FormatValue(stage.*m); }, member);
 }
 
-std::string StageCounter::FormatTotal(const Metrics& metrics) const {
-  return std::visit(
+void StageCounter::FoldInto(const StageStats& from, StageStats* into) const {
+  std::visit(
       [&](auto m) {
-        return FormatValue(fold == Fold::kMax ? metrics.Max(m)
-                                              : metrics.Sum(m));
+        into->*m = fold == Fold::kMax ? std::max(into->*m, from.*m)
+                                      : into->*m + from.*m;
       },
       member);
 }
 
+std::string StageCounter::FormatTotal(const Metrics& metrics) const {
+  StageStats total;
+  for (const StageStats& stage : metrics.stages()) FoldInto(stage, &total);
+  return Format(total);
+}
+
 bool StageCounter::IsZero(const StageStats& stage) const {
   return std::visit([&](auto m) { return stage.*m == 0; }, member);
+}
+
+void FoldTaskRecords(const std::vector<StageStats>& tasks, StageStats* stage) {
+  for (const StageStats& task : tasks) {
+    for (const StageCounter& c : kStageCounters) c.FoldInto(task, stage);
+    stage->reduce_work.insert(stage->reduce_work.end(),
+                              task.reduce_work.begin(),
+                              task.reduce_work.end());
+    std::vector<int64_t>& bytes = stage->partition_bytes;
+    if (bytes.size() < task.partition_bytes.size()) {
+      bytes.resize(task.partition_bytes.size(), 0);
+    }
+    for (size_t d = 0; d < task.partition_bytes.size(); ++d) {
+      bytes[d] += task.partition_bytes[d];
+    }
+  }
 }
 
 void WriteStageCounters(const StageStats& stage, std::ostream& os) {

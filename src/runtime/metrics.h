@@ -16,6 +16,12 @@ namespace diablo::runtime {
 /// operators (groupByKey, reduceByKey, join, coGroup) additionally move
 /// `shuffle_bytes` across the simulated network and then perform
 /// reduce-side work on the post-shuffle partitions.
+///
+/// The same struct is each task attempt's record: a task sets the
+/// kStageCounters entries it measures, its `reduce_work` and its
+/// `partition_bytes`, and FoldTaskRecords folds a wave's records into
+/// the stage's. Under the distributed backend the record crosses the
+/// wire with the task's output (runtime/wave_io.h).
 struct StageStats {
   std::string label;
   bool wide = false;
@@ -107,8 +113,10 @@ struct StageStats {
   /// high-water mark. `accumulator_bytes_peak` is the largest estimated
   /// footprint of a single KeyedAccumulator / TypedReduceAccumulator any
   /// task of this stage filled (max across tasks; under the distributed
-  /// backend it crosses the wire with the task's ChainTally, so it
-  /// reflects worker-side memory).
+  /// backend it crosses the wire in the task's record, so it reflects
+  /// worker-side memory). On a distributed run `peak_rss_bytes` is also
+  /// raised to the highest worker peak RSS the stage's task results
+  /// reported.
   int64_t peak_rss_bytes = 0;
   int64_t accumulator_bytes_peak = 0;
 };
@@ -129,6 +137,8 @@ struct StageCounter {
 
   /// The counter of one stage: integers in full, reals as %.6g.
   std::string Format(const StageStats& stage) const;
+  /// Folds `from`'s counter into `into`'s: added, or maxed for kMax.
+  void FoldInto(const StageStats& from, StageStats* into) const;
   /// The counter folded over every stage of `metrics`, formatted alike.
   std::string FormatTotal(const Metrics& metrics) const;
   bool IsZero(const StageStats& stage) const;
@@ -160,6 +170,11 @@ inline constexpr StageCounter kStageCounters[] = {
     {"accumulator_bytes_peak", &StageStats::accumulator_bytes_peak,
      StageCounter::Fold::kMax},
 };
+
+/// Folds the records of one wave's tasks into their stage's record, in
+/// task order: every kStageCounters entry by its Fold, each task's
+/// reduce_work appended, and partition_bytes added per destination.
+void FoldTaskRecords(const std::vector<StageStats>& tasks, StageStats* stage);
 
 /// The one counter line of a stage in the text reports (Metrics::Report,
 /// WriteExplainAnalyze): `map_work=M reduce_work=R`, then ` name=value`

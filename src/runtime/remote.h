@@ -12,32 +12,6 @@ namespace diablo::runtime {
 
 class TaskAttempts;
 
-/// One span recorded inside a worker process and shipped back with the
-/// task result (kTelemetry frame). Times are ABSOLUTE worker
-/// steady-clock microseconds; the coordinator rebases them into its
-/// recorder's timebase using the clock offset measured at the Hello
-/// handshake. (Workers are forked from the coordinator on one host, so
-/// both read the same CLOCK_MONOTONIC; the offset is the measured
-/// residual, applied only when it is large enough to be a real skew.)
-struct WorkerSpan {
-  double start_abs_us = 0;
-  double dur_us = 0;
-  int partition = -1;
-  int attempt = 0;
-  int stage_id = -1;
-  int64_t rows = -1;
-};
-
-/// Telemetry piggybacked on one task result: the spans the worker
-/// recorded while running the task, plus process-level counters.
-struct WorkerTelemetry {
-  int task = -1;
-  int attempt = 0;
-  /// Worker process peak RSS in bytes (getrusage) when the task ended.
-  int64_t peak_rss_bytes = 0;
-  std::vector<WorkerSpan> spans;
-};
-
 /// One task wave handed to a remote executor. The engine packages every
 /// wave (map, shuffle, reduce, ...) into this closure bundle so the
 /// scheduling seam stays in runtime/ while the process/socket machinery
@@ -84,18 +58,19 @@ struct RemoteTaskWave {
   /// Succeed. Not owned.
   TaskAttempts* attempts = nullptr;
 
-  /// Ask workers to record and ship task telemetry (kTelemetry frames),
-  /// one span for every attempt they run. Costs one extra frame per
-  /// task result; off when the engine has neither a trace recorder nor
-  /// a metrics registry.
-  bool want_telemetry = false;
-
-  /// COORDINATOR: telemetry received from `worker` for one attempt, just
-  /// before its task result. `clock_offset_us` is the worker's steady
-  /// clock minus the coordinator's, measured at the Hello handshake.
-  std::function<void(int worker, double clock_offset_us,
-                     const WorkerTelemetry& telemetry)>
-      on_telemetry;
+  /// COORDINATOR: one attempt `worker` ran, failed or not, as its task
+  /// result reported it, before the result is handled: task `p` as
+  /// simulated attempt `attempt`, started at `start_us` (ABSOLUTE
+  /// worker steady-clock microseconds) and running `dur_us`, with the
+  /// worker's peak RSS in bytes when it ended. `clock_offset_us` is the
+  /// worker's steady clock minus the coordinator's, measured at the
+  /// Hello handshake. (Workers are forked from the coordinator on one
+  /// host, so both read the same CLOCK_MONOTONIC; the offset is the
+  /// measured residual, applied only when it is large enough to be a
+  /// real skew.)
+  std::function<void(int worker, double clock_offset_us, int p, int attempt,
+                     double start_us, double dur_us, int64_t peak_rss_bytes)>
+      on_attempt;
   /// COORDINATOR: a worker died (heartbeat timeout, task deadline, or a
   /// real kill); `pending` lists the task indices that were in flight
   /// on it and will be re-dispatched to survivors.

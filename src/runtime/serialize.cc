@@ -1,6 +1,6 @@
 #include "runtime/serialize.h"
 
-#include <cstring>
+#include <bit>
 
 #include "common/strings.h"
 
@@ -45,6 +45,10 @@ void PutWireU64(uint64_t v, std::string* out) {
   PutWireU32(static_cast<uint32_t>(v >> 32), out);
 }
 
+void PutWireDouble(double v, std::string* out) {
+  PutWireU64(std::bit_cast<uint64_t>(v), out);
+}
+
 StatusOr<uint32_t> GetWireU32(const std::string& data, size_t* offset) {
   if (*offset + 4 > data.size()) return Truncated();
   uint32_t v = 0;
@@ -59,6 +63,11 @@ StatusOr<uint64_t> GetWireU64(const std::string& data, size_t* offset) {
   DIABLO_ASSIGN_OR_RETURN(uint32_t lo, GetWireU32(data, offset));
   DIABLO_ASSIGN_OR_RETURN(uint32_t hi, GetWireU32(data, offset));
   return (static_cast<uint64_t>(hi) << 32) | lo;
+}
+
+StatusOr<double> GetWireDouble(const std::string& data, size_t* offset) {
+  DIABLO_ASSIGN_OR_RETURN(uint64_t bits, GetWireU64(data, offset));
+  return std::bit_cast<double>(bits);
 }
 
 namespace {
@@ -88,14 +97,10 @@ void SerializeValue(const Value& v, std::string* out) {
       out->push_back(kTagInt);
       PutU64(static_cast<uint64_t>(v.AsInt()), out);
       return;
-    case Value::Kind::kDouble: {
+    case Value::Kind::kDouble:
       out->push_back(kTagDouble);
-      uint64_t bits;
-      double d = v.AsDouble();
-      std::memcpy(&bits, &d, sizeof(bits));
-      PutU64(bits, out);
+      PutWireDouble(v.AsDouble(), out);
       return;
-    }
     case Value::Kind::kString:
       out->push_back(kTagString);
       PutU32(static_cast<uint32_t>(v.AsString().size()), out);
@@ -154,9 +159,7 @@ StatusOr<Value> DeserializeValueAtDepth(const std::string& data, size_t* offset,
       return Value::MakeInt(static_cast<int64_t>(bits));
     }
     case kTagDouble: {
-      DIABLO_ASSIGN_OR_RETURN(uint64_t bits, GetU64(data, offset));
-      double d;
-      std::memcpy(&d, &bits, sizeof(d));
+      DIABLO_ASSIGN_OR_RETURN(double d, GetWireDouble(data, offset));
       return Value::MakeDouble(d);
     }
     case kTagString: {

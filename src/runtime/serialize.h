@@ -24,10 +24,14 @@ namespace diablo::runtime {
 
 /// Little-endian fixed-width primitives shared by every layer of the
 /// wire format (values, HashedRow batches, dist/ frame payloads).
+/// A double travels as its IEEE-754 bit pattern in a u64, so every
+/// value, NaN payloads and signed zeros included, round-trips exactly.
 void PutWireU32(uint32_t v, std::string* out);
 void PutWireU64(uint64_t v, std::string* out);
+void PutWireDouble(double v, std::string* out);
 StatusOr<uint32_t> GetWireU32(const std::string& data, size_t* offset);
 StatusOr<uint64_t> GetWireU64(const std::string& data, size_t* offset);
+StatusOr<double> GetWireDouble(const std::string& data, size_t* offset);
 
 /// Appends the encoding of `v` to `out`.
 void SerializeValue(const Value& v, std::string* out);

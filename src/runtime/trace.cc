@@ -12,13 +12,13 @@
 
 namespace diablo::runtime {
 
-namespace {
-
 double SteadyNowUs() {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+namespace {
 
 /// Open spans keep dur_us at this sentinel until EndSpan fixes it.
 constexpr double kOpenSentinel = -1.0;

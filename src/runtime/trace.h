@@ -43,6 +43,12 @@
 
 namespace diablo::runtime {
 
+/// The one clock every timeline reads: absolute steady-clock
+/// microseconds. Trace spans and event stamps are relative to a reading
+/// of it; the distributed backend's Hello handshake and task results
+/// ship absolute readings.
+double SteadyNowUs();
+
 enum class SpanKind { kRun, kStatement, kStage, kWave, kTask, kRecovery };
 
 /// Stable lowercase name ("run", "statement", ...), used in exports.
@@ -108,16 +114,17 @@ class TraceRecorder {
   void AddTask(int64_t parent, double start_us, double dur_us, int worker,
                int partition, int attempt, int stage_id, int64_t rows);
 
-  /// Splices a span shipped from another process (dist telemetry) under
-  /// `parent`, assigning it a fresh id. `span.start_us` must already be
-  /// in this recorder's timebase (caller subtracts EpochUs() and applies
-  /// the clock offset); `span.process` selects its Chrome process lane.
+  /// Splices a span timed in another process (a distributed task
+  /// attempt) under `parent`, assigning it a fresh id. `span.start_us`
+  /// must already be in this recorder's timebase (caller subtracts the
+  /// clock offset and EpochUs()); `span.process` selects its Chrome
+  /// process lane.
   int64_t AddRemoteSpan(int64_t parent, TraceSpan span);
 
   /// The absolute steady-clock reading (µs) this recorder's span
-  /// timestamps are relative to. Remote telemetry ships absolute
-  /// steady-clock times; the splice converts with
-  /// `abs_us - EpochUs() + clock_offset`.
+  /// timestamps are relative to. A worker's task result ships an
+  /// absolute steady-clock start time; the splice converts it with
+  /// `abs_us - clock_offset - EpochUs()`.
   double EpochUs() const { return epoch_us_; }
 
   /// Copy of all spans recorded so far (open spans have dur_us extended

@@ -1,6 +1,7 @@
 #include "runtime/wave_io.h"
 
 #include <utility>
+#include <variant>
 
 #include "common/strings.h"
 #include "runtime/serialize.h"
@@ -74,6 +75,43 @@ StatusOr<std::vector<int64_t>> GetNumVec(const std::string& data,
   return v;
 }
 
+void PutCounter(int64_t v, std::string* out) {
+  PutWireU64(static_cast<uint64_t>(v), out);
+}
+void PutCounter(double v, std::string* out) { PutWireDouble(v, out); }
+
+Status GetCounter(const std::string& data, size_t* offset, int64_t* v) {
+  DIABLO_ASSIGN_OR_RETURN(uint64_t x, GetWireU64(data, offset));
+  *v = static_cast<int64_t>(x);
+  return Status::OK();
+}
+Status GetCounter(const std::string& data, size_t* offset, double* v) {
+  DIABLO_ASSIGN_OR_RETURN(*v, GetWireDouble(data, offset));
+  return Status::OK();
+}
+
+/// A task record: every kStageCounters entry in table order, then the
+/// two vectors tasks fill. Nothing else of a StageStats is a task's.
+void PutRecord(const StageStats& record, std::string* out) {
+  for (const StageCounter& c : kStageCounters) {
+    std::visit([&](auto m) { PutCounter(record.*m, out); }, c.member);
+  }
+  PutNumVec(record.reduce_work, out);
+  PutNumVec(record.partition_bytes, out);
+}
+
+Status GetRecord(const std::string& data, size_t* offset,
+                 StageStats* record) {
+  for (const StageCounter& c : kStageCounters) {
+    DIABLO_RETURN_IF_ERROR(std::visit(
+        [&](auto m) { return GetCounter(data, offset, &(record->*m)); },
+        c.member));
+  }
+  DIABLO_ASSIGN_OR_RETURN(record->reduce_work, GetNumVec(data, offset));
+  DIABLO_ASSIGN_OR_RETURN(record->partition_bytes, GetNumVec(data, offset));
+  return Status::OK();
+}
+
 }  // namespace
 
 StatusOr<std::string> EncodeTaskSlots(const WaveSlots& slots, int task) {
@@ -112,29 +150,10 @@ StatusOr<std::string> EncodeTaskSlots(const WaveSlots& slots, int task) {
   } else {
     out.push_back(kAbsent);
   }
-  if (slots.nums != nullptr) {
-    DIABLO_RETURN_IF_ERROR(CheckTask(task, slots.nums->size(), "nums"));
+  if (slots.records != nullptr) {
+    DIABLO_RETURN_IF_ERROR(CheckTask(task, slots.records->size(), "records"));
     out.push_back(kPresent);
-    PutWireU64(static_cast<uint64_t>((*slots.nums)[task]), &out);
-  } else {
-    out.push_back(kAbsent);
-  }
-  if (slots.num_vecs != nullptr) {
-    DIABLO_RETURN_IF_ERROR(CheckTask(task, slots.num_vecs->size(), "num_vecs"));
-    out.push_back(kPresent);
-    PutNumVec((*slots.num_vecs)[task], &out);
-  } else {
-    out.push_back(kAbsent);
-  }
-  if (slots.tallies != nullptr) {
-    DIABLO_RETURN_IF_ERROR(CheckTask(task, slots.tallies->size(), "tallies"));
-    out.push_back(kPresent);
-    const ChainTally& tally = (*slots.tallies)[task];
-    PutNumVec(tally.rows, &out);
-    PutNumVec(tally.sample_bytes, &out);
-    PutWireU64(static_cast<uint64_t>(tally.columnar_batches), &out);
-    PutWireU64(static_cast<uint64_t>(tally.columnar_rows_fallback), &out);
-    PutWireU64(static_cast<uint64_t>(tally.accumulator_bytes), &out);
+    PutRecord((*slots.records)[task], &out);
   } else {
     out.push_back(kAbsent);
   }
@@ -206,34 +225,13 @@ Status DecodeTaskSlots(const WaveSlots& slots, int task,
     }
   }
   DIABLO_ASSIGN_OR_RETURN(
-      bool has_num, GetFlag(bytes, &offset, slots.nums != nullptr, "nums"));
-  if (has_num) {
-    DIABLO_RETURN_IF_ERROR(CheckTask(task, slots.nums->size(), "nums"));
-    DIABLO_ASSIGN_OR_RETURN(uint64_t x, GetWireU64(bytes, &offset));
-    (*slots.nums)[task] = static_cast<int64_t>(x);
-  }
-  DIABLO_ASSIGN_OR_RETURN(
-      bool has_num_vec,
-      GetFlag(bytes, &offset, slots.num_vecs != nullptr, "num_vecs"));
-  if (has_num_vec) {
-    DIABLO_RETURN_IF_ERROR(CheckTask(task, slots.num_vecs->size(), "num_vecs"));
-    DIABLO_ASSIGN_OR_RETURN((*slots.num_vecs)[task], GetNumVec(bytes, &offset));
-  }
-  DIABLO_ASSIGN_OR_RETURN(
-      bool has_tally,
-      GetFlag(bytes, &offset, slots.tallies != nullptr, "tallies"));
-  if (has_tally) {
-    DIABLO_RETURN_IF_ERROR(CheckTask(task, slots.tallies->size(), "tallies"));
-    ChainTally tally;
-    DIABLO_ASSIGN_OR_RETURN(tally.rows, GetNumVec(bytes, &offset));
-    DIABLO_ASSIGN_OR_RETURN(tally.sample_bytes, GetNumVec(bytes, &offset));
-    DIABLO_ASSIGN_OR_RETURN(uint64_t cb, GetWireU64(bytes, &offset));
-    DIABLO_ASSIGN_OR_RETURN(uint64_t cf, GetWireU64(bytes, &offset));
-    DIABLO_ASSIGN_OR_RETURN(uint64_t ab, GetWireU64(bytes, &offset));
-    tally.columnar_batches = static_cast<int64_t>(cb);
-    tally.columnar_rows_fallback = static_cast<int64_t>(cf);
-    tally.accumulator_bytes = static_cast<int64_t>(ab);
-    (*slots.tallies)[task] = std::move(tally);
+      bool has_record,
+      GetFlag(bytes, &offset, slots.records != nullptr, "records"));
+  if (has_record) {
+    DIABLO_RETURN_IF_ERROR(CheckTask(task, slots.records->size(), "records"));
+    StageStats record;
+    DIABLO_RETURN_IF_ERROR(GetRecord(bytes, &offset, &record));
+    (*slots.records)[task] = std::move(record);
   }
   if (offset != bytes.size()) {
     return Status::RuntimeError("trailing bytes after task-slot payload");

@@ -1,7 +1,6 @@
 #ifndef DIABLO_RUNTIME_WAVE_IO_H_
 #define DIABLO_RUNTIME_WAVE_IO_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -13,50 +12,6 @@
 #include "runtime/value.h"
 
 namespace diablo::runtime {
-
-/// Per-task tally of the intermediates a fused chain streamed through
-/// instead of materializing: rows produced at each operator boundary,
-/// with bytes estimated from the first row crossing that boundary (a
-/// full per-row SerializedBytes() walk would cost more than the
-/// materialization it measures).
-struct ChainTally {
-  std::vector<int64_t> rows;
-  std::vector<int64_t> sample_bytes;
-  /// Columnar accounting for the task (StageStats::columnar_batches /
-  /// columnar_rows_fallback). Carried on the tally because it is
-  /// per-task state that must cross the dist wire with the other
-  /// per-task outputs.
-  int64_t columnar_batches = 0;
-  int64_t columnar_rows_fallback = 0;
-  /// Peak estimated bytes of the task's keyed accumulator
-  /// (KeyedAccumulator / TypedReduceAccumulator MemoryBytes() sampled
-  /// after the fold). Crosses the dist wire so worker-side memory
-  /// reaches StageStats::accumulator_bytes_peak.
-  int64_t accumulator_bytes = 0;
-
-  /// Restartable: called at the top of every task attempt.
-  void Reset(size_t boundaries) {
-    rows.assign(boundaries, 0);
-    sample_bytes.assign(boundaries, 0);
-    columnar_batches = 0;
-    columnar_rows_fallback = 0;
-    accumulator_bytes = 0;
-  }
-  void Record(size_t boundary, const Value& v) {
-    if (boundary >= rows.size()) return;
-    if (rows[boundary]++ == 0) sample_bytes[boundary] = v.SerializedBytes();
-  }
-  void MergeInto(StageStats* stats) const {
-    for (size_t i = 0; i < rows.size(); ++i) {
-      stats->rows_not_materialized += rows[i];
-      stats->bytes_not_materialized += rows[i] * sample_bytes[i];
-    }
-    stats->columnar_batches += columnar_batches;
-    stats->columnar_rows_fallback += columnar_rows_fallback;
-    stats->accumulator_bytes_peak =
-        std::max(stats->accumulator_bytes_peak, accumulator_bytes);
-  }
-};
 
 /// The driver-side output slots a task wave writes. Every engine wave
 /// writes only per-task slots (out[p], buckets[p], partials[p], ...), so
@@ -75,13 +30,11 @@ struct WaveSlots {
   std::vector<std::vector<HashedVec>>* buckets = nullptr;
   /// Per-task partial aggregate (Reduce).
   std::vector<std::optional<Value>>* partials = nullptr;
-  /// One per-task counter (moved bytes, written bytes).
-  std::vector<int64_t>* nums = nullptr;
-  /// Per-task counter vector (per-destination shuffle bytes, a wide
-  /// finish task's work and keyed-table counts).
-  std::vector<std::vector<int64_t>>* num_vecs = nullptr;
-  /// Fused-chain materialization tallies per task.
-  std::vector<ChainTally>* tallies = nullptr;
+  /// Per-task records (StageStats): what each task measured about
+  /// itself. Encoded as every kStageCounters entry in table order, then
+  /// reduce_work and partition_bytes, the two vectors tasks fill; the
+  /// wave folds them into its stage record with FoldTaskRecords.
+  std::vector<StageStats>* records = nullptr;
 };
 
 /// Encodes every present slot of task `task` as length-prefixed wire

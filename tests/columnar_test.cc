@@ -519,10 +519,9 @@ TEST(ColumnarProperty, ColumnarUnderFaultsMatchesBoxedFaultFree) {
 }
 
 TEST(ColumnarProperty, LostPartitionRecoveryReplaysColumnarStages) {
-  // Deterministic lost-partition directives drive the recompute_many
-  // closures behind every typed stage and the replay closure of every
-  // Force, and the rebuilt partitions must be byte-identical to the
-  // clean closure-route run.
+  // Deterministic lost-partition directives drive the lineage replay
+  // behind every typed stage and every Force, and the rebuilt
+  // partitions must be byte-identical to the clean closure-route run.
   std::mt19937_64 rng(4242);
   ValueVec rows = WorkloadInput(/*which=*/3, rng);
   Engine boxed;
@@ -544,9 +543,9 @@ TEST(ColumnarProperty, LostPartitionRecoveryReplaysColumnarStages) {
 }
 
 // ---------------------------------------------------------------------
-// Distributed: typed stages run in forked workers, their tallies cross
-// the wire, they survive real worker kills, and they still match the
-// single-process closure route.
+// Distributed: typed stages run in forked workers, their task records
+// cross the wire, they survive real worker kills, and they still match
+// the single-process closure route.
 
 std::string Bytes(const ValueVec& rows) {
   std::string out;
@@ -572,7 +571,7 @@ TEST(ColumnarDistTest, ColumnarOverWorkersMatchesBoxedLocal) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(Bytes(*got), Bytes(*expected));
   EXPECT_GT(dist.metrics().total_dist_tasks(), 0);
-  // The batch tallies made the round trip from the forked workers.
+  // The batch counters made the round trip in the workers' task records.
   EXPECT_GT(dist.metrics().total_columnar_batches(), 0);
 }
 

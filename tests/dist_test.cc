@@ -29,7 +29,6 @@
 namespace diablo::dist {
 namespace {
 
-using runtime::ChainTally;
 using runtime::Dataset;
 using runtime::Engine;
 using runtime::EngineConfig;
@@ -191,45 +190,41 @@ TEST(PayloadTest, HelloRoundTrip) {
 }
 
 TEST(PayloadTest, TelemetryRoundTrip) {
-  runtime::WorkerTelemetry telemetry;
-  telemetry.task = 5;
-  telemetry.attempt = 2;
-  telemetry.peak_rss_bytes = 123456789;
-  runtime::WorkerSpan span;
-  span.start_abs_us = 1.5e12;
-  span.dur_us = 250.25;
-  span.partition = 5;
-  span.attempt = 2;
-  span.stage_id = 7;
-  span.rows = 4096;
-  telemetry.spans.push_back(span);
+  // Every attempt's result carries its timing and the worker's peak RSS,
+  // on success and on failure alike.
+  for (const Status& status :
+       {Status::OK(), Status::TaskLost("shuffle payload corrupted")}) {
+    SCOPED_TRACE(status.ToString());
+    const std::string slots = status.ok() ? "SLOTBYTES" : "";
+    std::string payload = EncodeTaskResultPayload(
+        5, 2, status, 1.5e12, 250.25, 123456789, slots);
+    int p = 0, attempt = 0;
+    Status got_status;
+    double start_us = 0, dur_us = 0;
+    int64_t peak_rss_bytes = 0;
+    std::string got_slots;
+    auto decode = [&](const std::string& bytes) {
+      return DecodeTaskResultPayload(bytes, &p, &attempt, &got_status,
+                                     &start_us, &dur_us, &peak_rss_bytes,
+                                     &got_slots);
+    };
+    ASSERT_TRUE(decode(payload).ok());
+    EXPECT_EQ(p, 5);
+    EXPECT_EQ(attempt, 2);
+    EXPECT_EQ(got_status.code(), status.code());
+    EXPECT_EQ(got_status.message(), status.message());
+    EXPECT_EQ(start_us, 1.5e12);
+    EXPECT_EQ(dur_us, 250.25);
+    EXPECT_EQ(peak_rss_bytes, 123456789);
+    EXPECT_EQ(got_slots, slots);
 
-  std::string payload = EncodeTelemetryPayload(telemetry);
-  runtime::WorkerTelemetry got;
-  ASSERT_TRUE(DecodeTelemetryPayload(payload, &got).ok());
-  EXPECT_EQ(got.task, 5);
-  EXPECT_EQ(got.attempt, 2);
-  EXPECT_EQ(got.peak_rss_bytes, 123456789);
-  ASSERT_EQ(got.spans.size(), 1u);
-  EXPECT_EQ(got.spans[0].start_abs_us, 1.5e12);
-  EXPECT_EQ(got.spans[0].dur_us, 250.25);
-  EXPECT_EQ(got.spans[0].partition, 5);
-  EXPECT_EQ(got.spans[0].attempt, 2);
-  EXPECT_EQ(got.spans[0].stage_id, 7);
-  EXPECT_EQ(got.spans[0].rows, 4096);
-
-  // Trailing bytes and truncation at every split point are rejected.
-  EXPECT_FALSE(DecodeTelemetryPayload(payload + "x", &got).ok());
-  for (size_t len = 0; len < payload.size(); ++len) {
-    EXPECT_FALSE(DecodeTelemetryPayload(payload.substr(0, len), &got).ok())
-        << "prefix of length " << len << " accepted";
+    // Trailing bytes and truncation at every split point are rejected.
+    EXPECT_FALSE(decode(payload + "x").ok());
+    for (size_t len = 0; len < payload.size(); ++len) {
+      EXPECT_FALSE(decode(payload.substr(0, len)).ok())
+          << "prefix of length " << len << " accepted";
+    }
   }
-  // Oversized span count must fail fast without allocating (the count
-  // field follows task, attempt, and the RSS reading: offset 16).
-  std::string oversized = payload;
-  oversized[16] = oversized[17] = oversized[18] = oversized[19] =
-      static_cast<char>(0xFF);
-  EXPECT_FALSE(DecodeTelemetryPayload(oversized, &got).ok());
 }
 
 TEST(PayloadTest, TaskAndResultRoundTrip) {
@@ -240,12 +235,16 @@ TEST(PayloadTest, TaskAndResultRoundTrip) {
   EXPECT_EQ(attempt, 2);
 
   Status failure = Status::TaskLost("payload corrupted in flight");
-  std::string result = EncodeTaskResultPayload(5, 1, failure, "SLOTBYTES");
+  std::string result =
+      EncodeTaskResultPayload(5, 1, failure, 0.0, 0.0, 0, "SLOTBYTES");
   Status decoded_status = Status::OK();
+  double start_us = 0, dur_us = 0;
+  int64_t peak_rss_bytes = 0;
   std::string slots;
-  ASSERT_TRUE(
-      DecodeTaskResultPayload(result, &p, &attempt, &decoded_status, &slots)
-          .ok());
+  ASSERT_TRUE(DecodeTaskResultPayload(result, &p, &attempt, &decoded_status,
+                                      &start_us, &dur_us, &peak_rss_bytes,
+                                      &slots)
+                  .ok());
   EXPECT_EQ(p, 5);
   EXPECT_EQ(attempt, 1);
   EXPECT_EQ(decoded_status.code(), StatusCode::kTaskLost);
@@ -254,12 +253,14 @@ TEST(PayloadTest, TaskAndResultRoundTrip) {
 
   // Oversized message length prefix must fail fast. The length field
   // follows p, attempt, and the status code (offset 12).
-  std::string oversized = EncodeTaskResultPayload(0, 0, failure, "");
+  std::string oversized =
+      EncodeTaskResultPayload(0, 0, failure, 0.0, 0.0, 0, "");
   oversized[12] = oversized[13] = oversized[14] = oversized[15] =
       static_cast<char>(0xFF);
-  EXPECT_FALSE(
-      DecodeTaskResultPayload(oversized, &p, &attempt, &decoded_status, &slots)
-          .ok());
+  EXPECT_FALSE(DecodeTaskResultPayload(oversized, &p, &attempt,
+                                       &decoded_status, &start_us, &dur_us,
+                                       &peak_rss_bytes, &slots)
+                   .ok());
 }
 
 // -------------------------------- chaos --------------------------------
@@ -311,9 +312,7 @@ TEST(WaveSlotsTest, RoundTripAllSlotKinds) {
   std::vector<HashedVec> hashed(kTasks), hashed2(kTasks);
   std::vector<std::vector<HashedVec>> buckets(kTasks), buckets2(kTasks);
   std::vector<std::optional<Value>> partials(kTasks), partials2(kTasks);
-  std::vector<int64_t> nums(kTasks, 0), nums2(kTasks, 0);
-  std::vector<std::vector<int64_t>> num_vecs(kTasks), num_vecs2(kTasks);
-  std::vector<ChainTally> tallies(kTasks), tallies2(kTasks);
+  std::vector<runtime::StageStats> records(kTasks), records2(kTasks);
 
   rows[1] = {I(1), Value::MakePair(S("k"), D(2.5)), Value::MakeBag({I(7)})};
   hashed[1] = {HashedRow{42u, Value::MakePair(S("a"), I(1))},
@@ -321,20 +320,14 @@ TEST(WaveSlotsTest, RoundTripAllSlotKinds) {
   buckets[1] = {HashedVec{HashedRow{1u, I(10)}}, HashedVec{},
                 HashedVec{HashedRow{2u, I(20)}, HashedRow{3u, I(30)}}};
   partials[1] = D(6.75);
-  nums[1] = 987654321;
-  num_vecs[1] = {11, 0, 22};
-  tallies[1].Reset(2);
-  tallies[1].Record(0, I(5));
-  tallies[1].Record(0, I(6));
-  tallies[1].Record(1, S("wide row"));
+  records[1].shuffle_bytes = 987654321;
+  records[1].partition_bytes = {11, 0, 22};
 
-  WaveSlots src{&rows, &hashed, &buckets, &partials, &nums, &num_vecs,
-                &tallies};
+  WaveSlots src{&rows, &hashed, &buckets, &partials, &records};
   auto bytes = runtime::EncodeTaskSlots(src, 1);
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
 
-  WaveSlots dst{&rows2, &hashed2, &buckets2, &partials2, &nums2, &num_vecs2,
-                &tallies2};
+  WaveSlots dst{&rows2, &hashed2, &buckets2, &partials2, &records2};
   ASSERT_TRUE(runtime::DecodeTaskSlots(dst, 1, *bytes).ok());
   EXPECT_EQ(rows2[1], rows[1]);
   ASSERT_EQ(hashed2[1].size(), hashed[1].size());
@@ -346,10 +339,10 @@ TEST(WaveSlotsTest, RoundTripAllSlotKinds) {
   EXPECT_EQ(buckets2[1][2][1].row, I(30));
   ASSERT_TRUE(partials2[1].has_value());
   EXPECT_EQ(Serialize(*partials2[1]), Serialize(*partials[1]));
-  EXPECT_EQ(nums2[1], nums[1]);
-  EXPECT_EQ(num_vecs2[1], num_vecs[1]);
-  EXPECT_EQ(tallies2[1].rows, tallies[1].rows);
-  EXPECT_EQ(tallies2[1].sample_bytes, tallies[1].sample_bytes);
+  // Every counter of the record is covered by
+  // StageCounters.EveryCounterReachesEveryExport.
+  EXPECT_EQ(records2[1].shuffle_bytes, records[1].shuffle_bytes);
+  EXPECT_EQ(records2[1].partition_bytes, records[1].partition_bytes);
   // Untouched tasks stay untouched.
   EXPECT_TRUE(rows2[0].empty());
   EXPECT_FALSE(partials2[0].has_value());
@@ -376,9 +369,9 @@ TEST(WaveSlotsTest, ShapeMismatchAndCorruptionRejected) {
   ASSERT_TRUE(bytes.ok());
 
   // Decoding into a wave with a different slot shape is corruption.
-  std::vector<int64_t> nums(1, 0);
+  std::vector<std::optional<Value>> partials(1);
   WaveSlots wrong;
-  wrong.nums = &nums;
+  wrong.partials = &partials;
   EXPECT_FALSE(runtime::DecodeTaskSlots(wrong, 0, *bytes).ok());
 
   // Trailing bytes and truncation at every split point are rejected.
@@ -656,9 +649,9 @@ TEST(DistEndToEndTest, EveryFaultClassAccountsIdenticallyOverDist) {
 }
 
 TEST(DistEndToEndTest, ChaosOutputIdenticalWithTracingOnAndOff) {
-  // Telemetry frames flow only when tracing (or a registry) is on; the
-  // program output must be byte-identical either way, even while chaos
-  // is killing workers mid-wave.
+  // Worker task spans are spliced only when tracing is on; the program
+  // output must be byte-identical either way, even while chaos is
+  // killing workers mid-wave.
   DistConfig config = FastDist(3);
   config.chaos.kills.push_back({/*stage=*/2, /*worker=*/1, 1});
   auto run = [&](bool tracing) {
@@ -699,8 +692,9 @@ TEST(DistEndToEndTest, ChaosTelemetryMergesWorkerSpansAndEvents) {
             dist.metrics().total_dist_workers_lost());
   EXPECT_GE(events.CountOf("lineage_recovery"), 1);
 
-  // Surviving workers' telemetry spans were spliced into the driver
-  // trace as distinct process lanes.
+  // Surviving workers' task spans, built from their task results'
+  // timing, were spliced into the driver trace as distinct process
+  // lanes.
   ASSERT_NE(dist.trace(), nullptr);
   std::vector<runtime::TraceSpan> spans = dist.trace()->Snapshot();
   std::set<int> processes;

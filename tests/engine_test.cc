@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 
+#include "common/strings.h"
 #include "runtime/operators.h"
 
 namespace diablo::runtime {
@@ -238,8 +239,7 @@ INSTANTIATE_TEST_SUITE_P(
                       EngineParams{8, 1}, EngineParams{3, 1},
                       EngineParams{8, 2}, EngineParams{16, 4}),
     [](const ::testing::TestParamInfo<EngineParams>& info) {
-      return "p" + std::to_string(info.param.partitions) + "t" +
-             std::to_string(info.param.threads);
+      return StrCat("p", info.param.partitions, "t", info.param.threads);
     });
 
 // Stress: a pipeline mixing wide and narrow operators under real host

@@ -10,6 +10,7 @@
 #include <random>
 #include <string>
 
+#include "common/strings.h"
 #include "runtime/engine.h"
 #include "runtime/fault.h"
 #include "runtime/serialize.h"
@@ -163,6 +164,51 @@ TEST(FaultTolerance, LostPartitionIsRecomputedFromLineage) {
   EXPECT_EQ(*got, *expected);
   EXPECT_EQ(engine.metrics().total_recomputed_partitions(), 1);
   EXPECT_GT(engine.metrics().total_recovery_seconds(), 0.0);
+}
+
+TEST(FaultTolerance, LostForcedPartitionIsReplayedThroughItsChain) {
+  // Force runs a pending map+filter as stage 0; losing input partition 2
+  // of the reduceByKey that consumes it (stage 1) replays that chain on
+  // the partition's source rows through the Force stage's lineage.
+  auto run = [](const EngineConfig& config) -> StatusOr<std::string> {
+    Engine engine(config);
+    Dataset ds = engine.Parallelize(KeyedRows(120, 9));
+    DIABLO_ASSIGN_OR_RETURN(
+        Dataset scaled,
+        engine.Map(ds, [](const Value& v) -> StatusOr<Value> {
+          return Value::MakePair(
+              v.tuple()[0], Value::MakeDouble(v.tuple()[1].AsDouble() * 0.7));
+        }));
+    DIABLO_ASSIGN_OR_RETURN(
+        Dataset kept,
+        engine.Filter(scaled, [](const Value& v) -> StatusOr<bool> {
+          return v.tuple()[0].AsInt() != 4;
+        }));
+    DIABLO_ASSIGN_OR_RETURN(Dataset forced, engine.Force(kept));
+    if (forced.partition(2).empty()) {
+      return Status::RuntimeError("partition 2 holds no rows to replay");
+    }
+    DIABLO_ASSIGN_OR_RETURN(Dataset sums,
+                            engine.ReduceByKey(forced, BinOp::kAdd));
+    DIABLO_ASSIGN_OR_RETURN(ValueVec rows, engine.Collect(sums));
+    if (engine.metrics().total_recomputed_partitions() !=
+        (config.faults.enabled() ? 1 : 0)) {
+      return Status::RuntimeError(
+          StrCat("recomputed ", engine.metrics().total_recomputed_partitions(),
+                 " partitions"));
+    }
+    std::string bytes;
+    for (const Value& v : rows) bytes += Serialize(v);
+    return bytes;
+  };
+  auto expected = run(EngineConfig{});
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EngineConfig config;
+  config.faults.lose_partitions.push_back(
+      {/*stage=*/1, /*partition=*/2, /*input_index=*/0});
+  auto got = run(config);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, *expected);
 }
 
 TEST(FaultTolerance, LostSourcePartitionIsRereadDurably) {
@@ -356,7 +402,7 @@ TEST(FaultTolerance, CompiledProgramSurvivesInjection) {
 // ---------------------------------------------------------------------------
 // Lineage recovery of each wide operator's OUTPUT. The stage consuming
 // the result finds some of its partitions lost, so the engine must
-// rebuild them through that operator's recompute_many replay (never a
+// rebuild them through that operator's lineage replay (never a
 // durable re-read), and the run must stay byte-identical to the
 // fault-free one.
 

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
 #include "runtime/engine.h"
 #include "runtime/fault.h"
 #include "runtime/keyed_accumulator.h"
@@ -85,7 +86,7 @@ TEST(KeyedAccumulator, StructuralKeysCompareByValueNotHash) {
   KeyedAccumulator<ValueVec> acc;
   for (int round = 0; round < 3; ++round) {
     for (int64_t a = 0; a < 8; ++a) {
-      const Value key = Value::MakePair(I(a), S("k" + std::to_string(a % 3)));
+      const Value key = Value::MakePair(I(a), S(StrCat("k", a % 3)));
       acc.FindOrCreate(key.Hash(), key).payload.push_back(I(round));
     }
   }
@@ -165,9 +166,9 @@ Value RandomKey(KeyKind kind, int64_t k) {
     case KeyKind::kInt:
       return I(k);
     case KeyKind::kString:
-      return S("k" + std::to_string(k));
+      return S(StrCat("k", k));
     case KeyKind::kTuple:
-      return Value::MakePair(I(k % 5), S("t" + std::to_string(k)));
+      return Value::MakePair(I(k % 5), S(StrCat("t", k)));
   }
   return I(k);
 }
@@ -441,7 +442,7 @@ StatusOr<ValueVec> RelationalMix(Engine& engine, const ValueVec& rows) {
 TEST(HashAggProperty, LostPartitionRecoveryUsesAccumulatorReplay) {
   // Each directive loses a partition of a wide operator's OUTPUT at the
   // stage consuming it (see the stage map on RelationalMix), so the
-  // rebuild runs that operator's recompute_many replay — never a
+  // rebuild runs that operator's lineage replay — never a
   // durable re-read of the parallelized source.
   std::mt19937_64 rng(4242);
   ValueVec rows = KeyedDoubleRows(rng);

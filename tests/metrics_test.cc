@@ -19,6 +19,7 @@
 #include "runtime/metrics_registry.h"
 #include "runtime/profile.h"
 #include "runtime/trace.h"
+#include "runtime/wave_io.h"
 
 namespace diablo::runtime {
 namespace {
@@ -138,7 +139,8 @@ std::vector<std::string> LinesStartingWith(const std::string& text,
 // Every kStageCounters entry, given a distinct nonzero value in each of two
 // stages, reaches the profile totals (folded), both profile stage objects,
 // and both stages' lines of --plan-report and --explain-analyze; the
-// watermarks stay out of the text reports.
+// watermarks stay out of the text reports. As a task record, every entry
+// crosses the distributed backend's wire.
 TEST(StageCounters, EveryCounterReachesEveryExport) {
   constexpr size_t kCounters = std::size(kStageCounters);
   // Stage 0 is the larger value for odd rows, stage 1 for even rows, so a
@@ -163,6 +165,39 @@ TEST(StageCounters, EveryCounterReachesEveryExport) {
     }
     metrics.AddStage(stage);
   }
+  // The task-record codec: each entry (a double one with a fraction, so
+  // an integer encoding of it fails) survives EncodeTaskSlots and
+  // DecodeTaskSlots, with the two vectors tasks fill.
+  std::vector<StageStats> sent(1), received(1);
+  for (size_t k = 0; k < kCounters; ++k) {
+    std::visit(
+        [&](auto m) {
+          using T = std::decay_t<decltype(sent[0].*m)>;
+          sent[0].*m = static_cast<T>(value(k, 0)) +
+                       (std::is_same_v<T, double> ? T(0.25) : T(0));
+        },
+        kStageCounters[k].member);
+  }
+  sent[0].reduce_work = {3, 1, 4};
+  sent[0].partition_bytes = {5, 0, 9, 2};
+  WaveSlots out_slots;
+  out_slots.records = &sent;
+  StatusOr<std::string> wire = EncodeTaskSlots(out_slots, 0);
+  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+  WaveSlots in_slots;
+  in_slots.records = &received;
+  ASSERT_TRUE(DecodeTaskSlots(in_slots, 0, *wire).ok());
+  for (size_t k = 0; k < kCounters; ++k) {
+    EXPECT_EQ(kStageCounters[k].Format(received[0]),
+              kStageCounters[k].Format(sent[0]))
+        << kStageCounters[k].name;
+    std::visit(
+        [&](auto m) { EXPECT_EQ(received[0].*m, sent[0].*m); },
+        kStageCounters[k].member);
+  }
+  EXPECT_EQ(received[0].reduce_work, sent[0].reduce_work);
+  EXPECT_EQ(received[0].partition_bytes, sent[0].partition_bytes);
+
   auto expected_total = [&](size_t k) -> int64_t {
     return kStageCounters[k].fold == StageCounter::Fold::kMax
                ? std::max(value(k, 0), value(k, 1))
@@ -228,6 +263,52 @@ TEST(StageCounters, EveryCounterReachesEveryExport) {
       }
     }
   }
+}
+
+// One wave's task records fold into the stage record by the counter
+// table: sums add, the two memory watermarks stay maxima, reduce_work is
+// appended in task order and partition_bytes added per destination.
+TEST(StageCounters, TaskRecordsFoldIntoTheStageRecord) {
+  StageStats stage;
+  stage.label = "stage";
+  stage.attempts = 4;  // charged by the wave itself, not by a task
+  stage.recovery_seconds = 0.5;
+  stage.peak_rss_bytes = 300;
+  stage.reduce_work = {7};
+  stage.partition_bytes = {1, 1};
+  std::vector<StageStats> tasks(3);
+  tasks[0].shuffle_bytes = 10;
+  tasks[0].hash_agg_rows = 5;
+  tasks[0].recovery_seconds = 0.25;
+  tasks[0].accumulator_bytes_peak = 40;
+  tasks[0].peak_rss_bytes = 200;
+  tasks[0].reduce_work = {2};
+  tasks[0].partition_bytes = {3, 4, 5};
+  tasks[1].shuffle_bytes = 20;
+  tasks[1].columnar_batches = 1;
+  tasks[1].accumulator_bytes_peak = 90;
+  tasks[1].peak_rss_bytes = 500;
+  tasks[1].reduce_work = {9};
+  tasks[2].hash_agg_rows = 6;
+  tasks[2].accumulator_bytes_peak = 60;
+  tasks[2].reduce_work = {1, 8};
+  tasks[2].partition_bytes = {10};
+  FoldTaskRecords(tasks, &stage);
+  EXPECT_EQ(stage.label, "stage");
+  EXPECT_EQ(stage.attempts, 4);
+  EXPECT_EQ(stage.shuffle_bytes, 30);
+  EXPECT_EQ(stage.hash_agg_rows, 11);
+  EXPECT_EQ(stage.columnar_batches, 1);
+  EXPECT_EQ(stage.recovery_seconds, 0.75);
+  EXPECT_EQ(stage.accumulator_bytes_peak, 90);
+  EXPECT_EQ(stage.peak_rss_bytes, 500);
+  EXPECT_EQ(stage.reduce_work, (std::vector<int64_t>{7, 2, 9, 1, 8}));
+  EXPECT_EQ(stage.partition_bytes, (std::vector<int64_t>{14, 5, 5}));
+  // A lower task peak never lowers the stage's.
+  StageStats low;
+  low.peak_rss_bytes = 1;
+  FoldTaskRecords({low}, &stage);
+  EXPECT_EQ(stage.peak_rss_bytes, 500);
 }
 
 TEST(JsonEscape, EscapesQuotesBackslashesAndControlCharacters) {

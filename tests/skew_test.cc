@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
 #include "diablo/diablo.h"
 #include "dist/coordinator.h"
 #include "runtime/engine.h"
@@ -230,8 +231,7 @@ struct SkewCase {
 
 std::string CaseName(const ::testing::TestParamInfo<SkewCase>& info) {
   const SkewCase& c = info.param;
-  std::string name = "p" + std::to_string(c.partitions) + "_t" +
-                     std::to_string(c.threads);
+  std::string name = StrCat("p", c.partitions, "_t", c.threads);
   name += c.native_ops ? "_columnar" : "_boxed";
   if (!c.fuse) name += "_nofuse";
   if (!c.hash_agg) name += "_nohashagg";

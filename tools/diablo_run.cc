@@ -128,9 +128,6 @@
 
 #include <memory>
 
-#include "analysis/absint.h"
-#include "analysis/loop_lint.h"
-#include "analysis/merge_algebra.h"
 #include "analysis/restrictions.h"
 #include "common/strings.h"
 #include "diablo/diablo.h"
@@ -542,23 +539,12 @@ int main(int argc, char** argv) {
       // one-line summary, so the user sees *why* the loop races.
       auto parsed = diablo::parser::ParseProgram(source);
       if (parsed.ok()) {
-        diablo::ast::Program canon =
-            diablo::analysis::CanonicalizeIncrements(parsed.value());
-        std::vector<diablo::analysis::Diagnostic> diags =
-            diablo::analysis::LintLoops(canon);
-        // Proven semantic errors (D2xx) reject programs too; render
-        // their witnesses the same way as race witnesses.
-        for (diablo::analysis::Diagnostic& d :
-             diablo::analysis::AnalyzeProgram(canon).diagnostics) {
-          diags.push_back(std::move(d));
-        }
-        for (diablo::analysis::Diagnostic& d :
-             diablo::analysis::LintMergeOperators(canon)) {
-          diags.push_back(std::move(d));
-        }
-        diablo::analysis::SortAndDedupe(&diags);
+        // Proven semantic errors (D2xx) reject programs too; their
+        // witnesses render the same way as race witnesses.
         std::string rendered = diablo::analysis::RenderTextAll(
-            diags, source, program_path);
+            diablo::analysis::RestrictionDiagnostics(
+                diablo::analysis::CanonicalizeIncrements(parsed.value())),
+            source, program_path);
         if (!rendered.empty()) {
           std::fprintf(stderr, "%s", rendered.c_str());
           std::exit(3);
